@@ -61,7 +61,7 @@ func BenchmarkLearningKernels(b *testing.B) {
 	b.Run("ensemble-predict", func(b *testing.B) {
 		cfg := neural.DefaultTrainConfig(7)
 		cfg.Epochs = 5
-		ens, _, err := neural.NewEnsemble(7, 3, sizes, data, cfg)
+		ens, _, err := neural.NewEnsemble(nil, 7, 3, sizes, data, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func BenchmarkLearningKernels(b *testing.B) {
 	b.Run("batch-predict", func(b *testing.B) {
 		cfg := neural.DefaultTrainConfig(7)
 		cfg.Epochs = 5
-		ens, _, err := neural.NewEnsemble(7, 3, sizes, data, cfg)
+		ens, _, err := neural.NewEnsemble(nil, 7, 3, sizes, data, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-// Fab-scale lot pipeline benchmarks: the streamed ScreenLot against the
+// Fab-scale lot pipeline benchmarks: the streamed lot screen against the
 // pre-change per-die loop, across the 1/2/8 multi-site ladder and with the
 // disk cache cold versus warm. The bit-equality tests in internal/core pin
 // that every variant produces the identical LotReport, so these measure
@@ -16,6 +16,7 @@ import (
 	"repro/internal/cachestore"
 	"repro/internal/core"
 	"repro/internal/dut"
+	"repro/internal/parallel"
 	"repro/internal/search"
 	"repro/internal/telemetry"
 	"repro/internal/testgen"
@@ -64,9 +65,9 @@ func lotBenchLot(tb testing.TB) *dut.WaferLot {
 }
 
 // BenchmarkLotScreenPerDieLoop is the pre-streaming reference: one fresh
-// device, tester insertion and searcher per die, serially — what ScreenLot
-// compiled to before the pipeline landed. Its dies/sec is the baseline the
-// streamed variants are gated against.
+// device, tester insertion and searcher per die, serially — what the lot
+// screen compiled to before the pipeline landed. Its dies/sec is the
+// baseline the streamed variants are gated against.
 func BenchmarkLotScreenPerDieLoop(b *testing.B) {
 	tests := lotBenchTests(b)
 	lot := lotBenchLot(b)
@@ -110,9 +111,11 @@ func BenchmarkLotScreenStream(b *testing.B) {
 	geom := dut.DefaultGeometry()
 
 	run := func(b *testing.B, workers int, store *cachestore.Store) *core.LotReport {
+		fleet := parallel.NewFleet(workers)
+		defer fleet.Close()
 		rep, err := core.ScreenLotStream(ate.TDQ, tests, lot, geom, lotBenchSeed, core.LotOptions{
-			Workers: workers,
-			Cache:   store,
+			Fleet: fleet,
+			Cache: store,
 		})
 		if err != nil {
 			b.Fatal(err)

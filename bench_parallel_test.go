@@ -1,5 +1,5 @@
 // Parallel-engine benchmarks: the fig. 5 GA loop and the fig. 8 shmoo
-// overlay fanned across internal/parallel worker pools at 1, 2 and NumCPU
+// overlay fanned across internal/parallel worker fleets at 1, 2 and NumCPU
 // workers. The determinism tests in internal/core and internal/shmoo pin
 // that every variant below produces bit-identical results, so the only
 // thing these benchmarks measure is wall clock and ATE measurement cost.
@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/shmoo"
 	"repro/internal/testgen"
 )
@@ -28,7 +29,7 @@ func parallelWorkerCounts() []int {
 // BenchmarkFigure5OptimizationParallel runs the fig. 5 optimization scheme
 // (NN seed proposal → dual-chromosome GA with ATE fitness) at each worker
 // count. Learning is done once per variant outside the timer; every
-// iteration is one full GA run through the batch evaluator.
+// iteration is one full GA run on the flow's persistent fleet.
 func BenchmarkFigure5OptimizationParallel(b *testing.B) {
 	for _, workers := range parallelWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -41,6 +42,7 @@ func BenchmarkFigure5OptimizationParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer char.Close()
 			if _, err := char.Learn(); err != nil {
 				b.Fatal(err)
 			}
@@ -99,20 +101,22 @@ func BenchmarkFigure5MeasurementCache(b *testing.B) {
 }
 
 // BenchmarkFigure8ShmooParallel overlays 100 tests per iteration, like
-// BenchmarkFigure8ShmooPlot, but through the hermetic per-test fan-out at
-// each worker count.
+// BenchmarkFigure8ShmooPlot, but through the hermetic per-test fan-out on a
+// fleet of each size.
 func BenchmarkFigure8ShmooParallel(b *testing.B) {
 	for _, workers := range parallelWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			tester, gen := newRig(b, 81)
 			tests := gen.Batch(100)
+			fleet := parallel.NewFleet(workers)
+			defer fleet.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				plot, err := shmoo.NewPlot(shmoo.DefaultTDQAxis(), shmoo.DefaultVddAxis())
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := plot.AddTestsParallel(tester, tests, 8100, workers); err != nil {
+				if err := plot.AddTestsOn(fleet, tester, tests, 8100); err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
@@ -120,45 +124,5 @@ func BenchmarkFigure8ShmooParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFigure5Sched is the fleet-vs-batch ladder behind the CI
-// scheduling gate: the same fig. 5 optimization run dispatched through the
-// persistent pipelined fleet (the default) and through the frozen per-batch
-// fork/join pool, at each worker count. Results are bit-identical (pinned by
-// TestSchedulerEquivalenceOptimize); the fleet must be materially faster
-// because its workers keep their ATE insertions — and their dense execution
-// scratch — alive across generations instead of re-forking every batch.
-func BenchmarkFigure5Sched(b *testing.B) {
-	for _, sched := range []string{core.SchedulerBatch, core.SchedulerFleet} {
-		for _, workers := range []int{1, 2, 8} {
-			b.Run(fmt.Sprintf("sched=%s/workers=%d", sched, workers), func(b *testing.B) {
-				tester, _ := newRig(b, 78)
-				cfg := core.DefaultConfig(78)
-				nominal := testgen.NominalConditions()
-				cfg.FixedConditions = &nominal
-				cfg.Parallelism = workers
-				cfg.Scheduler = sched
-				char, err := core.NewCharacterizer(cfg, tester)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer char.Close()
-				if _, err := char.Learn(); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					opt, err := char.Optimize()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						b.ReportMetric(float64(opt.Measurements), "measurements")
-					}
-				}
-			})
-		}
 	}
 }

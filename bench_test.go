@@ -427,7 +427,7 @@ func BenchmarkAblationEnsembleVsSingle(b *testing.B) {
 		b.Run(fmt.Sprintf("members=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sizes := []int{testgen.NumFeatures, 20, 10, char.Coder().Width()}
-				ens, _, err := neural.NewEnsemble(83, size, sizes, data, neural.DefaultTrainConfig(83))
+				ens, _, err := neural.NewEnsemble(nil, 83, size, sizes, data, neural.DefaultTrainConfig(83))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -609,7 +609,7 @@ func BenchmarkEnsembleVote(b *testing.B) {
 	}
 	cfg := neural.DefaultTrainConfig(92)
 	cfg.Epochs = 10
-	ens, _, err := neural.NewEnsemble(92, 3, []int{testgen.NumFeatures, 20, 10, 1}, data, cfg)
+	ens, _, err := neural.NewEnsemble(nil, 92, 3, []int{testgen.NumFeatures, 20, 10, 1}, data, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -692,7 +692,7 @@ func BenchmarkExtensionLotScreen(b *testing.B) {
 	dies := dut.NewDieLot(96, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := core.ScreenLot(ate.TDQ, tests, dies, dut.DefaultGeometry(), 96)
+		rep, err := core.ScreenLotStream(ate.TDQ, tests, dut.LotSlice(dies), dut.DefaultGeometry(), 96, core.LotOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,8 +4,8 @@
 # targets, a telemetry-enabled smoke run (with a trace-determinism diff),
 # and short
 # benchmark passes that record the perf trajectory in BENCH_parallel.json
-# (fig. 5 + Table 1 ns/op and measurement counts, plus the fleet-vs-batch
-# scheduling ladder, whose >= 1.25x fleet speedup is a hard gate), BENCH_obs.json
+# (fig. 5 + Table 1 ns/op and measurement counts, plus fig. 5 on a fleet of
+# 1 and of NumCPU workers), BENCH_obs.json
 # (instrumented-flow ns/op, cache hit rate, measurements per op) and
 # BENCH_kernels.json (neural kernel ns/op, B/op and allocs/op) and
 # BENCH_lot.json (streamed lot screening dies/sec across the worker ladder,
@@ -394,59 +394,26 @@ grep -q "shutdown complete" "$SMOKE_DIR/serve.stderr" || {
 echo "job service: learn job = CLI run $RUN_ID; queued job canceled; clean SIGTERM shutdown"
 
 echo "== fleet determinism under -race =="
-# The scheduling-equivalence suite is the license for the fleet being the
-# default: fleet ≡ batch pool bit-for-bit (results, merged stats, trace
-# bytes) at every worker count, with the race detector watching the
-# persistent workers, the streamed deliveries and the wavefront merges.
+# Bit-identical results, merged stats and trace bytes between a nil fleet
+# (the serial fleet of one) and multi-worker fleets, with the race detector
+# watching the persistent workers and the streamed in-order deliveries.
 go test -race -count=1 \
-	-run 'TestStream|TestFleetMatchesRun' ./internal/parallel/
+	-run 'TestStream|TestFleetMatchesRun|TestForEach|TestRun' ./internal/parallel/
 go test -race -count=1 \
-	-run 'TestSchedulerEquivalence|TestOptimizeDeterministic' ./internal/core/
+	-run 'TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotParallel' ./internal/core/
 go test -race -count=1 \
-	-run 'TestAddTestsOn|TestAddFmaxTestsOn|TestWavefront' ./internal/shmoo/
+	-run 'TestAddTestsOn|TestAddFmaxTestsOn|TestAddTestsParallelDeterministic' ./internal/shmoo/
 echo "fleet determinism suite race-clean"
 
-echo "== fleet scheduling gate (fig. 5 fleet vs batch at 8 workers) =="
-# The persistent pipelined fleet must beat the frozen per-batch fork/join
-# pool by >= 1.25x wall-clock on the fig. 5 optimization scheme at 8
-# workers. The gap is total work, not concurrency (CI runs on one core):
-# fleet workers keep their forked ATE insertions — and the device's dense
-# execution scratch — alive across generations, so the per-generation
-# device clones and per-call map allocations of the batch pool disappear.
-# 5 iterations per variant keep the ratio out of cold-start noise.
-SCHED_OUT=$(go test -run '^$' \
-	-bench 'BenchmarkFigure5Sched/.*/workers=8$' \
-	-benchtime 5x -timeout 60m .)
-printf '%s\n' "$SCHED_OUT"
-printf '%s\n' "$SCHED_OUT" | awk '
-	BEGIN { min_speedup = 1.25; batch = 0; fleet = 0 }
-	/^BenchmarkFigure5Sched\/sched=batch\/workers=8/ {
-		for (i = 2; i <= NF; i++) if ($i == "ns/op") batch = $(i - 1) + 0
-	}
-	/^BenchmarkFigure5Sched\/sched=fleet\/workers=8/ {
-		for (i = 2; i <= NF; i++) if ($i == "ns/op") fleet = $(i - 1) + 0
-	}
-	END {
-		if (batch <= 0 || fleet <= 0) {
-			printf "FAIL: scheduling gate missing batch or fleet ns/op\n" > "/dev/stderr"
-			exit 1
-		}
-		if (fleet * min_speedup > batch) {
-			printf "FAIL: fleet %.0f ns/op is only %.2fx the batch pool (%.0f); need >= %.2fx\n", \
-				fleet, batch / fleet, batch, min_speedup > "/dev/stderr"
-			exit 1
-		}
-		printf "scheduling gate: fleet %.0f ns/op = %.2fx faster than batch pool %.0f\n", \
-			fleet, batch / fleet, batch
-	}
-'
-
 echo "== benchmarks =="
+# fig. 5 on a fleet of 1 and of NumCPU workers is recorded, not gated: on a
+# small runner the two rungs coincide or measure oversubscription.
+NCPU=$(nproc)
 BENCH_OUT=$(go test -run '^$' \
-	-bench '^(BenchmarkFigure5OptimizationScheme|BenchmarkTable1FullComparison)$' \
+	-bench "^(BenchmarkFigure5OptimizationScheme|BenchmarkTable1FullComparison)\$|^BenchmarkFigure5OptimizationParallel\$/^workers=(1|$NCPU)\$" \
 	-benchtime 1x -timeout 60m .)
 printf '%s\n' "$BENCH_OUT"
-printf '%s\n%s\n' "$BENCH_OUT" "$SCHED_OUT" | awk '
+printf '%s\n' "$BENCH_OUT" | awk '
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
 		ns = "null"; meas = "null"

@@ -140,9 +140,9 @@ func inspectRecord(st *runstore.Store, id string, asJSON bool) int {
 		fmt.Printf("  flag -%s=%s\n", name, val)
 	}
 	for i, a := range attempts {
-		fmt.Printf("  attempt %d: %s  parallel=%d scheduler=%s wall=%.3fs\n",
+		fmt.Printf("  attempt %d: %s  parallel=%d wall=%.3fs\n",
 			i+1, time.Unix(0, a.TimeUnixNano).UTC().Format(time.RFC3339),
-			a.Parallelism, a.Scheduler, a.WallSeconds)
+			a.Parallelism, a.WallSeconds)
 	}
 	return 0
 }

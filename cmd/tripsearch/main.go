@@ -97,7 +97,9 @@ func main() {
 		// declaration order regardless of scheduling.
 		ph := tel.StartPhase("search-compare")
 		rows := make([]*trippoint.DSV, len(algos))
-		err = parallel.Run(len(algos), *par, func(int) (*ate.ATE, error) {
+		fleet := parallel.NewFleet(parallel.Bound(*par, len(algos)))
+		defer fleet.Close()
+		err = parallel.RunOn(fleet, len(algos), func(int) (*ate.ATE, error) {
 			return tester.Fork(*seed)
 		}, func(wk *ate.ATE, i int) error {
 			wk.Reseed(*seed + int64(i))

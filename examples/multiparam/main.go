@@ -84,7 +84,8 @@ func main() {
 
 	// --- Lot screen + spec extraction --------------------------------------
 	lot := dut.NewDieLot(9, 8)
-	screen, err := core.ScreenLot(worst.Parameter, []testgen.Test{min.Minimized, worst.Worst.Test}, lot, geom, 9)
+	screen, err := core.ScreenLotStream(worst.Parameter, []testgen.Test{min.Minimized, worst.Worst.Test},
+		dut.LotSlice(lot), geom, 9, core.LotOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // one flag-registration helper so every tool spells the common knobs the
 // same way (-seed, -parallel, -no-cache, -cache-dir, -trace, -metrics,
 // -report, -listen, -cpuprofile, -memprofile), plus the telemetry bootstrap that
-// turns those flags into a live run-telemetry handle, a worker-pool
+// turns those flags into a live run-telemetry handle, a worker-fleet
 // observer, an optional live observability HTTP server and an end-of-run
 // report, and the pprof bootstrap for profiling the compute kernels.
 package cli
@@ -29,11 +29,10 @@ import (
 
 // Common holds the flag values shared by every binary.
 type Common struct {
-	Seed      int64
-	Parallel  int
-	Scheduler string
-	NoCache   bool
-	CacheDir  string
+	Seed     int64
+	Parallel int
+	NoCache  bool
+	CacheDir string
 
 	TracePath   string
 	MetricsPath string
@@ -66,10 +65,11 @@ type Common struct {
 
 	// Embedded marks a Common owned by an in-process host (the job service)
 	// rather than a binary: StartTelemetry then leaves the process-wide
-	// parallel pool/fleet observers alone (they are global, last-wins state
-	// — concurrent jobs would cross-pollute each other's ND stats) and never
-	// starts an observability server of its own. Trace bytes are unaffected
-	// either way: the global observers only feed nd_ metrics.
+	// fleet observer alone (it is global, last-wins state — concurrent jobs
+	// would cross-pollute each other's ND stats), never starts an
+	// observability server of its own and keeps stderr quiet. Trace bytes
+	// are unaffected either way: the global observer only feeds nd_
+	// metrics.
 	Embedded bool
 
 	// CheckCancel, when non-nil, is polled by the flow runners at phase
@@ -137,7 +137,6 @@ func Register(fs *flag.FlagSet) *Common {
 	c := &Common{fs: fs}
 	fs.Int64Var(&c.Seed, "seed", 1, "random seed for the whole run")
 	fs.IntVar(&c.Parallel, "parallel", 0, "worker count for every parallel stage (0 = one per CPU, 1 = serial; results are identical either way)")
-	fs.StringVar(&c.Scheduler, "scheduler", "", "parallel scheduler: fleet (persistent pipelined worker pool, the default) or batch (legacy per-batch fork/join; bit-identical results, only wall-clock differs)")
 	fs.BoolVar(&c.NoCache, "no-cache", false, "disable the measurement memo-cache (re-measure structurally identical tests)")
 	fs.StringVar(&c.CacheDir, "cache-dir", "", "persist measurement results in this directory (content-addressed; a second identical run serves them from disk)")
 	fs.StringVar(&c.TracePath, "trace", "", "write a structured JSONL event trace here (bit-identical for any -parallel)")
@@ -200,18 +199,13 @@ func (c *Common) Validate() error {
 	default:
 		return fmt.Errorf("unknown -inject-fault mode %q (want task-panic or error)", c.InjectFault)
 	}
-	switch c.Scheduler {
-	case "", "fleet", "batch":
-	default:
-		return fmt.Errorf("unknown -scheduler %q (want fleet or batch)", c.Scheduler)
-	}
 	return nil
 }
 
 // Main is the run harness every binary wraps its work in: it validates the
 // flags (exiting 2 with a one-line error on a bad combination), runs body,
 // and routes failures through the crash-bundle path — a panic (including
-// the worker pool's deterministic TaskPanic) writes a "panic" bundle and
+// the worker fleet's deterministic TaskPanic) writes a "panic" bundle and
 // re-panics so the process still dies loudly with the original stack; an
 // error return writes a "fatal-error" bundle and exits 1 via log.Fatal.
 func (c *Common) Main(body func() error) {
@@ -319,7 +313,7 @@ func (c *Common) TelemetryEnabled() bool {
 }
 
 // StartTelemetry opens the run telemetry the flags describe and installs
-// the worker-pool observer. With -listen set it also starts the live
+// the worker-fleet observer. With -listen set it also starts the live
 // observability HTTP server and announces its address on stderr; with
 // -listen or -crash-dir it attaches the flight recorder (bounded event ring
 // + runtime/metrics sampler) and, when -stall-timeout is set, the stall
@@ -363,7 +357,6 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 	c.runName = runName
 	c.tel = tel
 
-	poolObserver := parallel.Observer(tel.ObservePool)
 	progress := c.extProgress
 	var recorder *flight.Recorder
 	if progress == nil && c.Listen != "" {
@@ -376,33 +369,24 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 		c.flight = recorder
 	}
 	tel.SetRunObserver(telemetry.MultiObserver(progress, recorder))
-	if progress != nil || recorder != nil {
-		poolObserver = func(workers int, tasksPerWorker []int) {
-			tel.ObservePool(workers, tasksPerWorker)
-			total := 0
-			for _, n := range tasksPerWorker {
-				total += n
-			}
-			progress.PoolRun(workers, total)
-			recorder.PoolRun(workers, total)
-		}
-	}
-	// Fleet stream stats mirror the pool observer's quarantine: nd_ gauges
-	// in the registry (excluded from determinism diffs), the /progress
-	// non_deterministic section and the flight ring. Both observers are
-	// process-wide (last-wins) globals, so an Embedded run — one of several
-	// concurrent jobs in a host process — must not install them.
+	// Every fleet stage's scheduling summary is quarantined as
+	// non-deterministic: the report's pool section and nd_ gauges in the
+	// registry (both excluded from determinism diffs), the /progress
+	// non_deterministic section and the flight ring. The observer is a
+	// process-wide (last-wins) global, so an Embedded run — one of several
+	// concurrent jobs in a host process — must not install it.
 	if !c.Embedded {
 		reg := tel.Registry()
 		parallel.SetFleetObserver(func(st parallel.StreamStats) {
+			tel.ObservePool(st.Workers, st.TasksPerWorker)
+			progress.PoolRun(st.Workers, st.Tasks)
+			recorder.PoolRun(st.Workers, st.Tasks)
 			reg.Counter("nd_fleet_streams_total").Add(1)
 			reg.Gauge("nd_fleet_queue_depth").Set(float64(st.MaxRunAhead))
 			reg.Gauge("nd_fleet_utilization").Set(st.Utilization())
 			reg.Gauge("nd_fleet_overlap_ratio").Set(st.OverlapRatio())
 			progress.FleetStream(st.Workers, st.Tasks, st.MaxRunAhead, st.Utilization(), st.OverlapRatio())
-			if recorder != nil {
-				recorder.FleetStream(st.Workers, st.Tasks, st.MaxRunAhead, st.Utilization(), st.OverlapRatio())
-			}
+			recorder.FleetStream(st.Workers, st.Tasks, st.MaxRunAhead, st.Utilization(), st.OverlapRatio())
 		})
 	}
 	if recorder != nil {
@@ -425,9 +409,6 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 		c.server = srv
 		fmt.Fprintf(os.Stderr, "obs: serving http://%s/ (metrics, progress, flight, pprof)\n", srv.Addr())
 	}
-	if !c.Embedded {
-		parallel.SetObserver(poolObserver)
-	}
 	if c.CrashDir != "" && c.StallTimeout > 0 {
 		c.wd = c.startWatchdog(c.StallTimeout)
 	}
@@ -445,21 +426,21 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 }
 
 // injectFault triggers the -inject-fault testing hook: "task-panic" drives
-// the real worker-pool panic path (a task panics, the pool drains and
+// the real worker-fleet panic path (a task panics, the stage drains and
 // re-panics the deterministic TaskPanic envelope), "error" returns a plain
 // fatal error. Main's guard turns either into a crash bundle.
 func (c *Common) injectFault() error {
 	switch c.InjectFault {
 	case "task-panic":
-		//nolint:errcheck // unreachable: the pool re-panics the TaskPanic
-		parallel.Run(4, 2,
-			func(w int) (struct{}, error) { return struct{}{}, nil },
-			func(wk struct{}, i int) error {
-				if i == 2 {
-					panic(fmt.Sprintf("injected fault (task %d)", i))
-				}
-				return nil
-			})
+		f := parallel.NewFleet(2)
+		defer f.Close()
+		//nolint:errcheck // unreachable: the fleet re-panics the TaskPanic
+		parallel.ForEachOn(f, 4, func(i int) error {
+			if i == 2 {
+				panic(fmt.Sprintf("injected fault (task %d)", i))
+			}
+			return nil
+		})
 		return nil
 	case "error":
 		return fmt.Errorf("cli: injected fatal error (-inject-fault=error)")
@@ -480,7 +461,7 @@ func (c *Common) stopFlight() {
 // FinishTelemetry closes out the run: closes the trace (so the run-end
 // line is flushed and the fingerprint covers the whole file), writes the
 // -metrics snapshot, prints the -report run report to w, finalizes the
-// -run-dir ledger record, uninstalls the pool observer and shuts the
+// -run-dir ledger record, uninstalls the fleet observer and shuts the
 // -listen server down. Sink I/O failures (a full disk, a closed pipe)
 // surface as errors so the binaries exit nonzero instead of silently
 // shipping a truncated trace or report. total is the whole run's tester
@@ -492,7 +473,6 @@ func (c *Common) FinishTelemetry(w io.Writer, tel *telemetry.Telemetry, total at
 	// Watchdog first: a completed run must never race a stall bundle.
 	c.stopFlight()
 	if !c.Embedded {
-		parallel.SetObserver(nil)
 		parallel.SetFleetObserver(nil)
 	}
 	closeErr := tel.Close()
@@ -553,7 +533,6 @@ func (c *Common) FinishTelemetry(w io.Writer, tel *telemetry.Telemetry, total at
 func (c *Common) Abort() {
 	c.stopFlight()
 	if !c.Embedded {
-		parallel.SetObserver(nil)
 		parallel.SetFleetObserver(nil)
 	}
 	if c.tel != nil {

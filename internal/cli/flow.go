@@ -45,7 +45,7 @@ type FlowSpec struct {
 // flag set (the run's ledger identity) plus the flow body to execute.
 type FlowRun struct {
 	// Common holds the shared flag values; callers may adjust the
-	// non-identity scheduling fields (Parallel, Scheduler, RunDir, …)
+	// non-identity scheduling fields (Parallel, RunDir, …)
 	// before Run without changing the run's identity.
 	Common *Common
 

@@ -7,6 +7,8 @@ package cli
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -99,6 +101,42 @@ func TestFlowRunsFinalize(t *testing.T) {
 			t.Fatalf("flow %s collided with another flow on run ID %s", flow, id)
 		}
 		ids[id] = true
+	}
+}
+
+// TestEmbeddedRunKeepsStderrQuiet pins that a run owned by an in-process
+// host (the job service) writes nothing to the process's stderr, even when
+// it finalizes into a run ledger: the host reports the run ID itself.
+func TestEmbeddedRunKeepsStderrQuiet(t *testing.T) {
+	fr, err := NewFlowRun(FlowSpec{Flow: "learn", Seed: 4, Args: map[string]string{"learn-tests": "12"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Common.Embedded = true
+	fr.Common.RunDir = t.TempDir()
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	runErr := fr.Run(&bytes.Buffer{})
+	os.Stderr = saved
+	w.Close()
+	captured, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if id, _ := fr.Common.LastRun(); id == "" {
+		t.Fatal("embedded run recorded no ledger entry")
+	}
+	if len(captured) != 0 {
+		t.Errorf("embedded run wrote to stderr: %q", captured)
 	}
 }
 

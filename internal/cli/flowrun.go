@@ -104,7 +104,6 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 	cfg.Parameter = param
 	cfg.LearnTests = f.LearnTests
 	cfg.Parallelism = c.Parallel
-	cfg.Scheduler = c.Scheduler
 	cfg.DisableMeasurementCache = c.NoCache
 	cfg.Telemetry = tel
 	if !f.EvolveCond {
@@ -402,16 +401,10 @@ func RunShmoo(c *Common, f *ShmooFlags, out io.Writer) (err error) {
 			telemetry.I("vectors", cost.VectorsApplied))
 		tel.RecordItem("shmoo-test", index+1, len(batch))
 	}
-	if c.Scheduler == "batch" {
-		if err := plot.AddTestsParallel(tester, batch, c.Seed, c.Parallel); err != nil {
-			return err
-		}
-	} else {
-		fl := parallel.NewFleet(parallel.Bound(c.Parallel, len(batch)))
-		defer fl.Close()
-		if err := plot.AddTestsOn(fl, tester, batch, c.Seed); err != nil {
-			return err
-		}
+	fl := parallel.NewFleet(parallel.Bound(c.Parallel, len(batch)))
+	defer fl.Close()
+	if err := plot.AddTestsOn(fl, tester, batch, c.Seed); err != nil {
+		return err
 	}
 	plot.OnTest = nil
 	ph.End(Cost(tester.Stats()))
@@ -546,21 +539,17 @@ func RunLot(c *Common, f *LotFlags, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	lotOpts := core.LotOptions{
-		Workers:   c.Parallel,
-		Cache:     store,
-		Telemetry: tel,
-	}
-	if c.Scheduler != "batch" {
-		fl := parallel.NewFleet(parallel.Bound(c.Parallel, src.Len()))
-		defer fl.Close()
-		lotOpts.Fleet = fl
-	}
+	fl := parallel.NewFleet(parallel.Bound(c.Parallel, src.Len()))
+	defer fl.Close()
 	if err := c.checkCancel(); err != nil {
 		return err
 	}
 	screenStart := time.Now()
-	rep, err := core.ScreenLotStream(ate.TDQ, tests, src, geom, c.Seed, lotOpts)
+	rep, err := core.ScreenLotStream(ate.TDQ, tests, src, geom, c.Seed, core.LotOptions{
+		Fleet:     fl,
+		Cache:     store,
+		Telemetry: tel,
+	})
 	if err != nil {
 		return err
 	}

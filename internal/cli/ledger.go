@@ -28,7 +28,6 @@ import (
 // flags like -seed and -no-cache) is identity.
 var nonIdentityFlags = map[string]bool{
 	"parallel":      true,
-	"scheduler":     true,
 	"trace":         true,
 	"metrics":       true,
 	"report":        true,
@@ -66,15 +65,6 @@ func (c *Common) flagMap(keep func(name string) bool) map[string]string {
 	return out
 }
 
-// schedulerName resolves the -scheduler flag to the scheduler actually used
-// ("" means the fleet default).
-func (c *Common) schedulerName() string {
-	if c.Scheduler == "" {
-		return "fleet"
-	}
-	return c.Scheduler
-}
-
 // cacheWarmth classifies the persistent-cache reuse tier the run saw.
 func (c *Common) cacheWarmth(rep *telemetry.Report) string {
 	switch {
@@ -94,7 +84,6 @@ func (c *Common) runInfoLabels(tel *telemetry.Telemetry) func() map[string]strin
 		return map[string]string{
 			"flow":            c.runName,
 			"seed":            strconv.FormatInt(c.Seed, 10),
-			"scheduler":       c.schedulerName(),
 			"run_fingerprint": tel.Fingerprint(),
 		}
 	}
@@ -146,11 +135,13 @@ func (c *Common) finalizeRun(rep *telemetry.Report) error {
 	if err := c.ledger.AppendAttempt(id, c.buildAttempt(rep)); err != nil {
 		return err
 	}
-	status := "existing"
-	if created {
-		status = "new"
+	if !c.Embedded {
+		status := "existing"
+		if created {
+			status = "new"
+		}
+		fmt.Fprintf(os.Stderr, "run ledger: recorded %s (%s) in %s\n", id, status, c.ledger.Dir())
 	}
-	fmt.Fprintf(os.Stderr, "run ledger: recorded %s (%s) in %s\n", id, status, c.ledger.Dir())
 	return nil
 }
 
@@ -180,7 +171,6 @@ func (c *Common) buildAttempt(rep *telemetry.Report) runstore.Attempt {
 		TimeUnixNano: time.Now().UnixNano(),
 		WallSeconds:  rep.NonDeterministic.WallSeconds,
 		Parallelism:  c.Parallel,
-		Scheduler:    c.schedulerName(),
 		Flags:        c.allFlags(),
 		PoolRuns:     rep.NonDeterministic.Pool.Runs,
 		PoolTasks:    rep.NonDeterministic.Pool.Tasks,

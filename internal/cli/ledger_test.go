@@ -94,9 +94,6 @@ func TestLedgerIdenticalRunsCollideAcrossParallelism(t *testing.T) {
 	gotParallel := map[int]bool{}
 	for _, a := range sum.Attempts {
 		gotParallel[a.Parallelism] = true
-		if a.Scheduler != "fleet" {
-			t.Errorf("attempt scheduler = %q, want fleet default", a.Scheduler)
-		}
 		if a.Flags["parallel"] == "" {
 			t.Error("attempt sidecar lost the full flag map")
 		}
@@ -110,7 +107,7 @@ func TestLedgerIdenticalRunsCollideAcrossParallelism(t *testing.T) {
 		t.Errorf("manifest = %+v", sum.Manifest)
 	}
 	// Scheduling knobs must not leak into the identity flag set.
-	for _, name := range []string{"parallel", "scheduler", "trace", "run-dir"} {
+	for _, name := range []string{"parallel", "trace", "run-dir"} {
 		if _, ok := sum.Manifest.Flags[name]; ok {
 			t.Errorf("non-identity flag %q leaked into the manifest", name)
 		}

@@ -73,21 +73,13 @@ type Config struct {
 	// conditions.
 	FixedConditions *testgen.Conditions
 
-	// Parallelism is the worker count for every parallel stage of the flow
-	// (GA fitness batches, ensemble training, shmoo rows, lot screening,
-	// Table-1 replicas). Values below 1 select one worker per CPU
+	// Parallelism sizes the flow's one persistent worker fleet, which runs
+	// every parallel stage (GA fitness batches, ensemble training, seed
+	// scoring) with forked insertions that survive across GA generations
+	// and pipeline phases. Values below 1 select one worker per CPU
 	// (runtime.GOMAXPROCS); 1 runs serially. Results are bit-identical for
 	// any value — see internal/parallel.
 	Parallelism int
-
-	// Scheduler selects the parallel execution substrate. SchedulerFleet
-	// (the default) runs every fan-out on one persistent worker fleet whose
-	// forked insertions survive across GA generations and pipeline phases,
-	// with in-order streamed merges; SchedulerBatch is the legacy per-batch
-	// fork/join pool, kept as the frozen performance comparator. Results,
-	// traces and reports are bit-identical between the two (pinned by the
-	// scheduler-equivalence tests); only wall-clock differs.
-	Scheduler string
 
 	// DisableMeasurementCache turns off the GA's measurement memo-cache so
 	// every individual is re-measured even when its sequence and conditions
@@ -102,12 +94,6 @@ type Config struct {
 	// Parallelism. Nil disables instrumentation at near-zero cost.
 	Telemetry *telemetry.Telemetry
 }
-
-// Scheduler values for Config.Scheduler ("" selects SchedulerFleet).
-const (
-	SchedulerFleet = "fleet"
-	SchedulerBatch = "batch"
-)
 
 // DefaultConfig returns a configuration sized to run the full flow in
 // seconds on a laptop while preserving the paper's structure.
@@ -140,16 +126,8 @@ func (c Config) Validate() error {
 	if c.SeedCount < 1 {
 		return fmt.Errorf("core: SeedCount %d must be positive", c.SeedCount)
 	}
-	switch c.Scheduler {
-	case "", SchedulerFleet, SchedulerBatch:
-	default:
-		return fmt.Errorf("core: unknown Scheduler %q (want %q or %q)", c.Scheduler, SchedulerFleet, SchedulerBatch)
-	}
 	return nil
 }
-
-// useFleet reports whether the flow runs on the persistent fleet.
-func (c Config) useFleet() bool { return c.Scheduler != SchedulerBatch }
 
 // Characterizer owns one flow instance: the tester, the generator, the
 // coder and (after Learn) the trained ensemble.
@@ -165,9 +143,9 @@ type Characterizer struct {
 	// seed the next Optimize run's memo-cache.
 	primed map[uint64]float64
 
-	// fleet is the flow's persistent worker pool (SchedulerFleet), created
-	// lazily by Fleet() and released by Close; voteScratch holds the
-	// per-fleet-worker ensemble voting arenas ProposeSeeds memoizes.
+	// fleet is the flow's persistent worker pool, created lazily by Fleet()
+	// and released by Close; voteScratch holds the per-fleet-worker
+	// ensemble voting arenas ProposeSeeds memoizes.
 	fleet       *parallel.Fleet
 	voteScratch []*neural.EnsembleScratch
 }
@@ -191,14 +169,10 @@ func NewCharacterizer(cfg Config, tester *ate.ATE) (*Characterizer, error) {
 }
 
 // Fleet returns the flow's persistent worker fleet, creating it on first
-// use (sized by Config.Parallelism), or nil under SchedulerBatch. All of
-// the flow's phases share this one pool, so worker-memoized resources
-// (forked insertions, vote scratches) persist across phases. Call Close
-// when the flow is done.
+// use (sized by Config.Parallelism); never nil. All of the flow's phases
+// share this one pool, so worker-memoized resources (forked insertions,
+// vote scratches) persist across phases. Call Close when the flow is done.
 func (c *Characterizer) Fleet() *parallel.Fleet {
-	if !c.cfg.useFleet() {
-		return nil
-	}
 	if c.fleet == nil {
 		c.fleet = parallel.NewFleet(c.cfg.Parallelism)
 	}

@@ -12,7 +12,7 @@ import (
 
 // parallelEvaluator measures GA fitness the way fig. 5 prescribes — "GA
 // fitness = TPV measurement via ATE using equation (2), (3) and (4)" — but
-// fans a whole generation across the deterministic worker pool. The first
+// streams a whole generation over the flow's persistent fleet. The first
 // measured test runs a full-range search and establishes the reference trip
 // point (eq. 2, done serially); every later test costs only a handful of
 // SUTP steps from that reference, on a private forked tester insertion.
@@ -21,8 +21,8 @@ import (
 // insertion reseeded with Seed + t, so its trip point depends only on the
 // test and the counter — never on which worker ran it or in what order.
 // Per-task cost counters are merged into the main tester in task order.
-// The memo-cache is consulted before dispatch and filled after the batch,
-// keyed by the test's structural fingerprint (sequence + conditions; the
+// The memo-cache is consulted before dispatch and filled by the in-order
+// merge, keyed by the test's structural fingerprint (sequence + conditions; the
 // flow is already scoped to one die and one parameter), so elites, migrants
 // and duplicate individuals never burn ATE time twice.
 type parallelEvaluator struct {
@@ -30,7 +30,6 @@ type parallelEvaluator struct {
 	opts      search.Options
 	spec      float64
 	specIsMin bool
-	workers   int
 	cache     *parallel.MemoCache // nil disables memoization
 
 	rtp     float64
@@ -40,10 +39,9 @@ type parallelEvaluator struct {
 	evaluations int64 // SUTP searches actually performed
 	budget      int   // full-range search cost, the per-search baseline
 
-	// Fleet mode: the persistent pool and the per-worker insertions that
-	// survive across generations (forked once, reseeded per task, with the
-	// device's execution scratch armed — the per-batch fork and per-call
-	// map costs the batch scheduler pays every generation disappear).
+	// The persistent pool and the per-worker insertions that survive across
+	// generations (forked once, reseeded per task, with the device's
+	// execution scratch armed, so no generation pays a fork).
 	fleet      *parallel.Fleet
 	insertions []*ate.ATE
 
@@ -61,12 +59,9 @@ func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
 		opts:      c.searchOptions(),
 		spec:      spec,
 		specIsMin: isMin,
-		workers:   c.cfg.Parallelism,
 		fleet:     c.Fleet(),
 	}
-	if e.fleet != nil {
-		e.insertions = make([]*ate.ATE, e.fleet.Size())
-	}
+	e.insertions = make([]*ate.ATE, e.fleet.Size())
 	e.budget = e.opts.FullRangeBudget()
 	if !c.cfg.DisableMeasurementCache {
 		e.cache = parallel.NewMemoCache()
@@ -83,8 +78,8 @@ func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
 
 // insertionFor returns worker w's persistent forked insertion, forking it
 // on first use. Reseed makes each task hermetic, so reusing the insertion
-// across batches is bit-identical to the batch scheduler's fresh forks;
-// the device-level execution scratch (value-identical, see
+// across batches is bit-identical to a fresh fork per batch; the
+// device-level execution scratch (value-identical, see
 // dut.Memory.EnableExecScratch) is what makes the long-lived insertion
 // cheaper than a transient one.
 func (e *parallelEvaluator) insertionFor(w int) (*ate.ATE, error) {
@@ -184,10 +179,8 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 
 	// merge folds task t's outcome into the flow in strict task order: cost
 	// counters (float-sum order must not depend on the worker count),
-	// telemetry, memoization and fan-out to duplicate individuals. Both
-	// schedulers drive the identical sequence of merge calls — the batch
-	// path after its barrier, the fleet path streamed from the in-order
-	// delivery while later tasks are still measuring.
+	// telemetry, memoization and fan-out to duplicate individuals, streamed
+	// from the in-order delivery while later tasks are still measuring.
 	merge := func(t int) {
 		e.c.ate.AddStats(taskStats[t])
 		e.c.tel().RecordSearch(results[t].Measurements, e.budget, results[t].Converged)
@@ -209,16 +202,7 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 	// sees the identical reference.
 	start := 0
 	for ; start < len(reps) && !e.haveRTP; start++ {
-		var wk *ate.ATE
-		var err error
-		if e.fleet != nil {
-			wk, err = e.insertionFor(0)
-		} else {
-			wk, err = e.c.ate.Fork(e.c.cfg.Seed)
-			if err != nil {
-				err = fmt.Errorf("core: forking tester: %w", err)
-			}
-		}
+		wk, err := e.insertionFor(0)
 		if err != nil {
 			return nil, err
 		}
@@ -245,37 +229,20 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 		return nil
 	}
 
-	if e.fleet != nil {
-		// Fleet path: the serial prefix merges immediately (it is already
-		// in task order), then the remaining unique tests stream over the
-		// persistent insertions with the merge riding the in-order delivery
-		// — no generation barrier between measurement and selection input.
-		for t := 0; t < start; t++ {
-			merge(t)
-		}
-		if n := len(reps) - start; n > 0 {
-			err := parallel.Stream(e.fleet, n, e.insertionFor, measure, func(i int) error {
-				merge(start + i)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Batch path: fan the remaining unique tests across transient
-		// per-batch forks, barrier, then merge — the frozen legacy
-		// scheduler the fleet's speedup is gated against.
-		if n := len(reps) - start; n > 0 {
-			err := parallel.Run(n, e.workers, func(int) (*ate.ATE, error) {
-				return e.c.ate.Fork(e.c.cfg.Seed)
-			}, measure)
-			if err != nil {
-				return nil, err
-			}
-		}
-		for t := range reps {
-			merge(t)
+	// The serial prefix merges immediately (it is already in task order),
+	// then the remaining unique tests stream over the persistent insertions
+	// with the merge riding the in-order delivery — no generation barrier
+	// between measurement and selection input.
+	for t := 0; t < start; t++ {
+		merge(t)
+	}
+	if n := len(reps) - start; n > 0 {
+		err := parallel.Stream(e.fleet, n, e.insertionFor, measure, func(i int) error {
+			merge(start + i)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	e.taskSeq += int64(len(reps))

@@ -27,10 +27,12 @@ type Candidate struct {
 // severity ties toward higher confidence.
 //
 // Candidate generation is serial (the generator owns one random stream),
-// but the surrogate scoring fans across the worker pool: each worker votes
+// but the surrogate scoring fans across the flow's fleet: each worker votes
 // with its own ensemble scratch arena (the trained weights are read-only),
 // writing severities into index-addressed slots, so the ranking is
-// bit-identical for any Parallelism.
+// bit-identical for any Parallelism. Vote scratches are memoized per
+// persistent worker, so repeated proposal rounds (multi-era flows, Table 1)
+// reuse them.
 func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 	if c.learned == nil || c.learned.Ensemble == nil {
 		return nil, fmt.Errorf("core: no trained ensemble; run Learn or LoadWeights first")
@@ -57,24 +59,16 @@ func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 		pool[i].Confidence = conf
 		return nil
 	}
-	var err error
-	if f := c.Fleet(); f != nil {
-		// Fleet path: vote scratches are memoized per persistent worker, so
-		// repeated proposal rounds (multi-era flows, Table 1) reuse them.
-		if c.voteScratch == nil {
-			c.voteScratch = make([]*neural.EnsembleScratch, f.Size())
-		}
-		err = parallel.RunOn(f, len(pool), func(w int) (*neural.EnsembleScratch, error) {
-			if c.voteScratch[w] == nil {
-				c.voteScratch[w] = ens.NewScratch()
-			}
-			return c.voteScratch[w], nil
-		}, score)
-	} else {
-		err = parallel.Run(len(pool), c.cfg.Parallelism,
-			func(int) (*neural.EnsembleScratch, error) { return ens.NewScratch(), nil },
-			score)
+	f := c.Fleet()
+	if c.voteScratch == nil {
+		c.voteScratch = make([]*neural.EnsembleScratch, f.Size())
 	}
+	err := parallel.RunOn(f, len(pool), func(w int) (*neural.EnsembleScratch, error) {
+		if c.voteScratch[w] == nil {
+			c.voteScratch[w] = ens.NewScratch()
+		}
+		return c.voteScratch[w], nil
+	}, score)
 	if err != nil {
 		return nil, err
 	}

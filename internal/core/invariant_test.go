@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/ate"
 	"repro/internal/dut"
+	"repro/internal/parallel"
 	"repro/internal/proptest"
 	"repro/internal/testgen"
 )
@@ -216,11 +217,13 @@ func TestScreenLotBitEquivalentAcrossWorkers(t *testing.T) {
 		}
 		pt.Logf("seed=%d workers=%d param=%s dies=%d tests=%d", seed, workers, param, len(dies), len(tests))
 
-		serial, err := ScreenLot(param, tests, dies, geom, seed)
+		serial, err := screenDies(param, tests, dies, geom, seed, nil)
 		if err != nil {
 			pt.Fatalf("serial screen: %v", err)
 		}
-		par, err := ScreenLotParallel(param, tests, dies, geom, seed, workers)
+		f := parallel.NewFleet(workers)
+		defer f.Close()
+		par, err := screenDies(param, tests, dies, geom, seed, f)
 		if err != nil {
 			pt.Fatalf("parallel screen: %v", err)
 		}

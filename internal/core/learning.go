@@ -82,20 +82,10 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 	if trainCfg.Epochs == 0 {
 		trainCfg = neural.DefaultTrainConfig(c.cfg.Seed)
 	}
-	var (
-		ens     *neural.Ensemble
-		reports []neural.TrainReport
-		err     error
-	)
-	if f := c.Fleet(); f != nil {
-		// Member training dispatches onto the flow's persistent fleet, so
-		// the workers (and their memoized resources) that later measure GA
-		// fitness are the same ones that trained the ensemble. Weights are
-		// bit-identical to the batch-pool form.
-		ens, reports, err = neural.NewEnsembleOn(f, c.cfg.Seed, c.cfg.EnsembleSize, sizes, res.Dataset, trainCfg)
-	} else {
-		ens, reports, err = neural.NewEnsembleParallel(c.cfg.Seed, c.cfg.EnsembleSize, sizes, res.Dataset, trainCfg, c.cfg.Parallelism)
-	}
+	// Member training dispatches onto the flow's persistent fleet, so the
+	// workers (and their memoized resources) that later measure GA fitness
+	// are the same ones that trained the ensemble.
+	ens, reports, err := neural.NewEnsemble(c.Fleet(), c.cfg.Seed, c.cfg.EnsembleSize, sizes, res.Dataset, trainCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: training ensemble: %w", err)
 	}

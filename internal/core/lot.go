@@ -2,21 +2,17 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/ate"
 	"repro/internal/dut"
-	"repro/internal/search"
-	"repro/internal/telemetry"
-	"repro/internal/testgen"
 	"repro/internal/trippoint"
 	"repro/internal/wcr"
 )
 
 // Lot screening: §1 requires characterization over "a statistically
 // significant sample of devices". The CI flow finds the worst-case tests
-// on a reference device; ScreenLot then replays those tests (plus any
+// on a reference device; ScreenLotStream then replays those tests (plus any
 // baselines) on every die of a sample lot, measuring per-die trip points
 // and summarizing the process-corner dependence of the worst case.
 
@@ -39,9 +35,9 @@ type LotReport struct {
 	Parameter ate.Parameter
 	Tests     int
 	// DieCount is the number of dies screened. Dies carries the per-die
-	// results only when the screen retained them (LotOptions.RetainDies;
-	// the legacy ScreenLot entry points always do) — fab-scale streamed
-	// lots keep Dies nil and DieCount still counts every die.
+	// results only when the screen retained them (LotOptions.RetainDies) —
+	// fab-scale streamed lots keep Dies nil and DieCount still counts every
+	// die.
 	DieCount int
 	Dies     []DieResult
 
@@ -63,87 +59,6 @@ type LotReport struct {
 	Measurements int64
 	// Stats is the full tester cost summed over the per-die insertions.
 	Stats ate.Stats
-}
-
-// screenDie measures every test on one die with a fresh tester insertion
-// and returns the die result plus the measurement cost.
-func screenDie(param ate.Parameter, tests []testgen.Test, die *dut.Die, geom dut.Geometry, seed int64) (DieResult, ate.Stats, error) {
-	spec, isMin := param.SpecValue()
-	worseThan := func(a, b float64) bool {
-		if isMin {
-			return a < b
-		}
-		return a > b
-	}
-	dev, err := dut.NewDevice(geom, die)
-	if err != nil {
-		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: %w", die.ID, err)
-	}
-	tester := ate.New(dev, seed)
-	runner := trippoint.NewRunner(tester, param)
-	runner.Searcher = &search.SUTP{Refine: true}
-
-	dr := DieResult{DieID: die.ID, Corner: die.Corner}
-	worst := math.Inf(1)
-	if !isMin {
-		worst = math.Inf(-1)
-	}
-	for _, t := range tests {
-		m, err := runner.Measure(t)
-		if err != nil {
-			return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d test %s: %w", die.ID, t.Name, err)
-		}
-		if m.Converged && worseThan(m.TripPoint, worst) {
-			worst = m.TripPoint
-			dr.WorstTest = t.Name
-		}
-		ok, err := tester.FunctionalPass(t)
-		if err != nil {
-			return DieResult{}, ate.Stats{}, err
-		}
-		if !ok {
-			dr.FunctionalFails++
-		}
-	}
-	if math.IsInf(worst, 0) {
-		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: no test converged", die.ID)
-	}
-	dr.WorstTrip = worst
-	dr.WCR = wcr.For(worst, spec, isMin)
-	dr.Class = wcr.Classify(dr.WCR)
-	return dr, tester.Stats(), nil
-}
-
-// ScreenLot measures every test on every die of the lot (one fresh tester
-// insertion per die, seeded deterministically from baseSeed) and reports
-// per-die worst cases. The geometry must match the one the tests were
-// generated for.
-func ScreenLot(param ate.Parameter, tests []testgen.Test, dies []*dut.Die, geom dut.Geometry, baseSeed int64) (*LotReport, error) {
-	return ScreenLotParallel(param, tests, dies, geom, baseSeed, 1)
-}
-
-// ScreenLotParallel is ScreenLot across the given number of concurrent
-// tester insertions — the multi-site testing of production floors — run on
-// the deterministic worker pool (workers below 1 select one per CPU). Each
-// die's measurements are independent (own device, own tester, seed derived
-// from the die ID), so the report is identical to the serial one, in die
-// order, regardless of the worker count.
-func ScreenLotParallel(param ate.Parameter, tests []testgen.Test, dies []*dut.Die, geom dut.Geometry, baseSeed int64, workers int) (*LotReport, error) {
-	return ScreenLotParallelTel(param, tests, dies, geom, baseSeed, workers, nil)
-}
-
-// ScreenLotParallelTel is ScreenLotParallel with run telemetry: the screen
-// runs under a "lot-screen" phase whose cost sums the hermetic per-die
-// tester insertions, and the merge loop (die order, so deterministic for
-// any worker count) emits one "die" event per die. It is a thin wrapper
-// over the streaming pipeline with the legacy defaults (per-die results
-// retained, no disk cache).
-func ScreenLotParallelTel(param ate.Parameter, tests []testgen.Test, dies []*dut.Die, geom dut.Geometry, baseSeed int64, workers int, tel *telemetry.Telemetry) (*LotReport, error) {
-	return ScreenLotStream(param, tests, dut.LotSlice(dies), geom, baseSeed, LotOptions{
-		Workers:    workers,
-		RetainDies: true,
-		Telemetry:  tel,
-	})
 }
 
 // Format renders a lot summary.

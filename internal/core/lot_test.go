@@ -6,9 +6,27 @@ import (
 
 	"repro/internal/ate"
 	"repro/internal/dut"
+	"repro/internal/parallel"
 	"repro/internal/testgen"
 	"repro/internal/wcr"
 )
+
+// screenDies screens a slice of dies with per-die results retained, on the
+// fleet f (nil screens serially).
+func screenDies(param ate.Parameter, tests []testgen.Test, dies []*dut.Die, geom dut.Geometry, seed int64, f *parallel.Fleet) (*LotReport, error) {
+	return ScreenLotStream(param, tests, dut.LotSlice(dies), geom, seed, LotOptions{Fleet: f, RetainDies: true})
+}
+
+// testFleet returns a fleet of the given size that is closed when the test
+// ends; size 0 is the nil fleet, the serial fleet of one.
+func testFleet(t testing.TB, size int) *parallel.Fleet {
+	if size == 0 {
+		return nil
+	}
+	f := parallel.NewFleet(size)
+	t.Cleanup(f.Close)
+	return f
+}
 
 func lotTests(t *testing.T) []testgen.Test {
 	t.Helper()
@@ -25,17 +43,17 @@ func lotTests(t *testing.T) []testgen.Test {
 
 func TestScreenLotValidation(t *testing.T) {
 	dies := dut.NewDieLot(1, 3)
-	if _, err := ScreenLot(ate.TDQ, nil, dies, dut.DefaultGeometry(), 1); err == nil {
+	if _, err := screenDies(ate.TDQ, nil, dies, dut.DefaultGeometry(), 1, nil); err == nil {
 		t.Error("empty test set accepted")
 	}
-	if _, err := ScreenLot(ate.TDQ, lotTests(t), nil, dut.DefaultGeometry(), 1); err == nil {
+	if _, err := screenDies(ate.TDQ, lotTests(t), nil, dut.DefaultGeometry(), 1, nil); err == nil {
 		t.Error("empty lot accepted")
 	}
 }
 
 func TestScreenLotBasics(t *testing.T) {
 	dies := dut.NewDieLot(7, 12)
-	rep, err := ScreenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 7)
+	rep, err := screenDies(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +90,7 @@ func TestScreenLotCornerOrdering(t *testing.T) {
 		dut.NewDie(1, dut.CornerTypical),
 		dut.NewDie(2, dut.CornerSlow),
 	}
-	rep, err := ScreenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 11)
+	rep, err := screenDies(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +107,11 @@ func TestScreenLotCornerOrdering(t *testing.T) {
 
 func TestScreenLotDeterministic(t *testing.T) {
 	dies := dut.NewDieLot(13, 5)
-	a, err := ScreenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 13)
+	a, err := screenDies(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 13, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ScreenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 13)
+	b, err := screenDies(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 13, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +144,7 @@ func TestScreenLotDetectsFunctionalFailures(t *testing.T) {
 	seq = append(seq, testgen.Vector{Op: testgen.OpRead, Addr: 1})
 	hot := testgen.Test{Name: "HOT", Seq: seq, Cond: testgen.NominalConditions()}
 
-	rep, err := ScreenLot(ate.TDQ, []testgen.Test{hot}, []*dut.Die{weak, healthy}, dut.DefaultGeometry(), 17)
+	rep, err := screenDies(ate.TDQ, []testgen.Test{hot}, []*dut.Die{weak, healthy}, dut.DefaultGeometry(), 17, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +158,7 @@ func TestScreenLotDetectsFunctionalFailures(t *testing.T) {
 
 func TestLotReportFormat(t *testing.T) {
 	dies := dut.NewDieLot(19, 4)
-	rep, err := ScreenLot(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 19)
+	rep, err := screenDies(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 19, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,37 +173,36 @@ func TestLotReportFormat(t *testing.T) {
 func TestScreenLotParallelMatchesSerial(t *testing.T) {
 	dies := dut.NewDieLot(23, 9)
 	tests := lotTests(t)
-	serial, err := ScreenLot(ate.TDQ, tests, dies, dut.DefaultGeometry(), 23)
+	serial, err := screenDies(ate.TDQ, tests, dies, dut.DefaultGeometry(), 23, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ScreenLotParallel(ate.TDQ, tests, dies, dut.DefaultGeometry(), 23, 4)
+	par, err := screenDies(ate.TDQ, tests, dies, dut.DefaultGeometry(), 23, testFleet(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Dies) != len(parallel.Dies) {
-		t.Fatalf("die counts differ: %d vs %d", len(serial.Dies), len(parallel.Dies))
+	if len(serial.Dies) != len(par.Dies) {
+		t.Fatalf("die counts differ: %d vs %d", len(serial.Dies), len(par.Dies))
 	}
 	for i := range serial.Dies {
-		if serial.Dies[i] != parallel.Dies[i] {
-			t.Fatalf("die %d differs: serial %+v, parallel %+v", i, serial.Dies[i], parallel.Dies[i])
+		if serial.Dies[i] != par.Dies[i] {
+			t.Fatalf("die %d differs: serial %+v, parallel %+v", i, serial.Dies[i], par.Dies[i])
 		}
 	}
-	if serial.Measurements != parallel.Measurements {
-		t.Errorf("cost differs: %d vs %d", serial.Measurements, parallel.Measurements)
+	if serial.Measurements != par.Measurements {
+		t.Errorf("cost differs: %d vs %d", serial.Measurements, par.Measurements)
 	}
-	if serial.WorstDie != parallel.WorstDie {
+	if serial.WorstDie != par.WorstDie {
 		t.Error("worst die differs")
 	}
 }
 
 func TestScreenLotParallelWorkerClamping(t *testing.T) {
 	dies := dut.NewDieLot(29, 3)
-	// More workers than dies, and zero workers, must both work.
-	if _, err := ScreenLotParallel(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 29, 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ScreenLotParallel(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 29, 0); err != nil {
-		t.Fatal(err)
+	// A fleet larger than the lot, and one sized per CPU, must both work.
+	for _, size := range []int{100, parallel.Workers(0)} {
+		if _, err := screenDies(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 29, testFleet(t, size)); err != nil {
+			t.Fatalf("fleet of %d: %v", size, err)
+		}
 	}
 }

@@ -16,10 +16,10 @@ import (
 	"repro/internal/wcr"
 )
 
-// Streamed lot screening: the fab-scale path behind ScreenLot. Three
-// properties distinguish it from a per-die loop:
+// Streamed lot screening, the one lot-screen entry point. Three properties
+// distinguish it from a per-die loop:
 //
-//   - Bounded memory. Dies stream through the worker pool in windows of
+//   - Bounded memory. Dies stream through the worker fleet in windows of
 //     O(workers) size; nothing O(lot) is buffered unless the caller asks
 //     for per-die results. Population statistics (mean, spread, corner
 //     worst cases, drift, outliers) accumulate in O(1) per die.
@@ -34,31 +34,26 @@ import (
 //     from disk with bit-identical LotReport output.
 //
 // Determinism: dies are resolved against the cache serially in lot order,
-// misses fan out on the deterministic pool with per-die seeds, and windows
+// misses fan out on the deterministic fleet with per-die seeds, and windows
 // merge back in lot order — the report (and the telemetry event stream) is
 // bit-identical at any worker count, any batch size, and cache cold or
 // warm.
 
-// LotOptions configures ScreenLotStream. The zero value screens with one
-// worker per CPU, an automatic batch size, no disk cache, no retained
-// per-die results and no telemetry.
+// LotOptions configures ScreenLotStream. The zero value screens serially
+// with an automatic batch size, no disk cache, no retained per-die results
+// and no telemetry.
 type LotOptions struct {
-	// Workers is the concurrent tester-insertion count (multi-site
-	// testing); values below 1 select one per CPU.
-	Workers int
-	// Fleet, when non-nil, dispatches the miss fan-out onto this persistent
-	// worker fleet instead of a per-window pool: the worker states already
-	// persist across windows, so on a fleet they also persist across the
-	// caller's other phases. Overrides Workers for sizing. The report is
-	// bit-identical either way.
+	// Fleet runs the miss fan-out; its size is the concurrent
+	// tester-insertion count (multi-site testing). Nil screens serially, as
+	// a fleet of one. The report is bit-identical at any fleet size.
 	Fleet *parallel.Fleet
 	// BatchSize is the streaming window: how many dies are in flight
-	// between cache resolve and merge. Values below 1 pick 4× the worker
-	// count. Batch size never changes results, only peak memory.
+	// between cache resolve and merge. Values below 1 pick 4× the fleet
+	// size. Batch size never changes results, only peak memory.
 	BatchSize int
 	// RetainDies keeps every per-die result in LotReport.Dies — O(lot)
-	// memory, the legacy ScreenLot behaviour. Leave false for fab-scale
-	// lots; the streaming aggregates and the outlier set remain available.
+	// memory. Leave false for fab-scale lots; the streaming aggregates and
+	// the outlier set remain available.
 	RetainDies bool
 	// Cache, when non-nil, serves dies whose screen outcome is already on
 	// disk and persists newly screened dies (one Flush at the end of the
@@ -82,8 +77,8 @@ type lotWorker struct {
 	tester *ate.ATE
 }
 
-// screen measures one die, bit-identical to the legacy screenDie but on
-// reused hardware state.
+// screen measures one die, bit-identical to measuring it on a fresh device
+// and tester insertion, but on reused hardware state.
 func (wk *lotWorker) screen(param ate.Parameter, tests []testgen.Test, die *dut.Die, seed int64) (DieResult, ate.Stats, error) {
 	if err := wk.dev.Retarget(die); err != nil {
 		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: %w", die.ID, err)
@@ -132,9 +127,10 @@ func (wk *lotWorker) screen(param ate.Parameter, tests []testgen.Test, die *dut.
 }
 
 // ScreenLotStream screens every die of the source through the streaming
-// pipeline and returns the aggregated report. See LotOptions for the
-// knobs; ScreenLot/ScreenLotParallel are thin wrappers over this with the
-// legacy defaults.
+// pipeline and returns the aggregated report: one fresh tester insertion
+// state per die, seeded deterministically from baseSeed and the die ID. The
+// geometry must match the one the tests were generated for. See LotOptions
+// for the knobs.
 func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSource, geom dut.Geometry, baseSeed int64, opts LotOptions) (*LotReport, error) {
 	if len(tests) == 0 {
 		return nil, fmt.Errorf("core: lot screen needs at least one test")
@@ -143,10 +139,7 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 		return nil, fmt.Errorf("core: empty die lot")
 	}
 	n := src.Len()
-	nw := parallel.Bound(opts.Workers, n)
-	if opts.Fleet != nil {
-		nw = opts.Fleet.Size()
-	}
+	nw := opts.Fleet.Size()
 	batch := opts.BatchSize
 	if batch < 1 {
 		batch = 4 * nw
@@ -250,9 +243,8 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 			missIdx = append(missIdx, j)
 		}
 
-		// Fan the misses over the pool (or the caller's persistent fleet);
-		// per-die seeds keep every die's measurement stream independent of
-		// worker count and batch shape.
+		// Fan the misses over the fleet; per-die seeds keep every die's
+		// measurement stream independent of worker count and batch shape.
 		screenMiss := func(wk *lotWorker, k int) error {
 			j := missIdx[k]
 			dr, cost, err := wk.screen(param, tests, w[j].die, baseSeed+int64(w[j].die.ID))
@@ -262,13 +254,7 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 			w[j].dr, w[j].cost = dr, cost
 			return nil
 		}
-		var err error
-		if opts.Fleet != nil {
-			err = parallel.RunOn(opts.Fleet, len(missIdx), newWorker, screenMiss)
-		} else {
-			err = parallel.Run(len(missIdx), nw, newWorker, screenMiss)
-		}
-		if err != nil {
+		if err := parallel.RunOn(opts.Fleet, len(missIdx), newWorker, screenMiss); err != nil {
 			return nil, err
 		}
 

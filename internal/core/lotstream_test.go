@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -9,12 +10,65 @@ import (
 	"repro/internal/cachestore"
 	"repro/internal/dut"
 	"repro/internal/proptest"
+	"repro/internal/search"
+	"repro/internal/testgen"
+	"repro/internal/trippoint"
 	"repro/internal/wcr"
 )
 
-// The frozen legacy reference: screenDie in a serial per-die loop is the
-// pre-streaming implementation. Every streamed configuration must
-// reproduce its per-die outcomes bit for bit.
+// screenDie is the test oracle for the streamed pipeline: the original
+// per-die screen, measuring every test on one die with a fresh device and
+// tester insertion and returning the die result plus the measurement cost.
+func screenDie(param ate.Parameter, tests []testgen.Test, die *dut.Die, geom dut.Geometry, seed int64) (DieResult, ate.Stats, error) {
+	spec, isMin := param.SpecValue()
+	worseThan := func(a, b float64) bool {
+		if isMin {
+			return a < b
+		}
+		return a > b
+	}
+	dev, err := dut.NewDevice(geom, die)
+	if err != nil {
+		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: %w", die.ID, err)
+	}
+	tester := ate.New(dev, seed)
+	runner := trippoint.NewRunner(tester, param)
+	runner.Searcher = &search.SUTP{Refine: true}
+
+	dr := DieResult{DieID: die.ID, Corner: die.Corner}
+	worst := math.Inf(1)
+	if !isMin {
+		worst = math.Inf(-1)
+	}
+	for _, t := range tests {
+		m, err := runner.Measure(t)
+		if err != nil {
+			return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d test %s: %w", die.ID, t.Name, err)
+		}
+		if m.Converged && worseThan(m.TripPoint, worst) {
+			worst = m.TripPoint
+			dr.WorstTest = t.Name
+		}
+		ok, err := tester.FunctionalPass(t)
+		if err != nil {
+			return DieResult{}, ate.Stats{}, err
+		}
+		if !ok {
+			dr.FunctionalFails++
+		}
+	}
+	if math.IsInf(worst, 0) {
+		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: no test converged", die.ID)
+	}
+	dr.WorstTrip = worst
+	dr.WCR = wcr.For(worst, spec, isMin)
+	dr.Class = wcr.Classify(dr.WCR)
+	return dr, tester.Stats(), nil
+}
+
+// The oracle: screenDie in a serial per-die loop is the pre-streaming
+// implementation. Every streamed configuration must reproduce its per-die
+// outcomes bit for bit.
 func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 	tests := lotTests(t)
 	dies := dut.NewDieLot(31, 10)
@@ -31,10 +85,11 @@ func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 		want[i], wantCost[i] = dr, cost
 	}
 
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{0, 1, 2, 8} {
+		f := testFleet(t, workers)
 		for _, batch := range []int{0, 1, 3, 64} {
 			rep, err := ScreenLotStream(ate.TDQ, tests, dut.LotSlice(dies), geom, seed, LotOptions{
-				Workers: workers, BatchSize: batch, RetainDies: true,
+				Fleet: f, BatchSize: batch, RetainDies: true,
 			})
 			if err != nil {
 				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
@@ -67,7 +122,7 @@ func TestScreenLotStreamReportInvariance(t *testing.T) {
 	geom := dut.DefaultGeometry()
 	const seed = 37
 
-	baseline, err := ScreenLotStream(ate.TDQ, tests, lot, geom, seed, LotOptions{Workers: 1, RetainDies: true})
+	baseline, err := ScreenLotStream(ate.TDQ, tests, lot, geom, seed, LotOptions{RetainDies: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +144,7 @@ func TestScreenLotStreamReportInvariance(t *testing.T) {
 		{"w8-warm", 8, 64, true},
 	}
 	for _, cfg := range configs {
-		opts := LotOptions{Workers: cfg.workers, BatchSize: cfg.batch, RetainDies: true}
+		opts := LotOptions{Fleet: testFleet(t, cfg.workers), BatchSize: cfg.batch, RetainDies: true}
 		if cfg.cached {
 			store, err := cachestore.Open(dir, 42)
 			if err != nil {
@@ -112,7 +167,7 @@ func TestScreenLotStreamReportInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm, err := ScreenLotStream(ate.TDQ, tests, lot, geom, seed, LotOptions{
-		Workers: 2, RetainDies: true, Cache: store,
+		Fleet: testFleet(t, 2), RetainDies: true, Cache: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,11 +260,12 @@ func TestScreenLotStreamUnretained(t *testing.T) {
 	}
 	geom := dut.DefaultGeometry()
 
-	full, err := ScreenLotStream(ate.TDQ, tests, lot, geom, 3, LotOptions{Workers: 2, RetainDies: true})
+	f := testFleet(t, 2)
+	full, err := ScreenLotStream(ate.TDQ, tests, lot, geom, 3, LotOptions{Fleet: f, RetainDies: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := ScreenLotStream(ate.TDQ, tests, lot, geom, 3, LotOptions{Workers: 2})
+	lean, err := ScreenLotStream(ate.TDQ, tests, lot, geom, 3, LotOptions{Fleet: f})
 	if err != nil {
 		t.Fatal(err)
 	}

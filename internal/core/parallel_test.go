@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/parallel"
+)
 
 // The tentpole guarantee of internal/parallel: any Parallelism value
 // produces bit-identical results for the same seed. These tests pin that
@@ -137,15 +141,17 @@ func TestTable1DeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestReplicatedDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) *ReplicationReport {
-		rep, err := RunTable1ReplicatedParallel(smallTable1Config(41), 41, 2, workers)
+	run := func(f *parallel.Fleet) *ReplicationReport {
+		rep, err := RunTable1Replicated(f, smallTable1Config(41), 41, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	serial := run(1)
-	par := run(4)
+	serial := run(nil)
+	f := parallel.NewFleet(4)
+	defer f.Close()
+	par := run(f)
 	if serial.OrderingHeld != par.OrderingHeld || serial.NNGAInWeakness != par.NNGAInWeakness {
 		t.Errorf("qualitative counts differ: serial %d/%d, parallel %d/%d",
 			serial.OrderingHeld, serial.NNGAInWeakness, par.OrderingHeld, par.NNGAInWeakness)
@@ -158,6 +164,18 @@ func TestReplicatedDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("row %d stats differ:\nserial   %+v\nparallel %+v", i, serial.Rows[i], par.Rows[i])
 		}
 	}
+}
+
+func TestCharacterizerCloseIdempotent(t *testing.T) {
+	char, err := NewCharacterizer(quickConfig(7), newTester(t, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := char.Fleet(); f == nil {
+		t.Fatal("Fleet() returned nil")
+	}
+	char.Close()
+	char.Close()
 }
 
 func TestMeasurementCacheMemoizes(t *testing.T) {

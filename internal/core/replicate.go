@@ -52,44 +52,16 @@ func (r *ReplicationReport) Format() string {
 }
 
 // RunTable1Replicated runs the full Table 1 comparison n times with seeds
-// baseSeed, baseSeed+1, … on fresh typical-corner devices and aggregates.
-// Replicas run concurrently per the flow configuration's Parallelism knob.
-func RunTable1Replicated(baseCfg Table1Config, baseSeed int64, n int) (*ReplicationReport, error) {
-	return RunTable1ReplicatedParallel(baseCfg, baseSeed, n, baseCfg.Flow.Parallelism)
-}
-
-// RunTable1ReplicatedParallel is RunTable1Replicated with an explicit
-// worker count (below 1 selects one per CPU). Every replica owns a fresh
-// device and tester seeded only by its index, so the aggregated report is
-// identical for any worker count. Under the (default) fleet scheduler the
-// replicas dispatch onto one transient fleet; SchedulerBatch keeps the
-// legacy per-call pool.
-func RunTable1ReplicatedParallel(baseCfg Table1Config, baseSeed int64, n, workers int) (*ReplicationReport, error) {
-	if baseCfg.Flow.useFleet() {
-		f := parallel.NewFleet(parallel.Bound(workers, n))
-		defer f.Close()
-		return RunTable1ReplicatedOn(f, baseCfg, baseSeed, n)
-	}
-	return runTable1Replicated(baseCfg, baseSeed, n, func(count int, body func(i int) error) error {
-		return parallel.ForEach(count, workers, body)
-	})
-}
-
-// RunTable1ReplicatedOn runs the replicas on an existing persistent fleet
-// (each replica still owns its fresh device/tester/flow, so the report is
-// identical to every other scheduling form).
-func RunTable1ReplicatedOn(f *parallel.Fleet, baseCfg Table1Config, baseSeed int64, n int) (*ReplicationReport, error) {
-	return runTable1Replicated(baseCfg, baseSeed, n, func(count int, body func(i int) error) error {
-		return parallel.ForEachOn(f, count, body)
-	})
-}
-
-func runTable1Replicated(baseCfg Table1Config, baseSeed int64, n int, forEach func(n int, body func(i int) error) error) (*ReplicationReport, error) {
+// baseSeed, baseSeed+7919, … on fresh typical-corner devices and
+// aggregates. The replicas run on the fleet f (nil runs them serially);
+// every replica owns a fresh device, tester and flow seeded only by its
+// index, so the aggregated report is identical at any fleet size.
+func RunTable1Replicated(f *parallel.Fleet, baseCfg Table1Config, baseSeed int64, n int) (*ReplicationReport, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: need at least one replica")
 	}
 	tables := make([]*Table1, n)
-	err := forEach(n, func(i int) error {
+	err := parallel.ForEachOn(f, n, func(i int) error {
 		seed := baseSeed + int64(i)*7919
 		cfg := baseCfg
 		cfg.Flow.Seed = seed

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // TestTable1OrderingHoldsAcrossSeeds is the statistical form of the
@@ -14,7 +16,9 @@ func TestTable1OrderingHoldsAcrossSeeds(t *testing.T) {
 		t.Skip("replicated full flows")
 	}
 	const n = 5
-	rep, err := RunTable1Replicated(DefaultTable1Config(1000), 1000, n)
+	f := parallel.NewFleet(0)
+	defer f.Close()
+	rep, err := RunTable1Replicated(f, DefaultTable1Config(1000), 1000, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +50,7 @@ func TestTable1OrderingHoldsAcrossSeeds(t *testing.T) {
 }
 
 func TestRunTable1ReplicatedValidation(t *testing.T) {
-	if _, err := RunTable1Replicated(DefaultTable1Config(1), 1, 0); err == nil {
+	if _, err := RunTable1Replicated(nil, DefaultTable1Config(1), 1, 0); err == nil {
 		t.Error("zero replicas accepted")
 	}
 }

@@ -25,42 +25,20 @@ type Ensemble struct {
 }
 
 // NewEnsemble trains n member networks on independent bootstrap resamples
-// of the dataset. Layer sizes apply to every member; seeds derive from the
-// base seed so runs are reproducible.
-func NewEnsemble(seed int64, n int, sizes []int, data Dataset, cfg TrainConfig) (*Ensemble, []TrainReport, error) {
-	return NewEnsembleParallel(seed, n, sizes, data, cfg, 1)
-}
-
-// NewEnsembleParallel is NewEnsemble with member training fanned across the
-// given number of workers (below 1 selects one per CPU). Every member's
-// initialization, bootstrap resample, split and training derive solely from
-// its own member seed and read the shared dataset read-only, so the trained
-// weights are bit-identical to the serial ones for any worker count.
-func NewEnsembleParallel(seed int64, n int, sizes []int, data Dataset, cfg TrainConfig, workers int) (*Ensemble, []TrainReport, error) {
-	return newEnsembleWith(seed, n, sizes, data, cfg, func(count int, body func(i int) error) error {
-		return parallel.ForEach(count, workers, body)
-	})
-}
-
-// NewEnsembleOn is NewEnsembleParallel on a persistent fleet: member
-// training dispatches to the fleet's long-lived workers, so a flow that
-// also fans measurement work shares one pool across phases instead of
-// forking a fresh one per ensemble. Weights are bit-identical to the serial
-// and batch-pool forms (each member derives solely from its member seed).
-func NewEnsembleOn(f *parallel.Fleet, seed int64, n int, sizes []int, data Dataset, cfg TrainConfig) (*Ensemble, []TrainReport, error) {
-	return newEnsembleWith(seed, n, sizes, data, cfg, func(count int, body func(i int) error) error {
-		return parallel.ForEachOn(f, count, body)
-	})
-}
-
-// newEnsembleWith trains the members through the given fan-out primitive.
-func newEnsembleWith(seed int64, n int, sizes []int, data Dataset, cfg TrainConfig, forEach func(n int, body func(i int) error) error) (*Ensemble, []TrainReport, error) {
+// of the dataset, one member per task on the fleet f (nil trains them
+// serially). Layer sizes apply to every member; seeds derive from the base
+// seed so runs are reproducible. Every member's initialization, bootstrap
+// resample, split and training derive solely from its own member seed and
+// read the shared dataset read-only, so the trained weights are
+// bit-identical at any fleet size — and a flow that also fans measurement
+// work over f shares one pool across phases.
+func NewEnsemble(f *parallel.Fleet, seed int64, n int, sizes []int, data Dataset, cfg TrainConfig) (*Ensemble, []TrainReport, error) {
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("neural: ensemble size %d must be positive", n)
 	}
 	members := make([]*Network, n)
 	reports := make([]TrainReport, n)
-	err := forEach(n, func(i int) error {
+	err := parallel.ForEachOn(f, n, func(i int) error {
 		memberSeed := seed + int64(i)*7919
 		net, err := New(memberSeed, sizes...)
 		if err != nil {

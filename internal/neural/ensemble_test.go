@@ -12,7 +12,7 @@ func trainedEnsemble(t *testing.T, members int) (*Ensemble, Dataset) {
 	data := syntheticRegression(31, 200)
 	cfg := DefaultTrainConfig(31)
 	cfg.Epochs = 60
-	e, reports, err := NewEnsemble(31, members, []int{3, 8, 1}, data, cfg)
+	e, reports, err := NewEnsemble(nil, 31, members, []int{3, 8, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func trainedEnsemble(t *testing.T, members int) (*Ensemble, Dataset) {
 }
 
 func TestEnsembleSizeValidation(t *testing.T) {
-	if _, _, err := NewEnsemble(1, 0, []int{2, 1}, xorData(), DefaultTrainConfig(1)); err == nil {
+	if _, _, err := NewEnsemble(nil, 1, 0, []int{2, 1}, xorData(), DefaultTrainConfig(1)); err == nil {
 		t.Error("zero-member ensemble accepted")
 	}
 }

@@ -23,7 +23,7 @@ func importanceEnsemble(t *testing.T) (*Ensemble, Dataset) {
 	data := importanceDataset(5, 300)
 	cfg := DefaultTrainConfig(5)
 	cfg.Epochs = 120
-	ens, _, err := NewEnsemble(5, 2, []int{3, 10, 1}, data, cfg)
+	ens, _, err := NewEnsemble(nil, 5, 2, []int{3, 10, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,7 +356,7 @@ func TestVoteScratchAndBatchBitIdenticalToReference(t *testing.T) {
 	data := syntheticRegression(61, 90)
 	cfg := DefaultTrainConfig(61)
 	cfg.Epochs = 15
-	ens, _, err := NewEnsemble(61, 3, []int{3, 8, 1}, data, cfg)
+	ens, _, err := NewEnsemble(nil, 61, 3, []int{3, 8, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestInfIsIEEEInfinityAndSerializationUnaffected(t *testing.T) {
 	data := syntheticRegression(81, 60)
 	cfg := DefaultTrainConfig(81)
 	cfg.Epochs = 10
-	ens, reports, err := NewEnsemble(81, 2, []int{3, 6, 1}, data, cfg)
+	ens, reports, err := NewEnsemble(nil, 81, 2, []int{3, 6, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,116 +7,103 @@ import (
 	"repro/internal/parallel"
 )
 
+// serializeEnsemble renders the trained weights for bit-equality checks.
+func serializeEnsemble(t *testing.T, e *Ensemble) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := e.Save(&b, nil); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// sameReports fails the test when two member-report sets differ.
+func sameReports(t *testing.T, label string, got, want []TrainReport) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: reports = %d, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].TrainErr != want[i].TrainErr ||
+			got[i].ValErr != want[i].ValErr ||
+			got[i].Epochs != want[i].Epochs {
+			t.Errorf("%s: member %d training report differs: %+v vs %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
 func TestEnsembleParallelBitIdenticalToSerial(t *testing.T) {
 	data := syntheticRegression(47, 160)
 	cfg := DefaultTrainConfig(47)
 	cfg.Epochs = 40
 
-	serialize := func(e *Ensemble) string {
-		var b bytes.Buffer
-		if err := e.Save(&b, nil); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-
-	serial, serialReports, err := NewEnsembleParallel(47, 4, []int{3, 8, 1}, data, cfg, 1)
+	serial, serialReports, err := NewEnsemble(nil, 47, 4, []int{3, 8, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serialize(serial)
+	want := serializeEnsemble(t, serial)
 
 	for _, workers := range []int{2, 8} {
-		e, reports, err := NewEnsembleParallel(47, 4, []int{3, 8, 1}, data, cfg, workers)
+		f := parallel.NewFleet(workers)
+		e, reports, err := NewEnsemble(f, 47, 4, []int{3, 8, 1}, data, cfg)
+		f.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := serialize(e); got != want {
+		if got := serializeEnsemble(t, e); got != want {
 			t.Errorf("workers=%d trained weights differ from serial", workers)
 		}
-		if len(reports) != len(serialReports) {
-			t.Fatalf("workers=%d reports = %d, want %d", workers, len(reports), len(serialReports))
-		}
-		for i := range reports {
-			if reports[i].TrainErr != serialReports[i].TrainErr ||
-				reports[i].ValErr != serialReports[i].ValErr ||
-				reports[i].Epochs != serialReports[i].Epochs {
-				t.Errorf("workers=%d member %d training report differs: %+v vs %+v",
-					workers, i, reports[i], serialReports[i])
-			}
-		}
+		sameReports(t, "parallel vs serial", reports, serialReports)
 	}
 }
 
 func TestEnsembleParallelMatchesLegacyNewEnsemble(t *testing.T) {
-	// NewEnsemble is the serial special case — the parallel constructor with
-	// any worker count must reproduce it exactly.
+	// A nil fleet and a fleet sized 1 are the same fleet of one: both train
+	// inline and must produce identical weights.
 	data := syntheticRegression(53, 120)
 	cfg := DefaultTrainConfig(53)
 	cfg.Epochs = 30
 
-	legacy, _, err := NewEnsemble(53, 3, []int{3, 6, 1}, data, cfg)
+	inline, _, err := NewEnsemble(nil, 53, 3, []int{3, 6, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := NewEnsembleParallel(53, 3, []int{3, 6, 1}, data, cfg, 8)
+	f := parallel.NewFleet(1)
+	defer f.Close()
+	one, _, err := NewEnsemble(f, 53, 3, []int{3, 6, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := legacy.Save(&a, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Save(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("parallel ensemble weights differ from NewEnsemble")
+	if serializeEnsemble(t, inline) != serializeEnsemble(t, one) {
+		t.Error("fleet-of-one ensemble weights differ from the nil-fleet ones")
 	}
 }
 
 func TestEnsembleOnMatchesParallel(t *testing.T) {
-	// Fleet-hosted training is a pure scheduling change: weights and member
-	// reports are bit-identical to the batch-pool constructor at every fleet
-	// size, including a fleet reused across two trainings.
+	// Fleet-hosted training is a pure scheduling choice: weights and member
+	// reports are bit-identical to serial training at every fleet size,
+	// including a fleet reused across two trainings.
 	data := syntheticRegression(61, 140)
 	cfg := DefaultTrainConfig(61)
 	cfg.Epochs = 30
 
-	serialize := func(e *Ensemble) string {
-		var b bytes.Buffer
-		if err := e.Save(&b, nil); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	ref, refReports, err := NewEnsembleParallel(61, 4, []int{3, 6, 1}, data, cfg, 4)
+	ref, refReports, err := NewEnsemble(nil, 61, 4, []int{3, 6, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serialize(ref)
+	want := serializeEnsemble(t, ref)
 
 	for _, workers := range []int{1, 2, 8} {
 		f := parallel.NewFleet(workers)
 		for round := 0; round < 2; round++ { // same fleet, two trainings
-			e, reports, err := NewEnsembleOn(f, 61, 4, []int{3, 6, 1}, data, cfg)
+			e, reports, err := NewEnsemble(f, 61, 4, []int{3, 6, 1}, data, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := serialize(e); got != want {
-				t.Errorf("fleet=%d round %d: trained weights differ from batch pool", workers, round)
+			if got := serializeEnsemble(t, e); got != want {
+				t.Errorf("fleet=%d round %d: trained weights differ from serial", workers, round)
 			}
-			if len(reports) != len(refReports) {
-				t.Fatalf("fleet=%d reports = %d, want %d", workers, len(reports), len(refReports))
-			}
-			for i := range reports {
-				if reports[i].TrainErr != refReports[i].TrainErr ||
-					reports[i].ValErr != refReports[i].ValErr ||
-					reports[i].Epochs != refReports[i].Epochs {
-					t.Errorf("fleet=%d member %d report differs: %+v vs %+v",
-						workers, i, reports[i], refReports[i])
-				}
-			}
+			sameReports(t, "fleet vs serial", reports, refReports)
 		}
 		f.Close()
 	}

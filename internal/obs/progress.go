@@ -238,7 +238,7 @@ func (p *Progress) Item(kind string, done, total int) {
 	})
 }
 
-// PoolRun records one worker-pool execution. Per-run worker counts are
+// PoolRun records one fleet stage execution. Per-run worker counts are
 // scheduling- and flag-dependent, so these land in atomic side counters
 // served under non_deterministic, never in the snapshot.
 func (p *Progress) PoolRun(workers int, tasks int) {

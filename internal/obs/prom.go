@@ -65,11 +65,11 @@ func WritePrometheus(w io.Writer, s telemetry.Snapshot, constLabels map[string]s
 }
 
 // WriteRunInfo renders the Prometheus "info"-pattern gauge: a constant-1
-// sample whose labels carry the run's identity (flow, seed, scheduler,
+// sample whose labels carry the run's identity (flow, seed,
 // run_fingerprint). Joining it onto other series in PromQL ties every
 // scraped metric to the exact reproducible run that produced it:
 //
-//	repro_run_info{flow="characterize",seed="1",scheduler="fleet",run_fingerprint="fnv1a:…"} 1
+//	repro_run_info{flow="characterize",seed="1",run_fingerprint="fnv1a:…"} 1
 func WriteRunInfo(w io.Writer, labels map[string]string) error {
 	mn := MetricPrefix + "run_info"
 	var b strings.Builder

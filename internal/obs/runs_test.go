@@ -49,7 +49,7 @@ func seedLedger(t *testing.T, dir string, measurements ...int64) (*runstore.Stor
 			t.Fatal(err)
 		}
 		if err := st.AppendAttempt(id, runstore.Attempt{
-			TimeUnixNano: int64(i+1) * 1000, Parallelism: 1 + i, Scheduler: "fleet", WallSeconds: 0.5,
+			TimeUnixNano: int64(i+1) * 1000, Parallelism: 1 + i, WallSeconds: 0.5,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func startLedgerServer(t *testing.T, st *runstore.Store) *Server {
 		Ledger: st,
 		RunInfo: func() map[string]string {
 			return map[string]string{
-				"flow": "characterize", "seed": "1", "scheduler": "fleet",
+				"flow": "characterize", "seed": "1",
 				"run_fingerprint": "fnv1a:00000000deadbeef",
 			}
 		},
@@ -221,7 +221,7 @@ func TestMetricsCarriesRunInfo(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
-	want := `repro_run_info{flow="characterize",run_fingerprint="fnv1a:00000000deadbeef",scheduler="fleet",seed="1"} 1`
+	want := `repro_run_info{flow="characterize",run_fingerprint="fnv1a:00000000deadbeef",seed="1"} 1`
 	if !strings.Contains(body, want) {
 		t.Errorf("/metrics missing run info gauge %q:\n%s", want, body)
 	}

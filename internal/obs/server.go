@@ -32,7 +32,7 @@ type Options struct {
 	// /runs/diff — from this run store. Nil serves 404 JSON errors there.
 	Ledger *runstore.Store
 	// RunInfo supplies the label set of the repro_run_info info-pattern
-	// gauge appended to /metrics (flow, seed, scheduler, run_fingerprint).
+	// gauge appended to /metrics (flow, seed, run_fingerprint).
 	// Called per scrape so live values (the fingerprint) stay current. Nil
 	// omits the gauge.
 	RunInfo func() map[string]string

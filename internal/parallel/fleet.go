@@ -11,9 +11,9 @@ import (
 // created once and survive across any number of execution stages, so
 // worker-owned resources (forked tester insertions, scratch arenas) that a
 // caller memoizes by worker index are constructed once per run instead of
-// once per batch. Stages run through Stream/RunOn/ForEachOn with the same
-// determinism contract as Run — index-addressed results, per-task seeds,
-// bit-identical output at any worker count — plus strictly in-order result
+// once per batch. Stages run through Stream/RunOn/ForEachOn under the
+// package's determinism contract — index-addressed results, per-task seeds,
+// bit-identical output at any worker count — with strictly in-order result
 // delivery while later tasks are still executing, which is what lets batch
 // barriers (per GA generation, per shmoo test, per lot window) become a
 // pipeline.
@@ -23,6 +23,10 @@ import (
 // across stages. A fleet runs one stage at a time (concurrent Stream calls
 // serialize); a task must never start a stage on its own fleet — use a
 // separate fleet for nested parallelism.
+//
+// A nil *Fleet is a valid fleet of one: every stage runs inline on the
+// calling goroutine, with no goroutines, locks or Close needed, so serial
+// callers pass nil instead of wrapping their loop.
 type Fleet struct {
 	nw     int
 	window int
@@ -39,14 +43,19 @@ type Fleet struct {
 // NewFleet creates a fleet with Workers(workers) persistent workers. The
 // worker goroutines spawn lazily on the first multi-worker stage; a fleet
 // sized 1 never spawns any and executes every stage inline on the calling
-// goroutine, exactly like Run with one worker. Close releases the
-// goroutines when the run is over.
+// goroutine, exactly like a nil fleet. Close releases the goroutines when
+// the run is over.
 func NewFleet(workers int) *Fleet {
 	return &Fleet{nw: Workers(workers)}
 }
 
-// Size returns the worker count.
-func (f *Fleet) Size() int { return f.nw }
+// Size returns the worker count (1 for a nil fleet).
+func (f *Fleet) Size() int {
+	if f == nil {
+		return 1
+	}
+	return f.nw
+}
 
 // SetWindow bounds how far task execution may run ahead of in-order
 // delivery: with window w, task floor+w is not claimed until task floor has
@@ -62,11 +71,19 @@ func (f *Fleet) SetWindow(n int) {
 }
 
 // Window returns the configured run-ahead bound (0 = unbounded).
-func (f *Fleet) Window() int { return f.window }
+func (f *Fleet) Window() int {
+	if f == nil {
+		return 0
+	}
+	return f.window
+}
 
 // Close shuts the worker goroutines down and waits for them to exit.
-// Idempotent. A closed fleet must not be streamed on again.
+// Idempotent and nil-safe. A closed fleet must not be streamed on again.
 func (f *Fleet) Close() {
+	if f == nil {
+		return
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -108,6 +125,9 @@ func (f *Fleet) start() {
 type StreamStats struct {
 	Workers int // workers that participated in the stage
 	Tasks   int
+	// TasksPerWorker is how many tasks each participating worker ran (len
+	// Workers, summing to Tasks).
+	TasksPerWorker []int
 	// MaxRunAhead is the high-water mark of claimed-but-undelivered tasks —
 	// the observed pipeline queue depth.
 	MaxRunAhead int
@@ -148,8 +168,9 @@ type FleetObserver func(StreamStats)
 var fleetObserver atomic.Pointer[FleetObserver]
 
 // SetFleetObserver installs the process-wide fleet observer (nil
-// uninstalls). Like SetObserver, it is meant for top-level run
-// instrumentation; there is one slot.
+// uninstalls). Intended for top-level run instrumentation (CLI telemetry),
+// not libraries: there is one slot, and tests that run fleets concurrently
+// should leave it unset.
 func SetFleetObserver(fn FleetObserver) {
 	if fn == nil {
 		fleetObserver.Store(nil)
@@ -242,20 +263,22 @@ func (st *stage) work(w int) {
 // every side effect of the merge — happen in the same order at any worker
 // count.
 //
-// Error semantics mirror Run: every task still runs when some fail
-// (delivery stops at the first failed index, and with one worker the tasks
-// after an error are skipped, exactly like Run's inline path); the
-// lowest-index task panic is re-panicked as a TaskPanic after the stage
-// drains; otherwise the lowest-worker construction error, then the
-// lowest-index task error, then the first deliver error is returned.
+// Error semantics: with several workers every task still runs when some
+// fail (delivery stops at the first failed index); the lowest-index task
+// panic is re-panicked as a TaskPanic after the stage drains; otherwise the
+// lowest-worker construction error, then the lowest-index task error, then
+// the first deliver error is returned. A fleet of one (nil or sized 1) runs
+// tasks and deliveries interleaved in index order and stops at the first
+// panic or error.
 func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(wk W, i int) error, deliver func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	f.streamMu.Lock()
-	defer f.streamMu.Unlock()
+	if f != nil {
+		f.streamMu.Lock()
+		defer f.streamMu.Unlock()
+	}
 
-	obs := observer.Load()
 	fobs := fleetObserver.Load()
 	var wallStart time.Time
 	if fobs != nil {
@@ -266,10 +289,10 @@ func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(
 	stacks := make([][]byte, n)
 	taskErrs := make([]error, n)
 
-	if f.nw == 1 {
+	if f == nil || f.nw == 1 {
 		// Inline path: no goroutines, tasks and deliveries interleave in
-		// index order on the calling goroutine (Run's single-worker
-		// semantics: stop at the first panic or error).
+		// index order on the calling goroutine, stopping at the first panic
+		// or error.
 		wk, err := newWorker(0)
 		if err != nil {
 			return err
@@ -289,13 +312,10 @@ func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(
 				}
 			}
 		}
-		if obs != nil {
-			(*obs)(1, []int{n})
-		}
 		if fobs != nil {
 			wall := int64(time.Since(wallStart))
-			(*fobs)(StreamStats{Workers: 1, Tasks: n, MaxRunAhead: 1,
-				BusyNanos: wall, WallNanos: wall})
+			(*fobs)(StreamStats{Workers: 1, Tasks: n, TasksPerWorker: []int{n},
+				MaxRunAhead: 1, BusyNanos: wall, WallNanos: wall})
 		}
 		return nil
 	}
@@ -391,18 +411,16 @@ func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(
 			panic(TaskPanic{Task: i, Value: r, Stack: stacks[i]})
 		}
 	}
-	if obs != nil {
-		(*obs)(np, taskCounts)
-	}
 	if fobs != nil {
 		(*fobs)(StreamStats{
-			Workers:      np,
-			Tasks:        n,
-			MaxRunAhead:  st.maxAhead,
-			BusyNanos:    st.busy.Load(),
-			WallNanos:    int64(time.Since(wallStart)),
-			DeliverNanos: deliverNanos,
-			OverlapNanos: overlapNanos,
+			Workers:        np,
+			Tasks:          n,
+			TasksPerWorker: taskCounts,
+			MaxRunAhead:    st.maxAhead,
+			BusyNanos:      st.busy.Load(),
+			WallNanos:      int64(time.Since(wallStart)),
+			DeliverNanos:   deliverNanos,
+			OverlapNanos:   overlapNanos,
 		})
 	}
 	for _, err := range workerErrs {
@@ -430,8 +448,8 @@ func runStreamTask[W any](wk W, i int, task func(wk W, i int) error, panics []an
 	return task(wk, i)
 }
 
-// RunOn executes tasks 0..n-1 on the fleet with no delivery callback — the
-// persistent-pool form of Run.
+// RunOn executes tasks 0..n-1 on the fleet with no delivery callback; every
+// task's index-addressed output is complete when it returns.
 func RunOn[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(wk W, i int) error) error {
 	return Stream(f, n, newWorker, task, nil)
 }

@@ -278,15 +278,15 @@ func TestStreamZeroTasks(t *testing.T) {
 }
 
 func TestStreamObserverReportsParticipants(t *testing.T) {
-	// Like Run, the pool observer sees min(size, n) workers and per-worker
-	// task counts summing to n.
-	defer SetObserver(nil)
+	// The observer sees min(size, n) workers and per-worker task counts
+	// summing to n.
+	defer SetFleetObserver(nil)
 	var gotWorkers int
 	var gotTotal int
-	SetObserver(func(workers int, tasksPerWorker []int) {
-		gotWorkers = workers
+	SetFleetObserver(func(st StreamStats) {
+		gotWorkers = st.Workers
 		gotTotal = 0
-		for _, c := range tasksPerWorker {
+		for _, c := range st.TasksPerWorker {
 			gotTotal += c
 		}
 	})
@@ -301,7 +301,7 @@ func TestStreamObserverReportsParticipants(t *testing.T) {
 }
 
 // taskValue is the deterministic per-task "measurement" the equivalence
-// properties compare across schedulers: depends only on the task index and
+// property compares across fleet shapes: depends only on the task index and
 // a seed, never on worker identity or execution order.
 func taskValue(seed int64, i int) float64 {
 	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9
@@ -311,15 +311,16 @@ func taskValue(seed int64, i int) float64 {
 	return float64(x%1_000_003) / 1_000_003
 }
 
-// TestFleetMatchesRunProperty is the scheduler-equivalence invariant suite:
-// for random task counts, worker counts, run-ahead windows and memo-cache
-// configurations, Stream on a persistent fleet produces bit-identical
-// results, identical in-order merge sequences and identical cache
-// accounting to the legacy Run barrier followed by a serial merge loop.
+// TestFleetMatchesRunProperty is the fleet-equivalence invariant suite: for
+// random task counts, fleet shapes (nil, 1, N workers), run-ahead windows
+// and memo-cache configurations, Stream on a persistent fleet produces
+// bit-identical results, identical in-order merge sequences and identical
+// cache accounting to a plain serial loop that computes every task and then
+// merges in index order.
 func TestFleetMatchesRunProperty(t *testing.T) {
 	proptest.Check(t, 40, func(pt *proptest.T) {
 		n := pt.IntRange(0, 60)
-		workers := proptest.Pick(pt, []int{1, 2, 8})
+		workers := proptest.Pick(pt, []int{0, 1, 2, 8})
 		window := proptest.Pick(pt, []int{0, 1, 3, 7})
 		useCache := pt.Bool()
 		seed := pt.Int64Range(1, 1<<40)
@@ -327,7 +328,7 @@ func TestFleetMatchesRunProperty(t *testing.T) {
 		pt.Logf("n=%d workers=%d window=%d cache=%v seed=%d stages=%d",
 			n, workers, window, useCache, seed, stages)
 
-		// Reference: legacy Run (batch barrier), then a serial merge loop.
+		// Reference: a plain serial loop, then a serial merge loop.
 		runMerged := make([][]float64, stages)
 		var runCacheHits, runCacheMiss int64
 		{
@@ -347,16 +348,10 @@ func TestFleetMatchesRunProperty(t *testing.T) {
 						}
 					}
 				}
-				err := Run(n, workers,
-					func(w int) (struct{}, error) { return struct{}{}, nil },
-					func(_ struct{}, i int) error {
-						if !resolved[i] {
-							vals[i] = taskValue(seed, i)
-						}
-						return nil
-					})
-				if err != nil {
-					pt.Fatalf("Run: %v", err)
+				for i := 0; i < n; i++ {
+					if !resolved[i] {
+						vals[i] = taskValue(seed, i)
+					}
 				}
 				for i := 0; i < n; i++ {
 					if cache != nil && !resolved[i] {
@@ -379,8 +374,10 @@ func TestFleetMatchesRunProperty(t *testing.T) {
 			if useCache {
 				cache = NewMemoCache()
 			}
-			f := NewFleet(workers)
-			f.SetWindow(window)
+			f := fleetOf(workers)
+			if f != nil {
+				f.SetWindow(window)
+			}
 			for s := 0; s < stages; s++ {
 				vals := make([]float64, n)
 				resolved := make([]bool, n)

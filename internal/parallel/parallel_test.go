@@ -27,44 +27,76 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
+// fleetOf builds the fleet shape a scheduling property is checked at: size
+// 0 is the nil fleet (a fleet of one), anything else a fleet of that size.
+// Close is nil-safe, so callers defer it unconditionally.
+func fleetOf(size int) *Fleet {
+	if size == 0 {
+		return nil
+	}
+	return NewFleet(size)
+}
+
+func TestNilFleetIsAFleetOfOne(t *testing.T) {
+	var f *Fleet
+	if f.Size() != 1 || f.Window() != 0 {
+		t.Errorf("nil fleet: Size %d Window %d, want 1 and 0", f.Size(), f.Window())
+	}
+	f.Close() // no-op, must not panic
+}
+
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
+	for _, size := range []int{0, 1, 3, 16} {
 		const n = 200
 		counts := make([]atomic.Int64, n)
-		if err := ForEach(n, workers, func(i int) error {
+		f := fleetOf(size)
+		err := ForEachOn(f, n, func(i int) error {
 			counts[i].Add(1)
 			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		})
+		f.Close()
+		if err != nil {
+			t.Fatalf("size=%d: %v", size, err)
 		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+				t.Fatalf("size=%d: index %d ran %d times", size, i, c)
 			}
 		}
 	}
 }
 
 func TestForEachSerialOrder(t *testing.T) {
-	// One worker must execute tasks inline, in index order.
-	var order []int
-	if err := ForEach(10, 1, func(i int) error {
-		order = append(order, i)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if i != v {
-			t.Fatalf("serial order broken: %v", order)
+	// A fleet of one — nil or sized 1 — executes tasks inline, in index
+	// order.
+	for _, size := range []int{0, 1} {
+		var order []int
+		f := fleetOf(size)
+		err := ForEachOn(f, 10, func(i int) error {
+			order = append(order, i)
+			return nil
+		})
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != 10 {
+			t.Fatalf("size=%d: ran %d of 10 tasks", size, len(order))
+		}
+		for i, v := range order {
+			if i != v {
+				t.Fatalf("size=%d: serial order broken: %v", size, order)
+			}
 		}
 	}
 }
 
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 4
+	f := NewFleet(workers)
+	defer f.Close()
 	var cur, peak atomic.Int64
-	if err := ForEach(100, workers, func(int) error {
+	if err := ForEachOn(f, 100, func(int) error {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -84,9 +116,10 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 }
 
 func TestRunLowestIndexErrorWins(t *testing.T) {
-	for _, workers := range []int{1, 8} {
+	for _, size := range []int{0, 1, 8} {
 		wantErr := errors.New("task 3 failed")
-		err := ForEach(50, workers, func(i int) error {
+		f := fleetOf(size)
+		err := ForEachOn(f, 50, func(i int) error {
 			switch i {
 			case 3:
 				return wantErr
@@ -95,22 +128,33 @@ func TestRunLowestIndexErrorWins(t *testing.T) {
 			}
 			return nil
 		})
+		f.Close()
 		if !errors.Is(err, wantErr) {
-			t.Errorf("workers=%d: got %v, want lowest-index error %v", workers, err, wantErr)
+			t.Errorf("size=%d: got %v, want lowest-index error %v", size, err, wantErr)
 		}
 	}
 }
 
 func TestRunWorkerConstructionError(t *testing.T) {
-	boom := errors.New("no resources")
-	err := Run(10, 4, func(w int) (int, error) {
-		if w == 0 {
-			return 0, boom
+	// Worker 0's construction fails at every fleet size, so its error must
+	// surface whether the stage runs inline or on goroutines.
+	for _, size := range []int{0, 1, 4} {
+		boom := errors.New("no resources")
+		var ran atomic.Int32
+		f := fleetOf(size)
+		err := RunOn(f, 10, func(w int) (int, error) {
+			if w == 0 {
+				return 0, boom
+			}
+			return w, nil
+		}, func(int, int) error { ran.Add(1); return nil })
+		f.Close()
+		if !errors.Is(err, boom) {
+			t.Errorf("size=%d: worker construction error lost: %v", size, err)
 		}
-		return w, nil
-	}, func(int, int) error { return nil })
-	if !errors.Is(err, boom) {
-		t.Errorf("worker construction error lost: %v", err)
+		if size < 2 && ran.Load() != 0 {
+			t.Errorf("size=%d: inline stage ran %d tasks without a worker", size, ran.Load())
+		}
 	}
 }
 
@@ -122,7 +166,9 @@ func TestRunWorkerOwnedResources(t *testing.T) {
 	type res struct{ id int64 }
 	var mu sync.Mutex
 	seen := map[int64]int{}
-	err := Run(n, workers, func(int) (*res, error) {
+	f := NewFleet(workers)
+	defer f.Close()
+	err := RunOn(f, n, func(int) (*res, error) {
 		return &res{id: made.Add(1)}, nil
 	}, func(r *res, i int) error {
 		mu.Lock()
@@ -146,13 +192,18 @@ func TestRunWorkerOwnedResources(t *testing.T) {
 }
 
 func TestRunZeroTasks(t *testing.T) {
-	called := false
-	if err := Run(0, 4, func(int) (int, error) { called = true; return 0, nil },
-		func(int, int) error { called = true; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Error("zero-task run constructed a worker or ran a task")
+	for _, size := range []int{0, 1, 4} {
+		called := false
+		f := fleetOf(size)
+		err := RunOn(f, 0, func(int) (int, error) { called = true; return 0, nil },
+			func(int, int) error { called = true; return nil })
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if called {
+			t.Errorf("size=%d: zero-task run constructed a worker or ran a task", size)
+		}
 	}
 }
 
@@ -200,42 +251,40 @@ func TestMemoCacheConcurrent(t *testing.T) {
 }
 
 func TestObserverReportsTaskCounts(t *testing.T) {
-	type obs struct {
-		workers int
-		counts  []int
-	}
-	var got []obs
-	SetObserver(func(workers int, tasksPerWorker []int) {
-		counts := append([]int(nil), tasksPerWorker...)
-		got = append(got, obs{workers, counts})
+	var got []StreamStats
+	SetFleetObserver(func(st StreamStats) {
+		st.TasksPerWorker = append([]int(nil), st.TasksPerWorker...)
+		got = append(got, st)
 	})
-	defer SetObserver(nil)
+	defer SetFleetObserver(nil)
 
-	if err := ForEach(7, 1, func(int) error { return nil }); err != nil {
+	if err := ForEachOn(nil, 7, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEach(7, 3, func(int) error { return nil }); err != nil {
+	f := NewFleet(3)
+	defer f.Close()
+	if err := ForEachOn(f, 7, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("observer fired %d times, want 2", len(got))
 	}
-	if got[0].workers != 1 || len(got[0].counts) != 1 || got[0].counts[0] != 7 {
+	if got[0].Workers != 1 || len(got[0].TasksPerWorker) != 1 || got[0].TasksPerWorker[0] != 7 {
 		t.Errorf("inline run observation = %+v", got[0])
 	}
-	if got[1].workers != 3 || len(got[1].counts) != 3 {
+	if got[1].Workers != 3 || len(got[1].TasksPerWorker) != 3 {
 		t.Fatalf("parallel run observation = %+v", got[1])
 	}
 	sum := 0
-	for _, c := range got[1].counts {
+	for _, c := range got[1].TasksPerWorker {
 		sum += c
 	}
 	if sum != 7 {
 		t.Errorf("per-worker counts sum to %d, want 7", sum)
 	}
 
-	SetObserver(nil)
-	if err := ForEach(2, 2, func(int) error { return nil }); err != nil {
+	SetFleetObserver(nil)
+	if err := ForEachOn(f, 2, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {

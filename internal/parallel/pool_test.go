@@ -9,11 +9,14 @@ import (
 )
 
 func TestRunFewerTasksThanWorkers(t *testing.T) {
-	// Bound must clamp the pool to the task count: 3 tasks never start more
-	// than 3 workers, and every task still runs exactly once.
+	// A stage engages at most min(size, n) workers: 3 tasks on a 16-worker
+	// fleet never build more than 3 worker resources, and every task still
+	// runs exactly once.
+	f := NewFleet(16)
+	defer f.Close()
 	var built atomic.Int32
 	var ran [3]atomic.Int32
-	err := Run(3, 16,
+	err := RunOn(f, 3,
 		func(int) (int, error) { built.Add(1); return 0, nil },
 		func(_ int, i int) error { ran[i].Add(1); return nil })
 	if err != nil {
@@ -33,22 +36,28 @@ func TestRunFewerTasksThanWorkers(t *testing.T) {
 }
 
 func TestRunNegativeTaskCount(t *testing.T) {
-	called := false
-	err := Run(-4, 2,
-		func(int) (int, error) { called = true; return 0, nil },
-		func(int, int) error { called = true; return nil })
-	if err != nil || called {
-		t.Fatalf("negative task count: err=%v called=%v", err, called)
+	for _, size := range []int{0, 2} {
+		called := false
+		f := fleetOf(size)
+		err := Stream(f, -4,
+			func(int) (int, error) { called = true; return 0, nil },
+			func(int, int) error { called = true; return nil },
+			func(int) error { called = true; return nil })
+		f.Close()
+		if err != nil || called {
+			t.Fatalf("size=%d: negative task count: err=%v called=%v", size, err, called)
+		}
 	}
 }
 
-// runCatching recovers Run's re-panic and returns it.
-func runCatching(t *testing.T, n, workers int, task func(i int) error) (rec any) {
+// runCatching runs a stage on a fleet of the given size (0 = nil) and
+// recovers its re-panic.
+func runCatching(t *testing.T, n, size int, task func(i int) error) (rec any) {
 	t.Helper()
+	f := fleetOf(size)
+	defer f.Close()
 	defer func() { rec = recover() }()
-	err := Run(n, workers,
-		func(int) (struct{}, error) { return struct{}{}, nil },
-		func(_ struct{}, i int) error { return task(i) })
+	err := ForEachOn(f, n, task)
 	if err != nil {
 		t.Fatalf("unexpected error instead of panic: %v", err)
 	}
@@ -56,7 +65,7 @@ func runCatching(t *testing.T, n, workers int, task func(i int) error) (rec any)
 }
 
 func TestRunPanicPropagatesLowestIndex(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 1, 4} {
 		var ran atomic.Int32
 		rec := runCatching(t, 8, workers, func(i int) error {
 			ran.Add(1)
@@ -80,9 +89,10 @@ func TestRunPanicPropagatesLowestIndex(t *testing.T) {
 		if !strings.Contains(string(tp.Stack), "panic") {
 			t.Errorf("workers=%d: TaskPanic.Stack missing the panic frame:\n%s", workers, tp.Stack)
 		}
-		// The pooled path runs every task despite the panics; the inline
-		// path stops at the first one (index order, so equally deterministic).
-		if workers == 1 && ran.Load() != 3 {
+		// The multi-worker path runs every task despite the panics; the
+		// inline path stops at the first one (index order, so equally
+		// deterministic).
+		if workers <= 1 && ran.Load() != 3 {
 			t.Errorf("inline run executed %d tasks before the panic, want 3", ran.Load())
 		}
 		if workers > 1 && ran.Load() != 8 {
@@ -92,53 +102,58 @@ func TestRunPanicPropagatesLowestIndex(t *testing.T) {
 }
 
 func TestRunPanicUnwrapsErrorValue(t *testing.T) {
-	sentinel := errors.New("wrapped cause")
-	rec := runCatching(t, 2, 2, func(i int) error {
-		if i == 1 {
-			panic(sentinel)
+	for _, size := range []int{0, 1, 2} {
+		sentinel := errors.New("wrapped cause")
+		rec := runCatching(t, 2, size, func(i int) error {
+			if i == 1 {
+				panic(sentinel)
+			}
+			return nil
+		})
+		tp, ok := rec.(TaskPanic)
+		if !ok {
+			t.Fatalf("size=%d: recovered %T, want TaskPanic", size, rec)
 		}
-		return nil
-	})
-	tp, ok := rec.(TaskPanic)
-	if !ok {
-		t.Fatalf("recovered %T, want TaskPanic", rec)
-	}
-	if !errors.Is(tp, sentinel) {
-		t.Errorf("TaskPanic does not unwrap to the panicked error")
+		if !errors.Is(tp, sentinel) {
+			t.Errorf("size=%d: TaskPanic does not unwrap to the panicked error", size)
+		}
 	}
 }
 
 func TestRunPanicBeatsError(t *testing.T) {
-	// A panic anywhere outranks task errors: the caller must not mistake a
-	// crashed batch for a cleanly failed one.
-	rec := runCatching(t, 4, 2, func(i int) error {
-		if i == 0 {
-			return errors.New("ordinary failure")
+	// On a multi-worker fleet every task runs, and a panic anywhere
+	// outranks task errors: the caller must not mistake a crashed stage for
+	// a cleanly failed one. (A fleet of one stops at the first failure in
+	// index order — see TestStreamPanicDeterministicLowestIndex.)
+	for _, size := range []int{2, 4} {
+		rec := runCatching(t, 4, size, func(i int) error {
+			if i == 0 {
+				return errors.New("ordinary failure")
+			}
+			if i == 3 {
+				panic("late crash")
+			}
+			return nil
+		})
+		tp, ok := rec.(TaskPanic)
+		if !ok || tp.Task != 3 {
+			t.Fatalf("size=%d: recovered %v, want TaskPanic for task 3", size, rec)
 		}
-		if i == 3 {
-			panic("late crash")
-		}
-		return nil
-	})
-	tp, ok := rec.(TaskPanic)
-	if !ok || tp.Task != 3 {
-		t.Fatalf("recovered %v, want TaskPanic for task 3", rec)
 	}
 }
 
 func TestForEachPanicPropagates(t *testing.T) {
-	defer func() {
-		if tp, ok := recover().(TaskPanic); !ok || tp.Task != 1 {
-			t.Errorf("ForEach panic not propagated as TaskPanic: %v", tp)
+	for _, size := range []int{0, 1, 3} {
+		rec := runCatching(t, 3, size, func(i int) error {
+			if i == 1 {
+				panic("fe")
+			}
+			return nil
+		})
+		if tp, ok := rec.(TaskPanic); !ok || tp.Task != 1 {
+			t.Errorf("size=%d: ForEachOn panic not propagated as TaskPanic: %v", size, rec)
 		}
-	}()
-	_ = ForEach(3, 3, func(i int) error {
-		if i == 1 {
-			panic("fe")
-		}
-		return nil
-	})
-	t.Error("ForEach returned instead of panicking")
+	}
 }
 
 func TestMemoCacheLimitRejectsNewAtCapacity(t *testing.T) {

@@ -6,7 +6,7 @@
 // atomic rename, cachestore-style. The run ID is the hash of the manifest
 // and trace bytes, so two identical runs (same seed and workload flags, at
 // any -parallel worker count) collide into one record, and anything
-// non-deterministic (wall time, scheduler, pool occupancy, flight tail)
+// non-deterministic (wall time, worker count, fleet occupancy, flight tail)
 // is quarantined in a per-attempt sidecar next to the record.
 //
 // The package depends only on the standard library so every layer above it
@@ -53,7 +53,7 @@ type Manifest struct {
 	// Flags is the resolved identity-bearing flag set: per-binary workload
 	// flags (parameter, corner, test counts, …) plus the shared flags that
 	// change what is computed. Output paths and scheduling knobs
-	// (-parallel, -scheduler, -trace, …) are excluded by the recorder — they
+	// (-parallel, -trace, …) are excluded by the recorder — they
 	// change how or where, never what.
 	Flags map[string]string `json:"flags,omitempty"`
 	// CacheWarmth is the tier of persistent-cache reuse the run saw:

@@ -38,13 +38,14 @@ func (s *Store) Dir() string { return s.dir }
 
 // Attempt is one execution of a recorded run: everything about the run
 // that may differ between identical executions — wall time, worker count,
-// scheduler choice, pool/fleet occupancy, throughput, the flight-recorder
-// tail — quarantined here so the record itself stays deterministic.
+// fleet occupancy, throughput, the flight-recorder tail — quarantined here
+// so the record itself stays deterministic. Sidecar lines written before a
+// field was retired (such as the old scheduler name) still decode: unknown
+// keys are ignored.
 type Attempt struct {
 	TimeUnixNano int64   `json:"time_unix_nano"`
 	WallSeconds  float64 `json:"wall_seconds"`
 	Parallelism  int     `json:"parallelism"`
-	Scheduler    string  `json:"scheduler,omitempty"`
 	// Flags is the full resolved flag map of this execution, including the
 	// scheduling and output flags the manifest's identity set excludes.
 	Flags map[string]string `json:"flags,omitempty"`

@@ -118,8 +118,8 @@ func TestAttemptsSidecar(t *testing.T) {
 		t.Fatalf("Attempts before any append = %v, %v", got, err)
 	}
 	for i, a := range []Attempt{
-		{TimeUnixNano: 100, WallSeconds: 1.5, Parallelism: 1, Scheduler: "fleet"},
-		{TimeUnixNano: 200, WallSeconds: 0.9, Parallelism: 8, Scheduler: "batch"},
+		{TimeUnixNano: 100, WallSeconds: 1.5, Parallelism: 1},
+		{TimeUnixNano: 200, WallSeconds: 0.9, Parallelism: 8},
 	} {
 		if err := st.AppendAttempt(id, a); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -301,6 +301,32 @@ func TestAttemptsRejectsMalformedSidecarLine(t *testing.T) {
 	f.Close()
 	if _, err := st.Attempts(id); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("Attempts over a malformed line = %v", err)
+	}
+}
+
+// TestAttemptsDecodeRetiredSchedulerField pins sidecar compatibility:
+// attempt lines written when executions still recorded a "scheduler" field
+// decode cleanly, with every surviving field intact.
+func TestAttemptsDecodeRetiredSchedulerField(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := st.Put(testRecord(1, "trace\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := `{"time_unix_nano":300,"wall_seconds":2.5,"parallelism":8,"scheduler":"batch","pool_runs":4}` + "\n"
+	if err := os.WriteFile(filepath.Join(st.Dir(), id+".attempts.jsonl"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Attempts(id)
+	if err != nil {
+		t.Fatalf("Attempts over a line with the retired scheduler field: %v", err)
+	}
+	if len(got) != 1 || got[0].TimeUnixNano != 300 || got[0].WallSeconds != 2.5 ||
+		got[0].Parallelism != 8 || got[0].PoolRuns != 4 {
+		t.Errorf("Attempts = %+v", got)
 	}
 }
 

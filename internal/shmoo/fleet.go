@@ -1,25 +1,35 @@
 package shmoo
 
 import (
+	"fmt"
+
 	"repro/internal/ate"
 	"repro/internal/parallel"
 	"repro/internal/testgen"
 )
 
-// Fleet sweeps. Same hermetic-task contract as the parallel sweeps — every
-// task reseeds its insertion with a seed derived only from the task index,
-// so the plot and cost counters are bit-identical to the serial, batch-pool
-// and fleet forms — but the fan-out dispatches onto a persistent fleet and
-// the per-test merges stream from the in-order delivery while later tests
-// are still measuring, instead of waiting for a whole-overlay barrier.
+// Fleet sweeps. Every task (one whole test) runs on a forked tester
+// insertion reseeded with baseSeed + taskIndex, collects pass/fail cells
+// into a private grid, and the grids merge into the overlay in test order
+// from the fleet's in-order delivery while later tests are still measuring
+// — so the plot and the merged cost counters are bit-identical for any
+// fleet size, nil (serial) included. Unlike the serial AddTest, where one
+// tester carries noise-RNG and thermal state across the whole overlay,
+// each fleet task is hermetic.
 
-// AddTestsOn is AddTestsParallel on a persistent fleet: one task per test,
-// merged into the overlay in test order as each delivery arrives.
+// forkPoint selects which measurement a fleet sweep performs on the forked
+// insertion.
+type forkPoint func(wk *ate.ATE) PointFunc
+
+// AddTestsOn sweeps every test over the T_DQ strobe grid (the fig. 8 axes)
+// on the fleet f (nil runs serially), one task per test, and accumulates
+// them into the overlay in test order as each delivery arrives.
 func (p *Plot) AddTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, baseSeed int64) error {
 	return p.addTestsOn(f, a, tests, baseSeed, func(wk *ate.ATE) PointFunc { return wk.MeasureShmooPoint })
 }
 
-// AddFmaxTestsOn is AddFmaxTestsParallel on a persistent fleet.
+// AddFmaxTestsOn sweeps every test over a clock-vs-supply grid on the fleet
+// f — the fleet form of AddFmaxTest.
 func (p *Plot) AddFmaxTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, baseSeed int64) error {
 	return p.addTestsOn(f, a, tests, baseSeed, func(wk *ate.ATE) PointFunc { return wk.MeasureFmaxShmooPoint })
 }
@@ -38,7 +48,7 @@ func (p *Plot) addTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, b
 		return wk, nil
 	}, func(wk *ate.ATE, i int) error {
 		wk.Reseed(baseSeed + int64(i))
-		cells, err := p.sweepGrid(point(wk), tests[i], 0, p.Y.Steps)
+		cells, err := p.sweepGrid(point(wk), tests[i])
 		if err != nil {
 			return err
 		}
@@ -57,53 +67,28 @@ func (p *Plot) addTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, b
 	})
 }
 
-// AddTestsWavefront sweeps every test as a wavefront of per-(test,row)
-// cells instead of whole-test tasks: task k covers row k%Y.Steps of test
-// k/Y.Steps and reseeds with baseSeed + k, so for a single test the plot
-// and merged cost counters equal AddTestParallel's (whose row seeds are
-// baseSeed + rowIndex) — the row barrier between tests just disappears.
-// Like AddTestParallel, every row re-loads the pattern on its insertion, so
-// Profiles cost grows with Y.Steps compared to the whole-test sweeps.
-func (p *Plot) AddTestsWavefront(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, baseSeed int64) error {
-	ys := p.Y.Steps
-	n := len(tests) * ys
-	rows := make([][]bool, n)
-	costs := make([]ate.Stats, n)
-	var total ate.Stats
-	return parallel.Stream(f, n, func(int) (*ate.ATE, error) {
-		wk, err := a.Fork(baseSeed)
-		if err != nil {
-			return nil, err
-		}
-		wk.Device().EnableExecScratch()
-		return wk, nil
-	}, func(wk *ate.ATE, k int) error {
-		ti, yi := k/ys, k%ys
-		wk.Reseed(baseSeed + int64(k))
-		cells, err := p.sweepGrid(wk.MeasureShmooPoint, tests[ti], yi, yi+1)
-		if err != nil {
-			return err
-		}
-		rows[k] = cells
-		costs[k] = wk.Stats()
-		return nil
-	}, func(k int) error {
-		yi := k % ys
-		a.AddStats(costs[k])
-		total.Add(costs[k])
+// sweepGrid measures the whole grid for one test into a cell slice.
+func (p *Plot) sweepGrid(point PointFunc, t testgen.Test) ([]bool, error) {
+	cells := make([]bool, p.X.Steps*p.Y.Steps)
+	for yi := 0; yi < p.Y.Steps; yi++ {
+		vdd := p.Y.Value(yi)
 		for xi := 0; xi < p.X.Steps; xi++ {
-			if rows[k][yi*p.X.Steps+xi] {
-				p.passCount[yi*p.X.Steps+xi]++
+			x := p.X.Value(xi)
+			ok, err := point(t, vdd, x)
+			if err != nil {
+				return nil, fmt.Errorf("shmoo: %s at (%g, %g): %w", t.Name, x, vdd, err)
 			}
+			cells[yi*p.X.Steps+xi] = ok
 		}
-		rows[k] = nil
-		if yi == ys-1 {
-			if p.OnTest != nil {
-				p.OnTest(p.Tests, total)
-			}
-			p.Tests++
-			total = ate.Stats{}
+	}
+	return cells, nil
+}
+
+// merge accumulates a full grid of one test's outcomes into the overlay.
+func (p *Plot) merge(cells []bool) {
+	for c, ok := range cells {
+		if ok {
+			p.passCount[c]++
 		}
-		return nil
-	})
+	}
 }

@@ -8,10 +8,31 @@ import (
 	"repro/internal/testgen"
 )
 
-// The fleet sweeps are pure scheduling changes: same plot, same merged cost
-// counters, same observer sequence as the batch-pool forms, at every fleet
-// size — with measurement noise ON so the RNG discipline is actually load-
-// bearing.
+// The fleet sweeps are pure scheduling: same plot and same merged cost
+// counters as a hermetic reference that sweeps every test on its own fresh
+// insertion through the serial AddTestFunc, at every fleet size — with
+// measurement noise ON so the RNG discipline is actually load-bearing.
+
+// hermeticOverlay is the reference the fleet sweeps must reproduce: test i
+// on a freshly forked insertion reseeded with baseSeed+i, swept cell by cell
+// with AddTestFunc, its cost merged into a in test order.
+func hermeticOverlay(t *testing.T, p *Plot, a *ate.ATE, tests []testgen.Test, baseSeed int64, point forkPoint) {
+	t.Helper()
+	for i, tt := range tests {
+		wk, err := a.Fork(baseSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wk.Reseed(baseSeed + int64(i))
+		if err := p.AddTestFunc(tt, point(wk)); err != nil {
+			t.Fatal(err)
+		}
+		a.AddStats(wk.Stats())
+	}
+}
+
+func tdqPoint(wk *ate.ATE) PointFunc  { return wk.MeasureShmooPoint }
+func fmaxPoint(wk *ate.ATE) PointFunc { return wk.MeasureFmaxShmooPoint }
 
 func TestAddTestsOnMatchesBatchPool(t *testing.T) {
 	tester, gen := rig(t)
@@ -28,9 +49,7 @@ func TestAddTestsOnMatchesBatchPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.AddTestsParallel(fork, tests, 900, 4); err != nil {
-			t.Fatal(err)
-		}
+		hermeticOverlay(t, p, fork, tests, 900, tdqPoint)
 		return p.Render(), fork.Stats().Measurements
 	}
 	wantGrid, wantCost := reference()
@@ -50,10 +69,10 @@ func TestAddTestsOnMatchesBatchPool(t *testing.T) {
 		}
 		f.Close()
 		if got := p.Render(); got != wantGrid {
-			t.Errorf("fleet=%d grid differs from batch pool:\n%s\nvs\n%s", workers, got, wantGrid)
+			t.Errorf("fleet=%d grid differs from the hermetic reference:\n%s\nvs\n%s", workers, got, wantGrid)
 		}
 		if got := fork.Stats().Measurements; got != wantCost {
-			t.Errorf("fleet=%d merged %d measurements, batch pool %d", workers, got, wantCost)
+			t.Errorf("fleet=%d merged %d measurements, hermetic reference %d", workers, got, wantCost)
 		}
 		if p.Tests != len(tests) {
 			t.Errorf("fleet=%d Tests = %d, want %d", workers, p.Tests, len(tests))
@@ -75,12 +94,8 @@ func TestAddTestsOnReusesFleetAcrossOverlays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := want.AddTestsParallel(refFork, tests[:2], 77, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.AddTestsParallel(refFork, tests[2:], 78, 3); err != nil {
-		t.Fatal(err)
-	}
+	hermeticOverlay(t, want, refFork, tests[:2], 77, tdqPoint)
+	hermeticOverlay(t, want, refFork, tests[2:], 78, tdqPoint)
 
 	got, err := NewPlot(x, y)
 	if err != nil {
@@ -104,7 +119,7 @@ func TestAddTestsOnReusesFleetAcrossOverlays(t *testing.T) {
 		t.Errorf("persistent-fleet overlay differs:\n%s\nvs\n%s", g, w)
 	}
 	if g, w := fork.Stats().Measurements, refFork.Stats().Measurements; g != w {
-		t.Errorf("persistent-fleet cost %d, batch pool %d", g, w)
+		t.Errorf("persistent-fleet cost %d, hermetic reference %d", g, w)
 	}
 }
 
@@ -123,9 +138,7 @@ func TestAddFmaxTestsOnMatchesBatchPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := want.AddFmaxTestsParallel(refFork, tests, 55, 4); err != nil {
-		t.Fatal(err)
-	}
+	hermeticOverlay(t, want, refFork, tests, 55, fmaxPoint)
 
 	got, err := NewPlot(x, y)
 	if err != nil {
@@ -144,102 +157,6 @@ func TestAddFmaxTestsOnMatchesBatchPool(t *testing.T) {
 		t.Errorf("fmax fleet overlay differs:\n%s\nvs\n%s", g, w)
 	}
 	if g, w := fork.Stats().Measurements, refFork.Stats().Measurements; g != w {
-		t.Errorf("fmax fleet cost %d, batch pool %d", g, w)
-	}
-}
-
-func TestWavefrontSingleTestMatchesRowParallel(t *testing.T) {
-	tester, gen := rig(t)
-	tester.NoiseFraction = 0.25
-	tt := gen.Next()
-	x, y := smallAxes()
-
-	want, err := NewPlot(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFork, err := tester.Fork(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := want.AddTestParallel(refFork, tt, 31, 4); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 2, 8} {
-		got, err := NewPlot(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fork, err := tester.Fork(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := parallel.NewFleet(workers)
-		err = got.AddTestsWavefront(f, fork, []testgen.Test{tt}, 31)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g, w := got.Render(), want.Render(); g != w {
-			t.Errorf("fleet=%d wavefront grid differs from row-parallel:\n%s\nvs\n%s", workers, g, w)
-		}
-		if g, w := fork.Stats().Measurements, refFork.Stats().Measurements; g != w {
-			t.Errorf("fleet=%d wavefront cost %d, row-parallel %d", workers, g, w)
-		}
-		if got.Tests != 1 {
-			t.Errorf("fleet=%d Tests = %d after one wavefront test", workers, got.Tests)
-		}
-	}
-}
-
-func TestWavefrontDeterministicAcrossFleetSizes(t *testing.T) {
-	tester, gen := rig(t)
-	tester.NoiseFraction = 0.25
-	tests := gen.Batch(5)
-	x, y := smallAxes()
-
-	render := func(workers int) (string, int64, []int) {
-		p, err := NewPlot(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var indices []int
-		p.OnTest = func(index int, cost ate.Stats) { indices = append(indices, index) }
-		fork, err := tester.Fork(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := parallel.NewFleet(workers)
-		defer f.Close()
-		if err := p.AddTestsWavefront(f, fork, tests, 640); err != nil {
-			t.Fatal(err)
-		}
-		if p.Tests != len(tests) {
-			t.Fatalf("workers=%d Tests = %d, want %d", workers, p.Tests, len(tests))
-		}
-		return p.Render(), fork.Stats().Measurements, indices
-	}
-
-	grid1, cost1, idx1 := render(1)
-	if len(idx1) != len(tests) {
-		t.Fatalf("observer fired %d times for %d tests", len(idx1), len(tests))
-	}
-	for i, idx := range idx1 {
-		if idx != i {
-			t.Errorf("observation %d has overlay index %d", i, idx)
-		}
-	}
-	for _, workers := range []int{2, 8} {
-		grid, cost, idx := render(workers)
-		if grid != grid1 {
-			t.Errorf("workers=%d wavefront grid differs from workers=1:\n%s\nvs\n%s", workers, grid, grid1)
-		}
-		if cost != cost1 {
-			t.Errorf("workers=%d merged %d measurements, workers=1 merged %d", workers, cost, cost1)
-		}
-		if len(idx) != len(idx1) {
-			t.Errorf("workers=%d observer fired %d times, want %d", workers, len(idx), len(idx1))
-		}
+		t.Errorf("fmax fleet cost %d, hermetic reference %d", g, w)
 	}
 }

@@ -60,12 +60,13 @@ type Plot struct {
 	passCount []int
 
 	// OnTest, when non-nil, observes each test merged into the overlay by
-	// the parallel sweeps: the test's overlay index (the value of Tests as
-	// it merges) and the tester cost its hermetic sweep consumed. It runs
-	// on the merge loop, which proceeds in test order regardless of the
-	// worker count, so callers may emit trace events from it. The serial
-	// AddTestFunc path does not fire it: there one tester carries state
-	// across the whole overlay and no per-test cost split exists.
+	// the fleet sweeps (AddTestsOn, AddFmaxTestsOn): the test's overlay
+	// index (the value of Tests as it merges) and the tester cost its
+	// hermetic sweep consumed. It runs on the merge loop, which proceeds in
+	// test order regardless of the fleet size, so callers may emit trace
+	// events from it. The serial AddTestFunc path does not fire it: there
+	// one tester carries state across the whole overlay and no per-test
+	// cost split exists.
 	OnTest func(index int, cost ate.Stats)
 }
 
