@@ -27,6 +27,12 @@
 // check out fails Open with an error naming the file and the byte offset
 // of the first bad record. Callers that prefer running cold to failing
 // (the CLIs) log the error and proceed without a store.
+//
+// Memory: Open reads each segment into one buffer and the loaded values
+// share it — no per-record copy. A segment's buffer stays alive while any
+// value loaded from it is still in the store (or held by a caller of Get
+// or Range). Stored values are never modified in place; Put installs a
+// fresh copy, so a slice a caller already holds never changes.
 package cachestore
 
 import (
@@ -101,31 +107,38 @@ func Open(dir string, scope uint64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cachestore: creating %s: %w", dir, err)
 	}
-	s := &Store{
-		dir:   dir,
-		scope: scope,
-		m:     make(map[uint64][]byte),
-		isDir: make(map[uint64]bool),
-	}
+	s := &Store{dir: dir, scope: scope}
 	names, err := segmentNames(dir)
 	if err != nil {
 		return nil, err
 	}
+	var (
+		segs    [][]byte // validated segments of this scope, in load order
+		records int
+	)
 	for _, name := range names {
-		path := filepath.Join(dir, name)
 		if seq, ok := segmentSeq(name); ok && seq >= s.seq {
 			s.seq = seq + 1
 		}
-		loaded, size, err := s.loadSegment(path)
+		raw, n, err := readSegment(filepath.Join(dir, name), scope)
 		if err != nil {
 			return nil, err
 		}
-		if loaded {
-			s.stats.LoadedSegments++
-			s.stats.BytesOnDisk += size
-		} else {
+		if raw == nil {
 			s.stats.SkippedSegments++
+			continue
 		}
+		segs = append(segs, raw)
+		records += n
+		s.stats.LoadedSegments++
+		s.stats.BytesOnDisk += int64(len(raw))
+	}
+	// Later segments override earlier keys, so the record count bounds the
+	// distinct keys: the maps never grow during the load.
+	s.m = make(map[uint64][]byte, records)
+	s.isDir = make(map[uint64]bool, records)
+	for _, raw := range segs {
+		s.index(raw)
 	}
 	s.stats.LoadedEntries = int64(len(s.m))
 	return s, nil
@@ -157,45 +170,55 @@ func segmentSeq(name string) (int, bool) {
 	return seq, err == nil && n == 2
 }
 
-// loadSegment reads one segment file into the map. Segments of a different
-// scope report loaded == false and are otherwise ignored. Any framing or
-// checksum violation returns an error naming the file and the byte offset
-// of the offending record.
-func (s *Store) loadSegment(path string) (loaded bool, size int64, err error) {
-	raw, err := os.ReadFile(path)
+// readSegment reads one segment file and validates every record's framing
+// and checksum, returning the buffer and its record count. A segment of a
+// different scope returns a nil buffer and is otherwise ignored. Any
+// framing or checksum violation returns an error naming the file and the
+// byte offset of the offending record.
+func readSegment(path string, scope uint64) (raw []byte, records int, err error) {
+	raw, err = os.ReadFile(path)
 	if err != nil {
-		return false, 0, fmt.Errorf("cachestore: reading segment: %w", err)
+		return nil, 0, fmt.Errorf("cachestore: reading segment: %w", err)
 	}
 	if len(raw) < headerSize || string(raw[:8]) != magic {
-		return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset 0: bad magic", path)
+		return nil, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset 0: bad magic", path)
 	}
-	if binary.LittleEndian.Uint64(raw[8:16]) != s.scope {
-		return false, 0, nil
+	if binary.LittleEndian.Uint64(raw[8:16]) != scope {
+		return nil, 0, nil
 	}
 	off := headerSize
 	for off < len(raw) {
 		if len(raw)-off < recordOverhead {
-			return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: truncated record header", path, off)
+			return nil, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: truncated record header", path, off)
 		}
-		key := binary.LittleEndian.Uint64(raw[off : off+8])
 		vlen := int(binary.LittleEndian.Uint32(raw[off+8 : off+12]))
 		if vlen > maxValueLen {
-			return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: value length %d exceeds limit", path, off, vlen)
+			return nil, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: value length %d exceeds limit", path, off, vlen)
 		}
 		if len(raw)-off-recordOverhead < vlen {
-			return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: truncated value", path, off)
+			return nil, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: truncated value", path, off)
 		}
-		val := raw[off+12 : off+12+vlen]
 		want := binary.LittleEndian.Uint32(raw[off+12+vlen : off+16+vlen])
 		if got := crc32.ChecksumIEEE(raw[off : off+12+vlen]); got != want {
-			return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: CRC mismatch (%08x != %08x)", path, off, got, want)
+			return nil, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: CRC mismatch (%08x != %08x)", path, off, got, want)
 		}
-		// Copy out of the read buffer so the whole file can be collected.
-		s.m[key] = append([]byte(nil), val...)
-		s.isDir[key] = true
+		records++
 		off += recordOverhead + vlen
 	}
-	return true, int64(len(raw)), nil
+	return raw, records, nil
+}
+
+// index loads a segment readSegment validated into the maps. Each value
+// aliases raw, capacity-clipped so an append to it can never write into
+// the next record.
+func (s *Store) index(raw []byte) {
+	for off := headerSize; off < len(raw); {
+		key := binary.LittleEndian.Uint64(raw[off : off+8])
+		end := off + 12 + int(binary.LittleEndian.Uint32(raw[off+8:off+12]))
+		s.m[key] = raw[off+12 : end : end]
+		s.isDir[key] = true
+		off = end + 4
+	}
 }
 
 // Dir returns the store's directory.
@@ -245,12 +268,12 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 func (s *Store) Put(key uint64, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.m[key]; ok && string(old) == string(value) {
+	old, present := s.m[key]
+	if present && string(old) == string(value) {
 		return
 	}
-	_, wasDirty := s.m[key]
 	s.m[key] = append([]byte(nil), value...)
-	if s.isDir[key] || !wasDirty {
+	if s.isDir[key] || !present {
 		// Either overriding a persisted entry or inserting a new key: both
 		// need a record in the next segment. An overwrite of an entry that
 		// is already pending keeps its original queue position.

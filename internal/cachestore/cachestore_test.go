@@ -323,3 +323,108 @@ func TestRangeFloat64(t *testing.T) {
 		t.Errorf("GetFloat64 on non-scalar entry = %v, true", v)
 	}
 }
+
+// Values loaded from disk share the segment buffer; a Put must install a
+// fresh copy instead of writing through it, so a slice a caller got
+// earlier keeps its bytes, while a reopen sees the new value.
+func TestGetSliceSurvivesPutAndFlush(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir, 7)
+	s.Put(1, []byte("first"))
+	s.Put(2, []byte("neighbour"))
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(dir, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, _ := r.Get(1)
+	_ = append(loaded, bytes.Repeat([]byte("X"), 32)...) // must not spill into the next record
+	r.Put(1, []byte("SECOND"))
+	if _, err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if string(loaded) != "first" {
+		t.Errorf("slice from Get before Put now reads %q, want %q", loaded, "first")
+	}
+	if got, _ := r.Get(2); string(got) != "neighbour" {
+		t.Errorf("neighbouring record reads %q after the Put", got)
+	}
+
+	// The same holds for a value the store copied in with Put.
+	fresh, _ := r.Get(1)
+	r.Put(1, []byte("third"))
+	if string(fresh) != "SECOND" {
+		t.Errorf("slice from Get of a Put value now reads %q, want %q", fresh, "SECOND")
+	}
+	if _, err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := Open(dir, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := again.Get(1); string(got) != "third" {
+		t.Errorf("reopen reads %q, want the latest Put %q", got, "third")
+	}
+}
+
+func TestOpenEmptyDirectoryLoadsNothing(t *testing.T) {
+	s, err := Open(t.TempDir(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st != (Stats{}) || s.Len() != 0 {
+		t.Fatalf("empty directory: len %d, stats %+v", s.Len(), st)
+	}
+	s.Put(1, []byte("x"))
+	if got, ok := s.Get(1); !ok || string(got) != "x" {
+		t.Errorf("Put into an empty-directory store: Get = %q, %v", got, ok)
+	}
+}
+
+// The load path reports each kind of damage with the same message and
+// record offset: records of a two-record segment sit at offsets 16 and 37.
+func TestCorruptionErrorMessages(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir, 7)
+	s.Put(1, []byte("hello"))
+	s.Put(2, []byte("world!"))
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := segmentNames(dir)
+	path := filepath.Join(dir, segs[0])
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(orig) != 59 {
+		t.Fatalf("segment is %d bytes, want 59", len(orig))
+	}
+	damage := func(edit func([]byte) []byte) []byte { return edit(append([]byte(nil), orig...)) }
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		{"bad magic", damage(func(b []byte) []byte { b[0] = 'X'; return b }), "offset 0: bad magic"},
+		{"short file", orig[:10], "offset 0: bad magic"},
+		{"truncated header", orig[:47], "offset 37: truncated record header"},
+		{"truncated value", orig[:58], "offset 37: truncated value"},
+		{"value too long", damage(func(b []byte) []byte { b[16+8+2] = 0x10; return b }), "offset 16: value length 1048581 exceeds limit"},
+		{"crc mismatch", damage(func(b []byte) []byte { b[37+12] ^= 1; return b }), "offset 37: CRC mismatch ("},
+	} {
+		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir, 7)
+		want := "cachestore: " + path + ": corrupt segment at " + tc.want
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: err = %v, want prefix %q", tc.name, err, want)
+		}
+	}
+}

@@ -275,13 +275,17 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 			rep.ClassCounts[dr.Class]++
 			rep.Measurements += cost.Measurements
 			rep.Stats.Add(cost)
-			ph.Span().Event("die",
-				telemetry.I("die", dr.DieID),
-				telemetry.S("corner", dr.Corner.String()),
-				telemetry.F("worst_trip", dr.WorstTrip),
-				telemetry.F("wcr", dr.WCR),
-				telemetry.I("measurements", cost.Measurements),
-			)
+			// Checked here, not inside Event: building the fields boxes
+			// four values per die even when telemetry is off.
+			if sp := ph.Span(); sp != nil {
+				sp.Event("die",
+					telemetry.I("die", dr.DieID),
+					telemetry.S("corner", dr.Corner.String()),
+					telemetry.F("worst_trip", dr.WorstTrip),
+					telemetry.F("wcr", dr.WCR),
+					telemetry.I("measurements", cost.Measurements),
+				)
+			}
 
 			sumWorst += dr.WorstTrip
 			minWorst = math.Min(minWorst, dr.WorstTrip)

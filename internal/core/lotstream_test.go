@@ -354,3 +354,42 @@ func TestDieRecordRoundTrip(t *testing.T) {
 		}
 	})
 }
+
+// A warm lot with telemetry off costs a small constant number of mallocs
+// per die: the materialized *Die and the decoded record's test name, plus
+// the lot's fixed set-up spread over a thousand dies. A per-die telemetry
+// field list, a per-record copy in the store or a per-die layout table
+// would each push it past the bound.
+func TestScreenLotStreamWarmAllocsPerDie(t *testing.T) {
+	tests := lotTests(t)[:2]
+	lot, err := dut.NewWaferLot(11, 2, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geom := dut.DefaultGeometry()
+	dir := t.TempDir()
+	cold, err := cachestore.Open(dir, LotCacheScope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ScreenLotStream(ate.TDQ, tests, lot, geom, 11, LotOptions{Cache: cold}); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := cachestore.Open(dir, LotCacheScope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := ScreenLotStream(ate.TDQ, tests, lot, geom, 11, LotOptions{Cache: warm}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := warm.Stats(); st.Misses != 0 {
+		t.Fatalf("warm store missed %d dies", st.Misses)
+	}
+	perDie := allocs / float64(lot.Len())
+	t.Logf("%.0f mallocs per warm lot, %.2f per die", allocs, perDie)
+	if perDie > 3 {
+		t.Errorf("warm lot costs %.2f mallocs per die, want at most 3", perDie)
+	}
+}

@@ -3,6 +3,7 @@ package dut
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Wafer-scale process variation. The paper's §1 sample — "a statistically
@@ -15,8 +16,12 @@ import (
 // edge-concentrated defects instead of a uniform shuffle.
 //
 // The generator is random access: Die(i) is a pure function of (seed,
-// index) and never touches shared state, so a streaming pipeline can
-// materialize dies in any order, in parallel, without holding O(lot)
+// index) that only reads two read-only tables NewWaferLot builds once per
+// lot — the grid rows carrying on-wafer cells (O(side), about
+// √diesPerWafer entries) and each wafer's systematic-variation
+// coefficients (O(wafers)). Locating a die is a binary search over those
+// rows and drawing it a fixed handful of hashes, so a streaming pipeline
+// can materialize dies in any order, in parallel, without holding O(lot)
 // memory — the property `NewDieLot`'s sequential *rand.Rand walk cannot
 // offer.
 
@@ -52,7 +57,17 @@ type WaferLot struct {
 	seed     int64
 	wafers   int
 	perWafer int
-	side     int // die-grid side length per wafer
+	side     int           // die-grid side length per wafer
+	rows     []waferRow    // grid rows carrying on-wafer cells, top to bottom
+	params   []waferParams // systematic variation, by wafer index
+}
+
+// waferRow is one grid row's run of on-wafer cells: within-wafer die
+// `first` sits in cell (x0, y) and the row's next dies follow at x0+1,
+// x0+2, and so on.
+type waferRow struct {
+	first int
+	x0, y int
 }
 
 // NewWaferLot builds a lot of `wafers` wafers carrying `diesPerWafer` dies
@@ -72,23 +87,45 @@ func NewWaferLot(seed int64, wafers, diesPerWafer int) (*WaferLot, error) {
 	if side < 1 {
 		side = 1
 	}
-	for usableCells(side) < diesPerWafer {
+	rows, cells := waferLayout(side)
+	for cells < diesPerWafer {
 		side++
+		rows, cells = waferLayout(side)
 	}
-	return &WaferLot{seed: seed, wafers: wafers, perWafer: diesPerWafer, side: side}, nil
+	params := make([]waferParams, wafers)
+	for w := range params {
+		params[w] = newWaferParams(seed, w)
+	}
+	return &WaferLot{seed: seed, wafers: wafers, perWafer: diesPerWafer, side: side, rows: rows, params: params}, nil
 }
 
-// usableCells counts grid cells whose center is on the wafer.
-func usableCells(side int) int {
-	n := 0
+// waferLayout lists the grid rows that carry on-wafer cells, in row-major
+// order, and counts those cells. A row's on-wafer cells form one
+// contiguous run: the disc is convex and every float operation in
+// cellCenter and onWafer is monotone, so a row's run ends at its first
+// off-wafer cell.
+func waferLayout(side int) (rows []waferRow, cells int) {
 	for y := 0; y < side; y++ {
-		for x := 0; x < side; x++ {
-			if cx, cy := cellCenter(side, x, y); cx*cx+cy*cy <= waferEdge*waferEdge {
-				n++
-			}
+		x := 0
+		for x < side && !onWafer(side, x, y) {
+			x++
+		}
+		x0 := x
+		for x < side && onWafer(side, x, y) {
+			x++
+		}
+		if x > x0 {
+			rows = append(rows, waferRow{first: cells, x0: x0, y: y})
+			cells += x - x0
 		}
 	}
-	return n
+	return rows, cells
+}
+
+// onWafer reports whether grid cell (x, y)'s center lies on the wafer.
+func onWafer(side, x, y int) bool {
+	cx, cy := cellCenter(side, x, y)
+	return cx*cx+cy*cy <= waferEdge*waferEdge
 }
 
 // cellCenter maps grid cell (x, y) to normalized wafer coordinates in
@@ -115,29 +152,20 @@ func (l *WaferLot) Position(i int) (wafer int, x, y float64) {
 	return wafer, x, y
 }
 
-// cellXY maps a within-wafer die index to its cell center, skipping
-// off-wafer cells in row-major order.
+// cellXY maps a within-wafer die index to its cell center. Dies fill the
+// on-wafer cells in row-major order, so die j sits in the last row whose
+// first die is at most j.
 func (l *WaferLot) cellXY(j int) (float64, float64) {
-	seen := 0
-	for y := 0; y < l.side; y++ {
-		for x := 0; x < l.side; x++ {
-			cx, cy := cellCenter(l.side, x, y)
-			if cx*cx+cy*cy > waferEdge*waferEdge {
-				continue
-			}
-			if seen == j {
-				return cx, cy
-			}
-			seen++
-		}
-	}
-	return 0, 0 // unreachable for valid indices (side is sized for perWafer)
+	k := sort.Search(len(l.rows), func(k int) bool { return l.rows[k].first > j }) - 1
+	r := l.rows[k]
+	return cellCenter(l.side, r.x0+j-r.first, r.y)
 }
 
 // waferParams are one wafer's systematic-variation coefficients, drawn
 // deterministically from the lot seed and wafer index.
 type waferParams struct {
-	gradAngle float64 // across-wafer gradient direction
+	gradCos   float64 // across-wafer gradient direction, as cos and sin
+	gradSin   float64
 	gradSpeed float64 // gradient strength on the speed axis
 	radSpeed  float64 // radial (center-to-edge) strength on the speed axis
 	radLeak   float64 // radial strength on the leakage axis
@@ -145,11 +173,13 @@ type waferParams struct {
 	defect    float64 // wafer defectivity scale for weak cells
 }
 
-func (l *WaferLot) params(wafer int) waferParams {
-	h := hashChain(uint64(l.seed), uint64(wafer))
+func newWaferParams(seed int64, wafer int) waferParams {
+	h := hashChain(uint64(seed), uint64(wafer))
 	u := func(salt uint64) float64 { return unit(hashChain(h, salt)) }
+	gradAngle := u(1) * 2 * math.Pi
 	return waferParams{
-		gradAngle: u(1) * 2 * math.Pi,
+		gradCos:   math.Cos(gradAngle),
+		gradSin:   math.Sin(gradAngle),
 		gradSpeed: 0.4 + 0.4*u(2), // σ-units across the wafer diameter
 		radSpeed:  0.5 + 0.5*u(3), // σ-units center→edge
 		radLeak:   0.04 + 0.05*u(4),
@@ -163,8 +193,7 @@ func (l *WaferLot) params(wafer int) waferParams {
 // small, edge-weighted fraction of dies carries a weak cell. Pure function
 // of (seed, i); safe to call concurrently.
 func (l *WaferLot) Die(i int) *Die {
-	wafer := i / l.perWafer
-	p := l.params(wafer)
+	p := &l.params[i/l.perWafer]
 	x, y := l.cellXY(i % l.perWafer)
 	r2 := x*x + y*y
 
@@ -175,7 +204,7 @@ func (l *WaferLot) Die(i int) *Die {
 	// Speed score in σ-units: positive = fast silicon. The radial term
 	// subtracts its mean over the wafer (≈ radSpeed/2) so the lot stays
 	// centered; edges run slow, the gradient tilts one side fast.
-	spatial := p.offSpeed - p.radSpeed*(r2-0.5) + p.gradSpeed*(x*math.Cos(p.gradAngle)+y*math.Sin(p.gradAngle))/2
+	spatial := p.offSpeed - p.radSpeed*(r2-0.5) + p.gradSpeed*(x*p.gradCos+y*p.gradSin)/2
 	score := spatial + n1
 
 	var corner Corner

@@ -41,7 +41,8 @@ func TestWaferLotShapeAndIDs(t *testing.T) {
 }
 
 // Random access must be deterministic and order-independent: the same index
-// always yields identical silicon, also under concurrent materialization.
+// always yields identical silicon, also when several goroutines, each
+// walking the lot in its own order, share the lot's read-only tables.
 func TestWaferLotDeterministicRandomAccess(t *testing.T) {
 	l, _ := NewWaferLot(42, 2, 80)
 	want := make([]uint64, l.Len())
@@ -53,7 +54,8 @@ func TestWaferLotDeterministicRandomAccess(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := l.Len() - 1; i >= 0; i-- {
+			for k := 0; k < l.Len(); k++ {
+				i := (l.Len() - 1 - k*(2*g+1)%l.Len() + g) % l.Len()
 				if got := l.Die(i).Fingerprint(); got != want[i] {
 					t.Errorf("goroutine %d: Die(%d) fingerprint %#x, want %#x", g, i, got, want[i])
 				}
@@ -316,5 +318,197 @@ func TestProfileBankThroughATEProfiler(t *testing.T) {
 	banked := run(bank.Profile)
 	if direct.Act != banked.Act || direct.TDQWindowNS() != banked.TDQWindowNS() {
 		t.Error("profiler hook path diverges from direct profiling")
+	}
+}
+
+// usableCells counts grid cells whose center is on the wafer by scanning
+// the whole grid — the sizing rule NewWaferLot used before the row table.
+func usableCells(side int) int {
+	n := 0
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			if cx, cy := cellCenter(side, x, y); cx*cx+cy*cy <= waferEdge*waferEdge {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// scanCellXY is the O(side²) layout walk the row table replaced: it
+// rescans the grid in row-major order, skipping off-wafer cells, until it
+// reaches die j. It is the oracle for WaferLot.cellXY.
+func scanCellXY(side, j int) (float64, float64) {
+	seen := 0
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			cx, cy := cellCenter(side, x, y)
+			if cx*cx+cy*cy > waferEdge*waferEdge {
+				continue
+			}
+			if seen == j {
+				return cx, cy
+			}
+			seen++
+		}
+	}
+	return 0, 0
+}
+
+// scanSide is the grid side NewWaferLot chose by rescanning the grid for
+// every candidate side.
+func scanSide(diesPerWafer int) int {
+	side := int(math.Ceil(math.Sqrt(float64(diesPerWafer) / (math.Pi / 4))))
+	if side < 1 {
+		side = 1
+	}
+	for usableCells(side) < diesPerWafer {
+		side++
+	}
+	return side
+}
+
+// oracleDie materializes die i the way Die did before the per-lot tables:
+// the grid scan for its position and the wafer's coefficients (including
+// the gradient's cos and sin) re-derived from the seed for every die.
+func oracleDie(l *WaferLot, i int) *Die {
+	wafer := i / l.perWafer
+	wh := hashChain(uint64(l.seed), uint64(wafer))
+	u := func(salt uint64) float64 { return unit(hashChain(wh, salt)) }
+	gradAngle := u(1) * 2 * math.Pi
+	gradSpeed := 0.4 + 0.4*u(2)
+	radSpeed := 0.5 + 0.5*u(3)
+	radLeak := 0.04 + 0.05*u(4)
+	offSpeed := (u(5) - 0.5) * 0.8
+	defect := 0.5 + u(6)
+
+	x, y := scanCellXY(l.side, i%l.perWafer)
+	r2 := x*x + y*y
+	h := hashChain(uint64(l.seed), uint64(i)+0x9e3779b97f4a7c15)
+	n1, n2 := gauss2(hashChain(h, 11))
+	n3, n4 := gauss2(hashChain(h, 12))
+	spatial := offSpeed - radSpeed*(r2-0.5) + gradSpeed*(x*math.Cos(gradAngle)+y*math.Sin(gradAngle))/2
+	score := spatial + n1
+	var corner Corner
+	switch {
+	case score > 0.84:
+		corner = CornerFast
+	case score < -0.84:
+		corner = CornerSlow
+	default:
+		corner = CornerTypical
+	}
+	d := NewDie(i, corner)
+	d.tdqOffsetNS += 0.35 * (0.6*score + 0.8*n2)
+	d.speedFactor *= 1 - 0.02*(0.6*score+0.8*n3)
+	d.leakageFactor *= 1 + radLeak*r2 + 0.05*n4
+	defectP := 0.002 * defect * (1 + 3*r2)
+	hd := hashChain(h, 13)
+	if unit(hd) < defectP {
+		WithWeakCell(uint32(hashChain(hd, 1)), 1.45+0.35*unit(hashChain(hd, 2)))(d)
+	}
+	return d
+}
+
+// checkLayoutAgainstScan asserts the lot picked the scan's grid side and
+// places every within-wafer die on exactly the scan's (x, y) bits.
+func checkLayoutAgainstScan(t *testing.T, diesPerWafer int) {
+	t.Helper()
+	l, err := NewWaferLot(1, 1, diesPerWafer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := scanSide(diesPerWafer); l.side != want {
+		t.Fatalf("diesPerWafer %d: side %d, scan picks %d", diesPerWafer, l.side, want)
+	}
+	for j := 0; j < diesPerWafer; j++ {
+		gx, gy := l.cellXY(j)
+		wx, wy := scanCellXY(l.side, j)
+		if math.Float64bits(gx) != math.Float64bits(wx) || math.Float64bits(gy) != math.Float64bits(wy) {
+			t.Fatalf("diesPerWafer %d die %d: (%v, %v), scan (%v, %v)", diesPerWafer, j, gx, gy, wx, wy)
+		}
+	}
+}
+
+func TestWaferLayoutMatchesScan(t *testing.T) {
+	for n := 1; n <= 600; n++ {
+		checkLayoutAgainstScan(t, n)
+	}
+	checkLayoutAgainstScan(t, 2500)
+	checkLayoutAgainstScan(t, 10000)
+}
+
+// Sizes that fill the grid exactly put the last die in the last on-wafer
+// cell, the edge case of the row search. The check walks the grid once per
+// size, comparing each on-wafer cell against the table in scan order.
+func TestWaferLayoutMatchesScanAtExactFill(t *testing.T) {
+	exact := 0
+	for side := 1; usableCells(side) <= 10000; side++ {
+		n := usableCells(side)
+		if n == 0 {
+			continue
+		}
+		l, err := NewWaferLot(1, 1, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := scanSide(n); l.side != want {
+			t.Fatalf("usableCells(%d) = %d dies: side %d, scan picks %d", side, n, l.side, want)
+		}
+		if l.side == side {
+			exact++
+		}
+		seen := 0
+		for y := 0; y < l.side; y++ {
+			for x := 0; x < l.side && seen < n; x++ {
+				cx, cy := cellCenter(l.side, x, y)
+				if cx*cx+cy*cy > waferEdge*waferEdge {
+					continue
+				}
+				gx, gy := l.cellXY(seen)
+				if math.Float64bits(gx) != math.Float64bits(cx) || math.Float64bits(gy) != math.Float64bits(cy) {
+					t.Fatalf("side %d die %d: (%v, %v), scan (%v, %v)", side, seen, gx, gy, cx, cy)
+				}
+				seen++
+			}
+		}
+	}
+	t.Logf("%d sizes fill their grid exactly", exact)
+	if exact == 0 {
+		t.Error("no size fills its grid exactly: the last-cell edge case went unchecked")
+	}
+}
+
+func TestWaferLotDieMatchesOracle(t *testing.T) {
+	l, err := NewWaferLot(78, 3, 2500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weak := 0
+	for i := 0; i < l.Len(); i++ {
+		got, want := l.Die(i), oracleDie(l, i)
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("Die(%d) fingerprint %#x, oracle %#x", i, got.Fingerprint(), want.Fingerprint())
+		}
+		weak += min(got.WeakCellCount(), 1)
+	}
+	if weak == 0 {
+		t.Error("no weak die in the lot: the defect branch went unchecked")
+	}
+}
+
+var dieSink *Die
+
+// BenchmarkWaferLotDie materializes dies of a 4×2500 lot in lot order; a
+// clean die costs one allocation (the *Die itself).
+func BenchmarkWaferLotDie(b *testing.B) {
+	l, err := NewWaferLot(1, 4, 2500)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dieSink = l.Die(i % l.Len())
 	}
 }

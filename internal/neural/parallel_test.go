@@ -57,7 +57,7 @@ func TestEnsembleParallelBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
-func TestEnsembleParallelMatchesLegacyNewEnsemble(t *testing.T) {
+func TestEnsembleNilFleetMatchesFleetOfOne(t *testing.T) {
 	// A nil fleet and a fleet sized 1 are the same fleet of one: both train
 	// inline and must produce identical weights.
 	data := syntheticRegression(53, 120)
@@ -79,7 +79,7 @@ func TestEnsembleParallelMatchesLegacyNewEnsemble(t *testing.T) {
 	}
 }
 
-func TestEnsembleOnMatchesParallel(t *testing.T) {
+func TestEnsembleReusedFleetMatchesSerial(t *testing.T) {
 	// Fleet-hosted training is a pure scheduling choice: weights and member
 	// reports are bit-identical to serial training at every fleet size,
 	// including a fleet reused across two trainings.

@@ -34,7 +34,7 @@ func hermeticOverlay(t *testing.T, p *Plot, a *ate.ATE, tests []testgen.Test, ba
 func tdqPoint(wk *ate.ATE) PointFunc  { return wk.MeasureShmooPoint }
 func fmaxPoint(wk *ate.ATE) PointFunc { return wk.MeasureFmaxShmooPoint }
 
-func TestAddTestsOnMatchesBatchPool(t *testing.T) {
+func TestAddTestsOnMatchesHermeticOverlay(t *testing.T) {
 	tester, gen := rig(t)
 	tester.NoiseFraction = 0.25
 	tests := gen.Batch(6)
@@ -123,7 +123,7 @@ func TestAddTestsOnReusesFleetAcrossOverlays(t *testing.T) {
 	}
 }
 
-func TestAddFmaxTestsOnMatchesBatchPool(t *testing.T) {
+func TestAddFmaxTestsOnMatchesHermeticOverlay(t *testing.T) {
 	tester, gen := rig(t)
 	tester.NoiseFraction = 0.25
 	tests := gen.Batch(3)
