@@ -3,8 +3,8 @@
 # The full CI gate: vet + build + race-enabled tests + coverage floors +
 # fuzz smoke + the telemetry smoke run + the short benchmark passes that
 # write BENCH_parallel.json, BENCH_obs.json, BENCH_kernels.json (with the
-# allocs/op ceiling gate) and BENCH_lot.json (with the streamed-lot speedup
-# and warm-hit-rate gates).
+# allocs/op ceiling gate) and BENCH_lot.json (with the streamed-lot speedup,
+# 2-worker scaling and warm-hit-rate gates).
 ci:
 	./ci.sh
 

@@ -9,10 +9,12 @@
 # (instrumented-flow ns/op, cache hit rate, measurements per op) and
 # BENCH_kernels.json (neural kernel ns/op, B/op and allocs/op) and
 # BENCH_lot.json (streamed lot screening dies/sec across the worker ladder,
-# disk cache cold/warm). The kernel and lot passes are also hard gates:
-# allocs/op above the pinned ceilings, a streamed lot slower than 2x the
-# per-die loop, or a warm-cache run serving under 50% of dies from disk all
-# fail CI, so regressions in the hot paths cannot land silently.
+# disk cache cold/warm, medians of five samples). The kernel and lot passes
+# are also hard gates: allocs/op above the pinned ceilings, a streamed lot
+# slower than 2x the per-die loop, a 2-worker lot under 1.4x the 1-worker
+# one on a multi-CPU host, or a warm-cache run serving under 50% of dies
+# from disk all fail CI, so regressions in the hot paths cannot land
+# silently.
 set -eu
 cd "$(dirname "$0")"
 
@@ -400,7 +402,7 @@ echo "== fleet determinism under -race =="
 go test -race -count=1 \
 	-run 'TestStream|TestFleetMatchesRun|TestForEach|TestRun' ./internal/parallel/
 go test -race -count=1 \
-	-run 'TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotParallel' ./internal/core/
+	-run 'TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotStream' ./internal/core/
 go test -race -count=1 \
 	-run 'TestAddTestsOn|TestAddFmaxTestsOn|TestAddTestsParallelDeterministic' ./internal/shmoo/
 echo "fleet determinism suite race-clean"
@@ -496,9 +498,13 @@ echo "wrote BENCH_kernels.json:"
 cat BENCH_kernels.json
 
 echo "== lot pipeline benchmark (fab-scale gates) =="
-# Three hard gates on the streamed lot pipeline, measured on a 10k-die lot:
+# Four hard gates on the streamed lot pipeline, measured on a 10k-die lot
+# with five samples per benchmark (BENCH_lot.json records the medians):
 #   - speedup: streamed workers=8 cache=off must screen >= 2x the dies/sec
 #     of the frozen pre-streaming per-die loop (BenchmarkLotScreenPerDieLoop);
+#   - scaling: on a host with >= 2 CPUs, workers=2 cache=off must screen
+#     >= 1.4x the dies/sec of workers=1 cache=off (recorded as the
+#     LotScaling entry, with the CPU count);
 #   - warm hit rate: a run against an already-populated cache dir must serve
 #     >= 50% of dies from disk (in practice 100%);
 #   - allocations: the streamed path must stay under 18 mallocs per die
@@ -507,55 +513,79 @@ echo "== lot pipeline benchmark (fab-scale gates) =="
 #     materializes and decodes dies, under 5 (~2x the 2.1-2.3 measured).
 LOT_OUT=$(go test -run '^$' \
 	-bench '^(BenchmarkLotScreenPerDieLoop|BenchmarkLotScreenStream)$' \
-	-benchtime 1x -timeout 60m .)
+	-benchtime 1x -count 5 -timeout 60m .)
 printf '%s\n' "$LOT_OUT"
-printf '%s\n' "$LOT_OUT" | awk '
+printf '%s\n' "$LOT_OUT" | awk -v nproc="$NCPU" '
 	BEGIN {
 		printf "[\n"
 		alloc_ceiling["off"] = 18
 		alloc_ceiling["warm"] = 5
 		min_speedup = 2.0
+		min_scaling = 1.4
 		min_warm_hit_rate = 0.5
-		perdie = 0; stream8 = 0
+		nmetrics = split("ns_per_op dies_per_sec ate_measurements hit_rate allocs_per_die bytes_on_disk", metric, " ")
+		split("ns/op dies_per_sec measurements hit_rate allocs_per_die bytes_on_disk", unit, " ")
 		fail = 0
+	}
+	# median of the samples of benchmark b, metric m ("null" when absent).
+	function median(b, m,    k, i, j, n, v, t) {
+		n = count[b, m]
+		if (n == 0) return "null"
+		for (i = 1; i <= n; i++) v[i] = sample[b, m, i] + 0
+		for (i = 2; i <= n; i++)
+			for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+		k = int((n + 1) / 2)
+		return (n % 2) ? v[k] : (v[k] + v[k + 1]) / 2
 	}
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
-		ns = "null"; dps = "null"; meas = "null"; rate = "null"; apd = "null"; bytes = "null"
-		for (i = 2; i <= NF; i++) {
-			if ($i == "ns/op") ns = $(i - 1)
-			if ($i == "dies_per_sec") dps = $(i - 1)
-			if ($i == "measurements") meas = $(i - 1)
-			if ($i == "hit_rate") rate = $(i - 1)
-			if ($i == "allocs_per_die") apd = $(i - 1)
-			if ($i == "bytes_on_disk") bytes = $(i - 1)
-		}
-		if (n++) printf ",\n"
-		printf "  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"dies_per_sec\": %s, \"ate_measurements\": %s, \"hit_rate\": %s, \"allocs_per_die\": %s, \"bytes_on_disk\": %s}", \
-			name, ns, dps, meas, rate, apd, bytes
-		if (name == "BenchmarkLotScreenPerDieLoop") perdie = dps + 0
-		if (name == "BenchmarkLotScreenStream/workers=8/cache=off") stream8 = dps + 0
-		if (name ~ /cache=warm/ && rate != "null" && rate + 0 < min_warm_hit_rate) {
-			printf "FAIL: %s hit rate %s below %.2f\n", name, rate, min_warm_hit_rate > "/dev/stderr"
-			fail = 1
-		}
-		cache = name; sub(/.*cache=/, "", cache)
-		if ((cache in alloc_ceiling) && apd != "null" && apd + 0 > alloc_ceiling[cache]) {
-			printf "FAIL: %s allocs_per_die = %s exceeds ceiling %d\n", name, apd, alloc_ceiling[cache] > "/dev/stderr"
-			fail = 1
-		}
+		if (!(name in seen)) { seen[name] = 1; order[++nbench] = name }
+		for (i = 2; i <= NF; i++)
+			for (k = 1; k <= nmetrics; k++)
+				if ($i == unit[k]) sample[name, metric[k], ++count[name, metric[k]]] = $(i - 1)
 	}
 	END {
-		printf "\n]\n"
-		if (perdie <= 0 || stream8 <= 0) {
-			printf "FAIL: lot benchmark output missing per-die or streamed dies_per_sec\n" > "/dev/stderr"
-			fail = 1
-		} else if (stream8 < min_speedup * perdie) {
-			printf "FAIL: streamed workers=8 %.0f dies/sec is below %.1fx the per-die loop (%.0f)\n", \
-				stream8, min_speedup, perdie > "/dev/stderr"
+		for (b = 1; b <= nbench; b++) {
+			name = order[b]
+			printf "  {\"benchmark\": \"%s\"", name
+			for (k = 1; k <= nmetrics; k++) {
+				med[k] = median(name, metric[k])
+				printf ", \"%s\": %s", metric[k], med[k]
+			}
+			printf "},\n"
+			dps = med[2]; rate = med[4]; apd = med[5]
+			if (name == "BenchmarkLotScreenPerDieLoop") perdie = dps + 0
+			if (name == "BenchmarkLotScreenStream/workers=8/cache=off") stream8 = dps + 0
+			if (name == "BenchmarkLotScreenStream/workers=1/cache=off") ns1 = med[1] + 0
+			if (name == "BenchmarkLotScreenStream/workers=2/cache=off") ns2 = med[1] + 0
+			if (name ~ /cache=warm/ && rate != "null" && rate + 0 < min_warm_hit_rate) {
+				printf "FAIL: %s hit rate %s below %.2f\n", name, rate, min_warm_hit_rate > "/dev/stderr"
+				fail = 1
+			}
+			cache = name; sub(/.*cache=/, "", cache)
+			if ((cache in alloc_ceiling) && apd != "null" && apd + 0 > alloc_ceiling[cache]) {
+				printf "FAIL: %s allocs_per_die = %s exceeds ceiling %d\n", name, apd, alloc_ceiling[cache] > "/dev/stderr"
+				fail = 1
+			}
+		}
+		scaling = (ns1 > 0 && ns2 > 0) ? ns1 / ns2 : 0
+		printf "  {\"benchmark\": \"LotScaling/workers=2_over_workers=1/cache=off\", \"speedup\": %.3f, \"nproc\": %d}\n]\n", scaling, nproc
+		if (perdie <= 0 || stream8 <= 0 || scaling <= 0) {
+			printf "FAIL: lot benchmark output missing per-die, streamed or scaling samples\n" > "/dev/stderr"
 			fail = 1
 		} else {
+			if (stream8 < min_speedup * perdie) {
+				printf "FAIL: streamed workers=8 %.0f dies/sec is below %.1fx the per-die loop (%.0f)\n", \
+					stream8, min_speedup, perdie > "/dev/stderr"
+				fail = 1
+			}
+			if (nproc >= 2 && scaling < min_scaling) {
+				printf "FAIL: workers=2 screens only %.2fx the dies/sec of workers=1 (want >= %.1fx on %d CPUs)\n", \
+					scaling, min_scaling, nproc > "/dev/stderr"
+				fail = 1
+			}
 			printf "lot gate: streamed %.0f dies/sec = %.2fx per-die loop %.0f\n", stream8, stream8 / perdie, perdie
+			printf "lot scaling gate: workers=2 / workers=1 = %.2fx on %d CPUs (median of 5)\n", scaling, nproc
 		}
 		exit fail
 	}

@@ -45,6 +45,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // magic identifies (and versions) the segment format.
@@ -83,8 +84,11 @@ type Stats struct {
 }
 
 // Store is one open cache directory scoped to a single logical cache. It
-// is safe for concurrent use; the deterministic pipelines call it from
-// serial program points anyway so counter order stays reproducible.
+// is safe for concurrent use: lookups share a read lock, so Get on many
+// goroutines does not serialize behind itself, only behind Put and Flush.
+// Hit and miss counts stay deterministic as long as no key is looked up
+// concurrently with its own insertion; segment bytes as long as Puts come
+// in a deterministic order.
 type Store struct {
 	dir   string
 	scope uint64
@@ -93,8 +97,10 @@ type Store struct {
 	m     map[uint64][]byte
 	dirty []uint64 // keys added/changed since the last Flush, insertion order
 	isDir map[uint64]bool
-	stats Stats
-	seq   int // next segment sequence number
+	stats Stats // Hits and Misses live in the atomics below
+	seq   int   // next segment sequence number
+
+	hits, misses atomic.Int64
 }
 
 // Open loads every matching-scope segment in dir (creating dir when
@@ -238,7 +244,9 @@ func (s *Store) Len() int {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.stats
+	st := s.stats
+	st.Hits, st.Misses = s.hits.Load(), s.misses.Load()
+	return st
 }
 
 // BytesOnDisk returns the total size of this scope's segments.
@@ -251,13 +259,13 @@ func (s *Store) BytesOnDisk() int64 {
 // Get returns the stored value for key, counting a hit or a miss. The
 // returned slice is shared: callers must not modify it.
 func (s *Store) Get(key uint64) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
 	v, ok := s.m[key]
+	s.mu.RUnlock()
 	if ok {
-		s.stats.Hits++
+		s.hits.Add(1)
 	} else {
-		s.stats.Misses++
+		s.misses.Add(1)
 	}
 	return v, ok
 }

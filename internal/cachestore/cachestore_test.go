@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/proptest"
@@ -426,5 +427,60 @@ func TestCorruptionErrorMessages(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("%s: err = %v, want prefix %q", tc.name, err, want)
 		}
+	}
+}
+
+// Get, Put, Stats and Flush from many goroutines at once: race-clean, and
+// every Get is counted exactly once as a hit or a miss.
+func TestConcurrentGetPutStatsFlush(t *testing.T) {
+	s, err := Open(t.TempDir(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		getters = 4
+		gets    = 500
+		keys    = 200
+	)
+	var wg sync.WaitGroup
+	for g := 0; g < getters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < gets; i++ {
+				if v, ok := s.Get(uint64((g*gets + i) % keys)); ok && len(v) != 1 {
+					t.Errorf("Get returned %d bytes, want 1", len(v))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < keys; k++ {
+			s.Put(uint64(k), []byte{byte(k)})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if st := s.Stats(); st.Hits+st.Misses > getters*gets {
+				t.Errorf("Stats counts %d lookups, more than were made", st.Hits+st.Misses)
+			}
+			if _, err := s.Flush(); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	if st := s.Stats(); st.Hits+st.Misses != getters*gets {
+		t.Errorf("hits %d + misses %d != %d Get calls", st.Hits, st.Misses, getters*gets)
+	}
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.FlushedEntries != keys {
+		t.Errorf("flushed %d entries, want %d", st.FlushedEntries, keys)
 	}
 }

@@ -170,7 +170,7 @@ func TestLotReportFormat(t *testing.T) {
 	}
 }
 
-func TestScreenLotParallelMatchesSerial(t *testing.T) {
+func TestScreenLotStreamNilFleetMatchesFleet(t *testing.T) {
 	dies := dut.NewDieLot(23, 9)
 	tests := lotTests(t)
 	serial, err := screenDies(ate.TDQ, tests, dies, dut.DefaultGeometry(), 23, nil)
@@ -197,7 +197,7 @@ func TestScreenLotParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestScreenLotParallelWorkerClamping(t *testing.T) {
+func TestScreenLotStreamFleetLargerThanLot(t *testing.T) {
 	dies := dut.NewDieLot(29, 3)
 	// A fleet larger than the lot, and one sized per CPU, must both work.
 	for _, size := range []int{100, parallel.Workers(0)} {

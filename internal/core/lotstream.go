@@ -19,10 +19,11 @@ import (
 // Streamed lot screening, the one lot-screen entry point. Three properties
 // distinguish it from a per-die loop:
 //
-//   - Bounded memory. Dies stream through the worker fleet in windows of
-//     O(workers) size; nothing O(lot) is buffered unless the caller asks
-//     for per-die results. Population statistics (mean, spread, corner
-//     worst cases, drift, outliers) accumulate in O(1) per die.
+//   - Bounded memory. Dies stream through the worker fleet one stage at a
+//     time (a few hundred dies per worker); nothing O(lot) is buffered
+//     unless the caller asks for per-die results. Population statistics
+//     (mean, spread, corner worst cases, drift, outliers) accumulate in
+//     O(1) per die.
 //   - Shared work. Each worker owns one device and one tester insertion
 //     for the whole lot (Retarget/Reseed per die instead of reallocating),
 //     and a lot-wide dut.ProfileBank executes each test pattern once
@@ -33,31 +34,46 @@ import (
 //     the die, the test set and the seed; a second identical run replays
 //     from disk with bit-identical LotReport output.
 //
-// Determinism: dies are resolved against the cache serially in lot order,
-// misses fan out on the deterministic fleet with per-die seeds, and windows
-// merge back in lot order — the report (and the telemetry event stream) is
-// bit-identical at any worker count, any batch size, and cache cold or
+// Pipeline: one fleet task is a contiguous chunk of dies handled end to end
+// on a worker — materialize, cache lookup and decode, and on a miss screen
+// and encode. The lot-order merge (cache inserts, aggregation, telemetry)
+// runs in the stage's in-order delivery, overlapping the chunks still
+// executing, so the only barrier left is the end of a stage.
+//
+// Determinism: every die is screened with its own seed on rewound worker
+// hardware; die IDs are unique within a lot, so a die's cache lookup never
+// races an insert of the same key; and chunks merge in lot order. The
+// report, the telemetry event stream, the segment bytes and the store's
+// hit/miss counts are bit-identical at any worker count and cache cold or
 // warm.
 
-// LotOptions configures ScreenLotStream. The zero value screens serially
-// with an automatic batch size, no disk cache, no retained per-die results
-// and no telemetry.
+// Pipeline shape. A chunk of lotChunkDies dies is ~0.6 ms of cold
+// screening: long enough that per-task dispatch is noise, short enough
+// that the last chunk of a stage leaves a worker idle only briefly. A
+// stage hands each worker lotChunksPerWorker chunks (512 dies), so a
+// 10k-die lot on two workers runs in 10 stages, and the merge buffer holds
+// one stage of die records. Picked from BenchmarkLotScreenStream on a
+// 2-vCPU host. Variables only so in-package tests can shrink them.
+var (
+	lotChunkDies       = 32
+	lotChunksPerWorker = 16
+)
+
+// LotOptions configures ScreenLotStream. The zero value screens serially,
+// with no disk cache, no retained per-die results and no telemetry.
 type LotOptions struct {
-	// Fleet runs the miss fan-out; its size is the concurrent
-	// tester-insertion count (multi-site testing). Nil screens serially, as
-	// a fleet of one. The report is bit-identical at any fleet size.
+	// Fleet screens the chunks of each stage; its size is the concurrent
+	// tester-insertion count (multi-site testing) and sets the stage size.
+	// Nil screens serially, as a fleet of one. The report is bit-identical
+	// at any fleet size.
 	Fleet *parallel.Fleet
-	// BatchSize is the streaming window: how many dies are in flight
-	// between cache resolve and merge. Values below 1 pick 4× the fleet
-	// size. Batch size never changes results, only peak memory.
-	BatchSize int
 	// RetainDies keeps every per-die result in LotReport.Dies — O(lot)
 	// memory. Leave false for fab-scale lots; the streaming aggregates and
 	// the outlier set remain available.
 	RetainDies bool
 	// Cache, when non-nil, serves dies whose screen outcome is already on
 	// disk and persists newly screened dies (one Flush at the end of the
-	// lot).
+	// lot). Lookups run on the workers, inserts in the lot-order merge.
 	Cache *cachestore.Store
 	// Telemetry receives the lot-screen phase, per-die events and progress
 	// items; nil disables instrumentation.
@@ -126,6 +142,17 @@ func (wk *lotWorker) screen(param ate.Parameter, tests []testgen.Test, die *dut.
 	return dr, wk.tester.Stats(), nil
 }
 
+// lotSlot is one die's outcome on its way from a worker to the merge. rec
+// (the encoded record of a screened die, for the cache) keeps its backing
+// array across stages.
+type lotSlot struct {
+	key       uint64
+	dr        DieResult
+	cost      ate.Stats
+	fromCache bool
+	rec       []byte
+}
+
 // ScreenLotStream screens every die of the source through the streaming
 // pipeline and returns the aggregated report: one fresh tester insertion
 // state per die, seeded deterministically from baseSeed and the die ID. The
@@ -140,13 +167,8 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 	}
 	n := src.Len()
 	nw := opts.Fleet.Size()
-	batch := opts.BatchSize
-	if batch < 1 {
-		batch = 4 * nw
-	}
-	if batch > n {
-		batch = n
-	}
+	chunk := lotChunkDies
+	stageDies := min(chunk*lotChunksPerWorker*nw, n)
 	topK := opts.TopOutliers
 	if topK < 1 {
 		topK = 8
@@ -164,8 +186,8 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 		return nil, err
 	}
 
-	// Worker states persist across windows: construction cost (array
-	// allocation) is paid once per worker, not once per window or die.
+	// Worker states persist across stages: construction cost (array
+	// allocation) is paid once per worker, not once per stage or die.
 	states := make([]*lotWorker, nw)
 	placeholder := dut.NewDie(-1, dut.CornerTypical)
 	newWorker := func(w int) (*lotWorker, error) {
@@ -208,64 +230,56 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 		outliers           = trippoint.NewOutlierTracker(topK)
 	)
 
-	type slot struct {
-		die       *dut.Die
-		key       uint64
-		dr        DieResult
-		cost      ate.Stats
-		fromCache bool
+	// The current stage is lot dies start .. start+len(stage)-1, one slot
+	// per die; chunk c of the stage is its c-th run of `chunk` slots.
+	var (
+		start int
+		slots = make([]lotSlot, stageDies)
+		stage []lotSlot
+	)
+	chunkBounds := func(c int) (lo, hi int) {
+		return c * chunk, min((c+1)*chunk, len(stage))
 	}
-	window := make([]slot, batch)
-	var missIdx []int
 
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		w := window[:end-start]
-		missIdx = missIdx[:0]
-
-		// Serial cache resolve in lot order: hit/miss counters and the
-		// set of dies that fan out are deterministic.
-		for j := range w {
+	// A chunk runs end to end on its worker. Per-die seeds keep every die's
+	// measurement stream independent of worker count and chunk shape.
+	screenChunk := func(wk *lotWorker, c int) error {
+		lo, hi := chunkBounds(c)
+		for j := lo; j < hi; j++ {
+			s := &stage[j]
 			die := src.Die(start + j)
-			w[j] = slot{die: die}
+			s.fromCache = false
 			if opts.Cache != nil {
-				w[j].key = dieCacheKey(lotKey, die)
-				if raw, ok := opts.Cache.Get(w[j].key); ok {
+				s.key = dieCacheKey(lotKey, die)
+				if raw, ok := opts.Cache.Get(s.key); ok {
 					if dr, cost, ok := decodeDieRecord(raw); ok && dr.DieID == die.ID {
-						w[j].dr, w[j].cost, w[j].fromCache = dr, cost, true
+						s.dr, s.cost, s.fromCache = dr, cost, true
 						continue
 					}
 				}
 			}
-			missIdx = append(missIdx, j)
-		}
-
-		// Fan the misses over the fleet; per-die seeds keep every die's
-		// measurement stream independent of worker count and batch shape.
-		screenMiss := func(wk *lotWorker, k int) error {
-			j := missIdx[k]
-			dr, cost, err := wk.screen(param, tests, w[j].die, baseSeed+int64(w[j].die.ID))
+			dr, cost, err := wk.screen(param, tests, die, baseSeed+int64(die.ID))
 			if err != nil {
 				return err
 			}
-			w[j].dr, w[j].cost = dr, cost
-			return nil
+			s.dr, s.cost = dr, cost
+			if opts.Cache != nil {
+				s.rec = appendDieRecord(s.rec[:0], dr, cost)
+			}
 		}
-		if err := parallel.RunOn(opts.Fleet, len(missIdx), newWorker, screenMiss); err != nil {
-			return nil, err
-		}
+		return nil
+	}
 
-		// Merge in lot order: aggregation, cache inserts (deterministic
-		// segment bytes) and telemetry all see the same sequence at any
-		// worker count.
-		for j := range w {
+	// Merge in lot order: aggregation, cache inserts (deterministic segment
+	// bytes) and telemetry all see the same sequence at any worker count.
+	mergeChunk := func(c int) error {
+		lo, hi := chunkBounds(c)
+		for j := lo; j < hi; j++ {
+			s := &stage[j]
 			i := start + j
-			dr, cost := w[j].dr, w[j].cost
-			if opts.Cache != nil && !w[j].fromCache {
-				opts.Cache.Put(w[j].key, encodeDieRecord(dr, cost))
+			dr, cost := s.dr, s.cost
+			if opts.Cache != nil && !s.fromCache {
+				opts.Cache.Put(s.key, s.rec)
 			}
 			tel.RecordItem("die", i+1, n)
 			if opts.RetainDies {
@@ -299,6 +313,15 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 			}
 			drift.Add(float64(i), dr.WorstTrip)
 			outliers.Add(dr.DieID, dr.WorstTrip)
+		}
+		return nil
+	}
+
+	for ; start < n; start += stageDies {
+		stage = slots[:min(stageDies, n-start)]
+		chunks := (len(stage) + chunk - 1) / chunk
+		if err := parallel.Stream(opts.Fleet, chunks, newWorker, screenChunk, mergeChunk); err != nil {
+			return nil, err
 		}
 	}
 
@@ -357,10 +380,10 @@ const dieRecordVersion = 1
 // load instead of misread.
 const LotCacheScope uint64 = 0x4c4f545631 // "LOTV1"
 
-// encodeDieRecord serializes one die's screen outcome — result plus the
-// complete tester cost, so a warm run replays exact accounting.
-func encodeDieRecord(dr DieResult, cost ate.Stats) []byte {
-	buf := make([]byte, 0, 96+len(dr.WorstTest))
+// appendDieRecord appends one die's serialized screen outcome to buf —
+// result plus the complete tester cost, so a warm run replays exact
+// accounting.
+func appendDieRecord(buf []byte, dr DieResult, cost ate.Stats) []byte {
 	buf = append(buf, dieRecordVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(dr.DieID)))
 	buf = append(buf, byte(dr.Corner))
@@ -383,7 +406,7 @@ func encodeDieRecord(dr DieResult, cost ate.Stats) []byte {
 	return buf
 }
 
-// decodeDieRecord parses encodeDieRecord's output; ok is false on any
+// decodeDieRecord parses appendDieRecord's output; ok is false on any
 // framing or version mismatch (treated as a cache miss by the caller).
 func decodeDieRecord(raw []byte) (dr DieResult, cost ate.Stats, ok bool) {
 	r := recReader{buf: raw}

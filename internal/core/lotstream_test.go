@@ -1,16 +1,22 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ate"
 	"repro/internal/cachestore"
 	"repro/internal/dut"
+	"repro/internal/parallel"
 	"repro/internal/proptest"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 	"repro/internal/testgen"
 	"repro/internal/trippoint"
 	"repro/internal/wcr"
@@ -66,12 +72,62 @@ func screenDie(param ate.Parameter, tests []testgen.Test, die *dut.Die, geom dut
 	return dr, tester.Stats(), nil
 }
 
+// The shape tests shrink the pipeline to chunks of testChunk dies and one
+// chunk per worker per stage, so small lots reach every boundary: a single
+// die, one short of a chunk, one past a chunk, and a lot spanning at least
+// three stages on the largest fleet (8 workers).
+const testChunk = 4
+
+var lotShapeSizes = []int{1, testChunk - 1, testChunk + 1, 3*testChunk*8 + 1}
+
+// withTestLotShape installs the shrunken pipeline shape until the test ends.
+func withTestLotShape(t *testing.T) {
+	chunk, perWorker := lotChunkDies, lotChunksPerWorker
+	lotChunkDies, lotChunksPerWorker = testChunk, 1
+	t.Cleanup(func() { lotChunkDies, lotChunksPerWorker = chunk, perWorker })
+}
+
+// lotCacheStates are the three cache configurations every shape test runs:
+// no store, a fresh store, and the same store reopened after the cold run.
+var lotCacheStates = []string{"off", "cold", "warm"}
+
+// openLotCache returns the store for a cache state (nil for "off").
+func openLotCache(t *testing.T, state, dir string) *cachestore.Store {
+	t.Helper()
+	if state == "off" {
+		return nil
+	}
+	store, err := cachestore.Open(dir, LotCacheScope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// checkLotCacheCounts asserts a cold run missed every die and a warm run
+// hit every die.
+func checkLotCacheCounts(t *testing.T, label, state string, store *cachestore.Store, dies int) {
+	t.Helper()
+	if store == nil {
+		return
+	}
+	st := store.Stats()
+	wantHits, wantMisses := int64(0), int64(dies)
+	if state == "warm" {
+		wantHits, wantMisses = int64(dies), 0
+	}
+	if st.Hits != wantHits || st.Misses != wantMisses {
+		t.Errorf("%s: %d hits / %d misses, want %d / %d", label, st.Hits, st.Misses, wantHits, wantMisses)
+	}
+}
+
 // The oracle: screenDie in a serial per-die loop is the pre-streaming
 // implementation. Every streamed configuration must reproduce its per-die
 // outcomes bit for bit.
 func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
+	withTestLotShape(t)
 	tests := lotTests(t)
-	dies := dut.NewDieLot(31, 10)
+	dies := dut.NewDieLot(31, lotShapeSizes[len(lotShapeSizes)-1])
 	geom := dut.DefaultGeometry()
 	const seed = 31
 
@@ -87,97 +143,174 @@ func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 
 	for _, workers := range []int{0, 1, 2, 8} {
 		f := testFleet(t, workers)
-		for _, batch := range []int{0, 1, 3, 64} {
-			rep, err := ScreenLotStream(ate.TDQ, tests, dut.LotSlice(dies), geom, seed, LotOptions{
-				Fleet: f, BatchSize: batch, RetainDies: true,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
-			}
-			if len(rep.Dies) != len(want) || rep.DieCount != len(want) {
-				t.Fatalf("workers=%d batch=%d: %d dies (count %d)", workers, batch, len(rep.Dies), rep.DieCount)
-			}
-			var totalMeas int64
-			for i := range want {
-				if rep.Dies[i] != want[i] {
-					t.Errorf("workers=%d batch=%d die %d: %+v, legacy %+v", workers, batch, i, rep.Dies[i], want[i])
+		for _, size := range lotShapeSizes {
+			dir := t.TempDir()
+			for _, state := range lotCacheStates {
+				label := fmt.Sprintf("workers=%d dies=%d cache=%s", workers, size, state)
+				store := openLotCache(t, state, dir)
+				rep, err := ScreenLotStream(ate.TDQ, tests, dut.LotSlice(dies[:size]), geom, seed, LotOptions{
+					Fleet: f, RetainDies: true, Cache: store,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				totalMeas += wantCost[i].Measurements
-			}
-			if rep.Measurements != totalMeas {
-				t.Errorf("workers=%d batch=%d: measurements %d, legacy %d", workers, batch, rep.Measurements, totalMeas)
+				if len(rep.Dies) != size || rep.DieCount != size {
+					t.Fatalf("%s: %d dies (count %d)", label, len(rep.Dies), rep.DieCount)
+				}
+				var totalMeas int64
+				for i := 0; i < size; i++ {
+					if rep.Dies[i] != want[i] {
+						t.Errorf("%s die %d: %+v, legacy %+v", label, i, rep.Dies[i], want[i])
+					}
+					totalMeas += wantCost[i].Measurements
+				}
+				if rep.Measurements != totalMeas {
+					t.Errorf("%s: measurements %d, legacy %d", label, rep.Measurements, totalMeas)
+				}
+				checkLotCacheCounts(t, label, state, store, size)
 			}
 		}
 	}
 }
 
-// Full-report bit-identity across worker counts, batch sizes and cache
-// cold/warm — the acceptance criterion of the streamed pipeline.
+// lotRun is everything a lot screen leaves behind that must be
+// bit-identical across worker counts: the report, the trace bytes and the
+// cache directory's segment bytes.
+type lotRun struct {
+	rep   *LotReport
+	trace []byte
+	segs  []byte
+}
+
+// Full-run bit-identity across worker counts, lot sizes around every
+// pipeline boundary, and cache off, cold and warm — the acceptance
+// criterion of the streamed pipeline.
 func TestScreenLotStreamReportInvariance(t *testing.T) {
+	withTestLotShape(t)
 	tests := lotTests(t)
-	lot, err := dut.NewWaferLot(5, 2, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
 	geom := dut.DefaultGeometry()
 	const seed = 37
 
-	baseline, err := ScreenLotStream(ate.TDQ, tests, lot, geom, seed, LotOptions{RetainDies: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseline.DieCount != lot.Len() {
-		t.Fatalf("DieCount = %d, want %d", baseline.DieCount, lot.Len())
-	}
-
-	dir := t.TempDir()
-	configs := []struct {
-		name    string
-		workers int
-		batch   int
-		cached  bool
-	}{
-		{"w2", 2, 0, false},
-		{"w8-smallbatch", 8, 2, false},
-		{"w4-cold", 4, 0, true}, // populates the disk cache
-		{"w1-warm", 1, 5, true}, // must serve from disk, bit-identical
-		{"w8-warm", 8, 64, true},
-	}
-	for _, cfg := range configs {
-		opts := LotOptions{Fleet: testFleet(t, cfg.workers), BatchSize: cfg.batch, RetainDies: true}
-		if cfg.cached {
-			store, err := cachestore.Open(dir, 42)
+	screen := func(label, state, dir string, workers int, lot dut.DieSource) lotRun {
+		var buf bytes.Buffer
+		tel := telemetry.New("lot", telemetry.NewTracer(&buf))
+		store := openLotCache(t, state, dir)
+		rep, err := ScreenLotStream(ate.TDQ, tests, lot, geom, seed, LotOptions{
+			Fleet: testFleet(t, workers), RetainDies: true, Cache: store, Telemetry: tel,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if err := tel.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkLotCacheCounts(t, label, state, store, lot.Len())
+		run := lotRun{rep: rep, trace: buf.Bytes()}
+		if store != nil {
+			names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Cache = store
+			for _, name := range names {
+				raw, err := os.ReadFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run.segs = append(run.segs, raw...)
+			}
 		}
-		rep, err := ScreenLotStream(ate.TDQ, tests, lot, geom, seed, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
-		}
-		if !reflect.DeepEqual(rep, baseline) {
-			t.Errorf("%s: report differs from baseline\n got: %+v\nwant: %+v", cfg.name, rep, baseline)
-		}
+		return run
 	}
 
-	// The final warm run must have served every die from disk.
-	store, err := cachestore.Open(dir, 42)
+	for _, size := range lotShapeSizes {
+		lot, err := dut.NewWaferLot(5, 1, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want map[string]lotRun
+		for _, workers := range []int{0, 1, 2, 8} {
+			dir := t.TempDir()
+			got := make(map[string]lotRun)
+			for _, state := range lotCacheStates {
+				label := fmt.Sprintf("workers=%d dies=%d cache=%s", workers, size, state)
+				got[state] = screen(label, state, dir, workers, lot)
+				if !reflect.DeepEqual(got[state].rep, got["off"].rep) {
+					t.Errorf("%s: report differs from cache=off\n got: %+v\nwant: %+v", label, got[state].rep, got["off"].rep)
+				}
+				if want == nil {
+					continue
+				}
+				if !reflect.DeepEqual(got[state].rep, want[state].rep) {
+					t.Errorf("%s: report differs from the nil fleet", label)
+				}
+				if !bytes.Equal(got[state].trace, want[state].trace) {
+					t.Errorf("%s: trace differs from the nil fleet (%d vs %d bytes)", label, len(got[state].trace), len(want[state].trace))
+				}
+				if !bytes.Equal(got[state].segs, want[state].segs) {
+					t.Errorf("%s: segment bytes differ from the nil fleet", label)
+				}
+			}
+			if got["off"].rep.DieCount != size {
+				t.Fatalf("dies=%d: DieCount = %d", size, got["off"].rep.DieCount)
+			}
+			if want == nil {
+				want = got
+			}
+		}
+	}
+}
+
+// One die that cannot be screened, in the middle of a chunk, fails the lot
+// with the same error at every worker count.
+func TestScreenLotStreamUnscreenableDieSameErrorAtAnyWorkers(t *testing.T) {
+	withTestLotShape(t)
+	tests := lotTests(t)[:2]
+	dies := dut.NewDieLot(47, 3*testChunk)
+	bad := testChunk + testChunk/2
+	dies[bad] = dut.NewDie(bad, dut.CornerTypical, dut.WithExtraTDQOffsetNS(1e6))
+
+	var want string
+	for _, workers := range []int{0, 1, 2, 8} {
+		_, err := screenDies(ate.TDQ, tests, dies, dut.DefaultGeometry(), 47, testFleet(t, workers))
+		if err == nil {
+			t.Fatalf("workers=%d: unscreenable die %d accepted", workers, bad)
+		}
+		if want == "" {
+			want = err.Error()
+			if !strings.Contains(want, fmt.Sprintf("die %d", bad)) {
+				t.Errorf("error %q does not name die %d", want, bad)
+			}
+			continue
+		}
+		if err.Error() != want {
+			t.Errorf("workers=%d: error %q, nil fleet %q", workers, err, want)
+		}
+	}
+}
+
+// The pipeline's point: a 10k-die lot on two workers runs in a handful of
+// fleet stages, against 1250 for the per-window design it replaced. Not
+// parallel: the fleet observer is process-wide.
+func TestScreenLotStreamStageCount(t *testing.T) {
+	lot, err := dut.NewWaferLot(78, 4, 2500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := ScreenLotStream(ate.TDQ, tests, lot, geom, seed, LotOptions{
-		Fleet: testFleet(t, 2), RetainDies: true, Cache: store,
-	})
-	if err != nil {
+	f := testFleet(t, 2)
+	stages := 0
+	parallel.SetFleetObserver(func(parallel.StreamStats) { stages++ })
+	defer parallel.SetFleetObserver(nil)
+	if _, err := ScreenLotStream(ate.TDQ, lotTests(t)[:1], lot, dut.DefaultGeometry(), 78, LotOptions{Fleet: f}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(warm, baseline) {
-		t.Error("warm report differs from baseline")
+	stageDies := lotChunkDies * lotChunksPerWorker * f.Size()
+	maxStages := (lot.Len() + stageDies - 1) / stageDies
+	t.Logf("%d dies in %d stages of %d dies", lot.Len(), stages, stageDies)
+	if stages < 1 || stages > maxStages {
+		t.Errorf("%d fleet stages, want 1..%d", stages, maxStages)
 	}
-	st := store.Stats()
-	if st.Hits != int64(lot.Len()) || st.Misses != 0 {
-		t.Errorf("warm run: %d hits / %d misses, want %d / 0", st.Hits, st.Misses, lot.Len())
+	if stages*50 > 1250 {
+		t.Errorf("%d fleet stages, want at least 50x fewer than 1250", stages)
 	}
 }
 
@@ -320,7 +453,7 @@ func TestDieRecordRoundTrip(t *testing.T) {
 		}
 		cost.Functional = int64(pt.Intn(1 << 20))
 
-		raw := encodeDieRecord(dr, cost)
+		raw := appendDieRecord(nil, dr, cost)
 		got, gotCost, ok := decodeDieRecord(raw)
 		if !ok {
 			pt.Fatalf("decode failed")

@@ -3,6 +3,7 @@ package dut
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/testgen"
 )
@@ -24,11 +25,12 @@ import (
 // with weak cells it falls back to a full per-die execution, preserving
 // bit-exact corruption behaviour.
 //
-// A ProfileBank is safe for concurrent use; concurrent misses of the same
-// sequence may both execute it, idempotently. Sequences profiled through a
-// bank must not be mutated in place afterwards: the bank memoizes each
-// sequence's fingerprint by backing-array identity, so an in-place rewrite
-// would alias a stale key. (Lot screening — the bank's only producer —
+// A ProfileBank is safe for concurrent use. A clean-die hit takes one read
+// lock and atomic counters, so workers sharing a bank do not serialize on
+// it; concurrent misses of the same sequence may both execute it,
+// idempotently. Sequences profiled through a bank must not be mutated in
+// place afterwards: the bank memoizes each sequence's fingerprint by
+// backing-array identity, so an in-place rewrite would alias a stale key. (Lot screening — the bank's only producer —
 // holds its test set immutable for the whole lot, and generator/GA code
 // always clones before mutating.)
 type ProfileBank struct {
@@ -43,9 +45,7 @@ type ProfileBank struct {
 	// per call dominates the clean-die fast path.
 	fps map[seqIdent]uint64
 
-	hits     int64
-	computed int64
-	bypassed int64
+	hits, computed, bypassed atomic.Int64
 }
 
 // seqIdent identifies a sequence by its backing array: same first-element
@@ -76,27 +76,6 @@ func NewProfileBank(geom Geometry, phys Physics) (*ProfileBank, error) {
 	}, nil
 }
 
-// seqKey returns the sequence's bank key, memoizing the fingerprint by
-// backing-array identity. The memo carries no validity claim — Validate
-// still runs before any execution.
-func (b *ProfileBank) seqKey(s testgen.Sequence) uint64 {
-	if len(s) == 0 {
-		return s.Fingerprint()
-	}
-	id := seqIdent{first: &s[0], n: len(s)}
-	b.mu.RLock()
-	key, ok := b.fps[id]
-	b.mu.RUnlock()
-	if ok {
-		return key
-	}
-	key = s.Fingerprint()
-	b.mu.Lock()
-	b.fps[id] = key
-	b.mu.Unlock()
-	return key
-}
-
 // refDie is the clean reference die bank executions run against. Its
 // process factors are irrelevant — Execute never reads them — but it must
 // carry no weak cells.
@@ -109,21 +88,30 @@ func (b *ProfileBank) Profile(dev *Device, t testgen.Test) (Profile, error) {
 	if dev.Die().WeakCellCount() > 0 || dev.Geometry() != b.geom {
 		// Weak cells make execution supply- and die-dependent; a foreign
 		// geometry makes the banked activity wrong. Full per-die path.
-		b.mu.Lock()
-		b.bypassed++
-		b.mu.Unlock()
+		b.bypassed.Add(1)
 		return dev.Profile(t)
 	}
-	key := b.seqKey(t.Seq)
+	// An empty sequence has no backing array to identify it by; the zero
+	// seqIdent stands for all of them, which share one fingerprint.
+	var id seqIdent
+	if len(t.Seq) > 0 {
+		id = seqIdent{first: &t.Seq[0], n: len(t.Seq)}
+	}
 	b.mu.RLock()
+	key, known := b.fps[id]
 	e, ok := b.entries[key]
 	b.mu.RUnlock()
+	if !known {
+		key = t.Seq.Fingerprint()
+		b.mu.Lock()
+		b.fps[id] = key
+		e, ok = b.entries[key]
+		b.mu.Unlock()
+	}
 	if ok {
 		// A banked entry under this key means the identical sequence already
 		// validated and executed; skip both.
-		b.mu.Lock()
-		b.hits++
-		b.mu.Unlock()
+		b.hits.Add(1)
 	} else {
 		if err := t.Seq.Validate(b.geom.Words()); err != nil {
 			return Profile{}, fmt.Errorf("dut: profiling %s: %w", t.Name, err)
@@ -138,8 +126,8 @@ func (b *ProfileBank) Profile(dev *Device, t testgen.Test) (Profile, error) {
 		e = bankEntry{act: act, fn: fn}
 		b.mu.Lock()
 		b.entries[key] = e
-		b.computed++
 		b.mu.Unlock()
+		b.computed.Add(1)
 	}
 	return Profile{Test: t, Act: e.act, Func: e.fn, die: dev.Die(), phys: dev.Physics()}, nil
 }
@@ -152,23 +140,11 @@ func (b *ProfileBank) Len() int {
 }
 
 // Hits returns how many Profile calls reused a banked execution.
-func (b *ProfileBank) Hits() int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.hits
-}
+func (b *ProfileBank) Hits() int64 { return b.hits.Load() }
 
 // Computed returns how many sequences were executed into the bank.
-func (b *ProfileBank) Computed() int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.computed
-}
+func (b *ProfileBank) Computed() int64 { return b.computed.Load() }
 
 // Bypassed returns how many Profile calls fell back to the per-die path
 // (weak cells or geometry mismatch).
-func (b *ProfileBank) Bypassed() int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.bypassed
-}
+func (b *ProfileBank) Bypassed() int64 { return b.bypassed.Load() }

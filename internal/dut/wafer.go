@@ -28,7 +28,10 @@ import (
 // DieSource is a random-access supply of dies for population screening.
 // Implementations must be deterministic (Die(i) always describes the same
 // silicon) and safe for concurrent Die calls, so a streaming pipeline can
-// pull from any goroutine.
+// pull from any goroutine. Die IDs are unique within a source (WaferLot
+// and NewDieLot number dies by index): a pipeline that looks dies up in a
+// cache on its workers while inserting in lot order relies on no two dies
+// sharing a key, which keeps its hit/miss counts deterministic.
 type DieSource interface {
 	// Len returns the population size.
 	Len() int

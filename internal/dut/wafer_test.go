@@ -281,6 +281,71 @@ func TestProfileBankMatchesDirectProfile(t *testing.T) {
 	}
 }
 
+// Concurrent Profile calls on a shared bank — clean dies hitting and
+// missing, weak dies bypassing — are race-clean, count every call exactly
+// once, and stay bit-identical to dev.Profile.
+func TestProfileBankConcurrentProfileCounts(t *testing.T) {
+	geom := DefaultGeometry()
+	bank, err := NewProfileBank(geom, DefaultPhysics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cond := testgen.Conditions{VddV: 1.62, TempC: 85, ClockMHz: 120}
+	tests := []testgen.Test{
+		{Name: "a", Seq: testgen.Sequence{{Op: testgen.OpWrite, Addr: 1, Data: 7}, {Op: testgen.OpRead, Addr: 1}}, Cond: cond},
+		{Name: "b", Seq: testgen.Sequence{{Op: testgen.OpWrite, Addr: 2, Data: 9}, {Op: testgen.OpRead, Addr: 2}, {Op: testgen.OpRead, Addr: 1}}, Cond: cond},
+		{Name: "c", Seq: testgen.Sequence{{Op: testgen.OpWrite, Addr: 3, Data: 1}, {Op: testgen.OpRead, Addr: 3}}, Cond: cond},
+	}
+	const (
+		goroutines = 6
+		rounds     = 50
+	)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			opts := []DieOption(nil)
+			if g%3 == 0 {
+				opts = append(opts, WithWeakCell(1, 2.5))
+			}
+			dev, err := NewDevice(geom, NewDie(g, CornerTypical, opts...))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for r := 0; r < rounds; r++ {
+				tst := tests[(g+r)%len(tests)]
+				banked, err := bank.Profile(dev, tst)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				direct, err := dev.Profile(tst)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if banked.Act != direct.Act || banked.Func.Mismatches != direct.Func.Mismatches {
+					t.Errorf("die %d test %s: banked profile differs from direct", g, tst.Name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := bank.Hits() + bank.Computed() + bank.Bypassed(); got != goroutines*rounds {
+		t.Errorf("hits %d + computed %d + bypassed %d = %d, want %d calls",
+			bank.Hits(), bank.Computed(), bank.Bypassed(), got, goroutines*rounds)
+	}
+	if want := int64(goroutines / 3 * rounds); bank.Bypassed() != want {
+		t.Errorf("Bypassed = %d, want %d", bank.Bypassed(), want)
+	}
+	if bank.Len() != len(tests) {
+		t.Errorf("Len = %d, want %d", bank.Len(), len(tests))
+	}
+}
+
 func TestProfileBankThroughATEProfiler(t *testing.T) {
 	// The bank slots into the ATE's Profiler hook without changing
 	// measurement outcomes for clean dies.

@@ -17,9 +17,11 @@ import (
 // Metrics gate by direction class: counters where smaller is better
 // (allocations, bytes, ATE measurements) fail when they grow past the
 // threshold; rates where bigger is better (cache hit rate, throughput) fail
-// when they shrink past it. Wall-clock-derived metrics (ns/op, dies/sec)
-// are skipped by default — they are machine-dependent, and a CI gate on
-// them flakes — but can be opted in for like-for-like hardware.
+// when they shrink past it. Wall-clock-derived metrics (ns/op, dies/sec
+// and the speedup of one worker count over another) are skipped by default
+// — they are machine-dependent, and a CI gate on them flakes — but can be
+// opted in for like-for-like hardware. The machine's CPU count (nproc) is
+// context, never gated.
 
 // BenchEntry is one benchmark's metric set.
 type BenchEntry struct {
@@ -64,10 +66,17 @@ var (
 		"hit_rate":           true,
 		"measurements_saved": true,
 		"dies_per_sec":       true,
+		"speedup":            true,
 	}
 	timeBasedMetrics = map[string]bool{
 		"ns_per_op":    true,
 		"dies_per_sec": true,
+		"speedup":      true,
+	}
+	// contextMetrics describe the machine a file was recorded on; they are
+	// shown but never gated.
+	contextMetrics = map[string]bool{
+		"nproc": true,
 	}
 )
 
@@ -137,6 +146,9 @@ func DiffBench(baseline, current []BenchEntry, opts BenchDiffOptions) *BenchDiff
 			}
 			row := BenchDelta{Benchmark: base.Name, Metric: m, Old: oldV, New: newV}
 			switch {
+			case contextMetrics[m]:
+				row.Skipped = "context"
+				row.Pct = math.NaN()
 			case timeBasedMetrics[m] && !opts.IncludeTimeBased:
 				row.Skipped = "time-based"
 				row.Pct = worsePct(m, oldV, newV)

@@ -148,6 +148,7 @@ func TestDiffBenchDirectionsAndGates(t *testing.T) {
 		{Name: "BenchmarkA", Metrics: map[string]float64{
 			"ns_per_op": 100, "allocs_per_op": 30, "cache_hit_rate": 0.8}},
 		{Name: "BenchmarkZero", Metrics: map[string]float64{"hit_rate": 0}},
+		{Name: "Scaling", Metrics: map[string]float64{"speedup": 1.8, "nproc": 2}},
 	}
 
 	// allocs +50% regresses; ns_per_op +100% is skipped as time-based; a
@@ -156,6 +157,9 @@ func TestDiffBenchDirectionsAndGates(t *testing.T) {
 		{Name: "BenchmarkA", Metrics: map[string]float64{
 			"ns_per_op": 200, "allocs_per_op": 45, "cache_hit_rate": 0.4}},
 		{Name: "BenchmarkZero", Metrics: map[string]float64{"hit_rate": 1}},
+		// A halved speedup is time-based and a CPU count is context:
+		// neither gates by default.
+		{Name: "Scaling", Metrics: map[string]float64{"speedup": 0.9, "nproc": 64}},
 	}
 	d := DiffBench(baseline, current, BenchDiffOptions{FailOverPct: 20})
 	regs := d.Regressions()
@@ -174,14 +178,15 @@ func TestDiffBenchDirectionsAndGates(t *testing.T) {
 	}
 	// Time-based metrics gate only on request.
 	d = DiffBench(baseline, current, BenchDiffOptions{FailOverPct: 20, IncludeTimeBased: true})
-	found := false
+	gated := map[string]bool{}
 	for _, r := range d.Regressions() {
-		if r.Metric == "ns_per_op" {
-			found = true
-		}
+		gated[r.Metric] = true
 	}
-	if !found {
-		t.Error("IncludeTimeBased did not gate ns_per_op")
+	if !gated["ns_per_op"] || !gated["speedup"] {
+		t.Errorf("IncludeTimeBased gated %v, want ns_per_op and speedup", gated)
+	}
+	if gated["nproc"] {
+		t.Error("nproc gated; it is context")
 	}
 
 	// Identical files pass clean.
@@ -192,7 +197,7 @@ func TestDiffBenchDirectionsAndGates(t *testing.T) {
 
 	// A benchmark missing from the current file fails the gate.
 	d = DiffBench(baseline, current[:1], BenchDiffOptions{FailOverPct: 20})
-	if len(d.MissingBenchmarks) != 1 || d.MissingBenchmarks[0] != "BenchmarkZero" {
+	if len(d.MissingBenchmarks) != 2 || d.MissingBenchmarks[0] != "BenchmarkZero" {
 		t.Errorf("missing benchmarks = %v", d.MissingBenchmarks)
 	}
 	if !d.Failed() {
