@@ -21,13 +21,14 @@ test:
 
 # The seeded property-based invariant suites: the SUTP-vs-full-range
 # differential oracle, bit-equivalence across worker counts and cache
-# modes, fuzzy partition-of-unity, weight-file and trace round-trip
-# closure, and the encoder/parser grammar pins. Every failure prints a
-# -proptest.seed=N one-liner that replays the exact case.
+# modes, fuzzy partition-of-unity, weight-file, trace, run-record and
+# cache-segment round-trip closure, the frame codec's truncation and
+# bit-flip properties, and the encoder/parser grammar pins. Every failure
+# prints a -proptest.seed=N one-liner that replays the exact case.
 invariants:
 	go test -count=1 ./internal/search ./internal/fuzzy ./internal/neural \
 		./internal/telemetry ./internal/obs ./internal/core ./internal/proptest \
-		./internal/runstore ./internal/jobs
+		./internal/runstore ./internal/jobs ./internal/frame ./internal/cachestore
 
 # Ten seconds of native fuzzing per target against the committed corpora.
 fuzz-smoke:
@@ -35,6 +36,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzWeightFileParse$$' -fuzztime 10s ./internal/neural/
 	go test -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime 10s ./internal/obs/
 	go test -run '^$$' -fuzz '^FuzzPromEncode$$' -fuzztime 10s ./internal/obs/
+	go test -run '^$$' -fuzz '^FuzzFrameNext$$' -fuzztime 10s ./internal/frame/
 
 # Every paper table/figure benchmark, one iteration each.
 bench:

@@ -46,6 +46,7 @@ awk '
 		floor["repro/internal/cli"] = 70
 		floor["repro/internal/core"] = 80
 		floor["repro/internal/dut"] = 85
+		floor["repro/internal/frame"] = 90
 		floor["repro/internal/fuzzy"] = 80
 		floor["repro/internal/genetic"] = 85
 		floor["repro/internal/jobs"] = 65
@@ -98,6 +99,7 @@ go test -run '^$' -fuzz '^FuzzSUTPBounds$' -fuzztime 10s ./internal/search/
 go test -run '^$' -fuzz '^FuzzWeightFileParse$' -fuzztime 10s ./internal/neural/
 go test -run '^$' -fuzz '^FuzzTraceParse$' -fuzztime 10s ./internal/obs/
 go test -run '^$' -fuzz '^FuzzPromEncode$' -fuzztime 10s ./internal/obs/
+go test -run '^$' -fuzz '^FuzzFrameNext$' -fuzztime 10s ./internal/frame/
 echo "all fuzz targets clean"
 
 echo "== telemetry smoke run =="

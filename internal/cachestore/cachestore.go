@@ -7,26 +7,26 @@
 //
 // On-disk format. A segment file is
 //
-//	header : magic "RPROCST1" (8 bytes) + scope (8 bytes, little-endian)
-//	records: key (8 LE) + value length (4 LE) + value bytes + CRC-32 (4 LE)
+//	header : magic "RPROCST2" (8 bytes) + scope (8 bytes, little-endian)
+//	records: one internal/frame frame each, payload key (8 LE) + value
 //
-// where the CRC (IEEE) covers the record's key, length and value bytes.
-// Records only ever get appended; a segment is written once to a temporary
-// file and published with an atomic rename, so readers never observe a
-// half-written segment under POSIX rename semantics. Flush writes only the
-// entries added since Open (one new segment per flush, numbered after the
-// existing ones); loading replays segments in filename order, later
-// segments overriding earlier keys.
+// A segment is written once and published with frame.Publish, so readers
+// never observe a half-written segment under POSIX rename semantics. Flush
+// writes only the entries put since the last Flush (one new segment per
+// flush, numbered after the existing ones); loading replays segments in
+// filename order, later segments overriding earlier keys.
 //
 // The scope tags which logical cache a segment belongs to (parameter,
 // geometry, seed, flow — whatever the caller folds into the 64-bit value).
 // Open skips segments of other scopes, so several flows can share one
-// -cache-dir without poisoning each other's keys.
+// -cache-dir without poisoning each other's keys. It skips segments of
+// another format version (the same magic with a different version digit,
+// such as RPROCST1) the same way, so a directory written by an older build
+// runs cold once and is warm again after the next Flush.
 //
 // Corruption policy: a segment whose magic, record framing or CRC does not
 // check out fails Open with an error naming the file and the byte offset
-// of the first bad record. Callers that prefer running cold to failing
-// (the CLIs) log the error and proceed without a store.
+// of the first bad record; the CLIs report it and the run fails.
 //
 // Memory: Open reads each segment into one buffer and the loaded values
 // share it — no per-record copy. A segment's buffer stays alive while any
@@ -37,8 +37,8 @@ package cachestore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -46,16 +46,15 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/frame"
 )
 
 // magic identifies (and versions) the segment format.
-const magic = "RPROCST1"
+const magic = "RPROCST2"
 
 // headerSize is the fixed segment prefix: magic + scope.
-const headerSize = 16
-
-// recordOverhead is the fixed per-record framing cost: key + length + CRC.
-const recordOverhead = 16
+const headerSize = len(magic) + 8
 
 // maxValueLen bounds a single record's value so a corrupt length field
 // cannot trigger a multi-gigabyte allocation during load.
@@ -70,7 +69,7 @@ type Stats struct {
 	// (after later-segment overrides).
 	LoadedEntries int64
 	// LoadedSegments and SkippedSegments count segment files read and
-	// segment files ignored because their scope differs.
+	// segment files ignored because their scope or format version differs.
 	LoadedSegments  int64
 	SkippedSegments int64
 	// Hits and Misses count Get outcomes.
@@ -93,12 +92,12 @@ type Store struct {
 	dir   string
 	scope uint64
 
-	mu    sync.RWMutex
-	m     map[uint64][]byte
-	dirty []uint64 // keys added/changed since the last Flush, insertion order
-	isDir map[uint64]bool
-	stats Stats // Hits and Misses live in the atomics below
-	seq   int   // next segment sequence number
+	mu      sync.RWMutex
+	m       map[uint64][]byte
+	dirty   []uint64            // keys Put since the last Flush, in first-Put order
+	pending map[uint64]struct{} // the keys in dirty
+	stats   Stats               // Hits and Misses live in the atomics below
+	seq     int                 // next segment sequence number
 
 	hits, misses atomic.Int64
 }
@@ -113,7 +112,7 @@ func Open(dir string, scope uint64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cachestore: creating %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, scope: scope}
+	s := &Store{dir: dir, scope: scope, pending: map[uint64]struct{}{}}
 	names, err := segmentNames(dir)
 	if err != nil {
 		return nil, err
@@ -140,9 +139,8 @@ func Open(dir string, scope uint64) (*Store, error) {
 		s.stats.BytesOnDisk += int64(len(raw))
 	}
 	// Later segments override earlier keys, so the record count bounds the
-	// distinct keys: the maps never grow during the load.
+	// distinct keys: the map never grows during the load.
 	s.m = make(map[uint64][]byte, records)
-	s.isDir = make(map[uint64]bool, records)
 	for _, raw := range segs {
 		s.index(raw)
 	}
@@ -178,52 +176,48 @@ func segmentSeq(name string) (int, bool) {
 
 // readSegment reads one segment file and validates every record's framing
 // and checksum, returning the buffer and its record count. A segment of a
-// different scope returns a nil buffer and is otherwise ignored. Any
-// framing or checksum violation returns an error naming the file and the
-// byte offset of the offending record.
+// different scope or format version returns a nil buffer and is otherwise
+// ignored. Any other damage returns an error naming the file and the byte
+// offset of the offending record.
 func readSegment(path string, scope uint64) (raw []byte, records int, err error) {
 	raw, err = os.ReadFile(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cachestore: reading segment: %w", err)
 	}
-	if len(raw) < headerSize || string(raw[:8]) != magic {
-		return nil, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset 0: bad magic", path)
+	corrupt := func(off int, cause error) error {
+		return fmt.Errorf("cachestore: %s: corrupt segment at offset %d: %w", path, off, cause)
 	}
-	if binary.LittleEndian.Uint64(raw[8:16]) != scope {
+	switch err := frame.CheckMagic(raw, magic); {
+	case errors.Is(err, frame.ErrVersion):
+		return nil, 0, nil
+	case err != nil:
+		return nil, 0, corrupt(0, err)
+	case len(raw) < headerSize:
+		return nil, 0, corrupt(0, errors.New("truncated header"))
+	case binary.LittleEndian.Uint64(raw[len(magic):headerSize]) != scope:
 		return nil, 0, nil
 	}
-	off := headerSize
-	for off < len(raw) {
-		if len(raw)-off < recordOverhead {
-			return nil, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: truncated record header", path, off)
+	for off := headerSize; off < len(raw); records++ {
+		rec, size, err := frame.Next(raw[off:], 8+maxValueLen)
+		if err == nil && len(rec) < 8 {
+			err = errors.New("record shorter than its key")
 		}
-		vlen := int(binary.LittleEndian.Uint32(raw[off+8 : off+12]))
-		if vlen > maxValueLen {
-			return nil, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: value length %d exceeds limit", path, off, vlen)
+		if err != nil {
+			return nil, 0, corrupt(off, err)
 		}
-		if len(raw)-off-recordOverhead < vlen {
-			return nil, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: truncated value", path, off)
-		}
-		want := binary.LittleEndian.Uint32(raw[off+12+vlen : off+16+vlen])
-		if got := crc32.ChecksumIEEE(raw[off : off+12+vlen]); got != want {
-			return nil, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: CRC mismatch (%08x != %08x)", path, off, got, want)
-		}
-		records++
-		off += recordOverhead + vlen
+		off += size
 	}
 	return raw, records, nil
 }
 
-// index loads a segment readSegment validated into the maps. Each value
+// index loads a segment readSegment validated into the map. Each value
 // aliases raw, capacity-clipped so an append to it can never write into
 // the next record.
 func (s *Store) index(raw []byte) {
 	for off := headerSize; off < len(raw); {
-		key := binary.LittleEndian.Uint64(raw[off : off+8])
-		end := off + 12 + int(binary.LittleEndian.Uint32(raw[off+8:off+12]))
-		s.m[key] = raw[off+12 : end : end]
-		s.isDir[key] = true
-		off = end + 4
+		rec, size := frame.Split(raw[off:])
+		s.m[binary.LittleEndian.Uint64(rec)] = rec[8:]
+		off += size
 	}
 }
 
@@ -271,8 +265,9 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 }
 
 // Put stores value under key. New and changed entries are queued (in Put
-// order) for the next Flush; writing a key back with its current on-disk
-// value is a no-op. The value is copied.
+// order) for the next Flush; writing a key back with its current value is
+// a no-op, and a key already queued keeps its queue position. The value is
+// copied.
 func (s *Store) Put(key uint64, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,13 +276,8 @@ func (s *Store) Put(key uint64, value []byte) {
 		return
 	}
 	s.m[key] = append([]byte(nil), value...)
-	if s.isDir[key] || !present {
-		// Either overriding a persisted entry or inserting a new key: both
-		// need a record in the next segment. An overwrite of an entry that
-		// is already pending keeps its original queue position.
-		if s.isDir[key] {
-			delete(s.isDir, key)
-		}
+	if _, queued := s.pending[key]; !queued {
+		s.pending[key] = struct{}{}
 		s.dirty = append(s.dirty, key)
 	}
 }
@@ -306,55 +296,30 @@ func (s *Store) Range(fn func(key uint64, value []byte) bool) {
 
 // Flush writes the entries added or changed since the last Flush (in their
 // insertion order, so the segment bytes are deterministic for a
-// deterministic caller) into one new segment, published with an atomic
-// rename. With nothing dirty it writes nothing. Returns the number of
-// records written.
+// deterministic caller) into one new segment, published with
+// frame.Publish. With nothing dirty it writes nothing. Returns the number
+// of records written.
 func (s *Store) Flush() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.dirty) == 0 {
 		return 0, nil
 	}
-	buf := make([]byte, 0, headerSize+len(s.dirty)*(recordOverhead+16))
+	buf := make([]byte, 0, headerSize+len(s.dirty)*(frame.Overhead+8+16))
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint64(buf, s.scope)
+	var rec []byte
 	for _, key := range s.dirty {
-		val := s.m[key]
-		start := len(buf)
-		buf = binary.LittleEndian.AppendUint64(buf, key)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
-		buf = append(buf, val...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+		rec = append(binary.LittleEndian.AppendUint64(rec[:0], key), s.m[key]...)
+		buf = frame.Append(buf, rec)
 	}
-
 	final := filepath.Join(s.dir, fmt.Sprintf("seg-%08d-%016x%s", s.seq, s.scope, segSuffix))
-	tmp, err := os.CreateTemp(s.dir, ".tmp-seg-*")
-	if err != nil {
-		return 0, fmt.Errorf("cachestore: creating segment: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("cachestore: writing segment: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("cachestore: syncing segment: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("cachestore: closing segment: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
+	if err := frame.Publish(final, buf); err != nil {
 		return 0, fmt.Errorf("cachestore: publishing segment: %w", err)
 	}
 
 	n := len(s.dirty)
-	for _, key := range s.dirty {
-		s.isDir[key] = true
-	}
+	clear(s.pending)
 	s.dirty = s.dirty[:0]
 	s.seq++
 	s.stats.FlushedEntries += int64(n)

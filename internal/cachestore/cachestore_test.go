@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/proptest"
 )
 
@@ -194,6 +195,94 @@ func TestCorruptSegmentRejectedWithOffset(t *testing.T) {
 	}
 }
 
+// Every single-bit flip of a segment either fails Open with an error naming
+// the file and an offset, or skips the whole segment: a flip in the scope
+// bytes, or one that turns the version byte into another digit. No flip
+// ever loads a changed value.
+func TestSegmentBitFlipsFailOrSkip(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir, 7)
+	s.Put(0xDEAD, []byte("payload"))
+	s.Put(0xF00D, nil)
+	s.PutFloat64(0xBEEF, 3.5)
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := segmentNames(dir)
+	path := filepath.Join(dir, segs[0])
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bit := 0; bit < 8*len(orig); bit++ {
+		mut := bytes.Clone(orig)
+		off := bit / 8
+		mut[off] ^= 1 << (bit % 8)
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(dir, 7)
+		skip := (off >= len(magic) && off < headerSize) || (off == len(magic)-1 && '0' <= mut[off] && mut[off] <= '9')
+		switch {
+		case skip:
+			if err != nil {
+				t.Errorf("bit %d: Open failed, want the segment skipped: %v", bit, err)
+			} else if st := r.Stats(); st.SkippedSegments != 1 || r.Len() != 0 {
+				t.Errorf("bit %d: stats %+v, len %d; want the segment skipped", bit, st, r.Len())
+			}
+		case err == nil:
+			t.Errorf("bit %d: corruption accepted (%d entries loaded)", bit, r.Len())
+		case !strings.Contains(err.Error(), segs[0]) || !strings.Contains(err.Error(), "offset"):
+			t.Errorf("bit %d: error %q does not name file and offset", bit, err)
+		}
+	}
+}
+
+// A segment the previous format version (RPROCST1) wrote is skipped the way
+// a foreign scope is: the directory runs cold once and is warm again after
+// one Flush. The RPROCST2 segment for the same entries has the same size.
+func TestOldVersionSegmentSkipped(t *testing.T) {
+	const v1 = "seg-00000000-0000000000000007.seg"
+	old, err := os.ReadFile(filepath.Join("testdata", v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(old[:len(magic)]) != "RPROCST1" {
+		t.Fatalf("fixture magic %q, want RPROCST1", old[:len(magic)])
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, v1), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, 7)
+	if err != nil {
+		t.Fatalf("Open over an RPROCST1 segment: %v", err)
+	}
+	if st := s.Stats(); st.SkippedSegments != 1 || st.LoadedSegments != 0 || s.Len() != 0 {
+		t.Fatalf("stats %+v, len %d; want the old segment skipped", st, s.Len())
+	}
+	s.Put(1, []byte("hello"))
+	s.Put(2, []byte("world!"))
+	s.PutFloat64(3, 1.25)
+	if n, err := s.Flush(); err != nil || n != 3 {
+		t.Fatalf("Flush = %d, %v; want 3, nil", n, err)
+	}
+	r, err := Open(dir, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.LoadedSegments != 1 || st.SkippedSegments != 1 || r.Len() != 3 {
+		t.Fatalf("after one Flush: stats %+v, len %d; want warm", st, r.Len())
+	}
+	if got, _ := r.Get(2); string(got) != "world!" {
+		t.Errorf("Get(2) = %q", got)
+	}
+	if st.BytesOnDisk != int64(len(old)) {
+		t.Errorf("RPROCST2 segment is %d bytes, the RPROCST1 one %d", st.BytesOnDisk, len(old))
+	}
+}
+
 func TestTruncatedSegmentRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 7)
@@ -266,24 +355,37 @@ func TestRoundTripClosure(t *testing.T) {
 			keys[i] = pt.Uint64()
 		}
 		want := map[uint64][]byte{}
+		// queued models the keys the next Flush must write: a Put queues its
+		// key unless it rewrites the key's current value, and a key counts
+		// once however often it is Put between flushes.
+		queued := map[uint64]bool{}
+		flush := func() {
+			n, err := s.Flush()
+			if err != nil {
+				pt.Fatalf("Flush: %v", err)
+			}
+			if n != len(queued) {
+				pt.Fatalf("Flush wrote %d records, want the %d keys queued since the last flush", n, len(queued))
+			}
+			clear(queued)
+		}
 		nOps := pt.IntRange(1, 60)
 		flushes := 0
 		for i := 0; i < nOps; i++ {
 			if pt.Intn(8) == 0 {
-				if _, err := s.Flush(); err != nil {
-					pt.Fatalf("Flush: %v", err)
-				}
+				flush()
 				flushes++
 				continue
 			}
 			k := proptest.Pick(pt, keys)
 			v := pt.Bytes(24)
+			if old, ok := want[k]; !ok || !bytes.Equal(old, v) {
+				queued[k] = true
+			}
 			s.Put(k, v)
 			want[k] = append([]byte(nil), v...)
 		}
-		if _, err := s.Flush(); err != nil {
-			pt.Fatalf("final Flush: %v", err)
-		}
+		flush()
 		pt.Logf("%d ops, %d interleaved flushes, %d distinct keys, scope %#x",
 			nOps, flushes, len(want), scope)
 
@@ -388,7 +490,8 @@ func TestOpenEmptyDirectoryLoadsNothing(t *testing.T) {
 }
 
 // The load path reports each kind of damage with the same message and
-// record offset: records of a two-record segment sit at offsets 16 and 37.
+// record offset: the frames of a two-record segment sit at offsets 16 and
+// 37, each a 4-byte length, the key and value, and a 4-byte CRC.
 func TestCorruptionErrorMessages(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 7)
@@ -413,11 +516,12 @@ func TestCorruptionErrorMessages(t *testing.T) {
 		want string
 	}{
 		{"bad magic", damage(func(b []byte) []byte { b[0] = 'X'; return b }), "offset 0: bad magic"},
-		{"short file", orig[:10], "offset 0: bad magic"},
-		{"truncated header", orig[:47], "offset 37: truncated record header"},
-		{"truncated value", orig[:58], "offset 37: truncated value"},
-		{"value too long", damage(func(b []byte) []byte { b[16+8+2] = 0x10; return b }), "offset 16: value length 1048581 exceeds limit"},
-		{"crc mismatch", damage(func(b []byte) []byte { b[37+12] ^= 1; return b }), "offset 37: CRC mismatch ("},
+		{"short file", orig[:10], "offset 0: truncated header"},
+		{"truncated length", orig[:39], "offset 37: truncated frame: 2 of 4 length bytes"},
+		{"truncated value", orig[:58], "offset 37: truncated frame: 21 of 22 bytes"},
+		{"value too long", damage(func(b []byte) []byte { b[16+1] = 0x10; return b }), "offset 16: corrupt frame: length 1048589 exceeds limit 1048584"},
+		{"crc mismatch", damage(func(b []byte) []byte { b[37+4+8] ^= 1; return b }), "offset 37: corrupt frame: checksum mismatch ("},
+		{"record shorter than its key", append(orig[:16:16], frame.Append(nil, []byte("key"))...), "offset 16: record shorter than its key"},
 	} {
 		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -482,5 +586,31 @@ func TestConcurrentGetPutStatsFlush(t *testing.T) {
 	}
 	if st := s.Stats(); st.FlushedEntries != keys {
 		t.Errorf("flushed %d entries, want %d", st.FlushedEntries, keys)
+	}
+}
+
+// BenchmarkOpen loads one 10k-record segment of 117-byte values, the shape
+// of a 10k-die lot's die records.
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	s, err := Open(dir, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := make([]byte, 117)
+	for k := uint64(0); k < 10000; k++ {
+		val[0], val[1] = byte(k), byte(k>>8)
+		s.Put(k*0x9E3779B97F4A7C15, val)
+	}
+	if _, err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Open(dir, 7)
+		if err != nil || r.Len() != 10000 {
+			b.Fatalf("Open: %v (len %d)", err, r.Len())
+		}
 	}
 }

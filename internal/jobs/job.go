@@ -12,10 +12,9 @@
 // bit-identical trace bytes as the equivalent CLI invocation — at any
 // parallelism, even while other jobs run concurrently.
 //
-// The queue survives crashes: every state transition appends a CRC-framed
-// entry to a journal in the style of internal/cachestore, and a restarted
-// server resumes exactly the pending set (jobs caught mid-run return to the
-// queue).
+// The queue survives crashes: every state transition appends a CRC-checked
+// internal/frame frame to a journal, and a restarted server resumes exactly
+// the pending set (jobs caught mid-run return to the queue).
 package jobs
 
 import (

@@ -197,6 +197,56 @@ func TestJournalCorruptionRejected(t *testing.T) {
 	}
 }
 
+// TestJournalBitFlipProperty: every single-bit flip of a 10-entry journal
+// either fails the load or loads a strict prefix of the entries (a flip in
+// the final frame reads as a torn tail) — never an altered entry.
+func TestJournalBitFlipProperty(t *testing.T) {
+	entries := randomEntries(rand.New(rand.NewSource(4)), 10)
+	data := encodeAll(t, entries)
+	for bit := 0; bit < 8*len(data); bit++ {
+		mut := bytes.Clone(data)
+		mut[bit/8] ^= 1 << (bit % 8)
+		got, _, err := loadJournal(mut)
+		if err != nil {
+			continue
+		}
+		if len(got) >= len(entries) || (len(got) > 0 && !entriesEqual(got, entries[:len(got)])) {
+			t.Fatalf("bit %d: loaded %d entries that are not a strict prefix of the %d written", bit, len(got), len(entries))
+		}
+	}
+}
+
+// TestJournalFixtureRoundTrip pins the journal format: a journal written by
+// an earlier build decodes, replays, and re-encodes byte for byte.
+func TestJournalFixtureRoundTrip(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data[:len(journalMagic)]) != journalMagic {
+		t.Fatalf("fixture magic %q", data[:len(journalMagic)])
+	}
+	entries, goodLen, err := loadJournal(data[len(journalMagic):])
+	if err != nil || goodLen != len(data)-len(journalMagic) {
+		t.Fatalf("loadJournal: %d entries to offset %d, %v", len(entries), goodLen, err)
+	}
+	if re := append([]byte(journalMagic), encodeAll(t, entries)...); !bytes.Equal(re, data) {
+		t.Fatalf("re-encoded journal differs from the fixture (%d vs %d bytes)", len(re), len(data))
+	}
+	jobs, _, err := replay(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]State{}
+	for id, j := range jobs {
+		got[id] = j.State
+	}
+	want := map[string]State{"j000001": StateRunning, "j000002": StateDone, "j000003": StateCanceled}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed states %v, want %v", got, want)
+	}
+}
+
 func mustEncode(t *testing.T, e journalEntry) []byte {
 	t.Helper()
 	frame, err := encodeEntry(e)

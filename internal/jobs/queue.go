@@ -1,20 +1,21 @@
 package jobs
 
 import (
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // Queue is the crash-safe persistent job queue. Every state transition
-// appends one CRC-framed JSON entry to a journal (cachestore shard style:
-// length-prefixed frames with a trailing checksum, fsync'd per append), so
+// appends one JSON entry to a journal as an internal/frame frame (length
+// prefix, payload, trailing checksum), fsync'd per append, so
 // a killed server reopens the journal and resumes exactly the pending set:
 // queued jobs stay queued, jobs caught mid-run return to the queue, and a
 // cancellation that raced the crash wins. A torn final frame — the only
@@ -59,7 +60,7 @@ type journalEntry struct {
 	At int64 `json:"at,omitempty"`
 }
 
-// encodeEntry renders one frame: [u32be len][JSON][u32be crc32(len+JSON)].
+// encodeEntry renders one entry as a frame carrying its JSON.
 func encodeEntry(e journalEntry) ([]byte, error) {
 	payload, err := json.Marshal(e)
 	if err != nil {
@@ -68,12 +69,7 @@ func encodeEntry(e journalEntry) ([]byte, error) {
 	if len(payload) > maxEntryLen {
 		return nil, fmt.Errorf("jobs: journal entry too large (%d bytes)", len(payload))
 	}
-	frame := make([]byte, 4+len(payload)+4)
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
-	crc := crc32.ChecksumIEEE(frame[:4+len(payload)])
-	binary.BigEndian.PutUint32(frame[4+len(payload):], crc)
-	return frame, nil
+	return frame.Append(nil, payload), nil
 }
 
 // loadJournal decodes every intact frame of data (the bytes after the
@@ -83,38 +79,24 @@ func encodeEntry(e journalEntry) ([]byte, error) {
 // final frame — is a hard error: replaying past silent corruption would
 // resurrect or lose jobs.
 func loadJournal(data []byte) (entries []journalEntry, goodLen int, err error) {
-	off := 0
-	for off < len(data) {
-		rest := len(data) - off
-		if rest < 4 {
-			// Torn tail: the length prefix itself is incomplete.
+	for off := 0; off < len(data); {
+		payload, size, err := frame.Next(data[off:], maxEntryLen)
+		if errors.Is(err, frame.ErrTruncated) || (err != nil && off+size == len(data)) {
+			// Torn tail: the final append was cut off mid-write, or its
+			// last bytes never reached the disk.
 			return entries, off, nil
 		}
-		n := int(binary.BigEndian.Uint32(data[off:]))
-		if n > maxEntryLen {
-			return entries, off, fmt.Errorf("jobs: journal frame at offset %d claims %d bytes (max %d): corrupt journal", off, n, maxEntryLen)
-		}
-		if rest < 4+n+4 {
-			// Torn tail: the payload or checksum was cut off mid-write.
-			return entries, off, nil
-		}
-		frame := data[off : off+4+n]
-		want := binary.BigEndian.Uint32(data[off+4+n:])
-		if crc32.ChecksumIEEE(frame) != want {
-			if off+4+n+4 == len(data) {
-				// A bad final frame is a torn write of the checksum itself.
-				return entries, off, nil
-			}
-			return entries, off, fmt.Errorf("jobs: journal checksum mismatch at offset %d: corrupt journal", off)
+		if err != nil {
+			return entries, off, fmt.Errorf("jobs: corrupt journal at offset %d: %w", off, err)
 		}
 		var e journalEntry
-		if err := json.Unmarshal(frame[4:], &e); err != nil {
+		if err := json.Unmarshal(payload, &e); err != nil {
 			return entries, off, fmt.Errorf("jobs: journal entry at offset %d: %w", off, err)
 		}
 		entries = append(entries, e)
-		off += 4 + n + 4
+		off += size
 	}
-	return entries, off, nil
+	return entries, len(data), nil
 }
 
 // replay folds journal entries into the job map. Unknown IDs and
@@ -199,8 +181,8 @@ func Open(dir string) (*Queue, error) {
 	var jobs map[string]*Job
 	var nextSeq int64 = 1
 	if len(data) > 0 {
-		if len(data) < len(journalMagic) || string(data[:len(journalMagic)]) != journalMagic {
-			return nil, fmt.Errorf("jobs: %s is not a job journal (bad magic)", path)
+		if err := frame.CheckMagic(data, journalMagic); err != nil {
+			return nil, fmt.Errorf("jobs: %s is not a job journal: %w", path, err)
 		}
 		entries, _, err := loadJournal(data[len(journalMagic):])
 		if err != nil {
@@ -228,37 +210,18 @@ func Open(dir string) (*Queue, error) {
 		jobs = make(map[string]*Job)
 	}
 
-	// Compact: rewrite the surviving state as one submit entry per job,
-	// atomically (temp + rename), then append from there. This bounds the
-	// journal and folds the resume transitions into durable state.
-	tmp, err := os.CreateTemp(dir, journalName+".tmp-*")
-	if err != nil {
-		return nil, fmt.Errorf("jobs: compact journal: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.WriteString(journalMagic); err != nil {
-		tmp.Close()
-		return nil, fmt.Errorf("jobs: compact journal: %w", err)
-	}
+	// Compact: publish the surviving state as one submit entry per job,
+	// then append from there. This bounds the journal and folds the resume
+	// transitions into durable state.
+	compacted := []byte(journalMagic)
 	for _, j := range sortedBySeq(jobs) {
-		frame, err := encodeEntry(journalEntry{Op: "submit", Job: j})
+		entry, err := encodeEntry(journalEntry{Op: "submit", Job: j})
 		if err != nil {
-			tmp.Close()
 			return nil, err
 		}
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return nil, fmt.Errorf("jobs: compact journal: %w", err)
-		}
+		compacted = append(compacted, entry...)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return nil, fmt.Errorf("jobs: compact journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, fmt.Errorf("jobs: compact journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := frame.Publish(path, compacted); err != nil {
 		return nil, fmt.Errorf("jobs: compact journal: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)

@@ -2,8 +2,8 @@
 // finalizes into a content-addressed record — a deterministic manifest
 // (flow, seed, identity-bearing flags, cache warmth, trace digest) plus the
 // run's deterministic artifacts (report JSON, metrics snapshot, BENCH
-// counters, full JSONL trace) — stored as a CRC-checked file published by
-// atomic rename, cachestore-style. The run ID is the hash of the manifest
+// counters, full JSONL trace) — stored as CRC-checked internal/frame frames
+// in a file published by frame.Publish. The run ID is the hash of the manifest
 // and trace bytes, so two identical runs (same seed and workload flags, at
 // any -parallel worker count) collide into one record, and anything
 // non-deterministic (wall time, worker count, fleet occupancy, flight tail)
@@ -16,11 +16,11 @@ package runstore
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/frame"
 )
 
 // FormatVersion is the manifest schema version recorded (and hashed) in
@@ -135,9 +135,7 @@ func (r *Record) Totals() (t ReportTotals, ok bool) {
 
 // Encode renders the record in the versioned on-disk framing: the magic
 // string, then the five sections (manifest, report, metrics, bench, trace)
-// each as a big-endian u32 length, the payload, and a CRC-32 (IEEE) over
-// the length prefix and payload together — so a flipped length byte fails
-// the checksum just like a flipped payload byte.
+// as one frame each (internal/frame).
 func (r *Record) Encode() ([]byte, error) {
 	man, err := r.Manifest.canonical()
 	if err != nil {
@@ -146,22 +144,14 @@ func (r *Record) Encode() ([]byte, error) {
 	sections := [sectionCount][]byte{man, r.Report, r.Metrics, r.Bench, r.Trace}
 	size := len(recordMagic)
 	for _, sec := range sections {
-		size += 8 + len(sec)
-	}
-	b := make([]byte, 0, size)
-	b = append(b, recordMagic...)
-	for _, sec := range sections {
 		if len(sec) > maxSectionLen {
 			return nil, fmt.Errorf("runstore: section of %d bytes exceeds the %d-byte limit", len(sec), maxSectionLen)
 		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(sec)))
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[:])
-		crc.Write(sec)
-		b = append(b, hdr[:]...)
-		b = append(b, sec...)
-		b = binary.BigEndian.AppendUint32(b, crc.Sum32())
+		size += frame.Overhead + len(sec)
+	}
+	b := append(make([]byte, 0, size), recordMagic...)
+	for _, sec := range sections {
+		b = frame.Append(b, sec)
 	}
 	return b, nil
 }
@@ -171,38 +161,18 @@ func (r *Record) Encode() ([]byte, error) {
 // offset it was detected at, cachestore-style. Trailing bytes after the
 // last section are corruption, not slack.
 func Decode(data []byte, name string) (*Record, error) {
-	if len(data) < len(recordMagic) {
-		return nil, fmt.Errorf("runstore: %s: truncated record (%d bytes, no magic)", name, len(data))
-	}
-	got := string(data[:len(recordMagic)])
-	if got != recordMagic {
-		if got[:len(recordMagic)-1] == recordMagic[:len(recordMagic)-1] {
-			return nil, fmt.Errorf("runstore: %s: unsupported record format version %q (want %q)", name, got, recordMagic)
-		}
-		return nil, fmt.Errorf("runstore: %s: not a run record (magic %q)", name, got)
+	if err := frame.CheckMagic(data, recordMagic); err != nil {
+		return nil, fmt.Errorf("runstore: %s: %w", name, err)
 	}
 	off := len(recordMagic)
 	var sections [sectionCount][]byte
 	for i := range sections {
-		if len(data)-off < 4 {
-			return nil, fmt.Errorf("runstore: %s: truncated section %d header at byte %d", name, i, off)
+		sec, size, err := frame.Next(data[off:], maxSectionLen)
+		if err != nil {
+			return nil, fmt.Errorf("runstore: %s: section %d at byte %d: %w", name, i, off, err)
 		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		if n > maxSectionLen {
-			return nil, fmt.Errorf("runstore: %s: corrupt section %d length %d at byte %d", name, i, n, off)
-		}
-		if len(data)-off < 8+n {
-			return nil, fmt.Errorf("runstore: %s: truncated section %d (%d payload bytes wanted at byte %d, %d left)",
-				name, i, n, off+4, len(data)-off-4)
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(data[off : off+4+n])
-		stored := binary.BigEndian.Uint32(data[off+4+n : off+8+n])
-		if crc.Sum32() != stored {
-			return nil, fmt.Errorf("runstore: %s: checksum mismatch in section %d at byte %d", name, i, off)
-		}
-		sections[i] = data[off+4 : off+4+n]
-		off += 8 + n
+		sections[i] = sec
+		off += size
 	}
 	if off != len(data) {
 		return nil, fmt.Errorf("runstore: %s: %d trailing bytes after the last section at byte %d", name, len(data)-off, off)

@@ -11,10 +11,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/frame"
 )
 
 // Store is a run ledger rooted at one directory. Each record lives in
-// "<id>.run" (CRC-checked, published by atomic rename, immutable once
+// "<id>.run" (CRC-checked, published by frame.Publish, immutable once
 // written) with its non-deterministic attempt history appended to
 // "<id>.attempts.jsonl" — one JSON line per time the run was executed.
 // A Store is safe for concurrent use by independent processes the same way
@@ -83,27 +85,7 @@ func (s *Store) Put(rec *Record) (id string, created bool, err error) {
 	case !errors.Is(rerr, fs.ErrNotExist):
 		return "", false, fmt.Errorf("runstore: reading %s: %w", path, rerr)
 	}
-	tmp, err := os.CreateTemp(s.dir, ".run-*")
-	if err != nil {
-		return "", false, fmt.Errorf("runstore: creating record temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(enc); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return "", false, fmt.Errorf("runstore: writing record: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return "", false, fmt.Errorf("runstore: syncing record: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return "", false, fmt.Errorf("runstore: closing record: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := frame.Publish(path, enc); err != nil {
 		return "", false, fmt.Errorf("runstore: publishing record: %w", err)
 	}
 	return id, true, nil

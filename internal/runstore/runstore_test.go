@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -226,6 +227,31 @@ func TestDecodeRejectsFutureVersion(t *testing.T) {
 	_, err = Decode(enc, "future.run")
 	if err == nil || !strings.Contains(err.Error(), "unsupported record format version") {
 		t.Errorf("Decode of future version = %v", err)
+	}
+}
+
+// TestRecordFixtureRoundTrip pins the record format: a lotchar run record
+// written by an earlier build decodes to its content address and re-encodes
+// byte for byte.
+func TestRecordFixtureRoundTrip(t *testing.T) {
+	const id = "bef7231aec0cf133603a884292db8b5f"
+	data, err := os.ReadFile(filepath.Join("testdata", id+".run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Decode(data, id+".run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rec.ID(); err != nil || got != id {
+		t.Errorf("decoded record ID = %s, %v; want %s", got, err, id)
+	}
+	enc, err := rec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, data) {
+		t.Fatalf("re-encoded record differs from the fixture (%d vs %d bytes)", len(enc), len(data))
 	}
 }
 
