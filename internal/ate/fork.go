@@ -40,12 +40,11 @@ func (a *ATE) Fork(seed int64) (*ATE, error) {
 // which worker ran before it — which is the property the deterministic
 // parallel engine relies on. Bank Stats() before reseeding.
 func (a *ATE) Reseed(seed int64) {
-	// Seed in place: rand.Rand.Seed re-runs the source seeding, so the
-	// stream equals a fresh rand.New(rand.NewSource(seed)) without paying a
-	// ~5 KiB source allocation per task (Reseed runs once per fitness task).
+	// Seed in place: the noise source reseeds in O(1) without allocating,
+	// and its stream equals a fresh New(dev, seed)'s. ResetStats also
+	// invalidates the pattern memory.
 	a.rng.Seed(seed)
 	a.Heating.Reset()
-	a.Reload()
 	a.ResetStats()
 }
 

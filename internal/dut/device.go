@@ -101,57 +101,57 @@ func (d *Device) Profile(t testgen.Test) (Profile, error) {
 
 // TDQWindowNS returns the data-output valid window at the profile's own
 // test conditions.
-func (p Profile) TDQWindowNS() float64 {
+func (p *Profile) TDQWindowNS() float64 {
 	return p.TDQWindowNSAt(p.Test.Cond.VddV)
 }
 
 // TDQWindowNSAt returns the valid window with the supply overridden to vdd
 // (temperature and clock stay at the test's conditions). The shmoo engine
 // sweeps this axis.
-func (p Profile) TDQWindowNSAt(vdd float64) float64 {
+func (p *Profile) TDQWindowNSAt(vdd float64) float64 {
 	return p.phys.TDQWindowNS(vdd, p.Test.Cond.TempC, p.Test.Cond.ClockMHz, p.Act, p.die)
 }
 
 // TDQWindowNSAtCond returns the valid window at a fully overridden
 // operating point. The ATE uses this to fold in junction self-heating on
 // top of the programmed ambient.
-func (p Profile) TDQWindowNSAtCond(vdd, tempC, clockMHz float64) float64 {
+func (p *Profile) TDQWindowNSAtCond(vdd, tempC, clockMHz float64) float64 {
 	return p.phys.TDQWindowNS(vdd, tempC, clockMHz, p.Act, p.die)
 }
 
 // FmaxMHzAtCond returns Fmax at an overridden operating point.
-func (p Profile) FmaxMHzAtCond(vdd, tempC float64) float64 {
+func (p *Profile) FmaxMHzAtCond(vdd, tempC float64) float64 {
 	return p.phys.FmaxMHz(vdd, tempC, p.Act, p.die)
 }
 
 // VddMinVAtCond returns Vddmin at an overridden temperature.
-func (p Profile) VddMinVAtCond(tempC float64) float64 {
+func (p *Profile) VddMinVAtCond(tempC float64) float64 {
 	return p.phys.VddMinV(tempC, p.Act, p.die)
 }
 
 // MeanActivity returns a scalar activity summary in [0, 1], the heat the
 // test deposits per cycle (used by the tester's thermal model).
-func (p Profile) MeanActivity() float64 {
+func (p *Profile) MeanActivity() float64 {
 	return (p.Act.ATDMean + p.Act.ToggleMean) / 2
 }
 
 // FmaxMHz returns the maximum passing clock frequency at the profile's
 // conditions.
-func (p Profile) FmaxMHz() float64 {
+func (p *Profile) FmaxMHz() float64 {
 	return p.phys.FmaxMHz(p.Test.Cond.VddV, p.Test.Cond.TempC, p.Act, p.die)
 }
 
 // VddMinV returns the minimum passing supply voltage at the profile's
 // conditions.
-func (p Profile) VddMinV() float64 {
+func (p *Profile) VddMinV() float64 {
 	return p.phys.VddMinV(p.Test.Cond.TempC, p.Act, p.die)
 }
 
 // EffectiveVdd returns the droop-corrected on-die supply at the profile's
 // conditions.
-func (p Profile) EffectiveVdd() float64 {
+func (p *Profile) EffectiveVdd() float64 {
 	return p.phys.EffectiveVdd(p.Test.Cond.VddV, p.Test.Cond.TempC, p.Act, p.die)
 }
 
 // Ridge exposes the weakness-interaction activation for analysis tooling.
-func (p Profile) Ridge() float64 { return p.phys.Ridge(p.Act) }
+func (p *Profile) Ridge() float64 { return p.phys.Ridge(p.Act) }

@@ -8,6 +8,7 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -182,6 +183,14 @@ func TestJournalCorruptionRejected(t *testing.T) {
 		t.Fatalf("oversized frame: err %v, want corrupt-journal error", err)
 	}
 
+	// A length enlarged past EOF reads like a torn first frame, but the
+	// intact frames it swallowed give it away.
+	corrupt = append([]byte(nil), data...)
+	binary.BigEndian.PutUint32(corrupt, uint32(len(data)))
+	if _, _, err := loadJournal(corrupt); err == nil || !strings.Contains(err.Error(), "corrupt journal at offset 0") {
+		t.Fatalf("frame 0 length past EOF: err %v, want corrupt-journal error at offset 0", err)
+	}
+
 	// The same flip in the FINAL frame's payload is indistinguishable from a
 	// torn tail write and must degrade to the intact prefix.
 	lastStart := len(data) - len(mustEncode(t, entries[len(entries)-1]))
@@ -197,21 +206,23 @@ func TestJournalCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestJournalBitFlipProperty: every single-bit flip of a 10-entry journal
-// either fails the load or loads a strict prefix of the entries (a flip in
-// the final frame reads as a torn tail) — never an altered entry.
+// TestJournalBitFlipProperty: a single-bit flip anywhere but the final
+// frame fails the load; one inside the final frame fails it or reads as a
+// torn tail, loading every other entry — never an altered entry.
 func TestJournalBitFlipProperty(t *testing.T) {
 	entries := randomEntries(rand.New(rand.NewSource(4)), 10)
 	data := encodeAll(t, entries)
+	lastStart := len(data) - len(mustEncode(t, entries[len(entries)-1]))
 	for bit := 0; bit < 8*len(data); bit++ {
 		mut := bytes.Clone(data)
 		mut[bit/8] ^= 1 << (bit % 8)
 		got, _, err := loadJournal(mut)
-		if err != nil {
-			continue
-		}
-		if len(got) >= len(entries) || (len(got) > 0 && !entriesEqual(got, entries[:len(got)])) {
-			t.Fatalf("bit %d: loaded %d entries that are not a strict prefix of the %d written", bit, len(got), len(entries))
+		switch {
+		case err != nil:
+		case bit/8 < lastStart:
+			t.Fatalf("bit %d: flip before the final frame loaded %d entries without error", bit, len(got))
+		case len(got) != len(entries)-1 || !entriesEqual(got, entries[:len(got)]):
+			t.Fatalf("bit %d: final-frame flip loaded %d entries, want the %d before it", bit, len(got), len(entries)-1)
 		}
 	}
 }

@@ -76,12 +76,14 @@ func encodeEntry(e journalEntry) ([]byte, error) {
 // magic). It returns the decoded entries and the byte offset of the last
 // intact frame, so callers can truncate a torn tail. Damage that cannot be
 // a torn tail — a checksum mismatch or an impossible length before the
-// final frame — is a hard error: replaying past silent corruption would
-// resurrect or lose jobs.
+// final frame, or a damaged length that swallows later intact frames — is
+// a hard error: replaying past silent corruption would resurrect or lose
+// jobs.
 func loadJournal(data []byte) (entries []journalEntry, goodLen int, err error) {
 	for off := 0; off < len(data); {
 		payload, size, err := frame.Next(data[off:], maxEntryLen)
-		if errors.Is(err, frame.ErrTruncated) || (err != nil && off+size == len(data)) {
+		torn := errors.Is(err, frame.ErrTruncated) || (err != nil && off+size == len(data))
+		if torn && !frameAfter(data, off) {
 			// Torn tail: the final append was cut off mid-write, or its
 			// last bytes never reached the disk.
 			return entries, off, nil
@@ -97,6 +99,19 @@ func loadJournal(data []byte) (entries []journalEntry, goodLen int, err error) {
 		off += size
 	}
 	return entries, len(data), nil
+}
+
+// frameAfter reports whether a frame that frame.Next accepts starts
+// anywhere past off. A torn tail is the prefix of one frame, so it holds
+// none, bar a CRC-32 collision; a flipped length bit that reaches past
+// later frames leaves them intact. Only the error path scans.
+func frameAfter(data []byte, off int) bool {
+	for p := off + 1; p < len(data); p++ {
+		if _, _, err := frame.Next(data[p:], maxEntryLen); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // replay folds journal entries into the job map. Unknown IDs and

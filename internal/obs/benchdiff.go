@@ -30,12 +30,14 @@ type BenchEntry struct {
 }
 
 // ParseBenchJSON decodes a BENCH_*.json array. Content after the closing
-// bracket (ci.sh appends human-readable gate lines to some files) is
-// ignored.
+// bracket is an error: the file must be one valid JSON document.
 func ParseBenchJSON(r io.Reader) ([]BenchEntry, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("obs: reading bench json: %w", err)
+	}
 	var rows []map[string]any
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rows); err != nil {
+	if err := json.Unmarshal(data, &rows); err != nil {
 		return nil, fmt.Errorf("obs: parsing bench json: %w", err)
 	}
 	entries := make([]BenchEntry, 0, len(rows))

@@ -114,13 +114,11 @@ func TestDiffTracesNoiseFloorAndNewLabels(t *testing.T) {
 }
 
 func TestParseBenchJSON(t *testing.T) {
-	// Mirrors the real BENCH_lot.json shape: nulls, and trailing gate text
-	// after the closing bracket.
+	// Mirrors the real BENCH_lot.json shape: nulls, and a trailing newline.
 	src := `[
   {"benchmark": "BenchmarkA", "ns_per_op": 100, "allocs_per_op": 30, "hit_rate": null},
   {"benchmark": "BenchmarkB", "ns_per_op": 200, "hit_rate": 0.5}
 ]
-lot gate: streamed 40284 dies/sec = 2.67x per-die loop
 `
 	entries, err := ParseBenchJSON(strings.NewReader(src))
 	if err != nil {
@@ -140,6 +138,13 @@ lot gate: streamed 40284 dies/sec = 2.67x per-die loop
 	}
 	if _, err := ParseBenchJSON(strings.NewReader(`{`)); err == nil {
 		t.Error("corrupt json parsed")
+	}
+	// Text after the array (the gate lines ci.sh once wrote into
+	// BENCH_lot.json) makes the file invalid JSON.
+	for _, tail := range []string{"lot gate: streamed 40284 dies/sec = 2.67x per-die loop\n", "]", `{"benchmark": "C"}`} {
+		if _, err := ParseBenchJSON(strings.NewReader(src + tail)); err == nil {
+			t.Errorf("trailing %q parsed", tail)
+		}
 	}
 }
 

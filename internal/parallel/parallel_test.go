@@ -115,7 +115,7 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestRunLowestIndexErrorWins(t *testing.T) {
+func TestForEachOnLowestIndexErrorWins(t *testing.T) {
 	for _, size := range []int{0, 1, 8} {
 		wantErr := errors.New("task 3 failed")
 		f := fleetOf(size)
@@ -135,7 +135,7 @@ func TestRunLowestIndexErrorWins(t *testing.T) {
 	}
 }
 
-func TestRunWorkerConstructionError(t *testing.T) {
+func TestRunOnWorkerConstructionError(t *testing.T) {
 	// Worker 0's construction fails at every fleet size, so its error must
 	// surface whether the stage runs inline or on goroutines.
 	for _, size := range []int{0, 1, 4} {
@@ -158,7 +158,7 @@ func TestRunWorkerConstructionError(t *testing.T) {
 	}
 }
 
-func TestRunWorkerOwnedResources(t *testing.T) {
+func TestRunOnWorkerOwnedResources(t *testing.T) {
 	// Every worker gets its own resource; a task only ever sees the
 	// resource of the worker that runs it.
 	const n, workers = 64, 4
@@ -191,7 +191,7 @@ func TestRunWorkerOwnedResources(t *testing.T) {
 	}
 }
 
-func TestRunZeroTasks(t *testing.T) {
+func TestRunOnZeroTasks(t *testing.T) {
 	for _, size := range []int{0, 1, 4} {
 		called := false
 		f := fleetOf(size)

@@ -34,6 +34,12 @@ func hermeticOverlay(t *testing.T, p *Plot, a *ate.ATE, tests []testgen.Test, ba
 func tdqPoint(wk *ate.ATE) PointFunc  { return wk.MeasureShmooPoint }
 func fmaxPoint(wk *ate.ATE) PointFunc { return wk.MeasureFmaxShmooPoint }
 
+func smallAxes() (Axis, Axis) {
+	x := Axis{Label: "T_DQ (ns)", Min: 20, Max: 32, Steps: 13}
+	y := Axis{Label: "VDD (V)", Min: 1.5, Max: 2.1, Steps: 7}
+	return x, y
+}
+
 func TestAddTestsOnMatchesHermeticOverlay(t *testing.T) {
 	tester, gen := rig(t)
 	tester.NoiseFraction = 0.25
@@ -158,5 +164,121 @@ func TestAddFmaxTestsOnMatchesHermeticOverlay(t *testing.T) {
 	}
 	if g, w := fork.Stats().Measurements, refFork.Stats().Measurements; g != w {
 		t.Errorf("fmax fleet cost %d, hermetic reference %d", g, w)
+	}
+}
+
+func TestAddTestsOnDeterministicAcrossWorkers(t *testing.T) {
+	tester, gen := rig(t)
+	tester.NoiseFraction = 0.25 // noise on: the RNG discipline is the hard part
+	tests := gen.Batch(6)
+	x, y := smallAxes()
+
+	// workers 0 is the nil fleet: the serial fleet of one.
+	render := func(workers int) (string, int64) {
+		p, err := NewPlot(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork, err := tester.Fork(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f *parallel.Fleet
+		if workers > 0 {
+			f = parallel.NewFleet(workers)
+			defer f.Close()
+		}
+		if err := p.AddTestsOn(f, fork, tests, 900); err != nil {
+			t.Fatal(err)
+		}
+		return p.Render(), fork.Stats().Measurements
+	}
+
+	serial, serialCost := render(0)
+	for _, workers := range []int{1, 2, 8} {
+		got, cost := render(workers)
+		if got != serial {
+			t.Errorf("workers=%d grid differs from serial:\n%s\nvs\n%s", workers, got, serial)
+		}
+		if cost != serialCost {
+			t.Errorf("workers=%d merged %d measurements, serial %d", workers, cost, serialCost)
+		}
+	}
+}
+
+func TestParallelOverlayMatchesNoiselessSerial(t *testing.T) {
+	// With noise disabled the per-test hermetic semantics cannot differ
+	// from the shared-tester serial sweep (thermal off too): the fleet
+	// overlay must equal the plain AddTest overlay cell for cell.
+	tester, gen := rig(t) // rig sets NoiseFraction = 0, no Heating
+	tests := gen.Batch(4)
+	x, y := smallAxes()
+
+	serial, err := NewPlot(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range tests {
+		if err := serial.AddTest(tester, tt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	par, err := NewPlot(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := parallel.NewFleet(4)
+	defer f.Close()
+	if err := par.AddTestsOn(f, tester, tests, 902); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := par.Render(), serial.Render(); got != want {
+		t.Errorf("fleet overlay differs from serial:\n%s\nvs\n%s", got, want)
+	}
+}
+
+func TestOnTestObserverFiresInTestOrder(t *testing.T) {
+	tester, gen := rig(t)
+	tests := gen.Batch(5)
+	x, y := smallAxes()
+	p, err := NewPlot(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indices []int
+	var total int64
+	p.OnTest = func(index int, cost ate.Stats) {
+		indices = append(indices, index)
+		total += cost.Measurements
+	}
+	fork, err := tester.Fork(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := parallel.NewFleet(4)
+	defer f.Close()
+	if err := p.AddTestsOn(f, fork, tests, 902); err != nil {
+		t.Fatal(err)
+	}
+	if len(indices) != len(tests) {
+		t.Fatalf("observer fired %d times for %d tests", len(indices), len(tests))
+	}
+	for i, idx := range indices {
+		if idx != i {
+			t.Errorf("observation %d has overlay index %d", i, idx)
+		}
+	}
+	if total != fork.Stats().Measurements {
+		t.Errorf("observed cost %d != merged tester cost %d", total, fork.Stats().Measurements)
+	}
+
+	// A second overlay on the same plot continues the index sequence.
+	indices = nil
+	if err := p.AddTestsOn(nil, fork, tests[:1], 903); err != nil {
+		t.Fatal(err)
+	}
+	if len(indices) != 1 || indices[0] != 5 {
+		t.Errorf("second-overlay observations = %v, want [5]", indices)
 	}
 }
