@@ -402,7 +402,7 @@ echo "== fleet determinism under -race =="
 # (the serial fleet of one) and multi-worker fleets, with the race detector
 # watching the persistent workers and the streamed in-order deliveries.
 go test -race -count=1 \
-	-run 'TestStream|TestFleetMatchesRun|TestForEach|TestRun' ./internal/parallel/
+	-run 'TestStream|TestForEach|TestRun' ./internal/parallel/
 go test -race -count=1 \
 	-run 'TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotStream' ./internal/core/
 go test -race -count=1 \

@@ -328,8 +328,8 @@ func (s *Store) Flush() (int, error) {
 }
 
 // PutFloat64 stores a scalar measurement value (8 bytes, little-endian
-// IEEE-754 bits) — the encoding used to persist parallel.MemoCache
-// entries.
+// IEEE-754 bits) — the encoding core.Characterizer.PersistMemoCache uses
+// for the GA fitness memo-cache.
 func (s *Store) PutFloat64(key uint64, v float64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))

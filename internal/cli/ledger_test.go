@@ -193,3 +193,35 @@ func TestLedgerRecordMatchesTraceFile(t *testing.T) {
 		t.Errorf("ledger metrics kept nd_ series:\n%s", rec.Metrics)
 	}
 }
+
+// TestLedgerAcceptsRecordFromEarlierBuild pins the ledger contract across
+// builds: re-running the workload of a lot record written by an earlier
+// build, into a ledger that already holds that record, must mint the same
+// run ID. runstore.Put byte-compares a same-ID record, so this fails as
+// soon as this build writes different report, metrics or bench section
+// bytes for the same workload — which TestGoldenRunIDs, comparing two runs
+// of one build, cannot see.
+func TestLedgerAcceptsRecordFromEarlierBuild(t *testing.T) {
+	const id = "bef7231aec0cf133603a884292db8b5f"
+	data, err := os.ReadFile(filepath.Join("..", "runstore", "testdata", id+".run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(runDir, id+".run"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := NewFlowRun(FlowSpec{Flow: "lot", Seed: 1,
+		Args: map[string]string{"dies": "2", "wafers": "0", "guardband": "0.05"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Common.Embedded = true
+	fr.Common.RunDir = runDir
+	if err := fr.Run(io.Discard); err != nil {
+		t.Fatalf("re-running the recorded workload: %v", err)
+	}
+	if got, _ := fr.Common.LastRun(); got != id {
+		t.Errorf("re-run minted %s, want the recorded %s", got, id)
+	}
+}

@@ -30,7 +30,12 @@ type parallelEvaluator struct {
 	opts      search.Options
 	spec      float64
 	specIsMin bool
-	cache     *parallel.MemoCache // nil disables memoization
+	// cache is the memo-cache: test fingerprint → WCR (nil disables
+	// memoization). Only the calling goroutine touches it — the resolve
+	// before each Stream and the merge inside Stream's in-order delivery —
+	// so it needs no lock. hits/misses count resolve lookups.
+	cache        map[uint64]float64
+	hits, misses int64
 
 	rtp     float64
 	haveRTP bool
@@ -44,12 +49,6 @@ type parallelEvaluator struct {
 	// execution scratch armed, so no generation pays a fork).
 	fleet      *parallel.Fleet
 	insertions []*ate.ATE
-
-	// resolve scratch reused across batches (fingerprints, batched cache
-	// lookups).
-	fps   []uint64
-	vals  []float64
-	found []bool
 }
 
 func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
@@ -64,13 +63,13 @@ func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
 	e.insertions = make([]*ate.ATE, e.fleet.Size())
 	e.budget = e.opts.FullRangeBudget()
 	if !c.cfg.DisableMeasurementCache {
-		e.cache = parallel.NewMemoCache()
 		// Seed disk-recovered values (scope-bound to this exact flow, see
 		// MemoCacheScope): primed tests are served without measuring, and
 		// because the values equal what a cold run would measure, the GA
 		// trajectory — and thus the results — stay bit-identical.
+		e.cache = make(map[uint64]float64, len(c.primed))
 		for k, v := range c.primed {
-			e.cache.Put(k, v)
+			e.cache[k] = v
 		}
 	}
 	return e
@@ -129,46 +128,33 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 		fpOf    []uint64 // the representative's fingerprint
 		members [][]int  // test indices sharing the representative's value
 	)
-	var hitsBefore, missBefore, droppedBefore int64
-	if e.cache != nil {
-		hitsBefore, missBefore, droppedBefore = e.cache.Hits(), e.cache.Misses(), e.cache.Dropped()
-	}
-	if cap(e.fps) < len(tests) {
-		e.fps = make([]uint64, len(tests))
-		e.vals = make([]float64, len(tests))
-		e.found = make([]bool, len(tests))
-	}
-	fps := e.fps[:len(tests)]
-	for i, tt := range tests {
-		fps[i] = tt.Fingerprint()
-	}
-	vals, found := e.vals[:len(tests)], e.found[:len(tests)]
-	if e.cache != nil {
-		// One stripe-grouped batch lookup instead of a lock round-trip per
-		// test; per-key hit/miss accounting is identical to sequential Gets.
-		e.cache.GetBatch(fps, vals, found)
-	}
+	var hits int64
 	groupOf := map[uint64]int{}
-	for i := range tests {
+	for i, tt := range tests {
+		fp := tt.Fingerprint()
 		if e.cache != nil {
-			if found[i] {
-				out[i] = vals[i]
+			if v, ok := e.cache[fp]; ok {
+				out[i] = v
+				hits++
 				continue
 			}
-			if g, ok := groupOf[fps[i]]; ok {
+			if g, ok := groupOf[fp]; ok {
 				members[g] = append(members[g], i)
 				continue
 			}
-			groupOf[fps[i]] = len(reps)
+			groupOf[fp] = len(reps)
 		}
 		reps = append(reps, i)
-		fpOf = append(fpOf, fps[i])
+		fpOf = append(fpOf, fp)
 		members = append(members, []int{i})
 	}
 	// The resolve loop above is serial, so the cache-effectiveness deltas
 	// are deterministic regardless of the worker count below.
 	if e.cache != nil {
-		e.c.tel().RecordCacheLookups(e.cache.Hits()-hitsBefore, e.cache.Misses()-missBefore, e.budget)
+		misses := int64(len(tests)) - hits
+		e.hits += hits
+		e.misses += misses
+		e.c.tel().RecordCacheLookups(hits, misses, e.budget)
 	}
 	if len(reps) == 0 {
 		return out, nil
@@ -190,7 +176,7 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 		// all-pass range means huge margin (small WCR).
 		v := wcr.For(results[t].TripPoint, e.spec, e.specIsMin)
 		if e.cache != nil {
-			e.cache.Put(fpOf[t], v)
+			e.cache[fpOf[t]] = v
 		}
 		for _, m := range members[t] {
 			out[m] = v
@@ -247,26 +233,16 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 	}
 	e.taskSeq += int64(len(reps))
 	e.evaluations += int64(len(reps))
-	// The merge loop above is serial, so the capacity-drop delta is as
-	// deterministic as the lookup deltas.
-	if e.cache != nil {
-		e.c.tel().RecordCacheDropped(e.cache.Dropped() - droppedBefore)
-	}
 	return out, nil
 }
 
 // cacheHits returns how many fitness lookups the memo-cache absorbed.
-func (e *parallelEvaluator) cacheHits() int64 {
-	if e.cache == nil {
-		return 0
-	}
-	return e.cache.Hits()
-}
+func (e *parallelEvaluator) cacheHits() int64 { return e.hits }
 
 // cacheMisses returns how many fitness lookups had to be measured.
 func (e *parallelEvaluator) cacheMisses() int64 {
 	if e.cache == nil {
 		return e.evaluations
 	}
-	return e.cache.Misses()
+	return e.misses
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cachestore"
 )
@@ -79,21 +79,16 @@ func (c *Characterizer) PersistMemoCache(store *cachestore.Store) (int, error) {
 	if store == nil || c.lastEval == nil || c.lastEval.cache == nil {
 		return 0, nil
 	}
-	type kv struct {
-		k uint64
-		v float64
+	keys := make([]uint64, 0, len(c.lastEval.cache))
+	for k := range c.lastEval.cache {
+		keys = append(keys, k)
 	}
-	var entries []kv
-	c.lastEval.cache.Range(func(key uint64, value float64) bool {
-		entries = append(entries, kv{key, value})
-		return true
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
-	for _, e := range entries {
-		store.PutFloat64(e.k, e.v)
+	slices.Sort(keys)
+	for _, k := range keys {
+		store.PutFloat64(k, c.lastEval.cache[k])
 	}
 	if _, err := store.Flush(); err != nil {
 		return 0, fmt.Errorf("core: persisting memo cache: %w", err)
 	}
-	return len(entries), nil
+	return len(keys), nil
 }

@@ -15,7 +15,7 @@ import (
 // package's determinism contract — index-addressed results, per-task seeds,
 // bit-identical output at any worker count — with strictly in-order result
 // delivery while later tasks are still executing, which is what lets batch
-// barriers (per GA generation, per shmoo test, per lot window) become a
+// barriers (per GA generation, per shmoo test, per lot stage) become a
 // pipeline.
 //
 // Worker index w is always served by the same goroutine, so a resource a
@@ -28,8 +28,7 @@ import (
 // calling goroutine, with no goroutines, locks or Close needed, so serial
 // callers pass nil instead of wrapping their loop.
 type Fleet struct {
-	nw     int
-	window int
+	nw int
 
 	mu      sync.Mutex // guards start/close state
 	chans   []chan *stage
@@ -55,27 +54,6 @@ func (f *Fleet) Size() int {
 		return 1
 	}
 	return f.nw
-}
-
-// SetWindow bounds how far task execution may run ahead of in-order
-// delivery: with window w, task floor+w is not claimed until task floor has
-// been delivered. Values below 1 remove the bound (the default). The window
-// never changes results — only peak buffered work — and exists for
-// memory-bounded pipelines and the invariance tests. Not safe to call
-// concurrently with a running stage.
-func (f *Fleet) SetWindow(n int) {
-	if n < 1 {
-		n = 0
-	}
-	f.window = n
-}
-
-// Window returns the configured run-ahead bound (0 = unbounded).
-func (f *Fleet) Window() int {
-	if f == nil {
-		return 0
-	}
-	return f.window
 }
 
 // Close shuts the worker goroutines down and waits for them to exit.
@@ -180,12 +158,11 @@ func SetFleetObserver(fn FleetObserver) {
 }
 
 // stage is one Stream execution: tasks 0..n-1 claimed in index order by the
-// participating workers, completion flags signalled to the delivering
-// caller, and a run-ahead gate that keeps claims within window of the
-// delivery floor.
+// participating workers, with completion flags signalled to the delivering
+// caller. Claims never wait on delivery; floor only measures how far they
+// run ahead of it.
 type stage struct {
 	n       int
-	window  int
 	workers int // participants: min(fleet size, n)
 
 	init func(w int) error // constructs/fetches worker w's resource
@@ -193,11 +170,10 @@ type stage struct {
 
 	mu       sync.Mutex
 	cond     sync.Cond
-	next     int  // next unclaimed task index
-	floor    int  // tasks delivered so far; gates claims when window > 0
-	open     bool // lifted gate: drain without waiting on delivery
-	failures int  // workers whose init failed
-	maxAhead int  // high-water of next-floor (queue depth)
+	next     int // next unclaimed task index
+	floor    int // tasks delivered so far
+	failures int // workers whose init failed
+	maxAhead int // high-water of next-floor (queue depth)
 	done     []uint8
 
 	timed    bool // collect wall-clock stats for the fleet observer
@@ -222,9 +198,6 @@ func (st *stage) work(w int) {
 	}
 	for {
 		st.mu.Lock()
-		for !st.open && st.window > 0 && st.next >= st.floor+st.window && st.next < st.n {
-			st.cond.Wait()
-		}
 		i := st.next
 		if i >= st.n {
 			st.mu.Unlock()
@@ -292,14 +265,22 @@ func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(
 	if f == nil || f.nw == 1 {
 		// Inline path: no goroutines, tasks and deliveries interleave in
 		// index order on the calling goroutine, stopping at the first panic
-		// or error.
+		// or error. Under an observer, task and delivery time are lapped
+		// separately; nothing overlaps, so OverlapNanos stays 0.
 		wk, err := newWorker(0)
 		if err != nil {
 			return err
 		}
-		var deliverErr error
+		var busy, deliverNanos int64
+		var clock time.Time
+		if fobs != nil {
+			clock = time.Now()
+		}
 		for i := 0; i < n; i++ {
 			err := runStreamTask(wk, i, task, panics, stacks)
+			if fobs != nil {
+				busy += lap(&clock)
+			}
 			if panics[i] != nil {
 				panic(TaskPanic{Task: i, Value: panics[i], Stack: stacks[i]})
 			}
@@ -307,15 +288,18 @@ func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(
 				return err
 			}
 			if deliver != nil {
-				if deliverErr = deliver(i); deliverErr != nil {
-					return deliverErr
+				err := deliver(i)
+				if fobs != nil {
+					deliverNanos += lap(&clock)
+				}
+				if err != nil {
+					return err
 				}
 			}
 		}
 		if fobs != nil {
-			wall := int64(time.Since(wallStart))
-			(*fobs)(StreamStats{Workers: 1, Tasks: n, TasksPerWorker: []int{n},
-				MaxRunAhead: 1, BusyNanos: wall, WallNanos: wall})
+			(*fobs)(StreamStats{Workers: 1, Tasks: n, TasksPerWorker: []int{n}, MaxRunAhead: 1,
+				BusyNanos: busy, WallNanos: int64(time.Since(wallStart)), DeliverNanos: deliverNanos})
 		}
 		return nil
 	}
@@ -339,7 +323,7 @@ func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(
 	workerErrs := make([]error, np)
 	taskCounts := make([]int, np)
 
-	st := &stage{n: n, window: f.window, workers: np, timed: fobs != nil, done: make([]uint8, n)}
+	st := &stage{n: n, workers: np, timed: fobs != nil, done: make([]uint8, n)}
 	st.cond.L = &st.mu
 	st.init = func(w int) error {
 		if !resInit[w] {
@@ -364,8 +348,8 @@ func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(
 	}
 
 	// In-order delivery while the workers keep executing. Stops at the
-	// first failed index (or deliver error); the gate is then opened so the
-	// drain never stalls on the frozen floor.
+	// first failed index (or deliver error); the workers drain the rest
+	// regardless.
 	var deliverErr error
 	var deliverNanos, overlapNanos int64
 	st.mu.Lock()
@@ -399,10 +383,7 @@ func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(
 			}
 		}
 		st.floor = i + 1
-		st.cond.Broadcast()
 	}
-	st.open = true
-	st.cond.Broadcast()
 	st.mu.Unlock()
 	st.wg.Wait()
 
@@ -434,6 +415,14 @@ func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(
 		}
 	}
 	return deliverErr
+}
+
+// lap returns the nanoseconds elapsed since *t and moves *t to now.
+func lap(t *time.Time) int64 {
+	now := time.Now()
+	d := int64(now.Sub(*t))
+	*t = now
+	return d
 }
 
 // runStreamTask executes one task with panic capture (shared by the inline

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/proptest"
 )
@@ -75,37 +76,6 @@ func TestStreamSurvivesAcrossStages(t *testing.T) {
 	}
 	if total != 5*32 {
 		t.Errorf("tasks executed %d times, want %d", total, 5*32)
-	}
-}
-
-func TestStreamWindowBoundsRunAhead(t *testing.T) {
-	defer SetFleetObserver(nil)
-	for _, window := range []int{1, 2, 5} {
-		var stats StreamStats
-		SetFleetObserver(func(s StreamStats) { stats = s })
-		f := NewFleet(4)
-		f.SetWindow(window)
-		if f.Window() != window {
-			t.Fatalf("Window() = %d, want %d", f.Window(), window)
-		}
-		sum := 0
-		err := Stream(f, 40,
-			func(w int) (struct{}, error) { return struct{}{}, nil },
-			func(_ struct{}, i int) error { return nil },
-			func(i int) error { sum += i; return nil })
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sum != 40*39/2 {
-			t.Errorf("window=%d: merged sum %d", window, sum)
-		}
-		if stats.MaxRunAhead > window {
-			t.Errorf("window=%d: run-ahead high-water %d exceeds the bound", window, stats.MaxRunAhead)
-		}
-		if stats.Tasks != 40 || stats.Workers != 4 {
-			t.Errorf("window=%d: observer saw %d tasks on %d workers", window, stats.Tasks, stats.Workers)
-		}
 	}
 }
 
@@ -194,8 +164,8 @@ func TestStreamAllWorkersFailConstruction(t *testing.T) {
 }
 
 // TestStreamPanicDeterministicLowestIndex pins the TaskPanic-through-Fleet
-// contract: like Run, the lowest-index panic wins at any worker count, it
-// outranks task errors, and the stage drains before re-panicking.
+// contract: the lowest-index panic wins at any worker count, it outranks
+// task errors, and the stage drains before re-panicking.
 func TestStreamPanicDeterministicLowestIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		f := NewFleet(workers)
@@ -219,8 +189,8 @@ func TestStreamPanicDeterministicLowestIndex(t *testing.T) {
 		}()
 		f.Close()
 		if workers == 1 {
-			// Inline semantics (same as Run's): index order stops at the
-			// first failure, so the task-1 error precedes any panic.
+			// Inline semantics: index order stops at the first failure, so
+			// the task-1 error precedes any panic.
 			if rec != nil {
 				t.Fatalf("inline fleet panicked (%v) instead of returning the first error", rec)
 			}
@@ -277,6 +247,21 @@ func TestStreamZeroTasks(t *testing.T) {
 	}
 }
 
+func TestStreamNegativeTaskCount(t *testing.T) {
+	for _, size := range []int{0, 2} {
+		called := false
+		f := fleetOf(size)
+		err := Stream(f, -4,
+			func(int) (int, error) { called = true; return 0, nil },
+			func(int, int) error { called = true; return nil },
+			func(int) error { called = true; return nil })
+		f.Close()
+		if err != nil || called {
+			t.Fatalf("size=%d: negative task count: err=%v called=%v", size, err, called)
+		}
+	}
+}
+
 func TestStreamObserverReportsParticipants(t *testing.T) {
 	// The observer sees min(size, n) workers and per-worker task counts
 	// summing to n.
@@ -300,6 +285,41 @@ func TestStreamObserverReportsParticipants(t *testing.T) {
 	}
 }
 
+// TestFleetOfOneTimesDeliverySeparately: the inline path reports task time
+// as BusyNanos and delivery time as DeliverNanos, never one as the other,
+// so a fleet of one shows its exposed merge time like a larger fleet does.
+func TestFleetOfOneTimesDeliverySeparately(t *testing.T) {
+	defer SetFleetObserver(nil)
+	const n, nap = 4, 2 * time.Millisecond
+	for _, size := range []int{0, 1} {
+		var stats StreamStats
+		SetFleetObserver(func(s StreamStats) { stats = s })
+		f := fleetOf(size)
+		err := Stream(f, n,
+			func(int) (struct{}, error) { return struct{}{}, nil },
+			func(struct{}, int) error { return nil },
+			func(int) error { time.Sleep(nap); return nil })
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Tasks != n || stats.Workers != 1 {
+			t.Fatalf("size=%d: observer saw %d tasks on %d workers", size, stats.Tasks, stats.Workers)
+		}
+		if stats.DeliverNanos < int64(n*nap) {
+			t.Errorf("size=%d: DeliverNanos %v, want at least the %v slept in deliver",
+				size, time.Duration(stats.DeliverNanos), n*nap)
+		}
+		if stats.BusyNanos > stats.WallNanos-stats.DeliverNanos {
+			t.Errorf("size=%d: BusyNanos %v exceeds wall %v minus delivery %v",
+				size, time.Duration(stats.BusyNanos), time.Duration(stats.WallNanos), time.Duration(stats.DeliverNanos))
+		}
+		if stats.OverlapNanos != 0 {
+			t.Errorf("size=%d: inline stage reports %v of overlap", size, time.Duration(stats.OverlapNanos))
+		}
+	}
+}
+
 // taskValue is the deterministic per-task "measurement" the equivalence
 // property compares across fleet shapes: depends only on the task index and
 // a seed, never on worker identity or execution order.
@@ -311,31 +331,31 @@ func taskValue(seed int64, i int) float64 {
 	return float64(x%1_000_003) / 1_000_003
 }
 
-// TestFleetMatchesRunProperty is the fleet-equivalence invariant suite: for
-// random task counts, fleet shapes (nil, 1, N workers), run-ahead windows
-// and memo-cache configurations, Stream on a persistent fleet produces
-// bit-identical results, identical in-order merge sequences and identical
-// cache accounting to a plain serial loop that computes every task and then
-// merges in index order.
-func TestFleetMatchesRunProperty(t *testing.T) {
+// TestStreamMatchesSerialLoopProperty is the fleet-equivalence invariant
+// suite: for random task counts, fleet shapes (nil, 1, N workers) and
+// memo-cache use, Stream on a persistent fleet produces bit-identical
+// results, identical in-order merge sequences and identical cache
+// accounting to a plain serial loop that computes every task and then
+// merges in index order. The cache is a map the caller owns and touches
+// only from the calling goroutine — in the resolve before Stream and in
+// the in-order delivery — the way the GA fitness engine uses it.
+func TestStreamMatchesSerialLoopProperty(t *testing.T) {
 	proptest.Check(t, 40, func(pt *proptest.T) {
 		n := pt.IntRange(0, 60)
 		workers := proptest.Pick(pt, []int{0, 1, 2, 8})
-		window := proptest.Pick(pt, []int{0, 1, 3, 7})
 		useCache := pt.Bool()
 		seed := pt.Int64Range(1, 1<<40)
 		stages := pt.IntRange(1, 3)
-		pt.Logf("n=%d workers=%d window=%d cache=%v seed=%d stages=%d",
-			n, workers, window, useCache, seed, stages)
+		pt.Logf("n=%d workers=%d cache=%v seed=%d stages=%d", n, workers, useCache, seed, stages)
 
-		// Reference: a plain serial loop, then a serial merge loop.
-		runMerged := make([][]float64, stages)
-		var runCacheHits, runCacheMiss int64
-		{
-			var cache *MemoCache
+		// runStages computes every stage's merge sequence and the cache's
+		// hit/miss counts, executing the tasks with exec.
+		runStages := func(exec func(vals []float64, resolved []bool, merge func(i int)) error) (merged [][]float64, hits, misses int) {
+			var cache map[uint64]float64
 			if useCache {
-				cache = NewMemoCache()
+				cache = map[uint64]float64{}
 			}
+			merged = make([][]float64, stages)
 			for s := 0; s < stages; s++ {
 				vals := make([]float64, n)
 				resolved := make([]bool, n)
@@ -343,75 +363,54 @@ func TestFleetMatchesRunProperty(t *testing.T) {
 					for i := 0; i < n; i++ {
 						// Key collisions across stages are intentional: stage
 						// s>0 re-resolves stage 0's keys as hits.
-						if v, ok := cache.Get(uint64(i)); ok {
+						if v, ok := cache[uint64(i)]; ok {
 							vals[i], resolved[i] = v, true
+							hits++
+						} else {
+							misses++
 						}
 					}
 				}
-				for i := 0; i < n; i++ {
+				err := exec(vals, resolved, func(i int) {
+					if cache != nil && !resolved[i] {
+						cache[uint64(i)] = vals[i]
+					}
+					merged[s] = append(merged[s], vals[i])
+				})
+				if err != nil {
+					pt.Fatalf("stage %d: %v", s, err)
+				}
+			}
+			return merged, hits, misses
+		}
+
+		// Reference: a plain serial loop, then a serial merge loop.
+		runMerged, runHits, runMiss := runStages(func(vals []float64, resolved []bool, merge func(int)) error {
+			for i := 0; i < n; i++ {
+				if !resolved[i] {
+					vals[i] = taskValue(seed, i)
+				}
+			}
+			for i := 0; i < n; i++ {
+				merge(i)
+			}
+			return nil
+		})
+
+		// Fleet: persistent workers across stages, streamed in-order merge.
+		f := fleetOf(workers)
+		fleetMerged, fleetHits, fleetMiss := runStages(func(vals []float64, resolved []bool, merge func(int)) error {
+			return Stream(f, n,
+				func(w int) (struct{}, error) { return struct{}{}, nil },
+				func(_ struct{}, i int) error {
 					if !resolved[i] {
 						vals[i] = taskValue(seed, i)
 					}
-				}
-				for i := 0; i < n; i++ {
-					if cache != nil && !resolved[i] {
-						cache.Put(uint64(i), vals[i])
-					}
-					runMerged[s] = append(runMerged[s], vals[i])
-				}
-			}
-			if cache != nil {
-				runCacheHits, runCacheMiss = cache.Hits(), cache.Misses()
-			}
-		}
-
-		// Fleet: persistent workers across stages, pre-dispatch batch cache
-		// resolve, streamed in-order merge.
-		fleetMerged := make([][]float64, stages)
-		var fleetCacheHits, fleetCacheMiss int64
-		{
-			var cache *MemoCache
-			if useCache {
-				cache = NewMemoCache()
-			}
-			f := fleetOf(workers)
-			if f != nil {
-				f.SetWindow(window)
-			}
-			for s := 0; s < stages; s++ {
-				vals := make([]float64, n)
-				resolved := make([]bool, n)
-				if cache != nil {
-					keys := make([]uint64, n)
-					for i := range keys {
-						keys[i] = uint64(i)
-					}
-					cache.GetBatch(keys, vals, resolved)
-				}
-				err := Stream(f, n,
-					func(w int) (struct{}, error) { return struct{}{}, nil },
-					func(_ struct{}, i int) error {
-						if !resolved[i] {
-							vals[i] = taskValue(seed, i)
-						}
-						return nil
-					},
-					func(i int) error {
-						if cache != nil && !resolved[i] {
-							cache.Put(uint64(i), vals[i])
-						}
-						fleetMerged[s] = append(fleetMerged[s], vals[i])
-						return nil
-					})
-				if err != nil {
-					pt.Fatalf("Stream: %v", err)
-				}
-			}
-			f.Close()
-			if cache != nil {
-				fleetCacheHits, fleetCacheMiss = cache.Hits(), cache.Misses()
-			}
-		}
+					return nil
+				},
+				func(i int) error { merge(i); return nil })
+		})
+		f.Close()
 
 		for s := 0; s < stages; s++ {
 			if len(runMerged[s]) != len(fleetMerged[s]) {
@@ -423,9 +422,8 @@ func TestFleetMatchesRunProperty(t *testing.T) {
 				}
 			}
 		}
-		if runCacheHits != fleetCacheHits || runCacheMiss != fleetCacheMiss {
-			pt.Fatalf("cache accounting: run %d/%d, fleet %d/%d",
-				runCacheHits, runCacheMiss, fleetCacheHits, fleetCacheMiss)
+		if runHits != fleetHits || runMiss != fleetMiss {
+			pt.Fatalf("cache accounting: run %d/%d, fleet %d/%d", runHits, runMiss, fleetHits, fleetMiss)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,8 +40,8 @@ func fleetOf(size int) *Fleet {
 
 func TestNilFleetIsAFleetOfOne(t *testing.T) {
 	var f *Fleet
-	if f.Size() != 1 || f.Window() != 0 {
-		t.Errorf("nil fleet: Size %d Window %d, want 1 and 0", f.Size(), f.Window())
+	if f.Size() != 1 {
+		t.Errorf("nil fleet: Size %d, want 1", f.Size())
 	}
 	f.Close() // no-op, must not panic
 }
@@ -207,47 +208,31 @@ func TestRunOnZeroTasks(t *testing.T) {
 	}
 }
 
-func TestMemoCache(t *testing.T) {
-	c := NewMemoCache()
-	if _, ok := c.Get(42); ok {
-		t.Error("empty cache reported a hit")
+func TestRunOnFewerTasksThanWorkers(t *testing.T) {
+	// A stage engages at most min(size, n) workers: 3 tasks on a 16-worker
+	// fleet never build more than 3 worker resources, and every task still
+	// runs exactly once.
+	f := NewFleet(16)
+	defer f.Close()
+	var built atomic.Int32
+	var ran [3]atomic.Int32
+	err := RunOn(f, 3,
+		func(int) (int, error) { built.Add(1); return 0, nil },
+		func(_ int, i int) error { ran[i].Add(1); return nil })
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.Put(42, 1.5)
-	v, ok := c.Get(42)
-	if !ok || v != 1.5 {
-		t.Errorf("Get(42) = %v, %v", v, ok)
+	if built.Load() > 3 {
+		t.Errorf("%d workers built for 3 tasks", built.Load())
 	}
-	c.Put(42, 2.5)
-	if v, _ := c.Get(42); v != 2.5 {
-		t.Errorf("overwrite lost: %v", v)
+	for i := range ran {
+		if ran[i].Load() != 1 {
+			t.Errorf("task %d ran %d times", i, ran[i].Load())
+		}
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
+	if got := Bound(16, 3); got != 3 {
+		t.Errorf("Bound(16, 3) = %d", got)
 	}
-	if c.Hits() != 2 || c.Misses() != 1 {
-		t.Errorf("hits/misses = %d/%d, want 2/1", c.Hits(), c.Misses())
-	}
-}
-
-func TestMemoCacheConcurrent(t *testing.T) {
-	// Exercised under -race: concurrent readers and writers must be safe.
-	c := NewMemoCache()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				key := uint64(i % 37)
-				if g%2 == 0 {
-					c.Put(key, float64(i))
-				} else {
-					c.Get(key)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 func TestObserverReportsTaskCounts(t *testing.T) {
@@ -289,5 +274,111 @@ func TestObserverReportsTaskCounts(t *testing.T) {
 	}
 	if len(got) != 2 {
 		t.Error("observer fired after uninstall")
+	}
+}
+
+// runCatching runs a stage on a fleet of the given size (0 = nil) and
+// recovers its re-panic.
+func runCatching(t *testing.T, n, size int, task func(i int) error) (rec any) {
+	t.Helper()
+	f := fleetOf(size)
+	defer f.Close()
+	defer func() { rec = recover() }()
+	err := ForEachOn(f, n, task)
+	if err != nil {
+		t.Fatalf("unexpected error instead of panic: %v", err)
+	}
+	return nil
+}
+
+func TestForEachOnPanicPropagatesLowestIndex(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		var ran atomic.Int32
+		rec := runCatching(t, 8, workers, func(i int) error {
+			ran.Add(1)
+			if i == 2 || i == 6 {
+				panic(fmt.Sprintf("boom %d", i))
+			}
+			return nil
+		})
+		tp, ok := rec.(TaskPanic)
+		if !ok {
+			t.Fatalf("workers=%d: recovered %T (%v), want TaskPanic", workers, rec, rec)
+		}
+		if tp.Task != 2 || tp.Value != "boom 2" {
+			t.Errorf("workers=%d: got TaskPanic{%d, %v}, want task 2", workers, tp.Task, tp.Value)
+		}
+		if !strings.Contains(tp.Error(), "task 2 panicked: boom 2") {
+			t.Errorf("workers=%d: unhelpful message %q", workers, tp.Error())
+		}
+		// The winning panic carries the stack captured at recover time, so a
+		// crash report can show the original frame, not the fleet's re-panic.
+		if !strings.Contains(string(tp.Stack), "panic") {
+			t.Errorf("workers=%d: TaskPanic.Stack missing the panic frame:\n%s", workers, tp.Stack)
+		}
+		// The multi-worker path runs every task despite the panics; the
+		// inline path stops at the first one (index order, so equally
+		// deterministic).
+		if workers <= 1 && ran.Load() != 3 {
+			t.Errorf("inline run executed %d tasks before the panic, want 3", ran.Load())
+		}
+		if workers > 1 && ran.Load() != 8 {
+			t.Errorf("multi-worker run executed %d of 8 tasks", ran.Load())
+		}
+	}
+}
+
+func TestForEachOnPanicUnwrapsErrorValue(t *testing.T) {
+	for _, size := range []int{0, 1, 2} {
+		sentinel := errors.New("wrapped cause")
+		rec := runCatching(t, 2, size, func(i int) error {
+			if i == 1 {
+				panic(sentinel)
+			}
+			return nil
+		})
+		tp, ok := rec.(TaskPanic)
+		if !ok {
+			t.Fatalf("size=%d: recovered %T, want TaskPanic", size, rec)
+		}
+		if !errors.Is(tp, sentinel) {
+			t.Errorf("size=%d: TaskPanic does not unwrap to the panicked error", size)
+		}
+	}
+}
+
+func TestForEachOnPanicBeatsError(t *testing.T) {
+	// On a multi-worker fleet every task runs, and a panic anywhere
+	// outranks task errors: the caller must not mistake a crashed stage for
+	// a cleanly failed one. (A fleet of one stops at the first failure in
+	// index order — see TestStreamPanicDeterministicLowestIndex.)
+	for _, size := range []int{2, 4} {
+		rec := runCatching(t, 4, size, func(i int) error {
+			if i == 0 {
+				return errors.New("ordinary failure")
+			}
+			if i == 3 {
+				panic("late crash")
+			}
+			return nil
+		})
+		tp, ok := rec.(TaskPanic)
+		if !ok || tp.Task != 3 {
+			t.Fatalf("size=%d: recovered %v, want TaskPanic for task 3", size, rec)
+		}
+	}
+}
+
+func TestForEachPanicPropagates(t *testing.T) {
+	for _, size := range []int{0, 1, 3} {
+		rec := runCatching(t, 3, size, func(i int) error {
+			if i == 1 {
+				panic("fe")
+			}
+			return nil
+		})
+		if tp, ok := rec.(TaskPanic); !ok || tp.Task != 1 {
+			t.Errorf("size=%d: ForEachOn panic not propagated as TaskPanic: %v", size, rec)
+		}
 	}
 }

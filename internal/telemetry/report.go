@@ -98,10 +98,11 @@ type Report struct {
 	// "unattributed" phase sums to it exactly.
 	Total Cost `json:"total"`
 
-	// Cache effectiveness of the measurement memo-cache. CacheDropped
-	// counts inserts the bounded cache rejected at capacity
-	// (parallel.MemoCache.Dropped) — a non-zero value flags a limit set
-	// too tight for the workload.
+	// Cache effectiveness of the GA fitness memo-cache. CacheDropped is
+	// always 0, as the cache is unbounded. The key stays because the report
+	// bytes are part of every ledger record and runstore.Put byte-compares
+	// a same-ID record: without it, a re-run into a ledger written by an
+	// earlier build fails as a corrupt store.
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheDropped int64 `json:"cache_dropped"`
@@ -182,12 +183,8 @@ func (r *Report) Render() string {
 		"TOTAL", r.Total.Measurements, r.Total.Vectors, r.Total.Profiles,
 		r.Total.SimTimeSec, r.NonDeterministic.WallSeconds)
 	if r.CacheHits+r.CacheMisses > 0 {
-		fmt.Fprintf(&b, "measurement cache: %d hits / %d misses (hit rate %.1f%%)",
+		fmt.Fprintf(&b, "measurement cache: %d hits / %d misses (hit rate %.1f%%)\n",
 			r.CacheHits, r.CacheMisses, 100*r.CacheHitRate())
-		if r.CacheDropped > 0 {
-			fmt.Fprintf(&b, ", %d dropped at capacity", r.CacheDropped)
-		}
-		fmt.Fprintf(&b, "\n")
 	}
 	if d := r.DiskCache; d.active() {
 		fmt.Fprintf(&b, "disk cache: %d entries loaded (%d segments), %d hits / %d misses (hit rate %.1f%%), %d flushed, %d bytes on disk\n",

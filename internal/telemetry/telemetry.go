@@ -22,16 +22,15 @@ type Telemetry struct {
 	// atomically on every emission path.
 	observer observerPtr
 
-	mu           sync.Mutex
-	run          *Span
-	runName      string
-	phases       []Phase
-	pool         PoolStats
-	cacheHits    int64
-	cacheMiss    int64
-	cacheDropped int64
-	disk         DiskCacheStats
-	started      time.Time
+	mu        sync.Mutex
+	run       *Span
+	runName   string
+	phases    []Phase
+	pool      PoolStats
+	cacheHits int64
+	cacheMiss int64
+	disk      DiskCacheStats
+	started   time.Time
 }
 
 // New builds an enabled telemetry handle for one run. The tracer may be
@@ -178,19 +177,6 @@ func (t *Telemetry) RecordCacheLookups(hits, misses int64, fullRangeBudget int) 
 	}
 }
 
-// RecordCacheDropped accounts memo-cache inserts rejected at capacity
-// (the delta of parallel.MemoCache.Dropped across a serial resolve
-// section). Zero deltas are a no-op. Nil-safe.
-func (t *Telemetry) RecordCacheDropped(dropped int64) {
-	if t == nil || dropped <= 0 {
-		return
-	}
-	t.reg.Counter("cache_dropped_total").Add(dropped)
-	t.mu.Lock()
-	t.cacheDropped += dropped
-	t.mu.Unlock()
-}
-
 // RecordDiskCache merges one persistent measurement store's counters
 // (typically cachestore.Stats at the end of a lot screen) into the run
 // totals, mirrors them as registry gauges for the Prometheus bridge, and
@@ -251,7 +237,7 @@ func (t *Telemetry) Report(total Cost) *Report {
 	phases := append([]Phase(nil), t.phases...)
 	pool := t.pool
 	pool.WorkerTasks = append([]int64(nil), t.pool.WorkerTasks...)
-	hits, misses, dropped := t.cacheHits, t.cacheMiss, t.cacheDropped
+	hits, misses := t.cacheHits, t.cacheMiss
 	disk := t.disk
 	wall := time.Since(t.started).Seconds()
 	name := t.runName
@@ -264,7 +250,6 @@ func (t *Telemetry) Report(total Cost) *Report {
 		Total:                total,
 		CacheHits:            hits,
 		CacheMisses:          misses,
-		CacheDropped:         dropped,
 		DiskCache:            disk,
 		Searches:             t.reg.Counter("search_total").Value(),
 		SearchMeasurements:   t.reg.Counter("search_measurements_total").Value(),
