@@ -569,31 +569,77 @@ func BenchmarkAblationDualVsFrozenConditions(b *testing.B) {
 
 // --- Micro-benchmarks of the substrates --------------------------------------
 
-// BenchmarkDeviceProfile measures the cost of one sequence execution.
+// perVectorBatch is the fixed 200-test batch the per-vector micro-benchmarks
+// run over, with its total vector count.
+func perVectorBatch() ([]testgen.Test, int) {
+	tests := testgen.NewRandomGenerator(90, dut.DefaultGeometry().Words(), testgen.DefaultConditionLimits()).Batch(200)
+	vectors := 0
+	for _, t := range tests {
+		vectors += len(t.Seq)
+	}
+	return tests, vectors
+}
+
+// reportPerVector reports the mean cost of one vector of the batch.
+func reportPerVector(b *testing.B, vectors int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(vectors), "ns/vector")
+}
+
+var fingerprintSink uint64
+
+// BenchmarkDeviceProfile measures sequence execution on the DUT: one op
+// profiles every test of the batch.
 func BenchmarkDeviceProfile(b *testing.B) {
 	dev, err := dut.NewDevice(dut.DefaultGeometry(), dut.NewDie(0, dut.CornerTypical))
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := testgen.NewRandomGenerator(90, dev.Geometry().Words(), testgen.DefaultConditionLimits())
-	t := gen.Next()
+	tests, vectors := perVectorBatch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dev.Profile(t); err != nil {
-			b.Fatal(err)
+		for _, t := range tests {
+			if _, err := dev.Profile(t); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	reportPerVector(b, vectors)
 }
 
-// BenchmarkFeatureExtraction measures the NN input encoding.
+// BenchmarkFeatureExtraction measures the NN input encoding of the batch.
 func BenchmarkFeatureExtraction(b *testing.B) {
-	gen := testgen.NewRandomGenerator(91, 4096, testgen.DefaultConditionLimits())
-	t := gen.Next()
+	tests, vectors := perVectorBatch()
 	limits := testgen.DefaultConditionLimits()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		testgen.ExtractFeatures(t, limits)
+		for _, t := range tests {
+			testgen.ExtractFeatures(t, limits)
+		}
 	}
+	reportPerVector(b, vectors)
+}
+
+// BenchmarkSequenceFingerprint measures the memo-cache key of the batch.
+func BenchmarkSequenceFingerprint(b *testing.B) {
+	tests, vectors := perVectorBatch()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range tests {
+			fingerprintSink ^= t.Fingerprint()
+		}
+	}
+	reportPerVector(b, vectors)
+}
+
+// BenchmarkRandomBatch measures the random draw: one op regenerates the
+// batch from its seed.
+func BenchmarkRandomBatch(b *testing.B) {
+	_, vectors := perVectorBatch()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		testgen.NewRandomGenerator(90, dut.DefaultGeometry().Words(), testgen.DefaultConditionLimits()).Batch(200)
+	}
+	reportPerVector(b, vectors)
 }
 
 // BenchmarkEnsembleVote measures one voting-machine prediction.

@@ -404,7 +404,7 @@ echo "== fleet determinism under -race =="
 go test -race -count=1 \
 	-run 'TestStream|TestForEach|TestRun' ./internal/parallel/
 go test -race -count=1 \
-	-run 'TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotStream' ./internal/core/
+	-run 'TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotStream|TestProposeSeeds|TestFitnessBatch|TestTable1TraceIdentical' ./internal/core/
 go test -race -count=1 \
 	-run 'TestAddTestsOn|TestAddFmaxTestsOn' ./internal/shmoo/
 echo "fleet determinism suite race-clean"

@@ -44,9 +44,10 @@ type parallelEvaluator struct {
 	evaluations int64 // SUTP searches actually performed
 	budget      int   // full-range search cost, the per-search baseline
 
-	// The persistent pool and the per-worker insertions that survive across
-	// generations (forked once, reseeded per task, with the device's
-	// execution scratch armed, so no generation pays a fork).
+	// The persistent fleet and the per-worker insertions that survive
+	// across generations (forked once and reseeded per task, so no
+	// generation pays a fork). The fleet also fingerprints each batch for
+	// the memo-cache resolve.
 	fleet      *parallel.Fleet
 	insertions []*ate.ATE
 }
@@ -77,17 +78,14 @@ func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
 
 // insertionFor returns worker w's persistent forked insertion, forking it
 // on first use. Reseed makes each task hermetic, so reusing the insertion
-// across batches is bit-identical to a fresh fork per batch; the
-// device-level execution scratch (value-identical, see
-// dut.Memory.EnableExecScratch) is what makes the long-lived insertion
-// cheaper than a transient one.
+// across batches is bit-identical to a fresh fork per batch, and no
+// generation pays for a fork.
 func (e *parallelEvaluator) insertionFor(w int) (*ate.ATE, error) {
 	if e.insertions[w] == nil {
 		wk, err := e.c.ate.Fork(e.c.cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: forking tester: %w", err)
 		}
-		wk.Device().EnableExecScratch()
 		e.insertions[w] = wk
 	}
 	return e.insertions[w], nil
@@ -119,20 +117,33 @@ func (e *parallelEvaluator) Fitness(t testgen.Test) (float64, error) {
 func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 	out := make([]float64, len(tests))
 
+	// Fingerprints are a pure function of each test, so the fleet computes
+	// them into index slots; only the memo-cache reads them.
+	var fps []uint64
+	if e.cache != nil {
+		fps = make([]uint64, len(tests))
+		err := parallel.ForEachOn(e.fleet, len(tests), func(i int) error {
+			fps[i] = tests[i].Fingerprint()
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+
 	// Resolve memoized tests and dedupe the rest by fingerprint, keeping
 	// first-appearance order so seeds and stats stay index-deterministic.
 	// With the cache disabled every test is its own group — the no-cache
 	// baseline measures every individual.
 	var (
-		reps    []int    // representative test index per group
-		fpOf    []uint64 // the representative's fingerprint
-		members [][]int  // test indices sharing the representative's value
+		reps    []int   // representative test index per group
+		members [][]int // test indices sharing the representative's value
 	)
 	var hits int64
 	groupOf := map[uint64]int{}
-	for i, tt := range tests {
-		fp := tt.Fingerprint()
+	for i := range tests {
 		if e.cache != nil {
+			fp := fps[i]
 			if v, ok := e.cache[fp]; ok {
 				out[i] = v
 				hits++
@@ -145,7 +156,6 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 			groupOf[fp] = len(reps)
 		}
 		reps = append(reps, i)
-		fpOf = append(fpOf, fp)
 		members = append(members, []int{i})
 	}
 	// The resolve loop above is serial, so the cache-effectiveness deltas
@@ -176,7 +186,7 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 		// all-pass range means huge margin (small WCR).
 		v := wcr.For(results[t].TripPoint, e.spec, e.specIsMin)
 		if e.cache != nil {
-			e.cache[fpOf[t]] = v
+			e.cache[fps[reps[t]]] = v
 		}
 		for _, m := range members[t] {
 			out[m] = v

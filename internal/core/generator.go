@@ -27,12 +27,13 @@ type Candidate struct {
 // severity ties toward higher confidence.
 //
 // Candidate generation is serial (the generator owns one random stream),
-// but the surrogate scoring fans across the flow's fleet: each worker votes
-// with its own ensemble scratch arena (the trained weights are read-only),
-// writing severities into index-addressed slots, so the ranking is
-// bit-identical for any Parallelism. Vote scratches are memoized per
-// persistent worker, so repeated proposal rounds (multi-era flows, Table 1)
-// reuse them.
+// but feature extraction and the surrogate scoring fan across the flow's
+// fleet: each task encodes its candidate (a pure function of the test) and
+// votes with its worker's own ensemble scratch arena (the trained weights
+// are read-only), writing severities into index-addressed slots, so the
+// ranking is bit-identical for any Parallelism. Vote scratches are memoized
+// per persistent worker, so repeated proposal rounds (multi-era flows,
+// Table 1) reuse them.
 func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 	if c.learned == nil || c.learned.Ensemble == nil {
 		return nil, fmt.Errorf("core: no trained ensemble; run Learn or LoadWeights first")
@@ -44,14 +45,11 @@ func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 	limits := c.gen.Limits()
 	ens := c.learned.Ensemble
 	pool := make([]Candidate, c.cfg.CandidatePool)
-	feats := make([][]float64, c.cfg.CandidatePool)
 	for i := range pool {
-		t := c.gen.Next()
-		pool[i].Test = t
-		feats[i] = testgen.ExtractFeatures(t, limits)
+		pool[i].Test = c.gen.Next()
 	}
 	score := func(s *neural.EnsembleScratch, i int) error {
-		pred, conf, err := ens.VoteInto(s, feats[i])
+		pred, conf, err := ens.VoteInto(s, testgen.ExtractFeatures(pool[i].Test, limits))
 		if err != nil {
 			return fmt.Errorf("core: scoring candidate %d: %w", i, err)
 		}

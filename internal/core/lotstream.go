@@ -198,9 +198,6 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 		if err != nil {
 			return nil, err
 		}
-		// Dense execution scratch (value-identical, see dut.Memory): the
-		// insertion screens the whole lot, so the arrays amortize.
-		dev.EnableExecScratch()
 		tester := ate.New(dev, baseSeed)
 		tester.Profiler = bank.Profile
 		states[w] = &lotWorker{dev: dev, tester: tester}

@@ -53,12 +53,6 @@ func (d *Device) Retarget(die *Die) error {
 	return nil
 }
 
-// EnableExecScratch arms the array's persistent execution scratch (see
-// Memory.EnableExecScratch): worth it for long-lived worker devices that
-// profile thousands of sequences; results are unchanged. Clones do not
-// inherit it — a fresh array starts allocation-free.
-func (d *Device) EnableExecScratch() { d.mem.EnableExecScratch() }
-
 // Die returns the device's die.
 func (d *Device) Die() *Die { return d.die }
 

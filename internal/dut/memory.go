@@ -3,11 +3,13 @@ package dut
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/testgen"
 )
 
-// Geometry describes the banked memory array.
+// Geometry describes the banked memory array. Every dimension is a power
+// of two, so an address is a plain bit field (see Decode).
 type Geometry struct {
 	Banks int // number of banks
 	Rows  int // rows per bank
@@ -32,18 +34,25 @@ func (g Geometry) AddrBits() int {
 
 // Decode splits a flat word address into bank, row and column indices.
 // Layout: column bits are lowest, then row, then bank, which makes
-// sequential addresses walk along a row (realistic burst behaviour).
+// sequential addresses walk along a row (realistic burst behaviour). The
+// dimensions are powers of two (Validate), so each index is a masked
+// shift; address bits above the bank field are ignored.
 func (g Geometry) Decode(addr uint32) (bank, row, col int) {
-	col = int(addr) % g.Cols
-	row = (int(addr) / g.Cols) % g.Rows
-	bank = (int(addr) / (g.Cols * g.Rows)) % g.Banks
+	colBits := bits.TrailingZeros(uint(g.Cols))
+	rowBits := bits.TrailingZeros(uint(g.Rows))
+	col = int(addr) & (g.Cols - 1)
+	row = int(addr>>colBits) & (g.Rows - 1)
+	bank = int(addr>>(colBits+rowBits)) & (g.Banks - 1)
 	return bank, row, col
 }
 
-// Validate reports an error for degenerate geometries.
+// Validate reports an error for degenerate geometries and for dimensions
+// that are not powers of two.
 func (g Geometry) Validate() error {
-	if g.Banks <= 0 || g.Rows <= 0 || g.Cols <= 0 {
-		return fmt.Errorf("dut: invalid geometry %+v", g)
+	for _, n := range [...]int{g.Banks, g.Rows, g.Cols} {
+		if n <= 0 || n&(n-1) != 0 {
+			return fmt.Errorf("dut: invalid geometry %+v (dimensions must be positive powers of two)", g)
+		}
 	}
 	return nil
 }
@@ -104,54 +113,10 @@ type Memory struct {
 	rowRemap   map[int]uint32
 	sparesUsed []int
 
-	// scratch, when enabled, replaces ExecuteObserved's per-call maps with
-	// dense reusable arrays (see EnableExecScratch).
-	scratch *execScratch
-}
-
-// execScratch is the reusable observation state of one execution: dense
-// per-(bank,row) activation counts with a touched list for O(touched)
-// clearing, and a per-address epoch stamp that dedupes failing addresses
-// without a per-call map. Consumption is order-independent (the row counts
-// feed a max reduction, the stamps a first-seen check), so results are
-// bit-identical to the map-based path.
-type execScratch struct {
-	rowHits  []int32  // [banks*rows] activation counts of the current run
-	rowsHit  []int32  // touched rowHits slots, cleared at the next run
-	failSeen []uint32 // per-address stamp; == epoch means seen this run
-	epoch    uint32
-}
-
-// EnableExecScratch arms the persistent execution scratch: every subsequent
-// Execute reuses one dense workspace instead of allocating two maps per
-// call. Results are bit-identical with or without it (pinned by the
-// exec-scratch equivalence property test); the trade is a fixed ~20 KiB of
-// per-device memory, which is why it is opt-in — long-lived worker
-// insertions (fleet workers, lot screeners) enable it, transient per-batch
-// forks keep the allocation-free construction.
-func (m *Memory) EnableExecScratch() {
-	if m.scratch != nil {
-		return
-	}
-	m.scratch = &execScratch{
-		rowHits:  make([]int32, m.geom.Banks*m.geom.Rows),
-		failSeen: make([]uint32, m.geom.Words()),
-	}
-}
-
-// begin readies the scratch for one execution: clear the previous run's
-// touched row counts and advance the fail-stamp epoch (clearing stamps only
-// on the rare wrap).
-func (sc *execScratch) begin() {
-	for _, slot := range sc.rowsHit {
-		sc.rowHits[slot] = 0
-	}
-	sc.rowsHit = sc.rowsHit[:0]
-	sc.epoch++
-	if sc.epoch == 0 {
-		clear(sc.failSeen)
-		sc.epoch = 1
-	}
+	// Per-execution activation counts, dense over bank*Rows+row, and the
+	// slots the current execution touched, so clearing costs O(touched).
+	rowHits []int32
+	rowsHit []int32
 }
 
 // NewMemory allocates a zero-initialized array over the given geometry.
@@ -168,6 +133,7 @@ func NewMemory(geom Geometry, die *Die) (*Memory, error) {
 		die:           die,
 		lastRowInBank: make([]int, geom.Banks),
 		sparesUsed:    make([]int, geom.Banks),
+		rowHits:       make([]int32, geom.Banks*geom.Rows),
 	}
 	for i := range m.lastRowInBank {
 		m.lastRowInBank[i] = -1
@@ -218,7 +184,8 @@ func (m *Memory) Poke(addr uint32, data uint32) {
 
 // activityWindow is the droop-integration window in cycles: peak statistics
 // are computed over sliding windows of this length, mirroring the supply
-// network's fast time constant.
+// network's fast time constant. Both window lengths are powers of two: the
+// ring indices are masked and the full-window means divide exactly.
 const activityWindow = 8
 
 // sustainWindow is the long integration window for SSNSustained: the
@@ -259,7 +226,12 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 	}
 
 	addrBits := float64(m.geom.AddrBits())
-	words := m.geom.Words()
+	addrMask := m.geom.Words() - 1
+	weak := m.die.WeakCellCount() > 0
+	for _, slot := range m.rowsHit {
+		m.rowHits[slot] = 0
+	}
+	m.rowsHit = m.rowsHit[:0]
 
 	var (
 		prevAddr      uint32
@@ -273,7 +245,6 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 		atdPeak, togPeak, ssnPeak float64
 		conflicts, reads          int
 		coupling                  float64
-		rowHits                   map[int]int
 		winATD, winTog, winSSN    [activityWindow]float64
 		sumATDw, sumTogw, sumSSNw float64
 		wIdx                      int
@@ -281,20 +252,10 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 		sumSus                    float64
 		susIdx                    int
 		ssnSustained              float64
-		failSeen                  map[uint32]bool
 	)
-	// With the persistent scratch enabled the two per-call maps are replaced
-	// by its dense arrays; the aggregation below is identical either way.
-	sc := m.scratch
-	if sc != nil {
-		sc.begin()
-	} else {
-		rowHits = make(map[int]int)
-		failSeen = make(map[uint32]bool)
-	}
 
 	for i, v := range seq {
-		addr := v.Addr % words
+		addr := v.Addr & addrMask
 		bank, row, col := m.geom.Decode(addr)
 
 		atd := 0.0
@@ -328,21 +289,18 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 			fr.ReadCount++
 			phys := m.physical(addr)
 			data := m.words[phys]
-			if th, ok := m.die.WeakCellThreshold(phys); ok && vddEff < th {
-				data ^= 1 << (addr % 32) // single-bit corruption
-				corrupted = true
-				fr.Mismatches++
-				if fr.FirstMismatch < 0 {
-					fr.FirstMismatch = i
-				}
-				if sc != nil {
-					if sc.failSeen[addr] != sc.epoch {
-						sc.failSeen[addr] = sc.epoch
+			if weak {
+				if th, ok := m.die.WeakCellThreshold(phys); ok && vddEff < th {
+					data ^= 1 << (addr % 32) // single-bit corruption
+					corrupted = true
+					fr.Mismatches++
+					if fr.FirstMismatch < 0 {
+						fr.FirstMismatch = i
+					}
+					// At most one entry per weak cell, so a scan dedupes.
+					if !slices.Contains(fr.FailingAddrs, addr) {
 						fr.FailingAddrs = append(fr.FailingAddrs, addr)
 					}
-				} else if !failSeen[addr] {
-					failSeen[addr] = true
-					fr.FailingAddrs = append(fr.FailingAddrs, addr)
 				}
 			}
 			bus = data
@@ -366,30 +324,35 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 		winTog[wIdx] = tog
 		sumSSNw += ssn - winSSN[wIdx]
 		winSSN[wIdx] = ssn
-		wIdx = (wIdx + 1) % activityWindow
-		wlen := float64(activityWindow)
-		if i+1 < activityWindow {
-			wlen = float64(i + 1)
+		wIdx = (wIdx + 1) & (activityWindow - 1)
+		var atdW, togW, ssnW float64
+		if i+1 >= activityWindow {
+			atdW, togW, ssnW = sumATDw/activityWindow, sumTogw/activityWindow, sumSSNw/activityWindow
+		} else {
+			wlen := float64(i + 1)
+			atdW, togW, ssnW = sumATDw/wlen, sumTogw/wlen, sumSSNw/wlen
 		}
-		if a := sumATDw / wlen; a > atdPeak {
-			atdPeak = a
+		if atdW > atdPeak {
+			atdPeak = atdW
 		}
-		if t := sumTogw / wlen; t > togPeak {
-			togPeak = t
+		if togW > togPeak {
+			togPeak = togW
 		}
-		if s := sumSSNw / wlen; s > ssnPeak {
-			ssnPeak = s
+		if ssnW > ssnPeak {
+			ssnPeak = ssnW
 		}
 		sumSus += ssn - winSus[susIdx]
 		winSus[susIdx] = ssn
-		susIdx = (susIdx + 1) % sustainWindow
-		slen := float64(sustainWindow)
-		if i+1 < sustainWindow {
-			slen = float64(i + 1)
-		}
+		susIdx = (susIdx + 1) & (sustainWindow - 1)
 		if i+1 >= sustainWindow/2 { // ignore the warm-up transient
-			if s := sumSus / slen; s > ssnSustained {
-				ssnSustained = s
+			var sus float64
+			if i+1 >= sustainWindow {
+				sus = sumSus / sustainWindow
+			} else {
+				sus = sumSus / float64(i+1)
+			}
+			if sus > ssnSustained {
+				ssnSustained = sus
 			}
 		}
 
@@ -408,17 +371,12 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 				conflicts++
 			}
 			m.lastRowInBank[bank] = row
-			if sc != nil {
-				slot := int32(bank*m.geom.Rows + row)
-				if sc.rowHits[slot] == 0 {
-					sc.rowsHit = append(sc.rowsHit, slot)
-				}
-				sc.rowHits[slot]++
-			} else {
-				rowHits[bank*m.geom.Rows+row]++
+			slot := int32(bank*m.geom.Rows + row)
+			if m.rowHits[slot] == 0 {
+				m.rowsHit = append(m.rowsHit, slot)
 			}
+			m.rowHits[slot]++
 		}
-		_ = col
 
 		prevAddr = addr
 		prevBus = bus
@@ -437,19 +395,9 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 	act.BankConflictRate = float64(conflicts) / n
 	act.CouplingScore = clamp01(coupling / n * 4)
 	act.ReadRatio = float64(reads) / n
-	maxRow := 0
-	if sc != nil {
-		for _, slot := range sc.rowsHit {
-			if c := int(sc.rowHits[slot]); c > maxRow {
-				maxRow = c
-			}
-		}
-	} else {
-		for _, c := range rowHits {
-			if c > maxRow {
-				maxRow = c
-			}
-		}
+	var maxRow int32
+	for _, slot := range m.rowsHit {
+		maxRow = max(maxRow, m.rowHits[slot])
 	}
 	act.RowHammer = clamp01(float64(maxRow) / n)
 	return act, fr

@@ -1,6 +1,7 @@
 package dut
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -62,9 +63,38 @@ func TestGeometryDecodeProperty(t *testing.T) {
 	}
 }
 
+// refDecode is Decode's div/mod form, which holds for any dimensions.
+func refDecode(g Geometry, addr uint32) (bank, row, col int) {
+	col = int(addr) % g.Cols
+	row = (int(addr) / g.Cols) % g.Rows
+	bank = (int(addr) / (g.Cols * g.Rows)) % g.Banks
+	return bank, row, col
+}
+
+func TestGeometryDecodeMatchesDivMod(t *testing.T) {
+	for _, g := range []Geometry{DefaultGeometry(), {Banks: 1, Rows: 2, Cols: 1}, {Banks: 8, Rows: 32, Cols: 4}} {
+		// Twice the array, so addresses past the bank field are covered too.
+		for addr := uint32(0); addr < 2*g.Words(); addr++ {
+			b, r, c := g.Decode(addr)
+			wb, wr, wc := refDecode(g, addr)
+			if b != wb || r != wr || c != wc {
+				t.Fatalf("%+v Decode(%d) = %d,%d,%d, div/mod gives %d,%d,%d", g, addr, b, r, c, wb, wr, wc)
+			}
+		}
+	}
+}
+
 func TestGeometryValidate(t *testing.T) {
 	if err := (Geometry{Banks: 0, Rows: 1, Cols: 1}).Validate(); err == nil {
 		t.Error("zero-bank geometry accepted")
+	}
+	for _, g := range []Geometry{{Banks: 3, Rows: 64, Cols: 16}, {Banks: 4, Rows: 48, Cols: 16}, {Banks: 4, Rows: 64, Cols: 12}} {
+		if err := g.Validate(); err == nil {
+			t.Errorf("non-power-of-two geometry %+v accepted", g)
+		}
+		if _, err := NewMemory(g, NewDie(0, CornerTypical)); err == nil {
+			t.Errorf("NewMemory accepted non-power-of-two geometry %+v", g)
+		}
 	}
 	if err := DefaultGeometry().Validate(); err != nil {
 		t.Errorf("default geometry rejected: %v", err)
@@ -295,67 +325,261 @@ func randomSeq(rng *rand.Rand, words uint32, n int) testgen.Sequence {
 	return seq
 }
 
-// TestExecScratchEquivalenceProperty pins the contract EnableExecScratch
-// documents: the dense-scratch execution path is bit-identical to the
-// map-based one — same Activity, same functional result, same failing
-// address order — across random sequences reusing one scratch run after run.
-func TestExecScratchEquivalenceProperty(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		die := NewDie(int(seed), CornerTypical,
-			WithWeakCell(3, 1.75), WithWeakCell(9, 1.9), WithWeakCell(14, 1.6))
-		plain, err := NewMemory(DefaultGeometry(), die)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratched, err := NewMemory(DefaultGeometry(), die)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratched.EnableExecScratch()
-		words := plain.Geometry().Words()
-		for run := 0; run < 8; run++ {
-			seq := randomSeq(rng, words, 1+rng.Intn(300))
-			vdd := 1.4 + rng.Float64()*0.6
-			actP, frP := plain.Execute(seq, vdd)
-			actS, frS := scratched.Execute(seq, vdd)
-			if actP != actS {
-				t.Fatalf("seed %d run %d: activity diverged\nplain   %+v\nscratch %+v", seed, run, actP, actS)
-			}
-			if frP.ReadCount != frS.ReadCount || frP.Mismatches != frS.Mismatches ||
-				frP.FirstMismatch != frS.FirstMismatch ||
-				!reflect.DeepEqual(frP.FailingAddrs, frS.FailingAddrs) {
-				t.Fatalf("seed %d run %d: functional result diverged\nplain   %+v\nscratch %+v", seed, run, frP, frS)
-			}
-		}
+// refPhysical is physical with the div/mod decode.
+func refPhysical(m *Memory, addr uint32) uint32 {
+	if len(m.rowRemap) == 0 {
+		return addr
 	}
+	bank, row, col := refDecode(m.geom, addr)
+	if base, ok := m.rowRemap[bank*m.geom.Rows+row]; ok {
+		return base + uint32(col)
+	}
+	return addr
 }
 
-// TestExecScratchEpochWrap forces the 32-bit fail-stamp epoch to wrap and
-// checks dedup still works: a stale stamp from epoch N must not suppress a
-// failing address in the wrapped epoch.
-func TestExecScratchEpochWrap(t *testing.T) {
-	die := NewDie(0, CornerTypical, WithWeakCell(5, 1.9))
-	m, err := NewMemory(DefaultGeometry(), die)
-	if err != nil {
-		t.Fatal(err)
+// refExecuteObserved is the reference execution kernel: the div/mod decode,
+// a modulo address wrap, a weak-cell lookup on every read, and per-call
+// maps for the row activations and the failing-address dedupe.
+func refExecuteObserved(m *Memory, seq testgen.Sequence, vddEff float64, observe func(CycleRecord)) (Activity, FunctionalResult) {
+	var act Activity
+	fr := FunctionalResult{FirstMismatch: -1}
+	if len(seq) == 0 {
+		return act, fr
 	}
-	m.EnableExecScratch()
-	seq := testgen.Sequence{
-		{Op: testgen.OpWrite, Addr: 5, Data: 1},
-		{Op: testgen.OpRead, Addr: 5},
-		{Op: testgen.OpRead, Addr: 5},
+
+	addrBits := float64(m.geom.AddrBits())
+	words := m.geom.Words()
+
+	var (
+		prevAddr      uint32
+		prevBus       uint32
+		prevWrote     uint32
+		prevWroteAddr uint32
+		havePrev      bool
+		haveWrite     bool
+
+		atdSum, togSum, ssnSum    float64
+		atdPeak, togPeak, ssnPeak float64
+		conflicts, reads          int
+		coupling                  float64
+		winATD, winTog, winSSN    [activityWindow]float64
+		sumATDw, sumTogw, sumSSNw float64
+		wIdx                      int
+		winSus                    [sustainWindow]float64
+		sumSus                    float64
+		susIdx                    int
+		ssnSustained              float64
+	)
+	rowHits := make(map[int]int)
+	failSeen := make(map[uint32]bool)
+
+	for i, v := range seq {
+		addr := v.Addr % words
+		bank, row, col := refDecode(m.geom, addr)
+
+		atd := 0.0
+		if havePrev && v.Op != testgen.OpNop {
+			atd = float64(bits.OnesCount32(prevAddr^addr)) / addrBits
+		}
+
+		var bus uint32
+		tog := 0.0
+		corrupted := false
+		switch v.Op {
+		case testgen.OpWrite:
+			bus = v.Data
+			m.words[refPhysical(m, addr)] = v.Data
+			if haveWrite {
+				flips := bits.OnesCount32(prevWrote ^ v.Data)
+				dAddr := int64(addr) - int64(prevWroteAddr)
+				if dAddr < 0 {
+					dAddr = -dAddr
+				}
+				if flips >= 24 && dAddr >= 1 && dAddr <= 2 {
+					coupling++
+				}
+			}
+			prevWrote = v.Data
+			prevWroteAddr = addr
+			haveWrite = true
+		case testgen.OpRead:
+			reads++
+			fr.ReadCount++
+			phys := refPhysical(m, addr)
+			data := m.words[phys]
+			if th, ok := m.die.WeakCellThreshold(phys); ok && vddEff < th {
+				data ^= 1 << (addr % 32)
+				corrupted = true
+				fr.Mismatches++
+				if fr.FirstMismatch < 0 {
+					fr.FirstMismatch = i
+				}
+				if !failSeen[addr] {
+					failSeen[addr] = true
+					fr.FailingAddrs = append(fr.FailingAddrs, addr)
+				}
+			}
+			bus = data
+		default:
+			bus = prevBus
+		}
+		if havePrev && v.Op != testgen.OpNop {
+			tog = float64(bits.OnesCount32(prevBus^bus)) / 32.0
+		}
+
+		ssn := atd * tog
+
+		atdSum += atd
+		togSum += tog
+		ssnSum += ssn
+
+		sumATDw += atd - winATD[wIdx]
+		winATD[wIdx] = atd
+		sumTogw += tog - winTog[wIdx]
+		winTog[wIdx] = tog
+		sumSSNw += ssn - winSSN[wIdx]
+		winSSN[wIdx] = ssn
+		wIdx = (wIdx + 1) % activityWindow
+		wlen := float64(activityWindow)
+		if i+1 < activityWindow {
+			wlen = float64(i + 1)
+		}
+		if a := sumATDw / wlen; a > atdPeak {
+			atdPeak = a
+		}
+		if t := sumTogw / wlen; t > togPeak {
+			togPeak = t
+		}
+		if s := sumSSNw / wlen; s > ssnPeak {
+			ssnPeak = s
+		}
+		sumSus += ssn - winSus[susIdx]
+		winSus[susIdx] = ssn
+		susIdx = (susIdx + 1) % sustainWindow
+		slen := float64(sustainWindow)
+		if i+1 < sustainWindow {
+			slen = float64(i + 1)
+		}
+		if i+1 >= sustainWindow/2 {
+			if s := sumSus / slen; s > ssnSustained {
+				ssnSustained = s
+			}
+		}
+
+		if observe != nil {
+			observe(CycleRecord{
+				Cycle: i, Op: v.Op, Addr: addr,
+				Bank: bank, Row: row, Col: col,
+				Bus: bus, ATD: atd, Toggle: tog, SSN: ssn,
+				Corrupted: corrupted,
+			})
+		}
+
+		if v.Op != testgen.OpNop {
+			if last := m.lastRowInBank[bank]; last >= 0 && last != row {
+				conflicts++
+			}
+			m.lastRowInBank[bank] = row
+			rowHits[bank*m.geom.Rows+row]++
+		}
+
+		prevAddr = addr
+		prevBus = bus
+		havePrev = true
 	}
-	_, fr := m.Execute(seq, 1.5)
-	if len(fr.FailingAddrs) != 1 {
-		t.Fatalf("before wrap: failing addrs = %v", fr.FailingAddrs)
+
+	n := float64(len(seq))
+	act.Cycles = len(seq)
+	act.ATDMean = atdSum / n
+	act.ATDPeak = clamp01(atdPeak)
+	act.ToggleMean = togSum / n
+	act.TogglePeak = clamp01(togPeak)
+	act.SSNMean = ssnSum / n
+	act.SSNPeak = clamp01(ssnPeak)
+	act.SSNSustained = clamp01(ssnSustained)
+	act.BankConflictRate = float64(conflicts) / n
+	act.CouplingScore = clamp01(coupling / n * 4)
+	act.ReadRatio = float64(reads) / n
+	maxRow := 0
+	for _, c := range rowHits {
+		if c > maxRow {
+			maxRow = c
+		}
 	}
-	m.scratch.epoch = ^uint32(0) // next begin() wraps to 0 and must re-arm
-	_, fr = m.Execute(seq, 1.5)
-	if len(fr.FailingAddrs) != 1 || fr.FailingAddrs[0] != 5 {
-		t.Fatalf("after wrap: failing addrs = %v", fr.FailingAddrs)
+	act.RowHammer = clamp01(float64(maxRow) / n)
+	return act, fr
+}
+
+// TestExecuteMatchesReferenceProperty runs the execution kernel and the
+// reference side by side on twin arrays over the same die: 0–4 weak cells
+// in the hammered low addresses, repaired rows, NOPs, addresses past the
+// array, and runs with and without a Reset in between. Activity, the
+// functional result, every cycle record, the array words and the open rows
+// must match exactly.
+func TestExecuteMatchesReferenceProperty(t *testing.T) {
+	const seeds, runs = 320, 8
+	var fired int
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var opts []DieOption
+		for k := rng.Intn(5); k > 0; k-- {
+			opts = append(opts, WithWeakCell(uint32(rng.Intn(16)), 1.5+rng.Float64()*0.5))
+		}
+		die := NewDie(int(seed), CornerTypical, opts...)
+		got, err := NewMemory(DefaultGeometry(), die)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewMemory(DefaultGeometry(), die)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := got.Geometry().Words()
+		for k := rng.Intn(3); k > 0; k-- {
+			// Row 0 of bank 0 hosts the weak cells; repairing it moves them
+			// out of reach, any other row just remaps.
+			addr := uint32(rng.Intn(int(words)))
+			if rng.Intn(2) == 0 {
+				addr = uint32(rng.Intn(16))
+			}
+			errG, errW := got.RepairRow(addr), want.RepairRow(addr)
+			if (errG == nil) != (errW == nil) {
+				t.Fatalf("seed %d: RepairRow(%d) = %v, reference %v", seed, addr, errG, errW)
+			}
+		}
+		for run := 0; run < runs; run++ {
+			if rng.Intn(2) == 0 {
+				got.Reset()
+				want.Reset()
+			}
+			seq := randomSeq(rng, words, 1+rng.Intn(300))
+			vdd := 1.4 + rng.Float64()*0.6
+			var recG, recW []CycleRecord
+			var observe, observeRef func(CycleRecord)
+			if rng.Intn(2) == 0 {
+				observe = func(r CycleRecord) { recG = append(recG, r) }
+				observeRef = func(r CycleRecord) { recW = append(recW, r) }
+			}
+			actG, frG := got.ExecuteObserved(seq, vdd, observe)
+			actW, frW := refExecuteObserved(want, seq, vdd, observeRef)
+			if actG != actW {
+				t.Fatalf("seed %d run %d: activity diverged\ngot       %+v\nreference %+v", seed, run, actG, actW)
+			}
+			if !reflect.DeepEqual(frG, frW) {
+				t.Fatalf("seed %d run %d: functional result diverged\ngot       %+v\nreference %+v", seed, run, frG, frW)
+			}
+			if !reflect.DeepEqual(recG, recW) {
+				t.Fatalf("seed %d run %d: cycle records diverged", seed, run)
+			}
+			if !reflect.DeepEqual(got.words, want.words) || !reflect.DeepEqual(got.lastRowInBank, want.lastRowInBank) {
+				t.Fatalf("seed %d run %d: array state diverged", seed, run)
+			}
+			if frG.Failed() {
+				fired++
+			}
+		}
 	}
-	if m.scratch.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", m.scratch.epoch)
+	if fired == 0 {
+		t.Fatal("no run corrupted a read; the weak-cell path went unexercised")
 	}
 }

@@ -38,14 +38,7 @@ func (p *Plot) addTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, b
 	grids := make([][]bool, len(tests))
 	costs := make([]ate.Stats, len(tests))
 	return parallel.Stream(f, len(tests), func(int) (*ate.ATE, error) {
-		wk, err := a.Fork(baseSeed)
-		if err != nil {
-			return nil, err
-		}
-		// Value-identical dense execution scratch: the fleet worker's
-		// insertion lives for the whole overlay, so the arrays amortize.
-		wk.Device().EnableExecScratch()
-		return wk, nil
+		return a.Fork(baseSeed)
 	}, func(wk *ate.ATE, i int) error {
 		wk.Reseed(baseSeed + int64(i))
 		cells, err := p.sweepGrid(point(wk), tests[i])

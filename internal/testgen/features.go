@@ -41,32 +41,34 @@ func FeatureNames() []string {
 
 // featureWindow is the sliding-window length used for peak activity
 // statistics; it mirrors the supply network's droop integration window in
-// the DUT physics model.
+// the DUT physics model. featureRing needs it to be a power of two.
 const featureWindow = 8
 
 // featureRing is the fixed-size sliding window behind the peak statistics.
-// mean sums oldest-to-newest — the same order the slice-based window
-// summed in — so the extracted features are bit-identical to that form
-// while the window itself never allocates.
+// Every value is written twice, featureWindow apart, so the window is
+// always the contiguous run buf[next:next+featureWindow], oldest first.
+// mean adds the run to +0 oldest-to-newest, the order the features' bits
+// are pinned to; before the window fills, the run leads with unwritten
+// zeros, which leave the sum's bits unchanged.
 type featureRing struct {
-	buf     [featureWindow]float64
-	head, n int
+	buf     [2 * featureWindow]float64
+	next, n int
 }
 
 func (r *featureRing) push(v float64) {
+	r.buf[r.next] = v
+	r.buf[r.next+featureWindow] = v
+	r.next = (r.next + 1) & (featureWindow - 1)
 	if r.n < featureWindow {
-		r.buf[(r.head+r.n)%featureWindow] = v
 		r.n++
-		return
 	}
-	r.buf[r.head] = v
-	r.head = (r.head + 1) % featureWindow
 }
 
 func (r *featureRing) mean() float64 {
-	s := 0.0
-	for j := 0; j < r.n; j++ {
-		s += r.buf[(r.head+j)%featureWindow]
+	w := (*[featureWindow]float64)(r.buf[r.next:])
+	s := 0.0 + w[0] + w[1] + w[2] + w[3] + w[4] + w[5] + w[6] + w[7]
+	if r.n == featureWindow {
+		return s / featureWindow
 	}
 	return s / float64(r.n)
 }
@@ -97,6 +99,11 @@ func ExtractFeatures(t Test, limits ConditionLimits) []float64 {
 	addrBits := float64(bits.Len32(maxAddr))
 	if addrBits < 4 {
 		addrBits = 4
+	}
+	// atdOf[k] is the density of a k-bit address transition, clamped to 1.
+	var atdOf [33]float64
+	for k := range atdOf {
+		atdOf[k] = min(float64(k)/addrBits, 1)
 	}
 
 	var (
@@ -129,10 +136,7 @@ func ExtractFeatures(t Test, limits ConditionLimits) []float64 {
 
 		atd := 0.0
 		if havePrev {
-			atd = float64(bits.OnesCount32(prevAddr^v.Addr)) / addrBits
-			if atd > 1 {
-				atd = 1
-			}
+			atd = atdOf[bits.OnesCount32(prevAddr^v.Addr)]
 			step := int64(v.Addr) - int64(prevAddr)
 			if step == 1 {
 				seqRuns++

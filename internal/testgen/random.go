@@ -170,14 +170,14 @@ func (g *RandomGenerator) styledSequence(n int, ds dataStyle, as addrStyle, read
 			data = 1 << uint(g.rng.Intn(32))
 		}
 
-		op := OpRead
+		// The read/write draw is a coin flip the CPU cannot predict, so the
+		// op and the stored data are selected arithmetically (OpWrite is
+		// OpRead-1): a read keeps no data.
+		var write uint32
 		if g.rng.Float64() > readBias {
-			op = OpWrite
+			write = 1
 		}
-		if op == OpRead {
-			data = 0
-		}
-		seq = append(seq, Vector{Op: op, Addr: addr, Data: data})
+		seq = append(seq, Vector{Op: OpRead - OpKind(write), Addr: addr, Data: data & -write})
 	}
 	return seq
 }
