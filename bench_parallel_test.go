@@ -26,6 +26,26 @@ func parallelWorkerCounts() []int {
 	return counts
 }
 
+// fig5Learned builds the fig. 5 flow at nominal conditions on a fleet of
+// the given size and runs its learning phase. The flow is closed when tb's
+// test or benchmark run ends.
+func fig5Learned(tb testing.TB, workers int) *core.Characterizer {
+	tester, _ := newRig(tb, 78)
+	cfg := core.DefaultConfig(78)
+	nominal := testgen.NominalConditions()
+	cfg.FixedConditions = &nominal
+	cfg.Parallelism = workers
+	char, err := core.NewCharacterizer(cfg, tester)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(char.Close)
+	if _, err := char.Learn(); err != nil {
+		tb.Fatal(err)
+	}
+	return char
+}
+
 // BenchmarkFigure5OptimizationParallel runs the fig. 5 optimization scheme
 // (NN seed proposal → dual-chromosome GA with ATE fitness) at each worker
 // count. Learning is done once per variant outside the timer; every
@@ -33,19 +53,7 @@ func parallelWorkerCounts() []int {
 func BenchmarkFigure5OptimizationParallel(b *testing.B) {
 	for _, workers := range parallelWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tester, _ := newRig(b, 78)
-			cfg := core.DefaultConfig(78)
-			nominal := testgen.NominalConditions()
-			cfg.FixedConditions = &nominal
-			cfg.Parallelism = workers
-			char, err := core.NewCharacterizer(cfg, tester)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer char.Close()
-			if _, err := char.Learn(); err != nil {
-				b.Fatal(err)
-			}
+			char := fig5Learned(b, workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				opt, err := char.Optimize()
@@ -56,6 +64,23 @@ func BenchmarkFigure5OptimizationParallel(b *testing.B) {
 					b.ReportMetric(float64(opt.Measurements), "measurements")
 					b.ReportMetric(float64(opt.CacheHits), "cache_hits")
 				}
+			}
+		})
+	}
+}
+
+// TestFigure5OptimizationMeasurements bounds the ATE measurements of one
+// BenchmarkFigure5OptimizationParallel GA run on fleets of 1 and 2 workers
+// just under 20% past the 38,445 measured.
+func TestFigure5OptimizationMeasurements(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opt, err := fig5Learned(t, workers).Optimize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opt.Measurements > 46_133 {
+				t.Errorf("%d ATE measurements, want at most 46133", opt.Measurements)
 			}
 		})
 	}

@@ -39,11 +39,11 @@ import (
 
 // newRig builds the standard experimental rig: a typical-corner device on a
 // seeded tester with a nominal-condition random generator.
-func newRig(b *testing.B, seed int64) (*ate.ATE, *testgen.RandomGenerator) {
-	b.Helper()
+func newRig(tb testing.TB, seed int64) (*ate.ATE, *testgen.RandomGenerator) {
+	tb.Helper()
 	dev, err := dut.NewDevice(dut.DefaultGeometry(), dut.NewDie(0, dut.CornerTypical))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tester := ate.New(dev, seed)
 	cond := testgen.NominalConditions()
@@ -59,11 +59,7 @@ func newRig(b *testing.B, seed int64) (*ate.ATE, *testgen.RandomGenerator) {
 // reporting WCR and T_DQ per row. Paper: 0.619/32.3, 0.701/28.5, 0.904/22.1.
 func BenchmarkTable1FullComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tester, _ := newRig(b, 71)
-		tab, err := core.RunTable1(core.DefaultTable1Config(71), tester)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tab, tester := table1Run(b)
 		if i == 0 {
 			b.Logf("\n%s", tab.Format())
 			for _, r := range tab.Rows {
@@ -72,6 +68,27 @@ func BenchmarkTable1FullComparison(b *testing.B) {
 			}
 			b.ReportMetric(float64(tester.Stats().Measurements), "measurements")
 		}
+	}
+}
+
+// table1Run runs the Table 1 comparison on a fresh rig and returns it with
+// the tester that paid for it.
+func table1Run(tb testing.TB) (*core.Table1, *ate.ATE) {
+	tester, _ := newRig(tb, 71)
+	tab, err := core.RunTable1(core.DefaultTable1Config(71), tester)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tab, tester
+}
+
+// TestTable1Measurements bounds the ATE measurements of the Table 1 run
+// BenchmarkTable1FullComparison times just under 20% past the 39,925
+// measured.
+func TestTable1Measurements(t *testing.T) {
+	_, tester := table1Run(t)
+	if m := tester.Stats().Measurements; m > 47_909 {
+		t.Errorf("%d ATE measurements, want at most 47909", m)
 	}
 }
 

@@ -1,20 +1,19 @@
 #!/bin/sh
 # CI gate for the repo: static checks, the race-enabled test suite,
 # per-package coverage floors, a fuzz smoke pass over the native fuzz
-# targets, a telemetry-enabled smoke run (with a trace-determinism diff),
-# and short
-# benchmark passes that record the perf trajectory in BENCH_parallel.json
-# (fig. 5 + Table 1 ns/op and measurement counts, plus fig. 5 on a fleet of
-# 1 and of NumCPU workers), BENCH_obs.json
-# (instrumented-flow ns/op, cache hit rate, measurements per op) and
-# BENCH_kernels.json (neural kernel ns/op, B/op and allocs/op) and
-# BENCH_lot.json (streamed lot screening dies/sec across the worker ladder,
-# disk cache cold/warm, medians of five samples). The kernel and lot passes
-# are also hard gates: allocs/op above the pinned ceilings, a streamed lot
-# slower than 2x the per-die loop, a 2-worker lot under 1.4x the 1-worker
-# one on a multi-CPU host, or a warm-cache run serving under 50% of dies
-# from disk all fail CI, so regressions in the hot paths cannot land
-# silently.
+# targets, smoke runs of telemetry, live observability, tracestat, the run
+# ledger, crash bundles and the job service, a race-enabled fleet
+# determinism pass, and one benchmark pass.
+#
+# The hot-path counter gates are Go tests beside the benchmarks they bound,
+# so `go test ./...` enforces them: kernel allocations per op
+# (internal/neural, skipped under -race, so the coverage pass enforces it),
+# lot mallocs per die, warm-cache hit rate and segment size, and the ATE
+# measurements of the lot, fig. 5, Table 1 and instrumented flows. The
+# benchmark pass holds the two wall-clock gates on medians of five samples:
+# a streamed lot must screen >= 2x the dies/sec of the per-die loop, and on
+# a host with >= 2 CPUs a 2-worker lot >= 1.4x a 1-worker one. It prints
+# its medians and writes no file.
 set -eu
 cd "$(dirname "$0")"
 
@@ -409,202 +408,70 @@ go test -race -count=1 \
 	-run 'TestAddTestsOn|TestAddFmaxTestsOn' ./internal/shmoo/
 echo "fleet determinism suite race-clean"
 
-echo "== benchmarks =="
-# fig. 5 on a fleet of 1 and of NumCPU workers is recorded, not gated: on a
-# small runner the two rungs coincide or measure oversubscription.
-NCPU=$(nproc)
-BENCH_OUT=$(go test -run '^$' \
-	-bench "^(BenchmarkFigure5OptimizationScheme|BenchmarkTable1FullComparison)\$|^BenchmarkFigure5OptimizationParallel\$/^workers=(1|$NCPU)\$" \
-	-benchtime 1x -timeout 60m .)
-printf '%s\n' "$BENCH_OUT"
-printf '%s\n' "$BENCH_OUT" | awk '
-	/^Benchmark/ {
-		name = $1; sub(/-[0-9]+$/, "", name)
-		ns = "null"; meas = "null"
-		for (i = 2; i <= NF; i++) {
-			if ($i == "ns/op") ns = $(i - 1)
-			if ($i == "measurements") meas = $(i - 1)
-		}
-		if (n++) printf ",\n"
-		printf "  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"ate_measurements\": %s}", name, ns, meas
-	}
-	BEGIN { printf "[\n" }
-	END   { printf "\n]\n" }
-' > BENCH_parallel.json
-echo "wrote BENCH_parallel.json:"
-cat BENCH_parallel.json
-
-echo "== observability benchmark =="
-OBS_OUT=$(go test -run '^$' \
-	-bench '^BenchmarkObservabilityInstrumentedFlow$' \
-	-benchtime 1x -timeout 60m .)
-printf '%s\n' "$OBS_OUT"
-printf '%s\n' "$OBS_OUT" | awk '
-	/^Benchmark/ {
-		name = $1; sub(/-[0-9]+$/, "", name)
-		ns = "null"; meas = "null"; rate = "null"; saved = "null"
-		for (i = 2; i <= NF; i++) {
-			if ($i == "ns/op") ns = $(i - 1)
-			if ($i == "measurements") meas = $(i - 1)
-			if ($i == "cache_hit_rate") rate = $(i - 1)
-			if ($i == "measurements_saved") saved = $(i - 1)
-		}
-		if (n++) printf ",\n"
-		printf "  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"cache_hit_rate\": %s, \"ate_measurements\": %s, \"measurements_saved\": %s}", name, ns, rate, meas, saved
-	}
-	BEGIN { printf "[\n" }
-	END   { printf "\n]\n" }
-' > BENCH_obs.json
-echo "wrote BENCH_obs.json:"
-cat BENCH_obs.json
-
-echo "== kernel benchmarks (allocation gate) =="
-# Ceilings sit ~3x above the steady-state numbers measured after the
-# zero-allocation kernel rewrite (train 30, batch-predict 4 allocs/op); the
-# pre-rewrite path ran at 25661 and 1632. ensemble-predict dropped from 97
-# to 1 alloc/op when Vote started reusing a pooled scratch, so its ceiling
-# tightened from 300 to 8.
-KERNELS_OUT=$(go test -run '^$' \
-	-bench '^BenchmarkLearningKernels$' \
-	-benchmem -benchtime 20x -timeout 10m .)
-printf '%s\n' "$KERNELS_OUT"
-printf '%s\n' "$KERNELS_OUT" | awk '
-	BEGIN {
-		printf "[\n"
-		ceiling["BenchmarkLearningKernels/train"] = 100
-		ceiling["BenchmarkLearningKernels/ensemble-predict"] = 8
-		ceiling["BenchmarkLearningKernels/batch-predict"] = 16
-		fail = 0
-	}
-	/^Benchmark/ {
-		name = $1; sub(/-[0-9]+$/, "", name)
-		ns = "null"; bytes = "null"; allocs = "null"
-		for (i = 2; i <= NF; i++) {
-			if ($i == "ns/op") ns = $(i - 1)
-			if ($i == "B/op") bytes = $(i - 1)
-			if ($i == "allocs/op") allocs = $(i - 1)
-		}
-		if (n++) printf ",\n"
-		printf "  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, ns, bytes, allocs
-		if (name in ceiling && allocs != "null" && allocs + 0 > ceiling[name]) {
-			printf "FAIL: %s allocs/op = %s exceeds ceiling %d\n", name, allocs, ceiling[name] > "/dev/stderr"
-			fail = 1
-		}
-	}
-	END {
-		printf "\n]\n"
-		exit fail
-	}
-' > BENCH_kernels.json
-echo "wrote BENCH_kernels.json:"
-cat BENCH_kernels.json
-
-echo "== lot pipeline benchmark (fab-scale gates) =="
-# Four hard gates on the streamed lot pipeline, measured on a 10k-die lot
-# with five samples per benchmark (BENCH_lot.json records the medians):
+echo "== wall-clock benchmark gates (medians of 5) =="
+# Five -benchtime 1x samples of the lot benchmarks the two wall-clock gates
+# read, plus fig. 5 on fleets of 1 and 2 workers; medians are printed, no
+# file is written. The counter gates on the same workloads are Go tests and
+# ran above.
 #   - speedup: streamed workers=8 cache=off must screen >= 2x the dies/sec
 #     of the frozen pre-streaming per-die loop (BenchmarkLotScreenPerDieLoop);
 #   - scaling: on a host with >= 2 CPUs, workers=2 cache=off must screen
-#     >= 1.4x the dies/sec of workers=1 cache=off (recorded as the
-#     LotScaling entry, with the CPU count);
-#   - warm hit rate: a run against an already-populated cache dir must serve
-#     >= 50% of dies from disk (in practice 100%);
-#   - allocations: the streamed path must stay under 18 mallocs per die
-#     with the cache off (~2x the 8.4-9.5 measured once the per-die trace
-#     fields were skipped with telemetry off), and a warm run, which only
-#     materializes and decodes dies, under 5 (~2x the 2.1-2.3 measured).
-LOT_OUT=$(go test -run '^$' \
-	-bench '^(BenchmarkLotScreenPerDieLoop|BenchmarkLotScreenStream)$' \
-	-benchtime 1x -count 5 -timeout 60m .)
-printf '%s\n' "$LOT_OUT"
-printf '%s\n' "$LOT_OUT" | awk -v nproc="$NCPU" '
-	BEGIN {
-		printf "[\n"
-		alloc_ceiling["off"] = 18
-		alloc_ceiling["warm"] = 5
-		min_speedup = 2.0
-		min_scaling = 1.4
-		min_warm_hit_rate = 0.5
-		nmetrics = split("ns_per_op dies_per_sec ate_measurements hit_rate allocs_per_die bytes_on_disk", metric, " ")
-		split("ns/op dies_per_sec measurements hit_rate allocs_per_die bytes_on_disk", unit, " ")
-		fail = 0
-	}
-	# median of the samples of benchmark b, metric m ("null" when absent).
-	function median(b, m,    k, i, j, n, v, t) {
-		n = count[b, m]
-		if (n == 0) return "null"
-		for (i = 1; i <= n; i++) v[i] = sample[b, m, i] + 0
-		for (i = 2; i <= n; i++)
+#     >= 1.4x the dies/sec of workers=1 cache=off. Below 2 CPUs it is
+#     printed and skipped.
+# fig. 5's workers=2 over workers=1 ratio is recorded with the CPU count,
+# not gated.
+NCPU=$(nproc)
+SAMPLES=$(go test -run '^$' -benchtime 1x -count 5 -timeout 60m -bench \
+	'^BenchmarkLotScreenPerDieLoop$|^BenchmarkLotScreenStream$/^workers=[128]$/^cache=off$|^BenchmarkFigure5OptimizationParallel$/^workers=[12]$' .)
+printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
+	# median of the ns/op samples of benchmark b.
+	function median(b,    i, j, k, t, v) {
+		for (i = 1; i <= n[b]; i++) v[i] = ns[b, i] + 0
+		for (i = 2; i <= n[b]; i++)
 			for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
-		k = int((n + 1) / 2)
-		return (n % 2) ? v[k] : (v[k] + v[k + 1]) / 2
+		k = int((n[b] + 1) / 2)
+		return (n[b] % 2) ? v[k] : (v[k] + v[k + 1]) / 2
 	}
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
-		if (!(name in seen)) { seen[name] = 1; order[++nbench] = name }
-		for (i = 2; i <= NF; i++)
-			for (k = 1; k <= nmetrics; k++)
-				if ($i == unit[k]) sample[name, metric[k], ++count[name, metric[k]]] = $(i - 1)
+		for (i = 3; i <= NF; i++)
+			if ($i == "ns/op") {
+				if (!(name in n)) order[++nb] = name
+				ns[name, ++n[name]] = $(i - 1)
+			}
 	}
 	END {
-		for (b = 1; b <= nbench; b++) {
-			name = order[b]
-			printf "  {\"benchmark\": \"%s\"", name
-			for (k = 1; k <= nmetrics; k++) {
-				med[k] = median(name, metric[k])
-				printf ", \"%s\": %s", metric[k], med[k]
-			}
-			printf "},\n"
-			dps = med[2]; rate = med[4]; apd = med[5]
-			if (name == "BenchmarkLotScreenPerDieLoop") perdie = dps + 0
-			if (name == "BenchmarkLotScreenStream/workers=8/cache=off") stream8 = dps + 0
-			if (name == "BenchmarkLotScreenStream/workers=1/cache=off") ns1 = med[1] + 0
-			if (name == "BenchmarkLotScreenStream/workers=2/cache=off") ns2 = med[1] + 0
-			if (name ~ /cache=warm/ && rate != "null" && rate + 0 < min_warm_hit_rate) {
-				printf "FAIL: %s hit rate %s below %.2f\n", name, rate, min_warm_hit_rate > "/dev/stderr"
-				fail = 1
-			}
-			cache = name; sub(/.*cache=/, "", cache)
-			if ((cache in alloc_ceiling) && apd != "null" && apd + 0 > alloc_ceiling[cache]) {
-				printf "FAIL: %s allocs_per_die = %s exceeds ceiling %d\n", name, apd, alloc_ceiling[cache] > "/dev/stderr"
-				fail = 1
-			}
+		for (b = 1; b <= nb; b++) {
+			med[order[b]] = median(order[b])
+			printf "%-48s %d samples, median %9.1f ms/op\n", order[b], n[order[b]], med[order[b]] / 1e6
 		}
-		scaling = (ns1 > 0 && ns2 > 0) ? ns1 / ns2 : 0
-		printf "  {\"benchmark\": \"LotScaling/workers=2_over_workers=1/cache=off\", \"speedup\": %.3f, \"nproc\": %d}\n]\n", scaling, nproc
-		if (perdie <= 0 || stream8 <= 0 || scaling <= 0) {
-			printf "FAIL: lot benchmark output missing per-die, streamed or scaling samples\n" > "/dev/stderr"
+		perdie = med["BenchmarkLotScreenPerDieLoop"]
+		w1 = med["BenchmarkLotScreenStream/workers=1/cache=off"]
+		w2 = med["BenchmarkLotScreenStream/workers=2/cache=off"]
+		w8 = med["BenchmarkLotScreenStream/workers=8/cache=off"]
+		f1 = med["BenchmarkFigure5OptimizationParallel/workers=1"]
+		f2 = med["BenchmarkFigure5OptimizationParallel/workers=2"]
+		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2) {
+			print "FAIL: benchmark output is missing lot or fig. 5 samples" > "/dev/stderr"
+			exit 1
+		}
+		fail = 0
+		printf "lot gate: streamed workers=8 screens %.2fx the dies/sec of the per-die loop (want >= 2x)\n", perdie / w8
+		if (perdie < 2 * w8) {
+			print "FAIL: streamed workers=8 lot is under 2x the per-die loop" > "/dev/stderr"
 			fail = 1
-		} else {
-			if (stream8 < min_speedup * perdie) {
-				printf "FAIL: streamed workers=8 %.0f dies/sec is below %.1fx the per-die loop (%.0f)\n", \
-					stream8, min_speedup, perdie > "/dev/stderr"
-				fail = 1
-			}
-			if (nproc >= 2 && scaling < min_scaling) {
-				printf "FAIL: workers=2 screens only %.2fx the dies/sec of workers=1 (want >= %.1fx on %d CPUs)\n", \
-					scaling, min_scaling, nproc > "/dev/stderr"
-				fail = 1
-			}
-			printf "lot gate: streamed %.0f dies/sec = %.2fx per-die loop %.0f\n", stream8, stream8 / perdie, perdie > "/dev/stderr"
-			printf "lot scaling gate: workers=2 / workers=1 = %.2fx on %d CPUs (median of 5)\n", scaling, nproc > "/dev/stderr"
 		}
+		if (nproc >= 2) {
+			printf "lot scaling gate: workers=2 / workers=1 = %.2fx, nproc %d (want >= 1.4x)\n", w1 / w2, nproc
+			if (w1 < 1.4 * w2) {
+				print "FAIL: 2-worker lot is under 1.4x the 1-worker one" > "/dev/stderr"
+				fail = 1
+			}
+		} else {
+			printf "lot scaling: workers=2 / workers=1 = %.2fx, nproc %d (gate skipped below 2 CPUs)\n", w1 / w2, nproc
+		}
+		printf "fig. 5 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", f1 / f2, nproc
 		exit fail
 	}
-' > BENCH_lot.json
-echo "wrote BENCH_lot.json:"
-cat BENCH_lot.json
-
-echo "== benchdiff gates against committed baselines =="
-# The fresh BENCH_*.json files must not regress the counter-style metrics
-# (allocs, hit rates, measurements saved) recorded in baselines/ by more
-# than 20%. Wall-clock metrics are skipped by default — they track the CI
-# machine, not the code. Refresh a baseline deliberately (cp BENCH_x.json
-# baselines/) when a perf change is intentional.
-for bench in BENCH_kernels.json BENCH_obs.json BENCH_parallel.json BENCH_lot.json; do
-	go run ./cmd/tracestat benchdiff -fail-over 20 "baselines/$bench" "$bench" || {
-		echo "FAIL: $bench regressed against baselines/$bench" >&2
-		exit 1
-	}
-done
-echo "all benchmark baselines hold"
+'
+echo "wall-clock benchmark gates hold"

@@ -1,7 +1,7 @@
 // tracestat analyzes the JSONL trace files the pipeline binaries emit via
 // -trace: per-phase cost rollups, a critical-path summary, optional Chrome
 // trace-event export for chrome://tracing / Perfetto, and run-over-run
-// regression comparison for both traces and the repo's BENCH_*.json files.
+// regression comparison of traces and of run-ledger records.
 //
 // Usage:
 //
@@ -9,7 +9,6 @@
 //	tracestat -top 5 run.jsonl
 //	tracestat -chrome run.chrome.json run.jsonl
 //	tracestat diff [-fail-over 20] [-min-measurements 50] [-fail-on-new] [-json] old.jsonl new.jsonl
-//	tracestat benchdiff [-fail-over 20] [-time] [-json] baseline.json current.json
 //	tracestat ledger [-flow NAME] [-id RUNID] [-json] rundir
 //	tracestat regress [-flow NAME] [-baseline RUNID] [-window 2] [-fail-over 20] [-json] rundir
 //
@@ -18,9 +17,6 @@
 // uses sequence numbers as microsecond ticks, and `diff` compares logical
 // costs exactly: two runs of the same workload diff to zero, and any
 // growth past -fail-over percent exits nonzero (a CI regression gate).
-// `benchdiff` gates counter-style benchmark metrics (allocs, measurements,
-// hit rates) against a committed baseline; wall-clock metrics are skipped
-// unless -time opts them in.
 //
 // `ledger` lists or inspects a -run-dir run ledger (internal/runstore);
 // `regress` diffs the ledger's newest record against a baseline record (an
@@ -38,14 +34,12 @@ import (
 )
 
 func main() {
-	// Subcommand dispatch: "diff" and "benchdiff" own their flag sets; the
-	// bare invocation keeps the original single-trace analysis interface.
+	// Subcommand dispatch: each subcommand owns its flag set; the bare
+	// invocation keeps the original single-trace analysis interface.
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
 		case "diff":
 			os.Exit(runDiff(os.Args[2:]))
-		case "benchdiff":
-			os.Exit(runBenchDiff(os.Args[2:]))
 		case "ledger":
 			os.Exit(runLedger(os.Args[2:]))
 		case "regress":
@@ -58,7 +52,6 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: tracestat [flags] trace.jsonl\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "       tracestat diff [flags] old.jsonl new.jsonl\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "       tracestat benchdiff [flags] baseline.json current.json\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "       tracestat ledger [flags] rundir\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "       tracestat regress [flags] rundir\n")
 		flag.PrintDefaults()
@@ -143,55 +136,6 @@ func runDiff(args []string) int {
 	return 0
 }
 
-// runBenchDiff implements `tracestat benchdiff baseline.json current.json`.
-// Exit codes: 0 clean, 1 regression or missing benchmark (or I/O error),
-// 2 usage.
-func runBenchDiff(args []string) int {
-	fs := flag.NewFlagSet("tracestat benchdiff", flag.ExitOnError)
-	failOver := fs.Float64("fail-over", 20, "exit nonzero when any gated metric worsened by at least this percent (0 = report only)")
-	includeTime := fs.Bool("time", false, "also gate wall-clock metrics (ns_per_op, dies_per_sec); off by default because they track the machine, not the code")
-	jsonOut := fs.Bool("json", false, "print the diff as JSON")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: tracestat benchdiff [flags] baseline.json current.json\n")
-		fs.PrintDefaults()
-	}
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-	if fs.NArg() != 2 {
-		fs.Usage()
-		return 2
-	}
-
-	baseline, err := parseBenchFile(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracestat benchdiff:", err)
-		return 1
-	}
-	current, err := parseBenchFile(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracestat benchdiff:", err)
-		return 1
-	}
-
-	d := obs.DiffBench(baseline, current, obs.BenchDiffOptions{
-		FailOverPct:      *failOver,
-		IncludeTimeBased: *includeTime,
-	})
-	var renderErr error
-	if *jsonOut {
-		renderErr = d.WriteJSON(os.Stdout)
-	} else {
-		renderErr = d.Render(os.Stdout)
-	}
-	if renderErr != nil {
-		fmt.Fprintln(os.Stderr, "tracestat benchdiff:", renderErr)
-		return 1
-	}
-	if *failOver > 0 && d.Failed() {
-		return 1
-	}
-	return 0
-}
-
 func parseTraceFile(path string) (*obs.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -199,13 +143,4 @@ func parseTraceFile(path string) (*obs.Trace, error) {
 	}
 	defer f.Close()
 	return obs.ParseTrace(f)
-}
-
-func parseBenchFile(path string) ([]obs.BenchEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return obs.ParseBenchJSON(f)
 }

@@ -32,7 +32,7 @@ func sameReports(t *testing.T, label string, got, want []TrainReport) {
 	}
 }
 
-func TestEnsembleParallelBitIdenticalToSerial(t *testing.T) {
+func TestEnsembleFleetBitIdenticalToSerial(t *testing.T) {
 	data := syntheticRegression(47, 160)
 	cfg := DefaultTrainConfig(47)
 	cfg.Epochs = 40
@@ -53,7 +53,7 @@ func TestEnsembleParallelBitIdenticalToSerial(t *testing.T) {
 		if got := serializeEnsemble(t, e); got != want {
 			t.Errorf("workers=%d trained weights differ from serial", workers)
 		}
-		sameReports(t, "parallel vs serial", reports, serialReports)
+		sameReports(t, "fleet vs serial", reports, serialReports)
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 	"math"
 )
 
-// Machine-readable forms of TraceDiff and BenchDiff: one JSON schema shared
-// by `tracestat diff -json` / `tracestat benchdiff -json` and the admin
-// server's /runs/diff endpoint, so CI scripts and the observatory speak the
-// same format. NaN percentages (absent or zero baselines) encode as null —
-// the output is always strict JSON.
+// Machine-readable form of TraceDiff: one JSON schema shared by
+// `tracestat diff -json`, `tracestat regress -json` and the admin server's
+// /runs/diff endpoint, so CI scripts and the observatory speak the same
+// format. NaN percentages (absent or zero baselines) encode as null — the
+// output is always strict JSON.
 
 // TraceDiffJSON is the encodable form of a TraceDiff.
 type TraceDiffJSON struct {
@@ -67,58 +67,13 @@ func (d *TraceDiff) JSON() TraceDiffJSON {
 
 // WriteJSON writes the diff as indented JSON.
 func (d *TraceDiff) WriteJSON(w io.Writer) error {
-	return writeIndented(w, d.JSON(), "trace diff")
-}
-
-// BenchDiffJSON is the encodable form of a BenchDiff.
-type BenchDiffJSON struct {
-	FailOverPct       float64          `json:"fail_over_pct"`
-	IncludeTimeBased  bool             `json:"include_time_based"`
-	Failed            bool             `json:"failed"`
-	Regressions       int              `json:"regressions"`
-	MissingBenchmarks []string         `json:"missing_benchmarks,omitempty"`
-	Deltas            []BenchDeltaJSON `json:"deltas"`
-}
-
-// BenchDeltaJSON is one (benchmark, metric) comparison row. New is null
-// when the metric stopped being reported; Pct is null when not computable.
-type BenchDeltaJSON struct {
-	Benchmark string   `json:"benchmark"`
-	Metric    string   `json:"metric"`
-	Old       float64  `json:"old"`
-	New       *float64 `json:"new"`
-	Pct       *float64 `json:"worse_pct"`
-	Regressed bool     `json:"regressed"`
-	Skipped   string   `json:"skipped,omitempty"`
-}
-
-// JSON converts the diff into its encodable form.
-func (d *BenchDiff) JSON() BenchDiffJSON {
-	out := BenchDiffJSON{
-		FailOverPct:       d.Opts.FailOverPct,
-		IncludeTimeBased:  d.Opts.IncludeTimeBased,
-		Failed:            d.Failed(),
-		Regressions:       len(d.Regressions()),
-		MissingBenchmarks: d.MissingBenchmarks,
-		Deltas:            make([]BenchDeltaJSON, 0, len(d.Deltas)),
+	raw, err := json.MarshalIndent(d.JSON(), "", "  ")
+	if err != nil {
+		return fmt.Errorf("obs: encoding trace diff: %w", err)
 	}
-	for _, row := range d.Deltas {
-		out.Deltas = append(out.Deltas, BenchDeltaJSON{
-			Benchmark: row.Benchmark,
-			Metric:    row.Metric,
-			Old:       row.Old,
-			New:       finitePtr(row.New),
-			Pct:       finitePtr(row.Pct),
-			Regressed: row.Regressed,
-			Skipped:   row.Skipped,
-		})
-	}
-	return out
-}
-
-// WriteJSON writes the diff as indented JSON.
-func (d *BenchDiff) WriteJSON(w io.Writer) error {
-	return writeIndented(w, d.JSON(), "bench diff")
+	raw = append(raw, '\n')
+	_, err = w.Write(raw)
+	return err
 }
 
 func rollupJSON(r *Rollup) *RollupJSON {
@@ -139,14 +94,4 @@ func finitePtr(f float64) *float64 {
 		return nil
 	}
 	return &f
-}
-
-func writeIndented(w io.Writer, v any, what string) error {
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: encoding %s: %w", what, err)
-	}
-	raw = append(raw, '\n')
-	_, err = w.Write(raw)
-	return err
 }

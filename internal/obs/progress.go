@@ -100,9 +100,9 @@ type Progress struct {
 	ndPoolTasks  atomic.Int64
 	ndMaxWorkers atomic.Int64
 
-	// Scheduling-dependent fleet stream stats (persistent-pool scheduler):
-	// run-ahead depth is a high-water mark, utilization and overlap are the
-	// latest stream's ratios (stored as float bits).
+	// Scheduling-dependent fleet stream stats: run-ahead depth is a
+	// high-water mark, utilization and overlap are the latest stream's
+	// ratios (stored as float bits).
 	ndFleetStreams  atomic.Int64
 	ndFleetTasks    atomic.Int64
 	ndFleetMaxAhead atomic.Int64
@@ -255,10 +255,10 @@ func (p *Progress) PoolRun(workers int, tasks int) {
 	}
 }
 
-// FleetStream records one fleet stream drain (the persistent-pool
-// scheduler's unit of fan-out). Queue depth, worker occupancy and pipeline
-// overlap are scheduling artifacts, so like PoolRun these land in atomic
-// side counters served under non_deterministic, never in the snapshot.
+// FleetStream records one fleet stream drain (the fleet's unit of
+// fan-out). Queue depth, worker occupancy and pipeline overlap are
+// scheduling artifacts, so like PoolRun these land in atomic side counters
+// served under non_deterministic, never in the snapshot.
 func (p *Progress) FleetStream(workers, tasks, maxRunAhead int, utilization, overlapRatio float64) {
 	if p == nil {
 		return

@@ -206,7 +206,7 @@ func TestAddTestsOnDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestParallelOverlayMatchesNoiselessSerial(t *testing.T) {
+func TestFleetOverlayMatchesNoiselessSerial(t *testing.T) {
 	// With noise disabled the per-test hermetic semantics cannot differ
 	// from the shared-tester serial sweep (thermal off too): the fleet
 	// overlay must equal the plain AddTest overlay cell for cell.

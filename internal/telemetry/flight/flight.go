@@ -449,8 +449,8 @@ func (r *Recorder) Item(kind string, done, total int) {
 	})
 }
 
-// PoolRun records one worker-pool execution summary (fed from the CLI's
-// pool observer, which runs after each pool drains).
+// PoolRun records one fleet stage's worker and task counts (fed from the
+// CLI's fleet observer, which runs after each stage).
 func (r *Recorder) PoolRun(workers, tasks int) {
 	r.Record("pool", "", map[string]float64{
 		"workers": float64(workers),
