@@ -56,26 +56,33 @@ func newRig(tb testing.TB, seed int64) (*ate.ATE, *testgen.RandomGenerator) {
 
 // BenchmarkTable1FullComparison regenerates Table 1: the deterministic
 // March baseline, the best of 1000 random tests and the full NN+GA flow,
-// reporting WCR and T_DQ per row. Paper: 0.619/32.3, 0.701/28.5, 0.904/22.1.
+// reporting WCR and T_DQ per row, on the 1/2/NumCPU worker ladder. Paper:
+// 0.619/32.3, 0.701/28.5, 0.904/22.1.
 func BenchmarkTable1FullComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, tester := table1Run(b)
-		if i == 0 {
-			b.Logf("\n%s", tab.Format())
-			for _, r := range tab.Rows {
-				b.ReportMetric(r.WCR, "WCR_"+sanitize(r.TestName))
-				b.ReportMetric(r.Value, "ns_"+sanitize(r.TestName))
+	for _, workers := range parallelWorkerCounts() {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tab, tester := table1Run(b, workers)
+				if i == 0 {
+					b.Logf("\n%s", tab.Format())
+					for _, r := range tab.Rows {
+						b.ReportMetric(r.WCR, "WCR_"+sanitize(r.TestName))
+						b.ReportMetric(r.Value, "ns_"+sanitize(r.TestName))
+					}
+					b.ReportMetric(float64(tester.Stats().Measurements), "measurements")
+				}
 			}
-			b.ReportMetric(float64(tester.Stats().Measurements), "measurements")
-		}
+		})
 	}
 }
 
-// table1Run runs the Table 1 comparison on a fresh rig and returns it with
-// the tester that paid for it.
-func table1Run(tb testing.TB) (*core.Table1, *ate.ATE) {
+// table1Run runs the Table 1 comparison on a fresh rig with a fleet of the
+// given size and returns it with the tester that paid for it.
+func table1Run(tb testing.TB, workers int) (*core.Table1, *ate.ATE) {
 	tester, _ := newRig(tb, 71)
-	tab, err := core.RunTable1(core.DefaultTable1Config(71), tester)
+	cfg := core.DefaultTable1Config(71)
+	cfg.Flow.Parallelism = workers
+	tab, err := core.RunTable1(cfg, tester)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -83,10 +90,10 @@ func table1Run(tb testing.TB) (*core.Table1, *ate.ATE) {
 }
 
 // TestTable1Measurements bounds the ATE measurements of the Table 1 run
-// BenchmarkTable1FullComparison times just under 20% past the 39,925
-// measured.
+// BenchmarkTable1FullComparison times (the same at any worker count) just
+// under 20% past the 39,925 measured.
 func TestTable1Measurements(t *testing.T) {
-	_, tester := table1Run(t)
+	_, tester := table1Run(t, 0)
 	if m := tester.Stats().Measurements; m > 47_909 {
 		t.Errorf("%d ATE measurements, want at most 47909", m)
 	}

@@ -403,26 +403,26 @@ echo "== fleet determinism under -race =="
 go test -race -count=1 \
 	-run 'TestStream|TestForEach|TestRun' ./internal/parallel/
 go test -race -count=1 \
-	-run 'TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotStream|TestProposeSeeds|TestFitnessBatch|TestTable1TraceIdentical' ./internal/core/
+	-run 'TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotStream|TestProposeSeeds|TestFitnessBatch|TestTable1TraceIdentical|TestTable1Deterministic|TestMeasureTests' ./internal/core/
 go test -race -count=1 \
 	-run 'TestAddTestsOn|TestAddFmaxTestsOn' ./internal/shmoo/
 echo "fleet determinism suite race-clean"
 
 echo "== wall-clock benchmark gates (medians of 5) =="
 # Five -benchtime 1x samples of the lot benchmarks the two wall-clock gates
-# read, plus fig. 5 on fleets of 1 and 2 workers; medians are printed, no
-# file is written. The counter gates on the same workloads are Go tests and
+# read, plus fig. 5 and Table 1 on fleets of 1 and 2 workers; medians are
+# printed, no file is written. The counter gates on the same workloads are Go tests and
 # ran above.
 #   - speedup: streamed workers=8 cache=off must screen >= 2x the dies/sec
 #     of the frozen pre-streaming per-die loop (BenchmarkLotScreenPerDieLoop);
 #   - scaling: on a host with >= 2 CPUs, workers=2 cache=off must screen
 #     >= 1.4x the dies/sec of workers=1 cache=off. Below 2 CPUs it is
 #     printed and skipped.
-# fig. 5's workers=2 over workers=1 ratio is recorded with the CPU count,
-# not gated.
+# fig. 5's and Table 1's workers=2 over workers=1 ratios are recorded with
+# the CPU count, not gated.
 NCPU=$(nproc)
 SAMPLES=$(go test -run '^$' -benchtime 1x -count 5 -timeout 60m -bench \
-	'^BenchmarkLotScreenPerDieLoop$|^BenchmarkLotScreenStream$/^workers=[128]$/^cache=off$|^BenchmarkFigure5OptimizationParallel$/^workers=[12]$' .)
+	'^BenchmarkLotScreenPerDieLoop$|^BenchmarkLotScreenStream$/^workers=[128]$/^cache=off$|^BenchmarkFigure5OptimizationParallel$/^workers=[12]$|^BenchmarkTable1FullComparison$/^workers=[12]$' .)
 printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
 	# median of the ns/op samples of benchmark b.
 	function median(b,    i, j, k, t, v) {
@@ -451,8 +451,10 @@ printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
 		w8 = med["BenchmarkLotScreenStream/workers=8/cache=off"]
 		f1 = med["BenchmarkFigure5OptimizationParallel/workers=1"]
 		f2 = med["BenchmarkFigure5OptimizationParallel/workers=2"]
-		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2) {
-			print "FAIL: benchmark output is missing lot or fig. 5 samples" > "/dev/stderr"
+		t1 = med["BenchmarkTable1FullComparison/workers=1"]
+		t2 = med["BenchmarkTable1FullComparison/workers=2"]
+		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !t1 || !t2) {
+			print "FAIL: benchmark output is missing lot, fig. 5 or Table 1 samples" > "/dev/stderr"
 			exit 1
 		}
 		fail = 0
@@ -471,6 +473,7 @@ printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
 			printf "lot scaling: workers=2 / workers=1 = %.2fx, nproc %d (gate skipped below 2 CPUs)\n", w1 / w2, nproc
 		}
 		printf "fig. 5 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", f1 / f2, nproc
+		printf "Table 1 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", t1 / t2, nproc
 		exit fail
 	}
 '

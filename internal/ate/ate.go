@@ -83,7 +83,9 @@ type ATE struct {
 	// patterns execute once per lot instead of once per die. The override
 	// must return results bit-identical to dev.Profile; cost accounting
 	// (Profiles, pattern-load time) is unchanged, because the tester still
-	// charges a pattern load even when the simulation shortcuts it.
+	// charges a pattern load even when the simulation shortcuts it. Fork
+	// copies it, so it may run on several insertions at once, and a profile
+	// it computes on a fork may be installed here with Preload.
 	Profiler func(dev *dut.Device, t testgen.Test) (dut.Profile, error)
 
 	stats Stats
@@ -128,10 +130,13 @@ func (a *ATE) ResetStats() {
 // repair, physics swap — so the next measurement re-executes the pattern.
 func (a *ATE) Reload() { a.haveCached = false; a.cachedName = "" }
 
-// load makes the test's profile current, computing it if the pattern memory
-// holds a different test, and returns the cached profile, valid until the
-// next load or Reload. Tests are distinguished by name; generators give
-// every test a unique name.
+// load makes the test's profile current, computing it (through Profiler
+// when set) if the pattern memory holds a different test, and returns the
+// cached profile, valid until the next load, Preload or Reload. Tests are
+// distinguished by name; one generator gives every test a unique name, but
+// two generators may reuse one, so a phase that switches generators must
+// start from a Reload (ResetStats does one). A profile computed elsewhere
+// enters through Preload, which charges the same cost.
 func (a *ATE) load(t testgen.Test) (*dut.Profile, error) {
 	if a.haveCached && a.cachedName == t.Name {
 		return &a.cached, nil
@@ -146,11 +151,30 @@ func (a *ATE) load(t testgen.Test) (*dut.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
+	a.install(p)
+	return &a.cached, nil
+}
+
+// Preload installs a profile computed on another insertion of the same
+// device (a Fork, which clones the die, physics and repairs) as the loaded
+// pattern, so the pattern execution can run ahead on another goroutine
+// while this tester keeps its own noise stream. It charges exactly what
+// load would: nothing when p's test is already loaded (the loaded profile
+// stays, as load would keep it), otherwise one pattern load. The next
+// measurement of p.Test then strobes the profile without re-executing it.
+func (a *ATE) Preload(p dut.Profile) {
+	if a.haveCached && a.cachedName == p.Test.Name {
+		return
+	}
+	a.install(p)
+}
+
+// install makes p the loaded pattern and charges one pattern load.
+func (a *ATE) install(p dut.Profile) {
 	a.cached = p
-	a.cachedName = t.Name
+	a.cachedName = p.Test.Name
 	a.haveCached = true
 	a.stats.Profiles++
-	return &a.cached, nil
 }
 
 // chargeMeasurement accounts one pass/fail measurement of the test against

@@ -1,8 +1,10 @@
 package ate
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/dut"
 	"repro/internal/testgen"
 )
 
@@ -166,5 +168,94 @@ func TestDeviceCloneSameSilicon(t *testing.T) {
 	}
 	if p.FmaxMHz() != q.FmaxMHz() {
 		t.Errorf("clone fmax %.6f != original %.6f", q.FmaxMHz(), p.FmaxMHz())
+	}
+}
+
+// TestPreloadMatchesLoad pins Preload against load: a tester fed profiles
+// computed on a fork measures every test exactly as a tester that executes
+// its own patterns — same pass/fail bits, same Stats — including on a
+// repaired device and across a repeated test name.
+func TestPreloadMatchesLoad(t *testing.T) {
+	const weak = 37
+	newTester := func() *ATE {
+		dev, err := dut.NewDevice(dut.DefaultGeometry(), dut.NewDie(0, dut.CornerTypical, dut.WithWeakCell(weak, 2.5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.RepairRow(weak); err != nil {
+			t.Fatal(err)
+		}
+		a := New(dev, 5)
+		a.Heating = DefaultThermal()
+		a.Repeats = 3
+		return a
+	}
+	gen := testgen.NewRandomGenerator(3, dut.DefaultGeometry().Words(), testgen.DefaultConditionLimits())
+	tests := gen.Batch(12)
+	tests = append(tests, tests[len(tests)-1]) // the loaded name again
+	tests = append(tests, testgen.Test{
+		Name: "weak-read",
+		Seq:  testgen.Sequence{{Op: testgen.OpWrite, Addr: weak, Data: 1}, {Op: testgen.OpRead, Addr: weak}},
+		Cond: testgen.NominalConditions(),
+	})
+
+	// measure strobes each test around its window edge, where noise and
+	// self-heating decide, then replays it functionally.
+	measure := func(a *ATE, tt testgen.Test) []bool {
+		p, err := a.Profile(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []bool
+		for i := -4; i <= 4; i++ {
+			edge := p.TDQWindowNSAtCond(tt.Cond.VddV, a.JunctionTempC(tt), tt.Cond.ClockMHz)
+			pass, err := a.Measurer(TDQ, tt).Passes(edge + float64(i)*TDQ.Resolution()/4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits = append(bits, pass)
+		}
+		pass, err := a.FunctionalPass(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(bits, pass)
+	}
+
+	own := newTester()
+	fed := newTester()
+	fork, err := fed.Fork(77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range tests {
+		fork.Reload()
+		p, err := fork.Profile(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed.Preload(p)
+		want, got := measure(own, tt), measure(fed, tt)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: preloaded tester measured %v, own-profile tester %v", tt.Name, got, want)
+		}
+	}
+	if own.Stats() != fed.Stats() {
+		t.Errorf("stats differ:\npreloaded %+v\nown       %+v", fed.Stats(), own.Stats())
+	}
+	if got, want := fed.Stats().Profiles, int64(len(tests)-1); got != want {
+		t.Errorf("profiles = %d, want %d (the repeated name loads once)", got, want)
+	}
+
+	// Preloading the loaded name charges nothing and keeps the loaded
+	// profile.
+	before := fed.Stats()
+	last := tests[len(tests)-1]
+	fed.Preload(dut.Profile{Test: last})
+	if fed.Stats() != before {
+		t.Errorf("preloading the loaded name charged %+v", fed.Stats())
+	}
+	if pass, err := fed.FunctionalPass(last); err != nil || !pass {
+		t.Errorf("loaded profile replaced by the preload: pass %v, err %v", pass, err)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/ate"
+	"repro/internal/dut"
 	"repro/internal/fuzzy"
 	"repro/internal/genetic"
 	"repro/internal/neural"
@@ -74,11 +75,13 @@ type Config struct {
 	FixedConditions *testgen.Conditions
 
 	// Parallelism sizes the flow's one persistent worker fleet, which runs
-	// every parallel stage (GA fitness batches, ensemble training, seed
-	// scoring) with forked insertions that survive across GA generations
-	// and pipeline phases. Values below 1 select one worker per CPU
-	// (runtime.GOMAXPROCS); 1 runs serially. Results are bit-identical for
-	// any value — see internal/parallel.
+	// every parallel stage — the pattern executions that run ahead of
+	// Learn's and Table 1's serial SUTP, GA fitness batches, ensemble
+	// training, seed scoring — with forked insertions that survive across
+	// stages and phases. Values below 1 select one worker per CPU
+	// (runtime.GOMAXPROCS); 1 is a fleet of one that runs the same stages
+	// inline. Results are bit-identical for any value — see
+	// internal/parallel.
 	Parallelism int
 
 	// DisableMeasurementCache turns off the GA's measurement memo-cache so
@@ -144,9 +147,11 @@ type Characterizer struct {
 	primed map[uint64]float64
 
 	// fleet is the flow's persistent worker pool, created lazily by Fleet()
-	// and released by Close; voteScratch holds the per-fleet-worker
+	// and released by Close; insertions holds each fleet worker's forked
+	// tester insertion (insertionFor) and voteScratch the per-fleet-worker
 	// ensemble voting arenas ProposeSeeds memoizes.
 	fleet       *parallel.Fleet
+	insertions  []*ate.ATE
 	voteScratch []*neural.EnsembleScratch
 }
 
@@ -175,8 +180,54 @@ func NewCharacterizer(cfg Config, tester *ate.ATE) (*Characterizer, error) {
 func (c *Characterizer) Fleet() *parallel.Fleet {
 	if c.fleet == nil {
 		c.fleet = parallel.NewFleet(c.cfg.Parallelism)
+		c.insertions = make([]*ate.ATE, c.fleet.Size())
 	}
 	return c.fleet
+}
+
+// insertionFor returns fleet worker w's forked tester insertion, forking it
+// on first use into the slots Fleet allocates. The insertions persist
+// across stages and phases (Table 1's Random row, Learn and every GA
+// generation reuse them), so no stage pays a fork; each task resets the
+// state it relies on (Reload before a pattern execution, Reseed before a
+// fitness search). A fork clones the device as it is then, row repairs
+// included, so repair the device before the flow's first phase.
+func (c *Characterizer) insertionFor(w int) (*ate.ATE, error) {
+	if c.insertions[w] == nil {
+		wk, err := c.ate.Fork(c.cfg.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("core: forking tester: %w", err)
+		}
+		c.insertions[w] = wk
+	}
+	return c.insertions[w], nil
+}
+
+// measureTests calls measure(i) for i = 0, 1, … in order, each with test
+// i's pattern loaded in the flow's tester. The measurements share the
+// tester's one noise stream, so they stay serial and in order; the pattern
+// execution before them (dut.Device.Profile) is a pure function of the
+// die, physics and test, so it runs ahead on the fleet's insertions and
+// enters the tester through ate.Preload in the in-order delivery, charging
+// the Profiles cost the tester's own load would. A test whose pattern fails
+// on the insertion is left to the tester's own load, which reports the
+// same error at the same point. A fleet of one runs the same code inline.
+func (c *Characterizer) measureTests(tests []testgen.Test, measure func(i int) error) error {
+	profiles := make([]dut.Profile, len(tests))
+	ok := make([]bool, len(tests))
+	return parallel.Stream(c.Fleet(), len(tests), c.insertionFor, func(wk *ate.ATE, i int) error {
+		// Both Table 1 generators name their tests RND-0001, RND-0002, …,
+		// so the insertion's name-keyed pattern memory must not answer.
+		wk.Reload()
+		p, err := wk.Profile(tests[i])
+		profiles[i], ok[i] = p, err == nil
+		return nil
+	}, func(i int) error {
+		if ok[i] {
+			c.ate.Preload(profiles[i])
+		}
+		return measure(i)
+	})
 }
 
 // Close releases the flow's persistent resources (the fleet's worker

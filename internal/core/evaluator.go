@@ -15,7 +15,8 @@ import (
 // streams a whole generation over the flow's persistent fleet. The first
 // measured test runs a full-range search and establishes the reference trip
 // point (eq. 2, done serially); every later test costs only a handful of
-// SUTP steps from that reference, on a private forked tester insertion.
+// SUTP steps from that reference, on the fleet worker's forked insertion,
+// which the Characterizer owns (insertionFor) and reseeds per task.
 //
 // Determinism: task t (a global counter across batches) is measured on an
 // insertion reseeded with Seed + t, so its trip point depends only on the
@@ -43,13 +44,6 @@ type parallelEvaluator struct {
 
 	evaluations int64 // SUTP searches actually performed
 	budget      int   // full-range search cost, the per-search baseline
-
-	// The persistent fleet and the per-worker insertions that survive
-	// across generations (forked once and reseeded per task, so no
-	// generation pays a fork). The fleet also fingerprints each batch for
-	// the memo-cache resolve.
-	fleet      *parallel.Fleet
-	insertions []*ate.ATE
 }
 
 func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
@@ -59,9 +53,7 @@ func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
 		opts:      c.searchOptions(),
 		spec:      spec,
 		specIsMin: isMin,
-		fleet:     c.Fleet(),
 	}
-	e.insertions = make([]*ate.ATE, e.fleet.Size())
 	e.budget = e.opts.FullRangeBudget()
 	if !c.cfg.DisableMeasurementCache {
 		// Seed disk-recovered values (scope-bound to this exact flow, see
@@ -76,24 +68,11 @@ func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
 	return e
 }
 
-// insertionFor returns worker w's persistent forked insertion, forking it
-// on first use. Reseed makes each task hermetic, so reusing the insertion
-// across batches is bit-identical to a fresh fork per batch, and no
-// generation pays for a fork.
-func (e *parallelEvaluator) insertionFor(w int) (*ate.ATE, error) {
-	if e.insertions[w] == nil {
-		wk, err := e.c.ate.Fork(e.c.cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("core: forking tester: %w", err)
-		}
-		e.insertions[w] = wk
-	}
-	return e.insertions[w], nil
-}
-
 // measureTask runs one hermetic trip-point search on the forked insertion:
 // reseed, fresh SUTP anchored to the shared reference (when established),
-// search. Returns the search result and the task's cost counters.
+// search. Reseed makes the task independent of whatever the insertion ran
+// before, in this batch or another stage. Returns the search result and the
+// task's cost counters.
 func (e *parallelEvaluator) measureTask(wk *ate.ATE, tt testgen.Test, seed int64) (search.Result, ate.Stats, error) {
 	wk.Reseed(seed)
 	s := &search.SUTP{SF: e.c.cfg.SearchFactor, Refine: true}
@@ -116,13 +95,14 @@ func (e *parallelEvaluator) Fitness(t testgen.Test) (float64, error) {
 // FitnessBatch implements genetic.BatchEvaluator.
 func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 	out := make([]float64, len(tests))
+	fleet := e.c.Fleet()
 
 	// Fingerprints are a pure function of each test, so the fleet computes
 	// them into index slots; only the memo-cache reads them.
 	var fps []uint64
 	if e.cache != nil {
 		fps = make([]uint64, len(tests))
-		err := parallel.ForEachOn(e.fleet, len(tests), func(i int) error {
+		err := parallel.ForEachOn(fleet, len(tests), func(i int) error {
 			fps[i] = tests[i].Fingerprint()
 			return nil
 		})
@@ -198,7 +178,7 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 	// sees the identical reference.
 	start := 0
 	for ; start < len(reps) && !e.haveRTP; start++ {
-		wk, err := e.insertionFor(0)
+		wk, err := e.c.insertionFor(0)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +213,7 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 		merge(t)
 	}
 	if n := len(reps) - start; n > 0 {
-		err := parallel.Stream(e.fleet, n, e.insertionFor, measure, func(i int) error {
+		err := parallel.Stream(fleet, n, e.c.insertionFor, measure, func(i int) error {
 			merge(start + i)
 			return nil
 		})

@@ -46,11 +46,14 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 
 	limits := c.gen.Limits()
 	res := &LearningResult{}
-	for i := 0; i < c.cfg.LearnTests; i++ {
-		t := c.gen.Next()
+	// Measuring never touches the generator, so every test is drawn first
+	// and the pattern executions run ahead of the serial search.
+	tests := c.gen.Batch(c.cfg.LearnTests)
+	err := c.measureTests(tests, func(i int) error {
+		t := tests[i]
 		m, err := runner.Measure(t)
 		if err != nil {
-			return nil, fmt.Errorf("core: learning measurement %d: %w", i, err)
+			return fmt.Errorf("core: learning measurement %d: %w", i, err)
 		}
 		tel.RecordSearch(m.Measurements, budget, m.Converged)
 		tel.RecordItem("learn-test", i+1, c.cfg.LearnTests)
@@ -63,13 +66,17 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 		if !m.Converged {
 			// Outside the generous range — skip as unlearnable, matching
 			// ATE practice of flagging range violations for re-setup.
-			continue
+			return nil
 		}
 		res.Tests = append(res.Tests, t)
 		res.Dataset = append(res.Dataset, neural.Sample{
 			Input:  testgen.ExtractFeatures(t, limits),
 			Target: c.coder.Encode(m.TripPoint),
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.DSV = runner.DSV()
 	if len(res.Dataset) < 10 {

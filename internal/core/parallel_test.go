@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/testgen"
 )
 
 // The tentpole guarantee of internal/parallel: any Parallelism value
@@ -137,6 +139,97 @@ func TestTable1DeterministicAcrossParallelism(t *testing.T) {
 		if s != p {
 			t.Errorf("row %d differs:\nserial   %+v\nparallel %+v", i, s, p)
 		}
+	}
+	if serial.Stats != par.Stats {
+		t.Errorf("stats differ:\nserial   %+v\nparallel %+v", serial.Stats, par.Stats)
+	}
+	if serial.CacheHits != par.CacheHits || serial.CacheMisses != par.CacheMisses {
+		t.Errorf("cache hits/misses differ: serial %d/%d, parallel %d/%d",
+			serial.CacheHits, serial.CacheMisses, par.CacheHits, par.CacheMisses)
+	}
+}
+
+// TestMeasureTestsPreloadsEachTestsOwnPattern streams two batches whose
+// tests share names, as Table 1's two generators do, through the same
+// persistent insertions: every delivery must find its own test's pattern
+// loaded, at the cost of one pattern load per test. The second batch runs
+// in reverse, so on one worker its first test shares its name with the
+// pattern the insertion loaded last.
+func TestMeasureTestsPreloadsEachTestsOwnPattern(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		cfg := quickConfig(5)
+		cfg.Parallelism = workers
+		tester := newTester(t, 5)
+		char, err := NewCharacterizer(cfg, tester)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := tester.Device().Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{1, 2} {
+			gen := testgen.NewRandomGenerator(seed, ref.Geometry().Words(), testgen.DefaultConditionLimits())
+			tests := gen.Batch(7)
+			if seed == 2 {
+				slices.Reverse(tests)
+			}
+			tester.ResetStats()
+			err := char.measureTests(tests, func(i int) error {
+				got, err := tester.Profile(tests[i])
+				if err != nil {
+					return err
+				}
+				want, err := ref.Profile(tests[i])
+				if err != nil {
+					return err
+				}
+				if got.Act != want.Act || got.Func.Mismatches != want.Func.Mismatches {
+					t.Errorf("workers %d, generator %d: %s loaded another test's pattern", workers, seed, tests[i].Name)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tester.Stats().Profiles; got != int64(len(tests)) {
+				t.Errorf("workers %d, generator %d: %d pattern loads for %d tests", workers, seed, got, len(tests))
+			}
+		}
+		char.Close()
+	}
+}
+
+// TestMeasureTestsLeavesFailedPatternToTester: a test whose pattern cannot
+// execute fails where the tester's own load would fail it, with the same
+// error, after every earlier test was measured and before any later one.
+func TestMeasureTestsLeavesFailedPatternToTester(t *testing.T) {
+	tester := newTester(t, 9)
+	cfg := quickConfig(9)
+	cfg.Parallelism = 2
+	char, err := NewCharacterizer(cfg, tester)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer char.Close()
+	gen := testgen.NewRandomGenerator(9, tester.Device().Geometry().Words(), testgen.DefaultConditionLimits())
+	tests := gen.Batch(4)
+	tests[2].Seq = testgen.Sequence{{Op: testgen.OpRead, Addr: tester.Device().Geometry().Words()}}
+	_, want := newTester(t, 9).FunctionalPass(tests[2])
+	if want == nil {
+		t.Fatal("the out-of-range test executed")
+	}
+	var measured []int
+	err = char.measureTests(tests, func(i int) error {
+		measured = append(measured, i)
+		_, err := tester.FunctionalPass(tests[i])
+		return err
+	})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("error %v, want the tester's own %v", err, want)
+	}
+	if !slices.Equal(measured, []int{0, 1, 2}) {
+		t.Errorf("measured %v, want [0 1 2]", measured)
 	}
 }
 

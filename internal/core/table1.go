@@ -97,6 +97,14 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	tel := flowCfg.Telemetry
 	fullBudget := param.SearchOptions().FullRangeBudget()
 
+	// The NN+GA row's flow exists from the start: the Random row runs its
+	// pattern executions ahead on the flow's fleet and insertions.
+	char, err := NewCharacterizer(flowCfg, tester)
+	if err != nil {
+		return nil, err
+	}
+	defer char.Close()
+
 	// --- Row 1: deterministic March baseline, single-trip-point style ----
 	tester.ResetStats()
 	ph := tel.StartPhase("table1-march")
@@ -136,16 +144,20 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	runner := trippoint.NewRunner(tester, param)
 	runnerBudget := runner.Options.FullRangeBudget()
 	ranking = wcr.NewRanking(spec, isMin)
-	for i := 0; i < cfg.RandomTests; i++ {
-		t := gen.Next()
-		m, err := runner.Measure(t)
+	tests := gen.Batch(cfg.RandomTests)
+	err = char.measureTests(tests, func(i int) error {
+		m, err := runner.Measure(tests[i])
 		if err != nil {
-			return nil, fmt.Errorf("core: random baseline: %w", err)
+			return fmt.Errorf("core: random baseline: %w", err)
 		}
 		tel.RecordSearch(m.Measurements, runnerBudget, m.Converged)
 		if m.Converged {
-			ranking.Add(t.Name, m.TripPoint)
+			ranking.Add(tests[i].Name, m.TripPoint)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	worst, ok := ranking.Worst()
 	if !ok {
@@ -169,11 +181,6 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	// phases cover this row's cost, keeping the report's phase breakdown a
 	// partition (no double counting).
 	tester.ResetStats()
-	char, err := NewCharacterizer(flowCfg, tester)
-	if err != nil {
-		return nil, err
-	}
-	defer char.Close()
 	if _, err := char.Learn(); err != nil {
 		return nil, err
 	}

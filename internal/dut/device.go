@@ -2,6 +2,7 @@ package dut
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/testgen"
 )
@@ -32,12 +33,19 @@ func NewDeviceWithPhysics(geom Geometry, die *Die, phys Physics) (*Device, error
 }
 
 // Clone returns an independent device around the same die: a fresh memory
-// array with the same geometry and the same physics constants. The die is
-// shared — it is read-only during measurement — so a clone measures the
-// same silicon without sharing any mutable state, which is what a parallel
-// worker needs.
+// array with the same geometry, the same physics constants and a copy of
+// the row repairs made so far. The die is shared — it is read-only during
+// measurement — so a clone measures the same silicon without sharing any
+// mutable state, which is what a parallel worker needs. Repairs made after
+// the clone do not reach it.
 func (d *Device) Clone() (*Device, error) {
-	return NewDeviceWithPhysics(d.mem.Geometry(), d.die, d.phys)
+	c, err := NewDeviceWithPhysics(d.mem.Geometry(), d.die, d.phys)
+	if err != nil {
+		return nil, err
+	}
+	c.mem.rowRemap = maps.Clone(d.mem.rowRemap)
+	copy(c.mem.sparesUsed, d.mem.sparesUsed)
+	return c, nil
 }
 
 // Retarget swaps a different die into the device, reusing the memory array

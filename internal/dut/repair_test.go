@@ -153,3 +153,34 @@ func TestRepairSurvivesReset(t *testing.T) {
 		t.Error("repair lost across Reset; eFuse repair must persist")
 	}
 }
+
+func TestCloneKeepsRepairs(t *testing.T) {
+	const addr = 37
+	dev := weakDevice(t, addr, 2.5)
+	if err := dev.RepairRow(addr); err != nil {
+		t.Fatal(err)
+	}
+	clone, err := dev.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := clone.Profile(weakReadTest(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Func.Failed() {
+		t.Error("clone of a repaired device reads the unrepaired weak cell")
+	}
+	if clone.RepairedRows() != 1 || clone.SparesRemaining(addr) != SpareRowsPerBank-1 {
+		t.Errorf("clone repaired rows %d, spares %d; want 1, %d",
+			clone.RepairedRows(), clone.SparesRemaining(addr), SpareRowsPerBank-1)
+	}
+	// The copy is independent: a repair on the clone does not reach the
+	// original.
+	if err := clone.RepairRow(0); err != nil {
+		t.Fatal(err)
+	}
+	if dev.RepairedRows() != 1 {
+		t.Errorf("repair on the clone reached the original (%d rows)", dev.RepairedRows())
+	}
+}

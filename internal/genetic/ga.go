@@ -292,7 +292,7 @@ func (o *Optimizer) Run(seeds []Seed) (*Result, error) {
 				var childCond testgen.Conditions
 				if o.ops.Chance(o.cfg.CrossoverRate) {
 					p2 := o.ops.Tournament(pop, o.cfg.TournamentK)
-					childSeq, _ = o.ops.CrossoverSeq(p1.Seq, p2.Seq)
+					childSeq = o.ops.CrossoverSeq(p1.Seq, p2.Seq)
 					childCond = o.ops.CrossoverCond(p1.Cond, p2.Cond)
 				} else {
 					childSeq = p1.Seq.Clone()

@@ -43,30 +43,38 @@ func NewOperators(seed int64, gen *testgen.RandomGenerator) *Operators {
 
 // CrossoverSeq recombines two sequence chromosomes with proportional
 // one-point cut-and-splice: the cut sits at the same relative position in
-// both parents so offspring lengths stay within the parents' range.
-func (o *Operators) CrossoverSeq(a, b testgen.Sequence) (testgen.Sequence, testgen.Sequence) {
+// both parents so offspring lengths stay within the parents' range. It
+// returns the child of a's head and b's tail, built in one allocation the
+// caller owns; a and b are not modified. The mirror child (b's head, a's
+// tail) is not built, but when it would be shorter than MinSequenceLen its
+// length repair still takes its generator draws, so the operator and
+// generator streams are those of breeding both children.
+func (o *Operators) CrossoverSeq(a, b testgen.Sequence) testgen.Sequence {
 	if len(a) == 0 || len(b) == 0 {
-		return a.Clone(), b.Clone()
+		return a.Clone()
 	}
 	frac := o.rng.Float64()
 	ca := int(frac * float64(len(a)))
 	cb := int(frac * float64(len(b)))
-	child1 := make(testgen.Sequence, 0, ca+len(b)-cb)
-	child1 = append(child1, a[:ca]...)
-	child1 = append(child1, b[cb:]...)
-	child2 := make(testgen.Sequence, 0, cb+len(a)-ca)
-	child2 = append(child2, b[:cb]...)
-	child2 = append(child2, a[ca:]...)
-	return o.clampLen(child1), o.clampLen(child2)
+	head, tail := a[:min(ca, testgen.MaxSequenceLen)], b[cb:]
+	tail = tail[:min(len(tail), testgen.MaxSequenceLen-len(head))]
+	child := make(testgen.Sequence, 0, max(len(head)+len(tail), testgen.MinSequenceLen))
+	child = append(child, head...)
+	child = o.clampLen(append(child, tail...))
+	if mirror := cb + len(a) - ca; mirror < testgen.MinSequenceLen {
+		o.gen.Sequence(testgen.MinSequenceLen - mirror)
+	}
+	return child
 }
 
-// clampLen keeps sequences inside the paper's 100–1000 cycle regime.
+// clampLen keeps sequences inside the paper's 100–1000 cycle regime,
+// padding a short one with fresh random vectors.
 func (o *Operators) clampLen(s testgen.Sequence) testgen.Sequence {
 	if len(s) > testgen.MaxSequenceLen {
 		return s[:testgen.MaxSequenceLen]
 	}
-	for len(s) < testgen.MinSequenceLen {
-		s = append(s, o.gen.Sequence(testgen.MinSequenceLen-len(s))...)
+	if len(s) < testgen.MinSequenceLen {
+		s = o.gen.AppendSequence(s, testgen.MinSequenceLen-len(s))
 	}
 	return s
 }
@@ -74,27 +82,26 @@ func (o *Operators) clampLen(s testgen.Sequence) testgen.Sequence {
 // MutateSeq applies per-vector redraws plus, with BlockMutationRate
 // probability, one structural mutation: either a fresh random block splice
 // or a tandem duplication of an existing block (duplication concentrates
-// activity, which is how the GA discovers resonant bursts).
+// activity, which is how the GA discovers resonant bursts). It mutates s
+// in place — the caller owns it — and returns it, padded if it was short.
 func (o *Operators) MutateSeq(s testgen.Sequence) testgen.Sequence {
-	out := o.gen.PerturbSequence(s, o.SeqMutationRate)
-	if o.rng.Float64() < o.BlockMutationRate && len(out) > 8 {
+	o.gen.PerturbSequence(s, o.SeqMutationRate)
+	if o.rng.Float64() < o.BlockMutationRate && len(s) > 8 {
 		blockLen := 4 + o.rng.Intn(28)
-		if blockLen > len(out)/2 {
-			blockLen = len(out) / 2
+		if blockLen > len(s)/2 {
+			blockLen = len(s) / 2
 		}
-		pos := o.rng.Intn(len(out) - blockLen)
+		pos := o.rng.Intn(len(s) - blockLen)
 		if o.rng.Float64() < 0.5 {
-			// Splice a fresh random block over [pos, pos+blockLen).
-			fresh := o.gen.Sequence(blockLen)
-			copy(out[pos:pos+blockLen], fresh)
+			// Splice a fresh random block over [pos, pos+blockLen): the
+			// append writes into s's own backing array.
+			o.gen.AppendSequence(s[:pos], blockLen)
 		} else {
 			// Duplicate the block immediately after itself.
-			dst := pos + blockLen
-			n := copy(out[dst:], out[pos:pos+blockLen])
-			_ = n
+			copy(s[pos+blockLen:], s[pos:pos+blockLen])
 		}
 	}
-	return o.clampLen(out)
+	return o.clampLen(s)
 }
 
 // CrossoverCond blends two condition chromosomes with BLX-α: each gene is

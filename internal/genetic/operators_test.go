@@ -1,6 +1,9 @@
 package genetic
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/testgen"
@@ -11,8 +14,8 @@ func TestCrossoverSeqLengthsAndValidity(t *testing.T) {
 	gen := testgen.NewRandomGenerator(2, 4096, testgen.DefaultConditionLimits())
 	a, b := gen.Sequence(300), gen.Sequence(700)
 	for i := 0; i < 50; i++ {
-		c1, c2 := ops.CrossoverSeq(a, b)
-		for _, c := range []testgen.Sequence{c1, c2} {
+		// Both parent orders, so the b-head child is checked too.
+		for _, c := range []testgen.Sequence{ops.CrossoverSeq(a, b), ops.CrossoverSeq(b, a)} {
 			if len(c) < testgen.MinSequenceLen || len(c) > testgen.MaxSequenceLen {
 				t.Fatalf("offspring length %d outside bounds", len(c))
 			}
@@ -33,7 +36,7 @@ func TestCrossoverSeqMixesParents(t *testing.T) {
 	}
 	sawMix := false
 	for i := 0; i < 20 && !sawMix; i++ {
-		c1, _ := ops.CrossoverSeq(a, b)
+		c1 := ops.CrossoverSeq(a, b)
 		has1, has2 := false, false
 		for _, v := range c1 {
 			if v.Addr == 1 {
@@ -53,8 +56,7 @@ func TestCrossoverSeqMixesParents(t *testing.T) {
 func TestCrossoverSeqEmptyParents(t *testing.T) {
 	ops := newOps(5)
 	var empty testgen.Sequence
-	c1, c2 := ops.CrossoverSeq(empty, empty)
-	if len(c1) != 0 || len(c2) != 0 {
+	if c := ops.CrossoverSeq(empty, empty); len(c) != 0 {
 		t.Error("empty parents produced offspring")
 	}
 }
@@ -79,7 +81,7 @@ func TestMutateSeqChangesSomething(t *testing.T) {
 	ops.SeqMutationRate = 0.2
 	gen := testgen.NewRandomGenerator(10, 4096, testgen.DefaultConditionLimits())
 	s := gen.Sequence(300)
-	m := ops.MutateSeq(s)
+	m := ops.MutateSeq(s.Clone())
 	diff := 0
 	for i := range m {
 		if i < len(s) && m[i] != s[i] {
@@ -154,5 +156,109 @@ func TestTournamentPicksFitter(t *testing.T) {
 	// drawn at least once: P = 3/4.
 	if strongWins < 120 {
 		t.Errorf("tournament selected the stronger individual only %d/200 times", strongWins)
+	}
+}
+
+// refCrossoverSeq is the two-child CrossoverSeq that the one-child operator
+// replaced, kept as its reference.
+func refCrossoverSeq(o *Operators, a, b testgen.Sequence) (testgen.Sequence, testgen.Sequence) {
+	if len(a) == 0 || len(b) == 0 {
+		return a.Clone(), b.Clone()
+	}
+	frac := o.rng.Float64()
+	ca := int(frac * float64(len(a)))
+	cb := int(frac * float64(len(b)))
+	child1 := make(testgen.Sequence, 0, ca+len(b)-cb)
+	child1 = append(child1, a[:ca]...)
+	child1 = append(child1, b[cb:]...)
+	child2 := make(testgen.Sequence, 0, cb+len(a)-ca)
+	child2 = append(child2, b[:cb]...)
+	child2 = append(child2, a[ca:]...)
+	return refClampLen(o, child1), refClampLen(o, child2)
+}
+
+// refClampLen is the reference's length clamp.
+func refClampLen(o *Operators, s testgen.Sequence) testgen.Sequence {
+	if len(s) > testgen.MaxSequenceLen {
+		return s[:testgen.MaxSequenceLen]
+	}
+	for len(s) < testgen.MinSequenceLen {
+		s = append(s, o.gen.Sequence(testgen.MinSequenceLen-len(s))...)
+	}
+	return s
+}
+
+// refMutateSeq is the cloning MutateSeq: it perturbs a copy of s (as
+// PerturbSequence once did itself) and splices a separately drawn block.
+func refMutateSeq(o *Operators, s testgen.Sequence) testgen.Sequence {
+	out := s.Clone()
+	o.gen.PerturbSequence(out, o.SeqMutationRate)
+	if o.rng.Float64() < o.BlockMutationRate && len(out) > 8 {
+		blockLen := 4 + o.rng.Intn(28)
+		if blockLen > len(out)/2 {
+			blockLen = len(out) / 2
+		}
+		pos := o.rng.Intn(len(out) - blockLen)
+		if o.rng.Float64() < 0.5 {
+			fresh := o.gen.Sequence(blockLen)
+			copy(out[pos:pos+blockLen], fresh)
+		} else {
+			dst := pos + blockLen
+			copy(out[dst:], out[pos:pos+blockLen])
+		}
+	}
+	return refClampLen(o, out)
+}
+
+// TestBreedingMatchesReferenceProperty breeds children the way Optimizer.Run
+// does — crossover then mutation, or mutation of a parent's clone — with the
+// one-allocation operators and with the reference, from identically seeded
+// operators over random parent pairs of 1–1,200 vectors (both length
+// clamps fire). Every child, the untouched parents and the next draws of
+// the operator RNG and the generator must agree.
+func TestBreedingMatchesReferenceProperty(t *testing.T) {
+	const pairs = 2500
+	rng := rand.New(rand.NewSource(2005))
+	parents := testgen.NewRandomGenerator(2005, 4096, testgen.DefaultConditionLimits())
+	var short, long int
+	for k := 0; k < pairs; k++ {
+		seed := rng.Int63()
+		a := parents.Sequence(1 + rng.Intn(1200))
+		b := parents.Sequence(1 + rng.Intn(1200))
+		if len(a) < testgen.MinSequenceLen || len(b) < testgen.MinSequenceLen {
+			short++
+		}
+		if len(a) > testgen.MaxSequenceLen || len(b) > testgen.MaxSequenceLen {
+			long++
+		}
+		aWas, bWas := a.Clone(), b.Clone()
+		got, want := newOps(seed), newOps(seed)
+		if rng.Intn(2) == 0 {
+			got.SeqMutationRate, want.SeqMutationRate = 0.2, 0.2
+		}
+
+		child := got.CrossoverSeq(a, b)
+		refChild, _ := refCrossoverSeq(want, a, b)
+		if !slices.Equal(child, refChild) {
+			t.Fatalf("pair %d (%d, %d vectors): crossover child differs from the reference", k, len(a), len(b))
+		}
+		if mutant, ref := got.MutateSeq(child), refMutateSeq(want, refChild); !slices.Equal(mutant, ref) {
+			t.Fatalf("pair %d: mutated crossover child differs from the reference", k)
+		}
+		if mutant, ref := got.MutateSeq(a.Clone()), refMutateSeq(want, a); !slices.Equal(mutant, ref) {
+			t.Fatalf("pair %d: mutated parent clone differs from the reference", k)
+		}
+		if !slices.Equal(a, aWas) || !slices.Equal(b, bWas) {
+			t.Fatalf("pair %d: breeding modified a parent", k)
+		}
+		if g, w := got.rng.Int63(), want.rng.Int63(); g != w {
+			t.Fatalf("pair %d: next operator draw %d, reference %d", k, g, w)
+		}
+		if g, w := got.gen.Next(), want.gen.Next(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("pair %d: next generator draw differs from the reference", k)
+		}
+	}
+	if short < pairs/20 || long < pairs/20 {
+		t.Fatalf("only %d short and %d long parent pairs; the length clamps went untested", short, long)
 	}
 }

@@ -98,17 +98,23 @@ func (g *RandomGenerator) Conditions() Conditions {
 
 // Sequence generates a random sequence of exactly n vectors.
 func (g *RandomGenerator) Sequence(n int) Sequence {
+	return g.AppendSequence(make(Sequence, 0, n), n)
+}
+
+// AppendSequence appends exactly n random vectors to seq and returns the
+// extended slice, drawing what Sequence(n) draws. With the capacity for
+// them, the vectors land in seq's backing array and nothing is allocated.
+func (g *RandomGenerator) AppendSequence(seq Sequence, n int) Sequence {
 	if g.UniformOnly {
-		return g.styledSequence(n, dataUniform, addrUniform, 0.3+0.5*g.rng.Float64())
+		return g.styledSequence(seq, n, dataUniform, addrUniform, 0.3+0.5*g.rng.Float64())
 	}
 	ds := dataStyle(g.rng.Intn(5))
 	as := addrStyle(g.rng.Intn(5))
 	readBias := 0.3 + 0.5*g.rng.Float64() // fraction of reads
-	return g.styledSequence(n, ds, as, readBias)
+	return g.styledSequence(seq, n, ds, as, readBias)
 }
 
-func (g *RandomGenerator) styledSequence(n int, ds dataStyle, as addrStyle, readBias float64) Sequence {
-	seq := make(Sequence, 0, n)
+func (g *RandomGenerator) styledSequence(seq Sequence, n int, ds dataStyle, as addrStyle, readBias float64) Sequence {
 	addr := uint32(g.rng.Intn(int(g.addrSpace)))
 	stride := uint32(1 + g.rng.Intn(64))
 	burstLen := 2 + g.rng.Intn(14)
@@ -191,12 +197,11 @@ func (g *RandomGenerator) Batch(n int) []Test {
 	return out
 }
 
-// PerturbSequence returns a copy of seq with roughly rate·len(seq) vectors
-// re-drawn. The GA mutation operator delegates here so mutated sequences
-// stay inside the generator's address space.
-func (g *RandomGenerator) PerturbSequence(seq Sequence, rate float64) Sequence {
-	out := seq.Clone()
-	for i := range out {
+// PerturbSequence re-draws roughly rate·len(seq) vectors of seq in place;
+// the caller owns seq. The GA mutation operator delegates here so mutated
+// sequences stay inside the generator's address space.
+func (g *RandomGenerator) PerturbSequence(seq Sequence, rate float64) {
+	for i := range seq {
 		if g.rng.Float64() < rate {
 			op := OpRead
 			if g.rng.Float64() < 0.5 {
@@ -206,10 +211,9 @@ func (g *RandomGenerator) PerturbSequence(seq Sequence, rate float64) Sequence {
 			if op == OpWrite {
 				v.Data = g.rng.Uint32()
 			}
-			out[i] = v
+			seq[i] = v
 		}
 	}
-	return out
 }
 
 // AddrSpace returns the address-space size the generator draws from.

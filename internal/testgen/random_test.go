@@ -105,12 +105,14 @@ func TestPerturbSequence(t *testing.T) {
 	g := newGen(10)
 	orig := g.Sequence(500)
 
-	same := g.PerturbSequence(orig, 0)
+	same := orig.Clone()
+	g.PerturbSequence(same, 0)
 	if !reflect.DeepEqual(same, orig) {
 		t.Error("zero-rate perturbation altered the sequence")
 	}
 
-	all := g.PerturbSequence(orig, 1)
+	all := orig.Clone()
+	g.PerturbSequence(all, 1)
 	if len(all) != len(orig) {
 		t.Fatalf("perturbation changed length %d → %d", len(orig), len(all))
 	}
