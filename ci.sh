@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI gate for the repo: static checks, the race-enabled test suite,
+# CI gate for the repo: static checks, a check that every -race -run
+# pattern alternative still names a test, the race-enabled test suite,
 # per-package coverage floors, a fuzz smoke pass over the native fuzz
 # targets, smoke runs of telemetry, live observability, tracestat, the run
 # ledger, crash bundles and the job service, a race-enabled fleet
@@ -21,6 +22,30 @@ echo "== go vet =="
 go vet ./...
 echo "== go build =="
 go build ./...
+
+# The -run patterns of the fleet determinism pass near the end, per
+# package. Each |-alternative must list at least one test, checked before
+# any race run, so a deleted or renamed test cannot silently drop out of
+# the pass.
+RACE_PARALLEL='TestStream|TestForEach|TestRun'
+RACE_CORE='TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotStream|TestProposeSeeds|TestFitnessBatch|TestTable1TraceIdentical|TestTable1Deterministic|TestMeasureTests'
+RACE_SHMOO='TestAddTestsOn'
+echo "== -race -run patterns =="
+# check_race_run PKG PATTERN fails unless every |-alternative of PATTERN
+# lists a test in PKG.
+check_race_run() {
+	for alt in $(printf '%s' "$2" | tr '|' ' '); do
+		go test -list "$alt" "$1" | grep -q '^Test' || {
+			echo "FAIL: -race -run alternative '$alt' lists no test in $1" >&2
+			exit 1
+		}
+	done
+}
+check_race_run ./internal/parallel/ "$RACE_PARALLEL"
+check_race_run ./internal/core/ "$RACE_CORE"
+check_race_run ./internal/shmoo/ "$RACE_SHMOO"
+echo "every -race -run alternative lists a test"
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -400,12 +425,9 @@ echo "== fleet determinism under -race =="
 # Bit-identical results, merged stats and trace bytes between a nil fleet
 # (the serial fleet of one) and multi-worker fleets, with the race detector
 # watching the persistent workers and the streamed in-order deliveries.
-go test -race -count=1 \
-	-run 'TestStream|TestForEach|TestRun' ./internal/parallel/
-go test -race -count=1 \
-	-run 'TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotStream|TestProposeSeeds|TestFitnessBatch|TestTable1TraceIdentical|TestTable1Deterministic|TestMeasureTests' ./internal/core/
-go test -race -count=1 \
-	-run 'TestAddTestsOn|TestAddFmaxTestsOn' ./internal/shmoo/
+go test -race -count=1 -run "$RACE_PARALLEL" ./internal/parallel/
+go test -race -count=1 -run "$RACE_CORE" ./internal/core/
+go test -race -count=1 -run "$RACE_SHMOO" ./internal/shmoo/
 echo "fleet determinism suite race-clean"
 
 echo "== wall-clock benchmark gates (medians of 5) =="

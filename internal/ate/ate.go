@@ -79,13 +79,15 @@ type ATE struct {
 	Repeats int
 
 	// Profiler, when non-nil, replaces dev.Profile as the pattern-execution
-	// path — lot screening installs a dut.ProfileBank here so identical
-	// patterns execute once per lot instead of once per die. The override
-	// must return results bit-identical to dev.Profile; cost accounting
-	// (Profiles, pattern-load time) is unchanged, because the tester still
-	// charges a pattern load even when the simulation shortcuts it. Fork
-	// copies it, so it may run on several insertions at once, and a profile
-	// it computes on a fork may be installed here with Preload.
+	// path, so a caller can observe every pattern execution; charbench's
+	// tracer wraps dev.Profile here to time them. (The lot screen installs
+	// nothing: it shares executions across dies through Preload.) The
+	// override must return results bit-identical to dev.Profile; cost
+	// accounting (Profiles, pattern-load time) is unchanged, because the
+	// tester still charges a pattern load even when the simulation
+	// shortcuts it. Fork copies it, so it may run on several insertions at
+	// once, and a profile it computes on a fork may be installed here with
+	// Preload.
 	Profiler func(dev *dut.Device, t testgen.Test) (dut.Profile, error)
 
 	stats Stats
@@ -155,13 +157,15 @@ func (a *ATE) load(t testgen.Test) (*dut.Profile, error) {
 	return &a.cached, nil
 }
 
-// Preload installs a profile computed on another insertion of the same
-// device (a Fork, which clones the die, physics and repairs) as the loaded
-// pattern, so the pattern execution can run ahead on another goroutine
-// while this tester keeps its own noise stream. It charges exactly what
-// load would: nothing when p's test is already loaded (the loaded profile
-// stays, as load would keep it), otherwise one pattern load. The next
-// measurement of p.Test then strobes the profile without re-executing it.
+// Preload installs a profile computed elsewhere for this device as the
+// loaded pattern: on another insertion of it (a Fork, which clones the
+// die, physics and repairs), so the pattern execution can run ahead on
+// another goroutine while this tester keeps its own noise stream, or on
+// another device and rebound to this one (dut.Profile.Rebind). It charges
+// exactly what load would: nothing when p's test is already loaded (the
+// loaded profile stays, as load would keep it), otherwise one pattern
+// load. The next measurement of p.Test then strobes the profile without
+// re-executing it.
 func (a *ATE) Preload(p dut.Profile) {
 	if a.haveCached && a.cachedName == p.Test.Name {
 		return
@@ -283,19 +287,6 @@ func (a *ATE) FunctionalPass(t testgen.Test) (bool, error) {
 	}
 	a.chargeMeasurement(t, p.MeanActivity(), Parameter(NumParameters))
 	return !p.Func.Failed(), nil
-}
-
-// MeasureFmaxShmooPoint performs one Fmax shmoo-point measurement with the
-// supply overridden to vdd — the classic clock-vs-supply shmoo.
-func (a *ATE) MeasureFmaxShmooPoint(t testgen.Test, vdd, clockMHz float64) (bool, error) {
-	p, err := a.load(t)
-	if err != nil {
-		return false, err
-	}
-	a.chargeMeasurement(t, p.MeanActivity(), Fmax)
-	temp := t.Cond.TempC + a.Heating.RiseC()
-	f := p.FmaxMHzAtCond(vdd, temp) + a.noise(a.NoiseFraction*Fmax.Resolution())
-	return clockMHz <= f, nil
 }
 
 // majority wraps a single-measurement function with the settling-repeat

@@ -317,9 +317,6 @@ func TestPerParamAttribution(t *testing.T) {
 	if _, err := a.MeasureFmaxPass(tt, 90); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.MeasureFmaxShmooPoint(tt, 1.8, 90); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := a.MeasureVddMinPass(tt, 1.8); err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +327,8 @@ func TestPerParamAttribution(t *testing.T) {
 	if got := s.ForParam(TDQ); got != 4 {
 		t.Errorf("TDQ measurements = %d, want 4", got)
 	}
-	if got := s.ForParam(Fmax); got != 2 {
-		t.Errorf("Fmax measurements = %d, want 2", got)
+	if got := s.ForParam(Fmax); got != 1 {
+		t.Errorf("Fmax measurements = %d, want 1", got)
 	}
 	if got := s.ForParam(VddMin); got != 1 {
 		t.Errorf("Vddmin measurements = %d, want 1", got)

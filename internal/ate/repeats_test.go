@@ -88,31 +88,3 @@ func TestMajorityEvenRepeatsRoundUp(t *testing.T) {
 		t.Errorf("even repeats charged %d, want 3", got)
 	}
 }
-
-func TestFmaxShmooPoint(t *testing.T) {
-	dev, err := dut.NewDevice(dut.DefaultGeometry(), dut.NewDie(0, dut.CornerTypical))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := New(dev, 9)
-	a.NoiseFraction = 0
-	tt, err := testgen.MarchTest(testgen.MATSPlus(), 0, 20, 0, testgen.NominalConditions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := a.Profile(tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, vdd := range []float64{1.5, 1.8, 2.1} {
-		f := p.FmaxMHzAtCond(vdd, tt.Cond.TempC)
-		ok, err := a.MeasureFmaxShmooPoint(tt, vdd, f-2)
-		if err != nil || !ok {
-			t.Errorf("clock below Fmax failed at %g V: %v", vdd, err)
-		}
-		ok, err = a.MeasureFmaxShmooPoint(tt, vdd, f+2)
-		if err != nil || ok {
-			t.Errorf("clock above Fmax passed at %g V: %v", vdd, err)
-		}
-	}
-}

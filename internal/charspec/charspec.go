@@ -11,9 +11,7 @@
 package charspec
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -226,19 +224,4 @@ func (r *Report) Format() string {
 		r.GuardbandFrac*100, r.RecommendedLimit, r.Parameter.Unit(), r.MeetsSpec)
 	fmt.Fprintf(&b, "cost: %d measurements over %d corners\n", r.Measurements, len(r.PerCorner))
 	return b.String()
-}
-
-// ExportCSV writes the per-corner results as CSV for plotting tools.
-func (r *Report) ExportCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "vdd_v,temp_c,worst,mean,spread,wcr,worst_test"); err != nil {
-		return err
-	}
-	for _, c := range r.PerCorner {
-		if _, err := fmt.Fprintf(bw, "%g,%g,%.4f,%.4f,%.4f,%.4f,%s\n",
-			c.Corner.VddV, c.Corner.TempC, c.Worst, c.Mean, c.Spread, c.WCR, c.WorstTest); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

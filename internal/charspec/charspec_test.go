@@ -1,7 +1,6 @@
 package charspec
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -157,27 +156,5 @@ func TestCornerString(t *testing.T) {
 	c := Corner{VddV: 1.8, TempC: 25}
 	if c.String() != "1.80V/25°C" {
 		t.Errorf("corner string %q", c.String())
-	}
-}
-
-func TestReportExportCSV(t *testing.T) {
-	tester, tests := rig(t)
-	rep, err := Extract(tester, ate.TDQ, tests[:2], smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.ExportCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1+smallConfig().Grid.Corners() {
-		t.Fatalf("CSV has %d lines, want header + %d corners", len(lines), smallConfig().Grid.Corners())
-	}
-	if lines[0] != "vdd_v,temp_c,worst,mean,spread,wcr,worst_test" {
-		t.Errorf("header %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "1.65,25,") {
-		t.Errorf("first row %q", lines[1])
 	}
 }

@@ -26,9 +26,12 @@ import (
 //     O(1) per die.
 //   - Shared work. Each worker owns one device and one tester insertion
 //     for the whole lot (Retarget/Reseed per die instead of reallocating),
-//     and a lot-wide dut.ProfileBank executes each test pattern once
-//     instead of once per die — activity is die-independent for clean
-//     dies, so tens of thousands of dies share a handful of executions.
+//     and each test pattern executes once per lot, on a clean reference
+//     die, instead of once per die: activity is die-independent for dies
+//     without weak cells, so every clean die preloads the reference
+//     profile rebound to itself (dut.Profile.Rebind) and tens of thousands
+//     of dies share a handful of executions. Dies with weak cells execute
+//     their own patterns.
 //   - Durable measurements. With a cachestore attached, each die's screen
 //     outcome (result + full tester cost) persists keyed by the content of
 //     the die, the test set and the seed; a second identical run replays
@@ -91,6 +94,10 @@ type LotOptions struct {
 type lotWorker struct {
 	dev    *dut.Device
 	tester *ate.ATE
+	// refs[k] is test k executed on the lot's clean reference die, shared
+	// read-only by every worker; nil when that execution failed, which
+	// leaves the test to the tester's own pattern load and its error.
+	refs []*dut.Profile
 }
 
 // screen measures one die, bit-identical to measuring it on a fresh device
@@ -116,7 +123,12 @@ func (wk *lotWorker) screen(param ate.Parameter, tests []testgen.Test, die *dut.
 	if !isMin {
 		worst = math.Inf(-1)
 	}
-	for _, t := range tests {
+	for k, t := range tests {
+		if ref := wk.refs[k]; ref != nil {
+			if p, ok := ref.Rebind(wk.dev); ok {
+				wk.tester.Preload(p)
+			}
+		}
 		m, err := runner.Measure(t)
 		if err != nil {
 			return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d test %s: %w", die.ID, t.Name, err)
@@ -181,15 +193,22 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 	tel := opts.Telemetry
 	ph := tel.StartPhase("lot-screen")
 
-	bank, err := dut.NewProfileBank(geom, dut.DefaultPhysics())
+	// Each test executes once, here, on the clean placeholder die.
+	placeholder := dut.NewDie(-1, dut.CornerTypical)
+	refDev, err := dut.NewDevice(geom, placeholder)
 	if err != nil {
 		return nil, err
+	}
+	refs := make([]*dut.Profile, len(tests))
+	for k, t := range tests {
+		if p, err := refDev.Profile(t); err == nil {
+			refs[k] = &p
+		}
 	}
 
 	// Worker states persist across stages: construction cost (array
 	// allocation) is paid once per worker, not once per stage or die.
 	states := make([]*lotWorker, nw)
-	placeholder := dut.NewDie(-1, dut.CornerTypical)
 	newWorker := func(w int) (*lotWorker, error) {
 		if states[w] != nil {
 			return states[w], nil
@@ -198,9 +217,7 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 		if err != nil {
 			return nil, err
 		}
-		tester := ate.New(dev, baseSeed)
-		tester.Profiler = bank.Profile
-		states[w] = &lotWorker{dev: dev, tester: tester}
+		states[w] = &lotWorker{dev: dev, tester: ate.New(dev, baseSeed), refs: refs}
 		return states[w], nil
 	}
 
@@ -346,8 +363,9 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 }
 
 // lotCacheKey fingerprints everything a die's screen outcome depends on
-// besides the die itself: parameter, geometry, the ordered test set
-// (structural fingerprints — names don't matter) and the seed base.
+// besides the die itself: parameter, geometry, the ordered test set and the
+// seed base. Each test contributes its structural fingerprint and its name,
+// because a die record stores its worst test by name.
 func lotCacheKey(param ate.Parameter, geom dut.Geometry, tests []testgen.Test, baseSeed int64) uint64 {
 	h := fnvMix(fnvOffset, uint64(param))
 	h = fnvMix(h, uint64(geom.Banks))
@@ -357,6 +375,10 @@ func lotCacheKey(param ate.Parameter, geom dut.Geometry, tests []testgen.Test, b
 	h = fnvMix(h, uint64(len(tests)))
 	for _, t := range tests {
 		h = fnvMix(h, t.Fingerprint())
+		h = fnvMix(h, uint64(len(t.Name)))
+		for i := 0; i < len(t.Name); i++ {
+			h = fnvMix(h, uint64(t.Name[i]))
+		}
 	}
 	return h
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,12 +123,18 @@ func checkLotCacheCounts(t *testing.T, label, state string, store *cachestore.St
 }
 
 // The oracle: screenDie in a serial per-die loop is the pre-streaming
-// implementation. Every streamed configuration must reproduce its per-die
-// outcomes bit for bit.
+// implementation, on a fresh device per die with no shared pattern
+// execution. Every streamed configuration must reproduce its per-die
+// outcomes and its summed tester cost bit for bit. Every fifth die carries
+// a weak cell the March test reads, so the lot's shared clean-die
+// executions and its per-die fallback are both pinned.
 func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 	withTestLotShape(t)
 	tests := lotTests(t)
 	dies := dut.NewDieLot(31, lotShapeSizes[len(lotShapeSizes)-1])
+	for i := 0; i < len(dies); i += 5 {
+		dut.WithWeakCell(uint32(i%50), 2.5)(dies[i])
+	}
 	geom := dut.DefaultGeometry()
 	const seed = 31
 
@@ -139,6 +146,9 @@ func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i], wantCost[i] = dr, cost
+	}
+	if want[0].FunctionalFails == 0 {
+		t.Fatal("the weak cell of die 0 never corrupted a read")
 	}
 
 	for _, workers := range []int{0, 1, 2, 8} {
@@ -157,15 +167,18 @@ func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 				if len(rep.Dies) != size || rep.DieCount != size {
 					t.Fatalf("%s: %d dies (count %d)", label, len(rep.Dies), rep.DieCount)
 				}
-				var totalMeas int64
+				var total ate.Stats
 				for i := 0; i < size; i++ {
 					if rep.Dies[i] != want[i] {
 						t.Errorf("%s die %d: %+v, legacy %+v", label, i, rep.Dies[i], want[i])
 					}
-					totalMeas += wantCost[i].Measurements
+					total.Add(wantCost[i])
 				}
-				if rep.Measurements != totalMeas {
-					t.Errorf("%s: measurements %d, legacy %d", label, rep.Measurements, totalMeas)
+				if rep.Measurements != total.Measurements {
+					t.Errorf("%s: measurements %d, legacy %d", label, rep.Measurements, total.Measurements)
+				}
+				if rep.Stats != total {
+					t.Errorf("%s: tester cost %+v, legacy %+v", label, rep.Stats, total)
 				}
 				checkLotCacheCounts(t, label, state, store, size)
 			}
@@ -381,6 +394,28 @@ func TestScreenLotStreamCacheKeyedByContent(t *testing.T) {
 	}
 	if st := s3.Stats(); st.Hits != 0 {
 		t.Errorf("cross-test-set cache hits: %d", st.Hits)
+	}
+
+	// Same patterns under new names → a die record's worst-test name would
+	// be stale → no hits allowed, and the report names the new tests.
+	renamed := slices.Clone(tests)
+	for i := range renamed {
+		renamed[i].Name = fmt.Sprintf("RENAMED-%d", i)
+	}
+	cold, err := ScreenLotStream(ate.TDQ, renamed, dut.LotSlice(dies), geom, 43, LotOptions{RetainDies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s4, _ := cachestore.Open(dir, 7)
+	warm, err := ScreenLotStream(ate.TDQ, renamed, dut.LotSlice(dies), geom, 43, LotOptions{RetainDies: true, Cache: s4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s4.Stats(); st.Hits != 0 {
+		t.Errorf("renamed-test-set cache hits: %d", st.Hits)
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Errorf("renamed test set: report over the store differs from cold\n got: %+v\nwant: %+v", warm.Dies, cold.Dies)
 	}
 }
 

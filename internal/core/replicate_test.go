@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/testgen"
+	"repro/internal/wcr"
 )
 
 // TestTable1OrderingHoldsAcrossSeeds is the statistical form of the
@@ -46,6 +48,53 @@ func TestTable1OrderingHoldsAcrossSeeds(t *testing.T) {
 	// the method, not of a lucky seed.
 	if nnga.StdWCR > 0.08 {
 		t.Errorf("NNGA WCR σ %.3f too large across replicas", nnga.StdWCR)
+	}
+}
+
+// The flow's worst case reaches at least the weakness band: the path the
+// characterize binary runs (NewCharacterizer → Learn → Optimize → the
+// database's worst case) at the default scale, with nominal fixed
+// conditions on the typical die, must not classify its worst case as pass
+// on seed 103 nor on more than one of seeds 1000–1019.
+func TestCharacterizeWorstAtLeastWeaknessAcrossSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("21 full characterize flows")
+	}
+	worst := func(seed int64) Entry {
+		cfg := DefaultConfig(seed)
+		nominal := testgen.NominalConditions()
+		cfg.FixedConditions = &nominal
+		char, err := NewCharacterizer(cfg, newTester(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer char.Close()
+		if _, err := char.Learn(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := char.Optimize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, ok := res.Database.Worst()
+		if !ok {
+			t.Fatalf("seed %d: no worst case", seed)
+		}
+		t.Logf("seed %d: worst case %s, WCR %.3f (%s)", seed, w.Test.Name, w.WCR, w.Class)
+		return w
+	}
+	if w := worst(103); w.Class == wcr.Pass {
+		t.Errorf("seed 103: worst case classified pass (WCR %.3f)", w.WCR)
+	}
+	const first, n = 1000, 20
+	held := 0
+	for seed := int64(first); seed < first+n; seed++ {
+		if worst(seed).Class != wcr.Pass {
+			held++
+		}
+	}
+	if held < n-1 {
+		t.Errorf("worst case at least weakness on %d/%d seeds, want >= %d", held, n, n-1)
 	}
 }
 

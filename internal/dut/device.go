@@ -101,6 +101,22 @@ func (d *Device) Profile(t testgen.Test) (Profile, error) {
 	return Profile{Test: t, Act: act, Func: fn, die: d.die, phys: d.phys}, nil
 }
 
+// Rebind returns the profile dev would compute for the same test, reusing
+// this profile's pattern execution with dev's die and physics. Without
+// weak cells, activity and the functional result depend only on the
+// sequence and the geometry — row repairs move storage, not data — so a
+// lot can execute each test once and rebind it to every clean die. ok is
+// false when either die has weak cells, whose corruption depends on the
+// die's own supply margin. dev must have the geometry p was executed on.
+func (p *Profile) Rebind(dev *Device) (Profile, bool) {
+	if p.die.WeakCellCount() > 0 || dev.die.WeakCellCount() > 0 {
+		return Profile{}, false
+	}
+	q := *p
+	q.die, q.phys = dev.die, dev.phys
+	return q, true
+}
+
 // TDQWindowNS returns the data-output valid window at the profile's own
 // test conditions.
 func (p *Profile) TDQWindowNS() float64 {

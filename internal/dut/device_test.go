@@ -2,6 +2,7 @@ package dut
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/testgen"
@@ -203,5 +204,73 @@ func TestDeviceAccessors(t *testing.T) {
 	}
 	if dev.Physics().TDQBaseNS != DefaultPhysics().TDQBaseNS {
 		t.Error("Physics accessor mismatch")
+	}
+}
+
+// Rebinding one clean reference execution to another device reproduces
+// that device's own profile. Over random tests and dies of every corner
+// with process spread, the first of each lot row-repaired, the rebound
+// profile equals dev.Profile in Act, Func and all three parametrics. A
+// weak-cell die on either side of the rebinding is refused.
+func TestRebindMatchesProfileProperty(t *testing.T) {
+	const seeds, diesPerSeed = 40, 6
+	geom := DefaultGeometry()
+	ref, err := NewDevice(geom, NewDie(-1, CornerTypical))
+	if err != nil {
+		t.Fatal(err)
+	}
+	weak, err := NewDevice(geom, NewDie(-2, CornerTypical, WithWeakCell(1, 2.5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corners := make(map[Corner]bool)
+	for seed := int64(0); seed < seeds; seed++ {
+		tst := testgen.NewRandomGenerator(seed, geom.Words(), testgen.DefaultConditionLimits()).Next()
+		p, err := ref.Profile(tst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, die := range NewDieLot(seed, diesPerSeed) {
+			dev, err := NewDevice(geom, die)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				if err := dev.RepairRow(uint32(seed*97) % geom.Words()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			corners[die.Corner] = true
+			got, ok := p.Rebind(dev)
+			if !ok {
+				t.Fatalf("seed %d die %d: clean die refused", seed, die.ID)
+			}
+			want, err := dev.Profile(tst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Act != want.Act || !reflect.DeepEqual(got.Func, want.Func) {
+				t.Fatalf("seed %d die %d: rebound execution differs\ngot  %+v %+v\nwant %+v %+v",
+					seed, die.ID, got.Act, got.Func, want.Act, want.Func)
+			}
+			if got.TDQWindowNS() != want.TDQWindowNS() || got.FmaxMHz() != want.FmaxMHz() || got.VddMinV() != want.VddMinV() {
+				t.Fatalf("seed %d die %d: rebound parametrics %v/%v/%v, want %v/%v/%v", seed, die.ID,
+					got.TDQWindowNS(), got.FmaxMHz(), got.VddMinV(),
+					want.TDQWindowNS(), want.FmaxMHz(), want.VddMinV())
+			}
+		}
+		if _, ok := p.Rebind(weak); ok {
+			t.Fatalf("seed %d: rebound onto a weak-cell die", seed)
+		}
+		wp, err := weak.Profile(tst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := wp.Rebind(ref); ok {
+			t.Fatalf("seed %d: rebound a weak-cell die's execution", seed)
+		}
+	}
+	if len(corners) != 3 {
+		t.Fatalf("dies covered %d corners, want all 3", len(corners))
 	}
 }

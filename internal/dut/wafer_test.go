@@ -221,171 +221,6 @@ func TestDeviceRetarget(t *testing.T) {
 	}
 }
 
-func TestProfileBankMatchesDirectProfile(t *testing.T) {
-	geom := DefaultGeometry()
-	bank, err := NewProfileBank(geom, DefaultPhysics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := testgen.Sequence{
-		{Op: testgen.OpWrite, Addr: 1, Data: 0xAAAAAAAA},
-		{Op: testgen.OpWrite, Addr: 2, Data: 0x55555555},
-		{Op: testgen.OpRead, Addr: 1},
-		{Op: testgen.OpRead, Addr: 2},
-	}
-	tst := testgen.Test{Name: "bank", Seq: seq, Cond: testgen.Conditions{VddV: 1.62, TempC: 85, ClockMHz: 120}}
-
-	dies := []*Die{
-		NewDie(0, CornerTypical),
-		NewDie(1, CornerFast),
-		NewDie(2, CornerSlow, WithExtraTDQOffsetNS(-2)),
-		NewDie(3, CornerTypical, WithWeakCell(1, 2.5)), // corrupts: forces bypass
-	}
-	for _, die := range dies {
-		dev, err := NewDevice(geom, die)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := dev.Profile(tst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		banked, err := bank.Profile(dev, tst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if banked.Act != direct.Act {
-			t.Errorf("die %d: banked activity differs: %+v vs %+v", die.ID, banked.Act, direct.Act)
-		}
-		if banked.Func.Mismatches != direct.Func.Mismatches || banked.Func.ReadCount != direct.Func.ReadCount {
-			t.Errorf("die %d: banked functional result differs", die.ID)
-		}
-		if banked.TDQWindowNS() != direct.TDQWindowNS() ||
-			banked.FmaxMHz() != direct.FmaxMHz() ||
-			banked.VddMinV() != direct.VddMinV() {
-			t.Errorf("die %d: banked parametrics differ", die.ID)
-		}
-	}
-	// Three clean dies share one execution; the weak die bypasses.
-	if bank.Computed() != 1 {
-		t.Errorf("Computed = %d, want 1", bank.Computed())
-	}
-	if bank.Hits() != 2 {
-		t.Errorf("Hits = %d, want 2", bank.Hits())
-	}
-	if bank.Bypassed() != 1 {
-		t.Errorf("Bypassed = %d, want 1", bank.Bypassed())
-	}
-	if bank.Len() != 1 {
-		t.Errorf("Len = %d, want 1", bank.Len())
-	}
-}
-
-// Concurrent Profile calls on a shared bank — clean dies hitting and
-// missing, weak dies bypassing — are race-clean, count every call exactly
-// once, and stay bit-identical to dev.Profile.
-func TestProfileBankConcurrentProfileCounts(t *testing.T) {
-	geom := DefaultGeometry()
-	bank, err := NewProfileBank(geom, DefaultPhysics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cond := testgen.Conditions{VddV: 1.62, TempC: 85, ClockMHz: 120}
-	tests := []testgen.Test{
-		{Name: "a", Seq: testgen.Sequence{{Op: testgen.OpWrite, Addr: 1, Data: 7}, {Op: testgen.OpRead, Addr: 1}}, Cond: cond},
-		{Name: "b", Seq: testgen.Sequence{{Op: testgen.OpWrite, Addr: 2, Data: 9}, {Op: testgen.OpRead, Addr: 2}, {Op: testgen.OpRead, Addr: 1}}, Cond: cond},
-		{Name: "c", Seq: testgen.Sequence{{Op: testgen.OpWrite, Addr: 3, Data: 1}, {Op: testgen.OpRead, Addr: 3}}, Cond: cond},
-	}
-	const (
-		goroutines = 6
-		rounds     = 50
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			opts := []DieOption(nil)
-			if g%3 == 0 {
-				opts = append(opts, WithWeakCell(1, 2.5))
-			}
-			dev, err := NewDevice(geom, NewDie(g, CornerTypical, opts...))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for r := 0; r < rounds; r++ {
-				tst := tests[(g+r)%len(tests)]
-				banked, err := bank.Profile(dev, tst)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				direct, err := dev.Profile(tst)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if banked.Act != direct.Act || banked.Func.Mismatches != direct.Func.Mismatches {
-					t.Errorf("die %d test %s: banked profile differs from direct", g, tst.Name)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := bank.Hits() + bank.Computed() + bank.Bypassed(); got != goroutines*rounds {
-		t.Errorf("hits %d + computed %d + bypassed %d = %d, want %d calls",
-			bank.Hits(), bank.Computed(), bank.Bypassed(), got, goroutines*rounds)
-	}
-	if want := int64(goroutines / 3 * rounds); bank.Bypassed() != want {
-		t.Errorf("Bypassed = %d, want %d", bank.Bypassed(), want)
-	}
-	if bank.Len() != len(tests) {
-		t.Errorf("Len = %d, want %d", bank.Len(), len(tests))
-	}
-}
-
-func TestProfileBankThroughATEProfiler(t *testing.T) {
-	// The bank slots into the ATE's Profiler hook without changing
-	// measurement outcomes for clean dies.
-	geom := DefaultGeometry()
-	bank, err := NewProfileBank(geom, DefaultPhysics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	die := NewDie(0, CornerSlow)
-	seq := testgen.Sequence{
-		{Op: testgen.OpWrite, Addr: 1, Data: 0xFFFF0000},
-		{Op: testgen.OpRead, Addr: 1},
-	}
-	tst := testgen.Test{Name: "hook", Seq: seq, Cond: testgen.Conditions{VddV: 1.8, TempC: 25, ClockMHz: 100}}
-
-	run := func(profiler func(*Device, testgen.Test) (Profile, error)) Profile {
-		dev, err := NewDevice(geom, die)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if profiler != nil {
-			p, err := profiler(dev, tst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}
-		p, err := dev.Profile(tst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	direct := run(nil)
-	banked := run(bank.Profile)
-	if direct.Act != banked.Act || direct.TDQWindowNS() != banked.TDQWindowNS() {
-		t.Error("profiler hook path diverges from direct profiling")
-	}
-}
-
 // usableCells counts grid cells whose center is on the wafer by scanning
 // the whole grid — the sizing rule NewWaferLot used before the row table.
 func usableCells(side int) int {

@@ -74,10 +74,6 @@ func (c *TripPointCoder) Width() int {
 	return len(c.severity.Terms)
 }
 
-// SeverityVariable exposes the underlying linguistic variable (reports,
-// plotting).
-func (c *TripPointCoder) SeverityVariable() *Variable { return c.severity }
-
 // WCR maps a trip point to its worst case ratio (eqs. 5/6).
 func (c *TripPointCoder) WCR(tripPoint float64) float64 {
 	return wcr.For(tripPoint, c.Spec, c.SpecIsMin)

@@ -381,13 +381,6 @@ func (s *Server) MetricsSnapshot() telemetry.Snapshot {
 	return telemetry.MergeSnapshots(snaps...)
 }
 
-// Pause suspends dispatch (running jobs keep running).
-func (s *Server) Pause() {
-	s.mu.Lock()
-	s.paused = true
-	s.mu.Unlock()
-}
-
 // Resume re-enables dispatch.
 func (s *Server) Resume() {
 	s.mu.Lock()

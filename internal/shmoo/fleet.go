@@ -17,31 +17,17 @@ import (
 // tester carries noise-RNG and thermal state across the whole overlay,
 // each fleet task is hermetic.
 
-// forkPoint selects which measurement a fleet sweep performs on the forked
-// insertion.
-type forkPoint func(wk *ate.ATE) PointFunc
-
 // AddTestsOn sweeps every test over the T_DQ strobe grid (the fig. 8 axes)
 // on the fleet f (nil runs serially), one task per test, and accumulates
 // them into the overlay in test order as each delivery arrives.
 func (p *Plot) AddTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, baseSeed int64) error {
-	return p.addTestsOn(f, a, tests, baseSeed, func(wk *ate.ATE) PointFunc { return wk.MeasureShmooPoint })
-}
-
-// AddFmaxTestsOn sweeps every test over a clock-vs-supply grid on the fleet
-// f — the fleet form of AddFmaxTest.
-func (p *Plot) AddFmaxTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, baseSeed int64) error {
-	return p.addTestsOn(f, a, tests, baseSeed, func(wk *ate.ATE) PointFunc { return wk.MeasureFmaxShmooPoint })
-}
-
-func (p *Plot) addTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, baseSeed int64, point forkPoint) error {
 	grids := make([][]bool, len(tests))
 	costs := make([]ate.Stats, len(tests))
 	return parallel.Stream(f, len(tests), func(int) (*ate.ATE, error) {
 		return a.Fork(baseSeed)
 	}, func(wk *ate.ATE, i int) error {
 		wk.Reseed(baseSeed + int64(i))
-		cells, err := p.sweepGrid(point(wk), tests[i])
+		cells, err := p.sweepGrid(wk.MeasureShmooPoint, tests[i])
 		if err != nil {
 			return err
 		}

@@ -8,15 +8,15 @@ import (
 	"repro/internal/testgen"
 )
 
-// The fleet sweeps are pure scheduling: same plot and same merged cost
-// counters as a hermetic reference that sweeps every test on its own fresh
-// insertion through the serial AddTestFunc, at every fleet size — with
-// measurement noise ON so the RNG discipline is actually load-bearing.
+// The fleet sweep AddTestsOn is pure scheduling: same plot and same merged
+// cost counters as a hermetic reference that sweeps every test on its own
+// fresh insertion through the serial AddTestFunc, at every fleet size —
+// with measurement noise ON so the RNG discipline is actually load-bearing.
 
-// hermeticOverlay is the reference the fleet sweeps must reproduce: test i
-// on a freshly forked insertion reseeded with baseSeed+i, swept cell by cell
+// hermeticOverlay is the reference AddTestsOn must reproduce: test i on a
+// freshly forked insertion reseeded with baseSeed+i, swept cell by cell
 // with AddTestFunc, its cost merged into a in test order.
-func hermeticOverlay(t *testing.T, p *Plot, a *ate.ATE, tests []testgen.Test, baseSeed int64, point forkPoint) {
+func hermeticOverlay(t *testing.T, p *Plot, a *ate.ATE, tests []testgen.Test, baseSeed int64) {
 	t.Helper()
 	for i, tt := range tests {
 		wk, err := a.Fork(baseSeed)
@@ -24,15 +24,12 @@ func hermeticOverlay(t *testing.T, p *Plot, a *ate.ATE, tests []testgen.Test, ba
 			t.Fatal(err)
 		}
 		wk.Reseed(baseSeed + int64(i))
-		if err := p.AddTestFunc(tt, point(wk)); err != nil {
+		if err := p.AddTestFunc(tt, wk.MeasureShmooPoint); err != nil {
 			t.Fatal(err)
 		}
 		a.AddStats(wk.Stats())
 	}
 }
-
-func tdqPoint(wk *ate.ATE) PointFunc  { return wk.MeasureShmooPoint }
-func fmaxPoint(wk *ate.ATE) PointFunc { return wk.MeasureFmaxShmooPoint }
 
 func smallAxes() (Axis, Axis) {
 	x := Axis{Label: "T_DQ (ns)", Min: 20, Max: 32, Steps: 13}
@@ -55,7 +52,7 @@ func TestAddTestsOnMatchesHermeticOverlay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hermeticOverlay(t, p, fork, tests, 900, tdqPoint)
+		hermeticOverlay(t, p, fork, tests, 900)
 		return p.Render(), fork.Stats().Measurements
 	}
 	wantGrid, wantCost := reference()
@@ -100,8 +97,8 @@ func TestAddTestsOnReusesFleetAcrossOverlays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hermeticOverlay(t, want, refFork, tests[:2], 77, tdqPoint)
-	hermeticOverlay(t, want, refFork, tests[2:], 78, tdqPoint)
+	hermeticOverlay(t, want, refFork, tests[:2], 77)
+	hermeticOverlay(t, want, refFork, tests[2:], 78)
 
 	got, err := NewPlot(x, y)
 	if err != nil {
@@ -126,44 +123,6 @@ func TestAddTestsOnReusesFleetAcrossOverlays(t *testing.T) {
 	}
 	if g, w := fork.Stats().Measurements, refFork.Stats().Measurements; g != w {
 		t.Errorf("persistent-fleet cost %d, hermetic reference %d", g, w)
-	}
-}
-
-func TestAddFmaxTestsOnMatchesHermeticOverlay(t *testing.T) {
-	tester, gen := rig(t)
-	tester.NoiseFraction = 0.25
-	tests := gen.Batch(3)
-	x := Axis{Label: "F (MHz)", Min: 40, Max: 120, Steps: 9}
-	_, y := smallAxes()
-
-	want, err := NewPlot(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFork, err := tester.Fork(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hermeticOverlay(t, want, refFork, tests, 55, fmaxPoint)
-
-	got, err := NewPlot(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork, err := tester.Fork(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := parallel.NewFleet(4)
-	defer f.Close()
-	if err := got.AddFmaxTestsOn(f, fork, tests, 55); err != nil {
-		t.Fatal(err)
-	}
-	if g, w := got.Render(), want.Render(); g != w {
-		t.Errorf("fmax fleet overlay differs:\n%s\nvs\n%s", g, w)
-	}
-	if g, w := fork.Stats().Measurements, refFork.Stats().Measurements; g != w {
-		t.Errorf("fmax fleet cost %d, hermetic reference %d", g, w)
 	}
 }
 

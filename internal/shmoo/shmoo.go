@@ -6,9 +6,7 @@
 package shmoo
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -46,9 +44,6 @@ func DefaultVddAxis() Axis { return Axis{Label: "VDD (V)", Min: 1.4, Max: 2.2, S
 // DefaultTDQAxis is the fig. 8 X axis: the T_DQ strobe in ns.
 func DefaultTDQAxis() Axis { return Axis{Label: "T_DQ (ns)", Min: 18, Max: 36, Steps: 37} }
 
-// DefaultFmaxAxis is the X axis of the classic clock-vs-supply shmoo.
-func DefaultFmaxAxis() Axis { return Axis{Label: "clock (MHz)", Min: 80, Max: 135, Steps: 23} }
-
 // Plot is an overlay shmoo: for every grid cell it counts how many of the
 // overlaid tests passed there. Cells where some tests pass and some fail
 // are exactly the test-dependent trip-point variation the paper
@@ -59,14 +54,13 @@ type Plot struct {
 	// passCount[yi*X.Steps+xi] = number of tests passing at that cell.
 	passCount []int
 
-	// OnTest, when non-nil, observes each test merged into the overlay by
-	// the fleet sweeps (AddTestsOn, AddFmaxTestsOn): the test's overlay
-	// index (the value of Tests as it merges) and the tester cost its
-	// hermetic sweep consumed. It runs on the merge loop, which proceeds in
-	// test order regardless of the fleet size, so callers may emit trace
-	// events from it. The serial AddTestFunc path does not fire it: there
-	// one tester carries state across the whole overlay and no per-test
-	// cost split exists.
+	// OnTest, when non-nil, observes each test AddTestsOn merges into the
+	// overlay: the test's overlay index (the value of Tests as it merges)
+	// and the tester cost its hermetic sweep consumed. It runs on the merge
+	// loop, which proceeds in test order regardless of the fleet size, so
+	// callers may emit trace events from it. The serial AddTest and
+	// AddTestFunc do not fire it: there one tester carries state across the
+	// whole overlay and no per-test cost split exists.
 	OnTest func(index int, cost ate.Stats)
 }
 
@@ -109,12 +103,6 @@ func (p *Plot) AddTestFunc(t testgen.Test, point PointFunc) error {
 // axes) and accumulates it into the overlay.
 func (p *Plot) AddTest(a *ate.ATE, t testgen.Test) error {
 	return p.AddTestFunc(t, a.MeasureShmooPoint)
-}
-
-// AddFmaxTest sweeps one test over a clock-vs-supply grid — the classic
-// frequency shmoo with the same pass-low-X orientation as the T_DQ plot.
-func (p *Plot) AddFmaxTest(a *ate.ATE, t testgen.Test) error {
-	return p.AddTestFunc(t, a.MeasureFmaxShmooPoint)
 }
 
 // PassFraction returns the fraction of overlaid tests passing at cell
@@ -207,40 +195,4 @@ func (p *Plot) cellChar(xi, yi int) byte {
 		}
 		return byte('0' + d)
 	}
-}
-
-// ExportCSV writes the overlay as CSV: one row per grid cell with the two
-// axis values and the pass fraction, loadable by any plotting tool.
-func (p *Plot) ExportCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "x,y,pass_fraction,pass_count,tests\n"); err != nil {
-		return err
-	}
-	for yi := 0; yi < p.Y.Steps; yi++ {
-		for xi := 0; xi < p.X.Steps; xi++ {
-			if _, err := fmt.Fprintf(bw, "%g,%g,%.4f,%d,%d\n",
-				p.X.Value(xi), p.Y.Value(yi), p.PassFraction(xi, yi),
-				p.passCount[yi*p.X.Steps+xi], p.Tests); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// RowTripPoints extracts, for a single-test plot, the trip point (largest
-// passing X) per Y row — the fig. 8 pass/fail boundary curve. Rows with no
-// passing cell report NaN.
-func (p *Plot) RowTripPoints() []float64 {
-	out := make([]float64, p.Y.Steps)
-	for yi := range out {
-		out[yi] = math.NaN()
-		for xi := p.X.Steps - 1; xi >= 0; xi-- {
-			if p.passCount[yi*p.X.Steps+xi] == p.Tests && p.Tests > 0 {
-				out[yi] = p.X.Value(xi)
-				break
-			}
-		}
-	}
-	return out
 }

@@ -1,9 +1,7 @@
 package shmoo
 
 import (
-	"bytes"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -85,11 +83,15 @@ func TestSingleTestShmooStructure(t *testing.T) {
 	}
 
 	// The boundary (trip point) must rise with Vdd: higher supply, longer
-	// valid window.
-	trips := p.RowTripPoints()
-	lowRow, highRow := trips[0], trips[p.Y.Steps-1]
-	if math.IsNaN(lowRow) || math.IsNaN(highRow) {
+	// valid window. With one test the all-pass and any-pass boundaries
+	// coincide.
+	lowRow, lowAny, okLow := p.BoundarySpread(0)
+	highRow, highAny, okHigh := p.BoundarySpread(p.Y.Steps - 1)
+	if !okLow || !okHigh {
 		t.Fatal("boundary missing at extreme rows")
+	}
+	if lowAny != lowRow || highAny != highRow {
+		t.Errorf("single-test boundaries split: %g/%g, %g/%g", lowRow, lowAny, highRow, highAny)
 	}
 	if highRow <= lowRow {
 		t.Errorf("trip at max Vdd (%g) not above trip at min Vdd (%g)", highRow, lowRow)
@@ -169,36 +171,6 @@ func TestShmooMeasurementAccounting(t *testing.T) {
 	}
 }
 
-func TestFmaxShmooStructure(t *testing.T) {
-	tester, gen := rig(t)
-	p, err := NewPlot(DefaultFmaxAxis(), DefaultVddAxis())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddFmaxTest(tester, gen.Next()); err != nil {
-		t.Fatal(err)
-	}
-	// Pass region at low clock, and Fmax boundary rising with Vdd.
-	trips := p.RowTripPoints()
-	lo, hi := trips[0], trips[p.Y.Steps-1]
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		t.Fatal("Fmax boundary missing at extreme supplies")
-	}
-	if hi <= lo {
-		t.Errorf("Fmax at max Vdd (%g) not above Fmax at min Vdd (%g)", hi, lo)
-	}
-	for yi := 0; yi < p.Y.Steps; yi++ {
-		prev := 1.0
-		for xi := 0; xi < p.X.Steps; xi++ {
-			frac := p.PassFraction(xi, yi)
-			if frac > prev {
-				t.Fatalf("Fmax row %d not monotone", yi)
-			}
-			prev = frac
-		}
-	}
-}
-
 func TestAddTestFuncErrorPropagates(t *testing.T) {
 	p, _ := NewPlot(DefaultTDQAxis(), DefaultVddAxis())
 	errPoint := func(testgen.Test, float64, float64) (bool, error) {
@@ -213,25 +185,3 @@ func TestAddTestFuncErrorPropagates(t *testing.T) {
 }
 
 var errSynthetic = fmt.Errorf("synthetic point failure")
-
-func TestExportCSV(t *testing.T) {
-	tester, gen := rig(t)
-	p, _ := NewPlot(Axis{Label: "x", Min: 20, Max: 30, Steps: 3}, Axis{Label: "y", Min: 1.6, Max: 2.0, Steps: 2})
-	if err := p.AddTest(tester, gen.Next()); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.ExportCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1+3*2 {
-		t.Fatalf("CSV has %d lines, want header + 6 cells", len(lines))
-	}
-	if lines[0] != "x,y,pass_fraction,pass_count,tests" {
-		t.Errorf("header %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "20,1.6,") {
-		t.Errorf("first cell %q", lines[1])
-	}
-}
