@@ -432,19 +432,19 @@ echo "fleet determinism suite race-clean"
 
 echo "== wall-clock benchmark gates (medians of 5) =="
 # Five -benchtime 1x samples of the lot benchmarks the two wall-clock gates
-# read, plus fig. 5 and Table 1 on fleets of 1 and 2 workers; medians are
-# printed, no file is written. The counter gates on the same workloads are Go tests and
-# ran above.
+# read, plus fig. 5, fig. 8 and Table 1 on fleets of 1 and 2 workers;
+# medians are printed, no file is written. The counter gates on the same
+# workloads are Go tests and ran above.
 #   - speedup: streamed workers=8 cache=off must screen >= 2x the dies/sec
 #     of the frozen pre-streaming per-die loop (BenchmarkLotScreenPerDieLoop);
 #   - scaling: on a host with >= 2 CPUs, workers=2 cache=off must screen
 #     >= 1.4x the dies/sec of workers=1 cache=off. Below 2 CPUs it is
 #     printed and skipped.
-# fig. 5's and Table 1's workers=2 over workers=1 ratios are recorded with
-# the CPU count, not gated.
+# fig. 5's, fig. 8's and Table 1's workers=2 over workers=1 ratios are
+# recorded with the CPU count, not gated.
 NCPU=$(nproc)
 SAMPLES=$(go test -run '^$' -benchtime 1x -count 5 -timeout 60m -bench \
-	'^BenchmarkLotScreenPerDieLoop$|^BenchmarkLotScreenStream$/^workers=[128]$/^cache=off$|^BenchmarkFigure5OptimizationParallel$/^workers=[12]$|^BenchmarkTable1FullComparison$/^workers=[12]$' .)
+	'^BenchmarkLotScreenPerDieLoop$|^BenchmarkLotScreenStream$/^workers=[128]$/^cache=off$|^BenchmarkFigure5OptimizationParallel$/^workers=[12]$|^BenchmarkFigure8ShmooParallel$/^workers=[12]$|^BenchmarkTable1FullComparison$/^workers=[12]$' .)
 printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
 	# median of the ns/op samples of benchmark b.
 	function median(b,    i, j, k, t, v) {
@@ -473,10 +473,12 @@ printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
 		w8 = med["BenchmarkLotScreenStream/workers=8/cache=off"]
 		f1 = med["BenchmarkFigure5OptimizationParallel/workers=1"]
 		f2 = med["BenchmarkFigure5OptimizationParallel/workers=2"]
+		s1 = med["BenchmarkFigure8ShmooParallel/workers=1"]
+		s2 = med["BenchmarkFigure8ShmooParallel/workers=2"]
 		t1 = med["BenchmarkTable1FullComparison/workers=1"]
 		t2 = med["BenchmarkTable1FullComparison/workers=2"]
-		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !t1 || !t2) {
-			print "FAIL: benchmark output is missing lot, fig. 5 or Table 1 samples" > "/dev/stderr"
+		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !s1 || !s2 || !t1 || !t2) {
+			print "FAIL: benchmark output is missing lot, fig. 5, fig. 8 or Table 1 samples" > "/dev/stderr"
 			exit 1
 		}
 		fail = 0
@@ -495,6 +497,7 @@ printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
 			printf "lot scaling: workers=2 / workers=1 = %.2fx, nproc %d (gate skipped below 2 CPUs)\n", w1 / w2, nproc
 		}
 		printf "fig. 5 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", f1 / f2, nproc
+		printf "fig. 8 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", s1 / s2, nproc
 		printf "Table 1 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", t1 / t2, nproc
 		exit fail
 	}

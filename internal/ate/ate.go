@@ -8,6 +8,7 @@ package ate
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/dut"
@@ -98,6 +99,11 @@ type ATE struct {
 	cached     dut.Profile
 	cachedName string
 	haveCached bool
+
+	// window memo: the loaded profile's noiseless T_DQ window win at the
+	// last operating point (vdd, junction temperature, clock) a strobe
+	// evaluated. install empties it with a NaN key, which never matches.
+	winVdd, winTemp, winClock, win float64
 }
 
 // New creates a tester with the device in the socket. The seed drives
@@ -130,6 +136,8 @@ func (a *ATE) ResetStats() {
 // Reload invalidates the pattern-memory profile cache. Call after anything
 // that changes the device's behaviour for an already-loaded test — row
 // repair, physics swap — so the next measurement re-executes the pattern.
+// That measurement installs the new profile, which also empties the
+// window memo, so no strobe reads a window of the old one.
 func (a *ATE) Reload() { a.haveCached = false; a.cachedName = "" }
 
 // load makes the test's profile current, computing it (through Profiler
@@ -173,12 +181,28 @@ func (a *ATE) Preload(p dut.Profile) {
 	a.install(p)
 }
 
-// install makes p the loaded pattern and charges one pattern load.
+// install makes p the loaded pattern, empties the window memo and charges
+// one pattern load. Every change of the loaded profile goes through here —
+// load, Preload, and the first strobe after a Reload or Reseed — so the
+// memo only ever holds a window of the profile it is strobed against.
 func (a *ATE) install(p dut.Profile) {
 	a.cached = p
 	a.cachedName = p.Test.Name
 	a.haveCached = true
+	a.winVdd = math.NaN()
 	a.stats.Profiles++
+}
+
+// tdqWindow returns the loaded profile p's noiseless T_DQ window at the
+// operating point, evaluating the physics once per point: the strobes of a
+// shmoo row or an SUTP search all hit one point unless Heating moves the
+// junction between them.
+func (a *ATE) tdqWindow(p *dut.Profile, vdd, tempC, clockMHz float64) float64 {
+	if vdd != a.winVdd || tempC != a.winTemp || clockMHz != a.winClock {
+		a.winVdd, a.winTemp, a.winClock = vdd, tempC, clockMHz
+		a.win = p.TDQWindowNSAtCond(vdd, tempC, clockMHz)
+	}
+	return a.win
 }
 
 // chargeMeasurement accounts one pass/fail measurement of the test against
@@ -234,7 +258,7 @@ func (a *ATE) MeasureTDQPass(t testgen.Test, strobeNS float64) (bool, error) {
 	}
 	a.chargeMeasurement(t, p.MeanActivity(), TDQ)
 	temp := t.Cond.TempC + a.Heating.RiseC()
-	w := p.TDQWindowNSAtCond(t.Cond.VddV, temp, t.Cond.ClockMHz) + a.noise(a.NoiseFraction*TDQ.Resolution())
+	w := a.tdqWindow(p, t.Cond.VddV, temp, t.Cond.ClockMHz) + a.noise(a.NoiseFraction*TDQ.Resolution())
 	return w >= strobeNS, nil
 }
 
@@ -247,7 +271,7 @@ func (a *ATE) MeasureShmooPoint(t testgen.Test, vdd, strobeNS float64) (bool, er
 	}
 	a.chargeMeasurement(t, p.MeanActivity(), TDQ)
 	temp := t.Cond.TempC + a.Heating.RiseC()
-	w := p.TDQWindowNSAtCond(vdd, temp, t.Cond.ClockMHz) + a.noise(a.NoiseFraction*TDQ.Resolution())
+	w := a.tdqWindow(p, vdd, temp, t.Cond.ClockMHz) + a.noise(a.NoiseFraction*TDQ.Resolution())
 	return w >= strobeNS, nil
 }
 

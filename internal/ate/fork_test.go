@@ -259,3 +259,56 @@ func TestPreloadMatchesLoad(t *testing.T) {
 		t.Errorf("loaded profile replaced by the preload: pass %v, err %v", pass, err)
 	}
 }
+
+// TestForkMeasuresLikeReseededParent pins Fork against Reseed in every
+// tester state a flow forks from: a fork made with seed s measures a task
+// exactly as its parent does after Reseed(s) — same pass/fail bits, same
+// Stats. A field that Fork or Device.Clone forgets (row repairs, the
+// repeat count, the noise fraction, ...) shows up as a state whose fork
+// measures other silicon or another configuration.
+func TestForkMeasuresLikeReseededParent(t *testing.T) {
+	const weak = 37
+	tests := edgeTests(weak)
+	states := []struct {
+		name string
+		set  func(t *testing.T, a *ATE)
+	}{
+		{"fresh", func(*testing.T, *ATE) {}},
+		{"repaired", func(t *testing.T, a *ATE) {
+			if err := a.Device().RepairRow(weak); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"heating", func(_ *testing.T, a *ATE) { a.Heating = DefaultThermal() }},
+		{"repeats", func(_ *testing.T, a *ATE) { a.Repeats = 3 }},
+		{"noiseless", func(_ *testing.T, a *ATE) { a.NoiseFraction = 0 }},
+		{"profiler", func(_ *testing.T, a *ATE) {
+			a.Profiler = func(dev *dut.Device, tt testgen.Test) (dut.Profile, error) { return dev.Profile(tt) }
+		}},
+		// A warm junction, a spent noise stream, and the task's first test
+		// loaded with its window memo filled.
+		{"warm", func(t *testing.T, a *ATE) {
+			a.Heating = DefaultThermal()
+			edgeTask(t, a, measured(a), tests[:1])
+		}},
+	}
+	for _, st := range states {
+		t.Run(st.name, func(t *testing.T) {
+			const seed = 4242
+			a := weakTester(t, weak)
+			st.set(t, a)
+			f, err := a.Fork(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Reseed(seed)
+			want := edgeTask(t, a, measured(a), tests)
+			if got := edgeTask(t, f, measured(f), tests); !slices.Equal(got, want) {
+				t.Errorf("fork measured %v\nreseeded parent %v", got, want)
+			}
+			if f.Stats() != a.Stats() {
+				t.Errorf("stats differ:\nfork   %+v\nparent %+v", f.Stats(), a.Stats())
+			}
+		})
+	}
+}

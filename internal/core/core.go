@@ -141,7 +141,7 @@ type Characterizer struct {
 	coder *fuzzy.TripPointCoder
 
 	learned  *LearningResult
-	lastEval *parallelEvaluator
+	lastEval *evaluator
 	// primed holds disk-recovered fitness values (PrimeMemoCache) that
 	// seed the next Optimize run's memo-cache.
 	primed map[uint64]float64

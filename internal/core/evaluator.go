@@ -10,9 +10,10 @@ import (
 	"repro/internal/wcr"
 )
 
-// parallelEvaluator measures GA fitness the way fig. 5 prescribes — "GA
-// fitness = TPV measurement via ATE using equation (2), (3) and (4)" — but
-// streams a whole generation over the flow's persistent fleet. The first
+// evaluator measures GA fitness the way fig. 5 prescribes — "GA fitness =
+// TPV measurement via ATE using equation (2), (3) and (4)" — and streams a
+// whole generation over the flow's persistent fleet. It is the only fitness
+// evaluator: a serial run is a fleet of one, not another path. The first
 // measured test runs a full-range search and establishes the reference trip
 // point (eq. 2, done serially); every later test costs only a handful of
 // SUTP steps from that reference, on the fleet worker's forked insertion,
@@ -26,7 +27,7 @@ import (
 // merge, keyed by the test's structural fingerprint (sequence + conditions; the
 // flow is already scoped to one die and one parameter), so elites, migrants
 // and duplicate individuals never burn ATE time twice.
-type parallelEvaluator struct {
+type evaluator struct {
 	c         *Characterizer
 	opts      search.Options
 	spec      float64
@@ -46,9 +47,9 @@ type parallelEvaluator struct {
 	budget      int   // full-range search cost, the per-search baseline
 }
 
-func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
+func newEvaluator(c *Characterizer) *evaluator {
 	spec, isMin := c.cfg.Parameter.SpecValue()
-	e := &parallelEvaluator{
+	e := &evaluator{
 		c:         c,
 		opts:      c.searchOptions(),
 		spec:      spec,
@@ -73,7 +74,7 @@ func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
 // search. Reseed makes the task independent of whatever the insertion ran
 // before, in this batch or another stage. Returns the search result and the
 // task's cost counters.
-func (e *parallelEvaluator) measureTask(wk *ate.ATE, tt testgen.Test, seed int64) (search.Result, ate.Stats, error) {
+func (e *evaluator) measureTask(wk *ate.ATE, tt testgen.Test, seed int64) (search.Result, ate.Stats, error) {
 	wk.Reseed(seed)
 	s := &search.SUTP{SF: e.c.cfg.SearchFactor, Refine: true}
 	if e.haveRTP {
@@ -84,7 +85,7 @@ func (e *parallelEvaluator) measureTask(wk *ate.ATE, tt testgen.Test, seed int64
 }
 
 // Fitness implements genetic.Evaluator for callers outside the batch path.
-func (e *parallelEvaluator) Fitness(t testgen.Test) (float64, error) {
+func (e *evaluator) Fitness(t testgen.Test) (float64, error) {
 	fits, err := e.FitnessBatch([]testgen.Test{t})
 	if err != nil {
 		return 0, err
@@ -93,7 +94,7 @@ func (e *parallelEvaluator) Fitness(t testgen.Test) (float64, error) {
 }
 
 // FitnessBatch implements genetic.BatchEvaluator.
-func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
+func (e *evaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 	out := make([]float64, len(tests))
 	fleet := e.c.Fleet()
 
@@ -227,10 +228,10 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 }
 
 // cacheHits returns how many fitness lookups the memo-cache absorbed.
-func (e *parallelEvaluator) cacheHits() int64 { return e.hits }
+func (e *evaluator) cacheHits() int64 { return e.hits }
 
 // cacheMisses returns how many fitness lookups had to be measured.
-func (e *parallelEvaluator) cacheMisses() int64 {
+func (e *evaluator) cacheMisses() int64 {
 	if e.cache == nil {
 		return e.evaluations
 	}

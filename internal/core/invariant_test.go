@@ -19,11 +19,11 @@ import (
 	"repro/internal/testgen"
 )
 
-// noiselessEvaluator builds a parallelEvaluator over a fresh tester with
+// noiselessEvaluator builds an evaluator over a fresh tester with
 // gaussian measurement noise disabled, the configuration under which
 // cache-off re-measurement of a duplicate test is bit-identical to the
 // cached value.
-func noiselessEvaluator(t *testing.T, seed int64, workers int, disableCache bool) *parallelEvaluator {
+func noiselessEvaluator(t *testing.T, seed int64, workers int, disableCache bool) *evaluator {
 	t.Helper()
 	cfg := quickConfig(seed)
 	cfg.Parallelism = workers
@@ -34,7 +34,7 @@ func noiselessEvaluator(t *testing.T, seed int64, workers int, disableCache bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newParallelEvaluator(char)
+	return newEvaluator(char)
 }
 
 // genUniqueTests draws n tests with pairwise distinct fingerprints (the

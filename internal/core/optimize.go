@@ -64,7 +64,7 @@ func (c *Characterizer) OptimizeFrom(seeds []genetic.Seed) (*OptimizationResult,
 	}
 
 	spec, isMin := c.cfg.Parameter.SpecValue()
-	eval := newParallelEvaluator(c)
+	eval := newEvaluator(c)
 	c.lastEval = eval
 
 	ops := genetic.NewOperators(c.cfg.Seed+1, c.gen)

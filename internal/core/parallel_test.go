@@ -278,7 +278,7 @@ func TestMeasurementCacheMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := newParallelEvaluator(char)
+	eval := newEvaluator(char)
 	tests := char.Generator().Batch(5)
 	// Duplicate content under a different name must share one measurement.
 	dup := tests[2].Clone()
@@ -329,9 +329,9 @@ func TestMeasurementCacheReducesGAWork(t *testing.T) {
 	}
 }
 
-// TestParallelEvaluatorFixedConditions guards the GA contract that fixed
+// TestEvaluatorFixedConditions guards the GA contract that fixed
 // conditions flow into every measured test (Table 1 pins Vdd 1.8 V).
-func TestParallelEvaluatorFixedConditions(t *testing.T) {
+func TestEvaluatorFixedConditions(t *testing.T) {
 	cfg := quickConfig(13)
 	if cfg.FixedConditions == nil {
 		t.Fatal("quickConfig should pin conditions")
@@ -340,7 +340,7 @@ func TestParallelEvaluatorFixedConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := newParallelEvaluator(char)
+	eval := newEvaluator(char)
 	tt := char.Generator().Next()
 	if tt.Cond != *cfg.FixedConditions {
 		t.Fatalf("generator ignored fixed conditions: %+v", tt.Cond)

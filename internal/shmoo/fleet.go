@@ -1,8 +1,6 @@
 package shmoo
 
 import (
-	"fmt"
-
 	"repro/internal/ate"
 	"repro/internal/parallel"
 	"repro/internal/testgen"
@@ -44,30 +42,4 @@ func (p *Plot) AddTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, b
 		p.Tests++
 		return nil
 	})
-}
-
-// sweepGrid measures the whole grid for one test into a cell slice.
-func (p *Plot) sweepGrid(point PointFunc, t testgen.Test) ([]bool, error) {
-	cells := make([]bool, p.X.Steps*p.Y.Steps)
-	for yi := 0; yi < p.Y.Steps; yi++ {
-		vdd := p.Y.Value(yi)
-		for xi := 0; xi < p.X.Steps; xi++ {
-			x := p.X.Value(xi)
-			ok, err := point(t, vdd, x)
-			if err != nil {
-				return nil, fmt.Errorf("shmoo: %s at (%g, %g): %w", t.Name, x, vdd, err)
-			}
-			cells[yi*p.X.Steps+xi] = ok
-		}
-	}
-	return cells, nil
-}
-
-// merge accumulates a full grid of one test's outcomes into the overlay.
-func (p *Plot) merge(cells []bool) {
-	for c, ok := range cells {
-		if ok {
-			p.passCount[c]++
-		}
-	}
 }

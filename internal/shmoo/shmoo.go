@@ -80,23 +80,48 @@ func NewPlot(x, y Axis) (*Plot, error) {
 type PointFunc func(t testgen.Test, vdd, x float64) (bool, error)
 
 // AddTestFunc sweeps one test over the grid using the given point
-// measurement and accumulates it into the overlay.
+// measurement and accumulates it into the overlay. The sweep is all or
+// nothing: a point error fails it and leaves the overlay unchanged.
 func (p *Plot) AddTestFunc(t testgen.Test, point PointFunc) error {
-	for yi := 0; yi < p.Y.Steps; yi++ {
-		vdd := p.Y.Value(yi)
-		for xi := 0; xi < p.X.Steps; xi++ {
-			x := p.X.Value(xi)
-			ok, err := point(t, vdd, x)
-			if err != nil {
-				return fmt.Errorf("shmoo: %s at (%g, %g): %w", t.Name, x, vdd, err)
-			}
-			if ok {
-				p.passCount[yi*p.X.Steps+xi]++
-			}
-		}
+	cells, err := p.sweepGrid(point, t)
+	if err != nil {
+		return err
 	}
+	p.merge(cells)
 	p.Tests++
 	return nil
+}
+
+// sweepGrid measures the whole grid for one test into a cell slice, row by
+// row, computing the X axis values once per sweep. It only reads the plot,
+// so fleet workers may sweep concurrently.
+func (p *Plot) sweepGrid(point PointFunc, t testgen.Test) ([]bool, error) {
+	xs := make([]float64, p.X.Steps)
+	for xi := range xs {
+		xs[xi] = p.X.Value(xi)
+	}
+	cells := make([]bool, p.X.Steps*p.Y.Steps)
+	for yi := 0; yi < p.Y.Steps; yi++ {
+		vdd := p.Y.Value(yi)
+		row := cells[yi*p.X.Steps:]
+		for xi, x := range xs {
+			ok, err := point(t, vdd, x)
+			if err != nil {
+				return nil, fmt.Errorf("shmoo: %s at (%g, %g): %w", t.Name, x, vdd, err)
+			}
+			row[xi] = ok
+		}
+	}
+	return cells, nil
+}
+
+// merge accumulates a full grid of one test's outcomes into the overlay.
+func (p *Plot) merge(cells []bool) {
+	for c, ok := range cells {
+		if ok {
+			p.passCount[c]++
+		}
+	}
 }
 
 // AddTest sweeps one test over the T_DQ strobe grid on the ATE (the fig. 8

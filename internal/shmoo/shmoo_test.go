@@ -2,6 +2,7 @@ package shmoo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,6 +182,33 @@ func TestAddTestFuncErrorPropagates(t *testing.T) {
 	}
 	if p.Tests != 0 {
 		t.Error("failed sweep counted as a test")
+	}
+
+	// A sweep that fails part-way leaves none of its cells behind: after it
+	// and one all-pass test, the overlay equals one of the good test alone.
+	cells := 0
+	failLate := func(testgen.Test, float64, float64) (bool, error) {
+		if cells++; cells > 300 {
+			return false, errSynthetic
+		}
+		return true, nil
+	}
+	allPass := func(testgen.Test, float64, float64) (bool, error) { return true, nil }
+	if err := p.AddTestFunc(testgen.Test{Name: "late"}, failLate); err == nil {
+		t.Error("late point error swallowed")
+	}
+	if err := p.AddTestFunc(testgen.Test{Name: "good"}, allPass); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := NewPlot(DefaultTDQAxis(), DefaultVddAxis())
+	if err := want.AddTestFunc(testgen.Test{Name: "good"}, allPass); err != nil {
+		t.Fatal(err)
+	}
+	if p.Tests != want.Tests || !slices.Equal(p.passCount, want.passCount) {
+		t.Errorf("overlay after a failed sweep differs from the good test's alone (%d tests)", p.Tests)
+	}
+	if v := p.WorstCaseVariation(); v != 0 {
+		t.Errorf("worst-case variation %g ns over one all-pass test, want 0", v)
 	}
 }
 
