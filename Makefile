@@ -22,12 +22,14 @@ test:
 # differential oracle, bit-equivalence across worker counts and cache
 # modes, fuzzy partition-of-unity, weight-file, trace, run-record and
 # cache-segment round-trip closure, the frame codec's truncation and
-# bit-flip properties, and the encoder/parser grammar pins. Every failure
+# bit-flip properties, the encoder/parser grammar pins, and randstream's
+# value-for-value match of math/rand's stream. Every proptest failure
 # prints a -proptest.seed=N one-liner that replays the exact case.
 invariants:
 	go test -count=1 ./internal/search ./internal/fuzzy ./internal/neural \
 		./internal/telemetry ./internal/obs ./internal/core ./internal/proptest \
-		./internal/runstore ./internal/jobs ./internal/frame ./internal/cachestore
+		./internal/runstore ./internal/jobs ./internal/frame ./internal/cachestore \
+		./internal/randstream
 
 # Ten seconds of native fuzzing per target against the committed corpora.
 fuzz-smoke:

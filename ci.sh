@@ -79,6 +79,7 @@ awk '
 		floor["repro/internal/parallel"] = 85
 		floor["repro/internal/pdn"] = 85
 		floor["repro/internal/proptest"] = 60
+		floor["repro/internal/randstream"] = 88
 		floor["repro/internal/runstore"] = 80
 		floor["repro/internal/search"] = 80
 		floor["repro/internal/shmoo"] = 80

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dut"
+	"repro/internal/randstream"
 	"repro/internal/search"
 	"repro/internal/testgen"
 )
@@ -111,7 +112,7 @@ type ATE struct {
 func New(dev *dut.Device, seed int64) *ATE {
 	return &ATE{
 		dev:           dev,
-		rng:           rand.New(newNoiseSource(seed)),
+		rng:           rand.New(randstream.New(seed)),
 		NoiseFraction: 0.25,
 	}
 }
@@ -209,18 +210,31 @@ func (a *ATE) tdqWindow(p *dut.Profile, vdd, tempC, clockMHz float64) float64 {
 // the swept parameter (or the functional bucket when param is
 // NumParameters) and advances the thermal model.
 func (a *ATE) chargeMeasurement(t testgen.Test, activity float64, param Parameter) {
+	a.tick(t, a.charge(t, param, 1), activity)
+}
+
+// charge counts n pass/fail measurements of the test against param (or the
+// functional bucket when param is NumParameters) and returns the tester
+// time each one takes; each must then tick the clock once.
+func (a *ATE) charge(t testgen.Test, param Parameter, n int) float64 {
 	if int(param) < len(a.stats.PerParam) {
-		a.stats.PerParam[param]++
+		a.stats.PerParam[param] += int64(n)
 	} else {
-		a.stats.Functional++
+		a.stats.Functional += int64(n)
 	}
-	a.stats.Measurements++
-	a.stats.VectorsApplied += int64(len(t.Seq))
+	a.stats.Measurements += int64(n)
+	a.stats.VectorsApplied += int64(n) * int64(len(t.Seq))
 	clockHz := t.Cond.ClockMHz * 1e6
 	if clockHz <= 0 {
 		clockHz = 100e6
 	}
-	a.stats.TestTimeSec += setupTimeSec + float64(len(t.Seq))/clockHz
+	return setupTimeSec + float64(len(t.Seq))/clockHz
+}
+
+// tick runs one charged measurement of the test that takes dtSec. One
+// float add per measurement keeps TestTimeSec's rounding as it was.
+func (a *ATE) tick(t testgen.Test, dtSec, activity float64) {
+	a.stats.TestTimeSec += dtSec
 	a.Heating.advance(a.stats.TestTimeSec, len(t.Seq), activity)
 }
 
@@ -262,17 +276,27 @@ func (a *ATE) MeasureTDQPass(t testgen.Test, strobeNS float64) (bool, error) {
 	return w >= strobeNS, nil
 }
 
-// MeasureShmooPoint performs one shmoo-point measurement: pass/fail of the
-// T_DQ strobe with the supply overridden to vdd (fig. 8's two axes).
-func (a *ATE) MeasureShmooPoint(t testgen.Test, vdd, strobeNS float64) (bool, error) {
+// MeasureShmooRow performs one shmoo row of T_DQ strobe measurements with
+// the supply overridden to vdd (fig. 8's two axes): pass[i] reports whether
+// the window covers strobes[i]; pass must be at least as long as strobes.
+// The row measures exactly what len(strobes) single strobes at vdd would,
+// in order: every strobe is charged, heats the junction and draws its own
+// noise. Only the pattern load and the per-strobe cost are worked out once.
+func (a *ATE) MeasureShmooRow(t testgen.Test, vdd float64, strobes []float64, pass []bool) error {
 	p, err := a.load(t)
 	if err != nil {
-		return false, err
+		return err
 	}
-	a.chargeMeasurement(t, p.MeanActivity(), TDQ)
-	temp := t.Cond.TempC + a.Heating.RiseC()
-	w := a.tdqWindow(p, vdd, temp, t.Cond.ClockMHz) + a.noise(a.NoiseFraction*TDQ.Resolution())
-	return w >= strobeNS, nil
+	dt := a.charge(t, TDQ, len(strobes))
+	activity := p.MeanActivity()
+	sigma := a.NoiseFraction * TDQ.Resolution()
+	pass = pass[:len(strobes)]
+	for i, strobe := range strobes {
+		a.tick(t, dt, activity)
+		temp := t.Cond.TempC + a.Heating.RiseC()
+		pass[i] = a.tdqWindow(p, vdd, temp, t.Cond.ClockMHz)+a.noise(sigma) >= strobe
+	}
+	return nil
 }
 
 // MeasureFmaxPass reports whether the device runs functionally at the given

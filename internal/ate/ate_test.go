@@ -157,18 +157,14 @@ func TestShmooPointMatchesOverriddenVdd(t *testing.T) {
 	}
 	for _, vdd := range []float64{1.5, 1.8, 2.1} {
 		w := p.TDQWindowNSAt(vdd)
-		ok, err := a.MeasureShmooPoint(tt, vdd, w-0.5)
-		if err != nil {
+		var pass [2]bool
+		if err := a.MeasureShmooRow(tt, vdd, []float64{w - 0.5, w + 0.5}, pass[:]); err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if !pass[0] {
 			t.Errorf("shmoo point below window failed at %g V", vdd)
 		}
-		ok, err = a.MeasureShmooPoint(tt, vdd, w+0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
+		if pass[1] {
 			t.Errorf("shmoo point above window passed at %g V", vdd)
 		}
 	}
@@ -311,7 +307,7 @@ func TestPerParamAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.MeasureShmooPoint(tt, 1.8, 25); err != nil {
+	if err := a.MeasureShmooRow(tt, 1.8, []float64{25}, make([]bool, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.MeasureFmaxPass(tt, 90); err != nil {

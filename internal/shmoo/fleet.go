@@ -25,7 +25,7 @@ func (p *Plot) AddTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, b
 		return a.Fork(baseSeed)
 	}, func(wk *ate.ATE, i int) error {
 		wk.Reseed(baseSeed + int64(i))
-		cells, err := p.sweepGrid(wk.MeasureShmooPoint, tests[i])
+		cells, err := p.sweepGrid(wk.MeasureShmooRow, tests[i])
 		if err != nil {
 			return err
 		}

@@ -14,7 +14,7 @@ import (
 // with measurement noise ON so the RNG discipline is actually load-bearing.
 
 // hermeticOverlay is the reference AddTestsOn must reproduce: test i on a
-// freshly forked insertion reseeded with baseSeed+i, swept cell by cell
+// freshly forked insertion reseeded with baseSeed+i, swept row by row
 // with AddTestFunc, its cost merged into a in test order.
 func hermeticOverlay(t *testing.T, p *Plot, a *ate.ATE, tests []testgen.Test, baseSeed int64) {
 	t.Helper()
@@ -24,7 +24,7 @@ func hermeticOverlay(t *testing.T, p *Plot, a *ate.ATE, tests []testgen.Test, ba
 			t.Fatal(err)
 		}
 		wk.Reseed(baseSeed + int64(i))
-		if err := p.AddTestFunc(tt, wk.MeasureShmooPoint); err != nil {
+		if err := p.AddTestFunc(tt, wk.MeasureShmooRow); err != nil {
 			t.Fatal(err)
 		}
 		a.AddStats(wk.Stats())

@@ -75,15 +75,16 @@ func NewPlot(x, y Axis) (*Plot, error) {
 	return &Plot{X: x, Y: y, passCount: make([]int, x.Steps*y.Steps)}, nil
 }
 
-// PointFunc measures one shmoo cell: pass/fail of the test with the supply
-// at vdd and the swept X parameter at x.
-type PointFunc func(t testgen.Test, vdd, x float64) (bool, error)
+// RowFunc measures one shmoo row: pass[xi] is the pass/fail of the test
+// with the supply at vdd and the swept X parameter at xs[xi], measured in
+// order of xi.
+type RowFunc func(t testgen.Test, vdd float64, xs []float64, pass []bool) error
 
-// AddTestFunc sweeps one test over the grid using the given point
+// AddTestFunc sweeps one test over the grid using the given row
 // measurement and accumulates it into the overlay. The sweep is all or
-// nothing: a point error fails it and leaves the overlay unchanged.
-func (p *Plot) AddTestFunc(t testgen.Test, point PointFunc) error {
-	cells, err := p.sweepGrid(point, t)
+// nothing: a row error fails it and leaves the overlay unchanged.
+func (p *Plot) AddTestFunc(t testgen.Test, row RowFunc) error {
+	cells, err := p.sweepGrid(row, t)
 	if err != nil {
 		return err
 	}
@@ -92,10 +93,10 @@ func (p *Plot) AddTestFunc(t testgen.Test, point PointFunc) error {
 	return nil
 }
 
-// sweepGrid measures the whole grid for one test into a cell slice, row by
-// row, computing the X axis values once per sweep. It only reads the plot,
-// so fleet workers may sweep concurrently.
-func (p *Plot) sweepGrid(point PointFunc, t testgen.Test) ([]bool, error) {
+// sweepGrid measures the whole grid for one test into a cell slice, one
+// row per call, computing the X axis values once per sweep. It only reads
+// the plot, so fleet workers may sweep concurrently.
+func (p *Plot) sweepGrid(row RowFunc, t testgen.Test) ([]bool, error) {
 	xs := make([]float64, p.X.Steps)
 	for xi := range xs {
 		xs[xi] = p.X.Value(xi)
@@ -103,13 +104,8 @@ func (p *Plot) sweepGrid(point PointFunc, t testgen.Test) ([]bool, error) {
 	cells := make([]bool, p.X.Steps*p.Y.Steps)
 	for yi := 0; yi < p.Y.Steps; yi++ {
 		vdd := p.Y.Value(yi)
-		row := cells[yi*p.X.Steps:]
-		for xi, x := range xs {
-			ok, err := point(t, vdd, x)
-			if err != nil {
-				return nil, fmt.Errorf("shmoo: %s at (%g, %g): %w", t.Name, x, vdd, err)
-			}
-			row[xi] = ok
+		if err := row(t, vdd, xs, cells[yi*p.X.Steps:(yi+1)*p.X.Steps]); err != nil {
+			return nil, fmt.Errorf("shmoo: %s at %s = %g: %w", t.Name, p.Y.Label, vdd, err)
 		}
 	}
 	return cells, nil
@@ -127,7 +123,7 @@ func (p *Plot) merge(cells []bool) {
 // AddTest sweeps one test over the T_DQ strobe grid on the ATE (the fig. 8
 // axes) and accumulates it into the overlay.
 func (p *Plot) AddTest(a *ate.ATE, t testgen.Test) error {
-	return p.AddTestFunc(t, a.MeasureShmooPoint)
+	return p.AddTestFunc(t, a.MeasureShmooRow)
 }
 
 // PassFraction returns the fraction of overlaid tests passing at cell

@@ -1,6 +1,7 @@
 package shmoo
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -172,13 +173,42 @@ func TestShmooMeasurementAccounting(t *testing.T) {
 	}
 }
 
+// TestAddTestAllocs pins what sweeping one test costs in allocations on a
+// tester with its pattern loaded: the X axis values and the cell grid, and
+// nothing per row or per strobe.
+func TestAddTestAllocs(t *testing.T) {
+	tester, gen := rig(t)
+	tester.NoiseFraction = 0.25
+	p, err := NewPlot(DefaultTDQAxis(), DefaultVddAxis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := gen.Next()
+	var sweepErr error
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := p.AddTest(tester, tt); err != nil {
+			sweepErr = err
+		}
+	})
+	if sweepErr != nil {
+		t.Fatal(sweepErr)
+	}
+	t.Logf("%v allocations per test", allocs)
+	if allocs > 2 {
+		t.Errorf("AddTest allocates %v objects per test, want at most 2 (the X values and the cell grid)", allocs)
+	}
+}
+
 func TestAddTestFuncErrorPropagates(t *testing.T) {
 	p, _ := NewPlot(DefaultTDQAxis(), DefaultVddAxis())
-	errPoint := func(testgen.Test, float64, float64) (bool, error) {
-		return false, errSynthetic
+	errRow := func(testgen.Test, float64, []float64, []bool) error {
+		return errSynthetic
 	}
-	if err := p.AddTestFunc(testgen.Test{Name: "x"}, errPoint); err == nil {
-		t.Error("point error swallowed")
+	err := p.AddTestFunc(testgen.Test{Name: "x"}, errRow)
+	if !errors.Is(err, errSynthetic) {
+		t.Errorf("row error = %v, want the synthetic failure", err)
+	} else if msg := err.Error(); !strings.Contains(msg, "x at VDD (V) = 1.4") {
+		t.Errorf("row error %q names neither the test nor its operating point", msg)
 	}
 	if p.Tests != 0 {
 		t.Error("failed sweep counted as a test")
@@ -186,16 +216,24 @@ func TestAddTestFuncErrorPropagates(t *testing.T) {
 
 	// A sweep that fails part-way leaves none of its cells behind: after it
 	// and one all-pass test, the overlay equals one of the good test alone.
-	cells := 0
-	failLate := func(testgen.Test, float64, float64) (bool, error) {
-		if cells++; cells > 300 {
-			return false, errSynthetic
+	rows := 0
+	failLate := func(_ testgen.Test, _ float64, _ []float64, pass []bool) error {
+		if rows++; rows > 8 {
+			return errSynthetic
 		}
-		return true, nil
+		for i := range pass {
+			pass[i] = true
+		}
+		return nil
 	}
-	allPass := func(testgen.Test, float64, float64) (bool, error) { return true, nil }
+	allPass := func(_ testgen.Test, _ float64, _ []float64, pass []bool) error {
+		for i := range pass {
+			pass[i] = true
+		}
+		return nil
+	}
 	if err := p.AddTestFunc(testgen.Test{Name: "late"}, failLate); err == nil {
-		t.Error("late point error swallowed")
+		t.Error("late row error swallowed")
 	}
 	if err := p.AddTestFunc(testgen.Test{Name: "good"}, allPass); err != nil {
 		t.Fatal(err)

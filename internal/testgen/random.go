@@ -2,7 +2,8 @@ package testgen
 
 import (
 	"fmt"
-	"math/rand"
+
+	"repro/internal/randstream"
 )
 
 // RandomGenerator produces non-deterministic random tests in the sense of §3
@@ -17,7 +18,7 @@ import (
 // from test to test and the paper's whole premise is that different tests
 // provoke different trip points.
 type RandomGenerator struct {
-	rng       *rand.Rand
+	rng       randstream.Cursor
 	addrSpace uint32
 	limits    ConditionLimits
 	count     int
@@ -40,7 +41,7 @@ func NewRandomGenerator(seed int64, addrSpace uint32, limits ConditionLimits) *R
 		panic("testgen: zero address space")
 	}
 	return &RandomGenerator{
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       randstream.New(seed).Cursor(),
 		addrSpace: addrSpace,
 		limits:    limits,
 	}
@@ -123,13 +124,26 @@ func (g *RandomGenerator) styledSequence(seq Sequence, n int, ds dataStyle, as a
 	pingB := uint32(g.rng.Intn(int(g.addrSpace)))
 	invert := false
 
+	// walk steps an address by d through the space: a mask for a power of
+	// two, % otherwise.
+	space := g.addrSpace
+	mask, pow2 := space-1, space&(space-1) == 0
+	walk := func(addr, d uint32) uint32 {
+		if pow2 {
+			return (addr + d) & mask
+		}
+		return (addr + d) % space
+	}
+	// The loop draws through a local copy of the cursor, which keeps the
+	// stream's position in locals, and stores it back once per sequence.
+	c := g.rng
 	for i := 0; i < n; i++ {
 		// Address walk.
 		switch as {
 		case addrUniform:
-			addr = uint32(g.rng.Intn(int(g.addrSpace)))
+			addr = uint32(c.Intn(int(space)))
 		case addrStride:
-			addr = (addr + stride) % g.addrSpace
+			addr = walk(addr, stride)
 		case addrPingPong:
 			if i%2 == 0 {
 				addr = pingA
@@ -138,21 +152,21 @@ func (g *RandomGenerator) styledSequence(seq Sequence, n int, ds dataStyle, as a
 			}
 		case addrBurst:
 			if inBurst == 0 {
-				addr = uint32(g.rng.Intn(int(g.addrSpace)))
+				addr = uint32(c.Intn(int(space)))
 				inBurst = burstLen
 			} else {
-				addr = (addr + 1) % g.addrSpace
+				addr = walk(addr, 1)
 				inBurst--
 			}
 		case addrRowSweep:
-			addr = (addr + 1) % g.addrSpace
+			addr = walk(addr, 1)
 		}
 
 		// Data word.
 		var data uint32
 		switch ds {
 		case dataUniform:
-			data = g.rng.Uint32()
+			data = c.Uint32()
 		case dataCheckerboard:
 			if (addr^uint32(i))&1 == 0 {
 				data = 0x55555555
@@ -173,18 +187,19 @@ func (g *RandomGenerator) styledSequence(seq Sequence, n int, ds dataStyle, as a
 			}
 			invert = !invert
 		case dataSparse:
-			data = 1 << uint(g.rng.Intn(32))
+			data = 1 << uint(c.Intn(32))
 		}
 
 		// The read/write draw is a coin flip the CPU cannot predict, so the
 		// op and the stored data are selected arithmetically (OpWrite is
 		// OpRead-1): a read keeps no data.
 		var write uint32
-		if g.rng.Float64() > readBias {
+		if c.Float64() > readBias {
 			write = 1
 		}
 		seq = append(seq, Vector{Op: OpRead - OpKind(write), Addr: addr, Data: data & -write})
 	}
+	g.rng = c
 	return seq
 }
 
@@ -201,19 +216,21 @@ func (g *RandomGenerator) Batch(n int) []Test {
 // the caller owns seq. The GA mutation operator delegates here so mutated
 // sequences stay inside the generator's address space.
 func (g *RandomGenerator) PerturbSequence(seq Sequence, rate float64) {
+	c := g.rng
 	for i := range seq {
-		if g.rng.Float64() < rate {
+		if c.Float64() < rate {
 			op := OpRead
-			if g.rng.Float64() < 0.5 {
+			if c.Float64() < 0.5 {
 				op = OpWrite
 			}
-			v := Vector{Op: op, Addr: uint32(g.rng.Intn(int(g.addrSpace)))}
+			v := Vector{Op: op, Addr: uint32(c.Intn(int(g.addrSpace)))}
 			if op == OpWrite {
-				v.Data = g.rng.Uint32()
+				v.Data = c.Uint32()
 			}
 			seq[i] = v
 		}
 	}
+	g.rng = c
 }
 
 // AddrSpace returns the address-space size the generator draws from.
