@@ -1,10 +1,11 @@
 #!/bin/sh
-# CI gate for the repo: static checks, a check that every -race -run
-# pattern alternative still names a test, the race-enabled test suite,
-# per-package coverage floors, a fuzz smoke pass over the native fuzz
-# targets, smoke runs of telemetry, live observability, tracestat, the run
-# ledger, crash bundles and the job service, a race-enabled fleet
-# determinism pass, and one benchmark pass.
+# CI gate for the repo: static checks, a vet and smoke test of the
+# benchmark module, a check that every -race -run pattern alternative
+# still names a test, the race-enabled test suite, per-package coverage
+# floors, a fuzz smoke pass over the native fuzz targets, smoke runs of
+# telemetry, live observability, tracestat, the run ledger, crash bundles
+# and the job service, a race-enabled fleet determinism pass, and one
+# benchmark pass.
 #
 # The hot-path counter gates are Go tests beside the benchmarks they bound,
 # so `go test ./...` enforces them: kernel allocations per op
@@ -22,6 +23,12 @@ echo "== go vet =="
 go vet ./...
 echo "== go build =="
 go build ./...
+
+# bench/ is its own module, so the root go build skips it. Vetting it and
+# running its smoke test (two units of each workload against the pinned
+# digests) catches an exported-API change that would break charbench.
+echo "== benchmark module =="
+(cd bench && go vet ./charbench && go test -count=1 ./charbench)
 
 # The -run patterns of the fleet determinism pass near the end, per
 # package. Each |-alternative must list at least one test, checked before
@@ -167,11 +174,19 @@ curl -sf "http://$ADDR/healthz" > /dev/null || {
 	echo "FAIL: /healthz not answering on $ADDR" >&2
 	exit 1
 }
+# The run lasts well under a second, so /progress is read on the first
+# pass that reaches the server and /metrics until it shows a search.
 SCRAPED=""
+PROGRESS=""
 while kill -0 "$OBS_PID" 2> /dev/null; do
-	if curl -sf "http://$ADDR/metrics" > "$SMOKE_DIR/scrape.prom" 2> /dev/null \
+	if [ -z "$PROGRESS" ] && curl -sf "http://$ADDR/progress" > "$SMOKE_DIR/progress.json" 2> /dev/null; then
+		PROGRESS=yes
+	fi
+	if [ -z "$SCRAPED" ] && curl -sf "http://$ADDR/metrics" > "$SMOKE_DIR/scrape.prom" 2> /dev/null \
 		&& grep -Eq '^repro_search_total\{[^}]*\} [1-9]' "$SMOKE_DIR/scrape.prom"; then
 		SCRAPED=yes
+	fi
+	if [ -n "$SCRAPED" ] && [ -n "$PROGRESS" ]; then
 		break
 	fi
 	sleep 0.1
@@ -180,6 +195,15 @@ if [ -z "$SCRAPED" ]; then
 	echo "FAIL: never scraped a nonzero repro_search_total from the live /metrics" >&2
 	exit 1
 fi
+if [ -z "$PROGRESS" ]; then
+	echo "FAIL: never read the live /progress" >&2
+	exit 1
+fi
+sed -n '/"non_deterministic"/,/}/p' "$SMOKE_DIR/progress.json" | grep -q '"pool_runs"' || {
+	echo "FAIL: live /progress non_deterministic section has no pool_runs" >&2
+	cat "$SMOKE_DIR/progress.json" >&2
+	exit 1
+}
 wait "$OBS_PID" || {
 	echo "FAIL: characterize -listen exited nonzero" >&2
 	cat "$SMOKE_DIR/obs.stderr" >&2
@@ -189,7 +213,7 @@ cmp "$SMOKE_DIR/plisten.jsonl" "$SMOKE_DIR/p1.jsonl" || {
 	echo "FAIL: -listen changed the telemetry trace bytes" >&2
 	exit 1
 }
-echo "live /metrics scraped on $ADDR; trace bit-identical with -listen on"
+echo "live /metrics and /progress scraped on $ADDR; trace bit-identical with -listen on"
 
 echo "== tracestat =="
 go run ./cmd/tracestat -chrome "$SMOKE_DIR/p1.chrome.json" "$SMOKE_DIR/p1.jsonl" > "$SMOKE_DIR/tracestat.txt"

@@ -149,7 +149,7 @@ func main() {
 		for _, m := range dsv.Values {
 			tel.RecordSearch(m.Measurements, runnerBudget, m.Converged)
 		}
-		ph.End(cli.Delta(statsBefore, tester.Stats()))
+		ph.End(tester.Stats().CostSince(statsBefore))
 		s := dsv.Stats()
 		fmt.Printf("first search: %d measurements, follow-up mean: %.1f measurements\n",
 			s.FirstSearchCost, s.FollowupSearchCost)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dut"
 	"repro/internal/randstream"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 	"repro/internal/testgen"
 )
 
@@ -41,6 +42,26 @@ func (s *Stats) Add(other Stats) {
 		s.PerParam[i] += other.PerParam[i]
 	}
 	s.Functional += other.Functional
+}
+
+// Cost is these counters as a run-telemetry phase cost.
+func (s Stats) Cost() telemetry.Cost {
+	return telemetry.Cost{
+		Measurements: s.Measurements,
+		Vectors:      s.VectorsApplied,
+		Profiles:     s.Profiles,
+		SimTimeSec:   s.TestTimeSec,
+	}
+}
+
+// CostSince is the tester cost consumed between the before snapshot and s.
+func (s Stats) CostSince(before Stats) telemetry.Cost {
+	return telemetry.Cost{
+		Measurements: s.Measurements - before.Measurements,
+		Vectors:      s.VectorsApplied - before.VectorsApplied,
+		Profiles:     s.Profiles - before.Profiles,
+		SimTimeSec:   s.TestTimeSec - before.TestTimeSec,
+	}
 }
 
 // ForParam returns the pass/fail measurement count charged to the

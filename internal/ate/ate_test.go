@@ -112,6 +112,19 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
+func TestStatsCostAndCostSince(t *testing.T) {
+	before := Stats{Measurements: 10, VectorsApplied: 100, Profiles: 1, TestTimeSec: 1}
+	after := Stats{Measurements: 15, VectorsApplied: 160, Profiles: 3, TestTimeSec: 2.5}
+	d := after.CostSince(before)
+	if d.Measurements != 5 || d.Vectors != 60 || d.Profiles != 2 || d.SimTimeSec != 1.5 {
+		t.Errorf("CostSince = %+v", d)
+	}
+	c := after.Cost()
+	if c.Measurements != 15 || c.Vectors != 160 || c.Profiles != 3 || c.SimTimeSec != 2.5 {
+		t.Errorf("Cost = %+v", c)
+	}
+}
+
 func TestMeasurementNoiseBracketsTruth(t *testing.T) {
 	a := testATE(t)
 	tt := sampleTest(t)

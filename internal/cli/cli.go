@@ -242,24 +242,6 @@ func (c *Common) OpenCacheStore(scope uint64) (*cachestore.Store, error) {
 	return s, nil
 }
 
-// RecordDiskCache feeds a store's counters into the run telemetry (report
-// disk-cache line, Prometheus gauges, live /progress). Nil store or nil
-// telemetry is a no-op, so callers can pass both through unconditionally.
-func RecordDiskCache(tel *telemetry.Telemetry, store *cachestore.Store) {
-	if store == nil {
-		return
-	}
-	st := store.Stats()
-	tel.RecordDiskCache(telemetry.DiskCacheStats{
-		LoadedEntries:  st.LoadedEntries,
-		LoadedSegments: st.LoadedSegments,
-		Hits:           st.Hits,
-		Misses:         st.Misses,
-		FlushedEntries: st.FlushedEntries,
-		BytesOnDisk:    st.BytesOnDisk,
-	})
-}
-
 // StartProfiles starts the profiling the -cpuprofile/-memprofile flags
 // request and returns a stop function that must run at the end of the run
 // (defer it right after a successful call): it stops the CPU profile and
@@ -370,23 +352,16 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 	}
 	tel.SetRunObserver(telemetry.MultiObserver(progress, recorder))
 	// Every fleet stage's scheduling summary is quarantined as
-	// non-deterministic: the report's pool section and nd_ gauges in the
-	// registry (both excluded from determinism diffs), the /progress
-	// non_deterministic section and the flight ring. The observer is a
-	// process-wide (last-wins) global, so an Embedded run — one of several
-	// concurrent jobs in a host process — must not install it.
+	// non-deterministic: the run totals in the report's pool section and
+	// the nd_fleet_* series (both excluded from determinism diffs, and the
+	// series are what /progress's non_deterministic section reads), plus
+	// one flight event per stage. The observer is a process-wide
+	// (last-wins) global, so an Embedded run — one of several concurrent
+	// jobs in a host process — must not install it.
 	if !c.Embedded {
-		reg := tel.Registry()
 		parallel.SetFleetObserver(func(st parallel.StreamStats) {
-			tel.ObservePool(st.Workers, st.TasksPerWorker)
-			progress.PoolRun(st.Workers, st.Tasks)
-			recorder.PoolRun(st.Workers, st.Tasks)
-			reg.Counter("nd_fleet_streams_total").Add(1)
-			reg.Gauge("nd_fleet_queue_depth").Set(float64(st.MaxRunAhead))
-			reg.Gauge("nd_fleet_utilization").Set(st.Utilization())
-			reg.Gauge("nd_fleet_overlap_ratio").Set(st.OverlapRatio())
-			progress.FleetStream(st.Workers, st.Tasks, st.MaxRunAhead, st.Utilization(), st.OverlapRatio())
-			recorder.FleetStream(st.Workers, st.Tasks, st.MaxRunAhead, st.Utilization(), st.OverlapRatio())
+			tel.ObserveFleet(st)
+			recorder.FleetStream(st)
 		})
 	}
 	if recorder != nil {
@@ -476,7 +451,7 @@ func (c *Common) FinishTelemetry(w io.Writer, tel *telemetry.Telemetry, total at
 		parallel.SetFleetObserver(nil)
 	}
 	closeErr := tel.Close()
-	rep := tel.Report(Cost(total))
+	rep := tel.Report(total.Cost())
 	c.lastFingerprint = rep.Fingerprint
 	c.progress.SetFingerprint(rep.Fingerprint)
 	c.progress.Done()
@@ -549,26 +524,6 @@ func (c *Common) Abort() {
 		c.server = nil
 	}
 	c.flight = nil
-}
-
-// Cost converts tester counters into a telemetry cost.
-func Cost(s ate.Stats) telemetry.Cost {
-	return telemetry.Cost{
-		Measurements: s.Measurements,
-		Vectors:      s.VectorsApplied,
-		Profiles:     s.Profiles,
-		SimTimeSec:   s.TestTimeSec,
-	}
-}
-
-// Delta is the tester cost consumed between two stat snapshots.
-func Delta(before, after ate.Stats) telemetry.Cost {
-	return telemetry.Cost{
-		Measurements: after.Measurements - before.Measurements,
-		Vectors:      after.VectorsApplied - before.VectorsApplied,
-		Profiles:     after.Profiles - before.Profiles,
-		SimTimeSec:   after.TestTimeSec - before.TestTimeSec,
-	}
 }
 
 // PrintCacheSummary prints the one-line measurement memo-cache summary the

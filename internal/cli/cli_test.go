@@ -132,7 +132,7 @@ func TestStartFinishTelemetryEndToEnd(t *testing.T) {
 	if tel == nil {
 		t.Fatal("no telemetry handle")
 	}
-	tel.StartPhase("work").End(Cost(ate.Stats{Measurements: 3, VectorsApplied: 30, TestTimeSec: 0.5}))
+	tel.StartPhase("work").End(ate.Stats{Measurements: 3, VectorsApplied: 30, TestTimeSec: 0.5}.Cost())
 	tel.RecordSearch(4, 10, true)
 
 	var buf bytes.Buffer
@@ -204,7 +204,7 @@ func TestStartTelemetryWithListenServesLive(t *testing.T) {
 	}
 	base := "http://" + c.server.Addr()
 
-	tel.StartPhase("work").End(Cost(ate.Stats{Measurements: 2}))
+	tel.StartPhase("work").End(ate.Stats{Measurements: 2}.Cost())
 	tel.RecordSearch(2, 10, true)
 
 	resp, err := http.Get(base + "/metrics")
@@ -255,7 +255,7 @@ func TestTraceBytesIdenticalWithListen(t *testing.T) {
 			tel.RecordItem("learn-test", i+1, 5)
 			ph.Span().Event("trip", telemetry.I("i", i), telemetry.F("trip", 1.0+float64(i)/10))
 		}
-		ph.End(Cost(ate.Stats{Measurements: 25, TestTimeSec: 1.5}))
+		ph.End(ate.Stats{Measurements: 25, TestTimeSec: 1.5}.Cost())
 		tel.RecordGeneration(1, 1.05)
 		if err := c.FinishTelemetry(io.Discard, tel, ate.Stats{Measurements: 25}); err != nil {
 			t.Fatal(err)
@@ -303,19 +303,6 @@ func TestFinishTelemetryReportSinkError(t *testing.T) {
 	}
 	if err := c.FinishTelemetry(failWriter{}, tel, ate.Stats{}); err == nil {
 		t.Error("expected error when the report writer fails")
-	}
-}
-
-func TestDeltaAndCost(t *testing.T) {
-	before := ate.Stats{Measurements: 10, VectorsApplied: 100, Profiles: 1, TestTimeSec: 1}
-	after := ate.Stats{Measurements: 15, VectorsApplied: 160, Profiles: 3, TestTimeSec: 2.5}
-	d := Delta(before, after)
-	if d.Measurements != 5 || d.Vectors != 60 || d.Profiles != 2 || d.SimTimeSec != 1.5 {
-		t.Errorf("delta = %+v", d)
-	}
-	c := Cost(after)
-	if c.Measurements != 15 || c.Vectors != 160 || c.Profiles != 3 || c.SimTimeSec != 2.5 {
-		t.Errorf("cost = %+v", c)
 	}
 }
 

@@ -222,7 +222,7 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 		}
 		fmt.Fprintf(out, "  disk cache: %d memoized measurements persisted (%d bytes on disk)\n",
 			n, memoStore.BytesOnDisk())
-		RecordDiskCache(tel, memoStore)
+		core.RecordDiskCache(tel, memoStore)
 	}
 	fmt.Fprintf(out, "  worst case: %s  WCR %.3f (%s)  %s = %.3f %s\n",
 		best.Test.Name, best.WCR, best.Class, param, best.Value, param.Unit())
@@ -407,7 +407,7 @@ func RunShmoo(c *Common, f *ShmooFlags, out io.Writer) (err error) {
 		return err
 	}
 	plot.OnTest = nil
-	ph.End(Cost(tester.Stats()))
+	ph.End(tester.Stats().Cost())
 
 	fmt.Fprint(out, plot.Render())
 	fmt.Fprintf(out, "worst-case trip point variation: %.2f ns\n", plot.WorstCaseVariation())
@@ -578,7 +578,7 @@ func RunLot(c *Common, f *LotFlags, out io.Writer) (err error) {
 	}
 	ph := tel.StartPhase("spec-extract")
 	spec, err := charspec.Extract(tester, ate.TDQ, tests, cfg)
-	ph.End(Cost(tester.Stats()))
+	ph.End(tester.Stats().Cost())
 	if err != nil {
 		return err
 	}

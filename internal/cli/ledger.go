@@ -175,9 +175,8 @@ func (c *Common) buildAttempt(rep *telemetry.Report) runstore.Attempt {
 		PoolRuns:     rep.NonDeterministic.Pool.Runs,
 		PoolTasks:    rep.NonDeterministic.Pool.Tasks,
 		MaxWorkers:   rep.NonDeterministic.Pool.MaxWorkers,
-	}
-	if util, ok := rep.Metrics.Gauges["nd_fleet_utilization"]; ok {
-		a.FleetUtilization = util
+		// The run's utilization, over every stage.
+		FleetUtilization: rep.Metrics.Gauges[telemetry.FleetUtilization],
 	}
 	if c.progress != nil && a.WallSeconds > 0 {
 		if item, ok := c.progress.Current().Items["die"]; ok && item.Done > 0 {

@@ -2,7 +2,9 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/ate"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/flight"
 )
 
 // TestValidateRejectsUnwritableRunDir pins the -run-dir preflight error the
@@ -61,7 +64,7 @@ func ledgerWorkload(t *testing.T, runDir string, parallel int, extraFlags ...str
 		tel.RecordItem("learn-test", i+1, 5)
 		ph.Span().Event("trip", telemetry.I("i", i), telemetry.F("trip", 1.0+float64(i)/10))
 	}
-	ph.End(Cost(ate.Stats{Measurements: 25, TestTimeSec: 1.5}))
+	ph.End(ate.Stats{Measurements: 25, TestTimeSec: 1.5}.Cost())
 	tel.RecordGeneration(1, 1.05)
 	if err := c.FinishTelemetry(io.Discard, tel, ate.Stats{Measurements: 25, TestTimeSec: 1.5}); err != nil {
 		t.Fatal(err)
@@ -223,5 +226,85 @@ func TestLedgerAcceptsRecordFromEarlierBuild(t *testing.T) {
 	}
 	if got, _ := fr.Common.LastRun(); got != id {
 		t.Errorf("re-run minted %s, want the recorded %s", got, id)
+	}
+}
+
+// TestAttemptRecordsRunFleetTotals runs a real non-embedded flow, which
+// installs the fleet observer and, with -crash-dir, a flight recorder, and
+// reads the fleet fields of its attempts sidecar: the pool counts are the
+// report's and the registry's, the utilization is the run's, and the
+// flight tail holds fleet events and no retired pool event.
+func TestAttemptRecordsRunFleetTotals(t *testing.T) {
+	fr, err := NewFlowRun(FlowSpec{Flow: "shmoo", Seed: 9, Args: map[string]string{"tests": "6", "vdd-min": "1.40"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDir := t.TempDir()
+	metricsPath := filepath.Join(t.TempDir(), "metrics.json")
+	fr.Common.Parallel = 2
+	fr.Common.RunDir = runDir
+	fr.Common.CrashDir = t.TempDir()
+	fr.Common.MetricsPath = metricsPath
+	fr.Common.Report = true
+	var out bytes.Buffer
+	if err := fr.Run(&out); err != nil {
+		t.Fatal(err)
+	}
+
+	var runs, tasks int64
+	var workers int
+	_, line, _ := strings.Cut(out.String(), "worker pool: ")
+	if _, err := fmt.Sscanf(line, "%d runs, %d tasks, up to %d workers", &runs, &tasks, &workers); err != nil || runs == 0 {
+		t.Fatalf("report has no worker pool line (%v):\n%s", err, out.String())
+	}
+	st, err := runstore.Open(runDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sums) != 1 || len(sums[0].Attempts) != 1 {
+		t.Fatalf("ledger holds %d records, want 1 with one attempt", len(sums))
+	}
+	a := sums[0].Attempts[0]
+	if a.PoolRuns != runs || a.PoolTasks != tasks || a.MaxWorkers != workers {
+		t.Errorf("attempt pool = %d runs, %d tasks, %d workers; report says %d, %d, %d",
+			a.PoolRuns, a.PoolTasks, a.MaxWorkers, runs, tasks, workers)
+	}
+	if a.FleetUtilization <= 0 || a.FleetUtilization > 1 {
+		t.Errorf("attempt fleet_utilization = %v, want in (0, 1]", a.FleetUtilization)
+	}
+
+	raw, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics telemetry.Snapshot
+	if err := json.Unmarshal(raw, &metrics); err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.Counters["nd_fleet_stages_total"]; got != runs {
+		t.Errorf("nd_fleet_stages_total = %d, want the report's %d runs", got, runs)
+	}
+	for _, retired := range []string{"nd_pool_runs_total", "nd_fleet_streams_total"} {
+		if _, ok := metrics.Counters[retired]; ok {
+			t.Errorf("retired series %s still written", retired)
+		}
+	}
+
+	var tail struct {
+		NonDeterministic flight.Snapshot `json:"non_deterministic"`
+	}
+	if err := json.Unmarshal(a.Flight, &tail); err != nil {
+		t.Fatalf("attempt flight tail: %v", err)
+	}
+	kinds := map[string]int{}
+	for _, ev := range tail.NonDeterministic.Events {
+		kinds[ev.Kind]++
+	}
+	if kinds["fleet"] == 0 || kinds["pool"] != 0 {
+		t.Errorf("flight tail kinds = %v, want fleet events and no pool event", kinds)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/ate"
+	"repro/internal/cachestore"
 	"repro/internal/dut"
 	"repro/internal/fuzzy"
 	"repro/internal/genetic"
@@ -278,22 +279,21 @@ func (c *Characterizer) CacheStats() (hits, misses int64) {
 	return c.lastEval.cacheHits(), c.lastEval.cacheMisses()
 }
 
-// telCost converts the ATE's cost counters into a telemetry phase cost.
-func telCost(s ate.Stats) telemetry.Cost {
-	return telemetry.Cost{
-		Measurements: s.Measurements,
-		Vectors:      s.VectorsApplied,
-		Profiles:     s.Profiles,
-		SimTimeSec:   s.TestTimeSec,
+// RecordDiskCache feeds a persistent store's counters into the run
+// telemetry (report disk-cache line, Prometheus gauges, live /progress).
+// A nil store or nil telemetry is a no-op, so callers can pass both
+// through unconditionally.
+func RecordDiskCache(tel *telemetry.Telemetry, store *cachestore.Store) {
+	if store == nil {
+		return
 	}
-}
-
-// telDelta is the tester cost consumed between two stat snapshots.
-func telDelta(before, after ate.Stats) telemetry.Cost {
-	return telemetry.Cost{
-		Measurements: after.Measurements - before.Measurements,
-		Vectors:      after.VectorsApplied - before.VectorsApplied,
-		Profiles:     after.Profiles - before.Profiles,
-		SimTimeSec:   after.TestTimeSec - before.TestTimeSec,
-	}
+	st := store.Stats()
+	tel.RecordDiskCache(telemetry.DiskCacheStats{
+		LoadedEntries:  st.LoadedEntries,
+		LoadedSegments: st.LoadedSegments,
+		Hits:           st.Hits,
+		Misses:         st.Misses,
+		FlushedEntries: st.FlushedEntries,
+		BytesOnDisk:    st.BytesOnDisk,
+	})
 }

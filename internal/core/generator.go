@@ -40,7 +40,7 @@ func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 	}
 	ph := c.tel().StartPhase("propose-seeds")
 	before := c.ate.Stats()
-	defer func() { ph.End(telDelta(before, c.ate.Stats())) }()
+	defer func() { ph.End(c.ate.Stats().CostSince(before)) }()
 
 	limits := c.gen.Limits()
 	ens := c.learned.Ensemble

@@ -37,7 +37,7 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 	tel := c.tel()
 	ph := tel.StartPhase("learn")
 	before := c.ate.Stats()
-	defer func() { ph.End(telDelta(before, c.ate.Stats())) }()
+	defer func() { ph.End(c.ate.Stats().CostSince(before)) }()
 
 	runner := trippoint.NewRunner(c.ate, c.cfg.Parameter)
 	runner.Searcher = c.newSUTP()

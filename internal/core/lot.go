@@ -53,7 +53,8 @@ type LotReport struct {
 	// process (or the tester) shifted while the lot ran.
 	Drift trippoint.DriftReport
 	// Outliers are the dies most extreme against the lot population
-	// (|z| ≥ LotOptions.OutlierZ), most extreme first.
+	// (|z| ≥ lotOutlierZ, at most lotTopOutliers per tail), most extreme
+	// first.
 	Outliers []trippoint.Outlier
 
 	Measurements int64

@@ -62,6 +62,13 @@ var (
 	lotChunksPerWorker = 16
 )
 
+// The lot report tracks the lotTopOutliers most extreme dies per tail and
+// reports those at |z| ≥ lotOutlierZ against the lot population.
+const (
+	lotTopOutliers = 8
+	lotOutlierZ    = 3
+)
+
 // LotOptions configures ScreenLotStream. The zero value screens serially,
 // with no disk cache, no retained per-die results and no telemetry.
 type LotOptions struct {
@@ -81,12 +88,6 @@ type LotOptions struct {
 	// Telemetry receives the lot-screen phase, per-die events and progress
 	// items; nil disables instrumentation.
 	Telemetry *telemetry.Telemetry
-	// TopOutliers is how many population outliers to track per tail
-	// (values below 1 pick 8).
-	TopOutliers int
-	// OutlierZ is the |z|-score threshold for reporting a die as an
-	// outlier (values ≤ 0 pick 3).
-	OutlierZ float64
 }
 
 // lotWorker is one worker's reusable screening state: a device and a
@@ -181,14 +182,6 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 	nw := opts.Fleet.Size()
 	chunk := lotChunkDies
 	stageDies := min(chunk*lotChunksPerWorker*nw, n)
-	topK := opts.TopOutliers
-	if topK < 1 {
-		topK = 8
-	}
-	zThresh := opts.OutlierZ
-	if zThresh <= 0 {
-		zThresh = 3
-	}
 
 	tel := opts.Telemetry
 	ph := tel.StartPhase("lot-screen")
@@ -241,7 +234,7 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 		minWorst, maxWorst = math.Inf(1), math.Inf(-1)
 		first              = true
 		drift              trippoint.DriftAccumulator
-		outliers           = trippoint.NewOutlierTracker(topK)
+		outliers           = trippoint.NewOutlierTracker(lotTopOutliers)
 	)
 
 	// The current stage is lot dies start .. start+len(stage)-1, one slot
@@ -342,23 +335,15 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 	rep.MeanWorstTrip = sumWorst / float64(n)
 	rep.SpreadLot = maxWorst - minWorst
 	rep.Drift = drift.Report()
-	rep.Outliers = outliers.Report(zThresh)
+	rep.Outliers = outliers.Report(lotOutlierZ)
 
 	if opts.Cache != nil {
 		if _, err := opts.Cache.Flush(); err != nil {
 			return nil, fmt.Errorf("core: persisting lot cache: %w", err)
 		}
-		st := opts.Cache.Stats()
-		tel.RecordDiskCache(telemetry.DiskCacheStats{
-			LoadedEntries:  st.LoadedEntries,
-			LoadedSegments: st.LoadedSegments,
-			Hits:           st.Hits,
-			Misses:         st.Misses,
-			FlushedEntries: st.FlushedEntries,
-			BytesOnDisk:    st.BytesOnDisk,
-		})
+		RecordDiskCache(tel, opts.Cache)
 	}
-	ph.End(telCost(rep.Stats))
+	ph.End(rep.Stats.Cost())
 	return rep, nil
 }
 

@@ -46,7 +46,7 @@ func (c *Characterizer) OptimizeFrom(seeds []genetic.Seed) (*OptimizationResult,
 	tel := c.tel()
 	ph := tel.StartPhase("optimize")
 	statsBefore := c.ate.Stats()
-	defer func() { ph.End(telDelta(statsBefore, c.ate.Stats())) }()
+	defer func() { ph.End(c.ate.Stats().CostSince(statsBefore)) }()
 	if tel != nil {
 		// The GA's generation loop is serial, so emitting per-generation
 		// trace events from its callback is deterministic.

@@ -125,7 +125,7 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	worst, _ := ranking.Worst()
 	rowStats := tester.Stats()
 	table.Stats.Add(rowStats)
-	ph.End(telCost(rowStats))
+	ph.End(rowStats.Cost())
 	tel.RecordItem("table1-row", 1, 3)
 	table.Rows = append(table.Rows, Table1Row{
 		TestName:     "March Test",
@@ -165,7 +165,7 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	}
 	rowStats = tester.Stats()
 	table.Stats.Add(rowStats)
-	ph.End(telCost(rowStats))
+	ph.End(rowStats.Cost())
 	tel.RecordItem("table1-row", 2, 3)
 	table.Rows = append(table.Rows, Table1Row{
 		TestName:     "Random Test",

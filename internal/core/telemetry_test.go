@@ -33,7 +33,7 @@ func traceOptimize(t *testing.T, seed int64, parallelism int) ([]byte, *telemetr
 	if _, err := char.Optimize(); err != nil {
 		t.Fatal(err)
 	}
-	rep := tel.Report(telCost(tester.Stats()))
+	rep := tel.Report(tester.Stats().Cost())
 	if err := tel.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -94,20 +93,6 @@ type Progress struct {
 	notify atomic.Pointer[chan struct{}]
 
 	mu sync.Mutex // serializes writers
-
-	// Scheduling-dependent pool stats, outside the deterministic snapshot.
-	ndPoolRuns   atomic.Int64
-	ndPoolTasks  atomic.Int64
-	ndMaxWorkers atomic.Int64
-
-	// Scheduling-dependent fleet stream stats: run-ahead depth is a
-	// high-water mark, utilization and overlap are the latest stream's
-	// ratios (stored as float bits).
-	ndFleetStreams  atomic.Int64
-	ndFleetTasks    atomic.Int64
-	ndFleetMaxAhead atomic.Int64
-	ndFleetUtil     atomic.Uint64
-	ndFleetOverlap  atomic.Uint64
 }
 
 var _ telemetry.RunObserver = (*Progress)(nil)
@@ -238,54 +223,6 @@ func (p *Progress) Item(kind string, done, total int) {
 	})
 }
 
-// PoolRun records one fleet stage execution. Per-run worker counts are
-// scheduling- and flag-dependent, so these land in atomic side counters
-// served under non_deterministic, never in the snapshot.
-func (p *Progress) PoolRun(workers int, tasks int) {
-	if p == nil {
-		return
-	}
-	p.ndPoolRuns.Add(1)
-	p.ndPoolTasks.Add(int64(tasks))
-	for {
-		cur := p.ndMaxWorkers.Load()
-		if int64(workers) <= cur || p.ndMaxWorkers.CompareAndSwap(cur, int64(workers)) {
-			break
-		}
-	}
-}
-
-// FleetStream records one fleet stream drain (the fleet's unit of
-// fan-out). Queue depth, worker occupancy and pipeline overlap are
-// scheduling artifacts, so like PoolRun these land in atomic side counters
-// served under non_deterministic, never in the snapshot.
-func (p *Progress) FleetStream(workers, tasks, maxRunAhead int, utilization, overlapRatio float64) {
-	if p == nil {
-		return
-	}
-	p.ndFleetStreams.Add(1)
-	p.ndFleetTasks.Add(int64(tasks))
-	for {
-		cur := p.ndFleetMaxAhead.Load()
-		if int64(maxRunAhead) <= cur || p.ndFleetMaxAhead.CompareAndSwap(cur, int64(maxRunAhead)) {
-			break
-		}
-	}
-	p.ndFleetUtil.Store(math.Float64bits(utilization))
-	p.ndFleetOverlap.Store(math.Float64bits(overlapRatio))
-}
-
-// FleetStats returns the scheduling-dependent fleet counters: stream count,
-// total streamed tasks, the run-ahead high-water mark and the most recent
-// stream's worker-utilization and pipeline-overlap ratios.
-func (p *Progress) FleetStats() (streams, tasks, maxRunAhead int64, utilization, overlapRatio float64) {
-	if p == nil {
-		return 0, 0, 0, 0, 0
-	}
-	return p.ndFleetStreams.Load(), p.ndFleetTasks.Load(), p.ndFleetMaxAhead.Load(),
-		math.Float64frombits(p.ndFleetUtil.Load()), math.Float64frombits(p.ndFleetOverlap.Load())
-}
-
 // SetFingerprint publishes the run's deterministic trace digest (call
 // before Done so the final snapshot carries it). Empty digests (tracing
 // off) are a no-op. Nil-safe.
@@ -315,14 +252,6 @@ func (p *Progress) Ready() bool {
 		return false
 	}
 	return p.Current().State != StateStarting
-}
-
-// PoolStats returns the scheduling-dependent pool counters.
-func (p *Progress) PoolStats() (runs, tasks, maxWorkers int64) {
-	if p == nil {
-		return 0, 0, 0
-	}
-	return p.ndPoolRuns.Load(), p.ndPoolTasks.Load(), p.ndMaxWorkers.Load()
 }
 
 // recomputeDerived refreshes the fields computed from the raw counters.

@@ -81,16 +81,9 @@ func TestProgressPublishAndWatch(t *testing.T) {
 		t.Error("Seq not advancing")
 	}
 
-	p.PoolRun(4, 100)
-	p.PoolRun(2, 50)
-	if runs, tasks, maxw := p.PoolStats(); runs != 2 || tasks != 150 || maxw != 4 {
-		t.Errorf("pool stats = %d/%d/%d", runs, tasks, maxw)
-	}
-
 	// Nil publisher is inert.
 	var nilP *Progress
 	nilP.Done()
-	nilP.PoolRun(1, 1)
 	if nilP.Ready() {
 		t.Error("nil progress reports ready")
 	}

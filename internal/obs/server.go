@@ -19,8 +19,9 @@ import (
 type Options struct {
 	// Run names the run in /healthz and the "run" metric label.
 	Run string
-	// Metrics supplies the registry snapshot behind /metrics (typically
-	// tel.Registry().Snapshot). Nil serves an empty exposition.
+	// Metrics supplies the registry snapshot behind /metrics and the fleet
+	// fields of /progress's non_deterministic section (typically
+	// tel.Registry().Snapshot). Nil serves an empty exposition and zeros.
 	Metrics func() telemetry.Snapshot
 	// Progress feeds /progress and /readyz. Nil disables both with 404 /
 	// not-ready responses.
@@ -197,19 +198,19 @@ type progressPayload struct {
 	NonDeterministic progressND `json:"non_deterministic"`
 }
 
+// progressND is the /progress non_deterministic section. Its fleet fields
+// are the run totals telemetry.ObserveFleet keeps in the nd_fleet_* series,
+// read from the same snapshot /metrics serves: stages, tasks, the widest
+// stage, the out-of-order run-ahead high-water mark (queue depth) and the
+// run's worker-utilization and pipeline-overlap ratios.
 type progressND struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	PoolRuns      int64   `json:"pool_runs"`
 	PoolTasks     int64   `json:"pool_tasks"`
 	PoolMaxW      int64   `json:"pool_max_workers"`
-	// Fleet scheduler stream stats: drained streams, tasks streamed, the
-	// out-of-order run-ahead high-water mark (queue depth) and the latest
-	// stream's worker-utilization / pipeline-overlap ratios.
-	FleetStreams int64   `json:"fleet_streams,omitempty"`
-	FleetTasks   int64   `json:"fleet_tasks,omitempty"`
-	FleetDepth   int64   `json:"fleet_queue_depth,omitempty"`
-	FleetUtil    float64 `json:"fleet_utilization,omitempty"`
-	FleetOverlap float64 `json:"fleet_overlap_ratio,omitempty"`
+	FleetDepth    int64   `json:"fleet_queue_depth,omitempty"`
+	FleetUtil     float64 `json:"fleet_utilization,omitempty"`
+	FleetOverlap  float64 `json:"fleet_overlap_ratio,omitempty"`
 	// DiesPerSecond is the lot-screening throughput so far (the "die"
 	// item counter over uptime) — wall-clock derived, hence ND.
 	DiesPerSecond float64 `json:"dies_per_second,omitempty"`
@@ -223,8 +224,10 @@ func (s *Server) payload() progressPayload {
 // the JSON and SSE variants (which obtain the snapshot differently) share
 // the assembly.
 func (s *Server) payloadFor(snap *Snapshot) progressPayload {
-	runs, tasks, maxw := s.opts.Progress.PoolStats()
-	streams, ftasks, depth, util, overlap := s.opts.Progress.FleetStats()
+	var m telemetry.Snapshot
+	if s.opts.Metrics != nil {
+		m = s.opts.Metrics()
+	}
 	uptime := time.Since(s.started).Seconds()
 	var dps float64
 	if die, ok := snap.Items["die"]; ok && die.Done > 0 && uptime > 0 {
@@ -234,14 +237,12 @@ func (s *Server) payloadFor(snap *Snapshot) progressPayload {
 		Snapshot: snap,
 		NonDeterministic: progressND{
 			UptimeSeconds: uptime,
-			PoolRuns:      runs,
-			PoolTasks:     tasks,
-			PoolMaxW:      maxw,
-			FleetStreams:  streams,
-			FleetTasks:    ftasks,
-			FleetDepth:    depth,
-			FleetUtil:     util,
-			FleetOverlap:  overlap,
+			PoolRuns:      m.Counters[telemetry.FleetStages],
+			PoolTasks:     m.Counters[telemetry.FleetTasks],
+			PoolMaxW:      int64(m.Gauges[telemetry.FleetMaxWorkers]),
+			FleetDepth:    int64(m.Gauges[telemetry.FleetQueueDepth]),
+			FleetUtil:     m.Gauges[telemetry.FleetUtilization],
+			FleetOverlap:  m.Gauges[telemetry.FleetOverlap],
 			DiesPerSecond: dps,
 		},
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +117,66 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if code, _ := get(t, base+"/nope"); code != http.StatusNotFound {
 		t.Errorf("/nope = %d, want 404", code)
+	}
+}
+
+// /progress's fleet fields are a view of the nd_fleet_* series the Metrics
+// func serves, in the JSON payload and in an SSE frame alike; without a
+// Metrics func they read zero.
+func TestProgressNDReadsFleetSeries(t *testing.T) {
+	series := telemetry.Snapshot{
+		Counters: map[string]int64{"nd_fleet_stages_total": 4, "nd_fleet_tasks_total": 96},
+		Gauges: map[string]float64{"nd_fleet_max_workers": 2, "nd_fleet_queue_depth": 7,
+			"nd_fleet_utilization": 0.75, "nd_fleet_overlap_ratio": 0.5},
+	}
+	want := map[string]float64{"pool_runs": 4, "pool_tasks": 96, "pool_max_workers": 2,
+		"fleet_queue_depth": 7, "fleet_utilization": 0.75, "fleet_overlap_ratio": 0.5}
+	p := NewProgress("nd")
+	p.Done() // an SSE stream of a finished run sends one frame and ends
+	nd := func(metrics func() telemetry.Snapshot, sse bool) map[string]any {
+		t.Helper()
+		s := &Server{opts: Options{Run: "nd", Metrics: metrics, Progress: p}, started: time.Now()}
+		target := "/progress"
+		if sse {
+			target += "?sse=1"
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		body := rec.Body.String()
+		if sse {
+			_, data, ok := strings.Cut(body, "data: ")
+			if !ok {
+				t.Fatalf("no SSE frame in %q", body)
+			}
+			body, _, _ = strings.Cut(data, "\n")
+		}
+		var payload struct {
+			NonDeterministic map[string]any `json:"non_deterministic"`
+		}
+		if err := json.Unmarshal([]byte(body), &payload); err != nil {
+			t.Fatalf("sse=%v: /progress not JSON: %v\n%s", sse, err, body)
+		}
+		return payload.NonDeterministic
+	}
+	for _, sse := range []bool{false, true} {
+		got := nd(func() telemetry.Snapshot { return series }, sse)
+		for k, v := range want {
+			if got[k] != v {
+				t.Errorf("sse=%v: %s = %v, want %v", sse, k, got[k], v)
+			}
+		}
+		for _, k := range []string{"fleet_streams", "fleet_tasks"} {
+			if _, ok := got[k]; ok {
+				t.Errorf("sse=%v: retired key %s present", sse, k)
+			}
+		}
+		zero := nd(nil, sse)
+		for k := range want {
+			// The pool keys are always present; the fleet keys are omitted at zero.
+			if v, ok := zero[k]; (ok || strings.HasPrefix(k, "pool_")) && v != 0.0 {
+				t.Errorf("sse=%v without Metrics: %s = %v, want 0", sse, k, v)
+			}
+		}
 	}
 }
 

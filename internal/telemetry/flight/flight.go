@@ -1,8 +1,8 @@
 // Package flight is the post-mortem side of the observability layer: a
-// bounded, lock-striped ring buffer that keeps the most recent run events
-// (phase boundaries, searches, cache lookups, GA generations, item
-// progress, pool runs) together with periodic runtime/metrics samples
-// (heap size, GC pauses, goroutine count, scheduling latency).
+// bounded ring buffer that keeps the most recent run events (phase
+// boundaries, searches, cache lookups, GA generations, item progress, fleet
+// stages) together with periodic runtime/metrics samples (heap size, GC
+// pauses, goroutine count, scheduling latency).
 //
 // The recorder taps the same telemetry.RunObserver hook points as the live
 // /progress feed, so it inherits the determinism contract for free: it only
@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -70,24 +71,17 @@ type Snapshot struct {
 	RuntimeSample     *Sample `json:"runtime_sample,omitempty"`
 }
 
-// stripe is one lock shard of the ring. Events are spread across stripes by
-// sequence number, so concurrent recorders rarely contend on one mutex; the
-// global order is recovered at read time by merging on Seq.
-type stripe struct {
-	mu  sync.Mutex
-	buf []Event
-	n   uint64 // events ever appended to this stripe
-}
-
 // Recorder is the bounded flight recorder. All methods are safe for
 // concurrent use and nil-receiver-safe, so instrumentation can carry a nil
-// recorder without enabled-checks.
+// recorder without enabled-checks. Its writers are few — serial program
+// points, the goroutine that finished a fleet stage and the sampler — so
+// one mutex guards the ring.
 type Recorder struct {
-	stripes []stripe
-	mask    uint64
-	seq     atomic.Uint64
-	lastNS  atomic.Int64
-	sample  atomic.Pointer[Sample]
+	mu     sync.Mutex
+	buf    []Event
+	n      uint64 // events ever recorded; event i (from 1) sits at buf[(i-1)%len]
+	lastNS atomic.Int64
+	sample atomic.Pointer[Sample]
 
 	// reg receives the nd_flight_* gauges on every sample (nil: none).
 	reg *telemetry.Registry
@@ -97,18 +91,9 @@ type Recorder struct {
 }
 
 // New builds a recorder holding at most capacity events (values below 16
-// are raised to 16), striped across 8 locks.
+// are raised to 16).
 func New(capacity int) *Recorder {
-	if capacity < 16 {
-		capacity = 16
-	}
-	const nStripes = 8
-	per := (capacity + nStripes - 1) / nStripes
-	r := &Recorder{stripes: make([]stripe, nStripes), mask: nStripes - 1}
-	for i := range r.stripes {
-		r.stripes[i].buf = make([]Event, per)
-	}
-	return r
+	return &Recorder{buf: make([]Event, max(capacity, 16))}
 }
 
 // ExportTo mirrors each runtime sample as nd_flight_* gauges in reg, so the
@@ -125,11 +110,7 @@ func (r *Recorder) Capacity() int {
 	if r == nil {
 		return 0
 	}
-	n := 0
-	for i := range r.stripes {
-		n += len(r.stripes[i].buf)
-	}
-	return n
+	return len(r.buf)
 }
 
 // TotalEvents returns how many events were ever recorded (recorded, not
@@ -138,7 +119,9 @@ func (r *Recorder) TotalEvents() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
 }
 
 // LastEventUnixNano returns the wall-clock time of the newest progress
@@ -165,14 +148,12 @@ func (r *Recorder) record(kind, name string, fields map[string]float64, progress
 	if progress {
 		r.lastNS.Store(now)
 	}
-	seq := r.seq.Add(1)
-	st := &r.stripes[seq&r.mask]
-	st.mu.Lock()
-	st.buf[st.n%uint64(len(st.buf))] = Event{
-		Seq: seq, TimeUnixNano: now, Kind: kind, Name: name, Fields: fields,
+	r.mu.Lock()
+	r.buf[r.n%uint64(len(r.buf))] = Event{
+		Seq: r.n + 1, TimeUnixNano: now, Kind: kind, Name: name, Fields: fields,
 	}
-	st.n++
-	st.mu.Unlock()
+	r.n++
+	r.mu.Unlock()
 }
 
 // Tail returns up to max buffered events, oldest first (max <= 0 returns
@@ -181,35 +162,17 @@ func (r *Recorder) Tail(max int) []Event {
 	if r == nil {
 		return nil
 	}
-	var all []Event
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.Lock()
-		kept := st.n
-		if kept > uint64(len(st.buf)) {
-			kept = uint64(len(st.buf))
-		}
-		for j := uint64(0); j < kept; j++ {
-			all = append(all, st.buf[(st.n-kept+j)%uint64(len(st.buf))])
-		}
-		st.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	kept := min(r.n, uint64(len(r.buf)))
+	if max > 0 && uint64(max) < kept {
+		kept = uint64(max)
 	}
-	// Merge the stripes back into global order.
-	sortEvents(all)
-	if max > 0 && len(all) > max {
-		all = all[len(all)-max:]
+	out := make([]Event, kept)
+	for i := range out {
+		out[i] = r.buf[(r.n-kept+uint64(i))%uint64(len(r.buf))]
 	}
-	return all
-}
-
-// sortEvents orders by Seq ascending (insertion sort is fine at ring sizes;
-// stripes are already sorted, so runs are long and nearly merged).
-func sortEvents(ev []Event) {
-	for i := 1; i < len(ev); i++ {
-		for j := i; j > 0 && ev[j].Seq < ev[j-1].Seq; j-- {
-			ev[j], ev[j-1] = ev[j-1], ev[j]
-		}
-	}
+	return out
 }
 
 // LatestSample returns the newest runtime sample, or nil before the first
@@ -449,25 +412,16 @@ func (r *Recorder) Item(kind string, done, total int) {
 	})
 }
 
-// PoolRun records one fleet stage's worker and task counts (fed from the
-// CLI's fleet observer, which runs after each stage).
-func (r *Recorder) PoolRun(workers, tasks int) {
-	r.Record("pool", "", map[string]float64{
-		"workers": float64(workers),
-		"tasks":   float64(tasks),
-	})
-}
-
-// FleetStream records one fleet stream drain (fed from the CLI's fleet
-// observer): queue depth is the out-of-order run-ahead high-water mark,
-// utilization and overlap are the stream's worker-occupancy and
+// FleetStream records one completed fleet stage (fed from the CLI's fleet
+// observer): queue depth is its out-of-order run-ahead high-water mark,
+// utilization and overlap are its worker-occupancy and
 // merge-under-measurement ratios.
-func (r *Recorder) FleetStream(workers, tasks, maxRunAhead int, utilization, overlapRatio float64) {
+func (r *Recorder) FleetStream(st parallel.StreamStats) {
 	r.Record("fleet", "", map[string]float64{
-		"workers":       float64(workers),
-		"tasks":         float64(tasks),
-		"queue_depth":   float64(maxRunAhead),
-		"utilization":   utilization,
-		"overlap_ratio": overlapRatio,
+		"workers":       float64(st.Workers),
+		"tasks":         float64(st.Tasks),
+		"queue_depth":   float64(st.MaxRunAhead),
+		"utilization":   st.Utilization(),
+		"overlap_ratio": st.OverlapRatio(),
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -20,7 +21,8 @@ func TestRecorderRecordsObserverCallbacks(t *testing.T) {
 	o.Item("die", 5, 10)
 	o.DiskCache(telemetry.DiskCacheStats{LoadedEntries: 9, Hits: 4, Misses: 1, BytesOnDisk: 100})
 	o.PhaseEnded("learn", telemetry.Cost{Measurements: 100, Vectors: 2000, SimTimeSec: 1.5})
-	r.PoolRun(4, 16)
+	r.FleetStream(parallel.StreamStats{Workers: 4, Tasks: 16, MaxRunAhead: 3,
+		BusyNanos: 30, WallNanos: 10, DeliverNanos: 8, OverlapNanos: 2})
 
 	ev := r.Tail(0)
 	if len(ev) != 8 {
@@ -30,7 +32,7 @@ func TestRecorderRecordsObserverCallbacks(t *testing.T) {
 	for i, e := range ev {
 		kinds[i] = e.Kind
 	}
-	want := []string{"phase-start", "search", "cache", "generation", "item", "disk-cache", "phase-end", "pool"}
+	want := []string{"phase-start", "search", "cache", "generation", "item", "disk-cache", "phase-end", "fleet"}
 	for i := range want {
 		if kinds[i] != want[i] {
 			t.Fatalf("event %d kind = %q, want %q (all: %v)", i, kinds[i], want[i], kinds)
@@ -44,6 +46,12 @@ func TestRecorderRecordsObserverCallbacks(t *testing.T) {
 	}
 	if ev[6].Fields["measurements"] != 100 {
 		t.Fatalf("phase-end measurements = %v, want 100", ev[6].Fields["measurements"])
+	}
+	fleet := map[string]float64{"workers": 4, "tasks": 16, "queue_depth": 3, "utilization": 0.75, "overlap_ratio": 0.25}
+	for k, want := range fleet {
+		if got := ev[7].Fields[k]; got != want {
+			t.Errorf("fleet event %s = %v, want %v", k, got, want)
+		}
 	}
 	if r.TotalEvents() != 8 {
 		t.Fatalf("TotalEvents = %d, want 8", r.TotalEvents())
@@ -179,7 +187,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.DiskCache(telemetry.DiskCacheStats{})
 	r.Generation(1, 0)
 	r.Item("die", 1, 2)
-	r.PoolRun(1, 2)
+	r.FleetStream(parallel.StreamStats{})
 	r.ExportTo(nil)
 	if r.Tail(0) != nil {
 		t.Error("nil Tail not nil")

@@ -160,17 +160,6 @@ func (t *Telemetry) RecordItem(kind string, done, total int) {
 	}
 }
 
-// CacheStats returns the memo-cache lookup totals recorded so far.
-// Nil-safe (zeros).
-func (t *Telemetry) CacheStats() (hits, misses int64) {
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cacheHits, t.cacheMiss
-}
-
 // HitRate returns hits/(hits+misses), or 0 when there were no lookups at
 // all — never NaN, so zero-lookup runs render as a defined 0% rate.
 func HitRate(hits, misses int64) float64 {

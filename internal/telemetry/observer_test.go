@@ -52,8 +52,8 @@ func TestRunObserverReceivesCallbacks(t *testing.T) {
 	if n := tel.Registry().Counter("ga_generations_total").Value(); n != 1 {
 		t.Errorf("ga_generations_total = %d, want 1", n)
 	}
-	if h, m := tel.CacheStats(); h != 2 || m != 1 {
-		t.Errorf("CacheStats = %d/%d, want 2/1", h, m)
+	if r := tel.Report(Cost{Measurements: 4}); r.CacheHits != 2 || r.CacheMisses != 1 {
+		t.Errorf("report cache = %d/%d, want 2/1", r.CacheHits, r.CacheMisses)
 	}
 
 	// Detaching stops delivery; nil telemetry stays inert.
@@ -66,9 +66,6 @@ func TestRunObserverReceivesCallbacks(t *testing.T) {
 	nilTel.SetRunObserver(obs)
 	nilTel.RecordGeneration(1, 1)
 	nilTel.RecordItem("x", 1, 1)
-	if h, m := nilTel.CacheStats(); h != 0 || m != 0 {
-		t.Error("nil telemetry CacheStats not zero")
-	}
 }
 
 func TestDiskCacheAndDroppedSurface(t *testing.T) {

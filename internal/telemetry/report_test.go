@@ -3,8 +3,12 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/parallel"
 )
 
 func TestReportPhaseBreakdownSumsToTotal(t *testing.T) {
@@ -68,7 +72,7 @@ func TestReportRenderAndJSON(t *testing.T) {
 	tel.StartPhase("learn").End(Cost{Measurements: 10})
 	tel.RecordSearch(10, 11, true)
 	tel.RecordCacheLookups(3, 7, 11)
-	tel.ObservePool(2, []int{3, 4})
+	tel.ObserveFleet(parallel.StreamStats{Workers: 2, Tasks: 7, TasksPerWorker: []int{3, 4}})
 	r := tel.Report(Cost{Measurements: 10})
 
 	text := r.Render()
@@ -101,12 +105,46 @@ func TestReportRenderAndJSON(t *testing.T) {
 	}
 }
 
+// The nd_fleet_* series hold the run's totals, not the last stage's: a
+// wide busy stage followed by a narrow half-idle one must report the
+// run's utilization and overlap, and the deeper stage's run-ahead.
+func TestObserveFleetKeepsRunTotals(t *testing.T) {
+	ms := int64(time.Millisecond)
+	tel := New("fleet", nil)
+	tel.ObserveFleet(parallel.StreamStats{Workers: 2, Tasks: 10, TasksPerWorker: []int{6, 4}, MaxRunAhead: 6,
+		BusyNanos: 20 * ms, WallNanos: 10 * ms, DeliverNanos: 4 * ms, OverlapNanos: 3 * ms})
+	tel.ObserveFleet(parallel.StreamStats{Workers: 1, Tasks: 3, TasksPerWorker: []int{3}, MaxRunAhead: 2,
+		BusyNanos: 5 * ms, WallNanos: 10 * ms, DeliverNanos: 6 * ms, OverlapNanos: 1 * ms})
+
+	snap := tel.Registry().Snapshot()
+	wantPool := PoolStats{Runs: 2, Tasks: 13, MaxWorkers: 2, WorkerTasks: []int64{9, 4}}
+	if pool := tel.Report(Cost{}).NonDeterministic.Pool; !reflect.DeepEqual(pool, wantPool) {
+		t.Errorf("report pool = %+v, want %+v", pool, wantPool)
+	}
+	counters := map[string]int64{"nd_fleet_stages_total": 2, "nd_fleet_tasks_total": 13}
+	gauges := map[string]float64{
+		"nd_fleet_max_workers":   2,
+		"nd_fleet_queue_depth":   6,
+		"nd_fleet_utilization":   25.0 / 30.0,
+		"nd_fleet_overlap_ratio": 4.0 / 10.0,
+	}
+	if !reflect.DeepEqual(snap.Counters, counters) {
+		t.Errorf("counters = %v, want exactly %v", snap.Counters, counters)
+	}
+	if !reflect.DeepEqual(snap.Gauges, gauges) {
+		t.Errorf("gauges = %v, want exactly %v", snap.Gauges, gauges)
+	}
+	if stripped := snap.StripNonDeterministic(); stripped.Counters != nil || stripped.Gauges != nil || stripped.Histograms != nil {
+		t.Errorf("StripNonDeterministic kept fleet series: %+v", stripped)
+	}
+}
+
 func TestNilTelemetryIsInert(t *testing.T) {
 	var tel *Telemetry
 	tel.StartPhase("x").End(Cost{Measurements: 1})
 	tel.RecordSearch(1, 2, true)
 	tel.RecordCacheLookups(1, 1, 2)
-	tel.ObservePool(4, []int{1, 1, 1, 1})
+	tel.ObserveFleet(parallel.StreamStats{Workers: 4, Tasks: 4, TasksPerWorker: []int{1, 1, 1, 1}})
 	tel.Registry().Counter("c").Inc()
 	tel.Run().Event("e")
 	if tel.Report(Cost{}) != nil {

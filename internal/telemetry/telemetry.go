@@ -8,6 +8,8 @@ package telemetry
 import (
 	"sync"
 	"time"
+
+	"repro/internal/parallel"
 )
 
 // Telemetry bundles one run's tracer, metrics registry and report builder.
@@ -22,15 +24,17 @@ type Telemetry struct {
 	// atomically on every emission path.
 	observer observerPtr
 
-	mu        sync.Mutex
-	run       *Span
-	runName   string
-	phases    []Phase
-	pool      PoolStats
-	cacheHits int64
-	cacheMiss int64
-	disk      DiskCacheStats
-	started   time.Time
+	mu      sync.Mutex
+	run     *Span
+	runName string
+	phases  []Phase
+	pool    PoolStats
+	disk    DiskCacheStats
+	started time.Time
+
+	// Run sums of the fleet stages' timings, behind the nd_fleet_* ratios.
+	busyNS, capacityNS, deliverNS, overlapNS int64
+	runAhead                                 int
 }
 
 // New builds an enabled telemetry handle for one run. The tracer may be
@@ -168,10 +172,6 @@ func (t *Telemetry) RecordCacheLookups(hits, misses int64, fullRangeBudget int) 
 	t.reg.Counter("cache_hits_total").Add(hits)
 	t.reg.Counter("cache_misses_total").Add(misses)
 	t.reg.Counter("search_baseline_measurements_total").Add(hits * int64(fullRangeBudget))
-	t.mu.Lock()
-	t.cacheHits += hits
-	t.cacheMiss += misses
-	t.mu.Unlock()
 	if o := t.runObserver(); o != nil {
 		o.CacheLookups(hits, misses, fullRangeBudget)
 	}
@@ -202,27 +202,59 @@ func (t *Telemetry) RecordDiskCache(d DiskCacheStats) {
 	}
 }
 
-// ObservePool aggregates one worker-pool run's per-worker task counts —
-// scheduling-dependent, so this feeds only the report's non-deterministic
-// section plus "nd_"-prefixed counters.
-func (t *Telemetry) ObservePool(workers int, tasksPerWorker []int) {
+// The series ObserveFleet keeps: run totals of the fleet stages, which the
+// live /progress feed and the run ledger's attempts read back.
+const (
+	FleetStages      = NonDeterministicPrefix + "fleet_stages_total"
+	FleetTasks       = NonDeterministicPrefix + "fleet_tasks_total"
+	FleetMaxWorkers  = NonDeterministicPrefix + "fleet_max_workers"
+	FleetQueueDepth  = NonDeterministicPrefix + "fleet_queue_depth"
+	FleetUtilization = NonDeterministicPrefix + "fleet_utilization"
+	FleetOverlap     = NonDeterministicPrefix + "fleet_overlap_ratio"
+)
+
+// ObserveFleet accounts one completed fleet stage. Its counts depend on
+// goroutine scheduling, so they feed only the report's non-deterministic
+// pool section and the nd_fleet_* series, which hold run totals: stages,
+// tasks, the widest stage, the run-ahead high-water mark, and the run's
+// worker utilization and delivery overlap. Nil-safe.
+func (t *Telemetry) ObserveFleet(st parallel.StreamStats) {
 	if t == nil {
 		return
 	}
-	t.reg.Counter(NonDeterministicPrefix + "pool_runs_total").Inc()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.pool.Runs++
-	if workers > t.pool.MaxWorkers {
-		t.pool.MaxWorkers = workers
-	}
-	for w, n := range tasksPerWorker {
-		t.pool.Tasks += int64(n)
-		for len(t.pool.WorkerTasks) <= w {
-			t.pool.WorkerTasks = append(t.pool.WorkerTasks, 0)
+	p := &t.pool
+	p.Runs++
+	p.Tasks += int64(st.Tasks)
+	p.MaxWorkers = max(p.MaxWorkers, st.Workers)
+	for w, n := range st.TasksPerWorker {
+		for len(p.WorkerTasks) <= w {
+			p.WorkerTasks = append(p.WorkerTasks, 0)
 		}
-		t.pool.WorkerTasks[w] += int64(n)
+		p.WorkerTasks[w] += int64(n)
 	}
+	t.busyNS += st.BusyNanos
+	t.capacityNS += int64(st.Workers) * st.WallNanos
+	t.deliverNS += st.DeliverNanos
+	t.overlapNS += st.OverlapNanos
+	t.runAhead = max(t.runAhead, st.MaxRunAhead)
+
+	reg := t.reg
+	reg.Counter(FleetStages).Inc()
+	reg.Counter(FleetTasks).Add(int64(st.Tasks))
+	reg.Gauge(FleetMaxWorkers).Set(float64(p.MaxWorkers))
+	reg.Gauge(FleetQueueDepth).Set(float64(t.runAhead))
+	reg.Gauge(FleetUtilization).Set(ratio(t.busyNS, t.capacityNS))
+	reg.Gauge(FleetOverlap).Set(ratio(t.overlapNS, t.deliverNS))
+}
+
+// ratio returns num/den, or 0 when den is not positive.
+func ratio(num, den int64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 // Report finalizes and returns the run report: registry snapshot, phase
@@ -237,7 +269,6 @@ func (t *Telemetry) Report(total Cost) *Report {
 	phases := append([]Phase(nil), t.phases...)
 	pool := t.pool
 	pool.WorkerTasks = append([]int64(nil), t.pool.WorkerTasks...)
-	hits, misses := t.cacheHits, t.cacheMiss
 	disk := t.disk
 	wall := time.Since(t.started).Seconds()
 	name := t.runName
@@ -248,8 +279,6 @@ func (t *Telemetry) Report(total Cost) *Report {
 		Fingerprint:          t.tracer.Fingerprint(),
 		Phases:               phases,
 		Total:                total,
-		CacheHits:            hits,
-		CacheMisses:          misses,
 		DiskCache:            disk,
 		Searches:             t.reg.Counter("search_total").Value(),
 		SearchMeasurements:   t.reg.Counter("search_measurements_total").Value(),
@@ -257,6 +286,10 @@ func (t *Telemetry) Report(total Cost) *Report {
 		Metrics:              t.reg.Snapshot(),
 		NonDeterministic:     NonDet{WallSeconds: wall, Pool: pool},
 	}
+	// Read from the snapshot, not through Registry.Counter, which would
+	// create the series in runs that never looked anything up.
+	r.CacheHits = r.Metrics.Counters["cache_hits_total"]
+	r.CacheMisses = r.Metrics.Counters["cache_misses_total"]
 	r.finish()
 	return r
 }
