@@ -456,7 +456,7 @@ func BenchmarkAblationEnsembleVsSingle(b *testing.B) {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					mse, err := ens.Evaluate(data)
+					mse, err := ens.EvaluateWith(ens.NewScratch(), data)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -666,7 +666,8 @@ func BenchmarkRandomBatch(b *testing.B) {
 	reportPerVector(b, vectors)
 }
 
-// BenchmarkEnsembleVote measures one voting-machine prediction.
+// BenchmarkEnsembleVote measures one voting-machine prediction through a
+// caller-owned scratch arena.
 func BenchmarkEnsembleVote(b *testing.B) {
 	data := make(neural.Dataset, 50)
 	gen := testgen.NewRandomGenerator(92, 4096, testgen.DefaultConditionLimits())
@@ -684,9 +685,10 @@ func BenchmarkEnsembleVote(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := data[0].Input
+	s := ens.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ens.Vote(in); err != nil {
+		if _, _, err := ens.VoteInto(s, in); err != nil {
 			b.Fatal(err)
 		}
 	}

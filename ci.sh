@@ -9,7 +9,7 @@
 #
 # The hot-path counter gates are Go tests beside the benchmarks they bound,
 # so `go test ./...` enforces them: kernel allocations per op
-# (internal/neural, skipped under -race, so the coverage pass enforces it),
+# (internal/neural, in both the race and the coverage pass),
 # lot mallocs per die, warm-cache hit rate and segment size, and the ATE
 # measurements of the lot, fig. 5, Table 1 and instrumented flows. The
 # benchmark pass holds the two wall-clock gates on medians of five samples:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"sort"
 
 	"repro/internal/ate"
+	"repro/internal/frame"
 	"repro/internal/testgen"
 	"repro/internal/wcr"
 )
@@ -164,17 +166,15 @@ func (d *Database) Save(w io.Writer) error {
 	return enc.Encode(dj)
 }
 
-// SaveFile writes the database to the named file.
+// SaveFile atomically replaces the named file with the database. The JSON
+// is rendered in memory first, so a failed encode (a NaN WCR) leaves the
+// previous file untouched.
 func (d *Database) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := d.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return frame.Publish(path, buf.Bytes())
 }
 
 // LoadDatabase reads a database from JSON.

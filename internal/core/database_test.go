@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -133,6 +135,38 @@ func TestDatabaseFileRoundTrip(t *testing.T) {
 	}
 	if loaded.Parameter != ate.Fmax || loaded.Len() != 1 {
 		t.Error("file round trip mangled database")
+	}
+}
+
+// TestDatabaseSaveFileKeepsPreviousOnEncodeError: a database that cannot be
+// encoded (a NaN WCR) must fail to save without touching the file an
+// earlier save left, which 'lotchar -db' and 'shmoo -db' read back.
+func TestDatabaseSaveFileKeepsPreviousOnEncodeError(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.json")
+	good := NewDatabase(ate.TDQ)
+	good.Add(sampleEntry("GA-1", 0.93))
+	if err := good.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := NewDatabase(ate.TDQ)
+	bad.Add(sampleEntry("GA-2", math.NaN()))
+	if err := bad.SaveFile(path); err == nil {
+		t.Fatal("NaN database saved without error")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("failed save changed the file: %d bytes, was %d", len(got), len(want))
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("failed save left %d files in the directory, want 1", len(ents))
 	}
 }
 

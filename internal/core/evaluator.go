@@ -84,16 +84,7 @@ func (e *evaluator) measureTask(wk *ate.ATE, tt testgen.Test, seed int64) (searc
 	return res, wk.Stats(), err
 }
 
-// Fitness implements genetic.Evaluator for callers outside the batch path.
-func (e *evaluator) Fitness(t testgen.Test) (float64, error) {
-	fits, err := e.FitnessBatch([]testgen.Test{t})
-	if err != nil {
-		return 0, err
-	}
-	return fits[0], nil
-}
-
-// FitnessBatch implements genetic.BatchEvaluator.
+// FitnessBatch implements genetic.Evaluator.
 func (e *evaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 	out := make([]float64, len(tests))
 	fleet := e.c.Fleet()

@@ -106,7 +106,8 @@ func (c *Characterizer) PredictSeverity(t testgen.Test) (severity, confidence fl
 		return 0, 0, fmt.Errorf("core: no trained ensemble; run Learn or LoadWeights first")
 	}
 	feat := testgen.ExtractFeatures(t, c.gen.Limits())
-	pred, conf, err := c.learned.Ensemble.Vote(feat)
+	ens := c.learned.Ensemble
+	pred, conf, err := ens.VoteInto(ens.NewScratch(), feat)
 	if err != nil {
 		return 0, 0, err
 	}

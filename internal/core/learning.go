@@ -98,7 +98,7 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 	}
 	res.Ensemble = ens
 	res.Reports = reports
-	res.EnsembleValErr, err = ens.Evaluate(res.Dataset)
+	res.EnsembleValErr, err = ens.EvaluateWith(ens.NewScratch(), res.Dataset)
 	if err != nil {
 		return nil, err
 	}

@@ -345,10 +345,10 @@ func TestEvaluatorFixedConditions(t *testing.T) {
 	if tt.Cond != *cfg.FixedConditions {
 		t.Fatalf("generator ignored fixed conditions: %+v", tt.Cond)
 	}
-	if _, err := eval.Fitness(tt); err != nil {
+	if _, err := eval.FitnessBatch([]testgen.Test{tt}); err != nil {
 		t.Fatal(err)
 	}
 	if eval.evaluations != 1 {
-		t.Errorf("single Fitness performed %d searches", eval.evaluations)
+		t.Errorf("one-test batch performed %d searches", eval.evaluations)
 	}
 }

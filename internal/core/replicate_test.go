@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/telemetry"
 	"repro/internal/testgen"
 	"repro/internal/wcr"
 )
@@ -95,6 +96,48 @@ func TestCharacterizeWorstAtLeastWeaknessAcrossSeeds(t *testing.T) {
 	}
 	if held < n-1 {
 		t.Errorf("worst case at least weakness on %d/%d seeds, want >= %d", held, n, n-1)
+	}
+}
+
+// SUTP saves measurements in real learning runs (fig. 3): the learn phase
+// the characterize binary runs, at the default scale with nominal fixed
+// conditions on the typical die, must spend fewer trip-point measurements
+// than the same searches would at FullRangeBudget each — SUTP's mean
+// per-test cost below the full-range search — on every one of seeds
+// 1000–1019.
+func TestLearnSUTPSavesMeasurementsAcrossSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20 learning flows")
+	}
+	const first, n = 1000, 20
+	held := 0
+	for seed := int64(first); seed < first+n; seed++ {
+		cfg := DefaultConfig(seed)
+		nominal := testgen.NominalConditions()
+		cfg.FixedConditions = &nominal
+		cfg.Telemetry = telemetry.New("learn", nil)
+		char, err := NewCharacterizer(cfg, newTester(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = char.Learn()
+		char.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := cfg.Telemetry.Registry()
+		spent := reg.Counter("search_measurements_total").Value()
+		baseline := reg.Counter("search_baseline_measurements_total").Value()
+		if spent < baseline {
+			held++
+			t.Logf("seed %d: %d of %d full-range measurements, %.1f%% saved",
+				seed, spent, baseline, 100*float64(baseline-spent)/float64(baseline))
+		} else {
+			t.Logf("seed %d: %d measurements, no saving over the full-range %d", seed, spent, baseline)
+		}
+	}
+	if held < n {
+		t.Errorf("SUTP saved measurements on %d/%d seeds, want %d", held, n, n)
 	}
 }
 

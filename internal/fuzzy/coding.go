@@ -118,13 +118,3 @@ func (c *TripPointCoder) Severity(encoded []float64) float64 {
 	}
 	return clampWCR(c.severity.Defuzzify(encoded))
 }
-
-// Classify maps an encoded vector onto the fig. 6 WCR band.
-func (c *TripPointCoder) Classify(encoded []float64) wcr.Class {
-	return wcr.Classify(c.Severity(encoded))
-}
-
-// ClassifyTripPoint maps a raw trip point onto the fig. 6 WCR band.
-func (c *TripPointCoder) ClassifyTripPoint(tripPoint float64) wcr.Class {
-	return wcr.Classify(c.WCR(tripPoint))
-}

@@ -106,13 +106,13 @@ func TestClassification(t *testing.T) {
 	c := tdqCoder(t, CodingFuzzy)
 	// Table 1: March (32.3 ns) passes, NNGA (22.1 ns) is a weakness; a
 	// 19 ns trip violates the spec.
-	if got := c.ClassifyTripPoint(32.3); got != wcr.Pass {
+	if got := wcr.Classify(c.WCR(32.3)); got != wcr.Pass {
 		t.Errorf("32.3 ns classified %v", got)
 	}
-	if got := c.ClassifyTripPoint(22.1); got != wcr.Weakness {
+	if got := wcr.Classify(c.WCR(22.1)); got != wcr.Weakness {
 		t.Errorf("22.1 ns classified %v", got)
 	}
-	if got := c.ClassifyTripPoint(19); got != wcr.Fail {
+	if got := wcr.Classify(c.WCR(19)); got != wcr.Fail {
 		t.Errorf("19 ns classified %v", got)
 	}
 }
@@ -120,8 +120,8 @@ func TestClassification(t *testing.T) {
 func TestClassifyEncodedConsistent(t *testing.T) {
 	c := tdqCoder(t, CodingFuzzy)
 	for _, trip := range []float64{30, 22.1, 19} {
-		direct := c.ClassifyTripPoint(trip)
-		viaEnc := c.Classify(c.Encode(trip))
+		direct := wcr.Classify(c.WCR(trip))
+		viaEnc := wcr.Classify(c.Severity(c.Encode(trip)))
 		if direct != viaEnc {
 			t.Errorf("trip %g: direct class %v, encoded class %v", trip, direct, viaEnc)
 		}
@@ -139,7 +139,7 @@ func TestMaxSpecCoder(t *testing.T) {
 	if low >= high {
 		t.Errorf("max-spec severity not increasing: %g vs %g", low, high)
 	}
-	if c.ClassifyTripPoint(1.70) != wcr.Fail {
+	if wcr.Classify(c.WCR(1.70)) != wcr.Fail {
 		t.Error("value above a maximum spec not classified fail")
 	}
 }

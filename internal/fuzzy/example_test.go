@@ -4,10 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/fuzzy"
+	"repro/internal/wcr"
 )
 
 // ExampleTripPointCoder encodes a measured trip point into the severity
-// grades the neural networks learn and decodes the severity back.
+// grades the neural networks learn, decodes the severity back and places
+// it in its fig. 6 WCR band.
 func ExampleTripPointCoder() {
 	// T_DQ: specification minimum 20 ns (eq. 6 direction).
 	coder, err := fuzzy.NewTripPointCoder(20, true, fuzzy.CodingFuzzy)
@@ -16,8 +18,8 @@ func ExampleTripPointCoder() {
 	}
 	for _, trip := range []float64{32.3, 22.1} {
 		enc := coder.Encode(trip)
-		fmt.Printf("%.1f ns → severity %.3f (%s)\n",
-			trip, coder.Severity(enc), coder.Classify(enc))
+		sev := coder.Severity(enc)
+		fmt.Printf("%.1f ns → severity %.3f (%s)\n", trip, sev, wcr.Classify(sev))
 	}
 	// Output:
 	// 32.3 ns → severity 0.619 (pass)
@@ -43,8 +45,11 @@ func ExampleEngine() {
 		Then: fuzzy.Clause{Variable: "margin", Term: "safe"},
 	})
 
-	calm, _ := e.InferCrisp(map[string]float64{"activity": 0.1, "noise": 0.1})
-	hot, _ := e.InferCrisp(map[string]float64{"activity": 0.95, "noise": 0.9})
+	// Infer gives the margin's term grades; the centroid defuzzifies them.
+	calmGrades, _ := e.Infer(map[string]float64{"activity": 0.1, "noise": 0.1})
+	hotGrades, _ := e.Infer(map[string]float64{"activity": 0.95, "noise": 0.9})
+	calm := margin.CentroidDefuzzify(calmGrades, 0)
+	hot := margin.CentroidDefuzzify(hotGrades, 0)
 	fmt.Printf("calm margin %.2f < hot margin %.2f: %v\n", calm, hot, calm < hot)
 	// Output: calm margin 0.26 < hot margin 0.78: true
 }

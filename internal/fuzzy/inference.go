@@ -80,9 +80,6 @@ func (e *Engine) AddRule(r Rule) error {
 	return nil
 }
 
-// Rules returns the number of registered rules.
-func (e *Engine) Rules() int { return len(e.rules) }
-
 // Infer runs Mamdani inference for the crisp inputs and returns the output
 // term grade vector (max-aggregated rule strengths per output term).
 func (e *Engine) Infer(inputs map[string]float64) ([]float64, error) {
@@ -109,13 +106,4 @@ func (e *Engine) Infer(inputs map[string]float64) ([]float64, error) {
 		}
 	}
 	return grades, nil
-}
-
-// InferCrisp runs inference and defuzzifies with the centroid method.
-func (e *Engine) InferCrisp(inputs map[string]float64) (float64, error) {
-	grades, err := e.Infer(inputs)
-	if err != nil {
-		return 0, err
-	}
-	return e.output.CentroidDefuzzify(grades, 0), nil
 }

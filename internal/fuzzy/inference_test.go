@@ -46,25 +46,25 @@ func buildSeverityEngine(t *testing.T) *Engine {
 
 func TestEngineInference(t *testing.T) {
 	e := buildSeverityEngine(t)
-	if e.Rules() != 3 {
-		t.Fatalf("rules = %d", e.Rules())
+	if len(e.rules) != 3 {
+		t.Fatalf("rules = %d", len(e.rules))
+	}
+	// Infer + centroid defuzzification, as core.Diagnosis.Explain runs it.
+	crisp := func(inputs map[string]float64) float64 {
+		t.Helper()
+		grades, err := e.Infer(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.output.CentroidDefuzzify(grades, 0)
 	}
 
 	// Quiet test: margin safe.
-	safe, err := e.InferCrisp(map[string]float64{"activity": 0.05, "noise": 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
+	safe := crisp(map[string]float64{"activity": 0.05, "noise": 0.05})
 	// Aggressive test: margin beyond.
-	beyond, err := e.InferCrisp(map[string]float64{"activity": 0.95, "noise": 0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
+	beyond := crisp(map[string]float64{"activity": 0.95, "noise": 0.95})
 	// Mixed: in between.
-	mid, err := e.InferCrisp(map[string]float64{"activity": 0.95, "noise": 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mid := crisp(map[string]float64{"activity": 0.95, "noise": 0.05})
 	if !(safe < mid && mid < beyond) {
 		t.Errorf("severity ordering broken: safe %g, mid %g, beyond %g", safe, mid, beyond)
 	}

@@ -19,17 +19,11 @@ import (
 func genMembership(pt *proptest.T) fuzzy.Membership {
 	a := pt.Float64Range(-100, 100)
 	w := func() float64 { return pt.Float64Range(0.01, 50) }
-	switch pt.Intn(5) {
+	switch pt.Intn(3) {
 	case 0:
 		b := a + w()
 		return fuzzy.Triangular{A: a, B: b, C: b + w()}
 	case 1:
-		b := a + w()
-		c := b + w()
-		return fuzzy.Trapezoidal{A: a, B: b, C: c, D: c + w()}
-	case 2:
-		return fuzzy.Gaussian{Mean: a, Sigma: pt.Float64Range(0.01, 30)}
-	case 3:
 		return fuzzy.ShoulderLeft{A: a, B: a + w()}
 	default:
 		return fuzzy.ShoulderRight{A: a, B: a + w()}
@@ -79,6 +73,18 @@ func TestAutoPartitionPartitionOfUnity(t *testing.T) {
 	})
 }
 
+// bestTerm returns the index and grade of x's highest-graded term; ties
+// resolve to the earliest term.
+func bestTerm(v *fuzzy.Variable, x float64) (int, float64) {
+	best, bg := 0, -1.0
+	for i, g := range v.Fuzzify(x) {
+		if g > bg {
+			best, bg = i, g
+		}
+	}
+	return best, bg
+}
+
 // TestBestTermMonotoneInInput: sweeping the crisp input upward through an
 // AutoPartition universe, the dominating term index never moves backward —
 // "larger value" never re-activates a "smaller" linguistic label.
@@ -95,16 +101,15 @@ func TestBestTermMonotoneInInput(t *testing.T) {
 
 		prevIdx, prevX := -1, 0.0
 		for _, x := range xs {
-			best, grade := v.BestTerm(x)
+			idx, grade := bestTerm(v, x)
 			if grade < 0.5-1e-9 {
 				// In a partition of unity the dominant term always holds at
 				// least half the activation.
-				pt.Errorf("best term %q at x=%g has grade %g < 0.5", best.Name, x, grade)
+				pt.Errorf("best term %q at x=%g has grade %g < 0.5", v.Terms[idx].Name, x, grade)
 			}
-			idx := v.TermIndex(best.Name)
 			if idx < prevIdx {
 				pt.Errorf("best term moved backward: %q (index %d) at x=%g after index %d at x=%g",
-					best.Name, idx, x, prevIdx, prevX)
+					v.Terms[idx].Name, idx, x, prevIdx, prevX)
 			}
 			prevIdx, prevX = idx, x
 		}

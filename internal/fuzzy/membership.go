@@ -6,11 +6,6 @@
 // neural networks learn.
 package fuzzy
 
-import (
-	"fmt"
-	"math"
-)
-
 // Membership grades how strongly a crisp value belongs to a fuzzy set;
 // results are in [0, 1].
 type Membership interface {
@@ -35,59 +30,6 @@ func (t Triangular) Grade(x float64) float64 {
 	default:
 		return (t.C - x) / (t.C - t.B)
 	}
-}
-
-// Validate reports shape errors.
-func (t Triangular) Validate() error {
-	if !(t.A <= t.B && t.B <= t.C) || t.A == t.C {
-		return fmt.Errorf("fuzzy: invalid triangle (%g, %g, %g)", t.A, t.B, t.C)
-	}
-	return nil
-}
-
-// Trapezoidal is the trapezoid (a, b, c, d): one on [b, c], sloping to zero
-// at a and d.
-type Trapezoidal struct {
-	A, B, C, D float64
-}
-
-// Grade implements Membership.
-func (t Trapezoidal) Grade(x float64) float64 {
-	switch {
-	case x <= t.A || x >= t.D:
-		return 0
-	case x >= t.B && x <= t.C:
-		return 1
-	case x < t.B:
-		return (x - t.A) / (t.B - t.A)
-	default:
-		return (t.D - x) / (t.D - t.C)
-	}
-}
-
-// Validate reports shape errors.
-func (t Trapezoidal) Validate() error {
-	if !(t.A <= t.B && t.B <= t.C && t.C <= t.D) || t.A == t.D {
-		return fmt.Errorf("fuzzy: invalid trapezoid (%g, %g, %g, %g)", t.A, t.B, t.C, t.D)
-	}
-	return nil
-}
-
-// Gaussian is the bell exp(−(x−mean)²/2σ²).
-type Gaussian struct {
-	Mean, Sigma float64
-}
-
-// Grade implements Membership.
-func (g Gaussian) Grade(x float64) float64 {
-	if g.Sigma == 0 {
-		if x == g.Mean {
-			return 1
-		}
-		return 0
-	}
-	d := (x - g.Mean) / g.Sigma
-	return math.Exp(-0.5 * d * d)
 }
 
 // ShoulderLeft saturates at one for x ≤ a and falls to zero at b — "small"

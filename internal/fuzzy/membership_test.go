@@ -16,48 +16,6 @@ func TestTriangular(t *testing.T) {
 			t.Errorf("Triangular.Grade(%g) = %g, want %g", c.x, got, c.want)
 		}
 	}
-	if err := tri.Validate(); err != nil {
-		t.Errorf("valid triangle rejected: %v", err)
-	}
-	if err := (Triangular{A: 5, B: 4, C: 6}).Validate(); err == nil {
-		t.Error("unordered triangle accepted")
-	}
-	if err := (Triangular{A: 2, B: 2, C: 2}).Validate(); err == nil {
-		t.Error("degenerate triangle accepted")
-	}
-}
-
-func TestTrapezoidal(t *testing.T) {
-	tr := Trapezoidal{A: 0, B: 2, C: 8, D: 10}
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.5}, {2, 1}, {5, 1}, {8, 1}, {9, 0.5}, {10, 0},
-	}
-	for _, c := range cases {
-		if got := tr.Grade(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Trapezoidal.Grade(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-	if err := (Trapezoidal{A: 0, B: 3, C: 2, D: 5}).Validate(); err == nil {
-		t.Error("unordered trapezoid accepted")
-	}
-}
-
-func TestGaussian(t *testing.T) {
-	g := Gaussian{Mean: 5, Sigma: 1}
-	if got := g.Grade(5); got != 1 {
-		t.Errorf("Gaussian at mean = %g", got)
-	}
-	if got := g.Grade(6); math.Abs(got-math.Exp(-0.5)) > 1e-12 {
-		t.Errorf("Gaussian at +1σ = %g", got)
-	}
-	if g.Grade(4) != g.Grade(6) {
-		t.Error("Gaussian not symmetric")
-	}
-	// Degenerate sigma behaves as a point mass.
-	p := Gaussian{Mean: 2, Sigma: 0}
-	if p.Grade(2) != 1 || p.Grade(2.1) != 0 {
-		t.Error("zero-sigma Gaussian not a point mass")
-	}
 }
 
 func TestShoulders(t *testing.T) {
@@ -74,8 +32,6 @@ func TestShoulders(t *testing.T) {
 func TestMembershipUnitRangeProperty(t *testing.T) {
 	mfs := []Membership{
 		Triangular{A: 0, B: 1, C: 2},
-		Trapezoidal{A: 0, B: 1, C: 2, D: 3},
-		Gaussian{Mean: 1, Sigma: 0.5},
 		ShoulderLeft{A: 0, B: 1},
 		ShoulderRight{A: 0, B: 1},
 	}

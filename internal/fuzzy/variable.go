@@ -1,9 +1,6 @@
 package fuzzy
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Term is one named fuzzy set of a linguistic variable.
 type Term struct {
@@ -64,18 +61,6 @@ func (v *Variable) Fuzzify(x float64) []float64 {
 		out[i] = t.MF.Grade(x)
 	}
 	return out
-}
-
-// BestTerm returns the term with the highest grade for x and that grade.
-// Ties resolve to the earliest term.
-func (v *Variable) BestTerm(x float64) (Term, float64) {
-	best, bg := 0, -1.0
-	for i, t := range v.Terms {
-		if g := t.MF.Grade(x); g > bg {
-			best, bg = i, g
-		}
-	}
-	return v.Terms[best], bg
 }
 
 // Defuzzify converts a grade vector back to a crisp value with the weighted
@@ -158,27 +143,4 @@ func AutoPartition(name string, min, max float64, labels []string) (*Variable, e
 		v.Terms = append(v.Terms, Term{Name: label, MF: mf, Center: c})
 	}
 	return v, v.Validate()
-}
-
-// SortGrades returns term names ordered by descending grade — a debugging
-// helper for inspecting encodings.
-func (v *Variable) SortGrades(grades []float64) []string {
-	type tg struct {
-		name  string
-		grade float64
-	}
-	list := make([]tg, 0, len(v.Terms))
-	for i, t := range v.Terms {
-		g := 0.0
-		if i < len(grades) {
-			g = grades[i]
-		}
-		list = append(list, tg{t.Name, g})
-	}
-	sort.SliceStable(list, func(i, j int) bool { return list[i].grade > list[j].grade })
-	out := make([]string, len(list))
-	for i, e := range list {
-		out[i] = e.name
-	}
-	return out
 }

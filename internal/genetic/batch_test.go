@@ -7,16 +7,10 @@ import (
 	"repro/internal/testgen"
 )
 
-// countingBatchEvaluator implements BatchEvaluator over activityFitness,
+// countingBatchEvaluator implements Evaluator over activityFitness,
 // recording how work arrives.
 type countingBatchEvaluator struct {
-	batches     []int
-	singleCalls int
-}
-
-func (e *countingBatchEvaluator) Fitness(t testgen.Test) (float64, error) {
-	e.singleCalls++
-	return activityFitness(t)
+	batches []int
 }
 
 func (e *countingBatchEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
@@ -43,9 +37,6 @@ func TestBatchEvaluatorReceivesWholeGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be.singleCalls != 0 {
-		t.Errorf("optimizer fell back to %d single Fitness calls", be.singleCalls)
-	}
 	if len(be.batches) == 0 {
 		t.Fatal("batch evaluator never called")
 	}
@@ -63,8 +54,9 @@ func TestBatchEvaluatorReceivesWholeGenerations(t *testing.T) {
 }
 
 func TestBatchMatchesSerialEvaluation(t *testing.T) {
-	// The same pure fitness function through the batch path and the plain
-	// path must yield the identical run (same seeds everywhere else).
+	// The same pure fitness function through a hand-written batch
+	// evaluator and through the per-test EvaluatorFunc adapter must yield
+	// the identical run (same seeds everywhere else).
 	serial, err := NewOptimizer(smallConfig(), newOps(33), EvaluatorFunc(activityFitness))
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +91,7 @@ func TestBatchMatchesSerialEvaluation(t *testing.T) {
 
 func TestBatchEvaluatorErrorPropagates(t *testing.T) {
 	boom := errors.New("tester offline")
-	fail := struct {
-		Evaluator
-		batchFn
-	}{EvaluatorFunc(activityFitness), func([]testgen.Test) ([]float64, error) { return nil, boom }}
+	fail := batchFn(func([]testgen.Test) ([]float64, error) { return nil, boom })
 	opt, err := NewOptimizer(smallConfig(), newOps(35), fail)
 	if err != nil {
 		t.Fatal(err)
@@ -112,18 +101,15 @@ func TestBatchEvaluatorErrorPropagates(t *testing.T) {
 	}
 }
 
-// batchFn adapts a function to the FitnessBatch method for test composition.
+// batchFn adapts a whole-batch function to the Evaluator interface.
 type batchFn func(tests []testgen.Test) ([]float64, error)
 
 func (f batchFn) FitnessBatch(tests []testgen.Test) ([]float64, error) { return f(tests) }
 
 func TestBatchLengthMismatchRejected(t *testing.T) {
-	short := struct {
-		Evaluator
-		batchFn
-	}{EvaluatorFunc(activityFitness), func(tests []testgen.Test) ([]float64, error) {
+	short := batchFn(func(tests []testgen.Test) ([]float64, error) {
 		return make([]float64, len(tests)-1), nil
-	}}
+	})
 	opt, err := NewOptimizer(smallConfig(), newOps(37), short)
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +126,7 @@ func TestElitesAreNotAliasedAcrossGenerations(t *testing.T) {
 	cfg := smallConfig()
 	cfg.MaxGenerations = 6
 	seen := map[*testgen.Vector]bool{}
-	eval := struct {
-		Evaluator
-		batchFn
-	}{EvaluatorFunc(activityFitness), func(tests []testgen.Test) ([]float64, error) {
+	eval := batchFn(func(tests []testgen.Test) ([]float64, error) {
 		out := make([]float64, len(tests))
 		for i, tt := range tests {
 			if len(tt.Seq) > 0 {
@@ -160,7 +143,7 @@ func TestElitesAreNotAliasedAcrossGenerations(t *testing.T) {
 			out[i] = f
 		}
 		return out, nil
-	}}
+	})
 	opt, err := NewOptimizer(cfg, newOps(39), eval)
 	if err != nil {
 		t.Fatal(err)

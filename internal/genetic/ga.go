@@ -162,10 +162,9 @@ func (o *Optimizer) restartIsland(i int, res *Result) {
 }
 
 // evaluateGeneration measures every unevaluated individual across all
-// islands at once, then ranks each island by fitness. Collecting the whole
-// generation island-major before measuring is what lets a BatchEvaluator
-// fan the work across parallel workers; a plain Evaluator is called
-// serially in the same island-major order.
+// islands in one FitnessBatch call, island-major, so the evaluator can fan
+// the whole generation across parallel workers, then ranks each island by
+// fitness.
 func (o *Optimizer) evaluateGeneration(res *Result) error {
 	var pending []*Individual
 	for _, pop := range o.islands {
@@ -175,36 +174,23 @@ func (o *Optimizer) evaluateGeneration(res *Result) error {
 			}
 		}
 	}
-	switch be := o.eval.(type) {
-	case BatchEvaluator:
-		if len(pending) > 0 {
-			tests := make([]testgen.Test, len(pending))
-			for i, ind := range pending {
-				tests[i] = ind.Test()
-			}
-			fits, err := be.FitnessBatch(tests)
-			if err != nil {
-				return fmt.Errorf("genetic: evaluating generation batch: %w", err)
-			}
-			if len(fits) != len(pending) {
-				return fmt.Errorf("genetic: batch evaluator returned %d fitnesses for %d tests", len(fits), len(pending))
-			}
-			for i, ind := range pending {
-				ind.Fitness = fits[i]
-				ind.Evaluated = true
-			}
-			res.Evaluations += len(pending)
+	if len(pending) > 0 {
+		tests := make([]testgen.Test, len(pending))
+		for i, ind := range pending {
+			tests[i] = ind.Test()
 		}
-	default:
-		for _, ind := range pending {
-			f, err := o.eval.Fitness(ind.Test())
-			if err != nil {
-				return fmt.Errorf("genetic: evaluating %s: %w", ind.Test().Name, err)
-			}
-			ind.Fitness = f
+		fits, err := o.eval.FitnessBatch(tests)
+		if err != nil {
+			return fmt.Errorf("genetic: evaluating generation batch: %w", err)
+		}
+		if len(fits) != len(pending) {
+			return fmt.Errorf("genetic: batch evaluator returned %d fitnesses for %d tests", len(fits), len(pending))
+		}
+		for i, ind := range pending {
+			ind.Fitness = fits[i]
 			ind.Evaluated = true
-			res.Evaluations++
 		}
+		res.Evaluations += len(pending)
 	}
 	for _, pop := range o.islands {
 		sort.SliceStable(pop, func(a, b int) bool { return pop[a].Fitness > pop[b].Fitness })

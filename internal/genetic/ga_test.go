@@ -1,7 +1,9 @@
 package genetic
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/testgen"
@@ -214,8 +216,13 @@ func TestGAEvaluationErrorPropagates(t *testing.T) {
 		return 0, errTest
 	})
 	opt, _ := NewOptimizer(smallConfig(), newOps(19), eval)
-	if _, err := opt.Run(nil); err == nil {
-		t.Error("evaluator error swallowed")
+	_, err := opt.Run(nil)
+	if !errors.Is(err, errTest) {
+		t.Fatalf("evaluator error swallowed: %v", err)
+	}
+	// The first individual measured names the failure.
+	if !strings.Contains(err.Error(), "GA-000001") {
+		t.Errorf("failing test's name missing from %q", err)
 	}
 }
 

@@ -50,30 +50,33 @@ func (ind *Individual) Clone() *Individual {
 	}
 }
 
-// Evaluator measures the fitness of a candidate test. The characterization
-// flow wires this to an ATE trip-point measurement mapped through the WCR;
-// unit tests wire synthetic surfaces.
+// Evaluator measures the fitness of a whole generation of candidate tests.
+// Every unevaluated individual of a generation — all islands — arrives in a
+// single FitnessBatch call, which is where the characterization flow fans
+// ATE trip-point measurements (mapped through the WCR) across its fleet;
+// unit tests wire synthetic surfaces. The returned slice must hold one
+// fitness per test, index-aligned, and must not depend on how the
+// implementation schedules the measurements.
 type Evaluator interface {
-	Fitness(t testgen.Test) (float64, error)
-}
-
-// BatchEvaluator is an Evaluator that can measure a whole generation's
-// worth of tests at once. When the optimizer's evaluator implements it,
-// every unevaluated individual of a generation — all islands — is handed
-// over in a single FitnessBatch call, which is where the parallel
-// measurement engine fans the tests across workers. The returned slice
-// must hold one fitness per test, index-aligned, and must not depend on
-// how the implementation schedules the measurements.
-type BatchEvaluator interface {
-	Evaluator
 	FitnessBatch(tests []testgen.Test) ([]float64, error)
 }
 
-// EvaluatorFunc adapts a function to the Evaluator interface.
+// EvaluatorFunc adapts a per-test fitness function to the Evaluator
+// interface: a batch is measured one test at a time, in order.
 type EvaluatorFunc func(t testgen.Test) (float64, error)
 
-// Fitness implements Evaluator.
-func (f EvaluatorFunc) Fitness(t testgen.Test) (float64, error) { return f(t) }
+// FitnessBatch implements Evaluator. A failing test's name leads its error.
+func (f EvaluatorFunc) FitnessBatch(tests []testgen.Test) ([]float64, error) {
+	out := make([]float64, len(tests))
+	for i, t := range tests {
+		v, err := f(t)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", t.Name, err)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
 
 // Seed is an unevaluated candidate injected into the initial population —
 // the sub-optimal worst-case tests the fuzzy-neural test generator selects

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/parallel"
 )
@@ -17,11 +16,6 @@ import (
 // disagreement (consistency check).
 type Ensemble struct {
 	members []*Network
-
-	// scratch pools EnsembleScratch arenas for the convenience entry
-	// points (Vote, Predict, Evaluate) that do not take a caller-owned
-	// arena.
-	scratch sync.Pool
 }
 
 // NewEnsemble trains n member networks on independent bootstrap resamples
@@ -99,31 +93,6 @@ type EnsembleScratch struct {
 	nets []*Scratch
 	outs []float64 // row-major [members][Outputs()] member predictions
 	avg  []float64
-
-	// res is the append-only result arena behind Vote/Predict: each call
-	// takes a capacity-clipped sub-slice for its returned prediction, so the
-	// per-call copy allocation amortizes to one chunk allocation per
-	// voteArenaChunk floats. Exhausted chunks are abandoned, never recycled,
-	// so escaped results stay valid forever.
-	res []float64
-}
-
-// voteArenaChunk is the result-arena refill size in float64s (a few hundred
-// small predictions per allocation).
-const voteArenaChunk = 512
-
-// takeResult copies p into the arena and returns the stable copy.
-func (s *EnsembleScratch) takeResult(p []float64) []float64 {
-	if cap(s.res)-len(s.res) < len(p) {
-		n := voteArenaChunk
-		if n < len(p) {
-			n = len(p)
-		}
-		s.res = make([]float64, 0, n)
-	}
-	off := len(s.res)
-	s.res = append(s.res, p...)
-	return s.res[off:len(s.res):len(s.res)]
 }
 
 // NewScratch allocates a voting workspace sized for this ensemble.
@@ -139,18 +108,13 @@ func (e *Ensemble) NewScratch() *EnsembleScratch {
 	return s
 }
 
-func (e *Ensemble) getScratch() *EnsembleScratch {
-	if s, ok := e.scratch.Get().(*EnsembleScratch); ok {
-		return s
-	}
-	return e.NewScratch()
-}
-
-func (e *Ensemble) putScratch(s *EnsembleScratch) { e.scratch.Put(s) }
-
-// VoteInto is Vote with a caller-owned scratch arena: zero allocations in
-// steady state. The returned prediction aliases the scratch and is valid
-// until its next use; copy it out to retain it.
+// VoteInto runs every member on the input and returns the averaged
+// prediction together with the confidence: 1/(1+10·meanDisagreement), where
+// the disagreement is the mean RMS spread of member outputs around the
+// average, so unanimous members give confidence 1. The caller-owned scratch
+// arena makes it allocation-free in steady state; the returned prediction
+// aliases the scratch and is valid until its next use, so copy it out to
+// retain it.
 func (e *Ensemble) VoteInto(s *EnsembleScratch, input []float64) (avg []float64, confidence float64, err error) {
 	width := e.Outputs()
 	if len(s.nets) != len(e.members) || len(s.outs) != len(e.members)*width {
@@ -182,72 +146,9 @@ func (e *Ensemble) VoteInto(s *EnsembleScratch, input []float64) (avg []float64,
 	return avg, 1 / (1 + spread*10), nil
 }
 
-// Vote runs every member on the input and returns the averaged prediction
-// together with the confidence: 1/(1+meanDisagreement), where the
-// disagreement is the mean RMS spread of member outputs around the average.
-// Unanimous members give confidence → 1.
-func (e *Ensemble) Vote(input []float64) (avg []float64, confidence float64, err error) {
-	s := e.getScratch()
-	p, conf, err := e.VoteInto(s, input)
-	if err != nil {
-		e.putScratch(s)
-		return nil, 0, err
-	}
-	// Arena-copy instead of a fresh allocation per call: the pooled
-	// scratch's result chunks amortize the escape to ~1 allocation per
-	// voteArenaChunk floats (the ensemble-predict kernel gate pins this).
-	avg = s.takeResult(p)
-	e.putScratch(s)
-	return avg, conf, nil
-}
-
-// Predict returns only the averaged prediction.
-func (e *Ensemble) Predict(input []float64) ([]float64, error) {
-	avg, _, err := e.Vote(input)
-	return avg, err
-}
-
-// VoteBatch scores a whole dataset of input vectors with one scratch arena:
-// the averaged predictions (rows of a single flat backing array) and the
-// per-input voting confidences. The two result slices are the only
-// allocations of the call.
-func (e *Ensemble) VoteBatch(inputs [][]float64) (avgs [][]float64, confidences []float64, err error) {
-	width := e.Outputs()
-	flat := make([]float64, len(inputs)*width)
-	avgs = make([][]float64, len(inputs))
-	confidences = make([]float64, len(inputs))
-	s := e.getScratch()
-	defer e.putScratch(s)
-	for i, in := range inputs {
-		p, conf, err := e.VoteInto(s, in)
-		if err != nil {
-			return nil, nil, fmt.Errorf("neural: batch input %d: %w", i, err)
-		}
-		row := flat[i*width : (i+1)*width : (i+1)*width]
-		copy(row, p)
-		avgs[i] = row
-		confidences[i] = conf
-	}
-	return avgs, confidences, nil
-}
-
-// PredictBatch returns only the averaged predictions for a whole dataset.
-func (e *Ensemble) PredictBatch(inputs [][]float64) ([][]float64, error) {
-	avgs, _, err := e.VoteBatch(inputs)
-	return avgs, err
-}
-
-// Evaluate returns the mean MSE of the averaged prediction over a dataset
-// (the ensemble generalization check).
-func (e *Ensemble) Evaluate(d Dataset) (float64, error) {
-	s := e.getScratch()
-	mse, err := e.EvaluateWith(s, d)
-	e.putScratch(s)
-	return mse, err
-}
-
-// EvaluateWith is Evaluate with a caller-owned scratch arena — zero
-// allocations across the whole dataset sweep.
+// EvaluateWith returns the mean MSE of the averaged prediction over a
+// dataset (the ensemble generalization check), voting every sample through
+// the caller-owned scratch arena: zero allocations across the sweep.
 func (e *Ensemble) EvaluateWith(s *EnsembleScratch, d Dataset) (float64, error) {
 	if len(d) == 0 {
 		return 0, nil

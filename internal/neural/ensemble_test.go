@@ -3,6 +3,7 @@ package neural
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -33,7 +34,7 @@ func TestEnsembleVote(t *testing.T) {
 	if e.Size() != 3 {
 		t.Fatalf("size = %d", e.Size())
 	}
-	avg, conf, err := e.Vote(data[0].Input)
+	avg, conf, err := vote(e, data[0].Input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestEnsembleVote(t *testing.T) {
 	// The average must lie within the span of member predictions.
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, m := range e.Members() {
-		p, err := m.Predict(data[0].Input)
+		p, err := predict(m, data[0].Input)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestEnsembleVote(t *testing.T) {
 func TestEnsembleConfidenceReflectsAgreement(t *testing.T) {
 	// A single-member ensemble is always unanimous.
 	e, data := trainedEnsemble(t, 1)
-	_, conf, err := e.Vote(data[0].Input)
+	_, conf, err := vote(e, data[0].Input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +73,14 @@ func TestEnsembleConfidenceReflectsAgreement(t *testing.T) {
 
 func TestEnsembleEvaluate(t *testing.T) {
 	e, data := trainedEnsemble(t, 3)
-	errv, err := e.Evaluate(data)
+	errv, err := e.EvaluateWith(e.NewScratch(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if errv <= 0 || errv > 0.1 {
 		t.Errorf("ensemble error %g implausible for the smooth task", errv)
 	}
-	zero, err := e.Evaluate(nil)
+	zero, err := e.EvaluateWith(e.NewScratch(), nil)
 	if err != nil || zero != 0 {
 		t.Error("empty evaluate")
 	}
@@ -119,11 +120,11 @@ func TestWeightFileRoundTrip(t *testing.T) {
 	}
 	// Loaded ensemble must predict identically.
 	for _, s := range data[:10] {
-		a, err := e.Predict(s.Input)
+		a, _, err := vote(e, s.Input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := loaded.Predict(s.Input)
+		b, _, err := vote(loaded, s.Input)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,6 +148,41 @@ func TestWeightFileSaveLoadFile(t *testing.T) {
 	}
 	if loaded.Size() != 2 {
 		t.Error("file round trip lost members")
+	}
+}
+
+// TestWeightFileSaveFileKeepsPreviousOnEncodeError: an ensemble that
+// cannot be encoded (a diverged NaN weight) must fail to save without
+// touching the weight file an earlier save left.
+func TestWeightFileSaveFileKeepsPreviousOnEncodeError(t *testing.T) {
+	e, _ := trainedEnsemble(t, 2)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "weights.json")
+	if err := e.SaveFile(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diverged := e.Members()[1].Clone()
+	diverged.layers[0].w[0] = math.NaN()
+	bad, err := FromNetworks([]*Network{e.Members()[0], diverged})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.SaveFile(path, nil); err == nil {
+		t.Fatal("NaN weight saved without error")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("failed save changed the file: %d bytes, was %d", len(got), len(want))
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("failed save left %d files in the directory, want 1", len(ents))
 	}
 }
 
@@ -188,13 +224,13 @@ func TestEnsembleBetterOrEqualToWorstMember(t *testing.T) {
 	// by much — averaging should help, and must never catastrophically
 	// hurt. (On smooth tasks it typically beats the mean member.)
 	e, data := trainedEnsemble(t, 5)
-	ensErr, err := e.Evaluate(data)
+	ensErr, err := e.EvaluateWith(e.NewScratch(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	worst := 0.0
 	for _, m := range e.Members() {
-		if ev := m.Evaluate(data); ev > worst {
+		if ev := m.EvaluateWith(m.NewScratch(), data); ev > worst {
 			worst = ev
 		}
 	}

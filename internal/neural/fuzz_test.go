@@ -40,7 +40,7 @@ func FuzzWeightFileParse(f *testing.F) {
 				e.Size(), e.Inputs(), e.Outputs())
 		}
 		in := make([]float64, e.Inputs())
-		want, err := e.Predict(in)
+		want, err := vote(e, in)
 		if err != nil {
 			t.Fatalf("accepted ensemble cannot predict: %v", err)
 		}
@@ -52,7 +52,7 @@ func FuzzWeightFileParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-saved ensemble rejected: %v", err)
 		}
-		got, err := back.Predict(in)
+		got, err := vote(back, in)
 		if err != nil {
 			t.Fatalf("re-loaded ensemble cannot predict: %v", err)
 		}

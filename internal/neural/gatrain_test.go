@@ -21,7 +21,7 @@ func TestTrainGALearnsXOR(t *testing.T) {
 		t.Fatalf("GA training error %.4f after %d generations", rep.TrainErr, rep.Epochs)
 	}
 	for _, s := range xorData() {
-		out, err := n.Predict(s.Input)
+		out, err := predict(n, s.Input)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestTrainGAImprovesOverInit(t *testing.T) {
 	data := syntheticRegression(9, 100)
 	train, val := data.Split(9, 0.8)
 	n, _ := New(9, 3, 8, 1)
-	before := n.Evaluate(val)
+	before := n.EvaluateWith(n.NewScratch(), val)
 	cfg := DefaultGATrainConfig(9)
 	cfg.Generations = 60
 	rep, err := n.TrainGA(train, val, cfg)
@@ -80,10 +80,10 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 		t.Fatalf("chromosome length %d, want %d", len(genes), want)
 	}
 	in := []float64{0.1, 0.2, 0.3}
-	before, _ := n.Predict(in)
+	before, _ := predict(n, in)
 	c := n.Clone()
 	c.unflatten(genes)
-	after, _ := c.Predict(in)
+	after, _ := predict(c, in)
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatal("flatten/unflatten changed predictions")

@@ -35,6 +35,13 @@ func genEnsemble(pt *proptest.T) *neural.Ensemble {
 	return e
 }
 
+// vote runs the ensemble on one input through a fresh scratch arena, so the
+// returned prediction is the caller's to keep.
+func vote(e *neural.Ensemble, in []float64) ([]float64, error) {
+	avg, _, err := e.VoteInto(e.NewScratch(), in)
+	return avg, err
+}
+
 func genInput(pt *proptest.T, width int) []float64 {
 	in := make([]float64, width)
 	for i := range in {
@@ -75,13 +82,13 @@ func TestWeightFileRoundTripClosure(t *testing.T) {
 		}
 
 		in := genInput(pt, e.Inputs())
-		want, err := e.Predict(in)
+		want, err := vote(e, in)
 		if err != nil {
-			pt.Fatalf("Predict original: %v", err)
+			pt.Fatalf("vote original: %v", err)
 		}
-		got, err := loaded.Predict(in)
+		got, err := vote(loaded, in)
 		if err != nil {
-			pt.Fatalf("Predict loaded: %v", err)
+			pt.Fatalf("vote loaded: %v", err)
 		}
 		for i := range want {
 			if want[i] != got[i] {
@@ -157,10 +164,10 @@ func TestForwardKernelMatchesWeightFileReference(t *testing.T) {
 		}
 
 		in := genInput(pt, e.Inputs())
+		got := make([]float64, e.Outputs())
 		for m, net := range e.Members() {
-			got, err := net.Predict(in)
-			if err != nil {
-				pt.Fatalf("member %d Predict: %v", m, err)
+			if err := net.PredictInto(net.NewScratch(), in, got); err != nil {
+				pt.Fatalf("member %d PredictInto: %v", m, err)
 			}
 			want := wf.forward(m, in)
 			for i := range want {
@@ -172,10 +179,11 @@ func TestForwardKernelMatchesWeightFileReference(t *testing.T) {
 	})
 }
 
-// TestBatchAndScratchPathsAgreeWithPredict: every inference entry point —
-// PredictBatch, caller-owned-scratch PredictInto, ensemble Vote/VoteBatch —
-// must return bit-identical numbers to plain Predict for the same inputs,
-// across generated topologies and batch sizes.
+// TestBatchAndScratchPathsAgreeWithPredict: a batch swept through one
+// reused EnsembleScratch (what each ProposeSeeds worker does) must vote
+// bit-identically to a fresh scratch per input and to the members'
+// PredictInto outputs averaged here, with the confidence recomputed from
+// them, across generated topologies and batch sizes.
 func TestBatchAndScratchPathsAgreeWithPredict(t *testing.T) {
 	proptest.Check(t, 40, func(pt *proptest.T) {
 		e := genEnsemble(pt)
@@ -185,53 +193,46 @@ func TestBatchAndScratchPathsAgreeWithPredict(t *testing.T) {
 		}
 		pt.Logf("members=%d inputs=%d batch=%d", e.Size(), e.Inputs(), len(batch))
 
-		avgs, confs, err := e.VoteBatch(batch)
-		if err != nil {
-			pt.Fatalf("VoteBatch: %v", err)
+		members := e.Members()
+		preds := make([][]float64, len(members))
+		for i := range preds {
+			preds[i] = make([]float64, e.Outputs())
 		}
-		scratch := e.NewScratch()
+		shared := e.NewScratch()
 		for bi, in := range batch {
-			avg, conf, err := e.Vote(in)
-			if err != nil {
-				pt.Fatalf("Vote: %v", err)
-			}
-			if conf != confs[bi] {
-				pt.Errorf("row %d confidence: Vote %v, VoteBatch %v", bi, conf, confs[bi])
-			}
-			sAvg, sConf, err := e.VoteInto(scratch, in)
+			avg, conf, err := e.VoteInto(shared, in)
 			if err != nil {
 				pt.Fatalf("VoteInto: %v", err)
 			}
-			if sConf != conf {
-				pt.Errorf("row %d confidence: VoteInto %v, Vote %v", bi, sConf, conf)
+			fresh, freshConf, err := e.VoteInto(e.NewScratch(), in)
+			if err != nil {
+				pt.Fatalf("VoteInto fresh: %v", err)
 			}
-			for i := range avg {
-				if avg[i] != avgs[bi][i] || sAvg[i] != avg[i] {
-					pt.Errorf("row %d output %d disagrees: Vote %v, VoteBatch %v, VoteInto %v",
-						bi, i, avg[i], avgs[bi][i], sAvg[i])
+			want := make([]float64, e.Outputs())
+			for i, m := range members {
+				if err := m.PredictInto(m.NewScratch(), in, preds[i]); err != nil {
+					pt.Fatalf("member %d PredictInto: %v", i, err)
+				}
+				for j, v := range preds[i] {
+					want[j] += v
 				}
 			}
-		}
+			for j := range want {
+				want[j] /= float64(len(members))
+			}
+			var spread float64
+			for _, p := range preds {
+				spread += math.Sqrt(neural.MSE(p, want))
+			}
+			spread /= float64(len(members))
+			wantConf := 1 / (1 + spread*10)
 
-		member := e.Members()[0]
-		preds, err := member.PredictBatch(batch)
-		if err != nil {
-			pt.Fatalf("PredictBatch: %v", err)
-		}
-		ns := member.NewScratch()
-		dst := make([]float64, member.Outputs())
-		for bi, in := range batch {
-			direct, err := member.Predict(in)
-			if err != nil {
-				pt.Fatalf("Predict: %v", err)
+			if conf != wantConf || freshConf != wantConf {
+				pt.Errorf("row %d confidence: shared %v, fresh %v, from members %v", bi, conf, freshConf, wantConf)
 			}
-			if err := member.PredictInto(ns, in, dst); err != nil {
-				pt.Fatalf("PredictInto: %v", err)
-			}
-			for i := range direct {
-				if direct[i] != preds[bi][i] || direct[i] != dst[i] {
-					pt.Errorf("row %d output %d: Predict %v, PredictBatch %v, PredictInto %v",
-						bi, i, direct[i], preds[bi][i], dst[i])
+			for i := range want {
+				if avg[i] != want[i] || fresh[i] != want[i] {
+					pt.Errorf("row %d output %d: shared %v, fresh %v, member mean %v", bi, i, avg[i], fresh[i], want[i])
 				}
 			}
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // Golden kernel-equivalence suite: the scratch-arena forward/backprop
-// kernels and the batch entry points must produce bit-identical numbers to
+// kernels and the voting machine must produce bit-identical numbers to
 // the pre-optimization reference formulation, which allocated fresh buffers
 // on every call. The reference implementations below are verbatim copies of
 // that original code path.
@@ -35,7 +35,8 @@ func refForward(n *Network, input []float64) [][]float64 {
 	return acts
 }
 
-// refEvaluate is the pre-optimization Network.Evaluate over refForward.
+// refEvaluate is the pre-optimization network evaluation over refForward,
+// the reference EvaluateWith is pinned to.
 func refEvaluate(n *Network, d Dataset) float64 {
 	if len(d) == 0 {
 		return 0
@@ -187,7 +188,8 @@ func refTrain(n *Network, train, val Dataset, cfg TrainConfig) (TrainReport, err
 	return rep, nil
 }
 
-// refVote is the pre-optimization Ensemble.Vote over per-call predictions.
+// refVote is the pre-optimization ensemble vote over per-call predictions,
+// the reference VoteInto is pinned to.
 func refVote(e *Ensemble, input []float64) ([]float64, float64, error) {
 	preds := make([][]float64, len(e.members))
 	for i, m := range e.members {
@@ -329,29 +331,6 @@ func TestTrainGAEvaluatesBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-func TestPredictBatchBitIdenticalToPredict(t *testing.T) {
-	n, err := New(55, 5, 12, 7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := goldenInputs(56, 5, 40)
-	batch, err := n.PredictBatch(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, in := range inputs {
-		single, err := n.Predict(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range single {
-			if batch[i][j] != single[j] {
-				t.Fatalf("batch[%d][%d] = %x, Predict %x", i, j, batch[i][j], single[j])
-			}
-		}
-	}
-}
-
 func TestVoteScratchAndBatchBitIdenticalToReference(t *testing.T) {
 	data := syntheticRegression(61, 90)
 	cfg := DefaultTrainConfig(61)
@@ -362,11 +341,11 @@ func TestVoteScratchAndBatchBitIdenticalToReference(t *testing.T) {
 	}
 	inputs := goldenInputs(62, 3, 30)
 
+	// One scratch swept across every input, as each ProposeSeeds worker
+	// votes its candidates.
 	s := ens.NewScratch()
-	avgs, confs, err := ens.VoteBatch(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := make(Dataset, len(inputs))
+	var wantMSE float64
 	for i, in := range inputs {
 		wantAvg, wantConf, err := refVote(ens, in)
 		if err != nil {
@@ -376,29 +355,26 @@ func TestVoteScratchAndBatchBitIdenticalToReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotConf != wantConf || confs[i] != wantConf {
-			t.Fatalf("input %d: confidence VoteInto %x batch %x, reference %x", i, gotConf, confs[i], wantConf)
+		if gotConf != wantConf {
+			t.Fatalf("input %d: confidence VoteInto %x, reference %x", i, gotConf, wantConf)
 		}
 		for j := range wantAvg {
-			if gotAvg[j] != wantAvg[j] || avgs[i][j] != wantAvg[j] {
-				t.Fatalf("input %d: avg[%d] VoteInto %x batch %x, reference %x", i, j, gotAvg[j], avgs[i][j], wantAvg[j])
+			if gotAvg[j] != wantAvg[j] {
+				t.Fatalf("input %d: avg[%d] VoteInto %x, reference %x", i, j, gotAvg[j], wantAvg[j])
 			}
 		}
-		// Vote (pooled-scratch convenience API) must agree and must return
-		// a caller-owned copy, not a scratch alias.
-		pooled, pooledConf, err := ens.Vote(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pooledConf != wantConf {
-			t.Fatalf("input %d: Vote confidence %x, reference %x", i, pooledConf, wantConf)
-		}
-		for j := range wantAvg {
-			if pooled[j] != wantAvg[j] {
-				t.Fatalf("input %d: Vote avg[%d] = %x, reference %x", i, j, pooled[j], wantAvg[j])
-			}
-		}
-		pooled[0] = math.NaN() // must not corrupt any shared buffer
+		batch[i] = Sample{Input: in, Target: []float64{0.5}}
+		wantMSE += MSE(wantAvg, batch[i].Target)
+	}
+	// The batch sweep: EvaluateWith over the same scratch must equal the
+	// reference votes' mean error.
+	wantMSE /= float64(len(batch))
+	gotMSE, err := ens.EvaluateWith(s, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotMSE != wantMSE {
+		t.Fatalf("EvaluateWith %x, reference %x", gotMSE, wantMSE)
 	}
 }
 

@@ -11,10 +11,6 @@ import (
 	"repro/internal/testgen"
 )
 
-// raceEnabled is set under -race, where sync.Pool drops pooled scratch at
-// random, so the pooled kernels allocate per call.
-var raceEnabled bool
-
 // kernelSizes is the topology every kernel trains or votes with.
 var kernelSizes = []int{testgen.NumFeatures, 20, 10, 1}
 
@@ -77,26 +73,17 @@ var learningKernels = []struct {
 			}
 		}
 	}},
-	// One full-dataset voting sweep per op: the ensemble scores every
-	// sample, the same work one ProposeSeeds candidate-pool pass does per
-	// len(data) candidates.
+	// One full-dataset voting sweep per op through one caller-owned
+	// scratch: the loop each ProposeSeeds worker runs over its share of
+	// the len(data) candidates.
 	{"ensemble-predict", func(tb testing.TB, data neural.Dataset) func() {
 		ens, inputs := kernelEnsemble(tb, data)
+		s := ens.NewScratch()
 		return func() {
 			for _, in := range inputs {
-				if _, _, err := ens.Vote(in); err != nil {
+				if _, _, err := ens.VoteInto(s, in); err != nil {
 					tb.Fatal(err)
 				}
-			}
-		}
-	}},
-	// The same sweep through the batched entry point: one flat result
-	// arena for the whole dataset instead of a copy per call.
-	{"batch-predict", func(tb testing.TB, data neural.Dataset) func() {
-		ens, inputs := kernelEnsemble(tb, data)
-		return func() {
-			if _, _, err := ens.VoteBatch(inputs); err != nil {
-				tb.Fatal(err)
 			}
 		}
 	}},
@@ -117,19 +104,15 @@ func BenchmarkLearningKernels(b *testing.B) {
 }
 
 // TestLearningKernelAllocs gates each kernel's heap allocations and bytes
-// per op over 20 ops, counted the way -benchmem counts them. The bounds sit
-// 20% above the steady state measured at 20 ops (train 30 allocs and
-// 29,424 B, ensemble-predict 1 and 949 B, batch-predict 4 and 4,354 B),
-// rounded down.
+// per op over 20 ops, counted the way -benchmem counts them, with and
+// without -race. The train bound sits 20% above its steady state measured
+// at 20 ops (30 allocs and 29,424 B), rounded down; the voting sweep
+// allocates nothing.
 func TestLearningKernelAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled scratch, so pooled kernels allocate per call")
-	}
 	const ops = 20
 	bounds := map[string]struct{ allocs, bytes uint64 }{
 		"train":            {35, 35308},
-		"ensemble-predict": {1, 1138},
-		"batch-predict":    {4, 5224},
+		"ensemble-predict": {0, 0},
 	}
 	data := kernelDataset(96)
 	for _, k := range learningKernels {

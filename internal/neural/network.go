@@ -6,18 +6,17 @@
 // the learned characterization knowledge into the optimization phase.
 //
 // The compute kernels are allocation-free in steady state: forward and
-// backward passes run over flat row-major weight buffers into a reusable
-// Scratch arena sized once per topology, and the batch entry points
-// (PredictBatch, EvaluateWith, VoteBatch) amortize one arena across a whole
-// dataset. Buffer reuse never changes arithmetic order, so results are
-// bit-identical to the naive per-call-allocation formulation.
+// backward passes run over flat row-major weight buffers into a Scratch
+// arena sized once per topology. Callers own their arenas: one per
+// goroutine, reused across every call (PredictInto, VoteInto, EvaluateWith).
+// Buffer reuse never changes arithmetic order, so results are bit-identical
+// to the naive per-call-allocation formulation.
 package neural
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Activation selects a layer nonlinearity.
@@ -82,17 +81,12 @@ type layer struct {
 }
 
 // Network is a feedforward multilayer perceptron. Construct with New; the
-// zero value is not usable. Not safe for concurrent training; Predict and
-// the *Into/*Batch entry points with caller-owned Scratch arenas are safe
-// for concurrent use only if no training runs concurrently.
+// zero value is not usable. Not safe for concurrent training; PredictInto
+// and EvaluateWith, each goroutine with its own Scratch, are safe for
+// concurrent use only if no training runs concurrently.
 type Network struct {
 	sizes  []int
 	layers []layer
-
-	// scratch pools arenas for the convenience entry points (Predict,
-	// Evaluate) that do not take a caller-owned Scratch, keeping them
-	// allocation-free in steady state while staying concurrency-safe.
-	scratch sync.Pool
 }
 
 // New builds an MLP with the given layer sizes (inputs first, outputs
@@ -210,16 +204,6 @@ func (n *Network) ensure(s *Scratch) *Scratch {
 	return s
 }
 
-// getScratch takes a pooled arena (or builds the first one).
-func (n *Network) getScratch() *Scratch {
-	if s, ok := n.scratch.Get().(*Scratch); ok {
-		return s
-	}
-	return n.NewScratch()
-}
-
-func (n *Network) putScratch(s *Scratch) { n.scratch.Put(s) }
-
 // forwardInto runs the forward pass with every layer activation stored in
 // the scratch arena (acts[0] is the input itself, for backprop), returning
 // the output activation. The returned slice is owned by the scratch and
@@ -256,37 +240,6 @@ func (n *Network) PredictInto(s *Scratch, input, dst []float64) error {
 	}
 	copy(dst, n.forwardInto(s, input))
 	return nil
-}
-
-// Predict runs the network on one input vector.
-func (n *Network) Predict(input []float64) ([]float64, error) {
-	out := make([]float64, n.Outputs())
-	s := n.getScratch()
-	err := n.PredictInto(s, input, out)
-	n.putScratch(s)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PredictBatch runs the network over a whole dataset of input vectors,
-// reusing one scratch arena across all of them. The returned rows share a
-// single flat backing array — the only allocations of the call.
-func (n *Network) PredictBatch(inputs [][]float64) ([][]float64, error) {
-	width := n.Outputs()
-	flat := make([]float64, len(inputs)*width)
-	out := make([][]float64, len(inputs))
-	s := n.getScratch()
-	defer n.putScratch(s)
-	for i, in := range inputs {
-		row := flat[i*width : (i+1)*width : (i+1)*width]
-		if err := n.PredictInto(s, in, row); err != nil {
-			return nil, fmt.Errorf("neural: batch input %d: %w", i, err)
-		}
-		out[i] = row
-	}
-	return out, nil
 }
 
 // MSE returns the mean squared error between two equal-length vectors.

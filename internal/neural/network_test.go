@@ -6,6 +6,21 @@ import (
 	"testing/quick"
 )
 
+// predict runs n on one input through a fresh scratch arena.
+func predict(n *Network, in []float64) ([]float64, error) {
+	out := make([]float64, n.Outputs())
+	if err := n.PredictInto(n.NewScratch(), in, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// vote runs the ensemble on one input through a fresh scratch arena, so the
+// returned prediction is the caller's to keep.
+func vote(e *Ensemble, in []float64) ([]float64, float64, error) {
+	return e.VoteInto(e.NewScratch(), in)
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(1, 4); err == nil {
 		t.Error("single-layer network accepted")
@@ -24,7 +39,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestPredictWidthCheck(t *testing.T) {
 	n, _ := New(1, 3, 2)
-	if _, err := n.Predict([]float64{1, 2}); err == nil {
+	if _, err := predict(n, []float64{1, 2}); err == nil {
 		t.Error("wrong input width accepted")
 	}
 }
@@ -34,9 +49,9 @@ func TestPredictDeterministicAndSeeded(t *testing.T) {
 	b, _ := New(42, 4, 6, 2)
 	c, _ := New(43, 4, 6, 2)
 	in := []float64{0.1, 0.5, 0.9, 0.3}
-	pa, _ := a.Predict(in)
-	pb, _ := b.Predict(in)
-	pc, _ := c.Predict(in)
+	pa, _ := predict(a, in)
+	pb, _ := predict(b, in)
+	pc, _ := predict(c, in)
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Fatal("same seed, different predictions")
@@ -57,7 +72,7 @@ func TestSigmoidOutputRange(t *testing.T) {
 	n, _ := New(7, 5, 8, 3)
 	f := func(a, b, c, d, e float64) bool {
 		in := []float64{clip(a), clip(b), clip(c), clip(d), clip(e)}
-		out, err := n.Predict(in)
+		out, err := predict(n, in)
 		if err != nil {
 			return false
 		}
@@ -96,10 +111,10 @@ func TestCloneIndependence(t *testing.T) {
 	n, _ := New(1, 3, 4, 2)
 	c := n.Clone()
 	in := []float64{0.2, 0.4, 0.6}
-	before, _ := n.Predict(in)
+	before, _ := predict(n, in)
 	// Mutate the clone's weights directly.
 	c.layers[0].w[0] += 10
-	after, _ := n.Predict(in)
+	after, _ := predict(n, in)
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatal("mutating a clone changed the original")

@@ -278,17 +278,9 @@ func (n *Network) Train(train, val Dataset, cfg TrainConfig) (TrainReport, error
 	return rep, nil
 }
 
-// Evaluate returns the mean MSE of the network over the dataset.
-func (n *Network) Evaluate(d Dataset) float64 {
-	sc := n.getScratch()
-	mse := n.EvaluateWith(sc, d)
-	n.putScratch(sc)
-	return mse
-}
-
-// EvaluateWith is Evaluate with a caller-owned scratch arena: one forward
-// pass per sample, zero allocations. Safe for concurrent use with one
-// Scratch per goroutine.
+// EvaluateWith returns the mean MSE of the network over the dataset, using
+// the caller-owned scratch arena: one forward pass per sample, zero
+// allocations. Safe for concurrent use with one Scratch per goroutine.
 func (n *Network) EvaluateWith(sc *Scratch, d Dataset) float64 {
 	if len(d) == 0 {
 		return 0

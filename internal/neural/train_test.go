@@ -30,7 +30,7 @@ func TestTrainLearnsXOR(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range xorData() {
-		out, err := n.Predict(s.Input)
+		out, err := predict(n, s.Input)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestTrainReducesError(t *testing.T) {
 	data := syntheticRegression(5, 200)
 	train, val := data.Split(5, 0.8)
 	n, _ := New(5, 3, 10, 1)
-	before := n.Evaluate(val)
+	before := n.EvaluateWith(n.NewScratch(), val)
 	cfg := DefaultTrainConfig(5)
 	cfg.Epochs = 100
 	rep, err := n.Train(train, val, cfg)
@@ -124,7 +124,7 @@ func TestTrainRestoresBestValidationSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := n.Evaluate(val)
+	got := n.EvaluateWith(n.NewScratch(), val)
 	if math.Abs(got-rep.BestValErr) > 1e-9 {
 		t.Errorf("final network val err %g, best snapshot was %g", got, rep.BestValErr)
 	}

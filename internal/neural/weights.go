@@ -1,10 +1,13 @@
 package neural
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/frame"
 )
 
 // WeightFile is the serialized form of a trained ensemble — the "NN weight
@@ -74,17 +77,15 @@ func (e *Ensemble) Save(w io.Writer, metadata map[string]string) error {
 	return enc.Encode(wf)
 }
 
-// SaveFile writes the ensemble to the named file.
+// SaveFile atomically replaces the named file with the weight file. The
+// ensemble is rendered in memory first, so a failed encode (a diverged NaN
+// weight) leaves the previous file untouched.
 func (e *Ensemble) SaveFile(path string, metadata map[string]string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := e.Save(&buf, metadata); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := e.Save(f, metadata); err != nil {
-		return err
-	}
-	return f.Close()
+	return frame.Publish(path, buf.Bytes())
 }
 
 // Load reads a weight file and reconstructs the ensemble and its metadata.
