@@ -257,7 +257,7 @@ func BenchmarkFigure4LearningScheme(b *testing.B) {
 		}
 		if i == 0 {
 			b.Logf("fig.4: %d measured tests, ensemble of %d, ensemble MSE %.5f",
-				res.DSV.Len(), res.Ensemble.Size(), res.EnsembleValErr)
+				len(res.DSV.Values), res.Ensemble.Size(), res.EnsembleValErr)
 			b.ReportMetric(res.EnsembleValErr, "ensemble_mse")
 			b.ReportMetric(float64(tester.Stats().Measurements), "measurements")
 		}
@@ -450,7 +450,7 @@ func BenchmarkAblationEnsembleVsSingle(b *testing.B) {
 	for _, size := range []int{1, 3, 5} {
 		b.Run(fmt.Sprintf("members=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sizes := []int{testgen.NumFeatures, 20, 10, char.Coder().Width()}
+				sizes := []int{testgen.NumFeatures, 20, 10, learned.Ensemble.Outputs()}
 				ens, _, err := neural.NewEnsemble(nil, 83, size, sizes, data, neural.DefaultTrainConfig(83))
 				if err != nil {
 					b.Fatal(err)
@@ -860,7 +860,7 @@ func BenchmarkAblationBackpropVsGATraining(b *testing.B) {
 	}
 	data := learned.Dataset
 	train, val := data.Split(99, 0.8)
-	sizes := []int{testgen.NumFeatures, 20, 10, char.Coder().Width()}
+	sizes := []int{testgen.NumFeatures, 20, 10, learned.Ensemble.Outputs()}
 
 	b.Run("backprop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

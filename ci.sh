@@ -1,11 +1,11 @@
 #!/bin/sh
-# CI gate for the repo: static checks, a vet and smoke test of the
-# benchmark module, a check that every -race -run pattern alternative
-# still names a test, the race-enabled test suite, per-package coverage
-# floors, a fuzz smoke pass over the native fuzz targets, smoke runs of
-# telemetry, live observability, tracestat, the run ledger, crash bundles
-# and the job service, a race-enabled fleet determinism pass, and one
-# benchmark pass.
+# CI gate for the repo: static checks (go vet, gofmt), a vet and smoke
+# test of the benchmark module, a check that every -race -run pattern
+# alternative still names a test, the race-enabled test suite,
+# per-package coverage floors, a fuzz smoke pass over the native fuzz
+# targets, smoke runs of telemetry, live observability, tracestat, the run
+# ledger, crash bundles and the job service, a race-enabled fleet
+# determinism pass, and one benchmark pass.
 #
 # The hot-path counter gates are Go tests beside the benchmarks they bound,
 # so `go test ./...` enforces them: kernel allocations per op
@@ -21,6 +21,13 @@ cd "$(dirname "$0")"
 
 echo "== go vet =="
 go vet ./...
+echo "== gofmt =="
+UNFORMATTED=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$UNFORMATTED" ]; then
+	echo "FAIL: gofmt -l lists files that need formatting:" >&2
+	echo "$UNFORMATTED" >&2
+	exit 1
+fi
 echo "== go build =="
 go build ./...
 

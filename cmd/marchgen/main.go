@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 
 	"repro/internal/ate"
 	"repro/internal/cli"
@@ -53,10 +52,8 @@ func main() {
 		}()
 
 		if *list {
-			names := testgen.MarchLibraryNames()
-			sort.Strings(names)
 			fmt.Printf("%-10s %-5s %s\n", "name", "kN", "notation")
-			for _, n := range names {
+			for _, n := range testgen.MarchLibraryNames() {
 				alg, err := testgen.MarchFromLibrary(n)
 				if err != nil {
 					return err

@@ -64,15 +64,6 @@ func (s Stats) CostSince(before Stats) telemetry.Cost {
 	}
 }
 
-// ForParam returns the pass/fail measurement count charged to the
-// parameter.
-func (s Stats) ForParam(p Parameter) int64 {
-	if int(p) >= len(s.PerParam) {
-		return 0
-	}
-	return s.PerParam[p]
-}
-
 // setupTimeSec is the fixed per-measurement tester overhead (pattern
 // restart, level settle, strobe reprogram).
 const setupTimeSec = 1e-3
@@ -257,12 +248,6 @@ func (a *ATE) charge(t testgen.Test, param Parameter, n int) float64 {
 func (a *ATE) tick(t testgen.Test, dtSec, activity float64) {
 	a.stats.TestTimeSec += dtSec
 	a.Heating.advance(a.stats.TestTimeSec, len(t.Seq), activity)
-}
-
-// JunctionTempC returns the effective junction temperature for a test:
-// programmed ambient plus the self-heating rise.
-func (a *ATE) JunctionTempC(t testgen.Test) float64 {
-	return t.Cond.TempC + a.Heating.RiseC()
 }
 
 // noise returns one gaussian noise sample with the given sigma.

@@ -333,13 +333,13 @@ func TestPerParamAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := a.Stats()
-	if got := s.ForParam(TDQ); got != 4 {
+	if got := s.PerParam[TDQ]; got != 4 {
 		t.Errorf("TDQ measurements = %d, want 4", got)
 	}
-	if got := s.ForParam(Fmax); got != 1 {
+	if got := s.PerParam[Fmax]; got != 1 {
 		t.Errorf("Fmax measurements = %d, want 1", got)
 	}
-	if got := s.ForParam(VddMin); got != 1 {
+	if got := s.PerParam[VddMin]; got != 1 {
 		t.Errorf("Vddmin measurements = %d, want 1", got)
 	}
 	if s.Functional != 1 {
@@ -347,13 +347,10 @@ func TestPerParamAttribution(t *testing.T) {
 	}
 	var sum int64
 	for _, p := range []Parameter{TDQ, Fmax, VddMin} {
-		sum += s.ForParam(p)
+		sum += s.PerParam[p]
 	}
 	if sum+s.Functional != s.Measurements {
 		t.Errorf("per-param sum %d + functional %d != total %d", sum, s.Functional, s.Measurements)
-	}
-	if got := s.ForParam(Parameter(99)); got != 0 {
-		t.Errorf("out-of-range ForParam = %d, want 0", got)
 	}
 }
 

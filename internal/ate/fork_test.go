@@ -208,7 +208,7 @@ func TestPreloadMatchesLoad(t *testing.T) {
 		}
 		var bits []bool
 		for i := -4; i <= 4; i++ {
-			edge := p.TDQWindowNSAtCond(tt.Cond.VddV, a.JunctionTempC(tt), tt.Cond.ClockMHz)
+			edge := p.TDQWindowNSAtCond(tt.Cond.VddV, tt.Cond.TempC+a.Heating.RiseC(), tt.Cond.ClockMHz)
 			pass, err := a.Measurer(TDQ, tt).Passes(edge + float64(i)*TDQ.Resolution()/4)
 			if err != nil {
 				t.Fatal(err)

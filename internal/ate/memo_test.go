@@ -147,12 +147,12 @@ func edgeTask(t *testing.T, a *ATE, s strober, tests []testgen.Test) []bool {
 			t.Fatal(err)
 		}
 		own := tt.Cond.VddV
-		edge := p.TDQWindowNSAtCond(own, a.JunctionTempC(tt), tt.Cond.ClockMHz)
+		edge := p.TDQWindowNSAtCond(own, tt.Cond.TempC+a.Heating.RiseC(), tt.Cond.ClockMHz)
 		for k := -3; k <= 3; k++ {
 			add(s.tdq(tt, edge+float64(k)*step))
 		}
 		for _, vdd := range []float64{own - 0.2, own + 0.2, own} {
-			edge := p.TDQWindowNSAtCond(vdd, a.JunctionTempC(tt), tt.Cond.ClockMHz)
+			edge := p.TDQWindowNSAtCond(vdd, tt.Cond.TempC+a.Heating.RiseC(), tt.Cond.ClockMHz)
 			edgeRow := make([]float64, 5)
 			for k := range edgeRow {
 				edgeRow[k] = edge + float64(k-2)*step

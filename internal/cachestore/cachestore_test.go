@@ -2,6 +2,8 @@ package cachestore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,8 +26,8 @@ func TestOpenCreatesDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if s.Len() != 0 || s.Stats().LoadedSegments != 0 {
-		t.Fatalf("fresh store not empty: len=%d stats=%+v", s.Len(), s.Stats())
+	if len(s.m) != 0 || s.Stats().LoadedSegments != 0 {
+		t.Fatalf("fresh store not empty: len=%d stats=%+v", len(s.m), s.Stats())
 	}
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		t.Fatalf("directory not created: %v", err)
@@ -59,8 +61,8 @@ func TestBasicRoundTrip(t *testing.T) {
 	if got, ok := r.Get(2); !ok || len(got) != 0 {
 		t.Errorf("Get(2) = %q, %v; want empty, true", got, ok)
 	}
-	if v, ok := r.GetFloat64(3); !ok || v != 1.25 {
-		t.Errorf("GetFloat64(3) = %v, %v", v, ok)
+	if got, ok := r.Get(3); !ok || len(got) != 8 || math.Float64frombits(binary.LittleEndian.Uint64(got)) != 1.25 {
+		t.Errorf("Get(3) = %x, %v; want PutFloat64's bits of 1.25", got, ok)
 	}
 	if _, ok := r.Get(99); ok {
 		t.Error("Get(99) hit, want miss")
@@ -98,8 +100,8 @@ func TestFlushAppendsSegmentsAndOverrides(t *testing.T) {
 	if got, _ := r.Get(1); string(got) != "new" {
 		t.Errorf("later segment did not override: Get(1) = %q", got)
 	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d, want 2", r.Len())
+	if len(r.m) != 2 {
+		t.Errorf("%d entries, want 2", len(r.m))
 	}
 	// Rewriting a key with its persisted value queues nothing.
 	r.Put(1, []byte("new"))
@@ -119,8 +121,8 @@ func TestScopeIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open scope B alongside scope A segment: %v", err)
 	}
-	if b.Len() != 0 {
-		t.Fatalf("scope B loaded %d foreign entries", b.Len())
+	if len(b.m) != 0 {
+		t.Fatalf("scope B loaded %d foreign entries", len(b.m))
 	}
 	if st := b.Stats(); st.SkippedSegments != 1 || st.LoadedSegments != 0 {
 		t.Errorf("scope B stats = %+v, want 1 skipped segment", st)
@@ -227,11 +229,11 @@ func TestSegmentBitFlipsFailOrSkip(t *testing.T) {
 		case skip:
 			if err != nil {
 				t.Errorf("bit %d: Open failed, want the segment skipped: %v", bit, err)
-			} else if st := r.Stats(); st.SkippedSegments != 1 || r.Len() != 0 {
-				t.Errorf("bit %d: stats %+v, len %d; want the segment skipped", bit, st, r.Len())
+			} else if st := r.Stats(); st.SkippedSegments != 1 || len(r.m) != 0 {
+				t.Errorf("bit %d: stats %+v, len %d; want the segment skipped", bit, st, len(r.m))
 			}
 		case err == nil:
-			t.Errorf("bit %d: corruption accepted (%d entries loaded)", bit, r.Len())
+			t.Errorf("bit %d: corruption accepted (%d entries loaded)", bit, len(r.m))
 		case !strings.Contains(err.Error(), segs[0]) || !strings.Contains(err.Error(), "offset"):
 			t.Errorf("bit %d: error %q does not name file and offset", bit, err)
 		}
@@ -258,8 +260,8 @@ func TestOldVersionSegmentSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open over an RPROCST1 segment: %v", err)
 	}
-	if st := s.Stats(); st.SkippedSegments != 1 || st.LoadedSegments != 0 || s.Len() != 0 {
-		t.Fatalf("stats %+v, len %d; want the old segment skipped", st, s.Len())
+	if st := s.Stats(); st.SkippedSegments != 1 || st.LoadedSegments != 0 || len(s.m) != 0 {
+		t.Fatalf("stats %+v, len %d; want the old segment skipped", st, len(s.m))
 	}
 	s.Put(1, []byte("hello"))
 	s.Put(2, []byte("world!"))
@@ -272,8 +274,8 @@ func TestOldVersionSegmentSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.Stats()
-	if st.LoadedSegments != 1 || st.SkippedSegments != 1 || r.Len() != 3 {
-		t.Fatalf("after one Flush: stats %+v, len %d; want warm", st, r.Len())
+	if st.LoadedSegments != 1 || st.SkippedSegments != 1 || len(r.m) != 3 {
+		t.Fatalf("after one Flush: stats %+v, len %d; want warm", st, len(r.m))
 	}
 	if got, _ := r.Get(2); string(got) != "world!" {
 		t.Errorf("Get(2) = %q", got)
@@ -301,8 +303,8 @@ func TestTruncatedSegmentRejected(t *testing.T) {
 		switch {
 		case cut == headerSize:
 			// A header with zero records is a legal empty segment.
-			if err != nil || r.Len() != 0 {
-				t.Errorf("header-only segment: err = %v, len = %d", err, r.Len())
+			if err != nil || len(r.m) != 0 {
+				t.Errorf("header-only segment: err = %v, len = %d", err, len(r.m))
 			}
 		case cut > headerSize:
 			if err == nil || !strings.Contains(err.Error(), "offset") {
@@ -328,8 +330,8 @@ func TestForeignFilesIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open with foreign files: %v", err)
 	}
-	if s.Len() != 0 {
-		t.Errorf("loaded %d entries from foreign files", s.Len())
+	if len(s.m) != 0 {
+		t.Errorf("loaded %d entries from foreign files", len(s.m))
 	}
 }
 
@@ -393,8 +395,8 @@ func TestRoundTripClosure(t *testing.T) {
 		if err != nil {
 			pt.Fatalf("reopen: %v", err)
 		}
-		if r.Len() != len(want) {
-			pt.Fatalf("reloaded %d entries, want %d", r.Len(), len(want))
+		if len(r.m) != len(want) {
+			pt.Fatalf("reloaded %d entries, want %d", len(r.m), len(want))
 		}
 		for k, v := range want {
 			got, ok := r.Get(k)
@@ -421,9 +423,6 @@ func TestRangeFloat64(t *testing.T) {
 	})
 	if len(got) != 2 || got[1] != 0.5 || got[2] != -3.25 {
 		t.Errorf("RangeFloat64 = %v", got)
-	}
-	if v, ok := s.GetFloat64(3); ok {
-		t.Errorf("GetFloat64 on non-scalar entry = %v, true", v)
 	}
 }
 
@@ -480,8 +479,8 @@ func TestOpenEmptyDirectoryLoadsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st != (Stats{}) || s.Len() != 0 {
-		t.Fatalf("empty directory: len %d, stats %+v", s.Len(), st)
+	if st := s.Stats(); st != (Stats{}) || len(s.m) != 0 {
+		t.Fatalf("empty directory: len %d, stats %+v", len(s.m), st)
 	}
 	s.Put(1, []byte("x"))
 	if got, ok := s.Get(1); !ok || string(got) != "x" {
@@ -609,8 +608,8 @@ func BenchmarkOpen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := Open(dir, 7)
-		if err != nil || r.Len() != 10000 {
-			b.Fatalf("Open: %v (len %d)", err, r.Len())
+		if err != nil || len(r.m) != 10000 {
+			b.Fatalf("Open: %v (len %d)", err, len(r.m))
 		}
 	}
 }

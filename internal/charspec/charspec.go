@@ -45,9 +45,6 @@ func (g EnvGrid) Validate() error {
 	return nil
 }
 
-// Corners returns the number of combinations.
-func (g EnvGrid) Corners() int { return len(g.VddV) * len(g.TempC) }
-
 // Corner is one environmental combination.
 type Corner struct {
 	VddV  float64

@@ -42,8 +42,8 @@ func TestGridValidate(t *testing.T) {
 	if DefaultGrid().Validate() != nil {
 		t.Error("default grid rejected")
 	}
-	if got := DefaultGrid().Corners(); got != 20 {
-		t.Errorf("default grid corners = %d, want 20", got)
+	if g := DefaultGrid(); len(g.VddV)*len(g.TempC) != 20 {
+		t.Errorf("default grid corners = %d, want 20", len(g.VddV)*len(g.TempC))
 	}
 }
 
@@ -71,8 +71,8 @@ func TestExtractTDQSpecReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.PerCorner) != cfg.Grid.Corners() {
-		t.Fatalf("%d corner results for %d corners", len(rep.PerCorner), cfg.Grid.Corners())
+	if corners := len(cfg.Grid.VddV) * len(cfg.Grid.TempC); len(rep.PerCorner) != corners {
+		t.Fatalf("%d corner results for %d corners", len(rep.PerCorner), corners)
 	}
 
 	// Physics: the worst T_DQ corner must be the low-voltage / hot one.

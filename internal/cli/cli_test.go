@@ -337,11 +337,11 @@ func TestOpenCacheStore(t *testing.T) {
 	// Reopening under the same scope recovers the entry; a different
 	// scope skips the segment.
 	same, err := c.OpenCacheStore(7)
-	if err != nil || same.Len() != 1 {
-		t.Fatalf("reopen: len=%d err=%v", same.Len(), err)
+	if err != nil || same.Stats().LoadedEntries != 1 {
+		t.Fatalf("reopen: stats %+v err=%v, want 1 entry loaded", same.Stats(), err)
 	}
 	other, err := c.OpenCacheStore(8)
-	if err != nil || other.Len() != 0 {
-		t.Fatalf("foreign scope: len=%d err=%v", other.Len(), err)
+	if err != nil || other.Stats().LoadedEntries != 0 {
+		t.Fatalf("foreign scope: stats %+v err=%v, want no entry loaded", other.Stats(), err)
 	}
 }

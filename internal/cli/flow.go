@@ -49,12 +49,8 @@ type FlowRun struct {
 	// before Run without changing the run's identity.
 	Common *Common
 
-	spec FlowSpec
-	run  func(c *Common, out io.Writer) error
+	run func(c *Common, out io.Writer) error
 }
-
-// Spec returns the spec this run was built from.
-func (fr *FlowRun) Spec() FlowSpec { return fr.spec }
 
 // Run executes the flow body, writing its human-readable output to out.
 func (fr *FlowRun) Run(out io.Writer) error { return fr.run(fr.Common, out) }
@@ -186,7 +182,7 @@ func NewFlowRun(spec FlowSpec) (*FlowRun, error) {
 			return nil, fmt.Errorf("cli: flow %q no-cache: %v", spec.Flow, err)
 		}
 	}
-	return &FlowRun{Common: c, spec: spec, run: run}, nil
+	return &FlowRun{Common: c, run: run}, nil
 }
 
 // parseParam resolves the -param flag value.

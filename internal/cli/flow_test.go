@@ -72,9 +72,6 @@ func TestFlowRunsFinalize(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewFlowRun(%s): %v", spec.Flow, err)
 			}
-			if got := fr.Spec().Flow; got != spec.Flow {
-				t.Fatalf("Spec().Flow = %q, want %q", got, spec.Flow)
-			}
 			fr.Common.Embedded = true
 			fr.Common.Parallel = par
 			fr.Common.RunDir = runDir

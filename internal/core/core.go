@@ -241,17 +241,8 @@ func (c *Characterizer) Close() {
 	}
 }
 
-// ATE returns the tester.
-func (c *Characterizer) ATE() *ate.ATE { return c.ate }
-
-// Coder returns the trip-point coder.
-func (c *Characterizer) Coder() *fuzzy.TripPointCoder { return c.coder }
-
 // Generator returns the flow's random test generator.
 func (c *Characterizer) Generator() *testgen.RandomGenerator { return c.gen }
-
-// Config returns the active configuration.
-func (c *Characterizer) Config() Config { return c.cfg }
 
 // searchOptions returns the parameter's generous range with the configured
 // search factor applied.

@@ -98,18 +98,3 @@ func SeedsForGA(cands []Candidate) []genetic.Seed {
 	}
 	return seeds
 }
-
-// PredictSeverity scores one test in software (no measurement): the NN
-// classification task of the operation phase.
-func (c *Characterizer) PredictSeverity(t testgen.Test) (severity, confidence float64, err error) {
-	if c.learned == nil || c.learned.Ensemble == nil {
-		return 0, 0, fmt.Errorf("core: no trained ensemble; run Learn or LoadWeights first")
-	}
-	feat := testgen.ExtractFeatures(t, c.gen.Limits())
-	ens := c.learned.Ensemble
-	pred, conf, err := ens.VoteInto(ens.NewScratch(), feat)
-	if err != nil {
-		return 0, 0, err
-	}
-	return c.coder.Severity(pred), conf, nil
-}

@@ -124,9 +124,6 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 	return res, nil
 }
 
-// Learned returns the learning result, or nil before Learn ran.
-func (c *Characterizer) Learned() *LearningResult { return c.learned }
-
 // SaveWeights persists the trained ensemble as the NN weight file of fig. 4
 // step 5.
 func (c *Characterizer) SaveWeights(path string) error {

@@ -88,8 +88,8 @@ func TestLearnProducesEnsembleAndDSV(t *testing.T) {
 	if res.Ensemble == nil || res.Ensemble.Size() != 2 {
 		t.Fatal("ensemble missing or wrong size")
 	}
-	if res.DSV.Len() != 120 {
-		t.Errorf("DSV has %d measurements, want 120", res.DSV.Len())
+	if len(res.DSV.Values) != 120 {
+		t.Errorf("DSV has %d measurements, want 120", len(res.DSV.Values))
 	}
 	if len(res.Dataset) < 100 {
 		t.Errorf("dataset kept only %d samples", len(res.Dataset))
@@ -103,8 +103,8 @@ func TestLearnProducesEnsembleAndDSV(t *testing.T) {
 	if res.EnsembleValErr <= 0 || res.EnsembleValErr > 0.05 {
 		t.Errorf("ensemble error %g implausible", res.EnsembleValErr)
 	}
-	if char.Learned() != res {
-		t.Error("Learned() accessor mismatch")
+	if char.learned != res {
+		t.Error("Learn did not keep its result")
 	}
 }
 
@@ -117,10 +117,7 @@ func TestLearnedNNPredictsSeverityOrdering(t *testing.T) {
 	for i := range calm {
 		calm[i] = testgen.Vector{Op: testgen.OpRead, Addr: uint32(i % 64)}
 	}
-	calmSev, _, err := char.PredictSeverity(testgen.Test{Name: "calm", Seq: calm, Cond: testgen.NominalConditions()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	calmSev := predictSeverity(t, char, testgen.Test{Name: "calm", Seq: calm, Cond: testgen.NominalConditions()})
 
 	hot := make(testgen.Sequence, 400)
 	for i := 0; i < 200; i++ {
@@ -131,22 +128,29 @@ func TestLearnedNNPredictsSeverityOrdering(t *testing.T) {
 		hot[2*i] = testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0}
 		hot[2*i+1] = testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF}
 	}
-	hotSev, _, err := char.PredictSeverity(testgen.Test{Name: "hot", Seq: hot, Cond: testgen.NominalConditions()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hotSev := predictSeverity(t, char, testgen.Test{Name: "hot", Seq: hot, Cond: testgen.NominalConditions()})
 	if hotSev <= calmSev {
 		t.Errorf("NN severity ordering broken: aggressive %g ≤ benign %g", hotSev, calmSev)
 	}
 }
 
-func TestPredictSeverityRequiresLearning(t *testing.T) {
-	char, err := NewCharacterizer(quickConfig(1), newTester(t, 1))
+// predictSeverity scores one test the way ProposeSeeds scores each
+// candidate: the learned ensemble's vote on its features, decoded by the
+// trip-point coder.
+func predictSeverity(t *testing.T, char *Characterizer, tt testgen.Test) float64 {
+	t.Helper()
+	ens := char.learned.Ensemble
+	pred, _, err := ens.VoteInto(ens.NewScratch(), testgen.ExtractFeatures(tt, char.gen.Limits()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := char.PredictSeverity(testgen.Test{}); err == nil {
-		t.Error("prediction before learning accepted")
+	return char.coder.Severity(pred)
+}
+
+func TestProposeSeedsRequiresLearning(t *testing.T) {
+	char, err := NewCharacterizer(quickConfig(1), newTester(t, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := char.ProposeSeeds(); err == nil {
 		t.Error("seed proposal before learning accepted")
@@ -252,7 +256,7 @@ func TestCoderAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coder := char.Coder()
+	coder := char.coder
 	if coder == nil {
 		t.Fatal("nil coder")
 	}

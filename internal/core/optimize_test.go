@@ -13,7 +13,7 @@ func TestProposeSeedsRankedBySeverity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cands) != char.Config().SeedCount {
+	if len(cands) != char.cfg.SeedCount {
 		t.Fatalf("got %d candidates", len(cands))
 	}
 	if !sort.SliceIsSorted(cands, func(i, j int) bool {
@@ -39,12 +39,12 @@ func TestSeedsOutrankRandomPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, isMin := char.Config().Parameter.SpecValue()
+	spec, isMin := char.cfg.Parameter.SpecValue()
 
 	measure := func(tests []Candidate) float64 {
 		sum := 0.0
 		for _, c := range tests {
-			p, err := char.ATE().Profile(c.Test)
+			p, err := char.ate.Profile(c.Test)
 			if err != nil {
 				t.Fatal(err)
 			}

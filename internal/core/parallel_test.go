@@ -296,12 +296,12 @@ func TestMeasurementCacheMemoizes(t *testing.T) {
 		t.Errorf("first batch performed %d searches, want 5 (dedupe)", eval.evaluations)
 	}
 
-	before := char.ATE().Stats().Measurements
+	before := char.ate.Stats().Measurements
 	second, err := eval.FitnessBatch(tests)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spent := char.ATE().Stats().Measurements - before; spent != 0 {
+	if spent := char.ate.Stats().Measurements - before; spent != 0 {
 		t.Errorf("re-evaluating memoized tests spent %d ATE measurements", spent)
 	}
 	for i := range first {

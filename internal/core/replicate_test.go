@@ -11,20 +11,21 @@ import (
 )
 
 // TestTable1OrderingHoldsAcrossSeeds is the statistical form of the
-// headline claim: over several independent replicas (different seeds AND
+// headline claim: over 20 independent replicas (different seeds AND
 // different dies) the paper's WCR ordering must hold in every one, and the
-// NN+GA row must land in the weakness band in the clear majority.
+// NN+GA row must land in the weakness band in all but at most one.
 func TestTable1OrderingHoldsAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated full flows")
 	}
-	const n = 5
+	const n = 20
 	f := parallel.NewFleet(0)
 	defer f.Close()
 	rep, err := RunTable1Replicated(f, DefaultTable1Config(1000), 1000, n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("Table 1 across %d replicas:\n%s", n, rep.Format())
 	if rep.OrderingHeld != n {
 		t.Errorf("ordering held in only %d/%d replicas", rep.OrderingHeld, n)
 	}

@@ -95,7 +95,11 @@ func TestRunReportInvariants(t *testing.T) {
 	}
 	// The phase breakdown (learn / propose-seeds / optimize, plus any
 	// unattributed remainder) must partition the tester's total exactly.
-	if got := rep.PhaseMeasurements(); got != rep.Total.Measurements {
+	var got int64
+	for _, p := range rep.Phases {
+		got += p.Measurements
+	}
+	if got != rep.Total.Measurements {
 		t.Errorf("phase measurements sum to %d, tester total is %d", got, rep.Total.Measurements)
 	}
 	names := map[string]bool{}

@@ -67,9 +67,6 @@ func (d *Device) Die() *Die { return d.die }
 // Geometry returns the array geometry.
 func (d *Device) Geometry() Geometry { return d.mem.Geometry() }
 
-// Physics returns the parametric model constants.
-func (d *Device) Physics() Physics { return d.phys }
-
 // Profile is the result of executing one test on a device: the provoked
 // activity and the functional outcome. Parametric values at any operating
 // point derive cheaply from a Profile, because switching activity depends

@@ -202,7 +202,7 @@ func TestDeviceAccessors(t *testing.T) {
 	if dev.Geometry() != DefaultGeometry() {
 		t.Error("Geometry accessor mismatch")
 	}
-	if dev.Physics().TDQBaseNS != DefaultPhysics().TDQBaseNS {
+	if dev.phys.TDQBaseNS != DefaultPhysics().TDQBaseNS {
 		t.Error("Physics accessor mismatch")
 	}
 }

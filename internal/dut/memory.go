@@ -171,17 +171,6 @@ func (m *Memory) Reset() {
 	}
 }
 
-// Peek returns the stored word without executing a bus cycle (test bench
-// accessor, not part of the device's pin interface).
-func (m *Memory) Peek(addr uint32) uint32 {
-	return m.words[m.physical(addr%m.geom.Words())]
-}
-
-// Poke stores a word without executing a bus cycle.
-func (m *Memory) Poke(addr uint32, data uint32) {
-	m.words[m.physical(addr%m.geom.Words())] = data
-}
-
 // activityWindow is the droop-integration window in cycles: peak statistics
 // are computed over sliding windows of this length, mirroring the supply
 // network's fast time constant. Both window lengths are powers of two: the

@@ -120,16 +120,16 @@ func TestMemoryReadAfterWrite(t *testing.T) {
 	if fr.Failed() {
 		t.Error("clean read-after-write reported functional failure")
 	}
-	if got := m.Peek(7); got != 0xCAFEBABE {
+	if got := peek(m, 7); got != 0xCAFEBABE {
 		t.Errorf("stored word = %08X", got)
 	}
 }
 
 func TestMemoryResetClears(t *testing.T) {
 	m := testMemory(t)
-	m.Poke(5, 123)
+	poke(m, 5, 123)
 	m.Reset()
-	if m.Peek(5) != 0 {
+	if peek(m, 5) != 0 {
 		t.Error("Reset did not clear contents")
 	}
 }
@@ -297,7 +297,7 @@ func TestAddressesWrapModuloWords(t *testing.T) {
 	if fr.Failed() {
 		t.Error("wrapped write failed")
 	}
-	if m.Peek(3) != 0xAB {
+	if peek(m, 3) != 0xAB {
 		t.Error("address did not wrap modulo array size")
 	}
 }
@@ -582,4 +582,14 @@ func TestExecuteMatchesReferenceProperty(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("no run corrupted a read; the weak-cell path went unexercised")
 	}
+}
+
+// peek returns the word stored at addr without executing a bus cycle.
+func peek(m *Memory, addr uint32) uint32 {
+	return m.words[m.physical(addr%m.geom.Words())]
+}
+
+// poke stores a word at addr without executing a bus cycle.
+func poke(m *Memory, addr, data uint32) {
+	m.words[m.physical(addr%m.geom.Words())] = data
 }

@@ -38,15 +38,6 @@ func (m *Memory) RepairRow(addr uint32) error {
 	return nil
 }
 
-// RepairedRows returns the number of rows currently remapped to spares.
-func (m *Memory) RepairedRows() int { return len(m.rowRemap) }
-
-// SparesRemaining returns the free spare rows of the bank containing addr.
-func (m *Memory) SparesRemaining(addr uint32) int {
-	bank, _, _ := m.geom.Decode(addr % m.geom.Words())
-	return SpareRowsPerBank - m.sparesUsed[bank]
-}
-
 // physical maps a logical (bus) address to its physical storage index,
 // following any row repair.
 func (m *Memory) physical(addr uint32) uint32 {
@@ -62,9 +53,3 @@ func (m *Memory) physical(addr uint32) uint32 {
 
 // RepairRow on the Device repairs the row containing the logical address.
 func (d *Device) RepairRow(addr uint32) error { return d.mem.RepairRow(addr) }
-
-// RepairedRows returns the device's repaired-row count.
-func (d *Device) RepairedRows() int { return d.mem.RepairedRows() }
-
-// SparesRemaining returns free spares in the bank containing addr.
-func (d *Device) SparesRemaining(addr uint32) int { return d.mem.SparesRemaining(addr) }

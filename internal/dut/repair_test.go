@@ -50,8 +50,8 @@ func TestRepairFixesWeakCell(t *testing.T) {
 	if p.Func.Failed() {
 		t.Error("repaired row still fails")
 	}
-	if dev.RepairedRows() != 1 {
-		t.Errorf("repaired rows = %d", dev.RepairedRows())
+	if len(dev.mem.rowRemap) != 1 {
+		t.Errorf("repaired rows = %d", len(dev.mem.rowRemap))
 	}
 }
 
@@ -62,8 +62,8 @@ func TestRepairPreservesData(t *testing.T) {
 	if err := mem.RepairRow(addr); err != nil {
 		t.Fatal(err)
 	}
-	mem.Poke(addr, 0xABCD)
-	if got := mem.Peek(addr); got != 0xABCD {
+	poke(mem, addr, 0xABCD)
+	if got := peek(mem, addr); got != 0xABCD {
 		t.Errorf("read after write through repair = %08X", got)
 	}
 	// A write to the repaired row must not alias any other logical word.
@@ -72,7 +72,7 @@ func TestRepairPreservesData(t *testing.T) {
 		if a == addr {
 			continue
 		}
-		if got := mem.Peek(a); got != 0 {
+		if got := peek(mem, a); got != 0 {
 			t.Fatalf("repair aliased logical address %d (= %08X)", a, got)
 		}
 	}
@@ -112,7 +112,7 @@ func TestRepairExhaustsSpares(t *testing.T) {
 			t.Fatalf("repair %d: %v", r, err)
 		}
 	}
-	if got := dev.SparesRemaining(0); got != 0 {
+	if got := sparesLeft(dev, 0); got != 0 {
 		t.Errorf("spares remaining = %d", got)
 	}
 	if err := dev.RepairRow(uint32(SpareRowsPerBank * geom.Cols)); err == nil {
@@ -120,7 +120,7 @@ func TestRepairExhaustsSpares(t *testing.T) {
 	}
 	// Other banks are unaffected.
 	bank1 := uint32(geom.Rows * geom.Cols)
-	if got := dev.SparesRemaining(bank1); got != SpareRowsPerBank {
+	if got := sparesLeft(dev, bank1); got != SpareRowsPerBank {
 		t.Errorf("bank 1 spares = %d", got)
 	}
 	if err := dev.RepairRow(bank1); err != nil {
@@ -171,16 +171,22 @@ func TestCloneKeepsRepairs(t *testing.T) {
 	if p.Func.Failed() {
 		t.Error("clone of a repaired device reads the unrepaired weak cell")
 	}
-	if clone.RepairedRows() != 1 || clone.SparesRemaining(addr) != SpareRowsPerBank-1 {
+	if len(clone.mem.rowRemap) != 1 || sparesLeft(clone, addr) != SpareRowsPerBank-1 {
 		t.Errorf("clone repaired rows %d, spares %d; want 1, %d",
-			clone.RepairedRows(), clone.SparesRemaining(addr), SpareRowsPerBank-1)
+			len(clone.mem.rowRemap), sparesLeft(clone, addr), SpareRowsPerBank-1)
 	}
 	// The copy is independent: a repair on the clone does not reach the
 	// original.
 	if err := clone.RepairRow(0); err != nil {
 		t.Fatal(err)
 	}
-	if dev.RepairedRows() != 1 {
-		t.Errorf("repair on the clone reached the original (%d rows)", dev.RepairedRows())
+	if len(dev.mem.rowRemap) != 1 {
+		t.Errorf("repair on the clone reached the original (%d rows)", len(dev.mem.rowRemap))
 	}
+}
+
+// sparesLeft returns the free spare rows of the bank containing addr.
+func sparesLeft(d *Device, addr uint32) int {
+	bank, _, _ := d.mem.geom.Decode(addr % d.mem.geom.Words())
+	return SpareRowsPerBank - d.mem.sparesUsed[bank]
 }

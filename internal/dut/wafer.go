@@ -55,7 +55,7 @@ const waferEdge = 1.0
 
 // WaferLot is a lot of wafers with spatially structured process variation.
 // It implements DieSource; dies are numbered wafer-major (die i lives on
-// wafer i/DiesPerWafer at within-wafer position i%DiesPerWafer).
+// wafer i/perWafer at within-wafer position i%perWafer).
 type WaferLot struct {
 	seed     int64
 	wafers   int
@@ -140,20 +140,6 @@ func cellCenter(side, x, y int) (cx, cy float64) {
 
 // Len returns the total die count of the lot.
 func (l *WaferLot) Len() int { return l.wafers * l.perWafer }
-
-// Wafers returns the wafer count.
-func (l *WaferLot) Wafers() int { return l.wafers }
-
-// DiesPerWafer returns the dies per wafer.
-func (l *WaferLot) DiesPerWafer() int { return l.perWafer }
-
-// Position returns die i's wafer index and normalized on-wafer coordinates
-// (each in [-1, 1], radius ≤ 1) — for spatial analysis tooling and tests.
-func (l *WaferLot) Position(i int) (wafer int, x, y float64) {
-	wafer = i / l.perWafer
-	x, y = l.cellXY(i % l.perWafer)
-	return wafer, x, y
-}
 
 // cellXY maps a within-wafer die index to its cell center. Dies fill the
 // on-wafer cells in row-major order, so die j sits in the last row whose

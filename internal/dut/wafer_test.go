@@ -22,20 +22,17 @@ func TestWaferLotShapeAndIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 150 || l.Wafers() != 3 || l.DiesPerWafer() != 50 {
-		t.Fatalf("shape: len=%d wafers=%d per=%d", l.Len(), l.Wafers(), l.DiesPerWafer())
+	if l.Len() != 150 || l.wafers != 3 || l.perWafer != 50 {
+		t.Fatalf("shape: len=%d wafers=%d per=%d", l.Len(), l.wafers, l.perWafer)
 	}
 	for _, i := range []int{0, 49, 50, 149} {
 		d := l.Die(i)
 		if d.ID != i {
 			t.Errorf("Die(%d).ID = %d", i, d.ID)
 		}
-		wafer, x, y := l.Position(i)
-		if wafer != i/50 {
-			t.Errorf("Position(%d) wafer = %d, want %d", i, wafer, i/50)
-		}
+		x, y := l.cellXY(i % l.perWafer)
 		if r := math.Hypot(x, y); r > 1 {
-			t.Errorf("Position(%d) radius %v off wafer", i, r)
+			t.Errorf("die %d: radius %v off wafer", i, r)
 		}
 	}
 }
@@ -84,7 +81,7 @@ func TestWaferLotCornerMixAndSpatialStructure(t *testing.T) {
 	for i := 0; i < l.Len(); i++ {
 		d := l.Die(i)
 		counts[d.Corner]++
-		_, x, y := l.Position(i)
+		x, y := l.cellXY(i % l.perWafer)
 		if x*x+y*y < 0.3 {
 			innerSpeed += d.SpeedFactor()
 			inner++
@@ -195,8 +192,8 @@ func TestDeviceRetarget(t *testing.T) {
 	if reused.Die() != d2 {
 		t.Fatal("Die() still the old die")
 	}
-	if reused.RepairedRows() != 0 {
-		t.Errorf("repairs survived retarget: %d", reused.RepairedRows())
+	if len(reused.mem.rowRemap) != 0 {
+		t.Errorf("repairs survived retarget: %d", len(reused.mem.rowRemap))
 	}
 
 	fresh, err := NewDevice(geom, d2)

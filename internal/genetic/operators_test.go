@@ -100,7 +100,7 @@ func TestCrossoverCondWithinLimits(t *testing.T) {
 	b := testgen.Conditions{VddV: limits.VddMax, TempC: limits.TempMax, ClockMHz: limits.ClockMax}
 	for i := 0; i < 100; i++ {
 		c := ops.CrossoverCond(a, b)
-		if !limits.Contains(c) {
+		if limits.Clamp(c) != c {
 			t.Fatalf("blend escaped limits: %+v", c)
 		}
 	}
@@ -113,7 +113,7 @@ func TestMutateCondWithinLimits(t *testing.T) {
 	changed := false
 	for i := 0; i < 100; i++ {
 		m := ops.MutateCond(c)
-		if !limits.Contains(m) {
+		if limits.Clamp(m) != m {
 			t.Fatalf("mutant escaped limits: %+v", m)
 		}
 		if m != c {
@@ -131,7 +131,7 @@ func TestRandomIndividual(t *testing.T) {
 	if len(seq) < testgen.MinSequenceLen || len(seq) > testgen.MaxSequenceLen {
 		t.Errorf("random individual length %d", len(seq))
 	}
-	if !testgen.DefaultConditionLimits().Contains(cond) {
+	if testgen.DefaultConditionLimits().Clamp(cond) != cond {
 		t.Errorf("random conditions %+v outside limits", cond)
 	}
 	fixed := testgen.NominalConditions()

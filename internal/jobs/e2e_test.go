@@ -322,34 +322,35 @@ func TestServiceHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestServiceRestartResumes kills a server with queued work and verifies
-// the next boot runs exactly the pending set to completion.
+// TestServiceRestartResumes boots a server on the journal a stopped server
+// leaves with queued work and verifies it runs exactly the pending set to
+// completion.
 func TestServiceRestartResumes(t *testing.T) {
 	queueDir := t.TempDir()
 	runDir := t.TempDir()
 
-	srv, err := jobs.New(jobs.Options{QueueDir: queueDir, RunDir: runDir, Workers: 2, StartPaused: true})
+	q, err := jobs.Open(queueDir)
 	if err != nil {
-		t.Fatalf("jobs.New: %v", err)
+		t.Fatalf("jobs.Open: %v", err)
 	}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		j, err := srv.Submit(jobs.Submission{Flow: "shmoo", Seed: int64(20 + i), Args: map[string]string{"tests": "4"}})
+		j, err := q.Submit(jobs.Submission{Flow: "shmoo", Seed: int64(20 + i), Args: map[string]string{"tests": "4"}})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 		ids = append(ids, j.ID)
 	}
-	canceled, err := srv.Cancel(ids[1])
-	if err != nil || canceled.State != jobs.StateCanceled {
-		t.Fatalf("cancel queued: %+v, %v", canceled, err)
+	canceled, now, err := q.Cancel(ids[1])
+	if err != nil || !now || canceled.State != jobs.StateCanceled {
+		t.Fatalf("cancel queued: %+v, %v, %v", canceled, now, err)
 	}
-	if err := srv.Close(); err != nil {
+	if err := q.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 
-	// Reboot on the same journal: the two still-queued jobs run, the
-	// canceled one stays canceled.
+	// Boot on that journal: the two still-queued jobs run, the canceled
+	// one stays canceled.
 	srv2, err := jobs.New(jobs.Options{QueueDir: queueDir, RunDir: runDir, Workers: 2})
 	if err != nil {
 		t.Fatalf("reboot: %v", err)

@@ -85,19 +85,14 @@ func TestLoadPrioritiesCancellationsBudget(t *testing.T) {
 	const budget = 4
 	baseline := runtime.NumGoroutine()
 
-	var logBuf syncBuffer
-	srv, err := jobs.New(jobs.Options{
-		QueueDir:    t.TempDir(),
-		RunDir:      t.TempDir(),
-		Workers:     budget,
-		StartPaused: true, // submit + cancel the full batch, then one deterministic drain
-		Heartbeat:   -1,
-		Log:         log.New(&logBuf, "", 0),
-	})
+	// Journal the full batch and its cancellations before a server boots
+	// on it — the journal a stopped server leaves behind — so the boot
+	// drains one fixed pending set in a deterministic dispatch order.
+	queueDir := t.TempDir()
+	q, err := jobs.Open(queueDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	rng := rand.New(rand.NewSource(42))
 	type rec struct {
 		id       string
@@ -107,7 +102,7 @@ func TestLoadPrioritiesCancellationsBudget(t *testing.T) {
 	}
 	var recs []*rec
 	for i := 0; i < njobs; i++ {
-		j, err := srv.Submit(jobs.Submission{
+		j, err := q.Submit(jobs.Submission{
 			Flow:     "shmoo",
 			Seed:     int64(1 + i%7),
 			Args:     map[string]string{"tests": "1"},
@@ -119,18 +114,31 @@ func TestLoadPrioritiesCancellationsBudget(t *testing.T) {
 		}
 		recs = append(recs, &rec{id: j.ID, seq: i, priority: j.Priority})
 	}
-	// Cancel a seeded-random ~20% while dispatch is paused, so every
+	// Cancel a seeded-random ~20% before any dispatch, so every
 	// cancellation deterministically hits a queued job.
 	for _, r := range recs {
 		if rng.Float64() < 0.2 {
-			if _, err := srv.Cancel(r.id); err != nil {
+			if _, _, err := q.Cancel(r.id); err != nil {
 				t.Fatalf("cancel %s: %v", r.id, err)
 			}
 			r.canceled = true
 		}
 	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	srv.Resume()
+	var logBuf syncBuffer
+	srv, err := jobs.New(jobs.Options{
+		QueueDir:  queueDir,
+		RunDir:    t.TempDir(),
+		Workers:   budget,
+		Heartbeat: -1,
+		Log:       log.New(&logBuf, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	waitAllTerminal(t, srv, 120*time.Second)
 
 	// Outcomes: canceled jobs canceled, everything else done with a run ID.
@@ -202,27 +210,35 @@ func TestLoadPrioritiesCancellationsBudget(t *testing.T) {
 // and checks the persisted states equal the served ones.
 func TestLoadJournalMatchesOutcome(t *testing.T) {
 	queueDir := t.TempDir()
-	srv, err := jobs.New(jobs.Options{
-		QueueDir: queueDir, RunDir: t.TempDir(), Workers: 3, StartPaused: true, Heartbeat: -1,
-	})
+	q, err := jobs.Open(queueDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
-		j, err := srv.Submit(jobs.Submission{
-			Flow: "shmoo", Seed: int64(i), Args: map[string]string{"tests": "1"}, Priority: rng.Intn(3),
+		seed := int64(i)
+		if seed == 0 {
+			seed = 1 // the effective seed Server.Submit records for 0
+		}
+		j, err := q.Submit(jobs.Submission{
+			Flow: "shmoo", Seed: seed, Args: map[string]string{"tests": "1"}, Priority: rng.Intn(3),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rng.Intn(4) == 0 {
-			if _, err := srv.Cancel(j.ID); err != nil {
+			if _, _, err := q.Cancel(j.ID); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	srv.Resume()
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := jobs.New(jobs.Options{QueueDir: queueDir, RunDir: t.TempDir(), Workers: 3, Heartbeat: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	waitAllTerminal(t, srv, 60*time.Second)
 	final := map[string]*jobs.Job{}
 	for _, j := range srv.List() {
@@ -232,7 +248,7 @@ func TestLoadJournalMatchesOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q, err := jobs.Open(queueDir)
+	q, err = jobs.Open(queueDir)
 	if err != nil {
 		t.Fatalf("reopen journal: %v", err)
 	}
@@ -255,7 +271,8 @@ func TestLoadJournalMatchesOutcome(t *testing.T) {
 
 // TestCancelRunningJob cancels a job after it started: it must land in
 // canceled (caught at a phase boundary) or done (it beat the request) —
-// never wedge — and the job behind it must still run.
+// never wedge — and the job behind it must still run. A job still queued
+// behind both is canceled at once and never runs.
 func TestCancelRunningJob(t *testing.T) {
 	srv, err := jobs.New(jobs.Options{
 		QueueDir: t.TempDir(), RunDir: t.TempDir(), Workers: 1, Heartbeat: -1,
@@ -273,6 +290,10 @@ func TestCancelRunningJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	queued, err := srv.Submit(jobs.Submission{Flow: "shmoo", Seed: 7, Args: map[string]string{"tests": "2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Wait for the long job to actually start, then cancel it mid-run.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -287,6 +308,11 @@ func TestCancelRunningJob(t *testing.T) {
 			t.Fatal("long job never started")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	// The last job waits behind both others on the one-worker budget, so
+	// its cancellation takes the queued path: canceled at once.
+	if j, err := srv.Cancel(queued.ID); err != nil || j.State != jobs.StateCanceled {
+		t.Fatalf("cancel queued: %+v, %v", j, err)
 	}
 	if _, err := srv.Cancel(long.ID); err != nil && err != jobs.ErrTerminal {
 		t.Fatalf("cancel running: %v", err)
@@ -309,6 +335,9 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if n.State != jobs.StateDone {
 		t.Fatalf("job behind the canceled one: state %s, error %q", n.State, n.Error)
+	}
+	if q, err := srv.Get(queued.ID); err != nil || q.State != jobs.StateCanceled || q.RunID != "" {
+		t.Fatalf("canceled queued job: %+v, %v; want canceled without a run", q, err)
 	}
 }
 

@@ -30,9 +30,6 @@ type Options struct {
 	Heartbeat time.Duration
 	// Log receives operational lines; nil silences them.
 	Log *log.Logger
-	// StartPaused boots the executor with dispatch paused (tests submit a
-	// full batch, then Resume for a deterministic dispatch order).
-	StartPaused bool
 }
 
 // runningJob is the executor's in-flight state for one job.
@@ -59,7 +56,6 @@ type Server struct {
 	progress map[string]*obs.Progress
 	busy     int
 	maxBusy  int
-	paused   bool
 	closed   bool
 
 	closing atomic.Bool
@@ -72,7 +68,7 @@ type Server struct {
 
 // New opens the queue and ledger and starts the dispatcher. Jobs that
 // survived a previous process (queued, or running at the crash) are already
-// back in the queue and dispatch immediately unless StartPaused.
+// back in the queue and dispatch immediately.
 func New(opts Options) (*Server, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("jobs: worker budget must be positive, got %d", opts.Workers)
@@ -99,7 +95,6 @@ func New(opts Options) (*Server, error) {
 		reg:      telemetry.NewRegistry(),
 		running:  make(map[string]*runningJob),
 		progress: make(map[string]*obs.Progress),
-		paused:   opts.StartPaused,
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 	}
@@ -150,7 +145,7 @@ func (s *Server) dispatchLoop() {
 func (s *Server) dispatchReady() {
 	for {
 		s.mu.Lock()
-		if s.paused || s.closed {
+		if s.closed {
 			s.mu.Unlock()
 			return
 		}
@@ -379,14 +374,6 @@ func (s *Server) MetricsSnapshot() telemetry.Snapshot {
 	}
 	s.mu.Unlock()
 	return telemetry.MergeSnapshots(snaps...)
-}
-
-// Resume re-enables dispatch.
-func (s *Server) Resume() {
-	s.mu.Lock()
-	s.paused = false
-	s.mu.Unlock()
-	s.kick()
 }
 
 // MaxBusyObserved is a test hook: the high-water mark of concurrently

@@ -75,7 +75,10 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	total := len(sums)
-	page := sums[min(offset, total):min(offset+limit, total)]
+	// Clamp the start, then take at most limit rows: offset is any
+	// positive int from the query, so offset+limit could overflow.
+	page := sums[min(offset, total):]
+	page = page[:min(limit, len(page))]
 
 	entries := make([]runListEntry, 0, len(page))
 	for _, sum := range page {

@@ -112,6 +112,16 @@ func TestRunsEndpointListsAndPages(t *testing.T) {
 	if code != 200 || !strings.Contains(body, ids[2]) || strings.Contains(body, ids[0]) {
 		t.Errorf("paged /runs = %d %s", code, body)
 	}
+	// An offset past the end, even one where offset+limit overflows,
+	// is an empty page.
+	code, body = get(t, base+"/runs?offset=9223372036854775807")
+	var past struct {
+		Total int `json:"total"`
+		Count int `json:"count"`
+	}
+	if code != 200 || json.Unmarshal([]byte(body), &past) != nil || past.Total != 3 || past.Count != 0 {
+		t.Errorf("/runs past the end = %d %s, want 200 with total 3 and count 0", code, body)
+	}
 	// Filters: an unmatched flow leaves nothing.
 	code, body = get(t, base+"/runs?flow=nope")
 	if code != 200 || !strings.Contains(body, `"total": 0`) {

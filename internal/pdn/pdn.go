@@ -152,26 +152,6 @@ func (n Network) Simulate(records []dut.CycleRecord, vddV, clockMHz float64) (Re
 	return res, nil
 }
 
-// StepResponse simulates the response to a constant current step of the
-// given magnitude over the duration — the classic characterization of the
-// network itself (used by tests and by tooling that reports the network's
-// Q). Returns the waveform result.
-func (n Network) StepResponse(vddV, currentA float64, durationNS float64, clockMHz float64) (Result, error) {
-	if durationNS <= 0 {
-		return Result{}, errors.New("pdn: duration must be positive")
-	}
-	cycles := int(durationNS*clockMHz*1e-3) + 1
-	activity := 0.0
-	if n.IMaxA > 0 {
-		activity = (currentA - n.ILeakA) / n.IMaxA
-	}
-	records := make([]dut.CycleRecord, cycles)
-	for i := range records {
-		records[i] = dut.CycleRecord{Cycle: i, ATD: activity, Toggle: activity}
-	}
-	return n.Simulate(records, vddV, clockMHz)
-}
-
 // WorstBurstSpacing sweeps burst periods (in cycles) and returns the
 // spacing that provokes the deepest droop for a fixed per-burst energy —
 // the resonance search a worst-case pattern generator performs implicitly.

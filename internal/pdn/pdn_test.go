@@ -58,7 +58,7 @@ func TestSimulateValidation(t *testing.T) {
 func TestDCStepSettlesToOhmicDrop(t *testing.T) {
 	n := Default()
 	const i = 0.8
-	res, err := n.StepResponse(1.8, i, 2000, 100) // 2 µs ≫ settling time
+	res, err := n.Simulate(stepRecords(n, i, 201), 1.8, 100) // 2 µs at 100 MHz ≫ settling time
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestStepOvershootsThenRings(t *testing.T) {
 	// the waveform then decays toward it.
 	n := Default()
 	const i = 1.0
-	res, err := n.StepResponse(1.8, i, 1000, 100)
+	res, err := n.Simulate(stepRecords(n, i, 101), 1.8, 100) // 1 µs at 100 MHz
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +88,17 @@ func TestStepOvershootsThenRings(t *testing.T) {
 	if res.PeakAtNS > 40 {
 		t.Errorf("first droop peak at %.1f ns, expected within ≈2 periods", res.PeakAtNS)
 	}
+}
+
+// stepRecords is a constant current step of currentA held for the given
+// number of cycles: every cycle at the same ATD and toggle activity.
+func stepRecords(n Network, currentA float64, cycles int) []dut.CycleRecord {
+	activity := (currentA - n.ILeakA) / n.IMaxA
+	records := make([]dut.CycleRecord, cycles)
+	for i := range records {
+		records[i] = dut.CycleRecord{Cycle: i, ATD: activity, Toggle: activity}
+	}
+	return records
 }
 
 func TestZeroActivityNoDroop(t *testing.T) {

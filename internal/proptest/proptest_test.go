@@ -205,7 +205,7 @@ func TestGeneratedDomainsAreValid(t *testing.T) {
 		if err := tt.Seq.Validate(4096); err != nil {
 			pt.Fatalf("GenTest sequence invalid: %v", err)
 		}
-		if !defaultLimitsForTest().Contains(tt.Cond) {
+		if l := defaultLimitsForTest(); l.Clamp(tt.Cond) != tt.Cond {
 			pt.Errorf("conditions %+v outside limits", tt.Cond)
 		}
 	})

@@ -157,16 +157,14 @@ func TestSearchersAgreeOnBracket(t *testing.T) {
 
 // TestSUTPFirstSearchEstablishesReference pins the eq. 2 bookkeeping: with
 // no reference, SUTP behaves exactly like its full-range initial method and
-// records the found trip point as RTP for the next search.
+// records the found trip point as RTP for the next search, which then runs
+// as it would on a fresh SUTP given that reference.
 func TestSUTPFirstSearchEstablishesReference(t *testing.T) {
 	proptest.Check(t, 200, func(pt *proptest.T) {
 		c := proptest.GenSUTPCase(pt, 0.2)
-		pt.Logf("opt=%+v trip=%g", c.Opt, c.Trip)
+		pt.Logf("opt=%+v trip=%g drifted=%g", c.Opt, c.Trip, c.RTP)
 
 		sutp := &search.SUTP{}
-		if sutp.HasReference() {
-			pt.Fatalf("fresh SUTP already has a reference")
-		}
 		first, err := sutp.Search(c.Measurer(), c.Opt)
 		if err != nil {
 			pt.Fatalf("first search: %v", err)
@@ -179,13 +177,25 @@ func TestSUTPFirstSearchEstablishesReference(t *testing.T) {
 			pt.Errorf("first SUTP search (%g in %d) differs from initial method (%g in %d)",
 				first.TripPoint, first.Measurements, direct.TripPoint, direct.Measurements)
 		}
-		if !sutp.HasReference() || sutp.Reference() != first.TripPoint {
-			pt.Errorf("reference not recorded: have=%v ref=%g trip=%g",
-				sutp.HasReference(), sutp.Reference(), first.TripPoint)
+		if !first.Converged {
+			pt.Fatalf("first search did not converge: %+v", first)
 		}
-		sutp.Reset()
-		if sutp.HasReference() {
-			pt.Errorf("Reset left the reference in place")
+		// The next device trips at the drifted point.
+		drifted := c
+		drifted.Trip = c.RTP
+		next, err := sutp.Search(drifted.Measurer(), c.Opt)
+		if err != nil {
+			pt.Fatalf("next search: %v", err)
+		}
+		fresh := &search.SUTP{}
+		fresh.SetReference(first.TripPoint)
+		want, err := fresh.Search(drifted.Measurer(), c.Opt)
+		if err != nil {
+			pt.Fatalf("fresh search: %v", err)
+		}
+		if next != want {
+			pt.Errorf("next search %+v, want %+v as from a fresh SUTP with reference %g",
+				next, want, first.TripPoint)
 		}
 	})
 }

@@ -44,18 +44,6 @@ type SUTP struct {
 // Name implements Searcher.
 func (*SUTP) Name() string { return "search-until-trip-point" }
 
-// HasReference reports whether the reference trip point is established.
-func (s *SUTP) HasReference() bool { return s.haveRTP }
-
-// Reference returns the current reference trip point; valid only when
-// HasReference is true.
-func (s *SUTP) Reference() float64 { return s.rtp }
-
-// Reset forgets the reference trip point, forcing the next Search to run
-// the full-range initial method again (the GA optimization scheme resets
-// between populations).
-func (s *SUTP) Reset() { s.haveRTP = false; s.rtp = 0 }
-
 // SetReference installs an externally known reference trip point (eq. 2
 // already performed elsewhere).
 func (s *SUTP) SetReference(rtp float64) { s.rtp = rtp; s.haveRTP = true }

@@ -7,7 +7,7 @@ import (
 
 func TestSUTPFirstSearchEstablishesRTP(t *testing.T) {
 	s := &SUTP{Refine: true}
-	if s.HasReference() {
+	if s.haveRTP {
 		t.Fatal("fresh SUTP already has a reference")
 	}
 	surf := &surface{trip: 30, orientation: PassLow}
@@ -18,11 +18,11 @@ func TestSUTPFirstSearchEstablishesRTP(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("first search did not converge")
 	}
-	if !s.HasReference() {
+	if !s.haveRTP {
 		t.Fatal("reference trip point not established")
 	}
-	if math.Abs(s.Reference()-30) > 0.2 {
-		t.Errorf("RTP = %g, want ≈30", s.Reference())
+	if math.Abs(s.rtp-30) > 0.2 {
+		t.Errorf("RTP = %g, want ≈30", s.rtp)
 	}
 }
 
@@ -141,17 +141,6 @@ func TestSUTPUnrefinedAccuracyIsSF(t *testing.T) {
 	}
 }
 
-func TestSUTPReset(t *testing.T) {
-	s := &SUTP{Refine: true}
-	if _, err := s.Search(&surface{trip: 30, orientation: PassLow}, opts(PassLow)); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	if s.HasReference() {
-		t.Error("Reset kept the reference")
-	}
-}
-
 func TestSUTPUpdateRTP(t *testing.T) {
 	s := &SUTP{Refine: true, UpdateRTP: true}
 	if _, err := s.Search(&surface{trip: 30, orientation: PassLow}, opts(PassLow)); err != nil {
@@ -160,8 +149,8 @@ func TestSUTPUpdateRTP(t *testing.T) {
 	if _, err := s.Search(&surface{trip: 40, orientation: PassLow}, opts(PassLow)); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(s.Reference()-40) > 0.2 {
-		t.Errorf("UpdateRTP did not re-anchor: reference %g, want ≈40", s.Reference())
+	if math.Abs(s.rtp-40) > 0.2 {
+		t.Errorf("UpdateRTP did not re-anchor: reference %g, want ≈40", s.rtp)
 	}
 }
 
@@ -170,12 +159,12 @@ func TestSUTPKeepsRTPByDefault(t *testing.T) {
 	if _, err := s.Search(&surface{trip: 30, orientation: PassLow}, opts(PassLow)); err != nil {
 		t.Fatal(err)
 	}
-	ref := s.Reference()
+	ref := s.rtp
 	if _, err := s.Search(&surface{trip: 45, orientation: PassLow}, opts(PassLow)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Reference() != ref {
-		t.Errorf("default SUTP re-anchored the reference: %g → %g", ref, s.Reference())
+	if s.rtp != ref {
+		t.Errorf("default SUTP re-anchored the reference: %g → %g", ref, s.rtp)
 	}
 }
 
@@ -193,7 +182,7 @@ func TestSUTPNonConvergedFirstSearchKeepsNoReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Converged || s.HasReference() {
+	if res.Converged || s.haveRTP {
 		t.Error("all-pass first search must not establish a reference")
 	}
 }

@@ -103,26 +103,6 @@ func (h *Histogram) Observe(v float64) {
 	h.n++
 }
 
-// Count returns the number of observations. Nil-safe.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of observations. Nil-safe.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Registry is a named-metric store. A nil *Registry hands out nil metrics,
 // whose methods are all no-ops — instrumented code needs no enabled-checks.
 type Registry struct {
@@ -203,59 +183,6 @@ type HistogramSnapshot struct {
 	Buckets []HistogramBucket `json:"buckets"`
 	Count   int64             `json:"count"`
 	Sum     float64           `json:"sum"`
-}
-
-// Mean returns the average observation, or 0 for an empty histogram —
-// never NaN, so zero-observation snapshots render as defined values.
-func (hs HistogramSnapshot) Mean() float64 {
-	if hs.Count == 0 {
-		return 0
-	}
-	return hs.Sum / float64(hs.Count)
-}
-
-// Quantile estimates the q-quantile (q in [0, 1]) by linear interpolation
-// inside the containing bucket, the same estimator Prometheus's
-// histogram_quantile uses: observations are assumed uniform within a
-// bucket, the first finite bucket interpolates from 0 (or from its bound
-// when the bound is negative), and quantiles landing in the +Inf overflow
-// bucket clamp to the highest finite bound. An empty histogram returns 0
-// for every q, and q outside [0, 1] is clamped — the result is always a
-// finite, defined value.
-func (hs HistogramSnapshot) Quantile(q float64) float64 {
-	if hs.Count == 0 || len(hs.Buckets) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(hs.Count)
-	prevBound, prevCum := 0.0, int64(0)
-	if hs.Buckets[0].LE < 0 {
-		prevBound = hs.Buckets[0].LE
-	}
-	for _, b := range hs.Buckets {
-		if float64(b.Count) >= rank {
-			if math.IsInf(b.LE, 1) {
-				// Overflow bucket: clamp to the highest finite bound.
-				return prevBound
-			}
-			inBucket := b.Count - prevCum
-			if inBucket <= 0 {
-				return b.LE
-			}
-			frac := (rank - float64(prevCum)) / float64(inBucket)
-			return prevBound + (b.LE-prevBound)*frac
-		}
-		if !math.IsInf(b.LE, 1) {
-			prevBound = b.LE
-		}
-		prevCum = b.Count
-	}
-	return prevBound
 }
 
 // Snapshot is a frozen, JSON-encodable view of the registry. Map keys

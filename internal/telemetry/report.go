@@ -141,15 +141,6 @@ func (r *Report) MeasurementsSaved() int64 {
 	return saved
 }
 
-// PhaseMeasurements sums the phase breakdown (including "unattributed").
-func (r *Report) PhaseMeasurements() int64 {
-	var n int64
-	for _, p := range r.Phases {
-		n += p.Measurements
-	}
-	return n
-}
-
 // finish reconciles the breakdown against the run totals: any cost not
 // covered by an explicit phase lands in a trailing "unattributed" phase, so
 // the breakdown always sums to Total exactly.

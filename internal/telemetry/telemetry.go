@@ -50,14 +50,6 @@ func New(runName string, tracer *Tracer) *Telemetry {
 	return t
 }
 
-// Tracer returns the event tracer (nil when tracing is off). Nil-safe.
-func (t *Telemetry) Tracer() *Tracer {
-	if t == nil {
-		return nil
-	}
-	return t.tracer
-}
-
 // Registry returns the metrics registry. Nil-safe (returns a nil registry
 // whose metrics are inert).
 func (t *Telemetry) Registry() *Registry {
@@ -74,14 +66,6 @@ func (t *Telemetry) Fingerprint() string {
 		return ""
 	}
 	return t.tracer.Fingerprint()
-}
-
-// Run returns the root span. Nil-safe.
-func (t *Telemetry) Run() *Span {
-	if t == nil {
-		return nil
-	}
-	return t.run
 }
 
 // PhaseHandle tracks one in-flight pipeline phase.

@@ -100,16 +100,6 @@ func NewFileTracer(path string) (*Tracer, error) {
 	return t, nil
 }
 
-// Err returns the first write error the tracer swallowed, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // Close flushes buffered events and closes a file-backed sink.
 func (t *Tracer) Close() error {
 	if t == nil {

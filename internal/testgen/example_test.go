@@ -22,7 +22,11 @@ func ExampleParseMarch() {
 // ExampleMarchTest expands an algorithm over an address window into the
 // vector sequence an ATE applies.
 func ExampleMarchTest() {
-	t, err := testgen.MarchTest(testgen.MATSPlus(), 0, 4, 0, testgen.NominalConditions())
+	alg, err := testgen.MarchFromLibrary("MATS+")
+	if err != nil {
+		panic(err)
+	}
+	t, err := testgen.MarchTest(alg, 0, 4, 0, testgen.NominalConditions())
 	if err != nil {
 		panic(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -51,110 +50,4 @@ func WriteTests(w io.Writer, tests []Test) error {
 		fmt.Fprintln(bw, "end")
 	}
 	return bw.Flush()
-}
-
-// ReadTests parses the text vector format.
-func ReadTests(r io.Reader) ([]Test, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-
-	var (
-		tests []Test
-		cur   *Test
-		line  int
-	)
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("testgen: line %d: %s", line, fmt.Sprintf(format, args...))
-	}
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "test":
-			if cur != nil {
-				return nil, fail("nested test block (missing 'end')")
-			}
-			name := strings.TrimSpace(strings.TrimPrefix(text, "test"))
-			if name == "" {
-				return nil, fail("'test' needs a name")
-			}
-			cur = &Test{Name: name, Cond: NominalConditions()}
-		case "cond":
-			if cur == nil {
-				return nil, fail("'cond' outside a test block")
-			}
-			for _, kv := range fields[1:] {
-				key, val, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fail("malformed condition %q", kv)
-				}
-				f, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fail("condition %s: %v", key, err)
-				}
-				switch key {
-				case "vdd":
-					cur.Cond.VddV = f
-				case "temp":
-					cur.Cond.TempC = f
-				case "clock":
-					cur.Cond.ClockMHz = f
-				default:
-					return nil, fail("unknown condition %q", key)
-				}
-			}
-		case "W":
-			if cur == nil {
-				return nil, fail("vector outside a test block")
-			}
-			if len(fields) != 3 {
-				return nil, fail("write needs address and data")
-			}
-			addr, err := strconv.ParseUint(fields[1], 16, 32)
-			if err != nil {
-				return nil, fail("write address: %v", err)
-			}
-			data, err := strconv.ParseUint(fields[2], 16, 32)
-			if err != nil {
-				return nil, fail("write data: %v", err)
-			}
-			cur.Seq = append(cur.Seq, Vector{Op: OpWrite, Addr: uint32(addr), Data: uint32(data)})
-		case "R":
-			if cur == nil {
-				return nil, fail("vector outside a test block")
-			}
-			if len(fields) != 2 {
-				return nil, fail("read needs an address")
-			}
-			addr, err := strconv.ParseUint(fields[1], 16, 32)
-			if err != nil {
-				return nil, fail("read address: %v", err)
-			}
-			cur.Seq = append(cur.Seq, Vector{Op: OpRead, Addr: uint32(addr)})
-		case "N":
-			if cur == nil {
-				return nil, fail("vector outside a test block")
-			}
-			cur.Seq = append(cur.Seq, Vector{Op: OpNop})
-		case "end":
-			if cur == nil {
-				return nil, fail("'end' outside a test block")
-			}
-			tests = append(tests, *cur)
-			cur = nil
-		default:
-			return nil, fail("unknown directive %q", fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if cur != nil {
-		return nil, fmt.Errorf("testgen: unterminated test block %q", cur.Name)
-	}
-	return tests, nil
 }

@@ -49,63 +49,16 @@ func (a MarchAlgorithm) Complexity() int {
 	return k
 }
 
-// MarchCMinus returns the 10N March C- algorithm:
+// MarchCMinus returns the 10N March C- algorithm, Table 1's deterministic
+// baseline, from the notation library:
 //
 //	⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0)
 func MarchCMinus() MarchAlgorithm {
-	w0 := MarchOp{Write: true, Background: true}
-	w1 := MarchOp{Write: true, Background: false}
-	r0 := MarchOp{Write: false, Background: true}
-	r1 := MarchOp{Write: false, Background: false}
-	return MarchAlgorithm{
-		Name: "March C-",
-		Elements: []MarchElement{
-			{OrderAny, []MarchOp{w0}},
-			{OrderUp, []MarchOp{r0, w1}},
-			{OrderUp, []MarchOp{r1, w0}},
-			{OrderDown, []MarchOp{r0, w1}},
-			{OrderDown, []MarchOp{r1, w0}},
-			{OrderAny, []MarchOp{r0}},
-		},
+	alg, err := MarchFromLibrary("March C-")
+	if err != nil {
+		panic(err) // the library's notation is a constant
 	}
-}
-
-// MarchB returns the 17N March B algorithm:
-//
-//	⇕(w0); ⇑(r0,w1,r1,w0,r0,w1); ⇑(r1,w0,w1); ⇓(r1,w0,w1,w0); ⇓(r0,w1,w0)
-func MarchB() MarchAlgorithm {
-	w0 := MarchOp{Write: true, Background: true}
-	w1 := MarchOp{Write: true, Background: false}
-	r0 := MarchOp{Write: false, Background: true}
-	r1 := MarchOp{Write: false, Background: false}
-	return MarchAlgorithm{
-		Name: "March B",
-		Elements: []MarchElement{
-			{OrderAny, []MarchOp{w0}},
-			{OrderUp, []MarchOp{r0, w1, r1, w0, r0, w1}},
-			{OrderUp, []MarchOp{r1, w0, w1}},
-			{OrderDown, []MarchOp{r1, w0, w1, w0}},
-			{OrderDown, []MarchOp{r0, w1, w0}},
-		},
-	}
-}
-
-// MATSPlus returns the 5N MATS+ algorithm:
-//
-//	⇕(w0); ⇑(r0,w1); ⇓(r1,w0)
-func MATSPlus() MarchAlgorithm {
-	w0 := MarchOp{Write: true, Background: true}
-	w1 := MarchOp{Write: true, Background: false}
-	r0 := MarchOp{Write: false, Background: true}
-	r1 := MarchOp{Write: false, Background: false}
-	return MarchAlgorithm{
-		Name: "MATS+",
-		Elements: []MarchElement{
-			{OrderAny, []MarchOp{w0}},
-			{OrderUp, []MarchOp{r0, w1}},
-			{OrderDown, []MarchOp{r1, w0}},
-		},
-	}
+	return alg
 }
 
 // MarchTest expands a March algorithm over the address window

@@ -11,8 +11,8 @@ func TestMarchComplexities(t *testing.T) {
 		want int
 	}{
 		{MarchCMinus(), 10},
-		{MarchB(), 17},
-		{MATSPlus(), 5},
+		{libraryMarch(t, "March B"), 17},
+		{libraryMarch(t, "MATS+"), 5},
 	}
 	for _, c := range cases {
 		if got := c.alg.Complexity(); got != c.want {
@@ -39,7 +39,7 @@ func TestMarchTestZeroWindow(t *testing.T) {
 
 func TestMarchAddressesStayInWindow(t *testing.T) {
 	const base, words = 100, 32
-	tt, err := MarchTest(MarchB(), base, words, 0x55555555, NominalConditions())
+	tt, err := MarchTest(libraryMarch(t, "March B"), base, words, 0x55555555, NominalConditions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMarchDownElementDescends(t *testing.T) {
 
 func TestMarchDataBackgroundAndComplement(t *testing.T) {
 	const bg = 0x0F0F0F0F
-	tt, err := MarchTest(MATSPlus(), 0, 4, bg, NominalConditions())
+	tt, err := MarchTest(libraryMarch(t, "MATS+"), 0, 4, bg, NominalConditions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package testgen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -126,8 +127,8 @@ func FormatMarch(a MarchAlgorithm) string {
 	return strings.Join(parts, "; ")
 }
 
-// Well-known algorithms beyond the built-in constructors, in notation form.
-// MarchFromLibrary instantiates one by name.
+// Well-known algorithms in notation form. MarchFromLibrary instantiates one
+// by name.
 var marchLibrary = map[string]string{
 	"MATS":     "a(w0); a(r0,w1); a(r1)",
 	"MATS+":    "a(w0); u(r0,w1); d(r1,w0)",
@@ -142,12 +143,13 @@ var marchLibrary = map[string]string{
 }
 
 // MarchLibraryNames lists the algorithms available from MarchFromLibrary,
-// sorted by complexity is not guaranteed; the order is unspecified.
+// sorted by name.
 func MarchLibraryNames() []string {
 	names := make([]string, 0, len(marchLibrary))
 	for n := range marchLibrary {
 		names = append(names, n)
 	}
+	slices.Sort(names)
 	return names
 }
 

@@ -2,7 +2,7 @@ package testgen
 
 import (
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -43,7 +43,8 @@ func TestParseMarchErrors(t *testing.T) {
 }
 
 func TestFormatMarchRoundTrip(t *testing.T) {
-	for _, alg := range []MarchAlgorithm{MarchCMinus(), MarchB(), MATSPlus()} {
+	for _, name := range MarchLibraryNames() {
+		alg := libraryMarch(t, name)
 		notation := FormatMarch(alg)
 		parsed, err := ParseMarch(alg.Name, notation)
 		if err != nil {
@@ -60,7 +61,9 @@ func TestMarchLibrary(t *testing.T) {
 	if len(names) < 8 {
 		t.Fatalf("library has only %d algorithms", len(names))
 	}
-	sort.Strings(names)
+	if !slices.IsSorted(names) {
+		t.Errorf("library names %q are not sorted", names)
+	}
 	wantComplexities := map[string]int{
 		"MATS":     4,
 		"MATS+":    5,
@@ -95,19 +98,50 @@ func TestMarchLibrary(t *testing.T) {
 	}
 }
 
+// TestLibraryCMinusMatchesBuiltin pins March C- and March B, element by
+// element, against the definitions in the literature.
 func TestLibraryCMinusMatchesBuiltin(t *testing.T) {
-	lib, err := MarchFromLibrary("March C-")
+	w0 := MarchOp{Write: true, Background: true}
+	w1 := MarchOp{Write: true, Background: false}
+	r0 := MarchOp{Write: false, Background: true}
+	r1 := MarchOp{Write: false, Background: false}
+	cases := []struct {
+		alg  MarchAlgorithm
+		name string
+		want []MarchElement
+	}{
+		{MarchCMinus(), "March C-", []MarchElement{
+			{OrderAny, []MarchOp{w0}},
+			{OrderUp, []MarchOp{r0, w1}},
+			{OrderUp, []MarchOp{r1, w0}},
+			{OrderDown, []MarchOp{r0, w1}},
+			{OrderDown, []MarchOp{r1, w0}},
+			{OrderAny, []MarchOp{r0}},
+		}},
+		{libraryMarch(t, "March B"), "March B", []MarchElement{
+			{OrderAny, []MarchOp{w0}},
+			{OrderUp, []MarchOp{r0, w1, r1, w0, r0, w1}},
+			{OrderUp, []MarchOp{r1, w0, w1}},
+			{OrderDown, []MarchOp{r1, w0, w1, w0}},
+			{OrderDown, []MarchOp{r0, w1, w0}},
+		}},
+	}
+	for _, c := range cases {
+		if c.alg.Name != c.name {
+			t.Errorf("algorithm named %q, want %q", c.alg.Name, c.name)
+		}
+		if !reflect.DeepEqual(c.alg.Elements, c.want) {
+			t.Errorf("%s elements %v, want %v", c.name, c.alg.Elements, c.want)
+		}
+	}
+}
+
+// libraryMarch instantiates a library algorithm or fails the test.
+func libraryMarch(t testing.TB, name string) MarchAlgorithm {
+	t.Helper()
+	alg, err := MarchFromLibrary(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(lib.Elements, MarchCMinus().Elements) {
-		t.Error("library March C- differs from built-in")
-	}
-	libB, err := MarchFromLibrary("March B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(libB.Elements, MarchB().Elements) {
-		t.Error("library March B differs from built-in")
-	}
+	return alg
 }

@@ -167,13 +167,6 @@ func (l ConditionLimits) Clamp(c Conditions) Conditions {
 	}
 }
 
-// Contains reports whether c lies inside the limits.
-func (l ConditionLimits) Contains(c Conditions) bool {
-	return c.VddV >= l.VddMin && c.VddV <= l.VddMax &&
-		c.TempC >= l.TempMin && c.TempC <= l.TempMax &&
-		c.ClockMHz >= l.ClockMin && c.ClockMHz <= l.ClockMax
-}
-
 // Test is a complete characterization test: a named vector sequence plus the
 // conditions it runs under. One Test yields one trip point (eq. 1).
 type Test struct {

@@ -105,21 +105,42 @@ func TestConditionLimitsClamp(t *testing.T) {
 func TestConditionLimitsClampProperty(t *testing.T) {
 	l := DefaultConditionLimits()
 	f := func(v, temp, clk float64) bool {
-		return l.Contains(l.Clamp(Conditions{VddV: v, TempC: temp, ClockMHz: clk}))
+		return within(l, l.Clamp(Conditions{VddV: v, TempC: temp, ClockMHz: clk}))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestConditionLimitsContains pins the containment check other packages'
+// tests use, Clamp(c) == c: nominal conditions lie inside the default
+// window, 0.5 V does not, and on a grid across every edge Clamp leaves
+// exactly the conditions inside the limits unchanged.
 func TestConditionLimitsContains(t *testing.T) {
 	l := DefaultConditionLimits()
-	if !l.Contains(NominalConditions()) {
+	if !within(l, NominalConditions()) {
 		t.Error("nominal conditions outside default limits")
 	}
-	if l.Contains(Conditions{VddV: 0.5, TempC: 25, ClockMHz: 100}) {
+	if within(l, Conditions{VddV: 0.5, TempC: 25, ClockMHz: 100}) {
 		t.Error("0.5 V inside 1.4–2.2 V limits")
 	}
+	for _, v := range []float64{1.3, 1.4, 1.8, 2.2, 2.3} {
+		for _, temp := range []float64{-41, -40, 25, 125, 126} {
+			for _, clk := range []float64{49, 50, 100, 133, 134} {
+				c := Conditions{VddV: v, TempC: temp, ClockMHz: clk}
+				if fixed := l.Clamp(c) == c; fixed != within(l, c) {
+					t.Errorf("%+v: Clamp fixed point %v, inside the limits %v", c, fixed, within(l, c))
+				}
+			}
+		}
+	}
+}
+
+// within reports whether c lies inside the limits.
+func within(l ConditionLimits, c Conditions) bool {
+	return c.VddV >= l.VddMin && c.VddV <= l.VddMax &&
+		c.TempC >= l.TempMin && c.TempC <= l.TempMax &&
+		c.ClockMHz >= l.ClockMin && c.ClockMHz <= l.ClockMax
 }
 
 func TestTestString(t *testing.T) {

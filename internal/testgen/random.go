@@ -233,8 +233,5 @@ func (g *RandomGenerator) PerturbSequence(seq Sequence, rate float64) {
 	g.rng = c
 }
 
-// AddrSpace returns the address-space size the generator draws from.
-func (g *RandomGenerator) AddrSpace() uint32 { return g.addrSpace }
-
 // Limits returns the condition limits the generator draws from.
 func (g *RandomGenerator) Limits() ConditionLimits { return g.limits }

@@ -40,7 +40,7 @@ func TestRandomSequencesValidate(t *testing.T) {
 	g := newGen(4)
 	for i := 0; i < 100; i++ {
 		tt := g.Next()
-		if err := tt.Seq.Validate(g.AddrSpace()); err != nil {
+		if err := tt.Seq.Validate(g.addrSpace); err != nil {
 			t.Fatalf("generated sequence invalid: %v", err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestRandomConditionsInLimits(t *testing.T) {
 	l := g.Limits()
 	for i := 0; i < 100; i++ {
 		c := g.Conditions()
-		if !l.Contains(c) {
+		if !within(l, c) {
 			t.Fatalf("generated conditions %+v outside limits", c)
 		}
 	}
@@ -125,7 +125,7 @@ func TestPerturbSequence(t *testing.T) {
 	if diff < len(orig)/2 {
 		t.Errorf("rate-1 perturbation changed only %d/%d vectors", diff, len(orig))
 	}
-	if err := all.Validate(g.AddrSpace()); err != nil {
+	if err := all.Validate(g.addrSpace); err != nil {
 		t.Errorf("perturbed sequence invalid: %v", err)
 	}
 }

@@ -30,9 +30,6 @@ type Interval struct {
 	Resamples int
 }
 
-// Width returns Hi − Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
 // WorstCaseInterval bootstraps the worst (minimum when min is true,
 // maximum otherwise) converged trip point of the DSV. alpha is the total
 // tail mass (0.05 → a 95% interval); resamples defaults to 1000 when ≤ 0.

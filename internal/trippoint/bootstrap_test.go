@@ -23,8 +23,8 @@ func TestWorstCaseIntervalContainsObserved(t *testing.T) {
 	if iv.Lo > iv.Observed || iv.Hi < iv.Observed-2 {
 		t.Errorf("interval [%.2f, %.2f] implausible around observed %.2f", iv.Lo, iv.Hi, iv.Observed)
 	}
-	if iv.Width() <= 0 {
-		t.Errorf("degenerate interval width %g", iv.Width())
+	if iv.Hi <= iv.Lo {
+		t.Errorf("degenerate interval [%g, %g]", iv.Lo, iv.Hi)
 	}
 	if iv.Resamples != 1000 {
 		t.Errorf("resamples %d", iv.Resamples)
@@ -61,8 +61,8 @@ func TestWorstCaseIntervalShrinksWithSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ivL.Width() >= ivS.Width() {
-		t.Errorf("interval did not tighten with more samples: %g vs %g", ivL.Width(), ivS.Width())
+	if wl, ws := ivL.Hi-ivL.Lo, ivS.Hi-ivS.Lo; wl >= ws {
+		t.Errorf("interval did not tighten with more samples: %g vs %g", wl, ws)
 	}
 }
 

@@ -83,24 +83,3 @@ func (d *DSV) DetectDrift() DriftReport {
 	rep.Significant = n >= 8 && math.Abs(rep.TotalDrift) > 2*rep.Residual
 	return rep
 }
-
-// Detrended returns a copy of the DSV with the fitted drift removed from
-// every converged trip point — the corrected per-test variation a drift-
-// aware characterization reports.
-func (d *DSV) Detrended() *DSV {
-	rep := d.DetectDrift()
-	out := &DSV{Parameter: d.Parameter, Values: make([]Measurement, len(d.Values))}
-	copy(out.Values, d.Values)
-	if rep.N < 3 {
-		return out
-	}
-	// Remove the slope relative to the first measurement, so the corrected
-	// values read as "what the trip point would have been cold".
-	for i := range out.Values {
-		if !out.Values[i].Converged {
-			continue
-		}
-		out.Values[i].TripPoint = d.Values[i].TripPoint - rep.Slope*float64(i)
-	}
-	return out
-}

@@ -72,23 +72,6 @@ func TestDetectDriftSkipsNonConverged(t *testing.T) {
 	}
 }
 
-func TestDetrendedRemovesTrend(t *testing.T) {
-	d := syntheticDSV(-0.08, 0.02, 40, 5)
-	flat := d.Detrended()
-	rep := flat.DetectDrift()
-	if math.Abs(rep.Slope) > 0.005 {
-		t.Errorf("detrended slope %g, want ≈ 0", rep.Slope)
-	}
-	// Original untouched.
-	if d.DetectDrift().Slope > -0.05 {
-		t.Error("Detrended mutated the original DSV")
-	}
-	// Spread shrinks once drift is removed.
-	if flat.Stats().Range >= d.Stats().Range {
-		t.Errorf("detrended range %g not below raw range %g", flat.Stats().Range, d.Stats().Range)
-	}
-}
-
 // TestDriftDetectionOnHeatingTester closes the loop: a characterization
 // run on a self-heating tester must show significant negative drift, and
 // the same run on a cold tester must not.

@@ -49,9 +49,6 @@ func (a *DriftAccumulator) Add(x, y float64) {
 	a.sumYY += dy * dy
 }
 
-// N returns the number of accumulated observations.
-func (a *DriftAccumulator) N() int { return a.n }
-
 // Report closes the fit. With fewer than three observations the report is
 // zero-valued with Significant == false, mirroring DetectDrift.
 func (a *DriftAccumulator) Report() DriftReport {
@@ -154,12 +151,6 @@ func boundedInsert(s []Outlier, e Outlier, k int, less func(a, b Outlier) bool) 
 	}
 	return s
 }
-
-// N returns the population size.
-func (o *OutlierTracker) N() int { return o.n }
-
-// Mean returns the population mean.
-func (o *OutlierTracker) Mean() float64 { return o.mean }
 
 // StdDev returns the population standard deviation.
 func (o *OutlierTracker) StdDev() float64 {

@@ -129,8 +129,8 @@ func TestOutlierTrackerFindsPlantedOutliers(t *testing.T) {
 		}
 		o.Add(i, v)
 	}
-	if o.N() != 1000 {
-		t.Fatalf("N = %d", o.N())
+	if o.n != 1000 {
+		t.Fatalf("N = %d", o.n)
 	}
 	got := o.Report(3)
 	if len(got) < 2 {
@@ -184,7 +184,7 @@ func TestOutlierTrackerDegenerate(t *testing.T) {
 	if got := o.Report(3); got != nil {
 		t.Errorf("zero-spread report = %+v", got)
 	}
-	if o.StdDev() != 0 || o.Mean() != 5 {
-		t.Errorf("moments: mean %v sd %v", o.Mean(), o.StdDev())
+	if o.StdDev() != 0 || o.mean != 5 {
+		t.Errorf("moments: mean %v sd %v", o.mean, o.StdDev())
 	}
 }

@@ -33,9 +33,6 @@ type DSV struct {
 // Add appends a measurement.
 func (d *DSV) Add(m Measurement) { d.Values = append(d.Values, m) }
 
-// Len returns the number of trip points collected.
-func (d *DSV) Len() int { return len(d.Values) }
-
 // TotalMeasurements sums the per-trip-point search cost.
 func (d *DSV) TotalMeasurements() int {
 	n := 0

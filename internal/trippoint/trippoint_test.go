@@ -30,8 +30,8 @@ func TestRunnerCollectsDSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dsv.Len() != 20 {
-		t.Fatalf("DSV has %d entries, want 20", dsv.Len())
+	if len(dsv.Values) != 20 {
+		t.Fatalf("DSV has %d entries, want 20", len(dsv.Values))
 	}
 	if dsv.Parameter != ate.TDQ {
 		t.Error("DSV parameter not recorded")

@@ -26,18 +26,20 @@ func ExampleForMin() {
 	// NNGA    WCR 0.905 → weakness
 }
 
-// ExampleRanking ranks measurements worst-first, the fig. 6 banding.
+// ExampleRanking bands measurements as fig. 6 does and picks the worst.
 func ExampleRanking() {
 	r := wcr.NewRanking(20, true)
 	r.Add("calm", 33.0)
 	r.Add("aggressive", 21.0)
 	r.Add("violating", 19.0)
-	r.Sort()
 	for _, e := range r.Entries {
 		fmt.Printf("%s: %.2f (%s)\n", e.Name, e.WCR, e.Class)
 	}
+	worst, _ := r.Worst()
+	fmt.Println("worst:", worst.Name)
 	// Output:
-	// violating: 1.05 (fail)
-	// aggressive: 0.95 (weakness)
 	// calm: 0.61 (pass)
+	// aggressive: 0.95 (weakness)
+	// violating: 1.05 (fail)
+	// worst: violating
 }

@@ -8,7 +8,6 @@ package wcr
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Class is the WCR classification band of fig. 6.
@@ -117,17 +116,6 @@ func (r *Ranking) Add(name string, value float64) Entry {
 	e := Entry{Name: name, Value: value, WCR: w, Class: Classify(w)}
 	r.Entries = append(r.Entries, e)
 	return e
-}
-
-// Sort orders entries worst (largest WCR) first, with the name as a
-// deterministic tie-breaker.
-func (r *Ranking) Sort() {
-	sort.SliceStable(r.Entries, func(i, j int) bool {
-		if r.Entries[i].WCR != r.Entries[j].WCR {
-			return r.Entries[i].WCR > r.Entries[j].WCR
-		}
-		return r.Entries[i].Name < r.Entries[j].Name
-	})
 }
 
 // Worst returns the entry with the largest WCR ("the worst case tests are
