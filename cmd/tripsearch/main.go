@@ -145,9 +145,8 @@ func main() {
 		if err != nil {
 			return err
 		}
-		runnerBudget := runner.Options.FullRangeBudget()
 		for _, m := range dsv.Values {
-			tel.RecordSearch(m.Measurements, runnerBudget, m.Converged)
+			tel.RecordSearch(m.Measurements, fullBudget, m.Converged)
 		}
 		ph.End(tester.Stats().CostSince(statsBefore))
 		s := dsv.Stats()

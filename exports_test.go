@@ -13,8 +13,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -34,6 +36,18 @@ var testOnlyKeep = map[string]string{
 	"internal/jobs.Server.MaxBusyObserved":    "the only way to observe the worker-budget ceiling; a replay of the dispatch log can over-count it",
 }
 
+// testOnlySettingsKeep lists the exported fields under internal/ that
+// non-test code reads but only tests set, and that stay on purpose, each
+// with its reason. Keys are the declaring package's path below the module,
+// then type and field, as the gate prints them.
+var testOnlySettingsKeep = map[string]string{
+	"internal/search.SuccessiveApproximation.RecheckEvery": "§1's drift-sensing successive approximation; TestSuccessiveApproximationDriftRecovery recovers a drifting trip point with it",
+	"internal/genetic.Config.TargetFitness":                "fig. 5's WCR stop (\"until the worst case is found\"), pinned by TestGATargetStopsEarly",
+	"internal/neural.GATrainConfig.TargetErr":              "the early stop of the ref. [13] ablation; TrainGA and its config are on testOnlyKeep",
+	"internal/testgen.RandomGenerator.UniformOnly":         "the uniform generator the styled one is ablated against (TestStyledGeneratorWidensDSVSpread, 20 seeds)",
+	"internal/core.LotOptions.RetainDies":                  "the per-die view the lot-stream tests compare with their per-die oracle",
+}
+
 // TestNoTestOnlyExports fails on every exported func, method, type,
 // package var or const under internal/ (internal/proptest aside, being test
 // support) that no non-test file of the module or of bench/charbench uses,
@@ -41,42 +55,20 @@ var testOnlyKeep = map[string]string{
 // reached through it, so they are left out: the module's own interfaces,
 // error, fmt.Stringer, math/rand.Source and interface{ Unwrap() error }.
 func TestNoTestOnlyExports(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped under -short")
-	}
-	root := goList(t, ".", "./...")
-	bench := goList(t, "bench", "./charbench")
-
-	fset := token.NewFileSet()
-	exports := map[string]string{}
-	sources := map[string]listedPackage{}
-	for _, p := range append(root, bench...) {
-		switch {
-		case p.Standard:
-			exports[p.ImportPath] = p.Export
-		case p.ImportPath == "repro" || strings.HasPrefix(p.ImportPath, "repro/"):
-			sources[p.ImportPath] = p
-		default:
-			t.Fatalf("package %s is neither standard nor in the module", p.ImportPath)
+	m := loadModule(t)
+	used := map[types.Object]bool{}
+	for _, obj := range m.info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
 		}
-	}
-	c := &sourceChecker{
-		fset:    fset,
-		sources: sources,
-		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			return os.Open(exports[path])
-		}),
-		checked: map[string]*types.Package{},
-		used:    map[types.Object]bool{},
-	}
-	for path := range sources {
-		if _, err := c.Import(path); err != nil {
-			t.Fatal(err)
-		}
+		used[obj] = true
 	}
 
 	var ifaces []*types.Interface
-	for _, pkg := range c.checked {
+	for _, pkg := range m.packages {
 		for _, name := range pkg.Scope().Names() {
 			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
 				ifaces = append(ifaces, tn.Type().Underlying().(*types.Interface))
@@ -92,16 +84,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 		methodSet(method("Unwrap", nil, errType)))
 
 	found := map[string]token.Position{}
-	for path, pkg := range c.checked {
-		rel := strings.TrimPrefix(path, "repro/")
-		if !strings.HasPrefix(rel, "internal/") || rel == "internal/proptest" || strings.HasPrefix(rel, "internal/proptest/") {
-			continue
-		}
+	for rel, pkg := range m.gated() {
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() && !c.used[obj] {
-				found[rel+"."+name] = fset.Position(obj.Pos())
+			if obj.Exported() && !used[obj] {
+				found[rel+"."+name] = m.fset.Position(obj.Pos())
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
@@ -109,29 +97,243 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			named := tn.Type().(*types.Named)
 			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				if m.Exported() && !c.used[m] && !satisfiesInterface(named, m.Name(), ifaces) {
-					found[rel+"."+name+"."+m.Name()] = fset.Position(m.Pos())
+				fn := named.Method(i)
+				if fn.Exported() && !used[fn] && !satisfiesInterface(named, fn.Name(), ifaces) {
+					found[rel+"."+name+"."+fn.Name()] = m.fset.Position(fn.Pos())
 				}
 			}
 		}
 	}
+	reportAgainstKeep(t, found, testOnlyKeep, "testOnlyKeep", "only tests use it; delete it")
+}
 
-	var bad []string
-	for key, pos := range found {
-		if _, ok := testOnlyKeep[key]; !ok {
-			bad = append(bad, fmt.Sprintf("%s (%s:%d): only tests use it; delete it, or add it to testOnlyKeep with the reason it stays", key, relPath(pos.Filename), pos.Line))
+// TestNoTestOnlySettings fails on every exported field of an exported struct
+// under internal/ (internal/proptest aside) that non-test code of the module
+// or of bench/charbench reads but never sets, unless testOnlySettingsKeep
+// names it: such a field is a setting only tests turn. A field is set by a
+// composite-literal element (keyed or positional), the left side of an
+// assignment (unless the right side is the same field: the copy Fork and
+// Clone make), ++ or --, an assignment to an element or subfield of it,
+// taking its address, or calling a pointer-receiver method on it. Fields
+// with a json tag are exempt, because decoding sets them.
+func TestNoTestOnlySettings(t *testing.T) {
+	m := loadModule(t)
+	read, set := map[*types.Var]bool{}, map[*types.Var]bool{}
+	// setChain marks the fields e selects as set, down through the element,
+	// dereference and field selections it is built of (x.F.G[i] sets G and F).
+	var setChain func(e ast.Expr)
+	setChain = func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			setChain(x.X)
+		case *ast.StarExpr:
+			setChain(x.X)
+		case *ast.IndexExpr:
+			setChain(x.X)
+		case *ast.SelectorExpr:
+			if v := m.field(x); v != nil {
+				set[v] = true
+				setChain(x.X)
+			}
 		}
 	}
-	for key := range testOnlyKeep {
+	for _, f := range m.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if v := m.field(n); v != nil {
+					read[v] = true
+				}
+				// A pointer method on an addressable value takes its address.
+				if s := m.info.Selections[n]; s != nil && s.Kind() == types.MethodVal && !isPointer(s.Recv()) &&
+					isPointer(s.Obj().Type().(*types.Signature).Recv().Type()) {
+					setChain(n.X)
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+						set[v.Origin()] = true
+					}
+				}
+			case *ast.CompositeLit:
+				if st, ok := m.info.Types[n].Type.Underlying().(*types.Struct); ok && len(n.Elts) > 0 {
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+						for i := range n.Elts {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if v := m.field(lhs); v == nil || len(n.Lhs) != len(n.Rhs) || v != m.field(n.Rhs[i]) {
+						setChain(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				setChain(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					setChain(n.X)
+				}
+			}
+			return true
+		})
+	}
+
+	found := map[string]token.Position{}
+	for rel, pkg := range m.gated() {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); tagged || !v.Exported() {
+					continue
+				}
+				if read[v] && !set[v] {
+					found[rel+"."+name+"."+v.Name()] = m.fset.Position(v.Pos())
+				}
+			}
+		}
+	}
+	reportAgainstKeep(t, found, testOnlySettingsKeep, "testOnlySettingsKeep", "non-test code reads it but never sets it; make it the value production holds")
+}
+
+// reportAgainstKeep fails on every found name the keep-list does not give a
+// reason for, and on every keep entry found no longer names.
+func reportAgainstKeep(t *testing.T, found map[string]token.Position, keep map[string]string, keepName, why string) {
+	t.Helper()
+	var bad []string
+	for key, pos := range found {
+		if _, ok := keep[key]; !ok {
+			bad = append(bad, fmt.Sprintf("%s (%s:%d): %s, or add it to %s with the reason it stays", key, relPath(pos.Filename), pos.Line, why, keepName))
+		}
+	}
+	for key := range keep {
 		if _, ok := found[key]; !ok {
-			bad = append(bad, key+": in testOnlyKeep, but it is gone or a non-test file uses it; drop the entry")
+			bad = append(bad, fmt.Sprintf("%s: in %s, but the gate no longer finds it; drop the entry", key, keepName))
 		}
 	}
 	sort.Strings(bad)
 	for _, b := range bad {
 		t.Error(b)
 	}
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
+}
+
+// checkedModule is the non-test source of the module and of bench/charbench,
+// type-checked once per test binary and shared by the gates.
+type checkedModule struct {
+	fset     *token.FileSet
+	packages map[string]*types.Package // by import path
+	files    []*ast.File
+	info     *types.Info // Uses, Types and Selections of every file
+}
+
+var (
+	moduleOnce sync.Once
+	module     *checkedModule
+	moduleErr  error
+)
+
+// loadModule returns the checked module, loading it on first use; the
+// gates are skipped under -short.
+func loadModule(t *testing.T) *checkedModule {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped under -short")
+	}
+	moduleOnce.Do(func() { module, moduleErr = checkModule() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return module
+}
+
+// checkModule type-checks every non-test package of the module and of
+// bench/charbench from source, importing the standard library from the
+// export data `go list -export` builds.
+func checkModule() (*checkedModule, error) {
+	root, err := goList(".", "./...")
+	if err != nil {
+		return nil, err
+	}
+	bench, err := goList("bench", "./charbench")
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	exports := map[string]string{}
+	sources := map[string]listedPackage{}
+	for _, p := range append(root, bench...) {
+		switch {
+		case p.Standard:
+			exports[p.ImportPath] = p.Export
+		case p.ImportPath == "repro" || strings.HasPrefix(p.ImportPath, "repro/"):
+			sources[p.ImportPath] = p
+		default:
+			return nil, fmt.Errorf("package %s is neither standard nor in the module", p.ImportPath)
+		}
+	}
+	c := &sourceChecker{
+		sources: sources,
+		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			return os.Open(exports[path])
+		}),
+		m: &checkedModule{
+			fset:     fset,
+			packages: map[string]*types.Package{},
+			info: &types.Info{
+				Uses:       map[*ast.Ident]types.Object{},
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			},
+		},
+	}
+	for path := range sources {
+		if _, err := c.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return c.m, nil
+}
+
+// gated returns the packages the gates cover, keyed by their path below
+// the module: those under internal/, internal/proptest aside (it is test
+// support).
+func (m *checkedModule) gated() map[string]*types.Package {
+	out := map[string]*types.Package{}
+	for path, pkg := range m.packages {
+		rel := strings.TrimPrefix(path, "repro/")
+		if strings.HasPrefix(rel, "internal/") && rel != "internal/proptest" && !strings.HasPrefix(rel, "internal/proptest/") {
+			out[rel] = pkg
+		}
+	}
+	return out
+}
+
+// field returns the struct field e selects, nil when e is no field
+// selection.
+func (m *checkedModule) field(e ast.Expr) *types.Var {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if s := m.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		return s.Obj().(*types.Var).Origin()
+	}
+	return nil
 }
 
 // listedPackage is the part of `go list -json` the gate reads.
@@ -145,40 +347,36 @@ type listedPackage struct {
 
 // goList lists pattern's packages and their dependencies from dir, with
 // export data built for each.
-func goList(t *testing.T, dir, pattern string) []listedPackage {
-	t.Helper()
+func goList(dir, pattern string) ([]listedPackage, error) {
 	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard", pattern)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list %s in %s: %v\n%s", pattern, dir, err, stderr.Bytes())
+		return nil, fmt.Errorf("go list %s in %s: %v\n%s", pattern, dir, err, stderr.Bytes())
 	}
 	var pkgs []listedPackage
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p listedPackage
 		if err := dec.Decode(&p); err != nil {
-			t.Fatalf("decoding go list output: %v", err)
+			return nil, fmt.Errorf("decoding go list output: %w", err)
 		}
 		pkgs = append(pkgs, p)
 	}
-	return pkgs
+	return pkgs, nil
 }
 
 // sourceChecker type-checks the module's packages from their non-test
-// source, imports the standard library from export data, and records every
-// object a checked file uses.
+// source into m, and imports the standard library from export data.
 type sourceChecker struct {
-	fset    *token.FileSet
 	sources map[string]listedPackage
 	std     types.Importer
-	checked map[string]*types.Package
-	used    map[types.Object]bool
+	m       *checkedModule
 }
 
 func (c *sourceChecker) Import(path string) (*types.Package, error) {
-	if pkg, ok := c.checked[path]; ok {
+	if pkg, ok := c.m.packages[path]; ok {
 		return pkg, nil
 	}
 	src, ok := c.sources[path]
@@ -187,27 +385,18 @@ func (c *sourceChecker) Import(path string) (*types.Package, error) {
 	}
 	var files []*ast.File
 	for _, name := range src.GoFiles {
-		f, err := parser.ParseFile(c.fset, filepath.Join(src.Dir, name), nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(c.m.fset, filepath.Join(src.Dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	pkg, err := (&types.Config{Importer: c}).Check(path, c.fset, files, info)
+	pkg, err := (&types.Config{Importer: c}).Check(path, c.m.fset, files, c.m.info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	for _, obj := range info.Uses {
-		switch o := obj.(type) {
-		case *types.Func:
-			obj = o.Origin()
-		case *types.Var:
-			obj = o.Origin()
-		}
-		c.used[obj] = true
-	}
-	c.checked[path] = pkg
+	c.m.packages[path] = pkg
+	c.m.files = append(c.m.files, files...)
 	return pkg, nil
 }
 

@@ -85,13 +85,6 @@ type ATE struct {
 	// keeps the junction at the programmed ambient.
 	Heating *Thermal
 
-	// Repeats is the settling-repeat count: each Measurer pass/fail
-	// decision is the majority of this many physical measurements, the
-	// standard ATE defence against noise at the trip-point edge. Values
-	// below 1 and even values round up to the next odd count. Default 1
-	// (single measurement).
-	Repeats int
-
 	// Profiler, when non-nil, replaces dev.Profile as the pattern-execution
 	// path, so a caller can observe every pattern execution; charbench's
 	// tracer wraps dev.Profile here to time them. (The lot screen installs
@@ -343,50 +336,16 @@ func (a *ATE) FunctionalPass(t testgen.Test) (bool, error) {
 	return !p.Func.Failed(), nil
 }
 
-// majority wraps a single-measurement function with the settling-repeat
-// majority vote.
-func (a *ATE) majority(one func() (bool, error)) (bool, error) {
-	k := a.Repeats
-	if k < 1 {
-		k = 1
-	}
-	if k%2 == 0 {
-		k++
-	}
-	passes := 0
-	for i := 0; i < k; i++ {
-		ok, err := one()
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			passes++
-		}
-		// Early exit once the vote is decided.
-		if passes > k/2 || (i+1-passes) > k/2 {
-			break
-		}
-	}
-	return passes > k/2, nil
-}
-
 // Measurer returns a search.Measurer that sweeps the given parameter for
-// the test. Every Passes call is Repeats accounted ATE measurements
-// (majority voted); with the default Repeats of 1, exactly one.
+// the test. Every Passes call is one accounted ATE measurement.
 func (a *ATE) Measurer(param Parameter, t testgen.Test) search.Measurer {
 	switch param {
 	case TDQ:
-		return search.MeasurerFunc(func(v float64) (bool, error) {
-			return a.majority(func() (bool, error) { return a.MeasureTDQPass(t, v) })
-		})
+		return search.MeasurerFunc(func(v float64) (bool, error) { return a.MeasureTDQPass(t, v) })
 	case Fmax:
-		return search.MeasurerFunc(func(v float64) (bool, error) {
-			return a.majority(func() (bool, error) { return a.MeasureFmaxPass(t, v) })
-		})
+		return search.MeasurerFunc(func(v float64) (bool, error) { return a.MeasureFmaxPass(t, v) })
 	case VddMin:
-		return search.MeasurerFunc(func(v float64) (bool, error) {
-			return a.majority(func() (bool, error) { return a.MeasureVddMinPass(t, v) })
-		})
+		return search.MeasurerFunc(func(v float64) (bool, error) { return a.MeasureVddMinPass(t, v) })
 	default:
 		return search.MeasurerFunc(func(float64) (bool, error) {
 			return false, fmt.Errorf("ate: unknown parameter %v", param)

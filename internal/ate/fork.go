@@ -15,7 +15,7 @@ func (th *Thermal) Clone() *Thermal {
 
 // Fork creates an independent tester insertion for a parallel worker: a
 // clone of the device in the socket (same die, fresh array), a private
-// noise RNG seeded with seed, the same noise/repeat/thermal configuration,
+// noise RNG seeded with seed, the same noise and thermal configuration,
 // and zeroed cost counters. The fork shares no mutable state with the
 // parent; merge its counters back with AddStats when the worker drains.
 func (a *ATE) Fork(seed int64) (*ATE, error) {
@@ -25,7 +25,6 @@ func (a *ATE) Fork(seed int64) (*ATE, error) {
 	}
 	f := New(dev, seed)
 	f.NoiseFraction = a.NoiseFraction
-	f.Repeats = a.Repeats
 	f.Heating = a.Heating.Clone()
 	f.Profiler = a.Profiler
 	return f, nil

@@ -32,15 +32,14 @@ func measureTwice(t *testing.T, a *ATE, tt testgen.Test) [8]bool {
 func TestForkIsIndependent(t *testing.T) {
 	a := testATE(t)
 	a.Heating = DefaultThermal()
-	a.Repeats = 3
 	tt := sampleTest(t)
 
 	f, err := a.Fork(1234)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NoiseFraction != a.NoiseFraction || f.Repeats != a.Repeats {
-		t.Error("fork lost noise/repeat configuration")
+	if f.NoiseFraction != a.NoiseFraction {
+		t.Error("fork lost the noise configuration")
 	}
 	if f.Heating == a.Heating {
 		t.Error("fork shares the parent's thermal state")
@@ -187,7 +186,6 @@ func TestPreloadMatchesLoad(t *testing.T) {
 		}
 		a := New(dev, 5)
 		a.Heating = DefaultThermal()
-		a.Repeats = 3
 		return a
 	}
 	gen := testgen.NewRandomGenerator(3, dut.DefaultGeometry().Words(), testgen.DefaultConditionLimits())
@@ -280,7 +278,6 @@ func TestForkMeasuresLikeReseededParent(t *testing.T) {
 			}
 		}},
 		{"heating", func(_ *testing.T, a *ATE) { a.Heating = DefaultThermal() }},
-		{"repeats", func(_ *testing.T, a *ATE) { a.Repeats = 3 }},
 		{"noiseless", func(_ *testing.T, a *ATE) { a.NoiseFraction = 0 }},
 		{"profiler", func(_ *testing.T, a *ATE) {
 			a.Profiler = func(dev *dut.Device, tt testgen.Test) (dut.Profile, error) { return dev.Profile(tt) }

@@ -10,8 +10,8 @@ import (
 )
 
 // strober is the pair of T_DQ strobe paths a task measures through: a
-// shmoo row with the supply overridden, and one Measurer(TDQ) decision at
-// the test's own supply (Repeats majority-voted strobes).
+// shmoo row with the supply overridden, and one Measurer(TDQ) strobe at
+// the test's own supply.
 type strober struct {
 	row func(tt testgen.Test, vdd float64, strobes []float64, pass []bool) error
 	tdq func(tt testgen.Test, strobeNS float64) (bool, error)
@@ -57,7 +57,7 @@ func strobeRef(a *ATE, t testgen.Test, vdd, strobeNS float64) (bool, error) {
 	return w >= strobeNS, nil
 }
 
-// reference strobes through strobeRef, with the Measurer's majority vote.
+// reference strobes through strobeRef.
 func reference(a *ATE) strober {
 	return strober{
 		row: func(tt testgen.Test, vdd float64, strobes []float64, pass []bool) error {
@@ -71,7 +71,7 @@ func reference(a *ATE) strober {
 			return nil
 		},
 		tdq: func(tt testgen.Test, v float64) (bool, error) {
-			return a.majority(func() (bool, error) { return strobeRef(a, tt, tt.Cond.VddV, v) })
+			return strobeRef(a, tt, tt.Cond.VddV, v)
 		},
 	}
 }
@@ -177,11 +177,11 @@ func sameStats(a, b Stats) bool {
 
 // TestWindowMemoMatchesPerStrobeReference pins the window memo and the
 // row strobe against the per-strobe formula they replace: with and without
-// self-heating and noise, at Repeats 3, over Measurer strobes and shmoo
-// rows at each test's window edge and across fig. 8's X axis, test
-// switches at one operating point, and a weak row repaired and reloaded
-// mid-run, the tester measures the same bits and Stats whether it strobes
-// whole rows or one strobe per row.
+// self-heating and noise, over Measurer strobes and shmoo rows at each
+// test's window edge and across fig. 8's X axis, test switches at one
+// operating point, and a weak row repaired and reloaded mid-run, the tester
+// measures the same bits and Stats whether it strobes whole rows or one
+// strobe per row.
 func TestWindowMemoMatchesPerStrobeReference(t *testing.T) {
 	const weak = 37
 	tests := edgeTests(weak)
@@ -194,7 +194,6 @@ func TestWindowMemoMatchesPerStrobeReference(t *testing.T) {
 						a.Heating = DefaultThermal()
 					}
 					a.NoiseFraction = noise
-					a.Repeats = 3
 					bits := edgeTask(t, a, strobes(a), tests)
 					if err := a.Device().RepairRow(weak); err != nil {
 						t.Fatal(err)

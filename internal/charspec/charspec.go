@@ -97,9 +97,6 @@ type Config struct {
 	// Guardband is the fractional margin applied to the worst measurement
 	// (default 0.05 = 5%).
 	Guardband float64
-	// Searcher constructs the per-corner searcher; nil defaults to
-	// refined SUTP (each corner gets a fresh reference trip point).
-	Searcher func() search.Searcher
 }
 
 // DefaultConfig returns the standard extraction setup.
@@ -144,12 +141,9 @@ func Extract(tester *ate.ATE, param ate.Parameter, tests []testgen.Test, cfg Con
 	for _, vdd := range cfg.Grid.VddV {
 		for _, temp := range cfg.Grid.TempC {
 			corner := Corner{VddV: vdd, TempC: temp}
+			// Each corner gets a fresh reference trip point.
 			runner := trippoint.NewRunner(tester, param)
-			if cfg.Searcher != nil {
-				runner.Searcher = cfg.Searcher()
-			} else {
-				runner.Searcher = &search.SUTP{Refine: true}
-			}
+			runner.Searcher = &search.SUTP{Refine: true}
 			cr := CornerResult{Corner: corner}
 			worst := math.Inf(1)
 			if !isMin {

@@ -104,12 +104,6 @@ type Common struct {
 // state. Call before StartTelemetry.
 func (c *Common) AttachProgress(p *obs.Progress) { c.extProgress = p }
 
-// AttachLedger supplies an already-open run-ledger store; StartTelemetry
-// then finalizes into it instead of opening its own handle on RunDir. The
-// job service shares one store handle across every job this way. RunDir
-// must still be set — it gates finalization and the ledger temp trace.
-func (c *Common) AttachLedger(st *runstore.Store) { c.ledger = st }
-
 // LastRun returns the ledger run ID and trace fingerprint of the last
 // FinishTelemetry, empty before the first finalized run (or when -run-dir
 // was not set, in which case only the fingerprint is populated).
@@ -324,13 +318,15 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 		var err error
 		tracer, err = telemetry.NewFileTracer(c.tracePath)
 		if err != nil {
+			c.removeAutoTrace()
 			return nil, fmt.Errorf("cli: opening trace: %w", err)
 		}
 	}
-	if c.RunDir != "" && c.ledger == nil {
+	if c.RunDir != "" {
 		st, err := runstore.Open(c.RunDir)
 		if err != nil {
 			tracer.Close()
+			c.removeAutoTrace()
 			return nil, fmt.Errorf("cli: opening run ledger: %w", err)
 		}
 		c.ledger = st
@@ -379,6 +375,7 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 		if err != nil {
 			c.stopFlight()
 			tel.Close()
+			c.removeAutoTrace()
 			return nil, fmt.Errorf("cli: starting observability server: %w", err)
 		}
 		c.server = srv
@@ -395,6 +392,7 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 	// Fault injection runs last so the bundle it produces captures the live
 	// telemetry state, exactly like a real mid-run failure would.
 	if err := c.injectFault(); err != nil {
+		c.removeAutoTrace()
 		return tel, err
 	}
 	return tel, nil
@@ -514,16 +512,21 @@ func (c *Common) Abort() {
 		c.tel.Close() //nolint:errcheck // aborting; the trace is discarded anyway
 		c.tel = nil
 	}
-	if c.autoTrace && c.tracePath != "" {
-		os.Remove(c.tracePath)
-		c.autoTrace = false
-	}
+	c.removeAutoTrace()
 	c.progress.Done()
 	if c.server != nil {
 		c.server.Close() //nolint:errcheck // best-effort teardown
 		c.server = nil
 	}
 	c.flight = nil
+}
+
+// removeAutoTrace deletes the ledger-owned temp trace, if the run has one.
+func (c *Common) removeAutoTrace() {
+	if c.autoTrace {
+		os.Remove(c.tracePath)
+		c.autoTrace = false
+	}
 }
 
 // PrintCacheSummary prints the one-line measurement memo-cache summary the

@@ -3,7 +3,6 @@ package cli
 import (
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,11 +89,10 @@ func (c *Common) writeCrashBundle(reason string, cause any) (string, error) {
 		return "", err
 	}
 
-	// flags.json: the fully resolved flag state (defaults + overrides), so a
-	// bundle reproduces the exact invocation without shell history.
-	flagVals := map[string]string{}
-	flag.CommandLine.VisitAll(func(f *flag.Flag) { flagVals[f.Name] = f.Value.String() })
-	if err := writeJSONFile(filepath.Join(tmp, "flags.json"), flagVals); err != nil {
+	// flags.json: the run's own fully resolved flag set (defaults +
+	// overrides), so a bundle reproduces the exact invocation without shell
+	// history.
+	if err := writeJSONFile(filepath.Join(tmp, "flags.json"), c.allFlags()); err != nil {
 		return "", err
 	}
 

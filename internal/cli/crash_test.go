@@ -313,3 +313,45 @@ func TestStartTelemetryCrashDirAttachesFlight(t *testing.T) {
 	}
 	var _ *flight.Recorder = c.flight
 }
+
+// An embedded flow run's crash bundle records the run's own flag set, not
+// the host process's: a learn FlowRun's flags.json holds its seed and
+// learn-tests and none of the test binary's flags.
+func TestCaptureCrashRecordsFlowRunFlags(t *testing.T) {
+	fr, err := NewFlowRun(FlowSpec{Flow: "learn", Seed: 7, Args: map[string]string{"learn-tests": "20"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fr.Common
+	c.CrashDir = t.TempDir()
+	dir := c.CaptureCrash("fatal-error", os.ErrPermission)
+	if dir == "" {
+		t.Fatal("no bundle written")
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "flags.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flags map[string]string
+	if err := json.Unmarshal(raw, &flags); err != nil {
+		t.Fatal(err)
+	}
+	if flags["seed"] != "7" || flags["learn-tests"] != "20" || flags["learn-only"] != "true" {
+		t.Errorf("flags.json seed/learn-tests/learn-only = %q/%q/%q, want 7/20/true", flags["seed"], flags["learn-tests"], flags["learn-only"])
+	}
+	for name := range flags {
+		if strings.HasPrefix(name, "test.") {
+			t.Errorf("flags.json records the host's flag %s", name)
+		}
+	}
+
+	// A Common built without Register has no flags: the bundle says so.
+	bare := &Common{CrashDir: t.TempDir()}
+	raw, err = os.ReadFile(filepath.Join(bare.CaptureCrash("fatal-error", os.ErrPermission), "flags.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(string(raw)); got != "{}" {
+		t.Errorf("flags.json of an unregistered Common = %s, want {}", got)
+	}
+}

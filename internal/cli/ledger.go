@@ -42,21 +42,22 @@ var nonIdentityFlags = map[string]bool{
 }
 
 // identityFlags returns the resolved values of every identity-bearing flag.
-// Nil when the Common was built without Register (tests).
+// Empty when the Common was built without Register (tests).
 func (c *Common) identityFlags() map[string]string {
 	return c.flagMap(func(name string) bool { return !nonIdentityFlags[name] })
 }
 
-// allFlags returns every resolved flag value, for the attempt sidecar.
+// allFlags returns every resolved flag value, for the attempt sidecar and
+// the crash bundle.
 func (c *Common) allFlags() map[string]string {
 	return c.flagMap(func(string) bool { return true })
 }
 
 func (c *Common) flagMap(keep func(name string) bool) map[string]string {
-	if c.fs == nil {
-		return nil
-	}
 	out := make(map[string]string)
+	if c.fs == nil {
+		return out
+	}
 	c.fs.VisitAll(func(f *flag.Flag) {
 		if keep(f.Name) {
 			out[f.Name] = f.Value.String()

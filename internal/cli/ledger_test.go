@@ -308,3 +308,38 @@ func TestAttemptRecordsRunFleetTotals(t *testing.T) {
 		t.Errorf("flight tail kinds = %v, want fleet events and no pool event", kinds)
 	}
 }
+
+// A StartTelemetry that fails after it created the ledger's temp trace
+// removes that file: when the ledger cannot open because -run-dir lies
+// under a regular file, and when -inject-fault=error fails the start.
+func TestStartTelemetryFailureRemovesLedgerTempTrace(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		c       *Common
+		wantErr string
+	}{
+		{"ledger-open", &Common{RunDir: filepath.Join(file, "ledger")}, "opening run ledger"},
+		{"inject-fault", &Common{RunDir: t.TempDir(), InjectFault: "error"}, "injected fatal error"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			_, err := tc.c.StartTelemetry("x")
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("StartTelemetry error = %v, want one containing %q", err, tc.wantErr)
+			}
+			left, err := os.ReadDir(tmp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range left {
+				t.Errorf("left %s behind in TMPDIR", e.Name())
+			}
+			tc.c.Abort()
+		})
+	}
+}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/genetic"
 	"repro/internal/neural"
 	"repro/internal/parallel"
-	"repro/internal/search"
 	"repro/internal/telemetry"
 	"repro/internal/testgen"
 )
@@ -54,7 +53,7 @@ type Config struct {
 	// HiddenLayers are the MLP hidden layer widths.
 	HiddenLayers []int
 
-	// Train configures backpropagation; zero value takes defaults.
+	// Train configures backpropagation.
 	Train neural.TrainConfig
 
 	// CandidatePool is the number of software-only candidates the trained
@@ -64,11 +63,8 @@ type Config struct {
 	// SeedCount is the number of sub-optimal tests handed to the GA.
 	SeedCount int
 
-	// GA configures the optimizer; zero value takes genetic.DefaultConfig.
+	// GA configures the optimizer.
 	GA genetic.Config
-
-	// SearchFactor is the SUTP step SF; zero defaults per parameter.
-	SearchFactor float64
 
 	// FixedConditions pins generated and evolved tests to one operating
 	// condition set (Table 1: Vdd 1.8 V). Nil randomizes and evolves
@@ -243,17 +239,6 @@ func (c *Characterizer) Close() {
 
 // Generator returns the flow's random test generator.
 func (c *Characterizer) Generator() *testgen.RandomGenerator { return c.gen }
-
-// searchOptions returns the parameter's generous range with the configured
-// search factor applied.
-func (c *Characterizer) searchOptions() search.Options {
-	return c.cfg.Parameter.SearchOptions()
-}
-
-// newSUTP builds a fresh Search-Until-Trip-Point searcher for a run.
-func (c *Characterizer) newSUTP() *search.SUTP {
-	return &search.SUTP{SF: c.cfg.SearchFactor, Refine: true}
-}
 
 // tel returns the run's telemetry handle; nil (inert) when observability is
 // off.

@@ -51,7 +51,7 @@ func newEvaluator(c *Characterizer) *evaluator {
 	spec, isMin := c.cfg.Parameter.SpecValue()
 	e := &evaluator{
 		c:         c,
-		opts:      c.searchOptions(),
+		opts:      c.cfg.Parameter.SearchOptions(),
 		spec:      spec,
 		specIsMin: isMin,
 	}
@@ -76,7 +76,7 @@ func newEvaluator(c *Characterizer) *evaluator {
 // task's cost counters.
 func (e *evaluator) measureTask(wk *ate.ATE, tt testgen.Test, seed int64) (search.Result, ate.Stats, error) {
 	wk.Reseed(seed)
-	s := &search.SUTP{SF: e.c.cfg.SearchFactor, Refine: true}
+	s := &search.SUTP{Refine: true}
 	if e.haveRTP {
 		s.SetReference(e.rtp)
 	}

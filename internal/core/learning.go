@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/neural"
+	"repro/internal/search"
 	"repro/internal/telemetry"
 	"repro/internal/testgen"
 	"repro/internal/trippoint"
@@ -40,9 +41,8 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 	defer func() { ph.End(c.ate.Stats().CostSince(before)) }()
 
 	runner := trippoint.NewRunner(c.ate, c.cfg.Parameter)
-	runner.Searcher = c.newSUTP()
-	runner.Options = c.searchOptions()
-	budget := runner.Options.FullRangeBudget()
+	runner.Searcher = &search.SUTP{Refine: true}
+	budget := c.cfg.Parameter.SearchOptions().FullRangeBudget()
 
 	limits := c.gen.Limits()
 	res := &LearningResult{}
@@ -85,14 +85,10 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 
 	sizes := append([]int{testgen.NumFeatures}, c.cfg.HiddenLayers...)
 	sizes = append(sizes, c.coder.Width())
-	trainCfg := c.cfg.Train
-	if trainCfg.Epochs == 0 {
-		trainCfg = neural.DefaultTrainConfig(c.cfg.Seed)
-	}
 	// Member training dispatches onto the flow's persistent fleet, so the
 	// workers (and their memoized resources) that later measure GA fitness
 	// are the same ones that trained the ensemble.
-	ens, reports, err := neural.NewEnsemble(c.Fleet(), c.cfg.Seed, c.cfg.EnsembleSize, sizes, res.Dataset, trainCfg)
+	ens, reports, err := neural.NewEnsemble(c.Fleet(), c.cfg.Seed, c.cfg.EnsembleSize, sizes, res.Dataset, c.cfg.Train)
 	if err != nil {
 		return nil, fmt.Errorf("core: training ensemble: %w", err)
 	}

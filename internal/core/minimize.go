@@ -78,7 +78,7 @@ func (c *Characterizer) Minimize(t testgen.Test, cfg MinimizeConfig) (*MinimizeR
 
 	spec, isMin := c.cfg.Parameter.SpecValue()
 	sutp := &search.SUTP{Refine: true}
-	opts := c.searchOptions()
+	opts := c.cfg.Parameter.SearchOptions()
 	probes := 0
 	nameCounter := 0
 

@@ -38,9 +38,6 @@ func (c *Characterizer) Optimize() (*OptimizationResult, error) {
 // pass random seeds here to quantify the value of NN seeding).
 func (c *Characterizer) OptimizeFrom(seeds []genetic.Seed) (*OptimizationResult, error) {
 	gaCfg := c.cfg.GA
-	if gaCfg.PopSize == 0 {
-		gaCfg = genetic.DefaultConfig()
-	}
 	gaCfg.FixedConditions = c.cfg.FixedConditions
 
 	tel := c.tel()

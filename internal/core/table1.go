@@ -142,7 +142,7 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	gen := testgen.NewRandomGenerator(flowCfg.Seed+100, tester.Device().Geometry().Words(), testgen.DefaultConditionLimits())
 	gen.FixedConditions = &cond
 	runner := trippoint.NewRunner(tester, param)
-	runnerBudget := runner.Options.FullRangeBudget()
+	runnerBudget := param.SearchOptions().FullRangeBudget()
 	ranking = wcr.NewRanking(spec, isMin)
 	tests := gen.Batch(cfg.RandomTests)
 	err = char.measureTests(tests, func(i int) error {

@@ -229,8 +229,8 @@ func (s *Server) runJob(job *Job, rj *runningJob) {
 
 // execute builds the job's FlowRun — the binary's exact flag set with the
 // spec applied — and runs it embedded: private fleet sized to the job's
-// worker claim, shared ledger handle, externally owned progress, and
-// cooperative cancellation polled at phase boundaries. The run ID and
+// worker claim, the server's ledger directory, externally owned progress,
+// and cooperative cancellation polled at phase boundaries. The run ID and
 // trace fingerprint come back from the shared ledger finalization, so they
 // are byte-for-byte the ones the equivalent CLI invocation would produce.
 func (s *Server) execute(job *Job, rj *runningJob, out *bytes.Buffer) (runID, fingerprint string, err error) {
@@ -247,7 +247,6 @@ func (s *Server) execute(job *Job, rj *runningJob, out *bytes.Buffer) (runID, fi
 	c.Embedded = true
 	c.Parallel = job.Workers
 	c.RunDir = s.opts.RunDir
-	c.AttachLedger(s.store)
 	c.AttachProgress(s.progressFor(job.ID))
 	c.CheckCancel = func() error {
 		if rj.cancel.Load() || s.closing.Load() {

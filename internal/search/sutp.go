@@ -7,15 +7,15 @@ import (
 
 // SUTP is the paper's Search Until Trip Point algorithm (§4). The first
 // search of a multiple-trip-point run covers the full characterization
-// range CR with a conventional method (successive approximation by default,
-// eq. 2) and establishes the reference trip point RTP. Every later search
-// starts directly at RTP and walks outward in growing steps
-// SF(IT) = SF·IT — upward while the device keeps passing, downward while it
-// keeps failing (eqs. 3/4) — because trip points of a well-designed device
-// cluster in a narrow band around RTP. The expected cost per test drops
-// from O(log2(CR/resolution)) full-range measurements to a handful of
-// SF-sized steps, while unexpected large drifts are still found because the
-// accelerating steps eventually cover the whole range.
+// range CR with successive approximation (eq. 2) and establishes the
+// reference trip point RTP, which stays the reference for the whole run.
+// Every later search starts directly at RTP and walks outward in growing
+// steps SF(IT) = SF·IT — upward while the device keeps passing, downward
+// while it keeps failing (eqs. 3/4) — because trip points of a
+// well-designed device cluster in a narrow band around RTP. The expected
+// cost per test drops from O(log2(CR/resolution)) full-range measurements
+// to a handful of SF-sized steps, while unexpected large drifts are still
+// found because the accelerating steps eventually cover the whole range.
 //
 // SUTP is stateful across Search calls: construct one SUTP per
 // characterization run. It is not safe for concurrent use.
@@ -24,18 +24,11 @@ type SUTP struct {
 	// eqs. 3/4 ("such as 1MHz or 2MHz per step"). Zero defaults to 8× the
 	// options' resolution.
 	SF float64
-	// Initial runs the first, full-range search. Nil defaults to
-	// SuccessiveApproximation.
-	Initial Searcher
 	// Refine bisects the final SF-sized bracket down to the options'
 	// resolution, recovering full accuracy at a cost of a few extra
 	// measurements. When false the trip point is reported at SF accuracy,
 	// exactly as formulated in the paper.
 	Refine bool
-	// UpdateRTP re-anchors the reference trip point to every new trip
-	// point, tracking slow drift. When false the first trip point stays
-	// the reference for the whole run (the paper's formulation).
-	UpdateRTP bool
 
 	rtp     float64
 	haveRTP bool
@@ -54,11 +47,7 @@ func (s *SUTP) Search(m Measurer, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	if !s.haveRTP {
-		initial := s.Initial
-		if initial == nil {
-			initial = SuccessiveApproximation{}
-		}
-		res, err := initial.Search(m, opt)
+		res, err := SuccessiveApproximation{}.Search(m, opt)
 		if err != nil {
 			return res, err
 		}
@@ -181,9 +170,6 @@ func (s *SUTP) Search(m Measurer, opt Options) (Result, error) {
 		if err != nil {
 			return Result{Measurements: c.n}, err
 		}
-	}
-	if s.UpdateRTP {
-		s.rtp = pass
 	}
 	return Result{
 		TripPoint:    pass,

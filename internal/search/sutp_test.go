@@ -141,19 +141,6 @@ func TestSUTPUnrefinedAccuracyIsSF(t *testing.T) {
 	}
 }
 
-func TestSUTPUpdateRTP(t *testing.T) {
-	s := &SUTP{Refine: true, UpdateRTP: true}
-	if _, err := s.Search(&surface{trip: 30, orientation: PassLow}, opts(PassLow)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Search(&surface{trip: 40, orientation: PassLow}, opts(PassLow)); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s.rtp-40) > 0.2 {
-		t.Errorf("UpdateRTP did not re-anchor: reference %g, want ≈40", s.rtp)
-	}
-}
-
 func TestSUTPKeepsRTPByDefault(t *testing.T) {
 	s := &SUTP{Refine: true}
 	if _, err := s.Search(&surface{trip: 30, orientation: PassLow}, opts(PassLow)); err != nil {

@@ -5,10 +5,9 @@ import "math"
 // Drift analysis over a DSV set. Trip points collected in measurement
 // order carry a time dimension: a systematic trend across the run is
 // parameter drift (device heating, supply settling), which the paper's §1
-// warns corrupts single-search readings and which motivates both the
-// drift-sensing successive approximation and the RTP re-anchoring option
-// of SUTP. DetectDrift separates that trend from the per-test variation
-// the multiple-trip-point concept is after.
+// warns corrupts single-search readings and which motivates the
+// drift-sensing successive approximation. DetectDrift separates that trend
+// from the per-test variation the multiple-trip-point concept is after.
 
 // DriftReport summarizes the systematic component of a DSV run.
 type DriftReport struct {

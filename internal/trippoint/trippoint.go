@@ -112,29 +112,28 @@ func (d *DSV) Stats() Stats {
 }
 
 // Runner drives a multiple-trip-point characterization: it owns the
-// stateful SUTP searcher (so the first test establishes the reference trip
-// point and later tests ride on it) and appends every measurement to the
-// DSV set.
+// stateful searcher (a SUTP, so the first test establishes the reference
+// trip point and later tests ride on it), searches every test over the
+// parameter's own generous range (Param.SearchOptions) and appends every
+// measurement to the DSV set.
 type Runner struct {
 	ATE      *ate.ATE
 	Param    ate.Parameter
-	Searcher search.Searcher // defaults to a fresh SUTP when nil
-	Options  search.Options  // zero value defaults to Param.SearchOptions()
+	Searcher search.Searcher
 
 	dsv DSV
 }
 
 // NewRunner builds a runner with the paper's defaults: unrefined SUTP
 // search (trip points are reported at SF accuracy, exactly as §4
-// formulates) with SF = 4× the parameter's resolution, over the parameter's
-// generous range. Swap in &search.SUTP{Refine: true} for full-resolution
-// trip points at a few extra measurements per test.
+// formulates) with SF = 4× the parameter's resolution. Swap in
+// &search.SUTP{Refine: true} for full-resolution trip points at a few extra
+// measurements per test.
 func NewRunner(a *ate.ATE, param ate.Parameter) *Runner {
 	return &Runner{
 		ATE:      a,
 		Param:    param,
 		Searcher: &search.SUTP{SF: 4 * param.Resolution()},
-		Options:  param.SearchOptions(),
 	}
 }
 
@@ -143,14 +142,7 @@ func (r *Runner) Measure(t testgen.Test) (Measurement, error) {
 	if r.ATE == nil {
 		return Measurement{}, fmt.Errorf("trippoint: runner has no ATE")
 	}
-	if r.Searcher == nil {
-		r.Searcher = &search.SUTP{Refine: true}
-	}
-	opt := r.Options
-	if opt == (search.Options{}) {
-		opt = r.Param.SearchOptions()
-	}
-	res, err := r.Searcher.Search(r.ATE.Measurer(r.Param, t), opt)
+	res, err := r.Searcher.Search(r.ATE.Measurer(r.Param, t), r.Param.SearchOptions())
 	if err != nil {
 		return Measurement{}, fmt.Errorf("trippoint: measuring %s: %w", t.Name, err)
 	}

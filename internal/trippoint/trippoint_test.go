@@ -185,16 +185,17 @@ func TestMultipleTripPointVariation(t *testing.T) {
 // TestStyledGeneratorWidensDSVSpread is the generator-design ablation: the
 // styled random generator must produce a clearly wider trip-point spread
 // than a naive uniform generator — the spread is the signal both the
-// multiple-trip-point analysis and the NN learn from.
+// multiple-trip-point analysis and the NN learn from. It must hold on 20/20
+// seeds: tester seed s and generator seed s+38 for s in 1000–1019.
 func TestStyledGeneratorWidensDSVSpread(t *testing.T) {
-	spread := func(uniformOnly bool) float64 {
+	spread := func(seed int64, uniformOnly bool) float64 {
 		dev, err := dut.NewDevice(dut.DefaultGeometry(), dut.NewDie(0, dut.CornerTypical))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tester := ate.New(dev, 3)
+		tester := ate.New(dev, seed)
 		cond := testgen.NominalConditions()
-		gen := testgen.NewRandomGenerator(41, dev.Geometry().Words(), testgen.DefaultConditionLimits())
+		gen := testgen.NewRandomGenerator(seed+38, dev.Geometry().Words(), testgen.DefaultConditionLimits())
 		gen.FixedConditions = &cond
 		gen.UniformOnly = uniformOnly
 		r := NewRunner(tester, ate.TDQ)
@@ -205,9 +206,12 @@ func TestStyledGeneratorWidensDSVSpread(t *testing.T) {
 		}
 		return dsv.Stats().Range
 	}
-	styled := spread(false)
-	uniform := spread(true)
-	if styled < uniform*1.5 {
-		t.Errorf("styled generator spread %.2f ns not clearly above uniform %.2f ns", styled, uniform)
+	for seed := int64(1000); seed < 1020; seed++ {
+		styled := spread(seed, false)
+		uniform := spread(seed, true)
+		t.Logf("seed %d: styled %.2f ns, uniform %.2f ns, ratio %.2f", seed, styled, uniform, styled/uniform)
+		if styled < uniform*1.5 {
+			t.Errorf("seed %d: styled generator spread %.2f ns not clearly above uniform %.2f ns", seed, styled, uniform)
+		}
 	}
 }
