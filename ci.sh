@@ -319,11 +319,24 @@ echo "run ledger: 3 executions -> 1 record ($ATTEMPTS attempts); regress clean o
 
 echo "== crash bundle smoke =="
 # An injected worker-pool panic must kill the run (nonzero exit) AND leave a
-# complete post-mortem bundle under -crash-dir.
+# complete post-mortem bundle under -crash-dir. The run also has a ledger:
+# the failed run must leave nothing in TMPDIR and no ledger record.
 CRASH_DIR="$SMOKE_DIR/crash"
-if "$SMOKE_DIR/characterize" -learn-tests 20 -crash-dir "$CRASH_DIR" \
-	-inject-fault task-panic > /dev/null 2> "$SMOKE_DIR/crash.stderr"; then
+CRASH_TMP="$SMOKE_DIR/crash-tmp"
+CRASH_RUNS="$SMOKE_DIR/crash-runs"
+mkdir -p "$CRASH_TMP"
+if TMPDIR="$CRASH_TMP" "$SMOKE_DIR/characterize" -learn-tests 20 -crash-dir "$CRASH_DIR" \
+	-run-dir "$CRASH_RUNS" -inject-fault task-panic > /dev/null 2> "$SMOKE_DIR/crash.stderr"; then
 	echo "FAIL: characterize -inject-fault task-panic exited zero" >&2
+	exit 1
+fi
+if [ -n "$(ls -A "$CRASH_TMP")" ]; then
+	echo "FAIL: the crashed run left files in TMPDIR:" >&2
+	ls -A "$CRASH_TMP" >&2
+	exit 1
+fi
+if [ -n "$(find "$CRASH_RUNS" -maxdepth 1 -name '*.run')" ]; then
+	echo "FAIL: the crashed run wrote a ledger record in $CRASH_RUNS" >&2
 	exit 1
 fi
 BUNDLE=$(find "$CRASH_DIR" -maxdepth 1 -type d -name 'panic-*' | head -1)
@@ -356,7 +369,7 @@ grep -q 'non_deterministic' "$BUNDLE/flight.json" || {
 	echo "FAIL: flight.json is not quarantined under non_deterministic" >&2
 	exit 1
 }
-echo "crash bundle complete at $BUNDLE"
+echo "crash bundle complete at $BUNDLE; TMPDIR empty, no ledger record"
 
 echo "== job service smoke =="
 # charserved end to end: boot on :0 with a persistent queue, submit a learn

@@ -3,9 +3,9 @@
 // learning scheme (fig. 4), optimization scheme (fig. 5), and the Table 1
 // comparison against the deterministic March and pure random baselines.
 //
-// The flow body lives in internal/cli (RunCharacterize) so the charserved
-// job service executes the identical code path — a submitted job and this
-// binary produce the same run ledger ID and bit-identical trace bytes.
+// The flow and its flags live in internal/cli so the charserved job service
+// executes the identical code path — a submitted job and this binary
+// produce the same run ledger ID and bit-identical trace bytes.
 //
 // Usage:
 //
@@ -15,25 +15,6 @@
 //	characterize -param vddmin -seed 7   # characterize another parameter
 package main
 
-import (
-	"flag"
-	"log"
-	"os"
+import "repro/internal/cli"
 
-	"repro/internal/cli"
-)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("characterize: ")
-
-	common := cli.Register(nil)
-	flags := cli.RegisterCharacterizeFlags(flag.CommandLine)
-	flag.Parse()
-
-	// Main validates the flag combinations up front and routes panics and
-	// fatal errors through the -crash-dir bundle path before exiting.
-	common.Main(func() error {
-		return cli.RunCharacterize(common, flags, os.Stdout)
-	})
-}
+func main() { cli.Binary("characterize") }

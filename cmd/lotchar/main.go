@@ -4,7 +4,7 @@
 // extracts the final device specification over the environmental grid —
 // "every combination of two or more environmental variables".
 //
-// The flow body lives in internal/cli (RunLot) so the charserved job
+// The flow and its flags live in internal/cli so the charserved job
 // service executes the identical code path.
 //
 // Usage:
@@ -14,23 +14,6 @@
 //	lotchar -wafers 4 -dies 2500 -cache-dir /tmp/lotcache   # fab-scale, persisted
 package main
 
-import (
-	"flag"
-	"log"
-	"os"
+import "repro/internal/cli"
 
-	"repro/internal/cli"
-)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("lotchar: ")
-
-	common := cli.Register(nil)
-	flags := cli.RegisterLotFlags(flag.CommandLine)
-	flag.Parse()
-
-	common.Main(func() error {
-		return cli.RunLot(common, flags, os.Stdout)
-	})
-}
+func main() { cli.Binary("lotchar") }

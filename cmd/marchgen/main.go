@@ -40,70 +40,59 @@ func main() {
 		out      = flag.String("o", "", "output pattern file (default stdout)")
 	)
 	flag.Parse()
-	common.Main(func() (err error) {
-		stopProfiles, err := common.StartProfiles()
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if perr := stopProfiles(); perr != nil && err == nil {
-				err = perr
-			}
-		}()
-
-		if *list {
-			fmt.Printf("%-10s %-5s %s\n", "name", "kN", "notation")
-			for _, n := range testgen.MarchLibraryNames() {
-				alg, err := testgen.MarchFromLibrary(n)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("%-10s %2dN   %s\n", n, alg.Complexity(), testgen.FormatMarch(alg))
-			}
-			return nil
-		}
-
-		tel, err := common.StartTelemetry("marchgen")
-		if err != nil {
-			return err
-		}
-
+	expand := func(tel *telemetry.Telemetry) (ate.Stats, error) {
 		var alg testgen.MarchAlgorithm
+		var err error
 		switch {
 		case *notation != "":
 			alg, err = testgen.ParseMarch(*name, *notation)
 		case *algName != "":
 			alg, err = testgen.MarchFromLibrary(*algName)
 		default:
-			return fmt.Errorf("need -list, -alg or -notation")
+			return ate.Stats{}, fmt.Errorf("need -list, -alg or -notation")
 		}
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 
 		cond := testgen.NominalConditions()
 		cond.VddV = *vdd
 		test, err := testgen.MarchTest(alg, uint32(*base), uint32(*words), uint32(*bg), cond)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 
 		w := os.Stdout
 		if *out != "" {
 			f, err := os.Create(*out)
 			if err != nil {
-				return err
+				return ate.Stats{}, err
 			}
 			defer f.Close()
 			w = f
 		}
 		if err := testgen.WriteTests(w, []testgen.Test{test}); err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		fmt.Fprintf(os.Stderr, "marchgen: %s expanded to %d vectors (%dN over %d words)\n",
 			alg.Name, len(test.Seq), alg.Complexity(), *words)
 
 		tel.StartPhase("march-expand").End(telemetry.Cost{Vectors: int64(len(test.Seq))})
-		return common.FinishTelemetry(os.Stdout, tel, ate.Stats{VectorsApplied: int64(len(test.Seq))})
+		return ate.Stats{VectorsApplied: int64(len(test.Seq))}, nil
+	}
+	common.Main(func() error {
+		if !*list {
+			return common.Run("marchgen", os.Stdout, expand)
+		}
+		// The library listing is not a run: it starts no profile or telemetry.
+		fmt.Printf("%-10s %-5s %s\n", "name", "kN", "notation")
+		for _, n := range testgen.MarchLibraryNames() {
+			alg, err := testgen.MarchFromLibrary(n)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%-10s %2dN   %s\n", n, alg.Complexity(), testgen.FormatMarch(alg))
+		}
+		return nil
 	})
 }

@@ -3,7 +3,7 @@
 // plot, so the test-dependent trip point variation shows up as a partial
 // pass band between the all-pass and any-pass boundaries.
 //
-// The flow body lives in internal/cli (RunShmoo) so the charserved job
+// The flow and its flags live in internal/cli so the charserved job
 // service executes the identical code path.
 //
 // Usage:
@@ -12,23 +12,6 @@
 //	shmoo -tests 100 -db worst.json   # overlay a saved worst-case database
 package main
 
-import (
-	"flag"
-	"log"
-	"os"
+import "repro/internal/cli"
 
-	"repro/internal/cli"
-)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("shmoo: ")
-
-	common := cli.Register(nil)
-	flags := cli.RegisterShmooFlags(flag.CommandLine)
-	flag.Parse()
-
-	common.Main(func() error {
-		return cli.RunShmoo(common, flags, os.Stdout)
-	})
-}
+func main() { cli.Binary("shmoo") }

@@ -37,40 +37,19 @@ func main() {
 		directed  = flag.Bool("directed", false, "also measure the directed baseline suite (March + stress patterns)")
 	)
 	flag.Parse()
-	common.Main(func() (err error) {
+	compare := func(tel *telemetry.Telemetry) (ate.Stats, error) {
 		seed, par := &common.Seed, &common.Parallel
 
-		stopProfiles, err := common.StartProfiles()
+		param, err := cli.ParseParam(*paramName)
 		if err != nil {
-			return err
-		}
-		defer func() {
-			if perr := stopProfiles(); perr != nil && err == nil {
-				err = perr
-			}
-		}()
-
-		var param ate.Parameter
-		switch *paramName {
-		case "tdq":
-			param = ate.TDQ
-		case "fmax":
-			param = ate.Fmax
-		case "vddmin":
-			param = ate.VddMin
-		default:
-			return fmt.Errorf("unknown parameter %q", *paramName)
+			return ate.Stats{}, err
 		}
 
 		dev, err := dut.NewDevice(dut.DefaultGeometry(), dut.NewDie(0, dut.CornerTypical))
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		tester := ate.New(dev, *seed)
-		tel, err := common.StartTelemetry("tripsearch")
-		if err != nil {
-			return err
-		}
 		cond := testgen.NominalConditions()
 		gen := testgen.NewRandomGenerator(*seed+1, dev.Geometry().Words(), testgen.DefaultConditionLimits())
 		gen.FixedConditions = &cond
@@ -113,7 +92,7 @@ func main() {
 			return nil
 		})
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		// Replay each row in declaration order so searches land in the trace at
 		// a deterministic point regardless of how the workers were scheduled.
@@ -143,7 +122,7 @@ func main() {
 		runner := trippoint.NewRunner(tester, param)
 		dsv, err := runner.MeasureAll(batch)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		for _, m := range dsv.Values {
 			tel.RecordSearch(m.Measurements, fullBudget, m.Converged)
@@ -158,11 +137,11 @@ func main() {
 			geom := dev.Geometry()
 			suite, err := testgen.DirectedSuite(geom.Words(), uint32(geom.Cols), cond)
 			if err != nil {
-				return err
+				return ate.Stats{}, err
 			}
 			march, err := testgen.MarchTest(testgen.MarchCMinus(), 0, 100, 0x55555555, cond)
 			if err != nil {
-				return err
+				return ate.Stats{}, err
 			}
 			suite = append([]testgen.Test{march}, suite...)
 			dr := trippoint.NewRunner(tester, param)
@@ -170,7 +149,7 @@ func main() {
 			for _, t := range suite {
 				m, err := dr.Measure(t)
 				if err != nil {
-					return err
+					return ate.Stats{}, err
 				}
 				fmt.Printf("  %-18s %8.3f %s (%d measurements)\n", t.Name, m.TripPoint, param.Unit(), m.Measurements)
 			}
@@ -187,6 +166,7 @@ func main() {
 		// the serial tester's own counters for the report total.
 		total := tester.Stats()
 		total.Measurements += compareCost.Measurements
-		return common.FinishTelemetry(os.Stdout, tel, total)
-	})
+		return total, nil
+	}
+	common.Main(func() error { return common.Run("tripsearch", os.Stdout, compare) })
 }

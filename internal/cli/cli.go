@@ -1,13 +1,14 @@
 // Package cli is the shared command-line substrate of the cmd/ binaries:
 // one flag-registration helper so every tool spells the common knobs the
 // same way (-seed, -parallel, -no-cache, -cache-dir, -trace, -metrics,
-// -report, -listen, -cpuprofile, -memprofile), plus the telemetry bootstrap that
-// turns those flags into a live run-telemetry handle, a worker-fleet
-// observer, an optional live observability HTTP server and an end-of-run
-// report, and the pprof bootstrap for profiling the compute kernels.
+// -report, -listen, -cpuprofile, -memprofile), plus the one run lifecycle,
+// Run, that turns those flags into pprof profiles, a live run-telemetry
+// handle, a worker-fleet observer, an optional live observability HTTP
+// server and an end-of-run report, ledger record or crash bundle.
 package cli
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -64,7 +65,7 @@ type Common struct {
 	MemProfilePath string
 
 	// Embedded marks a Common owned by an in-process host (the job service)
-	// rather than a binary: StartTelemetry then leaves the process-wide
+	// rather than a binary: Run then leaves the process-wide
 	// fleet observer alone (it is global, last-wins state — concurrent jobs
 	// would cross-pollute each other's ND stats), never starts an
 	// observability server of its own and keeps stderr quiet. Trace bytes
@@ -78,8 +79,8 @@ type Common struct {
 	CheckCancel func() error
 
 	// OnTelemetryStart, when non-nil, receives the run's telemetry handle as
-	// StartTelemetry completes — an embedding host's hook for folding the
-	// run's registry into its own metrics exposition.
+	// Run starts it — an embedding host's hook for folding the run's
+	// registry into its own metrics exposition.
 	OnTelemetryStart func(tel *telemetry.Telemetry)
 
 	server          *obs.Server
@@ -92,21 +93,20 @@ type Common struct {
 	wd              *watchdog
 	fs              *flag.FlagSet
 	ledger          *runstore.Store
-	tracePath       string // the trace file actually written (TracePath or the ledger temp)
-	autoTrace       bool   // tracePath is a ledger-owned temp file, deleted after finalize
+	ledgerTrace     *bytes.Buffer // the trace the ledger records when -trace is unset
 	lastRunID       string
 	lastFingerprint string
 }
 
 // AttachProgress hands the run an externally owned progress publisher: the
-// next StartTelemetry wires it as the run observer instead of creating one,
-// so an embedding host (the job service) can watch and serve the run's live
-// state. Call before StartTelemetry.
+// next Run wires it as the run observer instead of creating one, so an
+// embedding host (the job service) can watch and serve the run's live
+// state. Call before Run.
 func (c *Common) AttachProgress(p *obs.Progress) { c.extProgress = p }
 
 // LastRun returns the ledger run ID and trace fingerprint of the last
-// FinishTelemetry, empty before the first finalized run (or when -run-dir
-// was not set, in which case only the fingerprint is populated).
+// finished Run, empty before the first finalized run (or when -run-dir was
+// not set, in which case only the fingerprint is populated).
 func (c *Common) LastRun() (runID, fingerprint string) {
 	return c.lastRunID, c.lastFingerprint
 }
@@ -155,7 +155,7 @@ func (c *Common) Validate() error {
 	if c.Listen != "" {
 		// Bind-and-release: the only reliable way to learn the address is
 		// usable. The real server re-binds microseconds later in
-		// StartTelemetry; a race against another process taking the port in
+		// startTelemetry; a race against another process taking the port in
 		// between is possible but loses nothing — Start reports it too.
 		ln, err := net.Listen("tcp", c.Listen)
 		if err != nil {
@@ -196,27 +196,65 @@ func (c *Common) Validate() error {
 	return nil
 }
 
-// Main is the run harness every binary wraps its work in: it validates the
-// flags (exiting 2 with a one-line error on a bad combination), runs body,
-// and routes failures through the crash-bundle path — a panic (including
-// the worker fleet's deterministic TaskPanic) writes a "panic" bundle and
-// re-panics so the process still dies loudly with the original stack; an
-// error return writes a "fatal-error" bundle and exits 1 via log.Fatal.
+// Main is the harness every binary wraps its work in: it validates the
+// flags (exiting 2 with a one-line error on a bad combination), runs body
+// and exits 1 via log.Fatal when body fails. body runs the binary's flow
+// through Run, which has written the crash bundle by then.
 func (c *Common) Main(body func() error) {
 	if err := c.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "%s%v\n", log.Prefix(), err)
 		os.Exit(2)
 	}
+	if err := body(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// Run is the one run lifecycle, for a binary and for a job alike. It starts
+// the profiles and the telemetry the flags request for a run called name
+// (the run's name in the trace, the report and the ledger), runs body, and
+// finishes the run with the tester totals body returns: the trace closes,
+// the -metrics snapshot is written, the -report goes to out and the
+// -run-dir ledger records the run. An error or a panic from any of these
+// steps first writes a crash bundle (a "fatal-error" or "panic" one; a
+// no-op without -crash-dir) while the telemetry is still live, and then
+// releases the run without finalizing anything. A panic — including the
+// worker fleet's deterministic TaskPanic — is re-raised, so the process
+// still dies loudly with the original value.
+func (c *Common) Run(name string, out io.Writer, body func(*telemetry.Telemetry) (ate.Stats, error)) (err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		switch {
+		case r != nil:
 			c.CaptureCrash("panic", r)
+		case err != nil:
+			c.CaptureCrash("fatal-error", err)
+		default:
+			return
+		}
+		c.release() //nolint:errcheck // the run already failed
+		if r != nil {
 			panic(r)
 		}
 	}()
-	if err := body(); err != nil {
-		c.CaptureCrash("fatal-error", err)
-		log.Fatal(err)
+	stopProfiles, err := c.startProfiles()
+	if err != nil {
+		return err
 	}
+	defer func() {
+		if perr := stopProfiles(); perr != nil && err == nil {
+			err = perr
+		}
+	}()
+	tel, err := c.startTelemetry(name)
+	if err != nil {
+		return err
+	}
+	total, err := body(tel)
+	if err != nil {
+		return err
+	}
+	return c.finishTelemetry(out, tel, total)
 }
 
 // OpenCacheStore opens the disk measurement store -cache-dir requests,
@@ -236,11 +274,11 @@ func (c *Common) OpenCacheStore(scope uint64) (*cachestore.Store, error) {
 	return s, nil
 }
 
-// StartProfiles starts the profiling the -cpuprofile/-memprofile flags
+// startProfiles starts the profiling the -cpuprofile/-memprofile flags
 // request and returns a stop function that must run at the end of the run
 // (defer it right after a successful call): it stops the CPU profile and
 // writes the heap snapshot. With neither flag set it returns a no-op stop.
-func (c *Common) StartProfiles() (stop func() error, err error) {
+func (c *Common) startProfiles() (stop func() error, err error) {
 	var cpuFile *os.File
 	if c.CPUProfilePath != "" {
 		cpuFile, err = os.Create(c.CPUProfilePath)
@@ -288,48 +326,39 @@ func (c *Common) TelemetryEnabled() bool {
 		c.CrashDir != "" || c.RunDir != ""
 }
 
-// StartTelemetry opens the run telemetry the flags describe and installs
+// startTelemetry opens the run telemetry the flags describe and installs
 // the worker-fleet observer. With -listen set it also starts the live
 // observability HTTP server and announces its address on stderr; with
 // -listen or -crash-dir it attaches the flight recorder (bounded event ring
 // + runtime/metrics sampler) and, when -stall-timeout is set, the stall
 // watchdog. All live consumers tap the same deterministic hook points as
 // the trace, so trace bytes are identical with and without them. Returns
-// nil (a fully inert handle) when no telemetry output was requested.
-func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
+// nil (a fully inert handle) when no telemetry output was requested. Each
+// resource lands in c as it opens, so release tears down whatever a failed
+// start left.
+func (c *Common) startTelemetry(runName string) (*telemetry.Telemetry, error) {
 	if !c.TelemetryEnabled() {
 		return nil, nil
-	}
-	// The run ledger stores the full trace; when -run-dir is set without
-	// -trace, record into a temp file that finalize reads back and deletes.
-	c.tracePath = c.TracePath
-	c.autoTrace = false
-	if c.tracePath == "" && c.RunDir != "" {
-		tmp, err := os.CreateTemp("", "repro-run-*.jsonl")
-		if err != nil {
-			return nil, fmt.Errorf("cli: creating ledger trace: %w", err)
-		}
-		tmp.Close()
-		c.tracePath = tmp.Name()
-		c.autoTrace = true
-	}
-	var tracer *telemetry.Tracer
-	if c.tracePath != "" {
-		var err error
-		tracer, err = telemetry.NewFileTracer(c.tracePath)
-		if err != nil {
-			c.removeAutoTrace()
-			return nil, fmt.Errorf("cli: opening trace: %w", err)
-		}
 	}
 	if c.RunDir != "" {
 		st, err := runstore.Open(c.RunDir)
 		if err != nil {
-			tracer.Close()
-			c.removeAutoTrace()
 			return nil, fmt.Errorf("cli: opening run ledger: %w", err)
 		}
 		c.ledger = st
+	}
+	var tracer *telemetry.Tracer
+	switch {
+	case c.TracePath != "":
+		var err error
+		if tracer, err = telemetry.NewFileTracer(c.TracePath); err != nil {
+			return nil, fmt.Errorf("cli: opening trace: %w", err)
+		}
+	case c.ledger != nil:
+		// The ledger stores the full trace; without -trace it is captured
+		// in memory.
+		c.ledgerTrace = new(bytes.Buffer)
+		tracer = telemetry.NewTracer(c.ledgerTrace)
 	}
 	tel := telemetry.New(runName, tracer)
 	c.runName = runName
@@ -373,9 +402,6 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 			RunInfo:  c.runInfoLabels(tel),
 		})
 		if err != nil {
-			c.stopFlight()
-			tel.Close()
-			c.removeAutoTrace()
 			return nil, fmt.Errorf("cli: starting observability server: %w", err)
 		}
 		c.server = srv
@@ -392,8 +418,7 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 	// Fault injection runs last so the bundle it produces captures the live
 	// telemetry state, exactly like a real mid-run failure would.
 	if err := c.injectFault(); err != nil {
-		c.removeAutoTrace()
-		return tel, err
+		return nil, err
 	}
 	return tel, nil
 }
@@ -401,7 +426,7 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 // injectFault triggers the -inject-fault testing hook: "task-panic" drives
 // the real worker-fleet panic path (a task panics, the stage drains and
 // re-panics the deterministic TaskPanic envelope), "error" returns a plain
-// fatal error. Main's guard turns either into a crash bundle.
+// fatal error. Run turns either into a crash bundle.
 func (c *Common) injectFault() error {
 	switch c.InjectFault {
 	case "task-panic":
@@ -431,28 +456,24 @@ func (c *Common) stopFlight() {
 	}
 }
 
-// FinishTelemetry closes out the run: closes the trace (so the run-end
+// finishTelemetry closes out the run: closes the trace (so the run-end
 // line is flushed and the fingerprint covers the whole file), writes the
 // -metrics snapshot, prints the -report run report to w, finalizes the
-// -run-dir ledger record, uninstalls the fleet observer and shuts the
-// -listen server down. Sink I/O failures (a full disk, a closed pipe)
-// surface as errors so the binaries exit nonzero instead of silently
-// shipping a truncated trace or report. total is the whole run's tester
-// cost. Nil tel is a no-op.
-func (c *Common) FinishTelemetry(w io.Writer, tel *telemetry.Telemetry, total ate.Stats) error {
+// -run-dir ledger record and releases the run. Sink I/O failures (a full
+// disk, a closed pipe) surface as errors so the binaries exit nonzero
+// instead of silently shipping a truncated trace or report; Run releases
+// the run after such a failure. total is the whole run's tester cost. Nil
+// tel is a no-op.
+func (c *Common) finishTelemetry(w io.Writer, tel *telemetry.Telemetry, total ate.Stats) error {
 	if tel == nil {
 		return nil
 	}
 	// Watchdog first: a completed run must never race a stall bundle.
 	c.stopFlight()
-	if !c.Embedded {
-		parallel.SetFleetObserver(nil)
-	}
 	closeErr := tel.Close()
 	rep := tel.Report(total.Cost())
 	c.lastFingerprint = rep.Fingerprint
 	c.progress.SetFingerprint(rep.Fingerprint)
-	c.progress.Done()
 	if c.MetricsPath != "" {
 		f, err := os.Create(c.MetricsPath)
 		if err != nil {
@@ -473,60 +494,36 @@ func (c *Common) FinishTelemetry(w io.Writer, tel *telemetry.Telemetry, total at
 	}
 	// The record is built only when the trace closed cleanly — a truncated
 	// trace must not become ledger history.
-	var ledgerErr error
-	if closeErr == nil {
-		ledgerErr = c.finalizeRun(rep)
-	}
-	if c.server != nil {
-		// Let in-flight /progress streams drain the done state first.
-		if err := c.server.Close(); err != nil {
-			return fmt.Errorf("cli: closing observability server: %w", err)
-		}
-		c.server = nil
-		c.progress = nil
-	}
-	c.tel = nil
-	c.flight = nil
 	if closeErr != nil {
 		return fmt.Errorf("cli: closing trace: %w", closeErr)
 	}
-	if ledgerErr != nil {
-		return fmt.Errorf("cli: recording run: %w", ledgerErr)
+	if err := c.finalizeRun(rep); err != nil {
+		return fmt.Errorf("cli: recording run: %w", err)
+	}
+	if err := c.release(); err != nil {
+		return fmt.Errorf("cli: closing observability server: %w", err)
 	}
 	return nil
 }
 
-// Abort tears a started run's telemetry down without finalizing anything:
-// samplers and watchdog stop, the trace file closes (and a ledger-owned temp
-// trace is deleted), the progress publisher is marked done so subscribers
-// unblock, and the observability server (if any) shuts down. No metrics,
-// report or ledger record is written — the run did not finish. For hosts
-// (the job service) whose flow body returned an error before reaching
-// FinishTelemetry; idempotent.
-func (c *Common) Abort() {
+// release is the one teardown of a started run, whether it finished or
+// failed: the sampler and watchdog stop, the fleet observer is removed, the
+// trace closes, the progress publisher is marked done so subscribers
+// unblock, and the observability server (if any) shuts down after its
+// /progress streams drained the done state. It writes no metrics, report
+// or ledger record, and it is idempotent, tearing down only what a partial
+// start opened. It returns the server's close error.
+func (c *Common) release() error {
 	c.stopFlight()
 	if !c.Embedded {
 		parallel.SetFleetObserver(nil)
 	}
-	if c.tel != nil {
-		c.tel.Close() //nolint:errcheck // aborting; the trace is discarded anyway
-		c.tel = nil
-	}
-	c.removeAutoTrace()
+	c.tel.Close() //nolint:errcheck // a finished run checked it; a failed one discards the trace
+	c.tel, c.flight, c.ledgerTrace = nil, nil, nil
 	c.progress.Done()
-	if c.server != nil {
-		c.server.Close() //nolint:errcheck // best-effort teardown
-		c.server = nil
-	}
-	c.flight = nil
-}
-
-// removeAutoTrace deletes the ledger-owned temp trace, if the run has one.
-func (c *Common) removeAutoTrace() {
-	if c.autoTrace {
-		os.Remove(c.tracePath)
-		c.autoTrace = false
-	}
+	err := c.server.Close()
+	c.server = nil
+	return err
 }
 
 // PrintCacheSummary prints the one-line measurement memo-cache summary the

@@ -54,7 +54,7 @@ func TestRegisterParsesSharedFlags(t *testing.T) {
 
 func TestStartProfilesDisabledIsNoOp(t *testing.T) {
 	c := &Common{}
-	stop, err := c.StartProfiles()
+	stop, err := c.startProfiles()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestStartProfilesWritesBothProfiles(t *testing.T) {
 		CPUProfilePath: filepath.Join(dir, "cpu.pb.gz"),
 		MemProfilePath: filepath.Join(dir, "mem.pb.gz"),
 	}
-	stop, err := c.StartProfiles()
+	stop, err := c.startProfiles()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +95,14 @@ func TestStartProfilesWritesBothProfiles(t *testing.T) {
 
 func TestStartProfilesBadPath(t *testing.T) {
 	c := &Common{CPUProfilePath: filepath.Join(t.TempDir(), "missing-dir", "cpu.pb.gz")}
-	if _, err := c.StartProfiles(); err == nil {
+	if _, err := c.startProfiles(); err == nil {
 		t.Error("expected error for unwritable cpu profile path")
 	}
 }
 
 func TestStartTelemetryDisabled(t *testing.T) {
 	c := &Common{}
-	tel, err := c.StartTelemetry("unit")
+	tel, err := c.startTelemetry("unit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestStartTelemetryDisabled(t *testing.T) {
 		t.Error("telemetry handle created with no outputs requested")
 	}
 	var buf bytes.Buffer
-	if err := c.FinishTelemetry(&buf, tel, ate.Stats{}); err != nil {
+	if err := c.finishTelemetry(&buf, tel, ate.Stats{}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -125,7 +125,7 @@ func TestStartFinishTelemetryEndToEnd(t *testing.T) {
 		MetricsPath: filepath.Join(dir, "metrics.json"),
 		Report:      true,
 	}
-	tel, err := c.StartTelemetry("unit-run")
+	tel, err := c.startTelemetry("unit-run")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestStartFinishTelemetryEndToEnd(t *testing.T) {
 	tel.RecordSearch(4, 10, true)
 
 	var buf bytes.Buffer
-	if err := c.FinishTelemetry(&buf, tel, ate.Stats{Measurements: 3, VectorsApplied: 30, TestTimeSec: 0.5}); err != nil {
+	if err := c.finishTelemetry(&buf, tel, ate.Stats{Measurements: 3, VectorsApplied: 30, TestTimeSec: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -195,7 +195,7 @@ func TestStartTelemetryWithListenServesLive(t *testing.T) {
 		Listen:    "127.0.0.1:0",
 		TracePath: filepath.Join(dir, "trace.jsonl"),
 	}
-	tel, err := c.StartTelemetry("live-run")
+	tel, err := c.startTelemetry("live-run")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +226,14 @@ func TestStartTelemetryWithListenServesLive(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := c.FinishTelemetry(&buf, tel, ate.Stats{Measurements: 2}); err != nil {
+	if err := c.finishTelemetry(&buf, tel, ate.Stats{Measurements: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if c.server != nil {
 		t.Error("server handle not cleared after finish")
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
-		t.Error("server still serving after FinishTelemetry")
+		t.Error("server still serving after finishTelemetry")
 	}
 }
 
@@ -245,7 +245,7 @@ func TestTraceBytesIdenticalWithListen(t *testing.T) {
 	record := func(listen string, path string) []byte {
 		t.Helper()
 		c := &Common{Listen: listen, TracePath: filepath.Join(dir, path)}
-		tel, err := c.StartTelemetry("pin-run")
+		tel, err := c.startTelemetry("pin-run")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestTraceBytesIdenticalWithListen(t *testing.T) {
 		}
 		ph.End(ate.Stats{Measurements: 25, TestTimeSec: 1.5}.Cost())
 		tel.RecordGeneration(1, 1.05)
-		if err := c.FinishTelemetry(io.Discard, tel, ate.Stats{Measurements: 25}); err != nil {
+		if err := c.finishTelemetry(io.Discard, tel, ate.Stats{Measurements: 25}); err != nil {
 			t.Fatal(err)
 		}
 		raw, err := os.ReadFile(c.TracePath)
@@ -275,18 +275,18 @@ func TestTraceBytesIdenticalWithListen(t *testing.T) {
 
 func TestStartTelemetryBadListenAddr(t *testing.T) {
 	c := &Common{Listen: "127.0.0.1:notaport"}
-	if _, err := c.StartTelemetry("x"); err == nil {
+	if _, err := c.startTelemetry("x"); err == nil {
 		t.Error("expected error for unparseable listen address")
 	}
 }
 
 func TestFinishTelemetryMetricsSinkError(t *testing.T) {
 	c := &Common{MetricsPath: filepath.Join(t.TempDir(), "missing-dir", "m.json")}
-	tel, err := c.StartTelemetry("sink-err")
+	tel, err := c.startTelemetry("sink-err")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.FinishTelemetry(io.Discard, tel, ate.Stats{}); err == nil {
+	if err := c.finishTelemetry(io.Discard, tel, ate.Stats{}); err == nil {
 		t.Error("expected error for unwritable metrics path")
 	}
 }
@@ -297,11 +297,11 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("pipe gone")
 
 func TestFinishTelemetryReportSinkError(t *testing.T) {
 	c := &Common{Report: true}
-	tel, err := c.StartTelemetry("sink-err")
+	tel, err := c.startTelemetry("sink-err")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.FinishTelemetry(failWriter{}, tel, ate.Stats{}); err == nil {
+	if err := c.finishTelemetry(failWriter{}, tel, ate.Stats{}); err == nil {
 		t.Error("expected error when the report writer fails")
 	}
 }

@@ -65,11 +65,11 @@ func TestValidateMessages(t *testing.T) {
 }
 
 // startCrashTelemetry stands up a Common with -crash-dir wired the way
-// StartTelemetry does it, without the full binary scaffolding.
+// startTelemetry does it, without the full binary scaffolding.
 func startCrashTelemetry(t *testing.T) *Common {
 	t.Helper()
 	c := &Common{CrashDir: t.TempDir()}
-	tel, err := c.StartTelemetry("crash-test")
+	tel, err := c.startTelemetry("crash-test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestInjectFaultTaskPanicIsRealTaskPanic(t *testing.T) {
 		if tp.Task != 2 {
 			t.Errorf("TaskPanic task = %d, want 2", tp.Task)
 		}
-		// The Main guard would now write the bundle; do it by hand here.
+		// Run would now write the bundle; do it by hand here.
 		dir := c.CaptureCrash("panic", r)
 		if dir == "" {
 			t.Fatal("no bundle from injected task panic")
@@ -241,7 +241,7 @@ func TestInjectFaultTaskPanicIsRealTaskPanic(t *testing.T) {
 
 func TestStallWatchdogDumpsWithoutExiting(t *testing.T) {
 	c := &Common{CrashDir: t.TempDir(), StallTimeout: 80 * time.Millisecond}
-	tel, err := c.StartTelemetry("stall-test")
+	tel, err := c.startTelemetry("stall-test")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,14 +18,39 @@ import (
 //
 // Every paper flow — the fig. 4 learning scheme, the fig. 5 optimization
 // scheme, the Table 1 comparison, the fig. 8 shmoo overlay and the lot
-// screen — is constructed here, from the same flag set the corresponding
-// binary registers. The binaries call the Run* functions directly with
-// their parsed flags; the job service (internal/jobs) goes through
-// NewFlowRun, which rebuilds the binary's exact flag set and applies a
-// FlowSpec's overrides onto it. Both paths therefore resolve identical
-// identity flag maps and execute identical code, which is what makes a
-// submitted job produce the same content-addressed run ID and bit-identical
-// trace bytes as the equivalent CLI invocation.
+// screen — is constructed here, from the one flag table, binaries. A
+// binary's main (Binary) registers its flag set from the table and parses
+// the command line onto it; the job service (internal/jobs) goes through
+// NewFlowRun, which builds the binary's exact flag set from the same table
+// and applies a FlowSpec's overrides onto it. Both paths therefore resolve
+// identical identity flag maps and execute identical code, which is what
+// makes a submitted job produce the same content-addressed run ID and
+// bit-identical trace bytes as the equivalent CLI invocation.
+
+// flowFunc runs a binary's flow, through Run, with the workload flags it
+// was registered with, writing the flow's output to out.
+type flowFunc func(c *Common, out io.Writer) error
+
+// binaries is the flag table: for each flow binary, the function that
+// registers its workload flags on a flag set and returns its flow.
+var binaries = map[string]func(fs *flag.FlagSet) flowFunc{
+	"characterize": registerCharacterizeFlags,
+	"shmoo":        registerShmooFlags,
+	"lotchar":      registerLotFlags,
+}
+
+// Binary is the main of the flow binary name (characterize, shmoo or
+// lotchar): it registers the shared flags and the binary's workload flags
+// on the command line, parses it and runs the flow through Main, writing
+// the flow's output to stdout.
+func Binary(name string) {
+	log.SetFlags(0)
+	log.SetPrefix(name + ": ")
+	c := Register(nil)
+	run := binaries[name](flag.CommandLine)
+	flag.Parse()
+	c.Main(func() error { return run(c, os.Stdout) })
+}
 
 // FlowSpec names one workload: a flow, its seed, and the workload flag
 // overrides to apply on top of the binary's defaults. It is the job
@@ -49,7 +76,7 @@ type FlowRun struct {
 	// before Run without changing the run's identity.
 	Common *Common
 
-	run func(c *Common, out io.Writer) error
+	run flowFunc
 }
 
 // Run executes the flow body, writing its human-readable output to out.
@@ -57,10 +84,9 @@ func (fr *FlowRun) Run(out io.Writer) error { return fr.run(fr.Common, out) }
 
 // flowDef describes how one flow name maps onto a binary's flag set.
 type flowDef struct {
-	binary string            // flag-set name (the owning binary)
+	binary string            // the owning binary, a key of binaries
 	preset map[string]string // flag values the flow name itself implies
 	args   map[string]bool   // workload flags a FlowSpec may override
-	build  func(fs *flag.FlagSet) func(c *Common, out io.Writer) error
 }
 
 func argSet(names ...string) map[string]bool {
@@ -71,44 +97,28 @@ func argSet(names ...string) map[string]bool {
 	return m
 }
 
-func buildCharacterize(fs *flag.FlagSet) func(c *Common, out io.Writer) error {
-	f := RegisterCharacterizeFlags(fs)
-	return func(c *Common, out io.Writer) error { return RunCharacterize(c, f, out) }
-}
-
 var flowDefs = map[string]flowDef{
 	"learn": {
 		binary: "characterize",
 		preset: map[string]string{"learn-only": "true"},
 		args:   argSet("param", "corner", "learn-tests"),
-		build:  buildCharacterize,
 	},
 	"optimize": {
 		binary: "characterize",
 		args:   argSet("param", "corner", "learn-tests", "evolve-conditions", "minimize"),
-		build:  buildCharacterize,
 	},
 	"table1": {
 		binary: "characterize",
 		preset: map[string]string{"table1": "true"},
 		args:   argSet("param", "corner", "learn-tests", "random-tests"),
-		build:  buildCharacterize,
 	},
 	"shmoo": {
 		binary: "shmoo",
 		args:   argSet("tests", "vdd-min", "vdd-max", "tdq-min", "tdq-max"),
-		build: func(fs *flag.FlagSet) func(c *Common, out io.Writer) error {
-			f := RegisterShmooFlags(fs)
-			return func(c *Common, out io.Writer) error { return RunShmoo(c, f, out) }
-		},
 	},
 	"lot": {
 		binary: "lotchar",
 		args:   argSet("dies", "wafers", "guardband"),
-		build: func(fs *flag.FlagSet) func(c *Common, out io.Writer) error {
-			f := RegisterLotFlags(fs)
-			return func(c *Common, out io.Writer) error { return RunLot(c, f, out) }
-		},
 	},
 }
 
@@ -150,7 +160,7 @@ func NewFlowRun(spec FlowSpec) (*FlowRun, error) {
 	fs := flag.NewFlagSet(def.binary, flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c := Register(fs)
-	run := def.build(fs)
+	run := binaries[def.binary](fs)
 	if err := fs.Parse(nil); err != nil {
 		return nil, fmt.Errorf("cli: resolving %s flag defaults: %v", def.binary, err)
 	}
@@ -185,8 +195,8 @@ func NewFlowRun(spec FlowSpec) (*FlowRun, error) {
 	return &FlowRun{Common: c, run: run}, nil
 }
 
-// parseParam resolves the -param flag value.
-func parseParam(s string) (ate.Parameter, error) {
+// ParseParam resolves a -param flag value: tdq, fmax or vddmin.
+func ParseParam(s string) (ate.Parameter, error) {
 	switch s {
 	case "tdq":
 		return ate.TDQ, nil

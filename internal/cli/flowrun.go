@@ -21,15 +21,15 @@ import (
 	"repro/internal/wcr"
 )
 
-// The flow bodies, extracted verbatim from cmd/characterize, cmd/shmoo and
-// cmd/lotchar so the job service executes the exact code path the binaries
-// do. Each runner owns the full telemetry lifecycle (StartTelemetry …
-// FinishTelemetry) and writes its human-readable output to out; the only
-// additions over the original main bodies are the checkCancel polls at
-// phase boundaries, which are no-ops outside the job service.
+// The flow bodies of cmd/characterize, cmd/shmoo and cmd/lotchar, shared
+// with the job service so a job executes the exact code path the binary
+// does. Each body runs inside Run, which owns the whole run lifecycle: the
+// body gets the run's telemetry handle, writes its human-readable output to
+// out and returns the run's tester totals. The checkCancel polls at phase
+// boundaries are no-ops outside the job service.
 
-// CharacterizeFlags holds cmd/characterize's workload flags.
-type CharacterizeFlags struct {
+// characterizeFlags holds cmd/characterize's workload flags.
+type characterizeFlags struct {
 	Param         string
 	Table1        bool
 	LearnOnly     bool
@@ -44,9 +44,10 @@ type CharacterizeFlags struct {
 	EvolveCond    bool
 }
 
-// RegisterCharacterizeFlags installs cmd/characterize's workload flags.
-func RegisterCharacterizeFlags(fs *flag.FlagSet) *CharacterizeFlags {
-	f := &CharacterizeFlags{}
+// registerCharacterizeFlags installs cmd/characterize's workload flags and
+// returns its flow, a Table 1 run with -table1.
+func registerCharacterizeFlags(fs *flag.FlagSet) flowFunc {
+	f := &characterizeFlags{}
 	fs.StringVar(&f.Param, "param", "tdq", "parameter to characterize: tdq, fmax, vddmin")
 	fs.BoolVar(&f.Table1, "table1", false, "reproduce the paper's Table 1 comparison")
 	fs.BoolVar(&f.LearnOnly, "learn-only", false, "stop after the learning scheme (train and report the NN ensemble; skip the GA optimization)")
@@ -59,46 +60,35 @@ func RegisterCharacterizeFlags(fs *flag.FlagSet) *CharacterizeFlags {
 	fs.StringVar(&f.CycleTraceOut, "cycle-trace", "", "write the worst test's per-cycle trace as CSV here (with PDN droop analysis)")
 	fs.BoolVar(&f.Minimize, "minimize", false, "minimize the worst-case test for failure analysis")
 	fs.BoolVar(&f.EvolveCond, "evolve-conditions", false, "let the GA evolve test conditions (default: fixed at nominal)")
-	return f
+	return func(c *Common, out io.Writer) error {
+		name := "characterize"
+		if f.Table1 {
+			name = "table1"
+		}
+		return c.Run(name, out, func(tel *telemetry.Telemetry) (ate.Stats, error) {
+			return runCharacterize(c, f, out, tel)
+		})
+	}
 }
 
-// RunCharacterize runs the characterization flow end to end: the fig. 4
+// runCharacterize runs the characterization flow end to end: the fig. 4
 // learning scheme, then (unless -learn-only) the fig. 5 optimization
 // scheme, or the Table 1 comparison with -table1.
-func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error) {
-	stopProfiles, err := c.StartProfiles()
+func runCharacterize(c *Common, f *characterizeFlags, out io.Writer, tel *telemetry.Telemetry) (ate.Stats, error) {
+	param, err := ParseParam(f.Param)
 	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
-
-	param, err := parseParam(f.Param)
-	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	die, err := parseCorner(f.Corner)
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 
 	dev, err := dut.NewDevice(dut.DefaultGeometry(), die)
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	tester := ate.New(dev, c.Seed)
-
-	runName := "characterize"
-	if f.Table1 {
-		runName = "table1"
-	}
-	tel, err := c.StartTelemetry(runName)
-	if err != nil {
-		return err
-	}
 
 	cfg := core.DefaultConfig(c.Seed)
 	cfg.Parameter = param
@@ -113,21 +103,21 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 
 	if f.Table1 {
 		if err := c.checkCancel(); err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		t1cfg := core.Table1Config{Flow: cfg, RandomTests: f.RandTests, MarchWindowWords: 100}
 		tab, err := core.RunTable1(t1cfg, tester)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		fmt.Fprint(out, tab.Format())
 		PrintCacheSummary(out, tab.CacheHits, tab.CacheMisses)
-		return c.FinishTelemetry(out, tel, tab.Stats)
+		return tab.Stats, nil
 	}
 
 	char, err := core.NewCharacterizer(cfg, tester)
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	defer char.Close()
 
@@ -136,7 +126,7 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 	// seed, so only entries this exact flow produced ever load.
 	memoStore, err := c.OpenCacheStore(char.MemoCacheScope())
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	if memoStore != nil {
 		if n := char.PrimeMemoCache(memoStore); n > 0 {
@@ -145,13 +135,13 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 	}
 
 	if err := c.checkCancel(); err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	fmt.Fprintf(out, "Learning scheme (fig. 4): %d random tests on %s die, parameter %s\n",
 		cfg.LearnTests, die.Corner, param)
 	learned, err := char.Learn()
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	stats := learned.DSV.Stats()
 	fmt.Fprintf(out, "  trip points: min %.3f %s (%s), max %.3f %s, spread %.3f %s\n",
@@ -171,7 +161,7 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 
 	imps, err := neural.PermutationImportance(learned.Ensemble, learned.Dataset, c.Seed, 3)
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	featNames := testgen.FeatureNames()
 	fmt.Fprintf(out, "  NN feature importance (top 4):")
@@ -185,7 +175,7 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 
 	if f.WeightsOut != "" {
 		if err := char.SaveWeights(f.WeightsOut); err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		fmt.Fprintf(out, "  weight file written to %s\n", f.WeightsOut)
 	}
@@ -196,20 +186,20 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 		s := tester.Stats()
 		fmt.Fprintf(out, "Tester totals: %d measurements, %d vectors, %.2f s simulated test time\n",
 			s.Measurements, s.VectorsApplied, s.TestTimeSec)
-		return c.FinishTelemetry(out, tel, s)
+		return s, nil
 	}
 
 	if err := c.checkCancel(); err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	fmt.Fprintln(out, "Optimization scheme (fig. 5): NN-seeded dual-chromosome GA")
 	opt, err := char.Optimize()
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	best, ok := opt.Database.Worst()
 	if !ok {
-		return fmt.Errorf("optimization produced no worst-case test")
+		return ate.Stats{}, fmt.Errorf("optimization produced no worst-case test")
 	}
 	fmt.Fprintf(out, "  GA: %d generations, %d evaluations, %d restarts, %d ATE measurements\n",
 		opt.GA.Generations, opt.GA.Evaluations, opt.GA.Restarts, opt.Measurements)
@@ -218,7 +208,7 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 	if memoStore != nil {
 		n, err := char.PersistMemoCache(memoStore)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		fmt.Fprintf(out, "  disk cache: %d memoized measurements persisted (%d bytes on disk)\n",
 			n, memoStore.BytesOnDisk())
@@ -241,21 +231,21 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 	// Fuzzy rule-base diagnosis of the worst test (§5's linguistic output).
 	diag, err := core.NewDiagnosis()
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	expl, err := diag.ExplainTest(best.Test, char.Generator().Limits())
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	fmt.Fprintf(out, "  diagnosis: %s\n", expl)
 
 	if f.Minimize {
 		if err := c.checkCancel(); err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		res, err := char.Minimize(best.Test, core.DefaultMinimizeConfig())
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		fmt.Fprintf(out, "  minimized: %d → %d vectors (%.1f×), WCR %.3f → %.3f, %d probes\n",
 			len(res.Original.Seq), len(res.Minimized.Seq), res.ReductionFactor(),
@@ -264,25 +254,25 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 
 	if f.DBOut != "" {
 		if err := opt.Database.SaveFile(f.DBOut); err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		fmt.Fprintf(out, "  database written to %s\n", f.DBOut)
 	}
 	if f.CycleTraceOut != "" {
 		records, _, err := dev.Trace(best.Test)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		fh, err := os.Create(f.CycleTraceOut)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		if err := dut.WriteTraceCSV(fh, records); err != nil {
 			fh.Close()
-			return err
+			return ate.Stats{}, err
 		}
 		if err := fh.Close(); err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		fmt.Fprintf(out, "  trace: %d cycles written to %s\n", len(records), f.CycleTraceOut)
 		if start, end, mean, ok := dut.HotWindow(records, 32); ok {
@@ -291,7 +281,7 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 		network := pdn.Default()
 		droop, err := network.Simulate(records, best.Test.Cond.VddV, best.Test.Cond.ClockMHz)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		fmt.Fprintf(out, "  PDN: peak droop %.3f V at %.1f ns (cycle %d), mean %.4f V; network f0 %.1f MHz, ζ %.2f\n",
 			droop.PeakDroopV, droop.PeakAtNS, droop.PeakCycle, droop.MeanDroopV,
@@ -301,7 +291,7 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 	if f.PatternOut != "" {
 		fh, err := os.Create(f.PatternOut)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		tests := make([]testgen.Test, 0, opt.Database.Len())
 		for _, e := range opt.Database.Entries {
@@ -309,10 +299,10 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 		}
 		if err := testgen.WriteTests(fh, tests); err != nil {
 			fh.Close()
-			return err
+			return ate.Stats{}, err
 		}
 		if err := fh.Close(); err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		fmt.Fprintf(out, "  %d pattern(s) written to %s\n", len(tests), f.PatternOut)
 	}
@@ -320,11 +310,11 @@ func RunCharacterize(c *Common, f *CharacterizeFlags, out io.Writer) (err error)
 	s := tester.Stats()
 	fmt.Fprintf(out, "Tester totals: %d measurements, %d vectors, %.2f s simulated test time\n",
 		s.Measurements, s.VectorsApplied, s.TestTimeSec)
-	return c.FinishTelemetry(out, tel, s)
+	return s, nil
 }
 
-// ShmooFlags holds cmd/shmoo's workload flags.
-type ShmooFlags struct {
+// shmooFlags holds cmd/shmoo's workload flags.
+type shmooFlags struct {
 	Tests  int
 	DBPath string
 	VddMin float64
@@ -333,39 +323,30 @@ type ShmooFlags struct {
 	XMax   float64
 }
 
-// RegisterShmooFlags installs cmd/shmoo's workload flags.
-func RegisterShmooFlags(fs *flag.FlagSet) *ShmooFlags {
-	f := &ShmooFlags{}
+// registerShmooFlags installs cmd/shmoo's workload flags and returns its
+// flow.
+func registerShmooFlags(fs *flag.FlagSet) flowFunc {
+	f := &shmooFlags{}
 	fs.IntVar(&f.Tests, "tests", 1000, "number of random tests to overlay")
 	fs.StringVar(&f.DBPath, "db", "", "also overlay the tests of this worst-case database")
 	fs.Float64Var(&f.VddMin, "vdd-min", 1.4, "Y axis lower bound (V)")
 	fs.Float64Var(&f.VddMax, "vdd-max", 2.2, "Y axis upper bound (V)")
 	fs.Float64Var(&f.XMin, "tdq-min", 18, "X axis lower bound (ns)")
 	fs.Float64Var(&f.XMax, "tdq-max", 36, "X axis upper bound (ns)")
-	return f
+	return func(c *Common, out io.Writer) error {
+		return c.Run("shmoo", out, func(tel *telemetry.Telemetry) (ate.Stats, error) {
+			return runShmoo(c, f, out, tel)
+		})
+	}
 }
 
-// RunShmoo regenerates the fig. 8 overlay shmoo plot.
-func RunShmoo(c *Common, f *ShmooFlags, out io.Writer) (err error) {
-	stopProfiles, err := c.StartProfiles()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
-
+// runShmoo regenerates the fig. 8 overlay shmoo plot.
+func runShmoo(c *Common, f *shmooFlags, out io.Writer, tel *telemetry.Telemetry) (ate.Stats, error) {
 	dev, err := dut.NewDevice(dut.DefaultGeometry(), dut.NewDie(0, dut.CornerTypical))
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	tester := ate.New(dev, c.Seed)
-	tel, err := c.StartTelemetry("shmoo")
-	if err != nil {
-		return err
-	}
 	cond := testgen.NominalConditions()
 	gen := testgen.NewRandomGenerator(c.Seed+1, dev.Geometry().Words(), testgen.DefaultConditionLimits())
 	gen.FixedConditions = &cond
@@ -377,13 +358,13 @@ func RunShmoo(c *Common, f *ShmooFlags, out io.Writer) (err error) {
 
 	plot, err := shmoo.NewPlot(x, y)
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	batch := gen.Batch(f.Tests)
 	if f.DBPath != "" {
 		db, err := core.LoadDatabaseFile(f.DBPath)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		for _, e := range db.Entries {
 			batch = append(batch, e.Test)
@@ -391,7 +372,7 @@ func RunShmoo(c *Common, f *ShmooFlags, out io.Writer) (err error) {
 		fmt.Fprintf(out, "overlaying %d database tests on top of %d random tests\n", db.Len(), f.Tests)
 	}
 	if err := c.checkCancel(); err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	ph := tel.StartPhase("shmoo-overlay")
 	sweep := ph.Span()
@@ -404,7 +385,7 @@ func RunShmoo(c *Common, f *ShmooFlags, out io.Writer) (err error) {
 	fl := parallel.NewFleet(parallel.Bound(c.Parallel, len(batch)))
 	defer fl.Close()
 	if err := plot.AddTestsOn(fl, tester, batch, c.Seed); err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	plot.OnTest = nil
 	ph.End(tester.Stats().Cost())
@@ -417,25 +398,30 @@ func RunShmoo(c *Common, f *ShmooFlags, out io.Writer) (err error) {
 	}
 	s := tester.Stats()
 	fmt.Fprintf(out, "tester: %d measurements, %.1f s simulated test time\n", s.Measurements, s.TestTimeSec)
-	return c.FinishTelemetry(out, tel, s)
+	return s, nil
 }
 
-// LotFlags holds cmd/lotchar's workload flags.
-type LotFlags struct {
+// lotFlags holds cmd/lotchar's workload flags.
+type lotFlags struct {
 	DBPath    string
 	Dies      int
 	Wafers    int
 	Guardband float64
 }
 
-// RegisterLotFlags installs cmd/lotchar's workload flags.
-func RegisterLotFlags(fs *flag.FlagSet) *LotFlags {
-	f := &LotFlags{}
+// registerLotFlags installs cmd/lotchar's workload flags and returns its
+// flow.
+func registerLotFlags(fs *flag.FlagSet) flowFunc {
+	f := &lotFlags{}
 	fs.StringVar(&f.DBPath, "db", "", "worst-case database from 'characterize -db' (optional)")
 	fs.IntVar(&f.Dies, "dies", 20, "number of dies in the sample lot (with -wafers: dies per wafer)")
 	fs.IntVar(&f.Wafers, "wafers", 0, "screen a wafer lot with spatially structured process variation (0 = flat i.i.d. lot)")
 	fs.Float64Var(&f.Guardband, "guardband", 0.05, "spec extraction guardband fraction")
-	return f
+	return func(c *Common, out io.Writer) error {
+		return c.Run("lotchar", out, func(tel *telemetry.Telemetry) (ate.Stats, error) {
+			return runLot(c, f, out, tel)
+		})
+	}
 }
 
 // printLotCost prints the one-line lot cost summary: throughput, total
@@ -455,29 +441,14 @@ func printLotCost(out io.Writer, rep *core.LotReport, store *cachestore.Store, w
 	fmt.Fprintln(out, line)
 }
 
-// RunLot screens a lot of dies with the worst-case tests and extracts the
+// runLot screens a lot of dies with the worst-case tests and extracts the
 // final device specification on the worst die.
-func RunLot(c *Common, f *LotFlags, out io.Writer) (err error) {
+func runLot(c *Common, f *lotFlags, out io.Writer, tel *telemetry.Telemetry) (ate.Stats, error) {
 	if f.Dies < 1 {
-		return fmt.Errorf("-dies must be at least 1, got %d", f.Dies)
+		return ate.Stats{}, fmt.Errorf("-dies must be at least 1, got %d", f.Dies)
 	}
 	if f.Wafers < 0 {
-		return fmt.Errorf("-wafers must not be negative, got %d", f.Wafers)
-	}
-
-	stopProfiles, err := c.StartProfiles()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
-
-	tel, err := c.StartTelemetry("lotchar")
-	if err != nil {
-		return err
+		return ate.Stats{}, fmt.Errorf("-wafers must not be negative, got %d", f.Wafers)
 	}
 
 	geom := dut.DefaultGeometry()
@@ -489,7 +460,7 @@ func RunLot(c *Common, f *LotFlags, out io.Writer) (err error) {
 	if f.DBPath != "" {
 		db, err := core.LoadDatabaseFile(f.DBPath)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		for i, e := range db.Entries {
 			if i >= 5 {
@@ -516,7 +487,7 @@ func RunLot(c *Common, f *LotFlags, out io.Writer) (err error) {
 	}
 	march, err := testgen.MarchTest(testgen.MarchCMinus(), 0, 100, 0x55555555, cond)
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	tests = append(tests, march)
 
@@ -529,7 +500,7 @@ func RunLot(c *Common, f *LotFlags, out io.Writer) (err error) {
 	if f.Wafers > 0 {
 		wl, err := dut.NewWaferLot(c.Seed, f.Wafers, f.Dies)
 		if err != nil {
-			return err
+			return ate.Stats{}, err
 		}
 		src = wl
 	} else {
@@ -537,12 +508,12 @@ func RunLot(c *Common, f *LotFlags, out io.Writer) (err error) {
 	}
 	store, err := c.OpenCacheStore(core.LotCacheScope)
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	fl := parallel.NewFleet(parallel.Bound(c.Parallel, src.Len()))
 	defer fl.Close()
 	if err := c.checkCancel(); err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	screenStart := time.Now()
 	rep, err := core.ScreenLotStream(ate.TDQ, tests, src, geom, c.Seed, core.LotOptions{
@@ -551,7 +522,7 @@ func RunLot(c *Common, f *LotFlags, out io.Writer) (err error) {
 		Telemetry: tel,
 	})
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	screenWall := time.Since(screenStart).Seconds()
 	fmt.Fprintln(out)
@@ -568,19 +539,19 @@ func RunLot(c *Common, f *LotFlags, out io.Writer) (err error) {
 	}
 	dev, err := dut.NewDevice(geom, worstDie)
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	tester := ate.New(dev, c.Seed+999)
 	cfg := charspec.DefaultConfig()
 	cfg.Guardband = f.Guardband
 	if err := c.checkCancel(); err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	ph := tel.StartPhase("spec-extract")
 	spec, err := charspec.Extract(tester, ate.TDQ, tests, cfg)
 	ph.End(tester.Stats().Cost())
 	if err != nil {
-		return err
+		return ate.Stats{}, err
 	}
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "environmental sweep on the worst die (#%d, %s):\n", worstDie.ID, worstDie.Corner)
@@ -588,5 +559,5 @@ func RunLot(c *Common, f *LotFlags, out io.Writer) (err error) {
 
 	total := rep.Stats
 	total.Add(tester.Stats())
-	return c.FinishTelemetry(out, tel, total)
+	return total, nil
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Run-ledger finalization: on a clean FinishTelemetry with -run-dir set, the
+// Run-ledger finalization: on a clean finish with -run-dir set, the
 // run's deterministic artifacts (manifest, report, metrics, trace) become a
 // content-addressed runstore record, and everything scheduling- or
 // wall-clock-dependent lands in the record's attempt sidecar. The manifest
@@ -91,18 +91,20 @@ func (c *Common) runInfoLabels(tel *telemetry.Telemetry) func() map[string]strin
 }
 
 // finalizeRun builds and stores the run's ledger record plus its attempt
-// sidecar line. No-op without -run-dir. The ledger-owned temp trace (when
-// the user gave no -trace of their own) is deleted on the way out.
+// sidecar line. No-op without -run-dir. The record's trace is the one
+// captured in memory or, with -trace, the file just closed.
 func (c *Common) finalizeRun(rep *telemetry.Report) error {
 	if c.ledger == nil {
 		return nil
 	}
-	if c.autoTrace {
-		defer os.Remove(c.tracePath)
-	}
-	trace, err := os.ReadFile(c.tracePath)
-	if err != nil {
-		return fmt.Errorf("reading trace for ledger: %w", err)
+	var trace []byte
+	if c.ledgerTrace != nil {
+		trace = c.ledgerTrace.Bytes()
+	} else {
+		var err error
+		if trace, err = os.ReadFile(c.TracePath); err != nil {
+			return fmt.Errorf("reading trace for ledger: %w", err)
+		}
 	}
 
 	man := runstore.Manifest{

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/ate"
+	"repro/internal/parallel"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flight"
@@ -54,7 +56,7 @@ func ledgerWorkload(t *testing.T, runDir string, parallel int, extraFlags ...str
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tel, err := c.StartTelemetry("ledger-run")
+	tel, err := c.startTelemetry("ledger-run")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func ledgerWorkload(t *testing.T, runDir string, parallel int, extraFlags ...str
 	}
 	ph.End(ate.Stats{Measurements: 25, TestTimeSec: 1.5}.Cost())
 	tel.RecordGeneration(1, 1.05)
-	if err := c.FinishTelemetry(io.Discard, tel, ate.Stats{Measurements: 25, TestTimeSec: 1.5}); err != nil {
+	if err := c.finishTelemetry(io.Discard, tel, ate.Stats{Measurements: 25, TestTimeSec: 1.5}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -309,9 +311,9 @@ func TestAttemptRecordsRunFleetTotals(t *testing.T) {
 	}
 }
 
-// A StartTelemetry that fails after it created the ledger's temp trace
-// removes that file: when the ledger cannot open because -run-dir lies
-// under a regular file, and when -inject-fault=error fails the start.
+// A run whose start fails leaves nothing in TMPDIR and never reaches its
+// body: when the ledger cannot open because -run-dir lies under a regular
+// file, and when -inject-fault=error fails the start.
 func TestStartTelemetryFailureRemovesLedgerTempTrace(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
@@ -328,18 +330,103 @@ func TestStartTelemetryFailureRemovesLedgerTempTrace(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tmp := t.TempDir()
 			t.Setenv("TMPDIR", tmp)
-			_, err := tc.c.StartTelemetry("x")
+			err := tc.c.Run("x", io.Discard, func(*telemetry.Telemetry) (ate.Stats, error) {
+				t.Error("body ran after a failed start")
+				return ate.Stats{}, nil
+			})
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("StartTelemetry error = %v, want one containing %q", err, tc.wantErr)
+				t.Fatalf("Run error = %v, want one containing %q", err, tc.wantErr)
 			}
-			left, err := os.ReadDir(tmp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range left {
-				t.Errorf("left %s behind in TMPDIR", e.Name())
-			}
-			tc.c.Abort()
+			assertEmptyDir(t, tmp)
 		})
 	}
+}
+
+// assertEmptyDir fails the test for every entry left in dir.
+func assertEmptyDir(t *testing.T, dir string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left %s behind in %s", e.Name(), dir)
+	}
+}
+
+// assertNoRecord fails the test when the ledger in runDir holds a record.
+func assertNoRecord(t *testing.T, runDir string) {
+	t.Helper()
+	records, err := filepath.Glob(filepath.Join(runDir, "*.run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 0 {
+		t.Errorf("a failed run left ledger records %v", records)
+	}
+}
+
+// A flow run whose finish fails on an unwritable -metrics path returns the
+// error, leaves nothing in TMPDIR, records no run and closes its -listen
+// server.
+func TestFailedFinishLeavesNothingBehind(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	fr, err := NewFlowRun(FlowSpec{Flow: "shmoo", Seed: 3, Args: map[string]string{"tests": "4"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fr.Common
+	c.RunDir = t.TempDir()
+	c.MetricsPath = filepath.Join(t.TempDir(), "missing-dir", "m.json")
+	c.Listen = "127.0.0.1:0"
+	var addr string
+	c.OnTelemetryStart = func(*telemetry.Telemetry) { addr = c.server.Addr() }
+	if err := fr.Run(io.Discard); err == nil || !strings.Contains(err.Error(), "writing metrics") {
+		t.Fatalf("Run error = %v, want the metrics sink error", err)
+	}
+	assertEmptyDir(t, tmp)
+	assertNoRecord(t, c.RunDir)
+	if addr == "" {
+		t.Fatal("the run started no observability server")
+	}
+	if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
+		resp.Body.Close()
+		t.Error("observability server still serving after the failed run")
+	}
+}
+
+// A flow run whose start injects a task panic re-raises the fleet's
+// TaskPanic after writing a complete crash bundle, and leaves nothing in
+// TMPDIR and no ledger record.
+func TestTaskPanicRunWritesBundleAndLeavesNothingBehind(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	fr, err := NewFlowRun(FlowSpec{Flow: "learn", Seed: 3, Args: map[string]string{"learn-tests": "12"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fr.Common
+	c.RunDir = t.TempDir()
+	c.CrashDir = t.TempDir()
+	c.InjectFault = "task-panic"
+	func() {
+		defer func() {
+			if _, ok := recover().(parallel.TaskPanic); !ok {
+				t.Error("Run did not re-raise the fleet's TaskPanic")
+			}
+		}()
+		fr.Run(io.Discard) //nolint:errcheck // panics
+	}()
+	bundles, err := filepath.Glob(filepath.Join(c.CrashDir, "panic-*"))
+	if err != nil || len(bundles) != 1 {
+		t.Fatalf("panic bundles = %v (%v), want one", bundles, err)
+	}
+	for _, name := range []string{"meta.json", "flags.json", "stacks.txt", "flight.json", "metrics.json", "report.txt"} {
+		if fi, err := os.Stat(filepath.Join(bundles[0], name)); err != nil || fi.Size() == 0 {
+			t.Errorf("bundle %s missing or empty (%v)", name, err)
+		}
+	}
+	assertEmptyDir(t, tmp)
+	assertNoRecord(t, c.RunDir)
 }

@@ -260,7 +260,6 @@ func (s *Server) execute(job *Job, rj *runningJob, out *bytes.Buffer) (runID, fi
 		s.mu.Unlock()
 	}
 	if err := fr.Run(out); err != nil {
-		c.Abort()
 		return "", "", err
 	}
 	runID, fingerprint = c.LastRun()

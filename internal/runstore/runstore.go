@@ -1,7 +1,6 @@
 package runstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -111,7 +110,9 @@ func (s *Store) Get(id string) (*Record, error) {
 	return rec, nil
 }
 
-// AppendAttempt appends one execution's ND sidecar line for the record.
+// AppendAttempt appends one execution's ND sidecar line for the record. A
+// torn final line — an earlier append cut short by a full disk or a crash —
+// is cut off first, so the new line never glues onto it.
 func (s *Store) AppendAttempt(id string, a Attempt) error {
 	if !ValidID(id) {
 		return fmt.Errorf("runstore: invalid run id %q", id)
@@ -121,9 +122,13 @@ func (s *Store) AppendAttempt(id string, a Attempt) error {
 		return fmt.Errorf("runstore: encoding attempt: %w", err)
 	}
 	line = append(line, '\n')
-	f, err := os.OpenFile(s.attemptsPath(id), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(s.attemptsPath(id), os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("runstore: opening attempts sidecar: %w", err)
+	}
+	if err := cutTornLine(f); err != nil {
+		f.Close()
+		return fmt.Errorf("runstore: cutting a torn attempt line: %w", err)
 	}
 	if _, err := f.Write(line); err != nil {
 		f.Close()
@@ -135,39 +140,59 @@ func (s *Store) AppendAttempt(id string, a Attempt) error {
 	return nil
 }
 
+// cutTornLine truncates the sidecar after its last newline when its final
+// line is unterminated.
+func cutTornLine(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := fi.Size()
+	if size == 0 {
+		return nil
+	}
+	data := make([]byte, 1)
+	if _, err := f.ReadAt(data, size-1); err != nil {
+		return err
+	}
+	if data[0] == '\n' {
+		return nil
+	}
+	data = make([]byte, size)
+	if _, err := f.ReadAt(data, 0); err != nil {
+		return err
+	}
+	return f.Truncate(int64(bytes.LastIndexByte(data, '\n') + 1))
+}
+
 // Attempts returns the record's execution history, oldest first. A record
-// with no sidecar has zero attempts (not an error).
+// with no sidecar has zero attempts (not an error). An unterminated final
+// line is a torn append, not an attempt, and is skipped; a terminated line
+// that does not parse is an error.
 func (s *Store) Attempts(id string) ([]Attempt, error) {
 	if !ValidID(id) {
 		return nil, fmt.Errorf("runstore: invalid run id %q", id)
 	}
 	path := s.attemptsPath(id)
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, nil
 		}
-		return nil, fmt.Errorf("runstore: opening attempts sidecar: %w", err)
+		return nil, fmt.Errorf("runstore: reading %s: %w", path, err)
 	}
-	defer f.Close()
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
 	var out []Attempt
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), maxSectionLen)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
+	for i, line := range bytes.Split(data, []byte{'\n'}) {
+		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
 		var a Attempt
 		if err := json.Unmarshal(line, &a); err != nil {
-			return nil, fmt.Errorf("runstore: %s line %d: %w", path, lineNo, err)
+			return nil, fmt.Errorf("runstore: %s line %d: %w", path, i+1, err)
 		}
 		out = append(out, a)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("runstore: reading %s: %w", path, err)
 	}
 	return out, nil
 }

@@ -366,3 +366,46 @@ func TestTotalsMissingOrBadReport(t *testing.T) {
 		t.Error("Totals ok=true with an unparseable report")
 	}
 }
+
+// TestTornAttemptAppendKeepsLedgerListable: an attempt append cut short by
+// a full disk or a crash leaves a partial sidecar line. The listing skips
+// it instead of failing, and the next append cuts it off instead of gluing
+// its own line onto it.
+func TestTornAttemptAppendKeepsLedgerListable(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := st.Put(testRecord(1, "trace\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendAttempt(id, Attempt{TimeUnixNano: 100}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(st.Dir(), id+".attempts.jsonl"), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"time_unix_nano":200,"wall_sec`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	sums, err := st.List()
+	if err != nil {
+		t.Fatalf("List over a torn sidecar line: %v", err)
+	}
+	if len(sums) != 1 || len(sums[0].Attempts) != 1 || sums[0].Attempts[0].TimeUnixNano != 100 {
+		t.Fatalf("List over a torn sidecar line = %+v, want the one whole attempt", sums)
+	}
+	if err := st.AppendAttempt(id, Attempt{TimeUnixNano: 300}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Attempts(id)
+	if err != nil {
+		t.Fatalf("Attempts after appending past a torn line: %v", err)
+	}
+	if len(got) != 2 || got[0].TimeUnixNano != 100 || got[1].TimeUnixNano != 300 {
+		t.Errorf("Attempts after appending past a torn line = %+v, want 100 then 300", got)
+	}
+}

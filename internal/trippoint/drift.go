@@ -1,7 +1,5 @@
 package trippoint
 
-import "math"
-
 // Drift analysis over a DSV set. Trip points collected in measurement
 // order carry a time dimension: a systematic trend across the run is
 // parameter drift (device heating, supply settling), which the paper's §1
@@ -33,52 +31,15 @@ type DriftReport struct {
 }
 
 // DetectDrift fits a linear trend to the converged trip points of the DSV
-// in measurement order. With fewer than three converged points the report
-// is zero-valued with Significant == false.
+// in measurement order: it feeds them to a DriftAccumulator, the one
+// least-squares drift fit. With fewer than three converged points the
+// report is zero-valued with Significant == false.
 func (d *DSV) DetectDrift() DriftReport {
-	var xs, ys []float64
+	var acc DriftAccumulator
 	for i, m := range d.Values {
-		if !m.Converged {
-			continue
+		if m.Converged {
+			acc.Add(float64(i), m.TripPoint)
 		}
-		xs = append(xs, float64(i))
-		ys = append(ys, m.TripPoint)
 	}
-	n := len(ys)
-	rep := DriftReport{N: n}
-	if n < 3 {
-		return rep
-	}
-
-	var sumX, sumY float64
-	for i := range xs {
-		sumX += xs[i]
-		sumY += ys[i]
-	}
-	meanX, meanY := sumX/float64(n), sumY/float64(n)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - meanX
-		sxx += dx * dx
-		sxy += dx * (ys[i] - meanY)
-	}
-	if sxx == 0 {
-		return rep
-	}
-	rep.Slope = sxy / sxx
-	rep.Intercept = meanY - rep.Slope*meanX
-	rep.TotalDrift = rep.Slope * (xs[len(xs)-1] - xs[0])
-
-	var ssRes, ssTot float64
-	for i := range xs {
-		pred := rep.Intercept + rep.Slope*xs[i]
-		r := ys[i] - pred
-		ssRes += r * r
-		dy := ys[i] - meanY
-		ssTot += dy * dy
-	}
-	rep.Residual = math.Sqrt(ssRes / float64(n))
-	rep.RawStdDev = math.Sqrt(ssTot / float64(n))
-	rep.Significant = n >= 8 && math.Abs(rep.TotalDrift) > 2*rep.Residual
-	return rep
+	return acc.Report()
 }

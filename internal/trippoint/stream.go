@@ -11,15 +11,14 @@ import (
 // streaming pipeline deliberately holds O(batch), not O(lot). The two
 // accumulators here answer both questions in O(1) memory per sample:
 // DriftAccumulator folds each observation into the sufficient statistics
-// of the same least-squares fit DetectDrift performs, and OutlierTracker
-// keeps Welford moments plus the bounded set of extreme dies.
+// of a least-squares trend fit (DetectDrift runs a DSV through it), and
+// OutlierTracker keeps Welford moments plus the bounded set of extreme dies.
 
-// DriftAccumulator incrementally fits the linear trend DetectDrift fits in
-// batch: feed it (x, y) observations in measurement order and Report
-// produces a DriftReport that agrees with a DSV-based DetectDrift over the
-// same points. Accumulation is origin-shifted (all sums are relative to
-// the first sample) so large die indices do not cancel catastrophically.
-// The zero value is ready to use.
+// DriftAccumulator incrementally fits the linear trend of trip point versus
+// measurement index: feed it (x, y) observations in measurement order and
+// Report produces the DriftReport. Accumulation is origin-shifted (all
+// sums are relative to the first sample) so large die indices do not
+// cancel catastrophically. The zero value is ready to use.
 type DriftAccumulator struct {
 	n             int
 	x0, y0        float64 // origin shift: the first observation
@@ -50,7 +49,7 @@ func (a *DriftAccumulator) Add(x, y float64) {
 }
 
 // Report closes the fit. With fewer than three observations the report is
-// zero-valued with Significant == false, mirroring DetectDrift.
+// zero-valued with Significant == false.
 func (a *DriftAccumulator) Report() DriftReport {
 	rep := DriftReport{N: a.n}
 	if a.n < 3 {

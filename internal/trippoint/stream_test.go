@@ -20,8 +20,60 @@ func relClose(a, b, tol float64) bool {
 	return diff <= tol*math.Max(scale, 1)
 }
 
+// batchDrift is the independent reference for the streaming fit: the
+// textbook two-pass least-squares trend over a DSV's converged trip points
+// in measurement order.
+func batchDrift(d *DSV) DriftReport {
+	var xs, ys []float64
+	for i, m := range d.Values {
+		if !m.Converged {
+			continue
+		}
+		xs = append(xs, float64(i))
+		ys = append(ys, m.TripPoint)
+	}
+	n := len(ys)
+	rep := DriftReport{N: n}
+	if n < 3 {
+		return rep
+	}
+
+	var sumX, sumY float64
+	for i := range xs {
+		sumX += xs[i]
+		sumY += ys[i]
+	}
+	meanX, meanY := sumX/float64(n), sumY/float64(n)
+	var sxx, sxy float64
+	for i := range xs {
+		dx := xs[i] - meanX
+		sxx += dx * dx
+		sxy += dx * (ys[i] - meanY)
+	}
+	if sxx == 0 {
+		return rep
+	}
+	rep.Slope = sxy / sxx
+	rep.Intercept = meanY - rep.Slope*meanX
+	rep.TotalDrift = rep.Slope * (xs[len(xs)-1] - xs[0])
+
+	var ssRes, ssTot float64
+	for i := range xs {
+		pred := rep.Intercept + rep.Slope*xs[i]
+		r := ys[i] - pred
+		ssRes += r * r
+		dy := ys[i] - meanY
+		ssTot += dy * dy
+	}
+	rep.Residual = math.Sqrt(ssRes / float64(n))
+	rep.RawStdDev = math.Sqrt(ssTot / float64(n))
+	rep.Significant = n >= 8 && math.Abs(rep.TotalDrift) > 2*rep.Residual
+	return rep
+}
+
 // The agreement property: a DriftAccumulator fed the converged points of a
-// DSV in order reports the same fit DetectDrift computes in batch.
+// DSV in order — which is what DetectDrift does — reports the same fit the
+// batch reference computes.
 func TestDriftAccumulatorAgreesWithDetectDrift(t *testing.T) {
 	proptest.Check(t, 80, func(pt *proptest.T) {
 		n := pt.IntRange(0, 60)
@@ -44,8 +96,11 @@ func TestDriftAccumulatorAgreesWithDetectDrift(t *testing.T) {
 		}
 		pt.Logf("n=%d converged=%d base=%.3f slope=%.4f noise=%.3f", n, converged, base, slope, noise)
 
-		want := d.DetectDrift()
+		want := batchDrift(d)
 		got := acc.Report()
+		if det := d.DetectDrift(); det != got {
+			pt.Fatalf("DetectDrift = %+v, want the accumulator's %+v", det, got)
+		}
 		if got.N != want.N {
 			pt.Fatalf("N = %d, want %d", got.N, want.N)
 		}
