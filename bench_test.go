@@ -694,15 +694,23 @@ func BenchmarkEnsembleVote(b *testing.B) {
 	}
 }
 
+// toggleFitness is a synthetic GA evaluator: a test's fitness is its mean
+// data-bus toggling.
+type toggleFitness struct{ limits testgen.ConditionLimits }
+
+func (e toggleFitness) FitnessBatch(tests []testgen.Test) ([]float64, error) {
+	out := make([]float64, len(tests))
+	for i, t := range tests {
+		out[i] = testgen.ExtractFeatures(t, e.limits)[testgen.FeatToggleMean]
+	}
+	return out, nil
+}
+
 // BenchmarkGAGeneration measures one GA generation on a synthetic fitness.
 func BenchmarkGAGeneration(b *testing.B) {
 	gen := testgen.NewRandomGenerator(93, 4096, testgen.DefaultConditionLimits())
 	ops := genetic.NewOperators(93, gen)
-	limits := testgen.DefaultConditionLimits()
-	eval := genetic.EvaluatorFunc(func(t testgen.Test) (float64, error) {
-		f := testgen.ExtractFeatures(t, limits)
-		return f[testgen.FeatToggleMean], nil
-	})
+	eval := toggleFitness{testgen.DefaultConditionLimits()}
 	cfg := genetic.DefaultConfig()
 	cfg.MaxGenerations = 1
 	b.ResetTimer()

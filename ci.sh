@@ -370,6 +370,12 @@ grep -q 'non_deterministic' "$BUNDLE/flight.json" || {
 	exit 1
 }
 echo "crash bundle complete at $BUNDLE; TMPDIR empty, no ledger record"
+# The fault arms in every run, also one that requests no telemetry output.
+if "$SMOKE_DIR/characterize" -learn-only -learn-tests 12 -inject-fault error > /dev/null 2>&1; then
+	echo "FAIL: characterize -inject-fault error without telemetry output exited zero" >&2
+	exit 1
+fi
+echo "injected error fails a run without telemetry output"
 
 echo "== job service smoke =="
 # charserved end to end: boot on :0 with a persistent queue, submit a learn

@@ -14,11 +14,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"repro/internal/ate"
 	"repro/internal/cli"
+	"repro/internal/frame"
 	"repro/internal/telemetry"
 	"repro/internal/testgen"
 )
@@ -62,16 +64,13 @@ func main() {
 			return ate.Stats{}, err
 		}
 
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return ate.Stats{}, err
-			}
-			defer f.Close()
-			w = f
+		write := func(w io.Writer) error { return testgen.WriteTests(w, []testgen.Test{test}) }
+		if *out == "" {
+			err = write(os.Stdout)
+		} else {
+			err = frame.PublishWith(*out, write)
 		}
-		if err := testgen.WriteTests(w, []testgen.Test{test}); err != nil {
+		if err != nil {
 			return ate.Stats{}, err
 		}
 		fmt.Fprintf(os.Stderr, "marchgen: %s expanded to %d vectors (%dN over %d words)\n",

@@ -28,8 +28,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
@@ -76,15 +78,9 @@ func run(path string, top int, chromePath string) error {
 	fmt.Print(tr.Summary(top))
 
 	if chromePath != "" {
-		out, err := os.Create(chromePath)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteChromeTrace(out, tr); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
+		if err := frame.PublishWith(chromePath, func(w io.Writer) error {
+			return obs.WriteChromeTrace(w, tr)
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("\nchrome trace: %s (load at chrome://tracing or ui.perfetto.dev)\n", chromePath)

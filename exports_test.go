@@ -51,13 +51,25 @@ var testOnlySettingsKeep = map[string]string{
 // TestNoTestOnlyExports fails on every exported func, method, type,
 // package var or const under internal/ (internal/proptest aside, being test
 // support) that no non-test file of the module or of bench/charbench uses,
-// unless testOnlyKeep names it. Methods that satisfy an interface are
-// reached through it, so they are left out: the module's own interfaces,
-// error, fmt.Stringer, math/rand.Source and interface{ Unwrap() error }.
+// unless testOnlyKeep names it. A method's receiver does not use its own
+// type. Methods that satisfy an interface are reached through it, so they
+// are left out: the module's own interfaces, error, fmt.Stringer,
+// math/rand.Source and interface{ Unwrap() error }.
 func TestNoTestOnlyExports(t *testing.T) {
 	m := loadModule(t)
+	receivers := map[*ast.Ident]bool{}
+	for _, f := range m.files {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				receivers[recvType(fn)] = true
+			}
+		}
+	}
 	used := map[types.Object]bool{}
-	for _, obj := range m.info.Uses {
+	for id, obj := range m.info.Uses {
+		if receivers[id] {
+			continue
+		}
 		switch o := obj.(type) {
 		case *types.Func:
 			obj = o.Origin()
@@ -204,6 +216,88 @@ func TestNoTestOnlySettings(t *testing.T) {
 		}
 	}
 	reportAgainstKeep(t, found, testOnlySettingsKeep, "testOnlySettingsKeep", "non-test code reads it but never sets it; make it the value production holds")
+}
+
+// fileWriteKeep lists the functions outside frame.Publish that may create,
+// write or rename a file through package os directly, each with its
+// reason. Keys are the declaring package's path below the module, then the
+// function, or the receiver type and method, as the gate prints them.
+var fileWriteKeep = map[string]string{
+	"internal/frame.Publish":                "the write path itself",
+	"internal/telemetry.NewFileTracer":      "the -trace sink streams while the run runs",
+	"internal/cli.Common.startProfiles":     "the -cpuprofile sink streams while the run runs",
+	"internal/cli.ProbeDir":                 "the writability probe creates and removes one empty file",
+	"internal/cli.Common.writeCrashBundle":  "the crash bundle's files land in a temporary directory that one rename publishes",
+	"internal/runstore.Store.AppendAttempt": "the attempts sidecar is an append log",
+	"internal/jobs.Open":                    "the journal's append handle",
+}
+
+// fileWriters names the package os functions and methods that create,
+// write or rename a file.
+var fileWriters = map[string]bool{"Create": true, "CreateTemp": true, "OpenFile": true, "WriteFile": true, "Rename": true}
+
+// TestFileWritesGoThroughFrame fails on every function in a non-test file
+// of the module (bench/ aside) that uses os.Create, os.CreateTemp,
+// os.OpenFile, os.WriteFile or os.Rename, unless fileWriteKeep names it:
+// every other whole file goes through frame.Publish, which replaces it
+// atomically.
+func TestFileWritesGoThroughFrame(t *testing.T) {
+	m := loadModule(t)
+	found := map[string]token.Position{}
+	for _, f := range m.files {
+		pkg := filepath.ToSlash(filepath.Dir(relPath(m.fset.Position(f.Pos()).Filename)))
+		if pkg == "bench" || strings.HasPrefix(pkg, "bench/") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			name := "(package level)"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				name = fn.Name.Name
+				if recv := recvType(fn); recv != nil {
+					name = recv.Name + "." + name
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := m.info.Uses[id].(*types.Func)
+				if ok && fn.Pkg() != nil && fn.Pkg().Path() == "os" && fileWriters[fn.Name()] {
+					if key := pkg + "." + name; found[key] == (token.Position{}) {
+						found[key] = m.fset.Position(id.Pos())
+					}
+				}
+				return true
+			})
+		}
+	}
+	reportAgainstKeep(t, found, fileWriteKeep, "fileWriteKeep", "writes a file outside frame.Publish; write it with frame.Publish or frame.PublishWith")
+}
+
+// recvType returns the identifier naming a method's receiver type, nil for
+// a function.
+func recvType(fn *ast.FuncDecl) *ast.Ident {
+	if fn.Recv == nil {
+		return nil
+	}
+	e := fn.Recv.List[0].Type
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // reportAgainstKeep fails on every found name the keep-list does not give a

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/ate"
 	"repro/internal/cachestore"
+	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/runstore"
@@ -153,37 +154,19 @@ func Register(fs *flag.FlagSet) *Common {
 // binaries call this through Main before doing any work.
 func (c *Common) Validate() error {
 	if c.Listen != "" {
-		// Bind-and-release: the only reliable way to learn the address is
-		// usable. The real server re-binds microseconds later in
-		// startTelemetry; a race against another process taking the port in
-		// between is possible but loses nothing — Start reports it too.
-		ln, err := net.Listen("tcp", c.Listen)
-		if err != nil {
+		if err := ProbeListen(c.Listen); err != nil {
 			return fmt.Errorf("cannot bind -listen address %q: %w", c.Listen, err)
 		}
-		ln.Close()
 	}
 	if c.CrashDir != "" {
-		if err := os.MkdirAll(c.CrashDir, 0o755); err != nil {
+		if err := ProbeDir(c.CrashDir); err != nil {
 			return fmt.Errorf("cannot write crash bundles to -crash-dir %q: %w", c.CrashDir, err)
 		}
-		probe, err := os.CreateTemp(c.CrashDir, ".probe-*")
-		if err != nil {
-			return fmt.Errorf("cannot write crash bundles to -crash-dir %q: %w", c.CrashDir, err)
-		}
-		probe.Close()
-		os.Remove(probe.Name())
 	}
 	if c.RunDir != "" {
-		if err := os.MkdirAll(c.RunDir, 0o755); err != nil {
+		if err := ProbeDir(c.RunDir); err != nil {
 			return fmt.Errorf("cannot record runs to -run-dir %q: %w", c.RunDir, err)
 		}
-		probe, err := os.CreateTemp(c.RunDir, ".probe-*")
-		if err != nil {
-			return fmt.Errorf("cannot record runs to -run-dir %q: %w", c.RunDir, err)
-		}
-		probe.Close()
-		os.Remove(probe.Name())
 	}
 	if c.StallTimeout > 0 && c.CrashDir == "" {
 		return fmt.Errorf("-stall-timeout requires -crash-dir (stall bundles need somewhere to go)")
@@ -194,6 +177,32 @@ func (c *Common) Validate() error {
 		return fmt.Errorf("unknown -inject-fault mode %q (want task-panic or error)", c.InjectFault)
 	}
 	return nil
+}
+
+// ProbeListen checks that addr can be bound by binding and releasing it,
+// the only reliable way to learn the address is usable. The real server
+// binds it again moments later; another process taking the port in between
+// loses nothing, because the server's start reports that too.
+func ProbeListen(addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return ln.Close()
+}
+
+// ProbeDir creates dir when it is missing and checks that files can be
+// created in it by creating and removing one empty file.
+func ProbeDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	probe, err := os.CreateTemp(dir, ".probe-*")
+	if err != nil {
+		return err
+	}
+	probe.Close()
+	return os.Remove(probe.Name())
 }
 
 // Main is the harness every binary wraps its work in: it validates the
@@ -250,6 +259,11 @@ func (c *Common) Run(name string, out io.Writer, body func(*telemetry.Telemetry)
 	if err != nil {
 		return err
 	}
+	// Fault injection follows the start, so the bundle it produces captures
+	// the live telemetry state, exactly like a real mid-run failure would.
+	if err := c.injectFault(); err != nil {
+		return err
+	}
 	total, err := body(tel)
 	if err != nil {
 		return err
@@ -298,19 +312,11 @@ func (c *Common) startProfiles() (stop func() error, err error) {
 			}
 		}
 		if c.MemProfilePath != "" {
-			f, err := os.Create(c.MemProfilePath)
-			if err != nil {
-				return fmt.Errorf("cli: creating mem profile: %w", err)
-			}
 			// Materialize final live-heap state so the snapshot reflects
 			// steady-state retention, not transient garbage.
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				f.Close()
+			if err := frame.PublishWith(c.MemProfilePath, pprof.WriteHeapProfile); err != nil {
 				return fmt.Errorf("cli: writing mem profile: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("cli: closing mem profile: %w", err)
 			}
 		}
 		return nil
@@ -414,12 +420,6 @@ func (c *Common) startTelemetry(runName string) (*telemetry.Telemetry, error) {
 	if c.OnTelemetryStart != nil {
 		c.OnTelemetryStart(tel)
 	}
-
-	// Fault injection runs last so the bundle it produces captures the live
-	// telemetry state, exactly like a real mid-run failure would.
-	if err := c.injectFault(); err != nil {
-		return nil, err
-	}
 	return tel, nil
 }
 
@@ -475,16 +475,8 @@ func (c *Common) finishTelemetry(w io.Writer, tel *telemetry.Telemetry, total at
 	c.lastFingerprint = rep.Fingerprint
 	c.progress.SetFingerprint(rep.Fingerprint)
 	if c.MetricsPath != "" {
-		f, err := os.Create(c.MetricsPath)
-		if err != nil {
+		if err := frame.PublishWith(c.MetricsPath, rep.Metrics.WriteJSON); err != nil {
 			return fmt.Errorf("cli: writing metrics: %w", err)
-		}
-		if err := rep.Metrics.WriteJSON(f); err != nil {
-			f.Close()
-			return fmt.Errorf("cli: writing metrics: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("cli: closing metrics: %w", err)
 		}
 	}
 	if c.Report {

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -52,15 +53,6 @@ func (c *Common) CaptureCrash(reason string, cause any) string {
 }
 
 func (c *Common) writeCrashBundle(reason string, cause any) (string, error) {
-	if err := os.MkdirAll(c.CrashDir, 0o755); err != nil {
-		return "", err
-	}
-	tmp, err := os.MkdirTemp(c.CrashDir, ".bundle-*")
-	if err != nil {
-		return "", err
-	}
-	defer os.RemoveAll(tmp) // no-op after a successful rename
-
 	meta := crashMeta{
 		Reason:       reason,
 		Cause:        fmt.Sprint(cause),
@@ -85,16 +77,6 @@ func (c *Common) writeCrashBundle(reason string, cause any) (string, error) {
 			taskStack = tp.Stack
 		}
 	}
-	if err := writeJSONFile(filepath.Join(tmp, "meta.json"), meta); err != nil {
-		return "", err
-	}
-
-	// flags.json: the run's own fully resolved flag set (defaults +
-	// overrides), so a bundle reproduces the exact invocation without shell
-	// history.
-	if err := writeJSONFile(filepath.Join(tmp, "flags.json"), c.allFlags()); err != nil {
-		return "", err
-	}
 
 	// stacks.txt: every goroutine, the classic post-mortem artifact. The
 	// panicking task's stack leads when the pool captured one — by the time
@@ -112,58 +94,55 @@ func (c *Common) writeCrashBundle(reason string, cause any) (string, error) {
 		buf = append(append([]byte("panicking task stack (captured at recover):\n\n"), taskStack...),
 			append([]byte("\nall goroutines at bundle time:\n\n"), buf...)...)
 	}
-	if err := os.WriteFile(filepath.Join(tmp, "stacks.txt"), buf, 0o644); err != nil {
-		return "", err
+	files := map[string][]byte{"stacks.txt": buf}
+	for name, v := range map[string]any{
+		"meta.json": meta,
+		// flags.json: the run's own fully resolved flag set (defaults +
+		// overrides), so a bundle reproduces the exact invocation without
+		// shell history.
+		"flags.json": c.allFlags(),
+		// flight.json: the recorder tail + latest runtime sample,
+		// quarantined under non_deterministic exactly like the live
+		// /debug/flight endpoint.
+		"flight.json": map[string]any{"non_deterministic": c.flight.Snapshot(0)},
+	} {
+		b, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			return "", err
+		}
+		files[name] = append(b, '\n')
 	}
-
-	// flight.json: the recorder tail + latest runtime sample, quarantined
-	// under non_deterministic exactly like the live /debug/flight endpoint.
-	if err := writeJSONFile(filepath.Join(tmp, "flight.json"), map[string]any{
-		"non_deterministic": c.flight.Snapshot(0),
-	}); err != nil {
-		return "", err
-	}
-
 	// metrics.json + report.txt: the partial run state at the moment of
 	// death (total cost is unknown mid-run, so the report's TOTAL row is the
 	// phase sum only).
 	if c.tel != nil {
 		rep := c.tel.Report(telemetry.Cost{})
-		f, err := os.Create(filepath.Join(tmp, "metrics.json"))
-		if err != nil {
+		var metrics bytes.Buffer
+		if err := rep.Metrics.WriteJSON(&metrics); err != nil {
 			return "", err
 		}
-		if err := rep.Metrics.WriteJSON(f); err != nil {
-			f.Close()
-			return "", err
-		}
-		if err := f.Close(); err != nil {
-			return "", err
-		}
-		if err := os.WriteFile(filepath.Join(tmp, "report.txt"), []byte(rep.Render()), 0o644); err != nil {
+		files["metrics.json"] = metrics.Bytes()
+		files["report.txt"] = []byte(rep.Render())
+	}
+
+	if err := os.MkdirAll(c.CrashDir, 0o755); err != nil {
+		return "", err
+	}
+	tmp, err := os.MkdirTemp(c.CrashDir, ".bundle-*")
+	if err != nil {
+		return "", err
+	}
+	defer os.RemoveAll(tmp) // no-op after a successful rename
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(tmp, name), data, 0o666); err != nil {
 			return "", err
 		}
 	}
-
 	final := filepath.Join(c.CrashDir, fmt.Sprintf("%s-%d", reason, meta.TimeUnixNano))
 	if err := os.Rename(tmp, final); err != nil {
 		return "", err
 	}
 	return final, nil
-}
-
-func writeJSONFile(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // watchdog dumps a stall bundle when no progress event reaches the flight

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/ate"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/charspec"
 	"repro/internal/core"
 	"repro/internal/dut"
+	"repro/internal/frame"
 	"repro/internal/neural"
 	"repro/internal/parallel"
 	"repro/internal/pdn"
@@ -263,15 +263,9 @@ func runCharacterize(c *Common, f *characterizeFlags, out io.Writer, tel *teleme
 		if err != nil {
 			return ate.Stats{}, err
 		}
-		fh, err := os.Create(f.CycleTraceOut)
-		if err != nil {
-			return ate.Stats{}, err
-		}
-		if err := dut.WriteTraceCSV(fh, records); err != nil {
-			fh.Close()
-			return ate.Stats{}, err
-		}
-		if err := fh.Close(); err != nil {
+		if err := frame.PublishWith(f.CycleTraceOut, func(w io.Writer) error {
+			return dut.WriteTraceCSV(w, records)
+		}); err != nil {
 			return ate.Stats{}, err
 		}
 		fmt.Fprintf(out, "  trace: %d cycles written to %s\n", len(records), f.CycleTraceOut)
@@ -289,19 +283,13 @@ func runCharacterize(c *Common, f *characterizeFlags, out io.Writer, tel *teleme
 	}
 
 	if f.PatternOut != "" {
-		fh, err := os.Create(f.PatternOut)
-		if err != nil {
-			return ate.Stats{}, err
-		}
 		tests := make([]testgen.Test, 0, opt.Database.Len())
 		for _, e := range opt.Database.Entries {
 			tests = append(tests, e.Test)
 		}
-		if err := testgen.WriteTests(fh, tests); err != nil {
-			fh.Close()
-			return ate.Stats{}, err
-		}
-		if err := fh.Close(); err != nil {
+		if err := frame.PublishWith(f.PatternOut, func(w io.Writer) error {
+			return testgen.WriteTests(w, tests)
+		}); err != nil {
 			return ate.Stats{}, err
 		}
 		fmt.Fprintf(out, "  %d pattern(s) written to %s\n", len(tests), f.PatternOut)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -203,9 +204,9 @@ func TestLedgerRecordMatchesTraceFile(t *testing.T) {
 // builds: re-running the workload of a lot record written by an earlier
 // build, into a ledger that already holds that record, must mint the same
 // run ID. runstore.Put byte-compares a same-ID record, so this fails as
-// soon as this build writes different report, metrics or bench section
-// bytes for the same workload — which TestGoldenRunIDs, comparing two runs
-// of one build, cannot see.
+// soon as this build writes different section bytes (report, metrics, the
+// empty slot) for the same workload — which TestGoldenRunIDs, comparing two
+// runs of one build, cannot see.
 func TestLedgerAcceptsRecordFromEarlierBuild(t *testing.T) {
 	const id = "bef7231aec0cf133603a884292db8b5f"
 	data, err := os.ReadFile(filepath.Join("..", "runstore", "testdata", id+".run"))
@@ -394,6 +395,53 @@ func TestFailedFinishLeavesNothingBehind(t *testing.T) {
 		resp.Body.Close()
 		t.Error("observability server still serving after the failed run")
 	}
+}
+
+// A -metrics snapshot that cannot be encoded (a NaN gauge) fails the run
+// and leaves the previous -metrics file as it was.
+func TestFailedMetricsRenderKeepsPreviousFile(t *testing.T) {
+	fr, err := NewFlowRun(FlowSpec{Flow: "shmoo", Seed: 3, Args: map[string]string{"tests": "4"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fr.Common
+	c.MetricsPath = filepath.Join(t.TempDir(), "m.json")
+	if err := os.WriteFile(c.MetricsPath, []byte("previous\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c.OnTelemetryStart = func(tel *telemetry.Telemetry) { tel.Registry().Gauge("nan").Set(math.NaN()) }
+	if err := fr.Run(io.Discard); err == nil || !strings.Contains(err.Error(), "writing metrics") {
+		t.Fatalf("Run error = %v, want the metrics encode error", err)
+	}
+	if got, err := os.ReadFile(c.MetricsPath); err != nil || string(got) != "previous\n" {
+		t.Errorf("after the failed render -metrics reads %q, %v", got, err)
+	}
+}
+
+// -inject-fault arms in every run, also one that requests no telemetry
+// output: "error" fails it with the injected error and "task-panic"
+// re-raises the fleet's TaskPanic.
+func TestInjectFaultWithoutTelemetry(t *testing.T) {
+	newRun := func(mode string) *FlowRun {
+		fr, err := NewFlowRun(FlowSpec{Flow: "learn", Seed: 3, Args: map[string]string{"learn-tests": "12"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Common.InjectFault = mode
+		if fr.Common.TelemetryEnabled() {
+			t.Fatal("the run requests telemetry output")
+		}
+		return fr
+	}
+	if err := newRun("error").Run(io.Discard); err == nil || !strings.Contains(err.Error(), "injected fatal error") {
+		t.Errorf("inject-fault=error: Run error = %v", err)
+	}
+	defer func() {
+		if _, ok := recover().(parallel.TaskPanic); !ok {
+			t.Error("inject-fault=task-panic: Run did not re-raise the fleet's TaskPanic")
+		}
+	}()
+	newRun("task-panic").Run(io.Discard) //nolint:errcheck // panics
 }
 
 // A flow run whose start injects a task panic re-raises the fleet's

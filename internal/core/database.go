@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -170,11 +169,7 @@ func (d *Database) Save(w io.Writer) error {
 // is rendered in memory first, so a failed encode (a NaN WCR) leaves the
 // previous file untouched.
 func (d *Database) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		return err
-	}
-	return frame.Publish(path, buf.Bytes())
+	return frame.PublishWith(path, d.Save)
 }
 
 // LoadDatabase reads a database from JSON.

@@ -352,17 +352,17 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 // seed base. Each test contributes its structural fingerprint and its name,
 // because a die record stores its worst test by name.
 func lotCacheKey(param ate.Parameter, geom dut.Geometry, tests []testgen.Test, baseSeed int64) uint64 {
-	h := fnvMix(fnvOffset, uint64(param))
-	h = fnvMix(h, uint64(geom.Banks))
-	h = fnvMix(h, uint64(geom.Rows))
-	h = fnvMix(h, uint64(geom.Cols))
-	h = fnvMix(h, uint64(baseSeed))
-	h = fnvMix(h, uint64(len(tests)))
+	h := testgen.FNVMix(testgen.FNVOffset, uint64(param))
+	h = testgen.FNVMix(h, uint64(geom.Banks))
+	h = testgen.FNVMix(h, uint64(geom.Rows))
+	h = testgen.FNVMix(h, uint64(geom.Cols))
+	h = testgen.FNVMix(h, uint64(baseSeed))
+	h = testgen.FNVMix(h, uint64(len(tests)))
 	for _, t := range tests {
-		h = fnvMix(h, t.Fingerprint())
-		h = fnvMix(h, uint64(len(t.Name)))
+		h = testgen.FNVMix(h, t.Fingerprint())
+		h = testgen.FNVMix(h, uint64(len(t.Name)))
 		for i := 0; i < len(t.Name); i++ {
-			h = fnvMix(h, uint64(t.Name[i]))
+			h = testgen.FNVMix(h, uint64(t.Name[i]))
 		}
 	}
 	return h
@@ -370,7 +370,7 @@ func lotCacheKey(param ate.Parameter, geom dut.Geometry, tests []testgen.Test, b
 
 // dieCacheKey extends the lot key with the die's content fingerprint.
 func dieCacheKey(lotKey uint64, die *dut.Die) uint64 {
-	return fnvMix(lotKey, die.Fingerprint())
+	return testgen.FNVMix(lotKey, die.Fingerprint())
 }
 
 // dieRecordVersion tags the on-disk die-record encoding; bump on any

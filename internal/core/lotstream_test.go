@@ -419,6 +419,37 @@ func TestScreenLotStreamCacheKeyedByContent(t *testing.T) {
 	}
 }
 
+// TestContentKeysPinned pins the content hashes the disk caches key on —
+// die fingerprints, the lot and die cache keys and the memo-cache scope —
+// to values recorded before they shared one FNV-1a mix, so a change to that
+// mix cannot silently orphan every persisted segment.
+func TestContentKeysPinned(t *testing.T) {
+	dies := append(dut.NewDieLot(43, 3),
+		dut.NewDie(7, dut.CornerSlow, dut.WithWeakCell(0x1234, 1.62), dut.WithWeakCell(0x20, 1.55)))
+	lotKey := lotCacheKey(ate.TDQ, dut.DefaultGeometry(), lotTests(t)[:2], 43)
+	if want := uint64(0xc0e392dec21d99d2); lotKey != want {
+		t.Errorf("lot cache key %#x, want %#x", lotKey, want)
+	}
+	for i, want := range [][2]uint64{
+		{0x19b4f2e57781c984, 0x5d2f3e7982358c4d},
+		{0x9a247e2b5fed6bf3, 0xcf02308daafafe93},
+		{0x27723694056bda33, 0xd3301d5954b4e276},
+		{0x8063f2cc91f2afe5, 0x54fef234ed61fd92},
+	} {
+		if fp, key := dies[i].Fingerprint(), dieCacheKey(lotKey, dies[i]); fp != want[0] || key != want[1] {
+			t.Errorf("die %d: fingerprint %#x, cache key %#x; want %#x, %#x", i, fp, key, want[0], want[1])
+		}
+	}
+	char, err := NewCharacterizer(quickConfig(91), newTester(t, 91))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(char.Close)
+	if got, want := char.MemoCacheScope(), uint64(0x30a499707ba732f8); got != want {
+		t.Errorf("memo-cache scope %#x, want %#x", got, want)
+	}
+}
+
 // Streamed fab-scale mode: per-die results dropped, aggregates intact.
 func TestScreenLotStreamUnretained(t *testing.T) {
 	tests := lotTests(t)[:2]

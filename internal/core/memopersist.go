@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/cachestore"
+	"repro/internal/testgen"
 )
 
 // Persistence for the optimization memo-cache: the GA's fitness values
@@ -19,32 +20,18 @@ import (
 // change to what the values mean.
 const memoScopeTag uint64 = 0x54505631 // "TPV1"
 
-// fnvOffset is the FNV-1a 64-bit offset basis shared by the content keys.
-const fnvOffset uint64 = 14695981039346656037
-
-// fnvMix folds one 64-bit value into a running FNV-1a hash, byte-wise
-// little-endian.
-func fnvMix(h, v uint64) uint64 {
-	const prime = 1099511628211
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= prime
-	}
-	return h
-}
-
 // MemoCacheScope returns the cachestore scope binding persisted memo
 // entries to this flow's content: parameter, device geometry, die identity
 // and seed.
 func (c *Characterizer) MemoCacheScope() uint64 {
 	geom := c.ate.Device().Geometry()
-	h := fnvMix(fnvOffset, memoScopeTag)
-	h = fnvMix(h, uint64(c.cfg.Parameter))
-	h = fnvMix(h, uint64(geom.Banks))
-	h = fnvMix(h, uint64(geom.Rows))
-	h = fnvMix(h, uint64(geom.Cols))
-	h = fnvMix(h, c.ate.Device().Die().Fingerprint())
-	h = fnvMix(h, uint64(c.cfg.Seed))
+	h := testgen.FNVMix(testgen.FNVOffset, memoScopeTag)
+	h = testgen.FNVMix(h, uint64(c.cfg.Parameter))
+	h = testgen.FNVMix(h, uint64(geom.Banks))
+	h = testgen.FNVMix(h, uint64(geom.Rows))
+	h = testgen.FNVMix(h, uint64(geom.Cols))
+	h = testgen.FNVMix(h, c.ate.Device().Die().Fingerprint())
+	h = testgen.FNVMix(h, uint64(c.cfg.Seed))
 	return h
 }
 

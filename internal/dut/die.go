@@ -21,6 +21,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"repro/internal/testgen"
 )
 
 // Corner identifies a process corner of a fabricated die.
@@ -162,22 +164,11 @@ func (d *Die) WeakCellCount() int { return len(d.weakCells) }
 // same silicon, which is what lets disk-cached screening results key on
 // "this die" rather than "this process run".
 func (d *Die) Fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	mix(uint64(d.ID))
-	mix(uint64(d.Corner))
-	mix(math.Float64bits(d.tdqOffsetNS))
-	mix(math.Float64bits(d.speedFactor))
-	mix(math.Float64bits(d.leakageFactor))
+	h := testgen.FNVMix(testgen.FNVOffset, uint64(d.ID))
+	h = testgen.FNVMix(h, uint64(d.Corner))
+	h = testgen.FNVMix(h, math.Float64bits(d.tdqOffsetNS))
+	h = testgen.FNVMix(h, math.Float64bits(d.speedFactor))
+	h = testgen.FNVMix(h, math.Float64bits(d.leakageFactor))
 	if len(d.weakCells) > 0 {
 		addrs := make([]uint32, 0, len(d.weakCells))
 		for a := range d.weakCells {
@@ -185,8 +176,8 @@ func (d *Die) Fingerprint() uint64 {
 		}
 		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		for _, a := range addrs {
-			mix(uint64(a))
-			mix(math.Float64bits(d.weakCells[a]))
+			h = testgen.FNVMix(h, uint64(a))
+			h = testgen.FNVMix(h, math.Float64bits(d.weakCells[a]))
 		}
 	}
 	return h

@@ -1,7 +1,8 @@
 // Package frame is the one durable record format of the on-disk stores
-// (cachestore segments, runstore records, the jobs journal) and the one way
-// they publish a file. A store file opens with a magic, a family name and
-// an ASCII-digit version such as "RPROJOB1", and its records are frames:
+// (cachestore segments, runstore records, the jobs journal) and, in
+// Publish, the one way the program writes a whole file. A store file opens
+// with a magic, a family name and an ASCII-digit version such as
+// "RPROJOB1", and its records are frames:
 //
 //	[u32be length][payload][u32be CRC-32 (IEEE) of length ‖ payload]
 //
@@ -12,12 +13,17 @@
 package frame
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // Overhead is the framing cost of one frame: length prefix plus checksum.
@@ -87,18 +93,50 @@ func CheckMagic(b []byte, magic string) error {
 	return fmt.Errorf("%w %q (want %q)", ErrMagic, got, magic)
 }
 
-// Publish atomically replaces path with data: it writes a temporary file in
-// path's directory, fsyncs and closes it, renames it over path and fsyncs
-// the directory. A crash leaves the old file or the whole new one, and once
-// Publish returns nil the new file survives power loss. A failure before
-// the rename removes the temporary file.
+// Publish replaces path with data as os.Create and one write would, but
+// atomically: it writes a temporary file in path's directory, fsyncs and
+// closes it, renames it over path and fsyncs the directory. A crash leaves
+// the old file or the whole new one, and once Publish returns nil the new
+// file survives power loss. A failure before the rename removes the
+// temporary file. A new file gets the mode os.Create gives it, 0666 less
+// the umask, and a replaced one keeps its permission bits. A path that
+// exists as something other than a regular file (a symlink, FIFO or
+// device) is written in place, as os.Create does, without these
+// guarantees.
 func Publish(path string, data []byte) error {
+	fi, err := os.Lstat(path)
+	if err == nil && !fi.Mode().IsRegular() {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		_, err = f.Write(data)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	replacing := err == nil
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	prefix := filepath.Join(dir, "."+filepath.Base(path)+".tmp-")
+	var tmp *os.File
+	for {
+		// O_EXCL under a random name: the temporary file starts with the
+		// mode os.Create would give, where os.CreateTemp gives 0600.
+		tmp, err = os.OpenFile(prefix+strconv.FormatUint(rand.Uint64(), 36), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			break
+		}
+	}
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
+	if replacing {
+		err = tmp.Chmod(fi.Mode().Perm())
+	}
+	if err == nil {
+		_, err = tmp.Write(data)
+	}
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -118,4 +156,14 @@ func Publish(path string, data []byte) error {
 	}
 	defer d.Close() // opened only to fsync; Sync reports what matters
 	return d.Sync()
+}
+
+// PublishWith publishes what render writes. The output is rendered in
+// memory first, so a failed render leaves the previous file untouched.
+func PublishWith(path string, render func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		return err
+	}
+	return Publish(path, buf.Bytes())
 }

@@ -3,10 +3,13 @@ package frame
 import (
 	"bytes"
 	"errors"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/proptest"
@@ -197,6 +200,112 @@ func TestPublish(t *testing.T) {
 	if len(entries) != 2 {
 		t.Errorf("directory holds %d entries, want data.bin and blocked only", len(entries))
 	}
+}
+
+// A new published file gets the mode os.Create gives a sibling, and a
+// replaced one keeps its permission bits.
+func TestPublishPermissions(t *testing.T) {
+	dir := t.TempDir()
+	sibling, err := os.Create(filepath.Join(dir, "sibling"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling.Close()
+	want := modeOf(t, sibling.Name())
+	path := filepath.Join(dir, "new")
+	if err := Publish(path, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if got := modeOf(t, path); got != want {
+		t.Errorf("new file has mode %v, os.Create gives %v", got, want)
+	}
+
+	old := filepath.Join(dir, "old")
+	if err := os.WriteFile(old, []byte("old"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(old, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := Publish(old, []byte("replaced")); err != nil {
+		t.Fatal(err)
+	}
+	if got := modeOf(t, old); got != 0o640 {
+		t.Errorf("replaced 0640 file has mode %v", got)
+	}
+}
+
+// A FIFO or symlink target is written in place: the FIFO stays a FIFO and
+// its reader receives the bytes, the symlink stays a symlink and the file
+// it points to receives them.
+func TestPublishSpecialTargets(t *testing.T) {
+	dir := t.TempDir()
+	fifo := filepath.Join(dir, "fifo")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	r, err := os.OpenFile(fifo, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := Publish(fifo, []byte("through the fifo")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(r); err != nil || string(got) != "through the fifo" {
+		t.Errorf("FIFO reader received %q, %v", got, err)
+	}
+	if got := modeOf(t, fifo); got&fs.ModeNamedPipe == 0 {
+		t.Errorf("FIFO became mode %v", got)
+	}
+
+	target, link := filepath.Join(dir, "target"), filepath.Join(dir, "link")
+	if err := os.WriteFile(target, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(target, link); err != nil {
+		t.Fatal(err)
+	}
+	if err := Publish(link, []byte("through the link")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(target); err != nil || string(got) != "through the link" {
+		t.Errorf("symlink target reads %q, %v", got, err)
+	}
+	if got := modeOf(t, link); got&fs.ModeSymlink == 0 {
+		t.Errorf("symlink became mode %v", got)
+	}
+}
+
+// A render that fails publishes nothing: the previous bytes stay.
+func TestPublishWithFailedRenderKeepsPrevious(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out")
+	if err := PublishWith(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "previous")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	renderErr := errors.New("render failed")
+	if err := PublishWith(path, func(w io.Writer) error {
+		io.WriteString(w, "partial") //nolint:errcheck // the render fails anyway
+		return renderErr
+	}); !errors.Is(err, renderErr) {
+		t.Fatalf("PublishWith = %v, want the render error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
+		t.Errorf("after a failed render the file reads %q, %v", got, err)
+	}
+}
+
+// modeOf returns the mode of path itself, not of what a symlink names.
+func modeOf(t *testing.T, path string) fs.FileMode {
+	t.Helper()
+	fi, err := os.Lstat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Mode()
 }
 
 // FuzzFrameNext: Next never panics, its errors are one of the two kinds, and

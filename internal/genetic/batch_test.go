@@ -55,9 +55,9 @@ func TestBatchEvaluatorReceivesWholeGenerations(t *testing.T) {
 
 func TestBatchMatchesSerialEvaluation(t *testing.T) {
 	// The same pure fitness function through a hand-written batch
-	// evaluator and through the per-test EvaluatorFunc adapter must yield
+	// evaluator and through the per-test evaluatorFunc adapter must yield
 	// the identical run (same seeds everywhere else).
-	serial, err := NewOptimizer(smallConfig(), newOps(33), EvaluatorFunc(activityFitness))
+	serial, err := NewOptimizer(smallConfig(), newOps(33), evaluatorFunc(activityFitness))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMigrationOnlyImproves(t *testing.T) {
 	cfg.MigrateEvery = 2
 	cfg.MaxGenerations = 12
 	run := func() *Result {
-		opt, err := NewOptimizer(cfg, newOps(41), EvaluatorFunc(activityFitness))
+		opt, err := NewOptimizer(cfg, newOps(41), evaluatorFunc(activityFitness))
 		if err != nil {
 			t.Fatal(err)
 		}

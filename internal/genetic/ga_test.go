@@ -2,6 +2,7 @@ package genetic
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,6 +16,23 @@ func activityFitness(t testgen.Test) (float64, error) {
 	limits := testgen.DefaultConditionLimits()
 	f := testgen.ExtractFeatures(t, limits)
 	return 0.2 + 0.5*f[testgen.FeatToggleMean] + 0.3*f[testgen.FeatATDMean], nil
+}
+
+// evaluatorFunc adapts a per-test fitness function to Evaluator: a batch
+// is measured one test at a time, in order, and a failing test's name leads
+// its error.
+type evaluatorFunc func(t testgen.Test) (float64, error)
+
+func (f evaluatorFunc) FitnessBatch(tests []testgen.Test) ([]float64, error) {
+	out := make([]float64, len(tests))
+	for i, t := range tests {
+		v, err := f(t)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", t.Name, err)
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
 func newOps(seed int64) *Operators {
@@ -58,7 +76,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewOptimizerValidation(t *testing.T) {
-	if _, err := NewOptimizer(smallConfig(), nil, EvaluatorFunc(activityFitness)); err == nil {
+	if _, err := NewOptimizer(smallConfig(), nil, evaluatorFunc(activityFitness)); err == nil {
 		t.Error("nil operators accepted")
 	}
 	if _, err := NewOptimizer(smallConfig(), newOps(1), nil); err == nil {
@@ -66,13 +84,13 @@ func TestNewOptimizerValidation(t *testing.T) {
 	}
 	bad := smallConfig()
 	bad.PopSize = 0
-	if _, err := NewOptimizer(bad, newOps(1), EvaluatorFunc(activityFitness)); err == nil {
+	if _, err := NewOptimizer(bad, newOps(1), evaluatorFunc(activityFitness)); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
 
 func TestGAImprovesFitness(t *testing.T) {
-	opt, err := NewOptimizer(smallConfig(), newOps(5), EvaluatorFunc(activityFitness))
+	opt, err := NewOptimizer(smallConfig(), newOps(5), evaluatorFunc(activityFitness))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +114,7 @@ func TestGAImprovesFitness(t *testing.T) {
 }
 
 func TestGABestHistoryMonotone(t *testing.T) {
-	opt, _ := NewOptimizer(smallConfig(), newOps(7), EvaluatorFunc(activityFitness))
+	opt, _ := NewOptimizer(smallConfig(), newOps(7), evaluatorFunc(activityFitness))
 	res, err := opt.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +130,7 @@ func TestGATargetStopsEarly(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TargetFitness = 0.4 // easily reached
 	cfg.MaxGenerations = 50
-	opt, _ := NewOptimizer(cfg, newOps(9), EvaluatorFunc(activityFitness))
+	opt, _ := NewOptimizer(cfg, newOps(9), evaluatorFunc(activityFitness))
 	res, err := opt.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +162,7 @@ func TestGASeedsEnterPopulation(t *testing.T) {
 
 	cfg := smallConfig()
 	cfg.MaxGenerations = 2
-	opt, _ := NewOptimizer(cfg, newOps(11), EvaluatorFunc(activityFitness))
+	opt, _ := NewOptimizer(cfg, newOps(11), evaluatorFunc(activityFitness))
 	res, err := opt.Run([]Seed{seed})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +178,7 @@ func TestGAFixedConditions(t *testing.T) {
 	cfg := smallConfig()
 	cfg.FixedConditions = &nominal
 	evalCount := 0
-	eval := EvaluatorFunc(func(tt testgen.Test) (float64, error) {
+	eval := evaluatorFunc(func(tt testgen.Test) (float64, error) {
 		evalCount++
 		if tt.Cond != nominal {
 			t.Fatalf("individual escaped fixed conditions: %+v", tt.Cond)
@@ -182,7 +200,7 @@ func TestGARestartsOnStagnation(t *testing.T) {
 	cfg := smallConfig()
 	cfg.StagnationLimit = 2
 	cfg.MaxGenerations = 15
-	eval := EvaluatorFunc(func(testgen.Test) (float64, error) { return 0.5, nil })
+	eval := evaluatorFunc(func(testgen.Test) (float64, error) { return 0.5, nil })
 	opt, _ := NewOptimizer(cfg, newOps(15), eval)
 	res, err := opt.Run(nil)
 	if err != nil {
@@ -199,7 +217,7 @@ func TestGARestartsOnStagnation(t *testing.T) {
 func TestGAEraBestsSorted(t *testing.T) {
 	cfg := smallConfig()
 	cfg.StagnationLimit = 2
-	opt, _ := NewOptimizer(cfg, newOps(17), EvaluatorFunc(activityFitness))
+	opt, _ := NewOptimizer(cfg, newOps(17), evaluatorFunc(activityFitness))
 	res, err := opt.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +230,7 @@ func TestGAEraBestsSorted(t *testing.T) {
 }
 
 func TestGAEvaluationErrorPropagates(t *testing.T) {
-	eval := EvaluatorFunc(func(testgen.Test) (float64, error) {
+	eval := evaluatorFunc(func(testgen.Test) (float64, error) {
 		return 0, errTest
 	})
 	opt, _ := NewOptimizer(smallConfig(), newOps(19), eval)
@@ -246,7 +264,7 @@ func TestIndividualTestNaming(t *testing.T) {
 
 func TestGADeterminism(t *testing.T) {
 	run := func() float64 {
-		opt, _ := NewOptimizer(smallConfig(), newOps(21), EvaluatorFunc(activityFitness))
+		opt, _ := NewOptimizer(smallConfig(), newOps(21), evaluatorFunc(activityFitness))
 		res, err := opt.Run(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -267,7 +285,7 @@ func TestGAOnGenerationCallback(t *testing.T) {
 		gens = append(gens, gen)
 		bests = append(bests, best)
 	}
-	opt, err := NewOptimizer(cfg, newOps(23), EvaluatorFunc(activityFitness))
+	opt, err := NewOptimizer(cfg, newOps(23), evaluatorFunc(activityFitness))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,23 +61,6 @@ type Evaluator interface {
 	FitnessBatch(tests []testgen.Test) ([]float64, error)
 }
 
-// EvaluatorFunc adapts a per-test fitness function to the Evaluator
-// interface: a batch is measured one test at a time, in order.
-type EvaluatorFunc func(t testgen.Test) (float64, error)
-
-// FitnessBatch implements Evaluator. A failing test's name leads its error.
-func (f EvaluatorFunc) FitnessBatch(tests []testgen.Test) ([]float64, error) {
-	out := make([]float64, len(tests))
-	for i, t := range tests {
-		v, err := f(t)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", t.Name, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // Seed is an unevaluated candidate injected into the initial population —
 // the sub-optimal worst-case tests the fuzzy-neural test generator selects
 // from its weight file (fig. 5 step 1).

@@ -34,16 +34,8 @@ type jobError struct {
 	Error string `json:"error"`
 }
 
-func httpJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
-}
-
 func httpError(w http.ResponseWriter, code int, msg string) {
-	httpJSON(w, code, jobError{Error: msg})
+	obs.WriteJSON(w, code, jobError{Error: msg})
 }
 
 // handleCollection serves POST /jobs (submit) and GET /jobs (list).
@@ -66,9 +58,9 @@ func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 			httpError(w, code, err.Error())
 			return
 		}
-		httpJSON(w, http.StatusCreated, j)
+		obs.WriteJSON(w, http.StatusCreated, j)
 	case http.MethodGet:
-		httpJSON(w, http.StatusOK, struct {
+		obs.WriteJSON(w, http.StatusOK, struct {
 			Jobs []*Job `json:"jobs"`
 		}{Jobs: s.List()})
 	default:
@@ -93,7 +85,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	case "":
 		switch r.Method {
 		case http.MethodGet:
-			httpJSON(w, http.StatusOK, j)
+			obs.WriteJSON(w, http.StatusOK, j)
 		case http.MethodDelete:
 			canceled, err := s.Cancel(id)
 			switch {
@@ -102,7 +94,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			case err != nil:
 				httpError(w, http.StatusNotFound, "no such job")
 			default:
-				httpJSON(w, http.StatusOK, canceled)
+				obs.WriteJSON(w, http.StatusOK, canceled)
 			}
 		default:
 			httpError(w, http.StatusMethodNotAllowed, "method not allowed (want GET or DELETE)")
@@ -153,5 +145,5 @@ func (s *Server) serveProgress(w http.ResponseWriter, r *http.Request, id string
 		obs.ServeProgressSSE(w, r, p, s.opts.Heartbeat, frame)
 		return
 	}
-	httpJSON(w, http.StatusOK, frame(p.Current()))
+	obs.WriteJSON(w, http.StatusOK, frame(p.Current()))
 }

@@ -2,8 +2,8 @@ package jobs
 
 import (
 	"fmt"
-	"net"
-	"os"
+
+	"repro/internal/cli"
 )
 
 // ValidateServer checks the charserved flag combinations that otherwise
@@ -19,38 +19,19 @@ func ValidateServer(listen, queueDir, runDir string, workers int) error {
 	if queueDir == "" {
 		return fmt.Errorf("-queue-dir is required (the job journal needs somewhere to live)")
 	}
-	if err := probeDir(queueDir); err != nil {
+	if err := cli.ProbeDir(queueDir); err != nil {
 		return fmt.Errorf("cannot write the job queue to -queue-dir %q: %w", queueDir, err)
 	}
 	if runDir == "" {
 		return fmt.Errorf("-run-dir is required (finished jobs finalize into the run ledger)")
 	}
-	if err := probeDir(runDir); err != nil {
+	if err := cli.ProbeDir(runDir); err != nil {
 		return fmt.Errorf("cannot record runs to -run-dir %q: %w", runDir, err)
 	}
 	if listen != "" {
-		// Bind-and-release: the only reliable probe for a usable address. The
-		// real server re-binds moments later; losing the port in between is
-		// possible but loses nothing — the boot path reports that too.
-		ln, err := net.Listen("tcp", listen)
-		if err != nil {
+		if err := cli.ProbeListen(listen); err != nil {
 			return fmt.Errorf("cannot bind -listen address %q: %w", listen, err)
 		}
-		ln.Close()
 	}
-	return nil
-}
-
-// probeDir verifies the directory exists (creating it) and is writable.
-func probeDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	probe, err := os.CreateTemp(dir, ".probe-*")
-	if err != nil {
-		return err
-	}
-	probe.Close()
-	os.Remove(probe.Name())
 	return nil
 }

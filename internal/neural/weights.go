@@ -1,7 +1,6 @@
 package neural
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -81,11 +80,7 @@ func (e *Ensemble) Save(w io.Writer, metadata map[string]string) error {
 // ensemble is rendered in memory first, so a failed encode (a diverged NaN
 // weight) leaves the previous file untouched.
 func (e *Ensemble) SaveFile(path string, metadata map[string]string) error {
-	var buf bytes.Buffer
-	if err := e.Save(&buf, metadata); err != nil {
-		return err
-	}
-	return frame.Publish(path, buf.Bytes())
+	return frame.PublishWith(path, func(w io.Writer) error { return e.Save(w, metadata) })
 }
 
 // Load reads a weight file and reconstructs the ensemble and its metadata.

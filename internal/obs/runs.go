@@ -41,12 +41,12 @@ type runListEntry struct {
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	st := s.opts.Ledger
 	if st == nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "no run ledger attached (start with -run-dir)"})
+		WriteJSON(w, http.StatusNotFound, map[string]any{"error": "no run ledger attached (start with -run-dir)"})
 		return
 	}
 	sums, err := st.List()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 		return
 	}
 	q := r.URL.Query()
@@ -56,7 +56,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if seedStr := q.Get("seed"); seedStr != "" {
 		seed, err := strconv.ParseInt(seedStr, 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad seed filter: " + seedStr})
+			WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "bad seed filter: " + seedStr})
 			return
 		}
 		sums = filterSummaries(sums, func(sum runstore.Summary) bool { return sum.Manifest.Seed == seed })
@@ -95,7 +95,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 			LastNano:     sum.LastAttemptNano(),
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"total":  total,
 		"offset": offset,
 		"count":  len(entries),
@@ -106,7 +106,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // handleRunsSub dispatches /runs/diff and /runs/<id>.
 func (s *Server) handleRunsSub(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Ledger == nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "no run ledger attached (start with -run-dir)"})
+		WriteJSON(w, http.StatusNotFound, map[string]any{"error": "no run ledger attached (start with -run-dir)"})
 		return
 	}
 	rest := strings.TrimPrefix(r.URL.Path, "/runs/")
@@ -121,25 +121,24 @@ func (s *Server) handleRunsSub(w http.ResponseWriter, r *http.Request) {
 // (verbatim JSON), trace presence, and the ND attempt history.
 func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request, id string) {
 	if !runstore.ValidID(id) {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "invalid run id: " + id})
+		WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "invalid run id: " + id})
 		return
 	}
 	rec, err := s.opts.Ledger.Get(id)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
+		WriteJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
 		return
 	}
 	attempts, err := s.opts.Ledger.Attempts(id)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"id":          id,
 		"manifest":    rec.Manifest,
 		"report":      rawOrNull(rec.Report),
 		"metrics":     rawOrNull(rec.Metrics),
-		"bench":       rawOrNull(rec.Bench),
 		"trace_bytes": len(rec.Trace),
 		"attempts":    attempts,
 	})
@@ -155,7 +154,7 @@ func (s *Server) handleRunsDiff(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("fail_over"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad fail_over: " + v})
+			WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "bad fail_over: " + v})
 			return
 		}
 		opts.FailOverPct = f
@@ -163,7 +162,7 @@ func (s *Server) handleRunsDiff(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("min_measurements"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad min_measurements: " + v})
+			WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "bad min_measurements: " + v})
 			return
 		}
 		opts.MinMeasurements = n
@@ -179,7 +178,7 @@ func (s *Server) handleRunsDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d := DiffTraces(trA, trB, opts)
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"a":    idA,
 		"b":    idB,
 		"diff": d.JSON(),
@@ -190,21 +189,21 @@ func (s *Server) handleRunsDiff(w http.ResponseWriter, r *http.Request) {
 // error response itself when anything is missing.
 func (s *Server) ledgerTrace(w http.ResponseWriter, id, side string) (*Trace, string, bool) {
 	if !runstore.ValidID(id) {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "missing or invalid run id for ?" + side + "="})
+		WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "missing or invalid run id for ?" + side + "="})
 		return nil, "", false
 	}
 	rec, err := s.opts.Ledger.Get(id)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
+		WriteJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
 		return nil, "", false
 	}
 	if len(rec.Trace) == 0 {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{"error": "record " + id + " has no stored trace"})
+		WriteJSON(w, http.StatusUnprocessableEntity, map[string]any{"error": "record " + id + " has no stored trace"})
 		return nil, "", false
 	}
 	tr, err := ParseTrace(bytes.NewReader(rec.Trace))
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 		return nil, "", false
 	}
 	return tr, id, true

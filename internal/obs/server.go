@@ -171,7 +171,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"run":            s.opts.Run,
 		"uptime_seconds": time.Since(s.started).Seconds(),
@@ -188,7 +188,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if p.Ready() {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, map[string]any{"ready": p.Ready(), "state": state, "run": s.opts.Run})
+	WriteJSON(w, code, map[string]any{"ready": p.Ready(), "state": state, "run": s.opts.Run})
 }
 
 // progressPayload is the /progress response body: the deterministic run
@@ -251,14 +251,14 @@ func (s *Server) payloadFor(snap *Snapshot) progressPayload {
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	p := s.opts.Progress
 	if p == nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "no progress publisher attached"})
+		WriteJSON(w, http.StatusNotFound, map[string]any{"error": "no progress publisher attached"})
 		return
 	}
-	if wantsSSE(r) {
+	if WantsSSE(r) {
 		s.serveProgressSSE(w, r)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.payload())
+	WriteJSON(w, http.StatusOK, s.payload())
 }
 
 // handleFlight serves the flight recorder's ring tail and latest runtime
@@ -269,7 +269,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	rec := s.opts.Flight
 	if rec == nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "no flight recorder attached"})
+		WriteJSON(w, http.StatusNotFound, map[string]any{"error": "no flight recorder attached"})
 		return
 	}
 	max := 0
@@ -278,14 +278,11 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 			max = n
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"run":               s.opts.Run,
 		"non_deterministic": rec.Snapshot(max),
 	})
 }
-
-// wantsSSE keeps the historical unexported spelling for the mux handlers.
-func wantsSSE(r *http.Request) bool { return WantsSSE(r) }
 
 // serveProgressSSE streams every published snapshot as one SSE "progress"
 // event via the shared ServeProgressSSE loop, wrapping each snapshot with
@@ -296,7 +293,9 @@ func (s *Server) serveProgressSSE(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with status code and v as indented JSON, the one JSON
+// response writer of the observability and job servers.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)

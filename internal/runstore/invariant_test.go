@@ -29,12 +29,11 @@ func genRecord(pt *proptest.T) *Record {
 		},
 		Report:  pt.Bytes(200),
 		Metrics: pt.Bytes(200),
-		Bench:   pt.Bytes(100),
 		Trace:   pt.Bytes(400),
 	}
-	pt.Logf("record: flow=%q seed=%d flags=%v report=%d metrics=%d bench=%d trace=%d bytes",
+	pt.Logf("record: flow=%q seed=%d flags=%v report=%d metrics=%d trace=%d bytes",
 		rec.Manifest.Flow, rec.Manifest.Seed, rec.Manifest.Flags,
-		len(rec.Report), len(rec.Metrics), len(rec.Bench), len(rec.Trace))
+		len(rec.Report), len(rec.Metrics), len(rec.Trace))
 	return rec
 }
 
@@ -66,8 +65,7 @@ func TestRecordRoundTripClosure(t *testing.T) {
 			}
 		}
 		for _, pair := range [][2][]byte{
-			{dec.Report, rec.Report}, {dec.Metrics, rec.Metrics},
-			{dec.Bench, rec.Bench}, {dec.Trace, rec.Trace},
+			{dec.Report, rec.Report}, {dec.Metrics, rec.Metrics}, {dec.Trace, rec.Trace},
 		} {
 			if !bytes.Equal(pair[0], pair[1]) {
 				pt.Fatalf("artifact bytes changed in round trip")

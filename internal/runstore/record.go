@@ -1,13 +1,13 @@
 // Package runstore is the persistent run ledger: every instrumented run
 // finalizes into a content-addressed record — a deterministic manifest
 // (flow, seed, identity-bearing flags, cache warmth, trace digest) plus the
-// run's deterministic artifacts (report JSON, metrics snapshot, BENCH
-// counters, full JSONL trace) — stored as CRC-checked internal/frame frames
-// in a file published by frame.Publish. The run ID is the hash of the manifest
-// and trace bytes, so two identical runs (same seed and workload flags, at
-// any -parallel worker count) collide into one record, and anything
-// non-deterministic (wall time, worker count, fleet occupancy, flight tail)
-// is quarantined in a per-attempt sidecar next to the record.
+// run's deterministic artifacts (report JSON, metrics snapshot, full JSONL
+// trace) — stored as CRC-checked internal/frame frames in a file published
+// by frame.Publish. The run ID is the hash of the manifest and trace bytes,
+// so two identical runs (same seed and workload flags, at any -parallel
+// worker count) collide into one record, and anything non-deterministic
+// (wall time, worker count, fleet occupancy, flight tail) is quarantined in
+// a per-attempt sidecar next to the record.
 //
 // The package depends only on the standard library so every layer above it
 // (telemetry, cli, obs, cmd/tracestat) can import it freely.
@@ -34,12 +34,14 @@ const FormatVersion = 1
 const recordMagic = "RPRORUN1"
 
 // maxSectionLen bounds one section's payload (manifest, report, metrics,
-// bench, trace). Real traces are a few hundred KB; the 1 GiB guard turns a
+// trace). Real traces are a few hundred KB; the 1 GiB guard turns a
 // corrupt length prefix into a clean error instead of an absurd allocation.
 const maxSectionLen = 1 << 30
 
 // sectionCount is the fixed number of length-prefixed sections in a record:
-// manifest, report, metrics, bench, trace — in that order.
+// manifest, report, metrics, an empty slot, trace — in that order. The slot
+// once held harness counters; it is written empty and skipped on read, so
+// the record bytes, and with them the stored records, stay as they were.
 const sectionCount = 5
 
 // Manifest is the deterministic identity of one run. Every field is
@@ -77,14 +79,13 @@ func (m Manifest) canonical() ([]byte, error) {
 	return b, nil
 }
 
-// Record is one run's full stored state. Report, Metrics, Bench and Trace
-// hold the artifact bytes verbatim (JSON documents / the JSONL trace);
-// empty slices mean the artifact was not produced.
+// Record is one run's full stored state. Report, Metrics and Trace hold
+// the artifact bytes verbatim (JSON documents / the JSONL trace); empty
+// slices mean the artifact was not produced.
 type Record struct {
 	Manifest Manifest
 	Report   []byte // run report JSON (nd sections zeroed by the recorder)
 	Metrics  []byte // metrics snapshot JSON (nd_ metrics stripped)
-	Bench    []byte // BENCH-style counters JSON, when a harness attaches them
 	Trace    []byte // the full JSONL trace
 }
 
@@ -134,14 +135,14 @@ func (r *Record) Totals() (t ReportTotals, ok bool) {
 }
 
 // Encode renders the record in the versioned on-disk framing: the magic
-// string, then the five sections (manifest, report, metrics, bench, trace)
-// as one frame each (internal/frame).
+// string, then the five sections (manifest, report, metrics, the empty
+// slot, trace) as one frame each (internal/frame).
 func (r *Record) Encode() ([]byte, error) {
 	man, err := r.Manifest.canonical()
 	if err != nil {
 		return nil, err
 	}
-	sections := [sectionCount][]byte{man, r.Report, r.Metrics, r.Bench, r.Trace}
+	sections := [sectionCount][]byte{man, r.Report, r.Metrics, nil, r.Trace}
 	size := len(recordMagic)
 	for _, sec := range sections {
 		if len(sec) > maxSectionLen {
@@ -183,7 +184,6 @@ func Decode(data []byte, name string) (*Record, error) {
 	}
 	rec.Report = cloneNonEmpty(sections[1])
 	rec.Metrics = cloneNonEmpty(sections[2])
-	rec.Bench = cloneNonEmpty(sections[3])
 	rec.Trace = cloneNonEmpty(sections[4])
 	return rec, nil
 }

@@ -238,34 +238,10 @@ func (r *Registry) Snapshot() Snapshot {
 // must be byte-identical across executions (run-ledger records). Maps the
 // strip leaves empty become nil, matching a registry that never saw them.
 func (s Snapshot) StripNonDeterministic() Snapshot {
-	out := Snapshot{}
-	for name, v := range s.Counters {
-		if strings.HasPrefix(name, NonDeterministicPrefix) {
-			continue
-		}
-		if out.Counters == nil {
-			out.Counters = make(map[string]int64)
-		}
-		out.Counters[name] = v
-	}
-	for name, v := range s.Gauges {
-		if strings.HasPrefix(name, NonDeterministicPrefix) {
-			continue
-		}
-		if out.Gauges == nil {
-			out.Gauges = make(map[string]float64)
-		}
-		out.Gauges[name] = v
-	}
-	for name, v := range s.Histograms {
-		if strings.HasPrefix(name, NonDeterministicPrefix) {
-			continue
-		}
-		if out.Histograms == nil {
-			out.Histograms = make(map[string]HistogramSnapshot)
-		}
-		out.Histograms[name] = v
-	}
+	var out Snapshot
+	out.copyFrom(s, func(name string) (string, bool) {
+		return name, !strings.HasPrefix(name, NonDeterministicPrefix)
+	})
 	return out
 }
 
@@ -280,25 +256,8 @@ func (s Snapshot) Prefixed(prefix string) Snapshot {
 	if prefix == "" {
 		return s
 	}
-	out := Snapshot{}
-	if len(s.Counters) > 0 {
-		out.Counters = make(map[string]int64, len(s.Counters))
-		for name, v := range s.Counters {
-			out.Counters[prefix+name] = v
-		}
-	}
-	if len(s.Gauges) > 0 {
-		out.Gauges = make(map[string]float64, len(s.Gauges))
-		for name, v := range s.Gauges {
-			out.Gauges[prefix+name] = v
-		}
-	}
-	if len(s.Histograms) > 0 {
-		out.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms))
-		for name, v := range s.Histograms {
-			out.Histograms[prefix+name] = v
-		}
-	}
+	var out Snapshot
+	out.copyFrom(s, func(name string) (string, bool) { return prefix + name, true })
 	return out
 }
 
@@ -306,32 +265,36 @@ func (s Snapshot) Prefixed(prefix string) Snapshot {
 // collision the later snapshot wins (callers namespace with Prefixed first
 // when tenants may share names). The inputs are not modified.
 func MergeSnapshots(snaps ...Snapshot) Snapshot {
-	out := Snapshot{}
+	var out Snapshot
 	for _, s := range snaps {
-		for name, v := range s.Counters {
-			if out.Counters == nil {
-				out.Counters = make(map[string]int64)
-			}
-			out.Counters[name] = v
-		}
-		for name, v := range s.Gauges {
-			if out.Gauges == nil {
-				out.Gauges = make(map[string]float64)
-			}
-			out.Gauges[name] = v
-		}
-		for name, v := range s.Histograms {
-			if out.Histograms == nil {
-				out.Histograms = make(map[string]HistogramSnapshot)
-			}
-			out.Histograms[name] = v
-		}
+		out.copyFrom(s, func(name string) (string, bool) { return name, true })
 	}
 	return out
 }
 
-// WriteJSON writes the snapshot as indented JSON. Non-finite gauge values
-// and the +Inf histogram bound are clamped to JSON-encodable forms.
+// copyFrom copies every metric of src that rename keeps into s, under the
+// name rename gives it. A map of s is made on its first kept metric, so a
+// family with none stays nil.
+func (s *Snapshot) copyFrom(src Snapshot, rename func(string) (string, bool)) {
+	copyMetrics(&s.Counters, src.Counters, rename)
+	copyMetrics(&s.Gauges, src.Gauges, rename)
+	copyMetrics(&s.Histograms, src.Histograms, rename)
+}
+
+func copyMetrics[V any](dst *map[string]V, src map[string]V, rename func(string) (string, bool)) {
+	for name, v := range src {
+		if name, ok := rename(name); ok {
+			if *dst == nil {
+				*dst = make(map[string]V, len(src))
+			}
+			(*dst)[name] = v
+		}
+	}
+}
+
+// WriteJSON writes the snapshot as indented JSON, with the +Inf histogram
+// bound as the string "+Inf". Other non-finite values are not clamped: a
+// NaN or infinite gauge fails the encode, and nothing is written.
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := encodable(s)
 	out, err := json.MarshalIndent(enc, "", "  ")
