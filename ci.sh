@@ -316,6 +316,19 @@ grep -q '"labels"' "$SMOKE_DIR/regress.json" || {
 	exit 1
 }
 echo "run ledger: 3 executions -> 1 record ($ATTEMPTS attempts); regress clean on identical traces, +30% injected regression caught"
+# shmoo opens no measurement store, so -cache-dir changes nothing it
+# computes: the runs with and without it are one record.
+go build -o "$SMOKE_DIR/shmoo" ./cmd/shmoo
+WARMTH_DIR="$SMOKE_DIR/warmth-ledger"
+"$SMOKE_DIR/shmoo" -tests 5 -run-dir "$WARMTH_DIR" > /dev/null 2>> "$SMOKE_DIR/ledger.stderr"
+"$SMOKE_DIR/shmoo" -tests 5 -cache-dir "$SMOKE_DIR/warmth-cache" \
+	-run-dir "$WARMTH_DIR" > /dev/null 2>> "$SMOKE_DIR/ledger.stderr"
+RUN_COUNT=$(find "$WARMTH_DIR" -maxdepth 1 -name '*.run' | wc -l)
+if [ "$RUN_COUNT" -ne 1 ]; then
+	echo "FAIL: shmoo with and without an unused -cache-dir left $RUN_COUNT ledger records, want 1" >&2
+	exit 1
+fi
+echo "run ledger: a -cache-dir the flow ignores leaves the run ID as it is"
 
 echo "== crash bundle smoke =="
 # An injected worker-pool panic must kill the run (nonzero exit) AND leave a
@@ -376,6 +389,16 @@ if "$SMOKE_DIR/characterize" -learn-only -learn-tests 12 -inject-fault error > /
 	exit 1
 fi
 echo "injected error fails a run without telemetry output"
+# Two file flags that name one file fail before any work, with exit 2.
+CODE=0
+"$SMOKE_DIR/characterize" -learn-only -learn-tests 12 -trace "$SMOKE_DIR/same" \
+	-metrics "$SMOKE_DIR/same" > /dev/null 2> "$SMOKE_DIR/same.stderr" || CODE=$?
+if [ "$CODE" -ne 2 ]; then
+	echo "FAIL: characterize -trace X -metrics X exited $CODE, want 2" >&2
+	cat "$SMOKE_DIR/same.stderr" >&2
+	exit 1
+fi
+echo "-trace and -metrics on one file rejected with exit 2"
 
 echo "== job service smoke =="
 # charserved end to end: boot on :0 with a persistent queue, submit a learn
@@ -448,6 +471,13 @@ grep -q "event: progress" "$SMOKE_DIR/job.sse" || {
 	echo "FAIL: /jobs/$JOB_ID/progress?sse=1 streamed no progress frame" >&2
 	exit 1
 }
+# A flag value the run would reject fails at submission with 400.
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$SRV_ADDR/jobs" \
+	-d '{"flow":"learn","args":{"param":"bogus"}}')
+if [ "$CODE" != "400" ]; then
+	echo "FAIL: POST /jobs with param bogus answered $CODE, want 400" >&2
+	exit 1
+fi
 # Cancellation: a job queued behind a budget-filling one DELETEs to canceled.
 curl -sf -X POST "http://$SRV_ADDR/jobs" \
 	-d '{"flow":"optimize","seed":2,"args":{"learn-tests":"60"},"parallel":4}' > /dev/null

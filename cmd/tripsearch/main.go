@@ -32,18 +32,14 @@ func main() {
 
 	common := cli.Register(nil)
 	var (
-		tests     = flag.Int("tests", 50, "number of random tests per algorithm")
-		paramName = flag.String("param", "tdq", "parameter: tdq, fmax, vddmin")
-		directed  = flag.Bool("directed", false, "also measure the directed baseline suite (March + stress patterns)")
+		tests    = flag.Int("tests", 50, "number of random tests per algorithm")
+		param    ate.Parameter
+		directed = flag.Bool("directed", false, "also measure the directed baseline suite (March + stress patterns)")
 	)
+	cli.ParsedVar(flag.CommandLine, &param, "param", "tdq", "parameter: tdq, fmax, vddmin", cli.ParseParam)
 	flag.Parse()
 	compare := func(tel *telemetry.Telemetry) (ate.Stats, error) {
 		seed, par := &common.Seed, &common.Parallel
-
-		param, err := cli.ParseParam(*paramName)
-		if err != nil {
-			return ate.Stats{}, err
-		}
 
 		dev, err := dut.NewDevice(dut.DefaultGeometry(), dut.NewDie(0, dut.CornerTypical))
 		if err != nil {

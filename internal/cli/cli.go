@@ -15,6 +15,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -94,7 +95,8 @@ type Common struct {
 	wd              *watchdog
 	fs              *flag.FlagSet
 	ledger          *runstore.Store
-	ledgerTrace     *bytes.Buffer // the trace the ledger records when -trace is unset
+	ledgerTrace     *bytes.Buffer // the trace bytes the ledger records
+	storeOpened     bool          // the run opened a -cache-dir store
 	lastRunID       string
 	lastFingerprint string
 }
@@ -149,9 +151,10 @@ func Register(fs *flag.FlagSet) *Common {
 
 // Validate checks the flag combinations that otherwise surface as late,
 // opaque failures mid-run: an unbindable -listen address, an unwritable
-// -crash-dir, a -stall-timeout without the -crash-dir its bundles need, and
-// an unknown -inject-fault mode. Each failure is a single clear line; the
-// binaries call this through Main before doing any work.
+// -crash-dir, a -stall-timeout without the -crash-dir its bundles need, an
+// unknown -inject-fault mode and two file flags that name one file. Each
+// failure is a single clear line; the binaries call this through Main
+// before doing any work.
 func (c *Common) Validate() error {
 	if c.Listen != "" {
 		if err := ProbeListen(c.Listen); err != nil {
@@ -176,8 +179,36 @@ func (c *Common) Validate() error {
 	default:
 		return fmt.Errorf("unknown -inject-fault mode %q (want task-panic or error)", c.InjectFault)
 	}
+	if c.fs == nil {
+		return nil
+	}
+	named := make(map[string]string) // absolute path → file flag
+	for _, name := range fileFlags {
+		f := c.fs.Lookup(name)
+		if f == nil || f.Value.String() == "" {
+			continue
+		}
+		path := f.Value.String()
+		abs, err := filepath.Abs(path)
+		if err != nil {
+			return fmt.Errorf("cannot resolve -%s %q: %w", name, path, err)
+		}
+		if fi, err := os.Stat(abs); err == nil && !fi.Mode().IsRegular() {
+			continue // a device or FIFO takes each write in turn and has no file to replace
+		}
+		if prev, ok := named[abs]; ok {
+			return fmt.Errorf("-%s and -%s name the same file %q", prev, name, path)
+		}
+		named[abs] = name
+	}
 	return nil
 }
+
+// fileFlags are the flags, over every binary, that name a file: the shared
+// outputs, characterize's outputs, marchgen's -o, and shmoo's and lotchar's
+// -db input, which an output naming the same file would replace. Validate
+// rejects two of them naming one regular file.
+var fileFlags = []string{"trace", "metrics", "cpuprofile", "memprofile", "weights", "db", "patterns", "cycle-trace", "o"}
 
 // ProbeListen checks that addr can be bound by binding and releasing it,
 // the only reliable way to learn the address is usable. The real server
@@ -285,6 +316,7 @@ func (c *Common) OpenCacheStore(scope uint64) (*cachestore.Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cli: opening cache dir: %w", err)
 	}
+	c.storeOpened = true
 	return s, nil
 }
 
@@ -346,25 +378,26 @@ func (c *Common) startTelemetry(runName string) (*telemetry.Telemetry, error) {
 	if !c.TelemetryEnabled() {
 		return nil, nil
 	}
+	// The ledger records the full trace: the tracer writes a copy into
+	// memory, besides the -trace file when there is one.
+	var ledgerTrace io.Writer // a nil interface without a ledger
 	if c.RunDir != "" {
 		st, err := runstore.Open(c.RunDir)
 		if err != nil {
 			return nil, fmt.Errorf("cli: opening run ledger: %w", err)
 		}
 		c.ledger = st
+		c.ledgerTrace = new(bytes.Buffer)
+		ledgerTrace = c.ledgerTrace
 	}
 	var tracer *telemetry.Tracer
-	switch {
-	case c.TracePath != "":
+	if c.TracePath != "" {
 		var err error
-		if tracer, err = telemetry.NewFileTracer(c.TracePath); err != nil {
+		if tracer, err = telemetry.NewFileTracer(c.TracePath, ledgerTrace); err != nil {
 			return nil, fmt.Errorf("cli: opening trace: %w", err)
 		}
-	case c.ledger != nil:
-		// The ledger stores the full trace; without -trace it is captured
-		// in memory.
-		c.ledgerTrace = new(bytes.Buffer)
-		tracer = telemetry.NewTracer(c.ledgerTrace)
+	} else {
+		tracer = telemetry.NewTracer(ledgerTrace) // nil without a ledger
 	}
 	tel := telemetry.New(runName, tracer)
 	c.runName = runName
@@ -381,7 +414,7 @@ func (c *Common) startTelemetry(runName string) (*telemetry.Telemetry, error) {
 		recorder.ExportTo(tel.Registry())
 		c.flight = recorder
 	}
-	tel.SetRunObserver(telemetry.MultiObserver(progress, recorder))
+	tel.SetRunObserver(progress, recorder)
 	// Every fleet stage's scheduling summary is quarantined as
 	// non-deterministic: the run totals in the report's pool section and
 	// the nd_fleet_* series (both excluded from determinism diffs, and the
@@ -511,7 +544,7 @@ func (c *Common) release() error {
 		parallel.SetFleetObserver(nil)
 	}
 	c.tel.Close() //nolint:errcheck // a finished run checked it; a failed one discards the trace
-	c.tel, c.flight, c.ledgerTrace = nil, nil, nil
+	c.tel, c.flight, c.ledger, c.ledgerTrace, c.storeOpened = nil, nil, nil, nil, false
 	c.progress.Done()
 	err := c.server.Close()
 	c.server = nil

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"encoding/json"
+	"flag"
 	"net"
 	"os"
 	"path/filepath"
@@ -353,5 +354,60 @@ func TestCaptureCrashRecordsFlowRunFlags(t *testing.T) {
 	}
 	if got := strings.TrimSpace(string(raw)); got != "{}" {
 		t.Errorf("flags.json of an unregistered Common = %s, want {}", got)
+	}
+}
+
+// Two file flags of a run that name one file fail Validate: the later
+// write would replace the earlier file, or an output the -db input.
+func TestValidateRejectsFileFlagsNamingOneFile(t *testing.T) {
+	dir := t.TempDir()
+	x, y := filepath.Join(dir, "x"), filepath.Join(dir, "y")
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	relX, err := filepath.Rel(wd, x) // x, relative to the working directory
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		binary  string
+		args    []string
+		wantErr string
+	}{
+		{"characterize", []string{"-trace", x, "-metrics", x}, `-trace and -metrics name the same file`},
+		{"characterize", []string{"-metrics", relX, "-weights", x}, `-metrics and -weights name the same file`},
+		{"characterize", []string{"-db", x, "-cycle-trace", filepath.Join(dir, "sub") + "/../x"}, `-db and -cycle-trace name the same file`},
+		{"characterize", []string{"-cpuprofile", x, "-memprofile", x}, `-cpuprofile and -memprofile`},
+		{"characterize", []string{"-trace", x, "-patterns", x}, `-trace and -patterns`},
+		{"shmoo", []string{"-db", x, "-metrics", x}, `-metrics and -db name the same file`},
+		{"lotchar", []string{"-trace", x, "-db", x}, `-trace and -db`},
+		{"characterize", []string{"-trace", x, "-metrics", y, "-weights", filepath.Join(dir, "w")}, ""},
+		{"characterize", []string{"-trace", os.DevNull, "-metrics", os.DevNull}, ""},
+	} {
+		fs := flag.NewFlagSet(tc.binary, flag.ContinueOnError)
+		c := Register(fs)
+		binaries[tc.binary](fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := c.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s %v: Validate() = %v, want nil", tc.binary, tc.args, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s %v: Validate() = %v, want containing %q", tc.binary, tc.args, err, tc.wantErr)
+		}
+	}
+
+	// marchgen defines -o itself, on the flag set Register was given.
+	fs := flag.NewFlagSet("marchgen", flag.ContinueOnError)
+	c := Register(fs)
+	fs.String("o", "", "output pattern file")
+	if err := fs.Parse([]string{"-o", x, "-trace", x}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "-trace and -o name the same file") {
+		t.Errorf("marchgen -o X -trace X: Validate() = %v", err)
 	}
 }

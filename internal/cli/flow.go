@@ -195,6 +195,62 @@ func NewFlowRun(spec FlowSpec) (*FlowRun, error) {
 	return &FlowRun{Common: c, run: run}, nil
 }
 
+// parsedFlag is a string flag whose Set resolves the name into *p with
+// parse, so a name the flow would reject fails at flag parsing: with exit 2
+// on the command line, with 400 at job submission. String renders the name
+// as given, as flag.StringVar does, so identity flag maps do not change.
+type parsedFlag[T any] struct {
+	name  string
+	p     *T
+	parse func(string) (T, error)
+}
+
+func (f *parsedFlag[T]) String() string { return f.name }
+
+func (f *parsedFlag[T]) Set(s string) error {
+	v, err := f.parse(s)
+	if err == nil {
+		f.name, *f.p = s, v
+	}
+	return err
+}
+
+// ParsedVar defines on fs a string flag, default def, whose value parse
+// resolves into p when the flag is set.
+func ParsedVar[T any](fs *flag.FlagSet, p *T, name, def, usage string, parse func(string) (T, error)) {
+	f := &parsedFlag[T]{p: p, parse: parse}
+	if err := f.Set(def); err != nil {
+		panic(err) // a bad default is a bug
+	}
+	fs.Var(f, name, usage)
+}
+
+// minInt is an int flag whose Set rejects a value below min, at flag
+// parsing as parsedFlag does. String renders the value as flag.IntVar does.
+type minInt struct{ n, min int }
+
+func (f *minInt) String() string { return strconv.Itoa(f.n) }
+
+func (f *minInt) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return err
+	}
+	if int(n) < f.min {
+		return fmt.Errorf("must be at least %d, got %d", f.min, n)
+	}
+	f.n = int(n)
+	return nil
+}
+
+// minIntVar defines f on fs as the flag name, with the default def.
+func minIntVar(fs *flag.FlagSet, f *minInt, name string, def int, usage string) {
+	if err := f.Set(strconv.Itoa(def)); err != nil {
+		panic(err) // a bad default is a bug
+	}
+	fs.Var(f, name, usage)
+}
+
 // ParseParam resolves a -param flag value: tdq, fmax or vddmin.
 func ParseParam(s string) (ate.Parameter, error) {
 	switch s {
@@ -209,16 +265,16 @@ func ParseParam(s string) (ate.Parameter, error) {
 	}
 }
 
-// parseCorner resolves the -corner flag value.
-func parseCorner(s string) (*dut.Die, error) {
+// parseCorner resolves a -corner value: tt, ff or ss.
+func parseCorner(s string) (dut.Corner, error) {
 	switch s {
 	case "tt":
-		return dut.NewDie(0, dut.CornerTypical), nil
+		return dut.CornerTypical, nil
 	case "ff":
-		return dut.NewDie(0, dut.CornerFast), nil
+		return dut.CornerFast, nil
 	case "ss":
-		return dut.NewDie(0, dut.CornerSlow), nil
+		return dut.CornerSlow, nil
 	default:
-		return nil, fmt.Errorf("unknown corner %q (want tt, ff or ss)", s)
+		return 0, fmt.Errorf("unknown corner %q (want tt, ff or ss)", s)
 	}
 }

@@ -42,11 +42,42 @@ func TestNewFlowRunValidation(t *testing.T) {
 		{FlowSpec{Flow: "shmoo", Args: map[string]string{"dies": "3"}}, `flow "shmoo" does not accept arg "dies"`},
 		{FlowSpec{Flow: "learn", Args: map[string]string{"learn-tests": "many"}}, `arg learn-tests="many"`},
 		{FlowSpec{Flow: "learn", Args: map[string]string{"weights": "w.json"}}, `does not accept arg "weights"`},
+		{FlowSpec{Flow: "learn", Args: map[string]string{"param": "bogus"}}, `unknown parameter "bogus"`},
+		{FlowSpec{Flow: "learn", Args: map[string]string{"corner": "xx"}}, `unknown corner "xx"`},
+		{FlowSpec{Flow: "lot", Args: map[string]string{"dies": "0"}}, `arg dies="0": must be at least 1, got 0`},
+		{FlowSpec{Flow: "lot", Args: map[string]string{"wafers": "-1"}}, `arg wafers="-1": must be at least 0`},
 	}
 	for _, tc := range cases {
 		_, err := NewFlowRun(tc.spec)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("NewFlowRun(%+v): err %v, want substring %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
+// The flags parsed at flag time render their value as flag.StringVar and
+// flag.IntVar did, so a run's identity flag map is unchanged.
+func TestParsedFlagsRenderAsBefore(t *testing.T) {
+	for _, tc := range []struct {
+		spec FlowSpec
+		want map[string]string
+	}{
+		{FlowSpec{Flow: "learn"}, map[string]string{"param": "tdq", "corner": "tt"}},
+		{FlowSpec{Flow: "learn", Args: map[string]string{"param": "vddmin", "corner": "ss"}},
+			map[string]string{"param": "vddmin", "corner": "ss"}},
+		{FlowSpec{Flow: "lot"}, map[string]string{"dies": "20", "wafers": "0"}},
+		{FlowSpec{Flow: "lot", Args: map[string]string{"dies": "0x14", "wafers": "+3"}},
+			map[string]string{"dies": "20", "wafers": "3"}},
+	} {
+		fr, err := NewFlowRun(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fr.Common.identityFlags()
+		for name, want := range tc.want {
+			if got[name] != want {
+				t.Errorf("%s %v: -%s renders %q, want %q", tc.spec.Flow, tc.spec.Args, name, got[name], want)
+			}
 		}
 	}
 }

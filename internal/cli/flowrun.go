@@ -30,12 +30,12 @@ import (
 
 // characterizeFlags holds cmd/characterize's workload flags.
 type characterizeFlags struct {
-	Param         string
+	Param         ate.Parameter
 	Table1        bool
 	LearnOnly     bool
 	LearnTests    int
 	RandTests     int
-	Corner        string
+	Corner        dut.Corner
 	WeightsOut    string
 	DBOut         string
 	PatternOut    string
@@ -48,12 +48,12 @@ type characterizeFlags struct {
 // returns its flow, a Table 1 run with -table1.
 func registerCharacterizeFlags(fs *flag.FlagSet) flowFunc {
 	f := &characterizeFlags{}
-	fs.StringVar(&f.Param, "param", "tdq", "parameter to characterize: tdq, fmax, vddmin")
+	ParsedVar(fs, &f.Param, "param", "tdq", "parameter to characterize: tdq, fmax, vddmin", ParseParam)
 	fs.BoolVar(&f.Table1, "table1", false, "reproduce the paper's Table 1 comparison")
 	fs.BoolVar(&f.LearnOnly, "learn-only", false, "stop after the learning scheme (train and report the NN ensemble; skip the GA optimization)")
 	fs.IntVar(&f.LearnTests, "learn-tests", 300, "number of measured tests in the learning phase")
 	fs.IntVar(&f.RandTests, "random-tests", 1000, "random tests in the Table 1 baseline")
-	fs.StringVar(&f.Corner, "corner", "tt", "process corner of the device: tt, ff, ss")
+	ParsedVar(fs, &f.Corner, "corner", "tt", "process corner of the device: tt, ff, ss", parseCorner)
 	fs.StringVar(&f.WeightsOut, "weights", "", "write the trained NN weight file here")
 	fs.StringVar(&f.DBOut, "db", "", "write the worst-case test database here")
 	fs.StringVar(&f.PatternOut, "patterns", "", "write the worst-case tests as a text vector file here")
@@ -75,15 +75,8 @@ func registerCharacterizeFlags(fs *flag.FlagSet) flowFunc {
 // learning scheme, then (unless -learn-only) the fig. 5 optimization
 // scheme, or the Table 1 comparison with -table1.
 func runCharacterize(c *Common, f *characterizeFlags, out io.Writer, tel *telemetry.Telemetry) (ate.Stats, error) {
-	param, err := ParseParam(f.Param)
-	if err != nil {
-		return ate.Stats{}, err
-	}
-	die, err := parseCorner(f.Corner)
-	if err != nil {
-		return ate.Stats{}, err
-	}
-
+	param := f.Param
+	die := dut.NewDie(0, f.Corner)
 	dev, err := dut.NewDevice(dut.DefaultGeometry(), die)
 	if err != nil {
 		return ate.Stats{}, err
@@ -392,18 +385,18 @@ func runShmoo(c *Common, f *shmooFlags, out io.Writer, tel *telemetry.Telemetry)
 // lotFlags holds cmd/lotchar's workload flags.
 type lotFlags struct {
 	DBPath    string
-	Dies      int
-	Wafers    int
+	Dies      minInt
+	Wafers    minInt
 	Guardband float64
 }
 
 // registerLotFlags installs cmd/lotchar's workload flags and returns its
 // flow.
 func registerLotFlags(fs *flag.FlagSet) flowFunc {
-	f := &lotFlags{}
+	f := &lotFlags{Dies: minInt{min: 1}, Wafers: minInt{min: 0}}
 	fs.StringVar(&f.DBPath, "db", "", "worst-case database from 'characterize -db' (optional)")
-	fs.IntVar(&f.Dies, "dies", 20, "number of dies in the sample lot (with -wafers: dies per wafer)")
-	fs.IntVar(&f.Wafers, "wafers", 0, "screen a wafer lot with spatially structured process variation (0 = flat i.i.d. lot)")
+	minIntVar(fs, &f.Dies, "dies", 20, "number of dies in the sample lot (with -wafers: dies per wafer)")
+	minIntVar(fs, &f.Wafers, "wafers", 0, "screen a wafer lot with spatially structured process variation (0 = flat i.i.d. lot)")
 	fs.Float64Var(&f.Guardband, "guardband", 0.05, "spec extraction guardband fraction")
 	return func(c *Common, out io.Writer) error {
 		return c.Run("lotchar", out, func(tel *telemetry.Telemetry) (ate.Stats, error) {
@@ -432,13 +425,6 @@ func printLotCost(out io.Writer, rep *core.LotReport, store *cachestore.Store, w
 // runLot screens a lot of dies with the worst-case tests and extracts the
 // final device specification on the worst die.
 func runLot(c *Common, f *lotFlags, out io.Writer, tel *telemetry.Telemetry) (ate.Stats, error) {
-	if f.Dies < 1 {
-		return ate.Stats{}, fmt.Errorf("-dies must be at least 1, got %d", f.Dies)
-	}
-	if f.Wafers < 0 {
-		return ate.Stats{}, fmt.Errorf("-wafers must not be negative, got %d", f.Wafers)
-	}
-
 	geom := dut.DefaultGeometry()
 	cond := testgen.NominalConditions()
 
@@ -485,14 +471,14 @@ func runLot(c *Common, f *lotFlags, out io.Writer, tel *telemetry.Telemetry) (at
 	// pipeline — per-die results are not retained, so lot size no longer
 	// bounds memory.
 	var src dut.DieSource
-	if f.Wafers > 0 {
-		wl, err := dut.NewWaferLot(c.Seed, f.Wafers, f.Dies)
+	if f.Wafers.n > 0 {
+		wl, err := dut.NewWaferLot(c.Seed, f.Wafers.n, f.Dies.n)
 		if err != nil {
 			return ate.Stats{}, err
 		}
 		src = wl
 	} else {
-		src = dut.LotSlice(dut.NewDieLot(c.Seed, f.Dies))
+		src = dut.LotSlice(dut.NewDieLot(c.Seed, f.Dies.n))
 	}
 	store, err := c.OpenCacheStore(core.LotCacheScope)
 	if err != nil {

@@ -18,8 +18,8 @@ import (
 // content-addressed runstore record, and everything scheduling- or
 // wall-clock-dependent lands in the record's attempt sidecar. The manifest
 // hashes only identity-bearing flags, so re-running the same workload at a
-// different -parallel (or with different output paths) appends an attempt to
-// the same record instead of minting a new one.
+// different -parallel (or with different -trace or -metrics paths) appends
+// an attempt to the same record instead of minting a new one.
 
 // nonIdentityFlags are the shared flags that change how the run executes or
 // where its outputs go — never what is computed — and are therefore excluded
@@ -66,10 +66,11 @@ func (c *Common) flagMap(keep func(name string) bool) map[string]string {
 	return out
 }
 
-// cacheWarmth classifies the persistent-cache reuse tier the run saw.
+// cacheWarmth classifies the persistent-cache reuse tier the run saw: none
+// when it opened no store, as in a flow that ignores -cache-dir.
 func (c *Common) cacheWarmth(rep *telemetry.Report) string {
 	switch {
-	case c.CacheDir == "":
+	case !c.storeOpened:
 		return "none"
 	case rep.DiskCache.LoadedEntries > 0:
 		return "warm"
@@ -91,22 +92,12 @@ func (c *Common) runInfoLabels(tel *telemetry.Telemetry) func() map[string]strin
 }
 
 // finalizeRun builds and stores the run's ledger record plus its attempt
-// sidecar line. No-op without -run-dir. The record's trace is the one
-// captured in memory or, with -trace, the file just closed.
+// sidecar line. No-op without -run-dir. The record's trace is the bytes the
+// tracer wrote, which it kept in memory for the ledger.
 func (c *Common) finalizeRun(rep *telemetry.Report) error {
 	if c.ledger == nil {
 		return nil
 	}
-	var trace []byte
-	if c.ledgerTrace != nil {
-		trace = c.ledgerTrace.Bytes()
-	} else {
-		var err error
-		if trace, err = os.ReadFile(c.TracePath); err != nil {
-			return fmt.Errorf("reading trace for ledger: %w", err)
-		}
-	}
-
 	man := runstore.Manifest{
 		Version:     runstore.FormatVersion,
 		Flow:        c.runName,
@@ -115,20 +106,19 @@ func (c *Common) finalizeRun(rep *telemetry.Report) error {
 		CacheWarmth: c.cacheWarmth(rep),
 		TraceDigest: rep.Fingerprint,
 	}
-	reportBytes, err := deterministicReport(rep)
-	if err != nil {
+	var reportBuf, metricsBuf bytes.Buffer
+	if err := rep.WriteDeterministicJSON(&reportBuf); err != nil {
 		return err
 	}
-	var metricsBuf bytes.Buffer
 	stripped := rep.Metrics.StripNonDeterministic()
 	if err := stripped.WriteJSON(&metricsBuf); err != nil {
 		return err
 	}
 	rec := &runstore.Record{
 		Manifest: man,
-		Report:   reportBytes,
+		Report:   reportBuf.Bytes(),
 		Metrics:  metricsBuf.Bytes(),
-		Trace:    trace,
+		Trace:    c.ledgerTrace.Bytes(),
 	}
 	id, created, err := c.ledger.Put(rec)
 	if err != nil {
@@ -146,26 +136,6 @@ func (c *Common) finalizeRun(rep *telemetry.Report) error {
 		fmt.Fprintf(os.Stderr, "run ledger: recorded %s (%s) in %s\n", id, status, c.ledger.Dir())
 	}
 	return nil
-}
-
-// deterministicReport renders the report artifact with every
-// non-deterministic field zeroed: wall-clock seconds per phase and in total,
-// pool occupancy, and the nd_-prefixed registry metrics. Two identical runs
-// at different -parallel therefore store byte-identical report sections.
-func deterministicReport(rep *telemetry.Report) ([]byte, error) {
-	det := *rep
-	det.NonDeterministic = telemetry.NonDet{}
-	det.Phases = make([]telemetry.Phase, len(rep.Phases))
-	copy(det.Phases, rep.Phases)
-	for i := range det.Phases {
-		det.Phases[i].WallSeconds = 0
-	}
-	det.Metrics = rep.Metrics.StripNonDeterministic()
-	var buf bytes.Buffer
-	if err := det.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // buildAttempt collects the ND side of this execution for the sidecar.

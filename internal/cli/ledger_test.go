@@ -478,3 +478,55 @@ func TestTaskPanicRunWritesBundleAndLeavesNothingBehind(t *testing.T) {
 	assertEmptyDir(t, tmp)
 	assertNoRecord(t, c.RunDir)
 }
+
+// flowRunID runs spec in process into a fresh ledger, after set adjusts
+// its Common, and returns the run ID it recorded.
+func flowRunID(t *testing.T, spec FlowSpec, set func(c *Common)) string {
+	t.Helper()
+	fr, err := NewFlowRun(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fr.Common
+	c.Embedded = true
+	c.RunDir = t.TempDir()
+	set(c)
+	if err := fr.Run(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	id, _ := c.LastRun()
+	return id
+}
+
+// The ledger records the trace bytes the tracer wrote, not whatever the
+// -trace file holds at the end of the run: a FlowRun, which skips Validate,
+// whose -metrics write replaces its -trace file still records the run ID of
+// the same run without -trace.
+func TestLedgerRecordsTheTraceTheTracerWrote(t *testing.T) {
+	spec := FlowSpec{Flow: "learn", Seed: 1, Args: map[string]string{"learn-tests": "12"}}
+	want := flowRunID(t, spec, func(*Common) {})
+	shared := filepath.Join(t.TempDir(), "out.json")
+	got := flowRunID(t, spec, func(c *Common) { c.TracePath, c.MetricsPath = shared, shared })
+	if got != want {
+		t.Errorf("with -trace and -metrics on one file the run recorded %s, want %s", got, want)
+	}
+}
+
+// A flow that opens no measurement store records the same run as without
+// -cache-dir: the flag changes nothing it computes.
+func TestCacheDirIgnoredByFlowKeepsRunID(t *testing.T) {
+	for _, spec := range []FlowSpec{
+		{Flow: "shmoo", Seed: 1, Args: map[string]string{"tests": "5"}},
+		{Flow: "table1", Seed: 1, Args: map[string]string{"random-tests": "50", "learn-tests": "30"}},
+	} {
+		want := flowRunID(t, spec, func(*Common) {})
+		cacheDir := filepath.Join(t.TempDir(), "cache")
+		got := flowRunID(t, spec, func(c *Common) { c.CacheDir = cacheDir })
+		if got != want {
+			t.Errorf("%s with -cache-dir recorded %s, without %s", spec.Flow, got, want)
+		}
+		if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
+			t.Errorf("%s created the -cache-dir it ignores (%v)", spec.Flow, err)
+		}
+	}
+}

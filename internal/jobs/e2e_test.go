@@ -286,6 +286,10 @@ func TestServiceHTTPSurface(t *testing.T) {
 		{jobs.Submission{Flow: "frob"}, `cli: unknown flow`},
 		{jobs.Submission{Flow: "shmoo", Args: map[string]string{"dies": "3"}}, `does not accept arg`},
 		{jobs.Submission{Flow: "learn", Parallel: 99}, "wants 99 workers but the server budget is 4"},
+		// Values their flag does not accept fail here, not when the job runs.
+		{jobs.Submission{Flow: "learn", Args: map[string]string{"param": "bogus"}}, `unknown parameter`},
+		{jobs.Submission{Flow: "learn", Args: map[string]string{"corner": "xx"}}, `unknown corner`},
+		{jobs.Submission{Flow: "lot", Args: map[string]string{"dies": "0"}}, `must be at least 1, got 0`},
 	} {
 		body, _ := json.Marshal(tc.sub)
 		resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
@@ -378,5 +382,59 @@ func TestServiceRestartResumes(t *testing.T) {
 	j, err := srv2.Get(ids[1])
 	if err != nil || j.State != jobs.StateCanceled {
 		t.Fatalf("canceled job after reboot: %+v, %v", j, err)
+	}
+}
+
+// A job that a previous server finished streams its done frame after a
+// restart, and the stream ends there.
+func TestFinishedJobStreamEndsAfterRestart(t *testing.T) {
+	queueDir, runDir := t.TempDir(), t.TempDir()
+	srv, err := jobs.New(jobs.Options{QueueDir: queueDir, RunDir: runDir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := srv.Submit(jobs.Submission{Flow: "shmoo", Seed: 4, Args: map[string]string{"tests": "4"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		got, err := srv.Get(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State == jobs.StateDone {
+			break
+		}
+		if got.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job %s: state %s, error %q", j.ID, got.State, got.Error)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, base := bootService(t, queueDir, runDir, 1)
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(base + "/jobs/" + j.ID + "/progress?sse=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sse, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("the stream did not end: %v (read %q)", err, sse)
+	}
+	frames := strings.Split(strings.TrimSpace(string(sse)), "\n\n")
+	last := frames[len(frames)-1]
+	var frame struct {
+		Progress obs.Snapshot `json:"progress"`
+	}
+	if err := json.Unmarshal([]byte(strings.TrimPrefix(last, "event: progress\ndata: ")), &frame); err != nil {
+		t.Fatalf("decoding the last frame %q: %v", last, err)
+	}
+	if frame.Progress.State != obs.StateDone {
+		t.Errorf("the stream's last frame has progress state %q, want %q", frame.Progress.State, obs.StateDone)
 	}
 }

@@ -247,7 +247,7 @@ func (s *Server) execute(job *Job, rj *runningJob, out *bytes.Buffer) (runID, fi
 	c.Embedded = true
 	c.Parallel = job.Workers
 	c.RunDir = s.opts.RunDir
-	c.AttachProgress(s.progressFor(job.ID))
+	c.AttachProgress(s.progressFor(job))
 	c.CheckCancel = func() error {
 		if rj.cancel.Load() || s.closing.Load() {
 			return ErrCanceled
@@ -268,14 +268,18 @@ func (s *Server) execute(job *Job, rj *runningJob, out *bytes.Buffer) (runID, fi
 
 // progressFor returns (creating on demand) the job's progress publisher.
 // It exists from submission on, so SSE watchers can attach to queued jobs
-// and resumed jobs alike.
-func (s *Server) progressFor(id string) *obs.Progress {
+// and resumed jobs alike. One created for a job that is already terminal —
+// a job a previous process finished — starts done, so its streams end.
+func (s *Server) progressFor(j *Job) *obs.Progress {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.progress[id]
+	p, ok := s.progress[j.ID]
 	if !ok {
-		p = obs.NewProgress(id)
-		s.progress[id] = p
+		p = obs.NewProgress(j.ID)
+		if j.State.Terminal() {
+			p.Done()
+		}
+		s.progress[j.ID] = p
 	}
 	return p
 }
@@ -289,9 +293,11 @@ func (s *Server) finishProgress(id string) {
 }
 
 // Submit validates and enqueues one submission. Validation constructs the
-// actual FlowRun, so a job that enqueues is a job that will execute: an
-// unknown flow, a rejected arg or an unparsable value fails here with the
-// same pinned one-line error the CLI would print.
+// actual FlowRun, so an unknown flow, a rejected arg or a value its flag
+// does not accept (an unknown -param, -dies 0) fails here with the same
+// pinned one-line error the CLI would print. A rule of the flow's own
+// configuration still fails when the job runs: core.Config.Validate
+// rejects -learn-tests below 10.
 func (s *Server) Submit(sub Submission) (*Job, error) {
 	if sub.Seed == 0 {
 		sub.Seed = 1 // the CLI's -seed default; the record shows the effective seed
@@ -312,7 +318,7 @@ func (s *Server) Submit(sub Submission) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.progressFor(j.ID)
+	s.progressFor(j)
 	s.reg.Counter("jobs_submitted_total").Add(1)
 	s.logf("jobs: submitted %s (%s, priority %d)", j.ID, j.Flow, j.Priority)
 	s.kick()
@@ -351,10 +357,11 @@ func (s *Server) List() []*Job { return s.q.List() }
 
 // Progress returns the job's progress publisher (nil for unknown jobs).
 func (s *Server) Progress(id string) *obs.Progress {
-	if _, err := s.q.Get(id); err != nil {
+	j, err := s.q.Get(id)
+	if err != nil {
 		return nil
 	}
-	return s.progressFor(id)
+	return s.progressFor(j)
 }
 
 // MetricsSnapshot merges the server's own counters with each running job's

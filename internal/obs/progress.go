@@ -18,11 +18,8 @@ const (
 // deliberately omits the report's wall-clock seconds so the snapshot stays
 // comparable across runs and worker counts.
 type PhaseCost struct {
-	Name         string  `json:"name"`
-	Measurements int64   `json:"measurements"`
-	Vectors      int64   `json:"vectors"`
-	Profiles     int64   `json:"profiles"`
-	SimTimeSec   float64 `json:"sim_time_sec"`
+	Name string `json:"name"`
+	telemetry.Cost
 }
 
 // ItemProgress is the done/total position of one fine-grained loop (Table 1
@@ -164,13 +161,7 @@ func (p *Progress) PhaseEnded(name string, cost telemetry.Cost) {
 		if s.Phase == name {
 			s.Phase = ""
 		}
-		s.PhasesDone = append(s.PhasesDone, PhaseCost{
-			Name:         name,
-			Measurements: cost.Measurements,
-			Vectors:      cost.Vectors,
-			Profiles:     cost.Profiles,
-			SimTimeSec:   cost.SimTimeSec,
-		})
+		s.PhasesDone = append(s.PhasesDone, PhaseCost{Name: name, Cost: cost})
 	})
 }
 

@@ -69,7 +69,7 @@ func TestProgressPublishAndWatch(t *testing.T) {
 	if s.Generation != 2 || s.BestWCR != 1.5 {
 		t.Errorf("generation = %d best %v", s.Generation, s.BestWCR)
 	}
-	if len(s.PhasesDone) != 1 || s.PhasesDone[0] != (PhaseCost{Name: "learn", Measurements: 4, SimTimeSec: 0.5}) {
+	if len(s.PhasesDone) != 1 || s.PhasesDone[0] != (PhaseCost{Name: "learn", Cost: telemetry.Cost{Measurements: 4, SimTimeSec: 0.5}}) {
 		t.Errorf("phases done = %+v", s.PhasesDone)
 	}
 	if !p.Ready() {

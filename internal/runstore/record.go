@@ -52,17 +52,17 @@ type Manifest struct {
 	Version int    `json:"version"`
 	Flow    string `json:"flow"`
 	Seed    int64  `json:"seed"`
-	// Flags is the resolved identity-bearing flag set: per-binary workload
-	// flags (parameter, corner, test counts, …) plus the shared flags that
-	// change what is computed. Output paths and scheduling knobs
-	// (-parallel, -trace, …) are excluded by the recorder — they
-	// change how or where, never what.
+	// Flags is the resolved identity-bearing flag set: every flag the
+	// binary defines except the shared scheduling and output flags
+	// (-parallel, -trace, -metrics, -run-dir, …), which change how or
+	// where, never what. A binary's own file flags (characterize's
+	// -weights, -db, -patterns and -cycle-trace) are identity flags.
 	Flags map[string]string `json:"flags,omitempty"`
 	// CacheWarmth is the tier of persistent-cache reuse the run saw:
-	// "none" (no -cache-dir), "cold" (store attached, nothing loaded) or
-	// "warm" (prior entries recovered). Warm and cold runs of the same
-	// workload produce different disk-cache artifacts, so warmth is part of
-	// the identity.
+	// "none" (it opened no store: no -cache-dir, or a flow that ignores
+	// it), "cold" (store opened, nothing loaded) or "warm" (prior entries
+	// recovered). Warm and cold runs of the same workload produce different
+	// disk-cache artifacts, so warmth is part of the identity.
 	CacheWarmth string `json:"cache_warmth,omitempty"`
 	// TraceDigest is the streaming FNV-1a 64 fingerprint of the trace bytes
 	// ("fnv1a:%016x"), the cheap cross-check against the stored trace.

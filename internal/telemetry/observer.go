@@ -1,7 +1,5 @@
 package telemetry
 
-import "sync/atomic"
-
 // Live run observation. A RunObserver receives the same logical progress
 // events the tracer and registry record — phase boundaries, trip-point
 // searches, cache lookups, GA generations, per-item loop progress — as they
@@ -34,102 +32,34 @@ type RunObserver interface {
 	Item(kind string, done, total int)
 }
 
-// observerBox wraps the interface so it can live in an atomic.Pointer.
-type observerBox struct{ o RunObserver }
-
-// MultiObserver fans every RunObserver callback out to each observer in
-// order. Nil entries are dropped; zero remaining observers collapse to nil
-// (no observer installed) and a single one is returned unwrapped, so the
-// fan-out layer costs nothing unless it is actually needed.
-func MultiObserver(obs ...RunObserver) RunObserver {
+// SetRunObserver installs the live run observers, replacing any earlier
+// ones; every callback reaches them in the order given. Nil interface
+// values are dropped, so a call with none removes them all. Reads on the
+// emission paths are a single atomic load, so an absent observer costs
+// nothing measurable. Nil-safe.
+func (t *Telemetry) SetRunObserver(obs ...RunObserver) {
+	if t == nil {
+		return
+	}
 	kept := make([]RunObserver, 0, len(obs))
 	for _, o := range obs {
 		if o != nil {
 			kept = append(kept, o)
 		}
 	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return multiObserver(kept)
+	t.observers.Store(&kept)
 }
 
-type multiObserver []RunObserver
-
-func (m multiObserver) PhaseStarted(name string) {
-	for _, o := range m {
-		o.PhaseStarted(name)
-	}
-}
-
-func (m multiObserver) PhaseEnded(name string, cost Cost) {
-	for _, o := range m {
-		o.PhaseEnded(name, cost)
-	}
-}
-
-func (m multiObserver) SearchRecorded(measurements, fullRangeBudget int, converged bool) {
-	for _, o := range m {
-		o.SearchRecorded(measurements, fullRangeBudget, converged)
-	}
-}
-
-func (m multiObserver) CacheLookups(hits, misses int64, fullRangeBudget int) {
-	for _, o := range m {
-		o.CacheLookups(hits, misses, fullRangeBudget)
-	}
-}
-
-func (m multiObserver) DiskCache(d DiskCacheStats) {
-	for _, o := range m {
-		o.DiskCache(d)
-	}
-}
-
-func (m multiObserver) Generation(gen int, bestWCR float64) {
-	for _, o := range m {
-		o.Generation(gen, bestWCR)
-	}
-}
-
-func (m multiObserver) Item(kind string, done, total int) {
-	for _, o := range m {
-		o.Item(kind, done, total)
-	}
-}
-
-// SetRunObserver installs (or, with nil, removes) the live run observer.
-// Reads on the emission paths are a single atomic load, so an absent
-// observer costs nothing measurable. Nil-safe.
-func (t *Telemetry) SetRunObserver(o RunObserver) {
-	if t == nil {
-		return
-	}
-	if o == nil {
-		t.observer.Store(nil)
-		return
-	}
-	t.observer.Store(&observerBox{o: o})
-}
-
-// runObserver returns the installed observer, or nil.
-func (t *Telemetry) runObserver() RunObserver {
+// runObservers returns the installed observers. Nil-safe.
+func (t *Telemetry) runObservers() []RunObserver {
 	if t == nil {
 		return nil
 	}
-	box := t.observer.Load()
-	if box == nil {
-		return nil
+	if obs := t.observers.Load(); obs != nil {
+		return *obs
 	}
-	return box.o
+	return nil
 }
-
-// observerPtr is the field type embedded in Telemetry (kept here next to
-// the interface it stores).
-type observerPtr = atomic.Pointer[observerBox]
 
 // RecordGeneration accounts one completed GA generation: the live best-WCR
 // gauge, the generation counter, and the observer callback. The GA's
@@ -141,21 +71,18 @@ func (t *Telemetry) RecordGeneration(gen int, bestWCR float64) {
 	}
 	t.reg.Gauge("ga_best_wcr").Set(bestWCR)
 	t.reg.Counter("ga_generations_total").Inc()
-	if o := t.runObserver(); o != nil {
+	for _, o := range t.runObservers() {
 		o.Generation(gen, bestWCR)
 	}
 }
 
-// RecordItem reports fine-grained loop progress to the live observer: done
+// RecordItem reports fine-grained loop progress to the live observers: done
 // of total units of the named kind. It deliberately touches neither the
 // registry nor the tracer — item progress exists purely for the live
 // /progress feed, so enabling it cannot change metrics snapshots or trace
 // bytes. Call only from deterministic program points. Nil-safe.
 func (t *Telemetry) RecordItem(kind string, done, total int) {
-	if t == nil {
-		return
-	}
-	if o := t.runObserver(); o != nil {
+	for _, o := range t.runObservers() {
 		o.Item(kind, done, total)
 	}
 }

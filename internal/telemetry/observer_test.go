@@ -135,28 +135,21 @@ func TestObserverDoesNotPerturbTrace(t *testing.T) {
 	}
 }
 
-func TestMultiObserverFansOut(t *testing.T) {
+// TestSetRunObserverFansOut: every callback reaches each installed observer
+// in the order given, nil entries are dropped, and a later call replaces
+// the list.
+func TestSetRunObserverFansOut(t *testing.T) {
 	a, b := &recordingObserver{}, &recordingObserver{}
+	tel := New("fan-out", nil)
+	tel.SetRunObserver(a, nil, b)
 
-	// Nil entries drop; zero observers collapse to nil; one returns itself.
-	if MultiObserver() != nil {
-		t.Error("MultiObserver() should be nil")
-	}
-	if MultiObserver(nil, nil) != nil {
-		t.Error("MultiObserver(nil, nil) should be nil")
-	}
-	if got := MultiObserver(nil, a); got != RunObserver(a) {
-		t.Errorf("MultiObserver(nil, a) = %v, want a unwrapped", got)
-	}
-
-	m := MultiObserver(a, nil, b)
-	m.PhaseStarted("learn")
-	m.SearchRecorded(4, 64, true)
-	m.CacheLookups(2, 1, 64)
-	m.DiskCache(DiskCacheStats{Hits: 1})
-	m.Generation(3, 1.25)
-	m.Item("die", 1, 10)
-	m.PhaseEnded("learn", Cost{Measurements: 4})
+	ph := tel.StartPhase("learn")
+	tel.RecordSearch(4, 64, true)
+	tel.RecordCacheLookups(2, 1, 64)
+	tel.RecordDiskCache(DiskCacheStats{Hits: 1})
+	tel.RecordGeneration(3, 1.25)
+	tel.RecordItem("die", 1, 10)
+	ph.End(Cost{Measurements: 4})
 
 	want := []string{"start:learn", "search", "cache", "disk", "gen", "item:die", "end:learn"}
 	if !reflect.DeepEqual(a.log, want) {
@@ -164,5 +157,14 @@ func TestMultiObserverFansOut(t *testing.T) {
 	}
 	if !reflect.DeepEqual(b.log, want) {
 		t.Errorf("second observer log = %v, want %v", b.log, want)
+	}
+
+	// A second call replaces the list; one with no observer empties it.
+	tel.SetRunObserver(b)
+	tel.RecordItem("die", 2, 10)
+	tel.SetRunObserver()
+	tel.RecordItem("die", 3, 10)
+	if len(a.log) != len(want) || len(b.log) != len(want)+1 {
+		t.Errorf("after replacing: first log %v, second log %v", a.log, b.log)
 	}
 }

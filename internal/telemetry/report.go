@@ -213,3 +213,20 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	_, err = w.Write(raw)
 	return err
 }
+
+// WriteDeterministicJSON writes the report as WriteJSON does with every
+// non-deterministic field zeroed: the wall-clock seconds per phase and in
+// total, the pool occupancy and the nd_-prefixed metrics. Two identical
+// runs at any -parallel therefore write the same bytes, which the run
+// ledger stores.
+func (r *Report) WriteDeterministicJSON(w io.Writer) error {
+	det := *r
+	det.NonDeterministic = NonDet{}
+	det.Phases = make([]Phase, len(r.Phases))
+	for i, p := range r.Phases {
+		p.WallSeconds = 0
+		det.Phases[i] = p
+	}
+	det.Metrics = r.Metrics.StripNonDeterministic()
+	return det.WriteJSON(w)
+}

@@ -7,6 +7,7 @@ package telemetry
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/parallel"
@@ -20,9 +21,9 @@ type Telemetry struct {
 	tracer *Tracer
 	reg    *Registry
 
-	// observer is the optional live run observer (see observer.go); loaded
+	// observers are the live run observers (see observer.go); loaded
 	// atomically on every emission path.
-	observer observerPtr
+	observers atomic.Pointer[[]RunObserver]
 
 	mu      sync.Mutex
 	run     *Span
@@ -82,7 +83,7 @@ func (t *Telemetry) StartPhase(name string) *PhaseHandle {
 	if t == nil {
 		return nil
 	}
-	if o := t.runObserver(); o != nil {
+	for _, o := range t.runObservers() {
 		o.PhaseStarted(name)
 	}
 	return &PhaseHandle{t: t, span: t.run.Child("phase", S("phase", name)), name: name, start: time.Now()}
@@ -121,7 +122,7 @@ func (p *PhaseHandle) End(cost Cost) {
 		WallSeconds: time.Since(p.start).Seconds(),
 	})
 	p.t.mu.Unlock()
-	if o := p.t.runObserver(); o != nil {
+	for _, o := range p.t.runObservers() {
 		o.PhaseEnded(p.name, cost)
 	}
 }
@@ -142,7 +143,7 @@ func (t *Telemetry) RecordSearch(measurements, fullRangeBudget int, converged bo
 		reg.Counter("search_nonconverged_total").Inc()
 	}
 	reg.Histogram("search_measurements_per_search").Observe(float64(measurements))
-	if o := t.runObserver(); o != nil {
+	for _, o := range t.runObservers() {
 		o.SearchRecorded(measurements, fullRangeBudget, converged)
 	}
 }
@@ -156,7 +157,7 @@ func (t *Telemetry) RecordCacheLookups(hits, misses int64, fullRangeBudget int) 
 	t.reg.Counter("cache_hits_total").Add(hits)
 	t.reg.Counter("cache_misses_total").Add(misses)
 	t.reg.Counter("search_baseline_measurements_total").Add(hits * int64(fullRangeBudget))
-	if o := t.runObserver(); o != nil {
+	for _, o := range t.runObservers() {
 		o.CacheLookups(hits, misses, fullRangeBudget)
 	}
 }
@@ -181,7 +182,7 @@ func (t *Telemetry) RecordDiskCache(d DiskCacheStats) {
 	reg.Gauge("disk_cache_misses").Set(float64(total.Misses))
 	reg.Gauge("disk_cache_flushed_entries").Set(float64(total.FlushedEntries))
 	reg.Gauge("disk_cache_bytes_on_disk").Set(float64(total.BytesOnDisk))
-	if o := t.runObserver(); o != nil {
+	for _, o := range t.runObservers() {
 		o.DiskCache(total)
 	}
 }

@@ -89,13 +89,18 @@ func (t *Tracer) Fingerprint() string {
 }
 
 // NewFileTracer traces into a JSONL file sink, truncating any existing
-// file. Close flushes and closes it.
-func NewFileTracer(path string) (*Tracer, error) {
+// file, and into also as well when it is not nil. Close flushes and closes
+// the file; a failed write to either sink fails Close.
+func NewFileTracer(path string, also io.Writer) (*Tracer, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	t := NewTracer(f)
+	var w io.Writer = f
+	if also != nil {
+		w = io.MultiWriter(f, also)
+	}
+	t := NewTracer(w)
 	t.closer = f
 	return t, nil
 }

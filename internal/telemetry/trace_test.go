@@ -115,7 +115,7 @@ func TestTracerFieldEncoding(t *testing.T) {
 
 func TestFileTracer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	tr, err := NewFileTracer(path)
+	tr, err := NewFileTracer(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
