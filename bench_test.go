@@ -630,6 +630,34 @@ func BenchmarkDeviceProfile(b *testing.B) {
 	reportPerVector(b, vectors)
 }
 
+// BenchmarkShmooTaskStrobes measures a fig. 8 fleet task's tester work on
+// a loaded profile: one op reseeds the insertion, as every task does, and
+// strobes the 17×37 grid a row at a time.
+func BenchmarkShmooTaskStrobes(b *testing.B) {
+	tester, gen := newRig(b, 81)
+	p, err := tester.Profile(gen.Next())
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, y := shmoo.DefaultTDQAxis(), shmoo.DefaultVddAxis()
+	strobes := make([]float64, x.Steps)
+	for i := range strobes {
+		strobes[i] = x.Value(i)
+	}
+	pass := make([]bool, len(strobes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tester.Reseed(8100 + int64(i))
+		tester.Preload(p)
+		for yi := range y.Steps {
+			if err := tester.MeasureShmooRow(p.Test, y.Value(yi), strobes, pass); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.Steps*y.Steps), "ns/strobe")
+}
+
 // BenchmarkFeatureExtraction measures the NN input encoding of the batch.
 func BenchmarkFeatureExtraction(b *testing.B) {
 	tests, vectors := perVectorBatch()

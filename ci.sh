@@ -522,12 +522,15 @@ echo "== wall-clock benchmark gates (medians of 5) =="
 #     >= 1.4x the dies/sec of workers=1 cache=off. Below 2 CPUs it is
 #     printed and skipped.
 # fig. 5's, fig. 8's and Table 1's workers=2 over workers=1 ratios are
-# recorded with the CPU count, not gated.
+# recorded with the CPU count, not gated, and so are the medians of a fig. 8
+# task's two kernels: pattern execution in ns/vector and the row strobes in
+# ns/strobe, five 200 ms samples each.
 NCPU=$(nproc)
 SAMPLES=$(go test -run '^$' -benchtime 1x -count 5 -timeout 60m -bench \
 	'^BenchmarkLotScreenPerDieLoop$|^BenchmarkLotScreenStream$/^workers=[128]$/^cache=off$|^BenchmarkFigure5OptimizationParallel$/^workers=[12]$|^BenchmarkFigure8ShmooParallel$/^workers=[12]$|^BenchmarkTable1FullComparison$/^workers=[12]$' .)
-printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
-	# median of the ns/op samples of benchmark b.
+KERNELS=$(go test -run '^$' -benchtime 200ms -count 5 -bench '^BenchmarkDeviceProfile$|^BenchmarkShmooTaskStrobes$' .)
+printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
+	# median of the samples of benchmark b.
 	function median(b,    i, j, k, t, v) {
 		for (i = 1; i <= n[b]; i++) v[i] = ns[b, i] + 0
 		for (i = 2; i <= n[b]; i++)
@@ -535,10 +538,12 @@ printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
 		k = int((n[b] + 1) / 2)
 		return (n[b] % 2) ? v[k] : (v[k] + v[k + 1]) / 2
 	}
+	BEGIN { unit["BenchmarkDeviceProfile"] = "ns/vector"; unit["BenchmarkShmooTaskStrobes"] = "ns/strobe" }
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
+		u = (name in unit) ? unit[name] : "ns/op"
 		for (i = 3; i <= NF; i++)
-			if ($i == "ns/op") {
+			if ($i == u) {
 				if (!(name in n)) order[++nb] = name
 				ns[name, ++n[name]] = $(i - 1)
 			}
@@ -546,7 +551,8 @@ printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
 	END {
 		for (b = 1; b <= nb; b++) {
 			med[order[b]] = median(order[b])
-			printf "%-48s %d samples, median %9.1f ms/op\n", order[b], n[order[b]], med[order[b]] / 1e6
+			if (!(order[b] in unit))
+				printf "%-48s %d samples, median %9.1f ms/op\n", order[b], n[order[b]], med[order[b]] / 1e6
 		}
 		perdie = med["BenchmarkLotScreenPerDieLoop"]
 		w1 = med["BenchmarkLotScreenStream/workers=1/cache=off"]
@@ -558,8 +564,10 @@ printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
 		s2 = med["BenchmarkFigure8ShmooParallel/workers=2"]
 		t1 = med["BenchmarkTable1FullComparison/workers=1"]
 		t2 = med["BenchmarkTable1FullComparison/workers=2"]
-		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !s1 || !s2 || !t1 || !t2) {
-			print "FAIL: benchmark output is missing lot, fig. 5, fig. 8 or Table 1 samples" > "/dev/stderr"
+		kv = med["BenchmarkDeviceProfile"]
+		ks = med["BenchmarkShmooTaskStrobes"]
+		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !s1 || !s2 || !t1 || !t2 || !kv || !ks) {
+			print "FAIL: benchmark output is missing lot, fig. 5, fig. 8, Table 1 or kernel samples" > "/dev/stderr"
 			exit 1
 		}
 		fail = 0
@@ -579,6 +587,7 @@ printf '%s\n' "$SAMPLES" | awk -v nproc="$NCPU" '
 		}
 		printf "fig. 5 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", f1 / f2, nproc
 		printf "fig. 8 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", s1 / s2, nproc
+		printf "fig. 8 task kernels (recorded, not gated): pattern execution %.1f ns/vector (%d samples), row strobes %.1f ns/strobe (%d samples)\n", kv, n["BenchmarkDeviceProfile"], ks, n["BenchmarkShmooTaskStrobes"]
 		printf "Table 1 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", t1 / t2, nproc
 		exit fail
 	}

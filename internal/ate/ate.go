@@ -72,6 +72,7 @@ const setupTimeSec = 1e-3
 // electronics. Not safe for concurrent use; clone one ATE per goroutine.
 type ATE struct {
 	dev *dut.Device
+	src *randstream.Source // the noise stream; rng draws it for single strobes
 	rng *rand.Rand
 
 	// NoiseFraction scales gaussian measurement noise: the sigma applied
@@ -115,9 +116,11 @@ type ATE struct {
 // New creates a tester with the device in the socket. The seed drives
 // measurement noise, the stream of math/rand's rand.NewSource(seed).
 func New(dev *dut.Device, seed int64) *ATE {
+	src := randstream.New(seed)
 	return &ATE{
 		dev:           dev,
-		rng:           rand.New(randstream.New(seed)),
+		src:           src,
+		rng:           rand.New(src),
 		NoiseFraction: 0.25,
 	}
 }
@@ -243,13 +246,17 @@ func (a *ATE) tick(t testgen.Test, dtSec, activity float64) {
 	a.Heating.advance(a.stats.TestTimeSec, len(t.Seq), activity)
 }
 
-// noise returns one gaussian noise sample with the given sigma.
+// noise returns one gaussian noise sample with the given sigma. A single
+// strobe draws through rng, which keeps the source's lazy O(1) reseed.
 func (a *ATE) noise(sigma float64) float64 {
-	if sigma <= 0 || a.NoiseFraction <= 0 {
+	if !a.noisy(sigma) {
 		return 0
 	}
 	return a.rng.NormFloat64() * sigma
 }
+
+// noisy reports whether a measurement with this sigma draws noise.
+func (a *ATE) noisy(sigma float64) bool { return !(sigma <= 0 || a.NoiseFraction <= 0) }
 
 // Profile exposes the cached profile path for analysis tools (shmoo, WCR
 // reports) that need parameter values rather than pass/fail bits.
@@ -280,7 +287,9 @@ func (a *ATE) MeasureTDQPass(t testgen.Test, strobeNS float64) (bool, error) {
 // the window covers strobes[i]; pass must be at least as long as strobes.
 // The row measures exactly what len(strobes) single strobes at vdd would,
 // in order: every strobe is charged, heats the junction and draws its own
-// noise. Only the pattern load and the per-strobe cost are worked out once.
+// noise. Only the pattern load and the per-strobe cost are worked out once,
+// the simulated clock runs in a local with the same adds, and a noisy row
+// draws through a cursor on the noise stream, which it hands back after.
 func (a *ATE) MeasureShmooRow(t testgen.Test, vdd float64, strobes []float64, pass []bool) error {
 	p, err := a.load(t)
 	if err != nil {
@@ -289,11 +298,28 @@ func (a *ATE) MeasureShmooRow(t testgen.Test, vdd float64, strobes []float64, pa
 	dt := a.charge(t, TDQ, len(strobes))
 	activity := p.MeanActivity()
 	sigma := a.NoiseFraction * TDQ.Resolution()
+	noisy := a.noisy(sigma)
+	var cur randstream.Cursor
+	if noisy {
+		cur = a.src.Cursor()
+	}
+	now := a.stats.TestTimeSec
 	pass = pass[:len(strobes)]
 	for i, strobe := range strobes {
-		a.tick(t, dt, activity)
+		now += dt
+		if a.Heating != nil {
+			a.Heating.advance(now, len(t.Seq), activity)
+		}
 		temp := t.Cond.TempC + a.Heating.RiseC()
-		pass[i] = a.tdqWindow(p, vdd, temp, t.Cond.ClockMHz)+a.noise(sigma) >= strobe
+		var noise float64
+		if noisy {
+			noise = cur.NormFloat64() * sigma
+		}
+		pass[i] = a.tdqWindow(p, vdd, temp, t.Cond.ClockMHz)+noise >= strobe
+	}
+	a.stats.TestTimeSec = now
+	if noisy {
+		a.src.Resume(cur)
 	}
 	return nil
 }

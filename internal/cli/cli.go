@@ -414,7 +414,16 @@ func (c *Common) startTelemetry(runName string) (*telemetry.Telemetry, error) {
 		recorder.ExportTo(tel.Registry())
 		c.flight = recorder
 	}
-	tel.SetRunObserver(progress, recorder)
+	// Only live observers go in: a typed-nil one would still run its
+	// callbacks, and the recorder's build their fields before its nil check.
+	var observers []telemetry.RunObserver
+	if progress != nil {
+		observers = append(observers, progress)
+	}
+	if recorder != nil {
+		observers = append(observers, recorder)
+	}
+	tel.SetRunObserver(observers...)
 	// Every fleet stage's scheduling summary is quarantined as
 	// non-deterministic: the run totals in the report's pool section and
 	// the nd_fleet_* series (both excluded from determinism diffs, and the

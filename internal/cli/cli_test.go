@@ -118,6 +118,25 @@ func TestStartTelemetryDisabled(t *testing.T) {
 	}
 }
 
+// A run with telemetry but neither -listen nor -crash-dir, such as a
+// -run-dir run, has no live observer, so the per-item and per-search hooks
+// allocate nothing: a typed-nil flight recorder would still run its
+// callbacks, which build their fields before its nil check.
+func TestTelemetryWithoutLiveObserversDoesNotAllocate(t *testing.T) {
+	c := &Common{RunDir: t.TempDir(), Embedded: true}
+	tel, err := c.startTelemetry("unit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.release() }) //nolint:errcheck // no server to close
+	if allocs := testing.AllocsPerRun(100, func() {
+		tel.RecordItem("die", 1, 2)
+		tel.RecordSearch(4, 10, true)
+	}); allocs != 0 {
+		t.Errorf("an item and a search allocate %v times with no live observer", allocs)
+	}
+}
+
 func TestStartFinishTelemetryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	c := &Common{

@@ -176,6 +176,7 @@ func runCharacterize(c *Common, f *characterizeFlags, out io.Writer, tel *teleme
 	if f.LearnOnly {
 		hits, misses := char.CacheStats()
 		PrintCacheSummary(out, hits, misses)
+		core.RecordDiskCache(tel, memoStore)
 		s := tester.Stats()
 		fmt.Fprintf(out, "Tester totals: %d measurements, %d vectors, %.2f s simulated test time\n",
 			s.Measurements, s.VectorsApplied, s.TestTimeSec)

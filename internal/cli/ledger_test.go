@@ -512,6 +512,30 @@ func TestLedgerRecordsTheTraceTheTracerWrote(t *testing.T) {
 	}
 }
 
+// A learn-only run that primes its memo-cache from a populated -cache-dir
+// records cache warmth warm, as the optimize run that filled the store
+// would on a second pass.
+func TestLearnOnlyPrimedFromCacheDirRecordsWarm(t *testing.T) {
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	args := map[string]string{"learn-tests": "20"}
+	flowRunID(t, FlowSpec{Flow: "optimize", Seed: 2, Args: args}, func(c *Common) { c.CacheDir = cacheDir })
+	runDir := t.TempDir()
+	id := flowRunID(t, FlowSpec{Flow: "learn", Seed: 2, Args: args}, func(c *Common) {
+		c.CacheDir, c.RunDir = cacheDir, runDir
+	})
+	st, err := runstore.Open(runDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := rec.Manifest.CacheWarmth; w != "warm" {
+		t.Errorf("learn-only run primed from -cache-dir recorded warmth %q, want warm", w)
+	}
+}
+
 // A flow that opens no measurement store records the same run as without
 // -cache-dir: the flag changes nothing it computes.
 func TestCacheDirIgnoredByFlowKeepsRunID(t *testing.T) {

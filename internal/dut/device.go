@@ -85,15 +85,17 @@ type Profile struct {
 // the execution is repeated with the droop-corrected effective supply so
 // functional corruption reflects the activity the sequence itself provokes.
 func (d *Device) Profile(t testgen.Test) (Profile, error) {
-	if err := t.Seq.Validate(d.mem.Geometry().Words()); err != nil {
-		return Profile{}, fmt.Errorf("dut: profiling %s: %w", t.Name, err)
-	}
 	d.mem.Reset()
-	act, fn := d.mem.Execute(t.Seq, t.Cond.VddV)
+	act, fn, ok := d.mem.Execute(t.Seq, t.Cond.VddV)
+	if !ok {
+		// The execution flagged a sequence Validate rejects; Validate
+		// names the vector.
+		return Profile{}, fmt.Errorf("dut: profiling %s: %w", t.Name, t.Seq.Validate(d.mem.Geometry().Words()))
+	}
 	if d.die.WeakCellCount() > 0 {
 		vddEff := d.phys.EffectiveVdd(t.Cond.VddV, t.Cond.TempC, act, d.die)
 		d.mem.Reset()
-		act, fn = d.mem.Execute(t.Seq, vddEff)
+		act, fn, _ = d.mem.Execute(t.Seq, vddEff)
 	}
 	return Profile{Test: t, Act: act, Func: fn, die: d.die, phys: d.phys}, nil
 }

@@ -45,18 +45,45 @@ func TestProfileDeterministic(t *testing.T) {
 	}
 }
 
+// TestProfileRejectsInvalidSequence pins what Profile refuses, with each
+// error's exact text: the sequences testgen.Sequence.Validate rejects for
+// the array. A NOP's address is never driven, so a NOP past the array is
+// accepted.
 func TestProfileRejectsInvalidSequence(t *testing.T) {
 	dev := testDevice(t)
-	bad := testgen.Test{
-		Name: "bad",
-		Seq:  testgen.Sequence{{Op: testgen.OpRead, Addr: dev.Geometry().Words()}},
-		Cond: testgen.NominalConditions(),
-	}
-	if _, err := dev.Profile(bad); err == nil {
-		t.Error("out-of-range sequence accepted")
-	}
-	if _, err := dev.Profile(testgen.Test{Name: "empty", Cond: testgen.NominalConditions()}); err == nil {
-		t.Error("empty sequence accepted")
+	words := dev.Geometry().Words()
+	for _, tc := range []struct {
+		name string
+		seq  testgen.Sequence
+		want string // "" when the sequence is accepted
+	}{
+		{"empty", nil, "dut: profiling empty: testgen: empty sequence"},
+		{"read-past", testgen.Sequence{{Op: testgen.OpRead, Addr: words}},
+			"dut: profiling read-past: testgen: vector 0: address 0x1000 outside address space 0x1000"},
+		{"write-past", testgen.Sequence{
+			{Op: testgen.OpWrite, Addr: 5, Data: 1},
+			{Op: testgen.OpWrite, Addr: words + 5, Data: 2},
+			{Op: testgen.OpRead, Addr: words + 6},
+		}, "dut: profiling write-past: testgen: vector 1: address 0x1005 outside address space 0x1000"},
+		{"unknown-op", testgen.Sequence{
+			{Op: testgen.OpRead, Addr: 1},
+			{Op: testgen.OpRead + 1, Addr: 2},
+		}, "dut: profiling unknown-op: testgen: vector 1: unknown op 3"},
+		{"unknown-op-past", testgen.Sequence{{Op: 7, Addr: words + 1}},
+			"dut: profiling unknown-op-past: testgen: vector 0: address 0x1001 outside address space 0x1000"},
+		{"nop-past", testgen.Sequence{
+			{Op: testgen.OpWrite, Addr: 3, Data: 9},
+			{Op: testgen.OpNop, Addr: words + 3},
+			{Op: testgen.OpRead, Addr: 3},
+		}, ""},
+	} {
+		_, err := dev.Profile(testgen.Test{Name: tc.name, Seq: tc.seq, Cond: testgen.NominalConditions()})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

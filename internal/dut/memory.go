@@ -113,10 +113,9 @@ type Memory struct {
 	rowRemap   map[int]uint32
 	sparesUsed []int
 
-	// Per-execution activation counts, dense over bank*Rows+row, and the
-	// slots the current execution touched, so clearing costs O(touched).
+	// Per-execution activation counts, dense over bank*Rows+row, cleared
+	// at the start of each execution.
 	rowHits []int32
-	rowsHit []int32
 }
 
 // NewMemory allocates a zero-initialized array over the given geometry.
@@ -173,13 +172,26 @@ func (m *Memory) Reset() {
 
 // activityWindow is the droop-integration window in cycles: peak statistics
 // are computed over sliding windows of this length, mirroring the supply
-// network's fast time constant. Both window lengths are powers of two: the
-// ring indices are masked and the full-window means divide exactly.
+// network's fast time constant. Both window lengths are powers of two, so
+// the ring indices are masked.
 const activityWindow = 8
 
 // sustainWindow is the long integration window for SSNSustained: the
 // decoupling network absorbs bursts shorter than this.
 const sustainWindow = 64
+
+// winLCM is the least common multiple of the window lengths 1 to
+// activityWindow, and winScale[l-1] is winLCM/l: a window sum of length l
+// scaled by it is winLCM times the window's mean, so the warm-up windows
+// and the full ones compare as integers.
+const winLCM = 840
+
+var winScale = func() (s [activityWindow]int) {
+	for l := range s {
+		s[l] = winLCM / (l + 1)
+	}
+	return s
+}()
 
 // CycleRecord is one bus cycle of an execution trace — the raw material
 // for circuit-level analysis of a worst-case test (per-cycle switching and
@@ -198,198 +210,191 @@ type CycleRecord struct {
 	Corrupted bool    // read returned corrupted data (weak cell)
 }
 
-// Execute runs the sequence at the given effective supply voltage and
-// returns the provoked activity plus functional results. Weak-cell reads
-// corrupt when vddEff is below the cell's threshold; all other behaviour is
-// ideal SRAM semantics (reads return the last written value, initially 0).
-func (m *Memory) Execute(seq testgen.Sequence, vddEff float64) (Activity, FunctionalResult) {
+// Execute is ExecuteObserved without an observer.
+func (m *Memory) Execute(seq testgen.Sequence, vddEff float64) (Activity, FunctionalResult, bool) {
 	return m.ExecuteObserved(seq, vddEff, nil)
 }
 
-// ExecuteObserved is Execute with a per-cycle observer; observe may be nil.
-func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe func(CycleRecord)) (Activity, FunctionalResult) {
-	var act Activity
-	fr := FunctionalResult{FirstMismatch: -1}
+// ExecuteObserved runs the sequence at the given effective supply voltage
+// and returns the provoked activity plus functional results; observe, when
+// non-nil, sees every cycle. Weak-cell reads corrupt when vddEff is below
+// the cell's threshold; all other behaviour is ideal SRAM semantics (reads
+// return the last written value, initially 0), with addresses wrapped to
+// the array. ok reports whether testgen.Sequence.Validate accepts the
+// sequence for this array: it is false for an empty sequence, an op above
+// OpRead, which executes as a cycle that holds the bus, and a non-NOP
+// address past the array.
+//
+// Activity is counted in integers. A cycle's ATD, toggle and SSN are the
+// bit counts ka = popcount(prevAddr^addr) and kt = popcount(prevBus^bus)
+// and their product over addrBits, 32 and 32·addrBits; the sums and the
+// sliding windows hold the counts, window peaks compare exactly, and each
+// density is one division of integers below 2^53 at the end, so it is the
+// float64 nearest the exact ratio.
+func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe func(CycleRecord)) (act Activity, fr FunctionalResult, ok bool) {
+	fr.FirstMismatch = -1
 	if len(seq) == 0 {
-		return act, fr
+		return act, fr, false
 	}
 
-	addrBits := float64(m.geom.AddrBits())
+	// Decode's fields, worked out once. addr is masked to the array, so
+	// addr>>colShift is bank*Rows+row, the rowHits slot, and
+	// addr>>bankShift is the bank.
+	addrBits := m.geom.AddrBits()
 	addrMask := m.geom.Words() - 1
+	colShift := bits.TrailingZeros(uint(m.geom.Cols))
+	bankShift := colShift + bits.TrailingZeros(uint(m.geom.Rows))
+	colMask, rowMask := uint32(m.geom.Cols-1), uint32(m.geom.Rows-1)
 	weak := m.die.WeakCellCount() > 0
-	for _, slot := range m.rowsHit {
-		m.rowHits[slot] = 0
-	}
-	m.rowsHit = m.rowsHit[:0]
+	remapped := len(m.rowRemap) > 0
+	clear(m.rowHits)
 
 	var (
-		prevAddr      uint32
-		prevBus       uint32 // last value seen on the data bus (read or write)
-		prevWrote     uint32
-		prevWroteAddr uint32
-		havePrev      bool
-		haveWrite     bool
+		prevAddr, prevBus, prevWrote uint32
+		prevWroteAddr                = int64(-3) // before any write: 3+ words from every address
 
-		atdSum, togSum, ssnSum    float64
-		atdPeak, togPeak, ssnPeak float64
-		conflicts, reads          int
-		coupling                  float64
-		winATD, winTog, winSSN    [activityWindow]float64
-		sumATDw, sumTogw, sumSSNw float64
-		wIdx                      int
-		winSus                    [sustainWindow]float64
-		sumSus                    float64
-		susIdx                    int
-		ssnSustained              float64
+		invalid                    bool
+		reads, conflicts, coupling int
+		maxRow                     int32
+
+		sumA, sumT, sumS    int // numerators of the means
+		winA, winT, winS    [activityWindow]int
+		wA, wT, wS          int // window sums
+		peakA, peakT, peakS int // peak window sums scaled by winScale
+		winSus              [sustainWindow]int
+		sus                 int
+		susPeak, susLen     = 0, 1 // the peak sustained window as sum over length
 	)
 
 	for i, v := range seq {
+		op := v.Op
 		addr := v.Addr & addrMask
-		bank, row, col := m.geom.Decode(addr)
-
-		atd := 0.0
-		if havePrev && v.Op != testgen.OpNop {
-			atd = float64(bits.OnesCount32(prevAddr^addr)) / addrBits
+		if op > testgen.OpRead || op != testgen.OpNop && v.Addr != addr {
+			invalid = true
 		}
+		active, isWrite, isRead := op != testgen.OpNop, op == testgen.OpWrite, op == testgen.OpRead
+		bank, row := int(addr>>bankShift), int(addr>>colShift&rowMask)
 
-		var bus uint32
-		tog := 0.0
+		// The bus and the stored word, selected without a branch: which op
+		// comes next is a coin flip.
+		phys := addr
+		if remapped {
+			phys = m.physical(addr)
+		}
+		word := m.words[phys]
+		bus := prevBus
+		if isRead {
+			bus = word
+		}
+		if isWrite {
+			word, bus = v.Data, v.Data
+		}
+		m.words[phys] = word
 		corrupted := false
-		switch v.Op {
-		case testgen.OpWrite:
-			bus = v.Data
-			m.words[m.physical(addr)] = v.Data
-			if haveWrite {
-				// Bitline coupling: adjacent-column write with near-complementary data.
-				flips := bits.OnesCount32(prevWrote ^ v.Data)
-				dAddr := int64(addr) - int64(prevWroteAddr)
-				if dAddr < 0 {
-					dAddr = -dAddr
+		if weak && isRead {
+			if th, ok := m.die.WeakCellThreshold(phys); ok && vddEff < th {
+				bus ^= 1 << (addr % 32) // single-bit corruption
+				corrupted = true
+				fr.Mismatches++
+				if fr.FirstMismatch < 0 {
+					fr.FirstMismatch = i
 				}
-				if flips >= 24 && dAddr >= 1 && dAddr <= 2 {
-					coupling++
+				// At most one entry per weak cell, so a scan dedupes.
+				if !slices.Contains(fr.FailingAddrs, addr) {
+					fr.FailingAddrs = append(fr.FailingAddrs, addr)
 				}
 			}
-			prevWrote = v.Data
-			prevWroteAddr = addr
-			haveWrite = true
-		case testgen.OpRead:
-			reads++
-			fr.ReadCount++
-			phys := m.physical(addr)
-			data := m.words[phys]
-			if weak {
-				if th, ok := m.die.WeakCellThreshold(phys); ok && vddEff < th {
-					data ^= 1 << (addr % 32) // single-bit corruption
-					corrupted = true
-					fr.Mismatches++
-					if fr.FirstMismatch < 0 {
-						fr.FirstMismatch = i
-					}
-					// At most one entry per weak cell, so a scan dedupes.
-					if !slices.Contains(fr.FailingAddrs, addr) {
-						fr.FailingAddrs = append(fr.FailingAddrs, addr)
-					}
-				}
-			}
-			bus = data
-		default: // OpNop: bus holds
-			bus = prevBus
 		}
-		if havePrev && v.Op != testgen.OpNop {
-			tog = float64(bits.OnesCount32(prevBus^bus)) / 32.0
+		reads += b2i(isRead)
+
+		// Bitline coupling: adjacent-column write with near-complementary data.
+		d := int64(addr) - prevWroteAddr
+		coupling += b2i(isWrite) & b2i(bits.OnesCount32(prevWrote^v.Data) >= 24) & b2i(d != 0) & b2i(uint64(d+2) <= 4)
+		if isWrite {
+			prevWrote, prevWroteAddr = v.Data, int64(addr)
 		}
 
-		ssn := atd * tog
+		// Bank conflict: back-to-back access to the same bank, different row.
+		last := m.lastRowInBank[bank]
+		conflicts += b2i(active) & b2i(last >= 0) & b2i(last != row)
+		if active {
+			last = row
+		}
+		m.lastRowInBank[bank] = last
+		slot := addr >> colShift
+		hits := m.rowHits[slot] + int32(b2i(active))
+		m.rowHits[slot] = hits
+		maxRow = max(maxRow, hits)
 
-		atdSum += atd
-		togSum += tog
-		ssnSum += ssn
+		// Switching counts; the first cycle and NOPs switch nothing.
+		live := b2i(active) & b2i(i > 0)
+		ka := bits.OnesCount32(prevAddr^addr) * live
+		kt := bits.OnesCount32(prevBus^bus) * live
+		ks := ka * kt
+		sumA += ka
+		sumT += kt
+		sumS += ks
 
 		// Sliding-window peaks.
-		sumATDw += atd - winATD[wIdx]
-		winATD[wIdx] = atd
-		sumTogw += tog - winTog[wIdx]
-		winTog[wIdx] = tog
-		sumSSNw += ssn - winSSN[wIdx]
-		winSSN[wIdx] = ssn
-		wIdx = (wIdx + 1) & (activityWindow - 1)
-		var atdW, togW, ssnW float64
-		if i+1 >= activityWindow {
-			atdW, togW, ssnW = sumATDw/activityWindow, sumTogw/activityWindow, sumSSNw/activityWindow
-		} else {
-			wlen := float64(i + 1)
-			atdW, togW, ssnW = sumATDw/wlen, sumTogw/wlen, sumSSNw/wlen
-		}
-		if atdW > atdPeak {
-			atdPeak = atdW
-		}
-		if togW > togPeak {
-			togPeak = togW
-		}
-		if ssnW > ssnPeak {
-			ssnPeak = ssnW
-		}
-		sumSus += ssn - winSus[susIdx]
-		winSus[susIdx] = ssn
-		susIdx = (susIdx + 1) & (sustainWindow - 1)
+		w := i & (activityWindow - 1)
+		wA += ka - winA[w]
+		winA[w] = ka
+		wT += kt - winT[w]
+		winT[w] = kt
+		wS += ks - winS[w]
+		winS[w] = ks
+		scale := winScale[min(i, activityWindow-1)]
+		peakA = max(peakA, wA*scale)
+		peakT = max(peakT, wT*scale)
+		peakS = max(peakS, wS*scale)
+		s := i & (sustainWindow - 1)
+		sus += ks - winSus[s]
+		winSus[s] = ks
 		if i+1 >= sustainWindow/2 { // ignore the warm-up transient
-			var sus float64
-			if i+1 >= sustainWindow {
-				sus = sumSus / sustainWindow
-			} else {
-				sus = sumSus / float64(i+1)
-			}
-			if sus > ssnSustained {
-				ssnSustained = sus
+			if l := min(i+1, sustainWindow); sus*susLen > susPeak*l {
+				susPeak, susLen = sus, l
 			}
 		}
 
 		if observe != nil {
+			atd, tog := float64(ka)/float64(addrBits), float64(kt)/32
 			observe(CycleRecord{
-				Cycle: i, Op: v.Op, Addr: addr,
-				Bank: bank, Row: row, Col: col,
-				Bus: bus, ATD: atd, Toggle: tog, SSN: ssn,
+				Cycle: i, Op: op, Addr: addr,
+				Bank: bank, Row: row, Col: int(addr & colMask),
+				Bus: bus, ATD: atd, Toggle: tog, SSN: atd * tog,
 				Corrupted: corrupted,
 			})
 		}
 
-		// Bank conflict: back-to-back access to the same bank, different row.
-		if v.Op != testgen.OpNop {
-			if last := m.lastRowInBank[bank]; last >= 0 && last != row {
-				conflicts++
-			}
-			m.lastRowInBank[bank] = row
-			slot := int32(bank*m.geom.Rows + row)
-			if m.rowHits[slot] == 0 {
-				m.rowsHit = append(m.rowsHit, slot)
-			}
-			m.rowHits[slot]++
-		}
-
 		prevAddr = addr
 		prevBus = bus
-		havePrev = true
 	}
 
-	n := float64(len(seq))
-	act.Cycles = len(seq)
-	act.ATDMean = atdSum / n
-	act.ATDPeak = clamp01(atdPeak)
-	act.ToggleMean = togSum / n
-	act.TogglePeak = clamp01(togPeak)
-	act.SSNMean = ssnSum / n
-	act.SSNPeak = clamp01(ssnPeak)
-	act.SSNSustained = clamp01(ssnSustained)
-	act.BankConflictRate = float64(conflicts) / n
-	act.CouplingScore = clamp01(coupling / n * 4)
-	act.ReadRatio = float64(reads) / n
-	var maxRow int32
-	for _, slot := range m.rowsHit {
-		maxRow = max(maxRow, m.rowHits[slot])
+	n := len(seq)
+	fr.ReadCount = reads
+	return Activity{
+		Cycles:           n,
+		ATDMean:          float64(sumA) / float64(n*addrBits),
+		ATDPeak:          float64(peakA) / float64(winLCM*addrBits),
+		ToggleMean:       float64(sumT) / float64(n*32),
+		TogglePeak:       float64(peakT) / float64(winLCM*32),
+		SSNMean:          float64(sumS) / float64(n*32*addrBits),
+		SSNPeak:          float64(peakS) / float64(winLCM*32*addrBits),
+		SSNSustained:     float64(susPeak) / float64(susLen*32*addrBits),
+		BankConflictRate: float64(conflicts) / float64(n),
+		CouplingScore:    clamp01(float64(coupling) / float64(n) * 4),
+		ReadRatio:        float64(reads) / float64(n),
+		RowHammer:        float64(maxRow) / float64(n),
+	}, fr, !invalid
+}
+
+// b2i is 1 for true and 0 for false. The compiler sets it from a flag, so
+// the kernel's data-dependent counts take no branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	act.RowHammer = clamp01(float64(maxRow) / n)
-	return act, fr
+	return 0
 }
 
 func clamp01(v float64) float64 {

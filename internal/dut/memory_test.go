@@ -1,6 +1,7 @@
 package dut
 
 import (
+	"math/big"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -116,7 +117,7 @@ func TestMemoryReadAfterWrite(t *testing.T) {
 		{Op: testgen.OpWrite, Addr: 7, Data: 0xCAFEBABE},
 		{Op: testgen.OpRead, Addr: 7},
 	}
-	_, fr := m.Execute(seq, 1.8)
+	_, fr, _ := m.Execute(seq, 1.8)
 	if fr.Failed() {
 		t.Error("clean read-after-write reported functional failure")
 	}
@@ -136,7 +137,10 @@ func TestMemoryResetClears(t *testing.T) {
 
 func TestActivityEmptySequence(t *testing.T) {
 	m := testMemory(t)
-	act, fr := m.Execute(nil, 1.8)
+	act, fr, ok := m.Execute(nil, 1.8)
+	if ok {
+		t.Error("empty sequence reported valid")
+	}
 	if act.Cycles != 0 {
 		t.Errorf("empty sequence cycles = %d", act.Cycles)
 	}
@@ -150,7 +154,7 @@ func TestActivityRangesProperty(t *testing.T) {
 	gen := testgen.NewRandomGenerator(31, m.Geometry().Words(), testgen.DefaultConditionLimits())
 	for i := 0; i < 50; i++ {
 		m.Reset()
-		act, _ := m.Execute(gen.Next().Seq, 1.8)
+		act, _, _ := m.Execute(gen.Next().Seq, 1.8)
 		check := func(name string, v float64) {
 			if v < 0 || v > 1 {
 				t.Fatalf("test %d: %s = %g outside [0,1]", i, name, v)
@@ -178,7 +182,7 @@ func TestActivityRangesProperty(t *testing.T) {
 func TestIdleSequenceHasNoActivity(t *testing.T) {
 	m := testMemory(t)
 	seq := make(testgen.Sequence, 100) // all NOPs
-	act, _ := m.Execute(seq, 1.8)
+	act, _, _ := m.Execute(seq, 1.8)
 	if act.ATDMean != 0 || act.ToggleMean != 0 || act.SSNPeak != 0 {
 		t.Errorf("idle bus has activity: %+v", act)
 	}
@@ -195,7 +199,7 @@ func TestPingPongMaximizesATD(t *testing.T) {
 		}
 		seq[i] = testgen.Vector{Op: testgen.OpRead, Addr: addr}
 	}
-	act, _ := m.Execute(seq, 1.8)
+	act, _, _ := m.Execute(seq, 1.8)
 	if act.ATDMean < 0.99 {
 		t.Errorf("complementary ping-pong ATD mean = %g, want ≈1", act.ATDMean)
 	}
@@ -211,7 +215,7 @@ func TestCouplingScoreDetectsAdjacentComplementaryWrites(t *testing.T) {
 		}
 		seq[i] = testgen.Vector{Op: testgen.OpWrite, Addr: uint32(i % 2), Data: d}
 	}
-	act, _ := m.Execute(seq, 1.8)
+	act, _, _ := m.Execute(seq, 1.8)
 	if act.CouplingScore < 0.99 {
 		t.Errorf("adjacent complementary writes coupling = %g, want ≈1", act.CouplingScore)
 	}
@@ -221,7 +225,7 @@ func TestCouplingScoreDetectsAdjacentComplementaryWrites(t *testing.T) {
 		seq[i].Addr = 0
 	}
 	m.Reset()
-	act, _ = m.Execute(seq, 1.8)
+	act, _, _ = m.Execute(seq, 1.8)
 	if act.CouplingScore != 0 {
 		t.Errorf("same-address writes coupling = %g, want 0", act.CouplingScore)
 	}
@@ -239,7 +243,7 @@ func TestBankConflictDetection(t *testing.T) {
 		}
 		seq[i] = testgen.Vector{Op: testgen.OpRead, Addr: addr}
 	}
-	act, _ := m.Execute(seq, 1.8)
+	act, _, _ := m.Execute(seq, 1.8)
 	if act.BankConflictRate < 0.9 {
 		t.Errorf("same-bank row ping-pong conflict rate = %g, want ≈1", act.BankConflictRate)
 	}
@@ -253,7 +257,7 @@ func TestBankConflictDetection(t *testing.T) {
 		seq[i].Addr = addr
 	}
 	m.Reset()
-	act, _ = m.Execute(seq, 1.8)
+	act, _, _ = m.Execute(seq, 1.8)
 	if act.BankConflictRate != 0 {
 		t.Errorf("alternating-bank conflict rate = %g, want 0", act.BankConflictRate)
 	}
@@ -269,12 +273,12 @@ func TestWeakCellCorruptsOnlyBelowThreshold(t *testing.T) {
 		{Op: testgen.OpWrite, Addr: 9, Data: 0x12345678},
 		{Op: testgen.OpRead, Addr: 9},
 	}
-	_, fr := m.Execute(seq, 1.8)
+	_, fr, _ := m.Execute(seq, 1.8)
 	if fr.Failed() {
 		t.Error("weak cell corrupted above its threshold")
 	}
 	m.Reset()
-	_, fr = m.Execute(seq, 1.5)
+	_, fr, _ = m.Execute(seq, 1.5)
 	if !fr.Failed() {
 		t.Fatal("weak cell did not corrupt below its threshold")
 	}
@@ -293,7 +297,7 @@ func TestAddressesWrapModuloWords(t *testing.T) {
 		{Op: testgen.OpWrite, Addr: words + 3, Data: 0xAB},
 		{Op: testgen.OpRead, Addr: 3},
 	}
-	_, fr := m.Execute(seq, 1.8)
+	_, fr, _ := m.Execute(seq, 1.8)
 	if fr.Failed() {
 		t.Error("wrapped write failed")
 	}
@@ -338,17 +342,22 @@ func refPhysical(m *Memory, addr uint32) uint32 {
 }
 
 // refExecuteObserved is the reference execution kernel: the div/mod decode,
-// a modulo address wrap, a weak-cell lookup on every read, and per-call
-// maps for the row activations and the failing-address dedupe.
-func refExecuteObserved(m *Memory, seq testgen.Sequence, vddEff float64, observe func(CycleRecord)) (Activity, FunctionalResult) {
+// a modulo address wrap, a weak-cell lookup on every read, per-call maps
+// for the row activations and the failing-address dedupe, Validate for ok,
+// and exact activity. Every density is a big.Rat — each cycle's ATD, toggle
+// and SSN, the sums, the sliding windows' means and their peaks — rounded
+// once to the nearest float64 at the end. The cycle records carry the
+// per-cycle floats ka/addrBits, kt/32 and their product.
+func refExecuteObserved(m *Memory, seq testgen.Sequence, vddEff float64, observe func(CycleRecord)) (Activity, FunctionalResult, bool) {
 	var act Activity
 	fr := FunctionalResult{FirstMismatch: -1}
+	words := m.geom.Words()
+	ok := seq.Validate(words) == nil
 	if len(seq) == 0 {
-		return act, fr
+		return act, fr, ok
 	}
 
-	addrBits := float64(m.geom.AddrBits())
-	words := m.geom.Words()
+	addrBits := int64(m.geom.AddrBits())
 
 	var (
 		prevAddr      uint32
@@ -358,18 +367,31 @@ func refExecuteObserved(m *Memory, seq testgen.Sequence, vddEff float64, observe
 		havePrev      bool
 		haveWrite     bool
 
-		atdSum, togSum, ssnSum    float64
-		atdPeak, togPeak, ssnPeak float64
-		conflicts, reads          int
-		coupling                  float64
-		winATD, winTog, winSSN    [activityWindow]float64
-		sumATDw, sumTogw, sumSSNw float64
+		conflicts, reads int
+		coupling         float64
+
+		atdSum, togSum, ssnSum    big.Rat
+		atdPeak, togPeak, ssnPeak big.Rat
+		winATD, winTog, winSSN    [activityWindow]big.Rat
+		sumATDw, sumTogw, sumSSNw big.Rat
 		wIdx                      int
-		winSus                    [sustainWindow]float64
-		sumSus                    float64
+		winSus                    [sustainWindow]big.Rat
+		sumSus, ssnSustained      big.Rat
 		susIdx                    int
-		ssnSustained              float64
+		atd, tog, ssn, mean       big.Rat
 	)
+	// slide replaces the ring slot's value in the window sum with x.
+	slide := func(sum, slot, x *big.Rat) {
+		sum.Sub(sum, slot)
+		sum.Add(sum, x)
+		slot.Set(x)
+	}
+	// raise lifts peak to the window mean sum/l when that is larger.
+	raise := func(peak, sum *big.Rat, l int) {
+		if mean.Quo(sum, mean.SetInt64(int64(l))); mean.Cmp(peak) > 0 {
+			peak.Set(&mean)
+		}
+	}
 	rowHits := make(map[int]int)
 	failSeen := make(map[uint32]bool)
 
@@ -377,13 +399,12 @@ func refExecuteObserved(m *Memory, seq testgen.Sequence, vddEff float64, observe
 		addr := v.Addr % words
 		bank, row, col := refDecode(m.geom, addr)
 
-		atd := 0.0
+		var ka, kt int64
 		if havePrev && v.Op != testgen.OpNop {
-			atd = float64(bits.OnesCount32(prevAddr^addr)) / addrBits
+			ka = int64(bits.OnesCount32(prevAddr ^ addr))
 		}
 
 		var bus uint32
-		tog := 0.0
 		corrupted := false
 		switch v.Op {
 		case testgen.OpWrite:
@@ -424,53 +445,36 @@ func refExecuteObserved(m *Memory, seq testgen.Sequence, vddEff float64, observe
 			bus = prevBus
 		}
 		if havePrev && v.Op != testgen.OpNop {
-			tog = float64(bits.OnesCount32(prevBus^bus)) / 32.0
+			kt = int64(bits.OnesCount32(prevBus ^ bus))
 		}
 
-		ssn := atd * tog
+		atd.SetFrac64(ka, addrBits)
+		tog.SetFrac64(kt, 32)
+		ssn.Mul(&atd, &tog)
+		atdSum.Add(&atdSum, &atd)
+		togSum.Add(&togSum, &tog)
+		ssnSum.Add(&ssnSum, &ssn)
 
-		atdSum += atd
-		togSum += tog
-		ssnSum += ssn
-
-		sumATDw += atd - winATD[wIdx]
-		winATD[wIdx] = atd
-		sumTogw += tog - winTog[wIdx]
-		winTog[wIdx] = tog
-		sumSSNw += ssn - winSSN[wIdx]
-		winSSN[wIdx] = ssn
+		slide(&sumATDw, &winATD[wIdx], &atd)
+		slide(&sumTogw, &winTog[wIdx], &tog)
+		slide(&sumSSNw, &winSSN[wIdx], &ssn)
 		wIdx = (wIdx + 1) % activityWindow
-		wlen := float64(activityWindow)
-		if i+1 < activityWindow {
-			wlen = float64(i + 1)
-		}
-		if a := sumATDw / wlen; a > atdPeak {
-			atdPeak = a
-		}
-		if t := sumTogw / wlen; t > togPeak {
-			togPeak = t
-		}
-		if s := sumSSNw / wlen; s > ssnPeak {
-			ssnPeak = s
-		}
-		sumSus += ssn - winSus[susIdx]
-		winSus[susIdx] = ssn
+		wlen := min(i+1, activityWindow)
+		raise(&atdPeak, &sumATDw, wlen)
+		raise(&togPeak, &sumTogw, wlen)
+		raise(&ssnPeak, &sumSSNw, wlen)
+		slide(&sumSus, &winSus[susIdx], &ssn)
 		susIdx = (susIdx + 1) % sustainWindow
-		slen := float64(sustainWindow)
-		if i+1 < sustainWindow {
-			slen = float64(i + 1)
-		}
 		if i+1 >= sustainWindow/2 {
-			if s := sumSus / slen; s > ssnSustained {
-				ssnSustained = s
-			}
+			raise(&ssnSustained, &sumSus, min(i+1, sustainWindow))
 		}
 
 		if observe != nil {
+			atdF, togF := float64(ka)/float64(addrBits), float64(kt)/32.0
 			observe(CycleRecord{
 				Cycle: i, Op: v.Op, Addr: addr,
 				Bank: bank, Row: row, Col: col,
-				Bus: bus, ATD: atd, Toggle: tog, SSN: ssn,
+				Bus: bus, ATD: atdF, Toggle: togF, SSN: atdF * togF,
 				Corrupted: corrupted,
 			})
 		}
@@ -488,15 +492,21 @@ func refExecuteObserved(m *Memory, seq testgen.Sequence, vddEff float64, observe
 		havePrev = true
 	}
 
+	nr := big.NewRat(int64(len(seq)), 1)
+	// nearest is the float64 nearest r.
+	nearest := func(r *big.Rat) float64 {
+		f, _ := r.Float64()
+		return f
+	}
 	n := float64(len(seq))
 	act.Cycles = len(seq)
-	act.ATDMean = atdSum / n
-	act.ATDPeak = clamp01(atdPeak)
-	act.ToggleMean = togSum / n
-	act.TogglePeak = clamp01(togPeak)
-	act.SSNMean = ssnSum / n
-	act.SSNPeak = clamp01(ssnPeak)
-	act.SSNSustained = clamp01(ssnSustained)
+	act.ATDMean = nearest(atdSum.Quo(&atdSum, nr))
+	act.ATDPeak = clamp01(nearest(&atdPeak))
+	act.ToggleMean = nearest(togSum.Quo(&togSum, nr))
+	act.TogglePeak = clamp01(nearest(&togPeak))
+	act.SSNMean = nearest(ssnSum.Quo(&ssnSum, nr))
+	act.SSNPeak = clamp01(nearest(&ssnPeak))
+	act.SSNSustained = clamp01(nearest(&ssnSustained))
 	act.BankConflictRate = float64(conflicts) / n
 	act.CouplingScore = clamp01(coupling / n * 4)
 	act.ReadRatio = float64(reads) / n
@@ -507,15 +517,15 @@ func refExecuteObserved(m *Memory, seq testgen.Sequence, vddEff float64, observe
 		}
 	}
 	act.RowHammer = clamp01(float64(maxRow) / n)
-	return act, fr
+	return act, fr, ok
 }
 
 // TestExecuteMatchesReferenceProperty runs the execution kernel and the
 // reference side by side on twin arrays over the same die: 0–4 weak cells
 // in the hammered low addresses, repaired rows, NOPs, addresses past the
-// array, and runs with and without a Reset in between. Activity, the
-// functional result, every cycle record, the array words and the open rows
-// must match exactly.
+// array, and runs with and without a Reset in between. Activity, bit for
+// bit against the reference's exact densities, the functional result, ok,
+// every cycle record, the array words and the open rows must match.
 func TestExecuteMatchesReferenceProperty(t *testing.T) {
 	const seeds, runs = 320, 8
 	var fired int
@@ -560,8 +570,11 @@ func TestExecuteMatchesReferenceProperty(t *testing.T) {
 				observe = func(r CycleRecord) { recG = append(recG, r) }
 				observeRef = func(r CycleRecord) { recW = append(recW, r) }
 			}
-			actG, frG := got.ExecuteObserved(seq, vdd, observe)
-			actW, frW := refExecuteObserved(want, seq, vdd, observeRef)
+			actG, frG, okG := got.ExecuteObserved(seq, vdd, observe)
+			actW, frW, okW := refExecuteObserved(want, seq, vdd, observeRef)
+			if okG != okW {
+				t.Fatalf("seed %d run %d: ok %v, Validate says %v", seed, run, okG, okW)
+			}
 			if actG != actW {
 				t.Fatalf("seed %d run %d: activity diverged\ngot       %+v\nreference %+v", seed, run, actG, actW)
 			}

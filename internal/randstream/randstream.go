@@ -11,7 +11,7 @@ import "math/rand"
 // register with 1,841 Park–Miller steps, while a die screen then draws only
 // a couple of dozen noise values. Here Seed only records the Park–Miller
 // start value, and each of the first draws after it builds the register
-// words it is the first to read: a table multiplier jumps straight to the
+// words it is the first to read: table multipliers jump straight to the
 // three Park–Miller values a word uses. Draw k builds its feed word when
 // k ≤ 334 and its tap word when k ≤ 273; every later draw reads words an
 // earlier one built, so past draw 334 one predictable branch is all that
@@ -30,20 +30,20 @@ const (
 	rngTap = 273 // its feedback tap
 	pmMod  = 1<<31 - 1
 	pmMul  = 48271
-	pmMul3 = pmMul * pmMul % pmMod * pmMul % pmMod
 )
 
 var (
-	// seedJump[i] is pmMul^(21+3i) mod pmMod: word i's first Park–Miller
-	// value is x_0 · seedJump[i] mod pmMod.
-	seedJump [rngLen]int64
+	// seedJump[i][k] is pmMul^(21+3i+k) mod pmMod: word i's Park–Miller
+	// values are x_0 · seedJump[i][k] mod pmMod, three independent
+	// products.
+	seedJump [rngLen][3]int64
 	// seedCooked is math/rand's rngCooked table, XORed into every seeded
 	// word.
 	seedCooked [rngLen]int64
 )
 
 // init derives seedCooked from math/rand itself. Seed 1 makes word i's
-// first Park–Miller value seedJump[i]. The first 607 draws overwrite every
+// Park–Miller values seedJump[i]. The first 607 draws overwrite every
 // register word exactly once, so undoing their additions in reverse order
 // recovers the seeded register, and XORing off the Park–Miller part leaves
 // rngCooked.
@@ -64,18 +64,16 @@ func init() {
 		x = x * pmMul % pmMod
 	}
 	for i := range rngLen {
-		seedJump[i] = x
-		seedCooked[i] = vec[i] ^ parkMillerWord(x)
-		x = x * pmMul3 % pmMod
+		for k := range 3 {
+			seedJump[i][k] = x
+			x = x * pmMul % pmMod
+		}
 	}
-}
-
-// parkMillerWord packs the three consecutive Park–Miller values starting at
-// x into one register word, as math/rand's seeding does.
-func parkMillerWord(x int64) int64 {
-	x1 := x * pmMul % pmMod
-	x2 := x1 * pmMul % pmMod
-	return x<<40 ^ x1<<20 ^ x2
+	// seedCooked is still zero here, so seeded(i) is the Park–Miller part.
+	one := Source{x0: 1}
+	for i := range rngLen {
+		seedCooked[i] = vec[i] ^ one.seeded(i)
+	}
 }
 
 // New returns a source at rand.NewSource(seed)'s first value.
@@ -126,7 +124,18 @@ func (s *Source) build() {
 
 // seeded returns register word i as Seed leaves it in math/rand.
 func (s *Source) seeded(i int) int64 {
-	return parkMillerWord(s.x0*seedJump[i]%pmMod) ^ seedCooked[i]
+	j := &seedJump[i]
+	return pmReduce(s.x0*j[0])<<40 ^ pmReduce(s.x0*j[1])<<20 ^ pmReduce(s.x0*j[2]) ^ seedCooked[i]
+}
+
+// pmReduce returns x mod 2^31−1 for 0 ≤ x < (2^31−1)^2 by the Mersenne
+// fold: 2^31 ≡ 1, so x ≡ x>>31 + x&(2^31−1), which is below 2·(2^31−1).
+func pmReduce(x int64) int64 {
+	x = x>>31 + x&pmMod
+	if x >= pmMod {
+		x -= pmMod
+	}
+	return x
 }
 
 // Int63 returns the next value of the stream without its sign bit, as
@@ -134,21 +143,35 @@ func (s *Source) seeded(i int) int64 {
 func (s *Source) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
 
 // Cursor returns a cursor that continues the stream where the source
-// stands, building first every register word the lazy seeding has yet to
-// build. The source must not draw again: the cursor owns the register.
+// stands, building first, in one pass, every register word the lazy
+// seeding has yet to build: the feed words below 334−drawn and, before
+// draw 273, the tap words from 334 up to 607−drawn. The source must not
+// draw again until Resume hands the cursor's position back: the cursor
+// owns the register.
 func (s *Source) Cursor() Cursor {
-	for s.drawn < rngLen-rngTap {
-		s.build()
+	if d := s.drawn; d < rngLen-rngTap {
+		for i := range rngLen - rngTap - d {
+			s.vec[i] = s.seeded(i)
+		}
+		for i := rngLen - rngTap; i < rngLen-d; i++ {
+			s.vec[i] = s.seeded(i)
+		}
+		s.drawn = rngLen - rngTap
 	}
 	return Cursor{&s.vec, s.tap, s.feed}
 }
 
+// Resume continues the source's stream where c, a cursor taken from it
+// since its last Seed, stands. c must not draw again.
+func (s *Source) Resume(c Cursor) { s.tap, s.feed = c.tap, c.feed }
+
 // A Cursor draws a Source's stream through concrete methods that
-// reproduce *rand.Rand's Float64, Uint32 and Intn. It is the register
-// pointer and the two register indices, so a loop can copy a cursor into a
-// local variable and store it back when done; the cursor's Float64 and
-// Uint32 inline, so the loop then draws them without a function call, and
-// the compiler need not spill the loop's other variables around one.
+// reproduce *rand.Rand's Float64, NormFloat64, Uint32 and Intn. It is the
+// register pointer and the two register indices, so a loop can copy a
+// cursor into a local variable and store it back when done; the cursor's
+// Float64 and Uint32 inline, so the loop then draws them without a
+// function call, and the compiler need not spill the loop's other
+// variables around one.
 type Cursor struct {
 	vec       *[rngLen]int64
 	tap, feed int

@@ -60,11 +60,12 @@ func drawMathRand(r *rand.Rand, k int) uint64 {
 }
 
 // drawCursor takes the k-th draw of the same cycle from c, with the
-// cursor's Float64 in place of NormFloat64, Int63 and Uint64, which it
-// does not serve.
+// cursor's Float64 in place of Int63 and Uint64, which it does not serve.
 func drawCursor(c *Cursor, k int) uint64 {
 	switch k %= cycle; k {
-	case 0, 1, 2, 3:
+	case 0:
+		return math.Float64bits(c.NormFloat64())
+	case 1, 2, 3:
 		return math.Float64bits(c.Float64())
 	case 4:
 		return uint64(c.Uint32())
@@ -76,7 +77,7 @@ func drawCursor(c *Cursor, k int) uint64 {
 // drawCursorMathRand is drawCursor's cycle from r.
 func drawCursorMathRand(r *rand.Rand, k int) uint64 {
 	switch k %= cycle; k {
-	case 0, 1, 2, 3:
+	case 2, 3:
 		return math.Float64bits(r.Float64())
 	default:
 		return drawMathRand(r, k)
