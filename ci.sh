@@ -523,12 +523,13 @@ echo "== wall-clock benchmark gates (medians of 5) =="
 #     printed and skipped.
 # fig. 5's, fig. 8's and Table 1's workers=2 over workers=1 ratios are
 # recorded with the CPU count, not gated, and so are the medians of a fig. 8
-# task's two kernels: pattern execution in ns/vector and the row strobes in
-# ns/strobe, five 200 ms samples each.
+# task's two kernels (pattern execution in ns/vector, the row strobes in
+# ns/strobe) and of Table 1's memo key (the test fingerprint, in ns/vector),
+# five 200 ms samples each.
 NCPU=$(nproc)
 SAMPLES=$(go test -run '^$' -benchtime 1x -count 5 -timeout 60m -bench \
 	'^BenchmarkLotScreenPerDieLoop$|^BenchmarkLotScreenStream$/^workers=[128]$/^cache=off$|^BenchmarkFigure5OptimizationParallel$/^workers=[12]$|^BenchmarkFigure8ShmooParallel$/^workers=[12]$|^BenchmarkTable1FullComparison$/^workers=[12]$' .)
-KERNELS=$(go test -run '^$' -benchtime 200ms -count 5 -bench '^BenchmarkDeviceProfile$|^BenchmarkShmooTaskStrobes$' .)
+KERNELS=$(go test -run '^$' -benchtime 200ms -count 5 -bench '^BenchmarkDeviceProfile$|^BenchmarkShmooTaskStrobes$|^BenchmarkSequenceFingerprint$' .)
 printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 	# median of the samples of benchmark b.
 	function median(b,    i, j, k, t, v) {
@@ -538,7 +539,11 @@ printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 		k = int((n[b] + 1) / 2)
 		return (n[b] % 2) ? v[k] : (v[k] + v[k + 1]) / 2
 	}
-	BEGIN { unit["BenchmarkDeviceProfile"] = "ns/vector"; unit["BenchmarkShmooTaskStrobes"] = "ns/strobe" }
+	BEGIN {
+		unit["BenchmarkDeviceProfile"] = "ns/vector"
+		unit["BenchmarkShmooTaskStrobes"] = "ns/strobe"
+		unit["BenchmarkSequenceFingerprint"] = "ns/vector"
+	}
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
 		u = (name in unit) ? unit[name] : "ns/op"
@@ -566,7 +571,8 @@ printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 		t2 = med["BenchmarkTable1FullComparison/workers=2"]
 		kv = med["BenchmarkDeviceProfile"]
 		ks = med["BenchmarkShmooTaskStrobes"]
-		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !s1 || !s2 || !t1 || !t2 || !kv || !ks) {
+		kf = med["BenchmarkSequenceFingerprint"]
+		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !s1 || !s2 || !t1 || !t2 || !kv || !ks || !kf) {
 			print "FAIL: benchmark output is missing lot, fig. 5, fig. 8, Table 1 or kernel samples" > "/dev/stderr"
 			exit 1
 		}
@@ -589,6 +595,7 @@ printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 		printf "fig. 8 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", s1 / s2, nproc
 		printf "fig. 8 task kernels (recorded, not gated): pattern execution %.1f ns/vector (%d samples), row strobes %.1f ns/strobe (%d samples)\n", kv, n["BenchmarkDeviceProfile"], ks, n["BenchmarkShmooTaskStrobes"]
 		printf "Table 1 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", t1 / t2, nproc
+		printf "Table 1 memo key (recorded, not gated): %.1f ns/vector (%d samples)\n", kf, n["BenchmarkSequenceFingerprint"]
 		exit fail
 	}
 '

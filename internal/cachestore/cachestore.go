@@ -28,17 +28,19 @@
 // check out fails Open with an error naming the file and the byte offset
 // of the first bad record; the CLIs report it and the run fails.
 //
-// Memory: Open reads each segment into one buffer and the loaded values
-// share it — no per-record copy. A segment's buffer stays alive while any
-// value loaded from it is still in the store (or held by a caller of Get
-// or Range). Stored values are never modified in place; Put installs a
-// fresh copy, so a slice a caller already holds never changes.
+// Memory: Open reads a segment's header first and reads no further into a
+// segment it skips. It reads each segment it loads into one buffer, and the
+// loaded values share it — no per-record copy. A segment's buffer stays
+// alive while any value loaded from it is still in the store (or held by a
+// caller of Get or Range). Stored values are never modified in place; Put
+// installs a fresh copy, so a slice a caller already holds never changes.
 package cachestore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -175,27 +177,42 @@ func segmentSeq(name string) (int, bool) {
 }
 
 // readSegment reads one segment file and validates every record's framing
-// and checksum, returning the buffer and its record count. A segment of a
-// different scope or format version returns a nil buffer and is otherwise
-// ignored. Any other damage returns an error naming the file and the byte
-// offset of the offending record.
+// and checksum, returning the buffer and its record count. It reads the
+// header first: a segment of a different scope or format version returns a
+// nil buffer, and the rest of it is never read. Any other damage returns an
+// error naming the file and the byte offset of the offending record.
 func readSegment(path string, scope uint64) (raw []byte, records int, err error) {
-	raw, err = os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
+		return nil, 0, fmt.Errorf("cachestore: reading segment: %w", err)
+	}
+	defer f.Close()
+	var hdr [headerSize]byte
+	n, err := io.ReadFull(f, hdr[:])
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return nil, 0, fmt.Errorf("cachestore: reading segment: %w", err)
 	}
 	corrupt := func(off int, cause error) error {
 		return fmt.Errorf("cachestore: %s: corrupt segment at offset %d: %w", path, off, cause)
 	}
-	switch err := frame.CheckMagic(raw, magic); {
+	switch err := frame.CheckMagic(hdr[:n], magic); {
 	case errors.Is(err, frame.ErrVersion):
 		return nil, 0, nil
 	case err != nil:
 		return nil, 0, corrupt(0, err)
-	case len(raw) < headerSize:
+	case n < headerSize:
 		return nil, 0, corrupt(0, errors.New("truncated header"))
-	case binary.LittleEndian.Uint64(raw[len(magic):headerSize]) != scope:
+	case binary.LittleEndian.Uint64(hdr[len(magic):]) != scope:
 		return nil, 0, nil
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("cachestore: reading segment: %w", err)
+	}
+	raw = make([]byte, max(fi.Size(), int64(headerSize)))
+	copy(raw, hdr[:])
+	if _, err := io.ReadFull(f, raw[headerSize:]); err != nil {
+		return nil, 0, fmt.Errorf("cachestore: reading segment: %w", err)
 	}
 	for off := headerSize; off < len(raw); records++ {
 		rec, size, err := frame.Next(raw[off:], 8+maxValueLen)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -282,6 +283,42 @@ func TestOldVersionSegmentSkipped(t *testing.T) {
 	}
 	if st.BytesOnDisk != int64(len(old)) {
 		t.Errorf("RPROCST2 segment is %d bytes, the RPROCST1 one %d", st.BytesOnDisk, len(old))
+	}
+}
+
+// Open decides to skip a segment from its 16-byte header alone: an 8 MB
+// sparse segment of another scope, or of the older RPROCST1 format, costs
+// the open a few kilobytes of allocation, not the segment's size.
+func TestSkippedSegmentIsNotRead(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		magic string
+		scope uint64
+	}{
+		{"foreign scope", magic, 99},
+		{"older format", "RPROCST1", 7},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "seg-00000000-0000000000000063.seg")
+		if err := os.WriteFile(path, binary.LittleEndian.AppendUint64([]byte(tc.magic), tc.scope), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, 8<<20); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Open(dir, 7)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st := s.Stats(); st.SkippedSegments != 1 || st.LoadedSegments != 0 {
+			t.Errorf("%s: stats %+v, want the segment skipped", tc.name, st)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("%s: Open allocated %d bytes to skip an 8 MB segment, want under 64 KiB", tc.name, got)
+		}
 	}
 }
 

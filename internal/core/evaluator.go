@@ -26,7 +26,9 @@ import (
 // The memo-cache is consulted before dispatch and filled by the in-order
 // merge, keyed by the test's structural fingerprint (sequence + conditions; the
 // flow is already scoped to one die and one parameter), so elites, migrants
-// and duplicate individuals never burn ATE time twice.
+// and duplicate individuals never burn ATE time twice. The keys are taken
+// in the serial resolve: a generation's fingerprints cost less than a fleet
+// stage's round trip.
 type evaluator struct {
 	c         *Characterizer
 	opts      search.Options
@@ -89,33 +91,20 @@ func (e *evaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 	out := make([]float64, len(tests))
 	fleet := e.c.Fleet()
 
-	// Fingerprints are a pure function of each test, so the fleet computes
-	// them into index slots; only the memo-cache reads them.
-	var fps []uint64
-	if e.cache != nil {
-		fps = make([]uint64, len(tests))
-		err := parallel.ForEachOn(fleet, len(tests), func(i int) error {
-			fps[i] = tests[i].Fingerprint()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	// Resolve memoized tests and dedupe the rest by fingerprint, keeping
 	// first-appearance order so seeds and stats stay index-deterministic.
 	// With the cache disabled every test is its own group — the no-cache
 	// baseline measures every individual.
 	var (
-		reps    []int   // representative test index per group
-		members [][]int // test indices sharing the representative's value
+		reps    []int    // representative test index per group
+		keys    []uint64 // each representative's fingerprint (cache on)
+		members [][]int  // test indices sharing the representative's value
 	)
 	var hits int64
 	groupOf := map[uint64]int{}
 	for i := range tests {
 		if e.cache != nil {
-			fp := fps[i]
+			fp := tests[i].Fingerprint()
 			if v, ok := e.cache[fp]; ok {
 				out[i] = v
 				hits++
@@ -126,6 +115,7 @@ func (e *evaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 				continue
 			}
 			groupOf[fp] = len(reps)
+			keys = append(keys, fp)
 		}
 		reps = append(reps, i)
 		members = append(members, []int{i})
@@ -158,7 +148,7 @@ func (e *evaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 		// all-pass range means huge margin (small WCR).
 		v := wcr.For(results[t].TripPoint, e.spec, e.specIsMin)
 		if e.cache != nil {
-			e.cache[fps[reps[t]]] = v
+			e.cache[keys[t]] = v
 		}
 		for _, m := range members[t] {
 			out[m] = v

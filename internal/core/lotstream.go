@@ -352,17 +352,17 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 // seed base. Each test contributes its structural fingerprint and its name,
 // because a die record stores its worst test by name.
 func lotCacheKey(param ate.Parameter, geom dut.Geometry, tests []testgen.Test, baseSeed int64) uint64 {
-	h := testgen.FNVMix(testgen.FNVOffset, uint64(param))
-	h = testgen.FNVMix(h, uint64(geom.Banks))
-	h = testgen.FNVMix(h, uint64(geom.Rows))
-	h = testgen.FNVMix(h, uint64(geom.Cols))
-	h = testgen.FNVMix(h, uint64(baseSeed))
-	h = testgen.FNVMix(h, uint64(len(tests)))
+	h := testgen.Mix(testgen.MixOffset, uint64(param))
+	h = testgen.Mix(h, uint64(geom.Banks))
+	h = testgen.Mix(h, uint64(geom.Rows))
+	h = testgen.Mix(h, uint64(geom.Cols))
+	h = testgen.Mix(h, uint64(baseSeed))
+	h = testgen.Mix(h, uint64(len(tests)))
 	for _, t := range tests {
-		h = testgen.FNVMix(h, t.Fingerprint())
-		h = testgen.FNVMix(h, uint64(len(t.Name)))
+		h = testgen.Mix(h, t.Fingerprint())
+		h = testgen.Mix(h, uint64(len(t.Name)))
 		for i := 0; i < len(t.Name); i++ {
-			h = testgen.FNVMix(h, uint64(t.Name[i]))
+			h = testgen.Mix(h, uint64(t.Name[i]))
 		}
 	}
 	return h
@@ -370,7 +370,7 @@ func lotCacheKey(param ate.Parameter, geom dut.Geometry, tests []testgen.Test, b
 
 // dieCacheKey extends the lot key with the die's content fingerprint.
 func dieCacheKey(lotKey uint64, die *dut.Die) uint64 {
-	return testgen.FNVMix(lotKey, die.Fingerprint())
+	return testgen.Mix(lotKey, die.Fingerprint())
 }
 
 // dieRecordVersion tags the on-disk die-record encoding; bump on any
@@ -379,10 +379,11 @@ const dieRecordVersion = 1
 
 // LotCacheScope is the cachestore scope under which lot die records
 // persist. Binaries pass it to cachestore.Open so segments written by
-// other record families (or by a future incompatible die-record layout,
-// which bumps this constant alongside dieRecordVersion) are skipped at
-// load instead of misread.
-const LotCacheScope uint64 = 0x4c4f545631 // "LOTV1"
+// other record families, under other cache keys or in another die-record
+// layout (each bumps this constant; a layout change also bumps
+// dieRecordVersion) are skipped at load instead of misread or indexed
+// where no key can hit.
+const LotCacheScope uint64 = 0x4c4f545632 // "LOTV2"
 
 // appendDieRecord appends one die's serialized screen outcome to buf —
 // result plus the complete tester cost, so a warm run replays exact

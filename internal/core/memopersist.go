@@ -25,13 +25,13 @@ const memoScopeTag uint64 = 0x54505631 // "TPV1"
 // and seed.
 func (c *Characterizer) MemoCacheScope() uint64 {
 	geom := c.ate.Device().Geometry()
-	h := testgen.FNVMix(testgen.FNVOffset, memoScopeTag)
-	h = testgen.FNVMix(h, uint64(c.cfg.Parameter))
-	h = testgen.FNVMix(h, uint64(geom.Banks))
-	h = testgen.FNVMix(h, uint64(geom.Rows))
-	h = testgen.FNVMix(h, uint64(geom.Cols))
-	h = testgen.FNVMix(h, c.ate.Device().Die().Fingerprint())
-	h = testgen.FNVMix(h, uint64(c.cfg.Seed))
+	h := testgen.Mix(testgen.MixOffset, memoScopeTag)
+	h = testgen.Mix(h, uint64(c.cfg.Parameter))
+	h = testgen.Mix(h, uint64(geom.Banks))
+	h = testgen.Mix(h, uint64(geom.Rows))
+	h = testgen.Mix(h, uint64(geom.Cols))
+	h = testgen.Mix(h, c.ate.Device().Die().Fingerprint())
+	h = testgen.Mix(h, uint64(c.cfg.Seed))
 	return h
 }
 

@@ -101,6 +101,49 @@ func TestMemoCachePersistRoundTrip(t *testing.T) {
 	}
 }
 
+// A memo store written under the scope the byte-wise FNV-1a mix gave this
+// flow primes nothing: its fitness values are keyed by fingerprints no
+// lookup computes any more, so the run measures as cold.
+func TestMemoStoreUnderEarlierScopePrimesNothing(t *testing.T) {
+	const fnvScope uint64 = 0x30a499707ba732f8 // MemoCacheScope of quickConfig(91) through FNV-1a
+	cfg := quickConfig(91)
+	char, err := NewCharacterizer(cfg, newTester(t, cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(char.Close)
+	if _, err := char.Learn(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := char.Optimize(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	old, err := cachestore.Open(dir, fnvScope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := char.PersistMemoCache(old); err != nil || n == 0 {
+		t.Fatalf("persisted %d entries under the FNV-1a scope (%v), want some", n, err)
+	}
+
+	fresh, err := NewCharacterizer(cfg, newTester(t, cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fresh.Close)
+	store, err := cachestore.Open(dir, fresh.MemoCacheScope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fresh.PrimeMemoCache(store); n != 0 {
+		t.Errorf("primed %d entries from a store under the FNV-1a scope, want 0", n)
+	}
+	if st := store.Stats(); st.SkippedSegments != 1 {
+		t.Errorf("store stats %+v, want the FNV-1a segment skipped", st)
+	}
+}
+
 // storeEntries counts the store's float64 entries.
 func storeEntries(store *cachestore.Store) int {
 	n := 0

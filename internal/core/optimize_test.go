@@ -4,6 +4,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cachestore"
+	"repro/internal/parallel"
 	"repro/internal/wcr"
 )
 
@@ -120,5 +122,63 @@ func TestValueFromWCRInversion(t *testing.T) {
 	}
 	if got := valueFromWCR(0, 20, true); got != 0 {
 		t.Errorf("zero WCR inversion: %g", got)
+	}
+}
+
+// A GA generation costs the fleet at most one stage, its measurement
+// stream: the memo keys are taken in the serial resolve. A generation the
+// memo answers whole costs none — here every generation of a run primed
+// from its own persisted memo.
+func TestOptimizeFleetStagesPerGeneration(t *testing.T) {
+	cfg := quickConfig(5)
+	cfg.Parallelism = 2
+	dir := t.TempDir()
+	t.Cleanup(func() { parallel.SetFleetObserver(nil) })
+	optimize := func(primed bool) (stages int, opt *OptimizationResult) {
+		t.Helper()
+		char, err := NewCharacterizer(cfg, newTester(t, cfg.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(char.Close)
+		store, err := cachestore.Open(dir, char.MemoCacheScope())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if primed && char.PrimeMemoCache(store) == 0 {
+			t.Fatal("primed no memo entries")
+		}
+		if _, err := char.Learn(); err != nil {
+			t.Fatal(err)
+		}
+		cands, err := char.ProposeSeeds()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel.SetFleetObserver(func(parallel.StreamStats) { stages++ })
+		opt, err = char.OptimizeFrom(SeedsForGA(cands))
+		parallel.SetFleetObserver(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !primed {
+			if _, err := char.PersistMemoCache(store); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return stages, opt
+	}
+
+	stages, cold := optimize(false)
+	t.Logf("cold: %d fleet stages over %d generations", stages, cold.GA.Generations)
+	if stages < 1 || stages > cold.GA.Generations {
+		t.Errorf("cold run: %d fleet stages over %d generations, want 1..%d", stages, cold.GA.Generations, cold.GA.Generations)
+	}
+	stages, warm := optimize(true)
+	if warm.Measurements != 0 {
+		t.Fatalf("primed run measured %d times, want every lookup answered by the memo", warm.Measurements)
+	}
+	if stages != 0 {
+		t.Errorf("primed run: %d fleet stages over %d generations the memo answered whole, want 0", stages, warm.GA.Generations)
 	}
 }

@@ -158,17 +158,17 @@ func (d *Die) WeakCellThreshold(addr uint32) (float64, bool) {
 // WeakCellCount returns the number of injected weak cells.
 func (d *Die) WeakCellCount() int { return len(d.weakCells) }
 
-// Fingerprint returns a 64-bit FNV-1a content hash of the die: ID, corner,
-// the three process factors (exact float bits) and the weak-cell map in
-// address order. Two dies fingerprint equal exactly when they describe the
-// same silicon, which is what lets disk-cached screening results key on
-// "this die" rather than "this process run".
+// Fingerprint returns a 64-bit content hash of the die, through testgen.Mix:
+// ID, corner, the three process factors (exact float bits) and the
+// weak-cell map in address order. Two dies fingerprint equal exactly when
+// they describe the same silicon, which is what lets disk-cached screening
+// results key on "this die" rather than "this process run".
 func (d *Die) Fingerprint() uint64 {
-	h := testgen.FNVMix(testgen.FNVOffset, uint64(d.ID))
-	h = testgen.FNVMix(h, uint64(d.Corner))
-	h = testgen.FNVMix(h, math.Float64bits(d.tdqOffsetNS))
-	h = testgen.FNVMix(h, math.Float64bits(d.speedFactor))
-	h = testgen.FNVMix(h, math.Float64bits(d.leakageFactor))
+	h := testgen.Mix(testgen.MixOffset, uint64(d.ID))
+	h = testgen.Mix(h, uint64(d.Corner))
+	h = testgen.Mix(h, math.Float64bits(d.tdqOffsetNS))
+	h = testgen.Mix(h, math.Float64bits(d.speedFactor))
+	h = testgen.Mix(h, math.Float64bits(d.leakageFactor))
 	if len(d.weakCells) > 0 {
 		addrs := make([]uint32, 0, len(d.weakCells))
 		for a := range d.weakCells {
@@ -176,8 +176,8 @@ func (d *Die) Fingerprint() uint64 {
 		}
 		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		for _, a := range addrs {
-			h = testgen.FNVMix(h, uint64(a))
-			h = testgen.FNVMix(h, math.Float64bits(d.weakCells[a]))
+			h = testgen.Mix(h, uint64(a))
+			h = testgen.Mix(h, math.Float64bits(d.weakCells[a]))
 		}
 	}
 	return h

@@ -59,8 +59,7 @@ type Tracer struct {
 	fp uint64
 }
 
-// FNV-1a 64 parameters (the same hash family internal/parallel's memo-cache
-// keys use), unrolled here to keep the hot path allocation-free.
+// FNV-1a 64 parameters, unrolled here to keep the hot path allocation-free.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
