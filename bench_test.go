@@ -118,10 +118,10 @@ func BenchmarkTable1MarchBaseline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec, isMin := ate.TDQ.SpecValue()
+	spec := ate.TDQ.Spec()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ranking := wcr.NewRanking(spec, isMin)
+		ranking := wcr.NewRanking(spec)
 		for _, t := range suite {
 			res, err := (search.SuccessiveApproximation{}).Search(tester.Measurer(ate.TDQ, t), ate.TDQ.SearchOptions())
 			if err != nil {
@@ -138,11 +138,11 @@ func BenchmarkTable1MarchBaseline(b *testing.B) {
 
 // BenchmarkTable1RandomBaseline times the 1000-random-test row.
 func BenchmarkTable1RandomBaseline(b *testing.B) {
-	spec, isMin := ate.TDQ.SpecValue()
+	spec := ate.TDQ.Spec()
 	for i := 0; i < b.N; i++ {
 		tester, gen := newRig(b, 73)
 		runner := trippoint.NewRunner(tester, ate.TDQ)
-		ranking := wcr.NewRanking(spec, isMin)
+		ranking := wcr.NewRanking(spec)
 		for j := 0; j < 1000; j++ {
 			t := gen.Next()
 			m, err := runner.Measure(t)
@@ -306,7 +306,7 @@ func BenchmarkFigure5OptimizationScheme(b *testing.B) {
 // and elevated temperature (fail band).
 func BenchmarkFigure6WCRClassification(b *testing.B) {
 	tester, gen := newRig(b, 79)
-	spec, isMin := ate.TDQ.SpecValue()
+	spec := ate.TDQ.Spec()
 	runner := trippoint.NewRunner(tester, ate.TDQ)
 
 	tests := gen.Batch(200)
@@ -329,7 +329,7 @@ func BenchmarkFigure6WCRClassification(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ranking := wcr.NewRanking(spec, isMin)
+		ranking := wcr.NewRanking(spec)
 		for _, t := range tests {
 			m, err := runner.Measure(t)
 			if err != nil {
@@ -368,7 +368,7 @@ func BenchmarkFigure7TDQMeasurement(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(p.TDQWindowNS(), "window_ns")
+			b.ReportMetric(ate.TDQ.TrueValue(p), "window_ns")
 		}
 	}
 }
@@ -490,14 +490,14 @@ func BenchmarkAblationFuzzyVsNumericCoding(b *testing.B) {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					spec, isMin := cfg.Parameter.SpecValue()
+					spec := cfg.Parameter.Spec()
 					sum := 0.0
 					for _, c := range cands {
 						p, err := tester.Profile(c.Test)
 						if err != nil {
 							b.Fatal(err)
 						}
-						sum += wcr.For(p.TDQWindowNS(), spec, isMin)
+						sum += spec.WCR(cfg.Parameter.TrueValue(p))
 					}
 					b.ReportMetric(sum/float64(len(cands)), "seed_mean_WCR")
 				}
@@ -656,6 +656,33 @@ func BenchmarkShmooTaskStrobes(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.Steps*y.Steps), "ns/strobe")
+}
+
+// BenchmarkMeasurePass measures one pass/fail strobe of each parameter, the
+// unit an SUTP search spends: a Measurer strobe of a loaded pattern at the
+// test's own operating point, mid-range, with the tester's default noise.
+func BenchmarkMeasurePass(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		param ate.Parameter
+	}{{"tdq", ate.TDQ}, {"fmax", ate.Fmax}, {"vddmin", ate.VddMin}} {
+		b.Run("param="+c.name, func(b *testing.B) {
+			tester, gen := newRig(b, 82)
+			m := tester.Measurer(c.param, gen.Next())
+			opts := c.param.SearchOptions()
+			x := (opts.Lo + opts.Hi) / 2
+			if _, err := m.Passes(x); err != nil { // loads the pattern
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Passes(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/strobe")
+		})
+	}
 }
 
 // BenchmarkFeatureExtraction measures the NN input encoding of the batch.

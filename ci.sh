@@ -524,12 +524,12 @@ echo "== wall-clock benchmark gates (medians of 5) =="
 # fig. 5's, fig. 8's and Table 1's workers=2 over workers=1 ratios are
 # recorded with the CPU count, not gated, and so are the medians of a fig. 8
 # task's two kernels (pattern execution in ns/vector, the row strobes in
-# ns/strobe) and of Table 1's memo key (the test fingerprint, in ns/vector),
-# five 200 ms samples each.
+# ns/strobe), of Table 1's memo key (the test fingerprint, in ns/vector) and
+# of one strobe of each parameter (in ns/strobe), five 200 ms samples each.
 NCPU=$(nproc)
 SAMPLES=$(go test -run '^$' -benchtime 1x -count 5 -timeout 60m -bench \
 	'^BenchmarkLotScreenPerDieLoop$|^BenchmarkLotScreenStream$/^workers=[128]$/^cache=off$|^BenchmarkFigure5OptimizationParallel$/^workers=[12]$|^BenchmarkFigure8ShmooParallel$/^workers=[12]$|^BenchmarkTable1FullComparison$/^workers=[12]$' .)
-KERNELS=$(go test -run '^$' -benchtime 200ms -count 5 -bench '^BenchmarkDeviceProfile$|^BenchmarkShmooTaskStrobes$|^BenchmarkSequenceFingerprint$' .)
+KERNELS=$(go test -run '^$' -benchtime 200ms -count 5 -bench '^BenchmarkDeviceProfile$|^BenchmarkShmooTaskStrobes$|^BenchmarkSequenceFingerprint$|^BenchmarkMeasurePass$' .)
 printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 	# median of the samples of benchmark b.
 	function median(b,    i, j, k, t, v) {
@@ -543,6 +543,9 @@ printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 		unit["BenchmarkDeviceProfile"] = "ns/vector"
 		unit["BenchmarkShmooTaskStrobes"] = "ns/strobe"
 		unit["BenchmarkSequenceFingerprint"] = "ns/vector"
+		unit["BenchmarkMeasurePass/param=tdq"] = "ns/strobe"
+		unit["BenchmarkMeasurePass/param=fmax"] = "ns/strobe"
+		unit["BenchmarkMeasurePass/param=vddmin"] = "ns/strobe"
 	}
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
@@ -572,8 +575,11 @@ printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 		kv = med["BenchmarkDeviceProfile"]
 		ks = med["BenchmarkShmooTaskStrobes"]
 		kf = med["BenchmarkSequenceFingerprint"]
-		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !s1 || !s2 || !t1 || !t2 || !kv || !ks || !kf) {
-			print "FAIL: benchmark output is missing lot, fig. 5, fig. 8, Table 1 or kernel samples" > "/dev/stderr"
+		mt = med["BenchmarkMeasurePass/param=tdq"]
+		mf = med["BenchmarkMeasurePass/param=fmax"]
+		mv = med["BenchmarkMeasurePass/param=vddmin"]
+		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !s1 || !s2 || !t1 || !t2 || !kv || !ks || !kf || !mt || !mf || !mv) {
+			print "FAIL: benchmark output is missing lot, fig. 5, fig. 8, Table 1, kernel or single-strobe samples" > "/dev/stderr"
 			exit 1
 		}
 		fail = 0
@@ -596,6 +602,7 @@ printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 		printf "fig. 8 task kernels (recorded, not gated): pattern execution %.1f ns/vector (%d samples), row strobes %.1f ns/strobe (%d samples)\n", kv, n["BenchmarkDeviceProfile"], ks, n["BenchmarkShmooTaskStrobes"]
 		printf "Table 1 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", t1 / t2, nproc
 		printf "Table 1 memo key (recorded, not gated): %.1f ns/vector (%d samples)\n", kf, n["BenchmarkSequenceFingerprint"]
+		printf "single strobe (recorded, not gated): T_DQ %.1f, Fmax %.1f, Vddmin %.1f ns/strobe\n", mt, mf, mv
 		exit fail
 	}
 '

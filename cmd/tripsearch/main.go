@@ -151,8 +151,9 @@ func main() {
 			}
 			ds := dr.DSV().Stats()
 			worstVal, worstName := ds.Min, ds.MinTest
-			if _, isMin := param.SpecValue(); !isMin {
-				worstVal, worstName = ds.Max, ds.MaxTest // max-spec: larger is worse
+			// Equal extremes name the same test, the first converged one.
+			if param.Spec().Worse(ds.Max, ds.Min) {
+				worstVal, worstName = ds.Max, ds.MaxTest
 			}
 			fmt.Printf("directed worst: %.3f %s by %s — compare the NN+GA result from cmd/characterize\n",
 				worstVal, param.Unit(), worstName)

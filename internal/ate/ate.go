@@ -107,10 +107,11 @@ type ATE struct {
 	cachedName string
 	haveCached bool
 
-	// window memo: the loaded profile's noiseless T_DQ window win at the
+	// value memo: the loaded profile's noiseless value of memoParam at the
 	// last operating point (vdd, junction temperature, clock) a strobe
 	// evaluated. install empties it with a NaN key, which never matches.
-	winVdd, winTemp, winClock, win float64
+	memoParam                               Parameter
+	memoVdd, memoTemp, memoClock, memoValue float64
 }
 
 // New creates a tester with the device in the socket. The seed drives
@@ -146,7 +147,7 @@ func (a *ATE) ResetStats() {
 // that changes the device's behaviour for an already-loaded test — row
 // repair, physics swap — so the next measurement re-executes the pattern.
 // That measurement installs the new profile, which also empties the
-// window memo, so no strobe reads a window of the old one.
+// value memo, so no strobe reads a value of the old one.
 func (a *ATE) Reload() { a.haveCached = false; a.cachedName = "" }
 
 // load makes the test's profile current, computing it (through Profiler
@@ -190,28 +191,28 @@ func (a *ATE) Preload(p dut.Profile) {
 	a.install(p)
 }
 
-// install makes p the loaded pattern, empties the window memo and charges
+// install makes p the loaded pattern, empties the value memo and charges
 // one pattern load. Every change of the loaded profile goes through here —
 // load, Preload, and the first strobe after a Reload or Reseed — so the
-// memo only ever holds a window of the profile it is strobed against.
+// memo only ever holds a value of the profile it is strobed against.
 func (a *ATE) install(p dut.Profile) {
 	a.cached = p
 	a.cachedName = p.Test.Name
 	a.haveCached = true
-	a.winVdd = math.NaN()
+	a.memoVdd = math.NaN()
 	a.stats.Profiles++
 }
 
-// tdqWindow returns the loaded profile p's noiseless T_DQ window at the
-// operating point, evaluating the physics once per point: the strobes of a
-// shmoo row or an SUTP search all hit one point unless Heating moves the
-// junction between them.
-func (a *ATE) tdqWindow(p *dut.Profile, vdd, tempC, clockMHz float64) float64 {
-	if vdd != a.winVdd || tempC != a.winTemp || clockMHz != a.winClock {
-		a.winVdd, a.winTemp, a.winClock = vdd, tempC, clockMHz
-		a.win = p.TDQWindowNSAtCond(vdd, tempC, clockMHz)
+// value returns the loaded profile p's noiseless value of param at the
+// operating point, evaluating the physics once per parameter and point: the
+// strobes of a shmoo row or an SUTP search all hit one point unless Heating
+// moves the junction between them. param must be a known parameter.
+func (a *ATE) value(param Parameter, p *dut.Profile, vdd, tempC, clockMHz float64) float64 {
+	if param != a.memoParam || vdd != a.memoVdd || tempC != a.memoTemp || clockMHz != a.memoClock {
+		a.memoParam, a.memoVdd, a.memoTemp, a.memoClock = param, vdd, tempC, clockMHz
+		a.memoValue = parameters[param].value(p, vdd, tempC, clockMHz)
 	}
-	return a.win
+	return a.memoValue
 }
 
 // chargeMeasurement accounts one pass/fail measurement of the test against
@@ -268,18 +269,26 @@ func (a *ATE) Profile(t testgen.Test) (dut.Profile, error) {
 	return *p, nil
 }
 
-// MeasureTDQPass performs one strobe measurement of the data-output valid
-// window: the device passes when its window at the test's conditions covers
-// the strobe.
-func (a *ATE) MeasureTDQPass(t testgen.Test, strobeNS float64) (bool, error) {
+// MeasurePass performs one pass/fail strobe of param at x for the test at
+// its own conditions: a T_DQ strobe time, an Fmax clock or a Vddmin supply.
+// The device passes when its noisy value lies on the pass side of x, the
+// side the parameter's search orientation names.
+func (a *ATE) MeasurePass(param Parameter, t testgen.Test, x float64) (bool, error) {
+	if int(param) >= NumParameters {
+		return false, fmt.Errorf("ate: unknown parameter %v", param)
+	}
 	p, err := a.load(t)
 	if err != nil {
 		return false, err
 	}
-	a.chargeMeasurement(t, p.MeanActivity(), TDQ)
+	a.chargeMeasurement(t, p.MeanActivity(), param)
 	temp := t.Cond.TempC + a.Heating.RiseC()
-	w := a.tdqWindow(p, t.Cond.VddV, temp, t.Cond.ClockMHz) + a.noise(a.NoiseFraction*TDQ.Resolution())
-	return w >= strobeNS, nil
+	opts := &parameters[param].opts
+	v := a.value(param, p, t.Cond.VddV, temp, t.Cond.ClockMHz) + a.noise(a.NoiseFraction*opts.Resolution)
+	if opts.Orientation == search.PassHigh {
+		return x >= v, nil
+	}
+	return v >= x, nil
 }
 
 // MeasureShmooRow performs one shmoo row of T_DQ strobe measurements with
@@ -315,39 +324,13 @@ func (a *ATE) MeasureShmooRow(t testgen.Test, vdd float64, strobes []float64, pa
 		if noisy {
 			noise = cur.NormFloat64() * sigma
 		}
-		pass[i] = a.tdqWindow(p, vdd, temp, t.Cond.ClockMHz)+noise >= strobe
+		pass[i] = a.value(TDQ, p, vdd, temp, t.Cond.ClockMHz)+noise >= strobe
 	}
 	a.stats.TestTimeSec = now
 	if noisy {
 		a.src.Resume(cur)
 	}
 	return nil
-}
-
-// MeasureFmaxPass reports whether the device runs functionally at the given
-// clock frequency under the test.
-func (a *ATE) MeasureFmaxPass(t testgen.Test, clockMHz float64) (bool, error) {
-	p, err := a.load(t)
-	if err != nil {
-		return false, err
-	}
-	a.chargeMeasurement(t, p.MeanActivity(), Fmax)
-	temp := t.Cond.TempC + a.Heating.RiseC()
-	f := p.FmaxMHzAtCond(t.Cond.VddV, temp) + a.noise(a.NoiseFraction*Fmax.Resolution())
-	return clockMHz <= f, nil
-}
-
-// MeasureVddMinPass reports whether the device passes with the supply set
-// to vdd.
-func (a *ATE) MeasureVddMinPass(t testgen.Test, vdd float64) (bool, error) {
-	p, err := a.load(t)
-	if err != nil {
-		return false, err
-	}
-	a.chargeMeasurement(t, p.MeanActivity(), VddMin)
-	temp := t.Cond.TempC + a.Heating.RiseC()
-	vmin := p.VddMinVAtCond(temp) + a.noise(a.NoiseFraction*VddMin.Resolution())
-	return vdd >= vmin, nil
 }
 
 // FunctionalPass applies the test once at its own conditions and reports
@@ -365,16 +348,5 @@ func (a *ATE) FunctionalPass(t testgen.Test) (bool, error) {
 // Measurer returns a search.Measurer that sweeps the given parameter for
 // the test. Every Passes call is one accounted ATE measurement.
 func (a *ATE) Measurer(param Parameter, t testgen.Test) search.Measurer {
-	switch param {
-	case TDQ:
-		return search.MeasurerFunc(func(v float64) (bool, error) { return a.MeasureTDQPass(t, v) })
-	case Fmax:
-		return search.MeasurerFunc(func(v float64) (bool, error) { return a.MeasureFmaxPass(t, v) })
-	case VddMin:
-		return search.MeasurerFunc(func(v float64) (bool, error) { return a.MeasureVddMinPass(t, v) })
-	default:
-		return search.MeasurerFunc(func(float64) (bool, error) {
-			return false, fmt.Errorf("ate: unknown parameter %v", param)
-		})
-	}
+	return search.MeasurerFunc(func(x float64) (bool, error) { return a.MeasurePass(param, t, x) })
 }

@@ -27,7 +27,7 @@ func sampleTest(t *testing.T) testgen.Test {
 	return tt
 }
 
-func TestMeasureTDQPassFailSides(t *testing.T) {
+func TestMeasurePassFailSides(t *testing.T) {
 	a := testATE(t)
 	a.NoiseFraction = 0 // deterministic for side checks
 	tt := sampleTest(t)
@@ -35,15 +35,15 @@ func TestMeasureTDQPassFailSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := p.TDQWindowNS()
-	pass, err := a.MeasureTDQPass(tt, w-1)
+	w := TDQ.TrueValue(p)
+	pass, err := a.MeasurePass(TDQ, tt, w-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pass {
 		t.Error("strobe 1 ns inside the window failed")
 	}
-	pass, err = a.MeasureTDQPass(tt, w+1)
+	pass, err = a.MeasurePass(TDQ, tt, w+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal("fresh ATE has non-zero stats")
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := a.MeasureTDQPass(tt, 25); err != nil {
+		if _, err := a.MeasurePass(TDQ, tt, 25); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,12 +132,12 @@ func TestMeasurementNoiseBracketsTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := p.TDQWindowNS()
+	w := TDQ.TrueValue(p)
 	// Right at the window edge, noise should produce both outcomes over
 	// many repeats.
 	passes := 0
 	for i := 0; i < 200; i++ {
-		ok, err := a.MeasureTDQPass(tt, w)
+		ok, err := a.MeasurePass(TDQ, tt, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestMeasurementNoiseBracketsTruth(t *testing.T) {
 	}
 	// Far from the edge, noise must never flip the outcome.
 	for i := 0; i < 100; i++ {
-		ok, err := a.MeasureTDQPass(tt, w-5)
+		ok, err := a.MeasurePass(TDQ, tt, w-5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestShmooPointMatchesOverriddenVdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, vdd := range []float64{1.5, 1.8, 2.1} {
-		w := p.TDQWindowNSAt(vdd)
+		w := p.TDQWindowNSAtCond(vdd, tt.Cond.TempC, tt.Cond.ClockMHz)
 		var pass [2]bool
 		if err := a.MeasureShmooRow(tt, vdd, []float64{w - 0.5, w + 0.5}, pass[:]); err != nil {
 			t.Fatal(err)
@@ -191,21 +191,21 @@ func TestFmaxAndVddMinMeasurers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmax := p.FmaxMHz()
-	ok, err := a.MeasureFmaxPass(tt, fmax-2)
+	fmax := Fmax.TrueValue(p)
+	ok, err := a.MeasurePass(Fmax, tt, fmax-2)
 	if err != nil || !ok {
 		t.Errorf("clock below Fmax failed: %v", err)
 	}
-	ok, err = a.MeasureFmaxPass(tt, fmax+2)
+	ok, err = a.MeasurePass(Fmax, tt, fmax+2)
 	if err != nil || ok {
 		t.Errorf("clock above Fmax passed: %v", err)
 	}
-	vmin := p.VddMinV()
-	ok, err = a.MeasureVddMinPass(tt, vmin+0.05)
+	vmin := VddMin.TrueValue(p)
+	ok, err = a.MeasurePass(VddMin, tt, vmin+0.05)
 	if err != nil || !ok {
 		t.Errorf("supply above Vddmin failed: %v", err)
 	}
-	ok, err = a.MeasureVddMinPass(tt, vmin-0.05)
+	ok, err = a.MeasurePass(VddMin, tt, vmin-0.05)
 	if err != nil || ok {
 		t.Errorf("supply below Vddmin passed: %v", err)
 	}
@@ -246,6 +246,10 @@ func TestMeasurerUnknownParameter(t *testing.T) {
 	if _, err := m.Passes(1); err == nil {
 		t.Error("unknown parameter measurer did not error")
 	}
+	// The error comes before any pattern load or charge.
+	if s := a.Stats(); s != (Stats{}) {
+		t.Errorf("unknown parameter strobe cost %+v", s)
+	}
 }
 
 func TestDeviceAccessorAndReload(t *testing.T) {
@@ -269,15 +273,21 @@ func TestDeviceAccessorAndReload(t *testing.T) {
 
 func TestTrueValueMatchesProfile(t *testing.T) {
 	a := testATE(t)
-	p, err := a.Profile(sampleTest(t))
+	tt := sampleTest(t)
+	tt.Cond = testgen.Conditions{VddV: 1.7, TempC: 60, ClockMHz: 90}
+	p, err := a.Profile(tt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Fmax.TrueValue(p); got != p.FmaxMHz() {
-		t.Errorf("Fmax true value %g", got)
+	// The oracle reads each parameter at the test's own conditions.
+	if got, want := TDQ.TrueValue(p), p.TDQWindowNSAtCond(1.7, 60, 90); got != want {
+		t.Errorf("T_DQ true value %g, want %g", got, want)
 	}
-	if got := VddMin.TrueValue(p); got != p.VddMinV() {
-		t.Errorf("Vddmin true value %g", got)
+	if got, want := Fmax.TrueValue(p), p.FmaxMHzAtCond(1.7, 60); got != want {
+		t.Errorf("Fmax true value %g, want %g", got, want)
+	}
+	if got, want := VddMin.TrueValue(p), p.VddMinVAtCond(60); got != want {
+		t.Errorf("Vddmin true value %g, want %g", got, want)
 	}
 	if got := Parameter(9).TrueValue(p); got != 0 {
 		t.Errorf("unknown parameter true value %g", got)
@@ -316,17 +326,17 @@ func TestPerParamAttribution(t *testing.T) {
 	a := testATE(t)
 	tt := sampleTest(t)
 	for i := 0; i < 3; i++ {
-		if _, err := a.MeasureTDQPass(tt, 25); err != nil {
+		if _, err := a.MeasurePass(TDQ, tt, 25); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := a.MeasureShmooRow(tt, 1.8, []float64{25}, make([]bool, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.MeasureFmaxPass(tt, 90); err != nil {
+	if _, err := a.MeasurePass(Fmax, tt, 90); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.MeasureVddMinPass(tt, 1.8); err != nil {
+	if _, err := a.MeasurePass(VddMin, tt, 1.8); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.FunctionalPass(tt); err != nil {

@@ -16,11 +16,11 @@ func measureTwice(t *testing.T, a *ATE, tt testgen.Test) [8]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := p.TDQWindowNS()
+	w := TDQ.TrueValue(p)
 	var out [8]bool
 	for i := range out {
 		// Strobe right at the window edge: pass/fail decided by noise.
-		pass, err := a.MeasureTDQPass(tt, w)
+		pass, err := a.MeasurePass(TDQ, tt, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestForkIsIndependent(t *testing.T) {
 
 	// Measuring on the fork must not move the parent's counters.
 	before := a.Stats()
-	if _, err := f.MeasureTDQPass(tt, 25); err != nil {
+	if _, err := f.MeasurePass(TDQ, tt, 25); err != nil {
 		t.Fatal(err)
 	}
 	if a.Stats() != before {
@@ -105,7 +105,7 @@ func TestReseedIsHermetic(t *testing.T) {
 	}
 	other.Name = "burn-in"
 	for i := 0; i < 40; i++ {
-		if _, err := used.MeasureTDQPass(other, 20); err != nil {
+		if _, err := used.MeasurePass(TDQ, other, 20); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestReseedIsHermetic(t *testing.T) {
 func TestAddStatsMerges(t *testing.T) {
 	a := testATE(t)
 	tt := sampleTest(t)
-	if _, err := a.MeasureTDQPass(tt, 25); err != nil {
+	if _, err := a.MeasurePass(TDQ, tt, 25); err != nil {
 		t.Fatal(err)
 	}
 	f, err := a.Fork(9)
@@ -126,7 +126,7 @@ func TestAddStatsMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := f.MeasureTDQPass(tt, 25); err != nil {
+		if _, err := f.MeasurePass(TDQ, tt, 25); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,11 +162,10 @@ func TestDeviceCloneSameSilicon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.TDQWindowNS() != q.TDQWindowNS() {
-		t.Errorf("clone window %.6f != original %.6f", q.TDQWindowNS(), p.TDQWindowNS())
-	}
-	if p.FmaxMHz() != q.FmaxMHz() {
-		t.Errorf("clone fmax %.6f != original %.6f", q.FmaxMHz(), p.FmaxMHz())
+	for _, param := range []Parameter{TDQ, Fmax} {
+		if w, v := param.TrueValue(p), param.TrueValue(q); w != v {
+			t.Errorf("clone %v %.6f != original %.6f", param, v, w)
+		}
 	}
 }
 

@@ -43,18 +43,33 @@ func oneByOne(a *ATE) strober {
 	return s
 }
 
-// strobeRef is the per-strobe formula the window memo and the row strobe
-// replace: load, charge, then evaluate the physics and draw the noise on
-// every call.
-func strobeRef(a *ATE, t testgen.Test, vdd, strobeNS float64) (bool, error) {
+// strobeRef is the per-strobe formula the value memo and the row strobe
+// replace: load, charge, then evaluate the parameter's physics at the supply
+// vdd and draw the noise on every call, and compare on the parameter's pass
+// side.
+func strobeRef(a *ATE, param Parameter, t testgen.Test, vdd, x float64) (bool, error) {
 	p, err := a.load(t)
 	if err != nil {
 		return false, err
 	}
-	a.chargeMeasurement(t, p.MeanActivity(), TDQ)
+	a.chargeMeasurement(t, p.MeanActivity(), param)
 	temp := t.Cond.TempC + a.Heating.RiseC()
-	w := p.TDQWindowNSAtCond(vdd, temp, t.Cond.ClockMHz) + a.noise(a.NoiseFraction*TDQ.Resolution())
-	return w >= strobeNS, nil
+	var v float64
+	switch param {
+	case TDQ:
+		v = p.TDQWindowNSAtCond(vdd, temp, t.Cond.ClockMHz)
+	case Fmax:
+		v = p.FmaxMHzAtCond(vdd, temp)
+	case VddMin:
+		v = p.VddMinVAtCond(temp)
+	default:
+		return false, fmt.Errorf("reference: unknown parameter %v", param)
+	}
+	v += a.noise(a.NoiseFraction * param.Resolution())
+	if param == VddMin {
+		return x >= v, nil // pass above Vddmin
+	}
+	return v >= x, nil
 }
 
 // reference strobes through strobeRef.
@@ -62,7 +77,7 @@ func reference(a *ATE) strober {
 	return strober{
 		row: func(tt testgen.Test, vdd float64, strobes []float64, pass []bool) error {
 			for i, v := range strobes {
-				ok, err := strobeRef(a, tt, vdd, v)
+				ok, err := strobeRef(a, TDQ, tt, vdd, v)
 				if err != nil {
 					return err
 				}
@@ -71,7 +86,7 @@ func reference(a *ATE) strober {
 			return nil
 		},
 		tdq: func(tt testgen.Test, v float64) (bool, error) {
-			return strobeRef(a, tt, tt.Cond.VddV, v)
+			return strobeRef(a, TDQ, tt, tt.Cond.VddV, v)
 		},
 	}
 }
@@ -175,7 +190,7 @@ func sameStats(a, b Stats) bool {
 	return a == b
 }
 
-// TestWindowMemoMatchesPerStrobeReference pins the window memo and the
+// TestWindowMemoMatchesPerStrobeReference pins the value memo and the
 // row strobe against the per-strobe formula they replace: with and without
 // self-heating and noise, over Measurer strobes and shmoo rows at each
 // test's window edge and across fig. 8's X axis, test switches at one
@@ -219,6 +234,64 @@ func TestWindowMemoMatchesPerStrobeReference(t *testing.T) {
 					if !sameStats(gotStats, wantStats) {
 						t.Errorf("%s: stats differ:\ntester    %+v\nreference %+v", s.name, gotStats, wantStats)
 					}
+				}
+			})
+		}
+	}
+}
+
+// TestValueMemoMatchesPerStrobeReferenceAcrossParameters pins the memo's
+// parameter key: Measurer strobes of T_DQ, Fmax and Vddmin, interleaved on
+// one loaded test at one operating point so that most strobes follow one of
+// another parameter at the same point, measure the same bits and Stats as
+// the per-strobe reference, with and without self-heating and noise. Each
+// strobe lies within a few noise sigmas of its parameter's noiseless value.
+func TestValueMemoMatchesPerStrobeReferenceAcrossParameters(t *testing.T) {
+	tt := edgeTests(37)[0]
+	order := []Parameter{TDQ, Fmax, VddMin, TDQ, TDQ, VddMin, Fmax, Fmax, TDQ, VddMin, VddMin, TDQ, Fmax}
+	for _, heating := range []bool{false, true} {
+		for _, noise := range []float64{0, 0.25} {
+			t.Run(fmt.Sprintf("heating=%v/noise=%g", heating, noise), func(t *testing.T) {
+				run := func(strobe func(a *ATE, param Parameter, x float64) (bool, error)) ([]bool, Stats) {
+					a := weakTester(t, 37)
+					if heating {
+						a.Heating = DefaultThermal()
+					}
+					a.NoiseFraction = noise
+					p, err := a.Profile(tt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var bits []bool
+					for round := range 4 {
+						for i, param := range order {
+							k := (round+i)%7 - 3
+							ok, err := strobe(a, param, param.TrueValue(p)+float64(k)*param.Resolution()/4)
+							if err != nil {
+								t.Fatal(err)
+							}
+							bits = append(bits, ok)
+						}
+					}
+					return bits, a.Stats()
+				}
+				want, wantStats := run(func(a *ATE, param Parameter, x float64) (bool, error) {
+					return strobeRef(a, param, tt, tt.Cond.VddV, x)
+				})
+				got, gotStats := run(func(a *ATE, param Parameter, x float64) (bool, error) {
+					return a.Measurer(param, tt).Passes(x)
+				})
+				diff := 0
+				for i := range min(len(got), len(want)) {
+					if got[i] != want[i] {
+						diff++
+					}
+				}
+				if diff > 0 || len(got) != len(want) {
+					t.Errorf("measured %d of %d bits differently from the per-strobe reference", diff, len(want))
+				}
+				if !sameStats(gotStats, wantStats) {
+					t.Errorf("stats differ:\ntester    %+v\nreference %+v", gotStats, wantStats)
 				}
 			})
 		}

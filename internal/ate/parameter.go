@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dut"
 	"repro/internal/search"
+	"repro/internal/wcr"
 )
 
 // Parameter identifies a characterizable AC/DC parameter. The paper
@@ -28,86 +29,100 @@ const (
 	NumParameters = int(VddMin) + 1
 )
 
-// String names the parameter.
-func (p Parameter) String() string {
-	switch p {
-	case TDQ:
-		return "T_DQ"
-	case Fmax:
-		return "Fmax"
-	case VddMin:
-		return "Vddmin"
-	default:
-		return fmt.Sprintf("Parameter(%d)", uint8(p))
-	}
+// parameterDef is everything the tester and the flow know about one
+// parameter.
+type parameterDef struct {
+	name string // display name, also the database file's
+	flag string // -param flag value
+	unit string
+	// opts is the generous characterization range, resolution and
+	// orientation of a full-range trip point search (§4: "very generous
+	// starting ranges should be selected"). The resolution is also the base
+	// of the measurement-noise sigma.
+	opts search.Options
+	spec wcr.Spec
+	// value is the profile's noiseless parameter value at an operating
+	// point: supply, junction temperature and clock.
+	value func(p *dut.Profile, vdd, tempC, clockMHz float64) float64
 }
 
-// Unit returns the parameter's engineering unit.
-func (p Parameter) Unit() string {
-	switch p {
-	case TDQ:
-		return "ns"
-	case Fmax:
-		return "MHz"
-	case VddMin:
-		return "V"
-	default:
-		return "?"
-	}
-}
-
-// SearchOptions returns the generous characterization range, resolution and
-// orientation for a full-range trip point search of the parameter (§4:
-// "very generous starting ranges should be selected").
-func (p Parameter) SearchOptions() search.Options {
-	switch p {
-	case TDQ:
+// parameters holds each parameter's one definition.
+var parameters = [NumParameters]parameterDef{
+	TDQ: {
+		name: "T_DQ", flag: "tdq", unit: "ns",
 		// Strobe sweep: pass at short strobes, fail once the strobe
 		// exceeds the device's valid window (eq. 3 orientation).
-		return search.Options{Lo: 10, Hi: 45, Resolution: 0.1, Orientation: search.PassLow}
-	case Fmax:
-		return search.Options{Lo: 40, Hi: 150, Resolution: 0.5, Orientation: search.PassLow}
-	case VddMin:
+		opts: search.Options{Lo: 10, Hi: 45, Resolution: 0.1, Orientation: search.PassLow},
+		spec: wcr.Spec{Limit: dut.SpecTDQNS, Min: true}, // window must be at least 20 ns
+		value: func(p *dut.Profile, vdd, tempC, clockMHz float64) float64 {
+			return p.TDQWindowNSAtCond(vdd, tempC, clockMHz)
+		},
+	},
+	Fmax: {
+		name: "Fmax", flag: "fmax", unit: "MHz",
+		opts: search.Options{Lo: 40, Hi: 150, Resolution: 0.5, Orientation: search.PassLow},
+		spec: wcr.Spec{Limit: 100, Min: true}, // device must reach the 100 MHz specified clock
+		value: func(p *dut.Profile, vdd, tempC, _ float64) float64 {
+			return p.FmaxMHzAtCond(vdd, tempC)
+		},
+	},
+	VddMin: {
+		name: "Vddmin", flag: "vddmin", unit: "V",
 		// Pass above Vddmin, fail below (eq. 4 orientation).
-		return search.Options{Lo: 1.0, Hi: 2.2, Resolution: 0.01, Orientation: search.PassHigh}
-	default:
-		return search.Options{}
-	}
+		opts: search.Options{Lo: 1.0, Hi: 2.2, Resolution: 0.01, Orientation: search.PassHigh},
+		spec: wcr.Spec{Limit: 1.62}, // device must start at or below Vdd−10%
+		value: func(p *dut.Profile, _, tempC, _ float64) float64 {
+			return p.VddMinVAtCond(tempC)
+		},
+	},
 }
 
-// Resolution is a convenience accessor for the parameter's default search
-// resolution (also the base of the measurement-noise sigma).
-func (p Parameter) Resolution() float64 { return p.SearchOptions().Resolution }
-
-// SpecValue returns the specification limit for the parameter and whether
-// the spec is a minimum (true) or a maximum (false). WCR computation (eqs.
-// 5/6) selects its form from this.
-func (p Parameter) SpecValue() (value float64, isMinimum bool) {
-	switch p {
-	case TDQ:
-		return dut.SpecTDQNS, true // window must be at least 20 ns
-	case Fmax:
-		return 100, true // device must reach the 100 MHz specified clock
-	case VddMin:
-		return 1.62, false // device must start at or below Vdd−10%
-	default:
-		return 0, true
-	}
+// unknownParameter is what a Parameter outside the table reads.
+var unknownParameter = parameterDef{
+	unit:  "?",
+	value: func(*dut.Profile, float64, float64, float64) float64 { return 0 },
 }
 
-// TrueValue returns the noise-free parameter value of a profile — the
-// oracle the simulator can expose but real ATE cannot. Tests use it to
-// verify that searches converge to the truth; the characterization flow
+// def returns the parameter's definition.
+func (p Parameter) def() *parameterDef {
+	if int(p) < NumParameters {
+		return &parameters[p]
+	}
+	return &unknownParameter
+}
+
+// String names the parameter.
+func (p Parameter) String() string {
+	if int(p) < NumParameters {
+		return parameters[p].name
+	}
+	return fmt.Sprintf("Parameter(%d)", uint8(p))
+}
+
+// Flag is the parameter's -param flag value.
+func (p Parameter) Flag() string { return p.def().flag }
+
+// Unit returns the parameter's engineering unit.
+func (p Parameter) Unit() string { return p.def().unit }
+
+// SearchOptions returns the generous characterization range, resolution and
+// orientation for a full-range trip point search of the parameter.
+func (p Parameter) SearchOptions() search.Options { return p.def().opts }
+
+// Resolution is the parameter's default search resolution (also the base of
+// the measurement-noise sigma).
+func (p Parameter) Resolution() float64 { return p.def().opts.Resolution }
+
+// Spec returns the specification limit and its direction. WCR computation
+// (eqs. 5/6) selects its form from this.
+func (p Parameter) Spec() wcr.Spec { return p.def().spec }
+
+// TrueValue returns the noise-free parameter value of a profile at its test's
+// own conditions — the oracle the simulator can expose but real ATE cannot.
+// Tests use it to verify that searches converge to the truth, and a
+// production run judges its verdicts against it; the characterization flow
 // itself never calls it.
 func (p Parameter) TrueValue(profile dut.Profile) float64 {
-	switch p {
-	case TDQ:
-		return profile.TDQWindowNS()
-	case Fmax:
-		return profile.FmaxMHz()
-	case VddMin:
-		return profile.VddMinV()
-	default:
-		return 0
-	}
+	c := profile.Test.Cond
+	return p.def().value(&profile, c.VddV, c.TempC, c.ClockMHz)
 }

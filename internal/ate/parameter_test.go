@@ -4,21 +4,26 @@ import (
 	"testing"
 
 	"repro/internal/search"
+	"repro/internal/wcr"
 )
 
 func TestParameterStringsAndUnits(t *testing.T) {
 	cases := []struct {
 		p    Parameter
 		name string
+		flag string
 		unit string
 	}{
-		{TDQ, "T_DQ", "ns"},
-		{Fmax, "Fmax", "MHz"},
-		{VddMin, "Vddmin", "V"},
+		{TDQ, "T_DQ", "tdq", "ns"},
+		{Fmax, "Fmax", "fmax", "MHz"},
+		{VddMin, "Vddmin", "vddmin", "V"},
 	}
 	for _, c := range cases {
 		if c.p.String() != c.name {
 			t.Errorf("%v name = %q, want %q", c.p, c.p.String(), c.name)
+		}
+		if c.p.Flag() != c.flag {
+			t.Errorf("%v flag = %q, want %q", c.p, c.p.Flag(), c.flag)
 		}
 		if c.p.Unit() != c.unit {
 			t.Errorf("%v unit = %q, want %q", c.p, c.p.Unit(), c.unit)
@@ -26,6 +31,12 @@ func TestParameterStringsAndUnits(t *testing.T) {
 	}
 	if Parameter(9).Unit() != "?" {
 		t.Error("unknown parameter unit")
+	}
+	if got := Parameter(9).String(); got != "Parameter(9)" {
+		t.Errorf("unknown parameter name %q", got)
+	}
+	if got := Parameter(9).SearchOptions(); got != (search.Options{}) {
+		t.Errorf("unknown parameter search options %+v", got)
 	}
 }
 
@@ -53,17 +64,18 @@ func TestSearchOrientations(t *testing.T) {
 }
 
 func TestSpecValues(t *testing.T) {
-	v, isMin := TDQ.SpecValue()
-	if v != 20 || !isMin {
-		t.Errorf("T_DQ spec = %g, isMin=%v; want 20 ns minimum", v, isMin)
+	cases := []struct {
+		p    Parameter
+		want wcr.Spec
+	}{
+		{TDQ, wcr.Spec{Limit: 20, Min: true}},   // 20 ns minimum window
+		{Fmax, wcr.Spec{Limit: 100, Min: true}}, // 100 MHz minimum clock
+		{VddMin, wcr.Spec{Limit: 1.62}},         // 1.62 V maximum start supply
 	}
-	v, isMin = Fmax.SpecValue()
-	if v != 100 || !isMin {
-		t.Errorf("Fmax spec = %g, isMin=%v; want 100 MHz minimum", v, isMin)
-	}
-	v, isMin = VddMin.SpecValue()
-	if v != 1.62 || isMin {
-		t.Errorf("Vddmin spec = %g, isMin=%v; want 1.62 V maximum", v, isMin)
+	for _, c := range cases {
+		if got := c.p.Spec(); got != c.want {
+			t.Errorf("%v spec = %+v, want %+v", c.p, got, c.want)
+		}
 	}
 }
 
@@ -72,7 +84,7 @@ func TestSpecInsideSearchRange(t *testing.T) {
 	// a spec-violating trip point could never be observed.
 	for _, p := range []Parameter{TDQ, Fmax, VddMin} {
 		opt := p.SearchOptions()
-		spec, _ := p.SpecValue()
+		spec := p.Spec().Limit
 		if spec <= opt.Lo || spec >= opt.Hi {
 			t.Errorf("%v spec %g outside search range [%g, %g]", p, spec, opt.Lo, opt.Hi)
 		}

@@ -85,7 +85,7 @@ func TestHeatingShiftsMeasuredTripPoint(t *testing.T) {
 	// hot (no decay: τ → ∞ keeps the rise across the verification search).
 	a.Heating = &Thermal{RisePerVector: 0.02, TauSec: 1e12, MaxRiseC: 40}
 	for i := 0; i < 50; i++ {
-		if _, err := a.MeasureTDQPass(tt, 25); err != nil {
+		if _, err := a.MeasurePass(TDQ, tt, 25); err != nil {
 			t.Fatal(err)
 		}
 	}

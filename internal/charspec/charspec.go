@@ -69,8 +69,7 @@ type CornerResult struct {
 // Report is the extracted specification.
 type Report struct {
 	Parameter ate.Parameter
-	Spec      float64
-	SpecIsMin bool
+	Spec      wcr.Spec
 
 	PerCorner []CornerResult
 	// WorstCorner is the environmental combination with the worst trip
@@ -118,25 +117,14 @@ func Extract(tester *ate.ATE, param ate.Parameter, tests []testgen.Test, cfg Con
 		return nil, fmt.Errorf("charspec: guardband %g outside [0, 1)", cfg.Guardband)
 	}
 
-	spec, isMin := param.SpecValue()
+	spec := param.Spec()
 	rep := &Report{
 		Parameter:     param,
 		Spec:          spec,
-		SpecIsMin:     isMin,
 		GuardbandFrac: cfg.Guardband,
+		WorstValue:    spec.WorstStart(),
 	}
 	before := tester.Stats().Measurements
-
-	worseThan := func(a, b float64) bool {
-		if isMin {
-			return a < b // smaller is worse for a minimum spec
-		}
-		return a > b
-	}
-	rep.WorstValue = math.Inf(1)
-	if !isMin {
-		rep.WorstValue = math.Inf(-1)
-	}
 
 	for _, vdd := range cfg.Grid.VddV {
 		for _, temp := range cfg.Grid.TempC {
@@ -145,10 +133,7 @@ func Extract(tester *ate.ATE, param ate.Parameter, tests []testgen.Test, cfg Con
 			runner := trippoint.NewRunner(tester, param)
 			runner.Searcher = &search.SUTP{Refine: true}
 			cr := CornerResult{Corner: corner}
-			worst := math.Inf(1)
-			if !isMin {
-				worst = math.Inf(-1)
-			}
+			worst := spec.WorstStart()
 			for _, t := range tests {
 				ct := t.Clone()
 				ct.Name = fmt.Sprintf("%s@%s", t.Name, corner)
@@ -161,7 +146,7 @@ func Extract(tester *ate.ATE, param ate.Parameter, tests []testgen.Test, cfg Con
 				if !m.Converged {
 					continue
 				}
-				if worseThan(m.TripPoint, worst) {
+				if spec.Worse(m.TripPoint, worst) {
 					worst = m.TripPoint
 					cr.WorstTest = t.Name
 				}
@@ -173,10 +158,10 @@ func Extract(tester *ate.ATE, param ate.Parameter, tests []testgen.Test, cfg Con
 			cr.Worst = worst
 			cr.Mean = stats.Mean
 			cr.Spread = stats.Range
-			cr.WCR = wcr.For(worst, spec, isMin)
+			cr.WCR = spec.WCR(worst)
 			rep.PerCorner = append(rep.PerCorner, cr)
 
-			if worseThan(worst, rep.WorstValue) {
+			if spec.Worse(worst, rep.WorstValue) {
 				rep.WorstValue = worst
 				rep.WorstCorner = corner
 				rep.WorstTest = cr.WorstTest
@@ -184,13 +169,8 @@ func Extract(tester *ate.ATE, param ate.Parameter, tests []testgen.Test, cfg Con
 		}
 	}
 
-	if isMin {
-		rep.RecommendedLimit = rep.WorstValue * (1 - cfg.Guardband)
-		rep.MeetsSpec = rep.RecommendedLimit >= spec
-	} else {
-		rep.RecommendedLimit = rep.WorstValue * (1 + cfg.Guardband)
-		rep.MeetsSpec = rep.RecommendedLimit <= spec
-	}
+	rep.RecommendedLimit = spec.GuardBand(rep.WorstValue, -cfg.Guardband)
+	rep.MeetsSpec = !spec.Worse(rep.RecommendedLimit, spec.Limit)
 	rep.Measurements = tester.Stats().Measurements - before
 	return rep, nil
 }
@@ -198,12 +178,8 @@ func Extract(tester *ate.ATE, param ate.Parameter, tests []testgen.Test, cfg Con
 // Format renders the report as a characterization summary table.
 func (r *Report) Format() string {
 	var b strings.Builder
-	dir := "min"
-	if !r.SpecIsMin {
-		dir = "max"
-	}
 	fmt.Fprintf(&b, "Specification extraction: %s (design spec: %s %.3g %s)\n",
-		r.Parameter, dir, r.Spec, r.Parameter.Unit())
+		r.Parameter, r.Spec.Kind(), r.Spec.Limit, r.Parameter.Unit())
 	fmt.Fprintf(&b, "%-16s %10s %10s %9s %8s %-12s\n", "corner", "worst", "mean", "spread", "WCR", "worst test")
 	for _, c := range r.PerCorner {
 		fmt.Fprintf(&b, "%-16s %10.3f %10.3f %9.3f %8.3f %-12s\n",

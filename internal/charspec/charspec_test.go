@@ -134,7 +134,7 @@ func TestExtractSpecCompliance(t *testing.T) {
 	}
 	if !rep.MeetsSpec {
 		t.Errorf("benign tests failed spec extraction: recommended %.3f vs spec %.3f",
-			rep.RecommendedLimit, rep.Spec)
+			rep.RecommendedLimit, rep.Spec.Limit)
 	}
 }
 

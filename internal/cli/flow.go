@@ -251,18 +251,15 @@ func minIntVar(fs *flag.FlagSet, f *minInt, name string, def int, usage string) 
 	fs.Var(f, name, usage)
 }
 
-// ParseParam resolves a -param flag value: tdq, fmax or vddmin.
+// ParseParam resolves a -param flag value: tdq, fmax or vddmin. The display
+// names (T_DQ) are not flag values, so one run has one spelling.
 func ParseParam(s string) (ate.Parameter, error) {
-	switch s {
-	case "tdq":
-		return ate.TDQ, nil
-	case "fmax":
-		return ate.Fmax, nil
-	case "vddmin":
-		return ate.VddMin, nil
-	default:
-		return 0, fmt.Errorf("unknown parameter %q (want tdq, fmax or vddmin)", s)
+	for p := range ate.Parameter(ate.NumParameters) {
+		if p.Flag() == s {
+			return p, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown parameter %q (want tdq, fmax or vddmin)", s)
 }
 
 // parseCorner resolves a -corner value: tt, ff or ss.

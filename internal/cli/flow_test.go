@@ -43,6 +43,8 @@ func TestNewFlowRunValidation(t *testing.T) {
 		{FlowSpec{Flow: "learn", Args: map[string]string{"learn-tests": "many"}}, `arg learn-tests="many"`},
 		{FlowSpec{Flow: "learn", Args: map[string]string{"weights": "w.json"}}, `does not accept arg "weights"`},
 		{FlowSpec{Flow: "learn", Args: map[string]string{"param": "bogus"}}, `unknown parameter "bogus"`},
+		// Display names are not flag values: one run, one spelling, one run ID.
+		{FlowSpec{Flow: "learn", Args: map[string]string{"param": "T_DQ"}}, `unknown parameter "T_DQ"`},
 		{FlowSpec{Flow: "learn", Args: map[string]string{"corner": "xx"}}, `unknown corner "xx"`},
 		{FlowSpec{Flow: "lot", Args: map[string]string{"dies": "0"}}, `arg dies="0": must be at least 1, got 0`},
 		{FlowSpec{Flow: "lot", Args: map[string]string{"wafers": "-1"}}, `arg wafers="-1": must be at least 0`},

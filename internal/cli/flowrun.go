@@ -141,8 +141,7 @@ func runCharacterize(c *Common, f *characterizeFlags, out io.Writer, tel *teleme
 		stats.Min, param.Unit(), stats.MinTest, stats.Max, param.Unit(), stats.Range, param.Unit())
 	fmt.Fprintf(out, "  SUTP cost: first search %d measurements, follow-up mean %.1f\n",
 		stats.FirstSearchCost, stats.FollowupSearchCost)
-	_, isMin := param.SpecValue()
-	if iv, err := learned.DSV.WorstCaseInterval(isMin, 0.05, 1000, c.Seed); err == nil {
+	if iv, err := learned.DSV.WorstCaseInterval(param.Spec(), 0.05, 1000, c.Seed); err == nil {
 		fmt.Fprintf(out, "  worst trip bootstrap 95%% interval: [%.3f, %.3f] %s (observed %.3f)\n",
 			iv.Lo, iv.Hi, param.Unit(), iv.Observed)
 	}

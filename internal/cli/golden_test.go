@@ -38,6 +38,8 @@ var goldenWorkloads = []struct {
 	{"table1", map[string]string{"random-tests": "100"}},
 	{"shmoo", map[string]string{"tests": "200"}},
 	{"lot", map[string]string{"wafers": "2", "dies": "200"}},
+	{"learn", map[string]string{"param": "fmax", "learn-tests": "60"}},
+	{"optimize", map[string]string{"param": "vddmin", "corner": "ss", "learn-tests": "60"}},
 }
 
 func TestGoldenRunIDs(t *testing.T) {

@@ -160,8 +160,7 @@ func NewCharacterizer(cfg Config, tester *ate.ATE) (*Characterizer, error) {
 	if tester == nil {
 		return nil, fmt.Errorf("core: nil ATE")
 	}
-	spec, isMin := cfg.Parameter.SpecValue()
-	coder, err := fuzzy.NewTripPointCoder(spec, isMin, cfg.Coding)
+	coder, err := fuzzy.NewTripPointCoder(cfg.Parameter.Spec(), cfg.Coding)
 	if err != nil {
 		return nil, err
 	}

@@ -178,15 +178,13 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 	if err := json.NewDecoder(r).Decode(&dj); err != nil {
 		return nil, fmt.Errorf("core: decoding database: %w", err)
 	}
-	var param ate.Parameter
-	switch dj.Parameter {
-	case ate.TDQ.String():
-		param = ate.TDQ
-	case ate.Fmax.String():
-		param = ate.Fmax
-	case ate.VddMin.String():
-		param = ate.VddMin
-	default:
+	param := ate.Parameter(0)
+	for ; int(param) < ate.NumParameters; param++ {
+		if param.String() == dj.Parameter {
+			break
+		}
+	}
+	if int(param) == ate.NumParameters {
 		return nil, fmt.Errorf("core: unknown parameter %q in database", dj.Parameter)
 	}
 	d := NewDatabase(param)

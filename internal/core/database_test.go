@@ -177,6 +177,19 @@ func TestLoadDatabaseRejectsBadInput(t *testing.T) {
 	if _, err := LoadDatabase(bytes.NewBufferString(`{"parameter":"bogus"}`)); err == nil {
 		t.Error("unknown parameter accepted")
 	}
+	// The file names a parameter by its display name, not its flag value.
+	if _, err := LoadDatabase(bytes.NewBufferString(`{"parameter":"tdq"}`)); err == nil {
+		t.Error("flag value accepted as a parameter name")
+	}
+	for p := range ate.Parameter(ate.NumParameters) {
+		var buf bytes.Buffer
+		if err := NewDatabase(p).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := LoadDatabase(&buf); err != nil || d.Parameter != p {
+			t.Errorf("%v database loaded as %v (%v)", p, d, err)
+		}
+	}
 	bad := `{"parameter":"T_DQ","entries":[{"test":{"name":"x","cond":{},"seq":[[9,0,0]]},"wcr":1}]}`
 	if _, err := LoadDatabase(bytes.NewBufferString(bad)); err == nil {
 		t.Error("invalid op code accepted")

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ate"
 	"repro/internal/testgen"
 	"repro/internal/wcr"
 )
@@ -127,7 +128,7 @@ func TestDiagnosisAgreesWithMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(ph.TDQWindowNS() < pc.TDQWindowNS()) {
+	if !(ate.TDQ.TrueValue(ph) < ate.TDQ.TrueValue(pc)) {
 		t.Fatal("measurement precondition broken")
 	}
 	ec, err := d.ExplainTest(calm, limits)

@@ -30,10 +30,9 @@ import (
 // in the serial resolve: a generation's fingerprints cost less than a fleet
 // stage's round trip.
 type evaluator struct {
-	c         *Characterizer
-	opts      search.Options
-	spec      float64
-	specIsMin bool
+	c    *Characterizer
+	opts search.Options
+	spec wcr.Spec
 	// cache is the memo-cache: test fingerprint → WCR (nil disables
 	// memoization). Only the calling goroutine touches it — the resolve
 	// before each Stream and the merge inside Stream's in-order delivery —
@@ -50,12 +49,10 @@ type evaluator struct {
 }
 
 func newEvaluator(c *Characterizer) *evaluator {
-	spec, isMin := c.cfg.Parameter.SpecValue()
 	e := &evaluator{
-		c:         c,
-		opts:      c.cfg.Parameter.SearchOptions(),
-		spec:      spec,
-		specIsMin: isMin,
+		c:    c,
+		opts: c.cfg.Parameter.SearchOptions(),
+		spec: c.cfg.Parameter.Spec(),
 	}
 	e.budget = e.opts.FullRangeBudget()
 	if !c.cfg.DisableMeasurementCache {
@@ -146,7 +143,7 @@ func (e *evaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 		// range means the trip point is beyond the pass-side end
 		// (catastrophically bad, large WCR via the endpoint value); an
 		// all-pass range means huge margin (small WCR).
-		v := wcr.For(results[t].TripPoint, e.spec, e.specIsMin)
+		v := e.spec.WCR(results[t].TripPoint)
 		if e.cache != nil {
 			e.cache[keys[t]] = v
 		}

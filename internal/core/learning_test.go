@@ -260,8 +260,7 @@ func TestCoderAccessor(t *testing.T) {
 	if coder == nil {
 		t.Fatal("nil coder")
 	}
-	spec, _ := quickConfig(1).Parameter.SpecValue()
-	if coder.Spec != spec {
-		t.Errorf("coder spec %g", coder.Spec)
+	if spec := quickConfig(1).Parameter.Spec(); coder.Spec != spec {
+		t.Errorf("coder spec %+v, want %+v", coder.Spec, spec)
 	}
 }

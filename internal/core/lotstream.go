@@ -109,21 +109,12 @@ func (wk *lotWorker) screen(param ate.Parameter, tests []testgen.Test, die *dut.
 	}
 	wk.tester.Reseed(seed)
 
-	spec, isMin := param.SpecValue()
-	worseThan := func(a, b float64) bool {
-		if isMin {
-			return a < b
-		}
-		return a > b
-	}
+	spec := param.Spec()
 	runner := trippoint.NewRunner(wk.tester, param)
 	runner.Searcher = &search.SUTP{Refine: true}
 
 	dr := DieResult{DieID: die.ID, Corner: die.Corner}
-	worst := math.Inf(1)
-	if !isMin {
-		worst = math.Inf(-1)
-	}
+	worst := spec.WorstStart()
 	for k, t := range tests {
 		if ref := wk.refs[k]; ref != nil {
 			if p, ok := ref.Rebind(wk.dev); ok {
@@ -134,7 +125,7 @@ func (wk *lotWorker) screen(param ate.Parameter, tests []testgen.Test, die *dut.
 		if err != nil {
 			return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d test %s: %w", die.ID, t.Name, err)
 		}
-		if m.Converged && worseThan(m.TripPoint, worst) {
+		if m.Converged && spec.Worse(m.TripPoint, worst) {
 			worst = m.TripPoint
 			dr.WorstTest = t.Name
 		}
@@ -150,7 +141,7 @@ func (wk *lotWorker) screen(param ate.Parameter, tests []testgen.Test, die *dut.
 		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: no test converged", die.ID)
 	}
 	dr.WorstTrip = worst
-	dr.WCR = wcr.For(worst, spec, isMin)
+	dr.WCR = spec.WCR(worst)
 	dr.Class = wcr.Classify(dr.WCR)
 	return dr, wk.tester.Stats(), nil
 }
@@ -216,13 +207,7 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 
 	lotKey := lotCacheKey(param, geom, tests, baseSeed)
 
-	_, isMin := param.SpecValue()
-	worseThan := func(a, b float64) bool {
-		if isMin {
-			return a < b
-		}
-		return a > b
-	}
+	spec := param.Spec()
 	rep := &LotReport{
 		Parameter:      param,
 		Tests:          len(tests),
@@ -311,7 +296,7 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 			sumWorst += dr.WorstTrip
 			minWorst = math.Min(minWorst, dr.WorstTrip)
 			maxWorst = math.Max(maxWorst, dr.WorstTrip)
-			if cur, ok := rep.PerCornerWorst[dr.Corner]; !ok || worseThan(dr.WorstTrip, cur) {
+			if cur, ok := rep.PerCornerWorst[dr.Corner]; !ok || spec.Worse(dr.WorstTrip, cur) {
 				rep.PerCornerWorst[dr.Corner] = dr.WorstTrip
 			}
 			if first || dr.WCR > rep.WorstDie.WCR {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -26,14 +27,11 @@ import (
 // screenDie is the test oracle for the streamed pipeline: the original
 // per-die screen, measuring every test on one die with a fresh device and
 // tester insertion and returning the die result plus the measurement cost.
+// It reads only the limit and the direction from the spec and keeps its own
+// comparisons.
 func screenDie(param ate.Parameter, tests []testgen.Test, die *dut.Die, geom dut.Geometry, seed int64) (DieResult, ate.Stats, error) {
-	spec, isMin := param.SpecValue()
-	worseThan := func(a, b float64) bool {
-		if isMin {
-			return a < b
-		}
-		return a > b
-	}
+	spec := param.Spec()
+	worse := legacyWorse(spec.Min)
 	dev, err := dut.NewDevice(geom, die)
 	if err != nil {
 		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: %w", die.ID, err)
@@ -44,7 +42,7 @@ func screenDie(param ate.Parameter, tests []testgen.Test, die *dut.Die, geom dut
 
 	dr := DieResult{DieID: die.ID, Corner: die.Corner}
 	worst := math.Inf(1)
-	if !isMin {
+	if !spec.Min {
 		worst = math.Inf(-1)
 	}
 	for _, t := range tests {
@@ -52,7 +50,7 @@ func screenDie(param ate.Parameter, tests []testgen.Test, die *dut.Die, geom dut
 		if err != nil {
 			return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d test %s: %w", die.ID, t.Name, err)
 		}
-		if m.Converged && worseThan(m.TripPoint, worst) {
+		if m.Converged && worse(m.TripPoint, worst) {
 			worst = m.TripPoint
 			dr.WorstTest = t.Name
 		}
@@ -68,9 +66,23 @@ func screenDie(param ate.Parameter, tests []testgen.Test, die *dut.Die, geom dut
 		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: no test converged", die.ID)
 	}
 	dr.WorstTrip = worst
-	dr.WCR = wcr.For(worst, spec, isMin)
+	dr.WCR = wcr.ForMax(worst, spec.Limit)
+	if spec.Min {
+		dr.WCR = wcr.ForMin(worst, spec.Limit)
+	}
 	dr.Class = wcr.Classify(dr.WCR)
 	return dr, tester.Stats(), nil
+}
+
+// legacyWorse is the per-die loop's own comparison: smaller is worse against
+// a minimum spec, larger against a maximum.
+func legacyWorse(specMin bool) func(a, b float64) bool {
+	return func(a, b float64) bool {
+		if specMin {
+			return a < b
+		}
+		return a > b
+	}
 }
 
 // The shape tests shrink the pipeline to chunks of testChunk dies and one
@@ -125,9 +137,10 @@ func checkLotCacheCounts(t *testing.T, label, state string, store *cachestore.St
 // The oracle: screenDie in a serial per-die loop is the pre-streaming
 // implementation, on a fresh device per die with no shared pattern
 // execution. Every streamed configuration must reproduce its per-die
-// outcomes and its summed tester cost bit for bit. Every fifth die carries
-// a weak cell the March test reads, so the lot's shared clean-die
-// executions and its per-die fallback are both pinned.
+// outcomes, its summed tester cost, and the per-corner and worst dies it
+// implies, bit for bit, against T_DQ's minimum spec and Vddmin's maximum.
+// Every fifth die carries a weak cell the March test reads, so the lot's
+// shared clean-die executions and its per-die fallback are both pinned.
 func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 	withTestLotShape(t)
 	tests := lotTests(t)
@@ -138,51 +151,74 @@ func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 	geom := dut.DefaultGeometry()
 	const seed = 31
 
-	want := make([]DieResult, len(dies))
-	wantCost := make([]ate.Stats, len(dies))
-	for i, die := range dies {
-		dr, cost, err := screenDie(ate.TDQ, tests, die, geom, seed+int64(die.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i], wantCost[i] = dr, cost
-	}
-	if want[0].FunctionalFails == 0 {
-		t.Fatal("the weak cell of die 0 never corrupted a read")
-	}
-
-	for _, workers := range []int{0, 1, 2, 8} {
-		f := testFleet(t, workers)
-		for _, size := range lotShapeSizes {
-			dir := t.TempDir()
-			for _, state := range lotCacheStates {
-				label := fmt.Sprintf("workers=%d dies=%d cache=%s", workers, size, state)
-				store := openLotCache(t, state, dir)
-				rep, err := ScreenLotStream(ate.TDQ, tests, dut.LotSlice(dies[:size]), geom, seed, LotOptions{
-					Fleet: f, RetainDies: true, Cache: store,
-				})
+	for _, param := range []ate.Parameter{ate.TDQ, ate.VddMin} {
+		t.Run(param.String(), func(t *testing.T) {
+			want := make([]DieResult, len(dies))
+			wantCost := make([]ate.Stats, len(dies))
+			for i, die := range dies {
+				dr, cost, err := screenDie(param, tests, die, geom, seed+int64(die.ID))
 				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+					t.Fatal(err)
 				}
-				if len(rep.Dies) != size || rep.DieCount != size {
-					t.Fatalf("%s: %d dies (count %d)", label, len(rep.Dies), rep.DieCount)
-				}
-				var total ate.Stats
-				for i := 0; i < size; i++ {
-					if rep.Dies[i] != want[i] {
-						t.Errorf("%s die %d: %+v, legacy %+v", label, i, rep.Dies[i], want[i])
-					}
-					total.Add(wantCost[i])
-				}
-				if rep.Measurements != total.Measurements {
-					t.Errorf("%s: measurements %d, legacy %d", label, rep.Measurements, total.Measurements)
-				}
-				if rep.Stats != total {
-					t.Errorf("%s: tester cost %+v, legacy %+v", label, rep.Stats, total)
-				}
-				checkLotCacheCounts(t, label, state, store, size)
+				want[i], wantCost[i] = dr, cost
 			}
-		}
+			if want[0].FunctionalFails == 0 {
+				t.Fatal("the weak cell of die 0 never corrupted a read")
+			}
+			worse := legacyWorse(param.Spec().Min)
+
+			for _, workers := range []int{0, 1, 2, 8} {
+				f := testFleet(t, workers)
+				for _, size := range lotShapeSizes {
+					dir := t.TempDir()
+					// The per-corner worst trip and the worst die (the first
+					// with the largest WCR) of the legacy dies.
+					wantCorner := map[dut.Corner]float64{}
+					wantWorst := want[0]
+					var total ate.Stats
+					for i := 0; i < size; i++ {
+						if cur, ok := wantCorner[want[i].Corner]; !ok || worse(want[i].WorstTrip, cur) {
+							wantCorner[want[i].Corner] = want[i].WorstTrip
+						}
+						if want[i].WCR > wantWorst.WCR {
+							wantWorst = want[i]
+						}
+						total.Add(wantCost[i])
+					}
+					for _, state := range lotCacheStates {
+						label := fmt.Sprintf("workers=%d dies=%d cache=%s", workers, size, state)
+						store := openLotCache(t, state, dir)
+						rep, err := ScreenLotStream(param, tests, dut.LotSlice(dies[:size]), geom, seed, LotOptions{
+							Fleet: f, RetainDies: true, Cache: store,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if len(rep.Dies) != size || rep.DieCount != size {
+							t.Fatalf("%s: %d dies (count %d)", label, len(rep.Dies), rep.DieCount)
+						}
+						for i := 0; i < size; i++ {
+							if rep.Dies[i] != want[i] {
+								t.Errorf("%s die %d: %+v, legacy %+v", label, i, rep.Dies[i], want[i])
+							}
+						}
+						if rep.Measurements != total.Measurements {
+							t.Errorf("%s: measurements %d, legacy %d", label, rep.Measurements, total.Measurements)
+						}
+						if rep.Stats != total {
+							t.Errorf("%s: tester cost %+v, legacy %+v", label, rep.Stats, total)
+						}
+						if !maps.Equal(rep.PerCornerWorst, wantCorner) {
+							t.Errorf("%s: per-corner worst %v, legacy %v", label, rep.PerCornerWorst, wantCorner)
+						}
+						if rep.WorstDie != wantWorst {
+							t.Errorf("%s: worst die %+v, legacy %+v", label, rep.WorstDie, wantWorst)
+						}
+						checkLotCacheCounts(t, label, state, store, size)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/search"
 	"repro/internal/testgen"
-	"repro/internal/wcr"
 )
 
 // Worst-case test minimization. The paper ends the flow with "final set of
@@ -76,7 +75,7 @@ func (c *Characterizer) Minimize(t testgen.Test, cfg MinimizeConfig) (*MinimizeR
 		return nil, fmt.Errorf("core: cannot minimize an empty test")
 	}
 
-	spec, isMin := c.cfg.Parameter.SpecValue()
+	spec := c.cfg.Parameter.Spec()
 	sutp := &search.SUTP{Refine: true}
 	opts := c.cfg.Parameter.SearchOptions()
 	probes := 0
@@ -94,7 +93,7 @@ func (c *Characterizer) Minimize(t testgen.Test, cfg MinimizeConfig) (*MinimizeR
 		if err != nil {
 			return 0, err
 		}
-		return wcr.For(res.TripPoint, spec, isMin), nil
+		return spec.WCR(res.TripPoint), nil
 	}
 
 	origWCR, err := measure(t.Seq)

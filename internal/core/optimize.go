@@ -60,7 +60,7 @@ func (c *Characterizer) OptimizeFrom(seeds []genetic.Seed) (*OptimizationResult,
 		}
 	}
 
-	spec, isMin := c.cfg.Parameter.SpecValue()
+	spec := c.cfg.Parameter.Spec()
 	eval := newEvaluator(c)
 	c.lastEval = eval
 
@@ -82,7 +82,7 @@ func (c *Characterizer) OptimizeFrom(seeds []genetic.Seed) (*OptimizationResult,
 			Test:  t,
 			WCR:   ind.Fitness,
 			Class: wcr.Classify(ind.Fitness),
-			Value: valueFromWCR(ind.Fitness, spec, isMin),
+			Value: spec.Value(ind.Fitness),
 		})
 	}
 	if gaRes.Best != nil {
@@ -91,7 +91,7 @@ func (c *Characterizer) OptimizeFrom(seeds []genetic.Seed) (*OptimizationResult,
 			Test:  t,
 			WCR:   gaRes.Best.Fitness,
 			Class: wcr.Classify(gaRes.Best.Fitness),
-			Value: valueFromWCR(gaRes.Best.Fitness, spec, isMin),
+			Value: spec.Value(gaRes.Best.Fitness),
 		})
 	}
 	db.Sort()
@@ -103,16 +103,4 @@ func (c *Characterizer) OptimizeFrom(seeds []genetic.Seed) (*OptimizationResult,
 		CacheHits:    eval.cacheHits(),
 		CacheMisses:  eval.cacheMisses(),
 	}, nil
-}
-
-// valueFromWCR inverts eqs. 5/6 to recover the measured parameter value
-// from the stored fitness.
-func valueFromWCR(w, spec float64, specIsMin bool) float64 {
-	if w == 0 {
-		return 0
-	}
-	if specIsMin {
-		return spec / w
-	}
-	return w * spec
 }

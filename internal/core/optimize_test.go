@@ -41,7 +41,7 @@ func TestSeedsOutrankRandomPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, isMin := char.cfg.Parameter.SpecValue()
+	param := char.cfg.Parameter
 
 	measure := func(tests []Candidate) float64 {
 		sum := 0.0
@@ -50,7 +50,7 @@ func TestSeedsOutrankRandomPopulation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum += wcr.For(p.TDQWindowNS(), spec, isMin)
+			sum += param.Spec().WCR(param.TrueValue(p))
 		}
 		return sum / float64(len(tests))
 	}
@@ -109,19 +109,6 @@ func TestOptimizeFromExplicitSeeds(t *testing.T) {
 	}
 	if res.GA.Best == nil {
 		t.Fatal("no best individual")
-	}
-}
-
-func TestValueFromWCRInversion(t *testing.T) {
-	// valueFromWCR must invert eqs. 5/6.
-	if got := valueFromWCR(0.904, 20, true); got < 22.0 || got > 22.3 {
-		t.Errorf("min-spec inversion: %g, want ≈22.12", got)
-	}
-	if got := valueFromWCR(0.5, 20, false); got != 10 {
-		t.Errorf("max-spec inversion: %g, want 10", got)
-	}
-	if got := valueFromWCR(0, 20, true); got != 0 {
-		t.Errorf("zero WCR inversion: %g", got)
 	}
 }
 

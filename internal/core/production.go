@@ -38,8 +38,8 @@ type ProductionProgram struct {
 }
 
 // BuildProductionProgram assembles a program from the given patterns: each
-// screen's limit is the specification tightened by the guardband fraction
-// (for a minimum spec, limit = spec × (1 + guardband)).
+// screen's limit is the specification tightened toward the pass side by the
+// guardband fraction (for a minimum spec, limit = spec × (1 + guardband)).
 func BuildProductionProgram(param ate.Parameter, tests []testgen.Test, guardband float64) (*ProductionProgram, error) {
 	if len(tests) == 0 {
 		return nil, fmt.Errorf("core: production program needs at least one screen pattern")
@@ -47,11 +47,8 @@ func BuildProductionProgram(param ate.Parameter, tests []testgen.Test, guardband
 	if guardband < 0 || guardband >= 1 {
 		return nil, fmt.Errorf("core: guardband %g outside [0, 1)", guardband)
 	}
-	spec, isMin := param.SpecValue()
-	limit := spec * (1 + guardband)
-	if !isMin {
-		limit = spec * (1 - guardband)
-	}
+	spec := param.Spec()
+	limit := spec.GuardBand(spec.Limit, guardband)
 	p := &ProductionProgram{Parameter: param}
 	for _, t := range tests {
 		p.Screens = append(p.Screens, Screen{Test: t, LimitValue: limit})
@@ -111,7 +108,7 @@ func RunProduction(program *ProductionProgram, oracle testgen.Test, dies []*dut.
 	if len(dies) == 0 {
 		return nil, fmt.Errorf("core: empty lot")
 	}
-	spec, isMin := program.Parameter.SpecValue()
+	spec := program.Parameter.Spec()
 
 	res := &ProductionResult{Program: program}
 	shipped := 0
@@ -124,7 +121,7 @@ func RunProduction(program *ProductionProgram, oracle testgen.Test, dies []*dut.
 
 		v := DieVerdict{DieID: die.ID, Corner: die.Corner, Passed: true}
 		for _, s := range program.Screens {
-			ok, err := measureAtLimit(tester, program.Parameter, s.Test, s.LimitValue)
+			ok, err := tester.MeasurePass(program.Parameter, s.Test, s.LimitValue)
 			if err != nil {
 				return nil, fmt.Errorf("core: die %d screen %s: %w", die.ID, s.Test.Name, err)
 			}
@@ -142,12 +139,7 @@ func RunProduction(program *ProductionProgram, oracle testgen.Test, dies []*dut.
 		if err != nil {
 			return nil, err
 		}
-		truth := program.Parameter.TrueValue(p)
-		if isMin {
-			v.TrulyDefective = truth < spec
-		} else {
-			v.TrulyDefective = truth > spec
-		}
+		v.TrulyDefective = spec.Worse(program.Parameter.TrueValue(p), spec.Limit)
 
 		if v.Passed {
 			shipped++
@@ -165,19 +157,4 @@ func RunProduction(program *ProductionProgram, oracle testgen.Test, dies []*dut.
 	}
 	res.Yield = float64(shipped) / float64(len(dies))
 	return res, nil
-}
-
-// measureAtLimit performs one production pass/fail measurement of the
-// parameter at the given limit value.
-func measureAtLimit(tester *ate.ATE, param ate.Parameter, t testgen.Test, limit float64) (bool, error) {
-	switch param {
-	case ate.TDQ:
-		return tester.MeasureTDQPass(t, limit)
-	case ate.Fmax:
-		return tester.MeasureFmaxPass(t, limit)
-	case ate.VddMin:
-		return tester.MeasureVddMinPass(t, limit)
-	default:
-		return false, fmt.Errorf("core: unsupported production parameter %v", param)
-	}
 }

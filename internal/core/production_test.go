@@ -72,7 +72,7 @@ func TestProductionLimitDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, _ := ate.VddMin.SpecValue()
+	spec := ate.VddMin.Spec().Limit
 	if pmax.Screens[0].LimitValue >= spec {
 		t.Errorf("max-spec production limit %.3f not below the spec %.3f", pmax.Screens[0].LimitValue, spec)
 	}

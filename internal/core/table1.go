@@ -91,7 +91,7 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	}
 	cond := *flowCfg.FixedConditions
 	param := flowCfg.Parameter
-	spec, isMin := param.SpecValue()
+	spec := param.Spec()
 
 	table := &Table1{Parameter: param, VddV: cond.VddV}
 	tel := flowCfg.Telemetry
@@ -112,7 +112,7 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranking := wcr.NewRanking(spec, isMin)
+	ranking := wcr.NewRanking(spec)
 	full := search.SuccessiveApproximation{}
 	for _, t := range suite {
 		res, err := full.Search(tester.Measurer(param, t), param.SearchOptions())
@@ -143,7 +143,7 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	gen.FixedConditions = &cond
 	runner := trippoint.NewRunner(tester, param)
 	runnerBudget := param.SearchOptions().FullRangeBudget()
-	ranking = wcr.NewRanking(spec, isMin)
+	ranking = wcr.NewRanking(spec)
 	tests := gen.Batch(cfg.RandomTests)
 	err = char.measureTests(tests, func(i int) error {
 		m, err := runner.Measure(tests[i])

@@ -116,19 +116,6 @@ func (p *Profile) Rebind(dev *Device) (Profile, bool) {
 	return q, true
 }
 
-// TDQWindowNS returns the data-output valid window at the profile's own
-// test conditions.
-func (p *Profile) TDQWindowNS() float64 {
-	return p.TDQWindowNSAt(p.Test.Cond.VddV)
-}
-
-// TDQWindowNSAt returns the valid window with the supply overridden to vdd
-// (temperature and clock stay at the test's conditions). The shmoo engine
-// sweeps this axis.
-func (p *Profile) TDQWindowNSAt(vdd float64) float64 {
-	return p.phys.TDQWindowNS(vdd, p.Test.Cond.TempC, p.Test.Cond.ClockMHz, p.Act, p.die)
-}
-
 // TDQWindowNSAtCond returns the valid window at a fully overridden
 // operating point. The ATE uses this to fold in junction self-heating on
 // top of the programmed ambient.
@@ -150,18 +137,6 @@ func (p *Profile) VddMinVAtCond(tempC float64) float64 {
 // test deposits per cycle (used by the tester's thermal model).
 func (p *Profile) MeanActivity() float64 {
 	return (p.Act.ATDMean + p.Act.ToggleMean) / 2
-}
-
-// FmaxMHz returns the maximum passing clock frequency at the profile's
-// conditions.
-func (p *Profile) FmaxMHz() float64 {
-	return p.phys.FmaxMHz(p.Test.Cond.VddV, p.Test.Cond.TempC, p.Act, p.die)
-}
-
-// VddMinV returns the minimum passing supply voltage at the profile's
-// conditions.
-func (p *Profile) VddMinV() float64 {
-	return p.phys.VddMinV(p.Test.Cond.TempC, p.Act, p.die)
 }
 
 // EffectiveVdd returns the droop-corrected on-die supply at the profile's

@@ -37,8 +37,8 @@ func TestProfileDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.TDQWindowNS() != p2.TDQWindowNS() {
-		t.Errorf("same test, different windows: %g vs %g", p1.TDQWindowNS(), p2.TDQWindowNS())
+	if ownWindow(p1) != ownWindow(p2) {
+		t.Errorf("same test, different windows: %g vs %g", ownWindow(p1), ownWindow(p2))
 	}
 	if p1.Act != p2.Act {
 		t.Error("same test, different activity")
@@ -87,6 +87,17 @@ func TestProfileRejectsInvalidSequence(t *testing.T) {
 	}
 }
 
+// ownWindow, ownFmax and ownVddMin read a profile's parametrics at its
+// test's own conditions, as the tester's TrueValue oracle does.
+func ownWindow(p Profile) float64 {
+	c := p.Test.Cond
+	return p.TDQWindowNSAtCond(c.VddV, c.TempC, c.ClockMHz)
+}
+
+func ownFmax(p Profile) float64 { return p.FmaxMHzAtCond(p.Test.Cond.VddV, p.Test.Cond.TempC) }
+
+func ownVddMin(p Profile) float64 { return p.VddMinVAtCond(p.Test.Cond.TempC) }
+
 func TestTDQWindowAtOverridesVdd(t *testing.T) {
 	dev := testDevice(t)
 	tt := marchTest(t, testgen.NominalConditions())
@@ -94,11 +105,12 @@ func TestTDQWindowAtOverridesVdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atOwn := p.TDQWindowNSAt(tt.Cond.VddV)
-	if math.Abs(atOwn-p.TDQWindowNS()) > 1e-12 {
-		t.Errorf("TDQWindowNSAt(own Vdd) = %g, TDQWindowNS = %g", atOwn, p.TDQWindowNS())
+	c := tt.Cond
+	atOwn := p.TDQWindowNSAtCond(c.VddV, c.TempC, c.ClockMHz)
+	if atOwn != p.phys.TDQWindowNS(c.VddV, c.TempC, c.ClockMHz, p.Act, p.die) {
+		t.Errorf("TDQWindowNSAtCond(own conditions) = %g, physics = %g", atOwn, p.phys.TDQWindowNS(c.VddV, c.TempC, c.ClockMHz, p.Act, p.die))
 	}
-	if p.TDQWindowNSAt(2.0) <= p.TDQWindowNSAt(1.6) {
+	if p.TDQWindowNSAtCond(2.0, c.TempC, c.ClockMHz) <= p.TDQWindowNSAtCond(1.6, c.TempC, c.ClockMHz) {
 		t.Error("window not increasing with the overridden supply")
 	}
 }
@@ -115,7 +127,7 @@ func TestTestDependenceOfTDQ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		windows[math.Round(p.TDQWindowNS()*100)/100] = true
+		windows[math.Round(ownWindow(p)*100)/100] = true
 	}
 	if len(windows) < 10 {
 		t.Errorf("only %d distinct windows over 30 tests; parameter not test-dependent", len(windows))
@@ -137,7 +149,7 @@ func TestSpecComplianceAtNominal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := p.TDQWindowNS(); w < SpecTDQNS {
+		if w := ownWindow(p); w < SpecTDQNS {
 			t.Errorf("%s: window %g ns violates the %g ns spec at nominal", tt.Name, w, SpecTDQNS)
 		}
 	}
@@ -157,7 +169,7 @@ func TestWorstCasePatternBeatsRandomTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := p.TDQWindowNS(); w < randomWorst {
+		if w := ownWindow(p); w < randomWorst {
 			randomWorst = w
 		}
 	}
@@ -178,14 +190,14 @@ func TestWorstCasePatternBeatsRandomTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.TDQWindowNS() >= randomWorst-1 {
-		t.Errorf("coordinated pattern window %g not clearly below random tail %g", p.TDQWindowNS(), randomWorst)
+	if ownWindow(p) >= randomWorst-1 {
+		t.Errorf("coordinated pattern window %g not clearly below random tail %g", ownWindow(p), randomWorst)
 	}
 	if p.Ridge() < 0.5 {
 		t.Errorf("coordinated pattern ridge %g, want > 0.5", p.Ridge())
 	}
-	if p.TDQWindowNS() < SpecTDQNS {
-		t.Errorf("worst pattern window %g below spec %g on typical die: model floor miscalibrated", p.TDQWindowNS(), SpecTDQNS)
+	if ownWindow(p) < SpecTDQNS {
+		t.Errorf("worst pattern window %g below spec %g on typical die: model floor miscalibrated", ownWindow(p), SpecTDQNS)
 	}
 }
 
@@ -280,10 +292,10 @@ func TestRebindMatchesProfileProperty(t *testing.T) {
 				t.Fatalf("seed %d die %d: rebound execution differs\ngot  %+v %+v\nwant %+v %+v",
 					seed, die.ID, got.Act, got.Func, want.Act, want.Func)
 			}
-			if got.TDQWindowNS() != want.TDQWindowNS() || got.FmaxMHz() != want.FmaxMHz() || got.VddMinV() != want.VddMinV() {
+			if ownWindow(got) != ownWindow(want) || ownFmax(got) != ownFmax(want) || ownVddMin(got) != ownVddMin(want) {
 				t.Fatalf("seed %d die %d: rebound parametrics %v/%v/%v, want %v/%v/%v", seed, die.ID,
-					got.TDQWindowNS(), got.FmaxMHz(), got.VddMinV(),
-					want.TDQWindowNS(), want.FmaxMHz(), want.VddMinV())
+					ownWindow(got), ownFmax(got), ownVddMin(got),
+					ownWindow(want), ownFmax(want), ownVddMin(want))
 			}
 		}
 		if _, ok := p.Rebind(weak); ok {

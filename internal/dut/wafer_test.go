@@ -208,10 +208,10 @@ func TestDeviceRetarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pa.TDQWindowNS() != pb.TDQWindowNS() || pa.FmaxMHz() != pb.FmaxMHz() || pa.VddMinV() != pb.VddMinV() {
+	if ownWindow(pa) != ownWindow(pb) || ownFmax(pa) != ownFmax(pb) || ownVddMin(pa) != ownVddMin(pb) {
 		t.Errorf("retargeted device differs from fresh device: %v/%v/%v vs %v/%v/%v",
-			pa.TDQWindowNS(), pa.FmaxMHz(), pa.VddMinV(),
-			pb.TDQWindowNS(), pb.FmaxMHz(), pb.VddMinV())
+			ownWindow(pa), ownFmax(pa), ownVddMin(pa),
+			ownWindow(pb), ownFmax(pb), ownVddMin(pb))
 	}
 	if err := reused.Retarget(nil); err == nil {
 		t.Error("Retarget(nil) accepted")

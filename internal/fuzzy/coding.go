@@ -47,23 +47,22 @@ const (
 // the worst case ratio so the encoding is spec-relative: the same coder
 // works for any parameter once spec and direction are set.
 type TripPointCoder struct {
-	Spec      float64
-	SpecIsMin bool
-	Mode      Coding
+	Spec wcr.Spec
+	Mode Coding
 
 	severity *Variable
 }
 
 // NewTripPointCoder builds a coder for a parameter specification.
-func NewTripPointCoder(spec float64, specIsMin bool, mode Coding) (*TripPointCoder, error) {
-	if spec == 0 {
+func NewTripPointCoder(spec wcr.Spec, mode Coding) (*TripPointCoder, error) {
+	if spec.Limit == 0 {
 		return nil, fmt.Errorf("fuzzy: zero specification value")
 	}
 	sev, err := AutoPartition("severity", severityMin, severityMax, SeverityLabels())
 	if err != nil {
 		return nil, err
 	}
-	return &TripPointCoder{Spec: spec, SpecIsMin: specIsMin, Mode: mode, severity: sev}, nil
+	return &TripPointCoder{Spec: spec, Mode: mode, severity: sev}, nil
 }
 
 // Width returns the encoded vector length (the NN output layer width).
@@ -76,7 +75,7 @@ func (c *TripPointCoder) Width() int {
 
 // WCR maps a trip point to its worst case ratio (eqs. 5/6).
 func (c *TripPointCoder) WCR(tripPoint float64) float64 {
-	return wcr.For(tripPoint, c.Spec, c.SpecIsMin)
+	return c.Spec.WCR(tripPoint)
 }
 
 // clampWCR clips into the severity universe so encodings stay in range.

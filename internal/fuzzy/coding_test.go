@@ -11,7 +11,7 @@ import (
 func tdqCoder(t *testing.T, mode Coding) *TripPointCoder {
 	t.Helper()
 	// T_DQ: spec 20 ns minimum, eq. 6 coding.
-	c, err := NewTripPointCoder(20, true, mode)
+	c, err := NewTripPointCoder(wcr.Spec{Limit: 20, Min: true}, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestCoderWidths(t *testing.T) {
 }
 
 func TestCoderZeroSpecRejected(t *testing.T) {
-	if _, err := NewTripPointCoder(0, true, CodingFuzzy); err == nil {
+	if _, err := NewTripPointCoder(wcr.Spec{Min: true}, CodingFuzzy); err == nil {
 		t.Error("zero spec accepted")
 	}
 }
@@ -130,7 +130,7 @@ func TestClassifyEncodedConsistent(t *testing.T) {
 
 func TestMaxSpecCoder(t *testing.T) {
 	// A maximum-spec parameter (eq. 5): larger measured values are worse.
-	c, err := NewTripPointCoder(1.62, false, CodingFuzzy)
+	c, err := NewTripPointCoder(wcr.Spec{Limit: 1.62}, CodingFuzzy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // it in its fig. 6 WCR band.
 func ExampleTripPointCoder() {
 	// T_DQ: specification minimum 20 ns (eq. 6 direction).
-	coder, err := fuzzy.NewTripPointCoder(20, true, fuzzy.CodingFuzzy)
+	coder, err := fuzzy.NewTripPointCoder(wcr.Spec{Limit: 20, Min: true}, fuzzy.CodingFuzzy)
 	if err != nil {
 		panic(err)
 	}

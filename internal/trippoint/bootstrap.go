@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"repro/internal/wcr"
 )
 
 // Bootstrap estimation of the worst-case trip point. A DSV set is a finite
@@ -30,10 +32,11 @@ type Interval struct {
 	Resamples int
 }
 
-// WorstCaseInterval bootstraps the worst (minimum when min is true,
-// maximum otherwise) converged trip point of the DSV. alpha is the total
-// tail mass (0.05 → a 95% interval); resamples defaults to 1000 when ≤ 0.
-func (d *DSV) WorstCaseInterval(min bool, alpha float64, resamples int, seed int64) (Interval, error) {
+// WorstCaseInterval bootstraps the worst converged trip point of the DSV
+// against the spec (the minimum against a minimum spec, the maximum against
+// a maximum). alpha is the total tail mass (0.05 → a 95% interval);
+// resamples defaults to 1000 when ≤ 0.
+func (d *DSV) WorstCaseInterval(spec wcr.Spec, alpha float64, resamples int, seed int64) (Interval, error) {
 	var vals []float64
 	for _, m := range d.Values {
 		if m.Converged {
@@ -53,7 +56,7 @@ func (d *DSV) WorstCaseInterval(min bool, alpha float64, resamples int, seed int
 	extreme := func(xs []float64) float64 {
 		e := xs[0]
 		for _, v := range xs[1:] {
-			if (min && v < e) || (!min && v > e) {
+			if spec.Worse(v, e) {
 				e = v
 			}
 		}

@@ -3,6 +3,14 @@ package trippoint
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/wcr"
+)
+
+// minSpec and maxSpec pick the minimum and the maximum as the worst case.
+var (
+	minSpec = wcr.Spec{Limit: 20, Min: true}
+	maxSpec = wcr.Spec{Limit: 1.62}
 )
 
 func gaussianDSV(seed int64, n int, mean, sigma float64) *DSV {
@@ -16,7 +24,7 @@ func gaussianDSV(seed int64, n int, mean, sigma float64) *DSV {
 
 func TestWorstCaseIntervalContainsObserved(t *testing.T) {
 	d := gaussianDSV(3, 80, 30, 1)
-	iv, err := d.WorstCaseInterval(true, 0.05, 1000, 3)
+	iv, err := d.WorstCaseInterval(minSpec, 0.05, 1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +46,7 @@ func TestWorstCaseIntervalContainsObserved(t *testing.T) {
 
 func TestWorstCaseIntervalMaxDirection(t *testing.T) {
 	d := gaussianDSV(5, 80, 1.5, 0.05)
-	iv, err := d.WorstCaseInterval(false, 0.1, 500, 5)
+	iv, err := d.WorstCaseInterval(maxSpec, 0.1, 500, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +61,11 @@ func TestWorstCaseIntervalMaxDirection(t *testing.T) {
 func TestWorstCaseIntervalShrinksWithSamples(t *testing.T) {
 	small := gaussianDSV(7, 10, 30, 1)
 	large := gaussianDSV(7, 200, 30, 1)
-	ivS, err := small.WorstCaseInterval(true, 0.05, 800, 7)
+	ivS, err := small.WorstCaseInterval(minSpec, 0.05, 800, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivL, err := large.WorstCaseInterval(true, 0.05, 800, 7)
+	ivL, err := large.WorstCaseInterval(minSpec, 0.05, 800, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +76,14 @@ func TestWorstCaseIntervalShrinksWithSamples(t *testing.T) {
 
 func TestWorstCaseIntervalValidation(t *testing.T) {
 	d := gaussianDSV(9, 2, 30, 1)
-	if _, err := d.WorstCaseInterval(true, 0.05, 100, 9); err == nil {
+	if _, err := d.WorstCaseInterval(minSpec, 0.05, 100, 9); err == nil {
 		t.Error("2-sample DSV accepted")
 	}
 	d = gaussianDSV(9, 20, 30, 1)
-	if _, err := d.WorstCaseInterval(true, 0, 100, 9); err == nil {
+	if _, err := d.WorstCaseInterval(minSpec, 0, 100, 9); err == nil {
 		t.Error("alpha 0 accepted")
 	}
-	if _, err := d.WorstCaseInterval(true, 1.5, 100, 9); err == nil {
+	if _, err := d.WorstCaseInterval(minSpec, 1.5, 100, 9); err == nil {
 		t.Error("alpha > 1 accepted")
 	}
 }
@@ -83,7 +91,7 @@ func TestWorstCaseIntervalValidation(t *testing.T) {
 func TestWorstCaseIntervalSkipsNonConverged(t *testing.T) {
 	d := gaussianDSV(11, 30, 30, 1)
 	d.Add(Measurement{TripPoint: -999, Converged: false})
-	iv, err := d.WorstCaseInterval(true, 0.05, 500, 11)
+	iv, err := d.WorstCaseInterval(minSpec, 0.05, 500, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

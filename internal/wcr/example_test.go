@@ -28,7 +28,7 @@ func ExampleForMin() {
 
 // ExampleRanking bands measurements as fig. 6 does and picks the worst.
 func ExampleRanking() {
-	r := wcr.NewRanking(20, true)
+	r := wcr.NewRanking(wcr.Spec{Limit: 20, Min: true})
 	r.Add("calm", 33.0)
 	r.Add("aggressive", 21.0)
 	r.Add("violating", 19.0)

@@ -81,13 +81,69 @@ func ForMin(va, vmin float64) float64 {
 	return math.Abs(vmin / va)
 }
 
-// For computes the WCR of va against the spec limit, choosing eq. 5 or
-// eq. 6 from whether the spec is a minimum.
-func For(va, spec float64, specIsMin bool) float64 {
-	if specIsMin {
-		return ForMin(va, spec)
+// Spec is a parameter's specification limit and its direction: a minimum
+// spec (Min) is violated below Limit, a maximum spec above it. It is the one
+// place that knows which way is worse.
+type Spec struct {
+	Limit float64
+	Min   bool
+}
+
+// WCR is the worst case ratio of the measured value va: eq. 6 for a minimum
+// spec, eq. 5 for a maximum.
+func (s Spec) WCR(va float64) float64 {
+	if s.Min {
+		return ForMin(va, s.Limit)
 	}
-	return ForMax(va, spec)
+	return ForMax(va, s.Limit)
+}
+
+// Value inverts WCR: the measured value whose worst case ratio is w, and 0
+// for a zero w.
+func (s Spec) Value(w float64) float64 {
+	if w == 0 {
+		return 0
+	}
+	if s.Min {
+		return s.Limit / w
+	}
+	return w * s.Limit
+}
+
+// Worse reports whether a is strictly worse than b: smaller against a
+// minimum spec, larger against a maximum.
+func (s Spec) Worse(a, b float64) bool {
+	if s.Min {
+		return a < b
+	}
+	return a > b
+}
+
+// WorstStart is the start of a running worst: every finite value is worse
+// than it.
+func (s Spec) WorstStart() float64 {
+	if s.Min {
+		return math.Inf(1)
+	}
+	return math.Inf(-1)
+}
+
+// GuardBand moves v by the fraction frac of itself toward the pass side: a
+// production limit tightened against the spec. A negative frac moves v toward
+// the fail side, the margin a specification takes off a worst measurement.
+func (s Spec) GuardBand(v, frac float64) float64 {
+	if s.Min {
+		return v * (1 + frac)
+	}
+	return v * (1 - frac)
+}
+
+// Kind names the direction: "min" or "max".
+func (s Spec) Kind() string {
+	if s.Min {
+		return "min"
+	}
+	return "max"
 }
 
 // Entry pairs a test identifier with its measured value and WCR.
@@ -100,19 +156,18 @@ type Entry struct {
 
 // Ranking is a WCR-sorted set of measurements, worst first.
 type Ranking struct {
-	Spec      float64
-	SpecIsMin bool
-	Entries   []Entry
+	Spec    Spec
+	Entries []Entry
 }
 
 // NewRanking builds an empty ranking against the given spec.
-func NewRanking(spec float64, specIsMin bool) *Ranking {
-	return &Ranking{Spec: spec, SpecIsMin: specIsMin}
+func NewRanking(spec Spec) *Ranking {
+	return &Ranking{Spec: spec}
 }
 
 // Add records one measurement and returns its computed entry.
 func (r *Ranking) Add(name string, value float64) Entry {
-	w := For(value, r.Spec, r.SpecIsMin)
+	w := r.Spec.WCR(value)
 	e := Entry{Name: name, Value: value, WCR: w, Class: Classify(w)}
 	r.Entries = append(r.Entries, e)
 	return e

@@ -64,12 +64,78 @@ func TestForMaxAndMinEdgeCases(t *testing.T) {
 	}
 }
 
-func TestForSelectsEquation(t *testing.T) {
-	if For(25, 20, true) != ForMin(25, 20) {
-		t.Error("For(min) mismatch")
+func TestSpecWCRSelectsEquation(t *testing.T) {
+	if (Spec{Limit: 20, Min: true}).WCR(25) != ForMin(25, 20) {
+		t.Error("minimum spec does not use eq. 6")
 	}
-	if For(25, 20, false) != ForMax(25, 20) {
-		t.Error("For(max) mismatch")
+	if (Spec{Limit: 20}).WCR(25) != ForMax(25, 20) {
+		t.Error("maximum spec does not use eq. 5")
+	}
+}
+
+// specs are a minimum and a maximum spec, T_DQ's and Vddmin's.
+var specs = []Spec{{Limit: 20, Min: true}, {Limit: 1.62}}
+
+func TestSpecWorseIsStrictAndFlipsWithDirection(t *testing.T) {
+	for _, s := range specs {
+		lo, hi := s.Limit*0.9, s.Limit*1.1
+		if s.Worse(lo, lo) || s.Worse(s.Limit, s.Limit) {
+			t.Errorf("%s spec: an equal value is worse", s.Kind())
+		}
+		if s.Worse(lo, hi) != s.Min || s.Worse(hi, lo) == s.Min {
+			t.Errorf("%s spec: Worse(%g, %g) = %v, Worse(%g, %g) = %v", s.Kind(), lo, hi, s.Worse(lo, hi), hi, lo, s.Worse(hi, lo))
+		}
+		// Worse agrees with the WCR: the worse value has the larger ratio.
+		if s.Worse(lo, hi) != (s.WCR(lo) > s.WCR(hi)) {
+			t.Errorf("%s spec: Worse disagrees with WCR", s.Kind())
+		}
+	}
+}
+
+func TestSpecWorstStartIsBeatenByEveryFiniteValue(t *testing.T) {
+	for _, s := range specs {
+		start := s.WorstStart()
+		for _, v := range []float64{-math.MaxFloat64, -1, 0, s.Limit, 1e300, math.MaxFloat64} {
+			if !s.Worse(v, start) {
+				t.Errorf("%s spec: %g is not worse than the running-worst start %g", s.Kind(), v, start)
+			}
+		}
+	}
+}
+
+func TestSpecValueInvertsWCR(t *testing.T) {
+	if got := (Spec{Limit: 20, Min: true}).Value(0.904); got < 22.0 || got > 22.3 {
+		t.Errorf("min-spec inversion: %g, want ≈22.12", got)
+	}
+	if got := (Spec{Limit: 20}).Value(0.5); got != 10 {
+		t.Errorf("max-spec inversion: %g, want 10", got)
+	}
+	for _, s := range specs {
+		if got := s.Value(0); got != 0 {
+			t.Errorf("%s spec: zero WCR inverts to %g", s.Kind(), got)
+		}
+		for _, v := range []float64{0.01, 1, s.Limit, 17.3, 1e6} {
+			if got := s.Value(s.WCR(v)); math.Abs(got-v) > 1e-12*v {
+				t.Errorf("%s spec: Value(WCR(%g)) = %g", s.Kind(), v, got)
+			}
+		}
+	}
+}
+
+func TestSpecGuardBandMovesTowardPassSide(t *testing.T) {
+	for _, s := range specs {
+		for _, frac := range []float64{0.01, 0.05, 0.5} {
+			tight := s.GuardBand(s.Limit, frac)
+			if !s.Worse(s.Limit, tight) || s.WCR(tight) >= 1 {
+				t.Errorf("%s spec: limit %g guard-banded by %g to %g, not toward the pass side", s.Kind(), s.Limit, frac, tight)
+			}
+			if loose := s.GuardBand(s.Limit, -frac); !s.Worse(loose, s.Limit) {
+				t.Errorf("%s spec: a negative fraction %g moved the limit to %g, not toward the fail side", s.Kind(), -frac, loose)
+			}
+		}
+		if got := s.GuardBand(s.Limit, 0); got != s.Limit {
+			t.Errorf("%s spec: a zero guard band moved the limit to %g", s.Kind(), got)
+		}
 	}
 }
 
@@ -91,7 +157,7 @@ func TestWCRCrossesOneAtSpecProperty(t *testing.T) {
 }
 
 func TestRankingWorstAndSort(t *testing.T) {
-	r := NewRanking(20, true)
+	r := NewRanking(Spec{Limit: 20, Min: true})
 	r.Add("good", 33)
 	r.Add("weak", 22)
 	r.Add("bad", 19)
@@ -105,14 +171,14 @@ func TestRankingWorstAndSort(t *testing.T) {
 }
 
 func TestRankingEmpty(t *testing.T) {
-	r := NewRanking(20, true)
+	r := NewRanking(Spec{Limit: 20, Min: true})
 	if _, ok := r.Worst(); ok {
 		t.Error("empty ranking has a worst entry")
 	}
 }
 
 func TestCountByClass(t *testing.T) {
-	r := NewRanking(20, true)
+	r := NewRanking(Spec{Limit: 20, Min: true})
 	r.Add("a", 33)
 	r.Add("b", 30)
 	r.Add("c", 22)
