@@ -160,7 +160,13 @@ echo "trace deterministic across worker counts ($(wc -l < "$SMOKE_DIR/p1.jsonl")
 
 echo "== live observability smoke run =="
 go build -o "$SMOKE_DIR/characterize" ./cmd/characterize
-"$SMOKE_DIR/characterize" -learn-tests 20 -parallel 4 -listen 127.0.0.1:0 \
+# The served run must outlast the polls below: a -learn-tests 20 flow ends
+# in about 150 ms on 2 vCPUs, often before /healthz is first asked, so the
+# live run learns from 3000 tests (about 0.9 s) and is compared with the
+# same flow run without -listen.
+"$SMOKE_DIR/characterize" -learn-tests 3000 -parallel 1 \
+	-trace "$SMOKE_DIR/plong.jsonl" > /dev/null
+"$SMOKE_DIR/characterize" -learn-tests 3000 -parallel 4 -listen 127.0.0.1:0 \
 	-trace "$SMOKE_DIR/plisten.jsonl" > /dev/null 2> "$SMOKE_DIR/obs.stderr" &
 OBS_PID=$!
 ADDR=""
@@ -181,8 +187,8 @@ curl -sf "http://$ADDR/healthz" > /dev/null || {
 	echo "FAIL: /healthz not answering on $ADDR" >&2
 	exit 1
 }
-# The run lasts well under a second, so /progress is read on the first
-# pass that reaches the server and /metrics until it shows a search.
+# The run lasts about a second, so /progress is read on the first pass
+# that reaches the server and /metrics until it shows a search.
 SCRAPED=""
 PROGRESS=""
 while kill -0 "$OBS_PID" 2> /dev/null; do
@@ -216,7 +222,7 @@ wait "$OBS_PID" || {
 	cat "$SMOKE_DIR/obs.stderr" >&2
 	exit 1
 }
-cmp "$SMOKE_DIR/plisten.jsonl" "$SMOKE_DIR/p1.jsonl" || {
+cmp "$SMOKE_DIR/plisten.jsonl" "$SMOKE_DIR/plong.jsonl" || {
 	echo "FAIL: -listen changed the telemetry trace bytes" >&2
 	exit 1
 }
@@ -522,12 +528,14 @@ echo "== wall-clock benchmark gates (medians of 5) =="
 #     >= 1.4x the dies/sec of workers=1 cache=off. Below 2 CPUs it is
 #     printed and skipped.
 # fig. 5's, fig. 8's and Table 1's workers=2 over workers=1 ratios are
-# recorded with the CPU count, not gated, and so are the medians of a fig. 8
-# task's two kernels (pattern execution in ns/vector, the row strobes in
-# ns/strobe), of Table 1's memo key (the test fingerprint, in ns/vector) and
-# of one strobe of each parameter (in ns/strobe), five 200 ms samples each.
+# recorded with the CPU count, not gated, and so are Table 1's median bytes
+# allocated per run at each worker count (-benchmem; TestTable1AllocatedBytes
+# gates one run on a fleet of one), the medians of a fig. 8 task's two
+# kernels (pattern execution in ns/vector, the row strobes in ns/strobe), of
+# Table 1's memo key (the test fingerprint, in ns/vector) and of one strobe
+# of each parameter (in ns/strobe), five 200 ms samples each.
 NCPU=$(nproc)
-SAMPLES=$(go test -run '^$' -benchtime 1x -count 5 -timeout 60m -bench \
+SAMPLES=$(go test -run '^$' -benchtime 1x -count 5 -benchmem -timeout 60m -bench \
 	'^BenchmarkLotScreenPerDieLoop$|^BenchmarkLotScreenStream$/^workers=[128]$/^cache=off$|^BenchmarkFigure5OptimizationParallel$/^workers=[12]$|^BenchmarkFigure8ShmooParallel$/^workers=[12]$|^BenchmarkTable1FullComparison$/^workers=[12]$' .)
 KERNELS=$(go test -run '^$' -benchtime 200ms -count 5 -bench '^BenchmarkDeviceProfile$|^BenchmarkShmooTaskStrobes$|^BenchmarkSequenceFingerprint$|^BenchmarkMeasurePass$' .)
 printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
@@ -550,11 +558,14 @@ printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
 		u = (name in unit) ? unit[name] : "ns/op"
-		for (i = 3; i <= NF; i++)
+		for (i = 3; i <= NF; i++) {
 			if ($i == u) {
 				if (!(name in n)) order[++nb] = name
 				ns[name, ++n[name]] = $(i - 1)
 			}
+			if ($i == "B/op" && name ~ /^BenchmarkTable1FullComparison\//)
+				ns[name " B/op", ++n[name " B/op"]] = $(i - 1)
+		}
 	}
 	END {
 		for (b = 1; b <= nb; b++) {
@@ -572,14 +583,16 @@ printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 		s2 = med["BenchmarkFigure8ShmooParallel/workers=2"]
 		t1 = med["BenchmarkTable1FullComparison/workers=1"]
 		t2 = med["BenchmarkTable1FullComparison/workers=2"]
+		a1 = median("BenchmarkTable1FullComparison/workers=1 B/op")
+		a2 = median("BenchmarkTable1FullComparison/workers=2 B/op")
 		kv = med["BenchmarkDeviceProfile"]
 		ks = med["BenchmarkShmooTaskStrobes"]
 		kf = med["BenchmarkSequenceFingerprint"]
 		mt = med["BenchmarkMeasurePass/param=tdq"]
 		mf = med["BenchmarkMeasurePass/param=fmax"]
 		mv = med["BenchmarkMeasurePass/param=vddmin"]
-		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !s1 || !s2 || !t1 || !t2 || !kv || !ks || !kf || !mt || !mf || !mv) {
-			print "FAIL: benchmark output is missing lot, fig. 5, fig. 8, Table 1, kernel or single-strobe samples" > "/dev/stderr"
+		if (!perdie || !w1 || !w2 || !w8 || !f1 || !f2 || !s1 || !s2 || !t1 || !t2 || !a1 || !a2 || !kv || !ks || !kf || !mt || !mf || !mv) {
+			print "FAIL: benchmark output is missing lot, fig. 5, fig. 8, Table 1 time or allocation, kernel or single-strobe samples" > "/dev/stderr"
 			exit 1
 		}
 		fail = 0
@@ -601,6 +614,7 @@ printf '%s\n%s\n' "$SAMPLES" "$KERNELS" | awk -v nproc="$NCPU" '
 		printf "fig. 8 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", s1 / s2, nproc
 		printf "fig. 8 task kernels (recorded, not gated): pattern execution %.1f ns/vector (%d samples), row strobes %.1f ns/strobe (%d samples)\n", kv, n["BenchmarkDeviceProfile"], ks, n["BenchmarkShmooTaskStrobes"]
 		printf "Table 1 scaling (recorded, not gated): workers=2 / workers=1 = %.2fx, nproc %d\n", t1 / t2, nproc
+		printf "Table 1 allocation (recorded, not gated): %.1f MB/op at workers=1, %.1f at workers=2\n", a1 / 1048576, a2 / 1048576
 		printf "Table 1 memo key (recorded, not gated): %.1f ns/vector (%d samples)\n", kf, n["BenchmarkSequenceFingerprint"]
 		printf "single strobe (recorded, not gated): T_DQ %.1f, Fmax %.1f, Vddmin %.1f ns/strobe\n", mt, mf, mv
 		exit fail

@@ -114,6 +114,9 @@ func DefaultConfig(seed int64) Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	if int(c.Parameter) >= ate.NumParameters {
+		return fmt.Errorf("core: unknown parameter %v", c.Parameter)
+	}
 	if c.LearnTests < 10 {
 		return fmt.Errorf("core: LearnTests %d too small to train on", c.LearnTests)
 	}

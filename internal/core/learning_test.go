@@ -2,6 +2,7 @@ package core
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ate"
@@ -69,6 +70,22 @@ func TestConfigValidate(t *testing.T) {
 	bad.SeedCount = 10
 	if err := bad.Validate(); err == nil {
 		t.Error("pool smaller than seed count accepted")
+	}
+}
+
+// TestConfigValidateRejectsUnknownParameter: a parameter outside the
+// tester's table fails validation with an error naming it, so
+// NewCharacterizer reports it instead of failing later in the coder.
+func TestConfigValidateRejectsUnknownParameter(t *testing.T) {
+	bad := DefaultConfig(1)
+	bad.Parameter = ate.Parameter(7)
+	for _, err := range []error{bad.Validate(), func() error {
+		_, err := NewCharacterizer(bad, newTester(t, 1))
+		return err
+	}()} {
+		if err == nil || !strings.Contains(err.Error(), "unknown parameter Parameter(7)") {
+			t.Errorf("unknown parameter: got %v, want an error naming Parameter(7)", err)
+		}
 	}
 }
 

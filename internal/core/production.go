@@ -41,6 +41,9 @@ type ProductionProgram struct {
 // screen's limit is the specification tightened toward the pass side by the
 // guardband fraction (for a minimum spec, limit = spec × (1 + guardband)).
 func BuildProductionProgram(param ate.Parameter, tests []testgen.Test, guardband float64) (*ProductionProgram, error) {
+	if int(param) >= ate.NumParameters {
+		return nil, fmt.Errorf("core: unknown parameter %v", param)
+	}
 	if len(tests) == 0 {
 		return nil, fmt.Errorf("core: production program needs at least one screen pattern")
 	}

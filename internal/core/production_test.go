@@ -60,6 +60,15 @@ func TestBuildProductionProgramValidation(t *testing.T) {
 	}
 }
 
+// TestBuildProductionProgramRejectsUnknownParameter: a parameter outside
+// the tester's table has no spec to guard-band, so no program is built.
+func TestBuildProductionProgramRejectsUnknownParameter(t *testing.T) {
+	p, err := BuildProductionProgram(ate.Parameter(7), []testgen.Test{worstCasePattern()}, 0.02)
+	if err == nil || !strings.Contains(err.Error(), "unknown parameter Parameter(7)") {
+		t.Errorf("got program %v, error %v; want an error naming Parameter(7)", p, err)
+	}
+}
+
 func TestProductionLimitDirections(t *testing.T) {
 	p, err := BuildProductionProgram(ate.TDQ, []testgen.Test{worstCasePattern()}, 0.02)
 	if err != nil {

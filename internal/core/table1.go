@@ -144,17 +144,18 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	runner := trippoint.NewRunner(tester, param)
 	runnerBudget := param.SearchOptions().FullRangeBudget()
 	ranking = wcr.NewRanking(spec)
-	tests := gen.Batch(cfg.RandomTests)
-	err = char.measureTests(tests, func(i int) error {
-		m, err := runner.Measure(tests[i])
-		if err != nil {
-			return fmt.Errorf("core: random baseline: %w", err)
-		}
-		tel.RecordSearch(m.Measurements, runnerBudget, m.Converged)
-		if m.Converged {
-			ranking.Add(tests[i].Name, m.TripPoint)
-		}
-		return nil
+	err = drawTests(gen, cfg.RandomTests, func(_ int, tests []testgen.Test) error {
+		return char.measureTests(tests, func(i int) error {
+			m, err := runner.Measure(tests[i])
+			if err != nil {
+				return fmt.Errorf("core: random baseline: %w", err)
+			}
+			tel.RecordSearch(m.Measurements, runnerBudget, m.Converged)
+			if m.Converged {
+				ranking.Add(tests[i].Name, m.TripPoint)
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err

@@ -1,8 +1,13 @@
 package genetic
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/testgen"
 )
@@ -119,37 +124,117 @@ func TestBatchLengthMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestElitesAreNotAliasedAcrossGenerations(t *testing.T) {
-	// Collect every individual pointer the evaluator ever sees; with elites
-	// cloned per generation, no pointer identity can recur via aliasing and
-	// mutating a received test must never change a later generation.
-	cfg := smallConfig()
-	cfg.MaxGenerations = 6
-	seen := map[*testgen.Vector]bool{}
-	eval := batchFn(func(tests []testgen.Test) ([]float64, error) {
-		out := make([]float64, len(tests))
-		for i, tt := range tests {
-			if len(tt.Seq) > 0 {
-				p := &tt.Seq[0]
-				if seen[p] {
-					return nil, errors.New("same backing sequence evaluated twice")
-				}
-				seen[p] = true
-			}
-			f, err := activityFitness(tt)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = f
+// shareABuffer reports whether any two of the sequences' backing arrays,
+// up to their capacities, overlap.
+func shareABuffer(seqs []testgen.Sequence) bool {
+	type span struct{ lo, hi uintptr }
+	spans := make([]span, len(seqs))
+	for i, s := range seqs {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+		spans[i] = span{lo, lo + uintptr(cap(s))*unsafe.Sizeof(testgen.Vector{})}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			return true
 		}
-		return out, nil
+	}
+	return false
+}
+
+// TestBatchTestsNeverShareABuffer pins the Evaluator contract the
+// optimizer's buffer recycling relies on, over a run with seeds, elites,
+// migrations and restarts: within every FitnessBatch no two tests share a
+// backing array, and each test reads the same when the call returns as
+// when it began. After the run, no buffer on the free list is also held by
+// a live individual, and the list holds one population's worth. Every
+// individual that escapes through Result must still hold the sequence its
+// fitness was measured on.
+func TestBatchTestsNeverShareABuffer(t *testing.T) {
+	cfg := smallConfig()
+	cfg.MaxGenerations = 30
+	cfg.MigrateEvery = 3
+	cfg.StagnationLimit = 2
+	var seeds []Seed
+	gen := testgen.NewRandomGenerator(40, 4096, testgen.DefaultConditionLimits())
+	for i := 0; i < 5; i++ {
+		tt := gen.Next()
+		seeds = append(seeds, Seed{Seq: tt.Seq, Cond: tt.Cond})
+	}
+	eval := batchFn(func(tests []testgen.Test) ([]float64, error) {
+		began := make([]testgen.Sequence, len(tests))
+		for i, tt := range tests {
+			began[i] = tt.Seq
+		}
+		if shareABuffer(began) {
+			return nil, errors.New("two tests of one batch share a sequence buffer")
+		}
+		for i := range began {
+			began[i] = began[i].Clone()
+		}
+		out, err := evaluatorFunc(activityFitness).FitnessBatch(tests)
+		for i, tt := range tests {
+			if !slices.Equal(tt.Seq, began[i]) {
+				return nil, fmt.Errorf("test %s changed during the batch", tt.Name)
+			}
+		}
+		return out, err
 	})
 	opt, err := NewOptimizer(cfg, newOps(39), eval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := opt.Run(nil); err != nil {
+	res, err := opt.Run(seeds)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Restarts == 0 {
+		t.Fatal("no island restarted; the restart path went untested")
+	}
+	held := slices.Clone(opt.free)
+	for _, pop := range opt.islands {
+		for _, ind := range pop {
+			held = append(held, ind.Seq)
+		}
+	}
+	if shareABuffer(held) {
+		t.Error("a buffer on the free list is still held by a live individual")
+	}
+	if len(opt.free) > cfg.PopSize {
+		t.Errorf("%d buffers on the free list, want at most one population's %d", len(opt.free), cfg.PopSize)
+	}
+	for _, ind := range append([]*Individual{res.Best}, res.EraBests...) {
+		if f, _ := activityFitness(ind.Test()); f != ind.Fitness {
+			t.Errorf("%s holds a sequence of fitness %g, recorded %g", ind.Test().Name, f, ind.Fitness)
+		}
+	}
+}
+
+// TestOptimizerRecyclesSequenceBuffers bounds the bytes DefaultConfig's GA
+// allocates per generation once its buffers are in circulation: each
+// generation breeds 72 children of up to 1,000 vectors, which fresh
+// sequences would cost about half a megabyte.
+func TestOptimizerRecyclesSequenceBuffers(t *testing.T) {
+	allocated := func(generations int) uint64 {
+		cfg := DefaultConfig()
+		cfg.MaxGenerations = generations
+		opt, err := NewOptimizer(cfg, newOps(43), evaluatorFunc(activityFitness))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := opt.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const short, long = 2, 42
+	perGen := (allocated(long) - allocated(short)) / (long - short)
+	t.Logf("%d bytes allocated per generation", perGen)
+	if perGen > 128<<10 {
+		t.Errorf("%d bytes allocated per generation, want at most %d", perGen, 128<<10)
 	}
 }
 

@@ -90,7 +90,11 @@ type Result struct {
 	EraBests []*Individual
 }
 
-// Optimizer runs the dual-chromosome, multi-population GA.
+// Optimizer runs the dual-chromosome, multi-population GA. An individual
+// owns its sequence buffer until it is dropped (its island breeds or
+// restarts, or a migrant displaces it); the buffer then goes to a free list
+// and the next individual bred, drawn or copied is written over it. Only
+// what escapes through Result (Best, EraBests) is a private clone.
 type Optimizer struct {
 	cfg  Config
 	ops  *Operators
@@ -98,8 +102,9 @@ type Optimizer struct {
 
 	nextID  int
 	islands [][]*Individual
-	eraBest []*Individual // per-island best of the current era
+	eraBest []*Individual // per-island best of the current era, a private clone
 	stall   []int
+	free    []testgen.Sequence // dropped individuals' buffers, capacity ≥ MaxSequenceLen
 }
 
 // NewOptimizer wires a configuration, operators and an evaluator.
@@ -111,6 +116,37 @@ func NewOptimizer(cfg Config, ops *Operators, eval Evaluator) (*Optimizer, error
 		return nil, fmt.Errorf("genetic: nil operators or evaluator")
 	}
 	return &Optimizer{cfg: cfg, ops: ops, eval: eval}, nil
+}
+
+// buffer returns an empty sequence buffer from the free list, or a new one
+// of capacity MaxSequenceLen.
+func (o *Optimizer) buffer() testgen.Sequence {
+	n := len(o.free)
+	if n == 0 {
+		return make(testgen.Sequence, 0, testgen.MaxSequenceLen)
+	}
+	b := o.free[n-1]
+	o.free = o.free[:n-1]
+	return b[:0]
+}
+
+// drop returns the individuals' sequence buffers to the free list; nothing
+// may read the individuals afterwards.
+func (o *Optimizer) drop(inds ...*Individual) {
+	for _, ind := range inds {
+		o.free = append(o.free, ind.Seq)
+	}
+}
+
+// copyOf returns ind copied into a recycled buffer and invalidated: the copy
+// never aliases ind, and the cleared evaluation re-requests its fitness
+// next generation, which a memoizing evaluator answers from cache for free
+// while a noise-resampling one re-draws it.
+func (o *Optimizer) copyOf(ind *Individual) *Individual {
+	c := *ind
+	c.Seq = append(o.buffer(), ind.Seq...)
+	c.Evaluated = false
+	return &c
 }
 
 func (o *Optimizer) newIndividual(seq testgen.Sequence, cond testgen.Conditions) *Individual {
@@ -134,10 +170,10 @@ func (o *Optimizer) initIslands(seeds []Seed) {
 			if si < len(seeds) {
 				s := seeds[si]
 				si++
-				pop = append(pop, o.newIndividual(s.Seq.Clone(), s.Cond))
+				pop = append(pop, o.newIndividual(append(o.buffer(), s.Seq...), s.Cond))
 				continue
 			}
-			seq, cond := o.ops.RandomIndividual(o.cfg.FixedConditions)
+			seq, cond := o.ops.RandomIndividual(o.buffer(), o.cfg.FixedConditions)
 			pop = append(pop, o.newIndividual(seq, cond))
 		}
 		o.islands[i] = pop
@@ -148,11 +184,12 @@ func (o *Optimizer) initIslands(seeds []Seed) {
 // banking its era best.
 func (o *Optimizer) restartIsland(i int, res *Result) {
 	if b := o.eraBest[i]; b != nil {
-		res.EraBests = append(res.EraBests, b.Clone())
+		res.EraBests = append(res.EraBests, b)
 	}
+	o.drop(o.islands[i]...)
 	pop := make([]*Individual, 0, o.cfg.PopSize)
 	for len(pop) < o.cfg.PopSize {
-		seq, cond := o.ops.RandomIndividual(o.cfg.FixedConditions)
+		seq, cond := o.ops.RandomIndividual(o.buffer(), o.cfg.FixedConditions)
 		pop = append(pop, o.newIndividual(seq, cond))
 	}
 	o.islands[i] = pop
@@ -234,22 +271,21 @@ func (o *Optimizer) Run(seeds []Seed) (*Result, error) {
 
 		// Ring migration of island bests. Collect every migrant before
 		// placing any, so island i+1's emigrant is chosen from its own
-		// population, never from a freshly arrived migrant. A migrant only
+		// population, never from a freshly arrived migrant (a placement
+		// only replaces an island's worst, never its best). A migrant only
 		// displaces the destination's worst individual when it actually
-		// improves on it, and arrives clone-and-invalidated: the clone
-		// never aliases its source island, and the cleared evaluation
-		// re-requests its fitness on the destination (a memoizing evaluator
-		// answers from cache for free).
+		// improves on it, and arrives as a copy (copyOf), so its fitness
+		// is re-requested on the destination.
 		if o.cfg.MigrateEvery > 0 && gen > 0 && gen%o.cfg.MigrateEvery == 0 && o.cfg.Islands > 1 {
 			migrants := make([]*Individual, o.cfg.Islands)
 			for i := range o.islands {
-				migrants[(i+1)%o.cfg.Islands] = o.islands[i][0].Clone()
+				migrants[(i+1)%o.cfg.Islands] = o.islands[i][0]
 			}
 			for i, m := range migrants {
 				dst := o.islands[i]
-				if m.Fitness > dst[len(dst)-1].Fitness {
-					m.Evaluated = false
-					dst[len(dst)-1] = m
+				if worst := dst[len(dst)-1]; m.Fitness > worst.Fitness {
+					o.drop(worst)
+					dst[len(dst)-1] = o.copyOf(m)
 				}
 			}
 		}
@@ -260,17 +296,11 @@ func (o *Optimizer) Run(seeds []Seed) (*Result, error) {
 				o.restartIsland(i, res)
 				continue
 			}
+			// Breeding reads only pop and writes into buffers dropped
+			// earlier; pop's own buffers are dropped once next is built.
 			next := make([]*Individual, 0, o.cfg.PopSize)
 			for e := 0; e < o.cfg.Elite && e < len(pop); e++ {
-				// Clone-and-invalidate: the clone keeps the elite from
-				// aliasing the old generation (the batch evaluator hands
-				// individuals to concurrent workers and must own each one
-				// exclusively); invalidating re-requests its fitness next
-				// generation, which a memoizing evaluator answers from
-				// cache for free while a noise-resampling one re-draws it.
-				elite := pop[e].Clone()
-				elite.Evaluated = false
-				next = append(next, elite)
+				next = append(next, o.copyOf(pop[e]))
 			}
 			for len(next) < o.cfg.PopSize {
 				p1 := o.ops.Tournament(pop, o.cfg.TournamentK)
@@ -278,10 +308,10 @@ func (o *Optimizer) Run(seeds []Seed) (*Result, error) {
 				var childCond testgen.Conditions
 				if o.ops.Chance(o.cfg.CrossoverRate) {
 					p2 := o.ops.Tournament(pop, o.cfg.TournamentK)
-					childSeq = o.ops.CrossoverSeq(p1.Seq, p2.Seq)
+					childSeq = o.ops.CrossoverSeq(o.buffer(), p1.Seq, p2.Seq)
 					childCond = o.ops.CrossoverCond(p1.Cond, p2.Cond)
 				} else {
-					childSeq = p1.Seq.Clone()
+					childSeq = append(o.buffer(), p1.Seq...)
 					childCond = p1.Cond
 				}
 				childSeq = o.ops.MutateSeq(childSeq)
@@ -290,14 +320,15 @@ func (o *Optimizer) Run(seeds []Seed) (*Result, error) {
 				}
 				next = append(next, o.newIndividual(childSeq, childCond))
 			}
+			o.drop(pop...)
 			o.islands[i] = next
 		}
 	}
 
 	// Bank the final era bests.
-	for i := range o.eraBest {
-		if b := o.eraBest[i]; b != nil {
-			res.EraBests = append(res.EraBests, b.Clone())
+	for _, b := range o.eraBest {
+		if b != nil {
+			res.EraBests = append(res.EraBests, b)
 		}
 	}
 	if res.Best == nil {

@@ -2,6 +2,7 @@ package genetic
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/testgen"
 )
@@ -44,22 +45,22 @@ func NewOperators(seed int64, gen *testgen.RandomGenerator) *Operators {
 // CrossoverSeq recombines two sequence chromosomes with proportional
 // one-point cut-and-splice: the cut sits at the same relative position in
 // both parents so offspring lengths stay within the parents' range. It
-// returns the child of a's head and b's tail, built in one allocation the
-// caller owns; a and b are not modified. The mirror child (b's head, a's
-// tail) is not built, but when it would be shorter than MinSequenceLen its
-// length repair still takes its generator draws, so the operator and
-// generator streams are those of breeding both children.
-func (o *Operators) CrossoverSeq(a, b testgen.Sequence) testgen.Sequence {
+// returns the child of a's head and b's tail, written over dst's backing
+// array (which must not overlap a or b, and which a capacity of
+// MaxSequenceLen always holds); a and b are not modified. The mirror child
+// (b's head, a's tail) is not built, but when it would be shorter than
+// MinSequenceLen its length repair still takes its generator draws, so the
+// operator and generator streams are those of breeding both children.
+func (o *Operators) CrossoverSeq(dst, a, b testgen.Sequence) testgen.Sequence {
 	if len(a) == 0 || len(b) == 0 {
-		return a.Clone()
+		return append(dst[:0], a...)
 	}
 	frac := o.rng.Float64()
 	ca := int(frac * float64(len(a)))
 	cb := int(frac * float64(len(b)))
 	head, tail := a[:min(ca, testgen.MaxSequenceLen)], b[cb:]
 	tail = tail[:min(len(tail), testgen.MaxSequenceLen-len(head))]
-	child := make(testgen.Sequence, 0, max(len(head)+len(tail), testgen.MinSequenceLen))
-	child = append(child, head...)
+	child := append(dst[:0], head...)
 	child = o.clampLen(append(child, tail...))
 	if mirror := cb + len(a) - ca; mirror < testgen.MinSequenceLen {
 		o.gen.Sequence(testgen.MinSequenceLen - mirror)
@@ -136,10 +137,11 @@ func (o *Operators) MutateCond(c testgen.Conditions) testgen.Conditions {
 }
 
 // RandomIndividual draws a fresh random candidate (population restarts,
-// initial fill beyond the seeds).
-func (o *Operators) RandomIndividual(fixedCond *testgen.Conditions) (testgen.Sequence, testgen.Conditions) {
+// initial fill beyond the seeds), its sequence written over dst's backing
+// array.
+func (o *Operators) RandomIndividual(dst testgen.Sequence, fixedCond *testgen.Conditions) (testgen.Sequence, testgen.Conditions) {
 	n := testgen.MinSequenceLen + o.rng.Intn(testgen.MaxSequenceLen-testgen.MinSequenceLen+1)
-	seq := o.gen.Sequence(n)
+	seq := o.gen.AppendSequence(slices.Grow(dst[:0], n), n)
 	var cond testgen.Conditions
 	if fixedCond != nil {
 		cond = *fixedCond

@@ -15,7 +15,7 @@ func TestCrossoverSeqLengthsAndValidity(t *testing.T) {
 	a, b := gen.Sequence(300), gen.Sequence(700)
 	for i := 0; i < 50; i++ {
 		// Both parent orders, so the b-head child is checked too.
-		for _, c := range []testgen.Sequence{ops.CrossoverSeq(a, b), ops.CrossoverSeq(b, a)} {
+		for _, c := range []testgen.Sequence{ops.CrossoverSeq(nil, a, b), ops.CrossoverSeq(nil, b, a)} {
 			if len(c) < testgen.MinSequenceLen || len(c) > testgen.MaxSequenceLen {
 				t.Fatalf("offspring length %d outside bounds", len(c))
 			}
@@ -36,7 +36,7 @@ func TestCrossoverSeqMixesParents(t *testing.T) {
 	}
 	sawMix := false
 	for i := 0; i < 20 && !sawMix; i++ {
-		c1 := ops.CrossoverSeq(a, b)
+		c1 := ops.CrossoverSeq(nil, a, b)
 		has1, has2 := false, false
 		for _, v := range c1 {
 			if v.Addr == 1 {
@@ -56,7 +56,7 @@ func TestCrossoverSeqMixesParents(t *testing.T) {
 func TestCrossoverSeqEmptyParents(t *testing.T) {
 	ops := newOps(5)
 	var empty testgen.Sequence
-	if c := ops.CrossoverSeq(empty, empty); len(c) != 0 {
+	if c := ops.CrossoverSeq(nil, empty, empty); len(c) != 0 {
 		t.Error("empty parents produced offspring")
 	}
 }
@@ -127,7 +127,7 @@ func TestMutateCondWithinLimits(t *testing.T) {
 
 func TestRandomIndividual(t *testing.T) {
 	ops := newOps(15)
-	seq, cond := ops.RandomIndividual(nil)
+	seq, cond := ops.RandomIndividual(nil, nil)
 	if len(seq) < testgen.MinSequenceLen || len(seq) > testgen.MaxSequenceLen {
 		t.Errorf("random individual length %d", len(seq))
 	}
@@ -135,7 +135,7 @@ func TestRandomIndividual(t *testing.T) {
 		t.Errorf("random conditions %+v outside limits", cond)
 	}
 	fixed := testgen.NominalConditions()
-	_, cond = ops.RandomIndividual(&fixed)
+	_, cond = ops.RandomIndividual(nil, &fixed)
 	if cond != fixed {
 		t.Error("fixed conditions ignored")
 	}
@@ -211,16 +211,22 @@ func refMutateSeq(o *Operators, s testgen.Sequence) testgen.Sequence {
 }
 
 // TestBreedingMatchesReferenceProperty breeds children the way Optimizer.Run
-// does — crossover then mutation, or mutation of a parent's clone — with the
-// one-allocation operators and with the reference, from identically seeded
-// operators over random parent pairs of 1–1,200 vectors (both length
-// clamps fire). Every child, the untouched parents and the next draws of
-// the operator RNG and the generator must agree.
+// does — crossover then mutation, or mutation of a parent's copy — with the
+// operators writing into recycled buffers of capacity MaxSequenceLen that
+// still hold the previous pair's children, and with the reference, from
+// identically seeded operators over random parent pairs of 1–1,200 vectors
+// (both length clamps fire). Every child, the untouched parents and the
+// next draws of the operator RNG and the generator must agree.
 func TestBreedingMatchesReferenceProperty(t *testing.T) {
 	const pairs = 2500
 	rng := rand.New(rand.NewSource(2005))
 	parents := testgen.NewRandomGenerator(2005, 4096, testgen.DefaultConditionLimits())
 	var short, long int
+	childBuf := make(testgen.Sequence, testgen.MaxSequenceLen)
+	copyBuf := make(testgen.Sequence, testgen.MaxSequenceLen)
+	for i := range childBuf {
+		childBuf[i] = testgen.Vector{Op: testgen.OpWrite, Addr: uint32(i), Data: ^uint32(i)}
+	}
 	for k := 0; k < pairs; k++ {
 		seed := rng.Int63()
 		a := parents.Sequence(1 + rng.Intn(1200))
@@ -237,7 +243,7 @@ func TestBreedingMatchesReferenceProperty(t *testing.T) {
 			got.SeqMutationRate, want.SeqMutationRate = 0.2, 0.2
 		}
 
-		child := got.CrossoverSeq(a, b)
+		child := got.CrossoverSeq(childBuf, a, b)
 		refChild, _ := refCrossoverSeq(want, a, b)
 		if !slices.Equal(child, refChild) {
 			t.Fatalf("pair %d (%d, %d vectors): crossover child differs from the reference", k, len(a), len(b))
@@ -245,8 +251,8 @@ func TestBreedingMatchesReferenceProperty(t *testing.T) {
 		if mutant, ref := got.MutateSeq(child), refMutateSeq(want, refChild); !slices.Equal(mutant, ref) {
 			t.Fatalf("pair %d: mutated crossover child differs from the reference", k)
 		}
-		if mutant, ref := got.MutateSeq(a.Clone()), refMutateSeq(want, a); !slices.Equal(mutant, ref) {
-			t.Fatalf("pair %d: mutated parent clone differs from the reference", k)
+		if mutant, ref := got.MutateSeq(append(copyBuf[:0], a...)), refMutateSeq(want, a); !slices.Equal(mutant, ref) {
+			t.Fatalf("pair %d: mutated parent copy differs from the reference", k)
 		}
 		if !slices.Equal(a, aWas) || !slices.Equal(b, bWas) {
 			t.Fatalf("pair %d: breeding modified a parent", k)

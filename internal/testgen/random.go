@@ -71,10 +71,19 @@ const (
 
 // Next generates the next random test. Sequence length is uniform in
 // [MinSequenceLen, MaxSequenceLen].
-func (g *RandomGenerator) Next() Test {
+func (g *RandomGenerator) Next() Test { return g.NextInto(nil) }
+
+// NextInto draws what Next draws, with the sequence written over buf's
+// backing array: it allocates only when cap(buf) is below the drawn length,
+// and then exactly that length, as Next does. The caller owns buf; the
+// returned test's sequence aliases it.
+func (g *RandomGenerator) NextInto(buf Sequence) Test {
 	g.count++
 	n := MinSequenceLen + g.rng.Intn(MaxSequenceLen-MinSequenceLen+1)
-	seq := g.Sequence(n)
+	if cap(buf) < n {
+		buf = make(Sequence, 0, n)
+	}
+	seq := g.AppendSequence(buf[:0], n)
 	cond := g.Conditions()
 	return Test{
 		Name: fmt.Sprintf("RND-%04d", g.count),

@@ -146,3 +146,48 @@ func TestNewRandomGeneratorPanicsOnZeroAddrSpace(t *testing.T) {
 	}()
 	NewRandomGenerator(1, 0, DefaultConditionLimits())
 }
+
+// TestNextIntoMatchesNext draws with NextInto into reused buffers whose
+// contents are stale vectors and whose capacities sit below, at and above
+// the drawn length (and nil), beside a same-seed generator drawing with
+// Next. Every test must equal Next's, land in the buffer exactly when it
+// fits and otherwise in an exact-size allocation, and both generators must
+// end at the same stream position, with and without fixed conditions.
+func TestNextIntoMatchesNext(t *testing.T) {
+	fixed := NominalConditions()
+	for _, cond := range []*Conditions{nil, &fixed} {
+		ref, got := newGen(12), newGen(12)
+		ref.FixedConditions, got.FixedConditions = cond, cond
+		dirty := Vector{Op: OpWrite, Addr: 0xFFF, Data: 0xDEADBEEF}
+		for k := 0; k < 400; k++ {
+			want := ref.Next()
+			n := len(want.Seq)
+			var buf Sequence
+			switch k % 4 {
+			case 1:
+				buf = make(Sequence, n-1-k%7, n-1)
+			case 2:
+				buf = make(Sequence, k%5, n)
+			case 3:
+				buf = make(Sequence, MaxSequenceLen+1)
+			}
+			for i := range buf[:cap(buf)] {
+				buf[:cap(buf)][i] = dirty
+			}
+			tt := got.NextInto(buf)
+			if tt.Name != want.Name || !reflect.DeepEqual(tt.Seq, want.Seq) || tt.Cond != want.Cond {
+				t.Fatalf("draw %d (cap %d, length %d): NextInto differs from Next", k, cap(buf), n)
+			}
+			inBuf := cap(buf) > 0 && &tt.Seq[0] == &buf[:1][0]
+			if inBuf != (cap(buf) >= n) {
+				t.Fatalf("draw %d: cap %d for length %d, sequence in the buffer: %v", k, cap(buf), n, inBuf)
+			}
+			if cap(buf) < n && cap(tt.Seq) != n {
+				t.Fatalf("draw %d: allocated capacity %d for length %d", k, cap(tt.Seq), n)
+			}
+		}
+		if ref.count != got.count || ref.rng.Float64() != got.rng.Float64() {
+			t.Fatal("NextInto left the generator at another stream position than Next")
+		}
+	}
+}
