@@ -36,20 +36,12 @@ const (
 // plus a windowed March C- baseline, the same shape cmd/lotchar screens.
 func lotBenchTests(tb testing.TB) []testgen.Test {
 	cond := testgen.NominalConditions()
-	geom := dut.DefaultGeometry()
-	words := geom.Words()
-	seq := make(testgen.Sequence, 0, 200)
-	for i := 0; i < 50; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	worst, err := testgen.BusThrash(dut.DefaultGeometry().Words(), 100, cond)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	tests := []testgen.Test{{Name: "WORST-BUILTIN", Seq: seq, Cond: cond}}
+	worst.Name = "WORST-BUILTIN"
+	tests := []testgen.Test{worst}
 	march, err := testgen.MarchTest(testgen.MarchCMinus(), 0, 100, 0x55555555, cond)
 	if err != nil {
 		tb.Fatal(err)

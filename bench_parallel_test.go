@@ -126,8 +126,8 @@ func BenchmarkFigure5MeasurementCache(b *testing.B) {
 }
 
 // BenchmarkFigure8ShmooParallel overlays 100 tests per iteration, like
-// BenchmarkFigure8ShmooPlot, but through the hermetic per-test fan-out on a
-// fleet of each size.
+// BenchmarkFigure8ShmooPlot, on a fleet of each size. The tests are drawn
+// once, outside the timed loop, so it times the overlay alone.
 func BenchmarkFigure8ShmooParallel(b *testing.B) {
 	for _, workers := range parallelWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

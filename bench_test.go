@@ -327,21 +327,13 @@ func BenchmarkFigure6WCRClassification(b *testing.B) {
 	runner := trippoint.NewRunner(tester, ate.TDQ)
 
 	tests := gen.Batch(200)
-	words := dut.DefaultGeometry().Words()
-	seq := make(testgen.Sequence, 0, 800)
-	for j := 0; j < 200; j++ {
-		base := uint32(0)
-		if j%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	worst, err := testgen.BusThrash(dut.DefaultGeometry().Words(), 400, testgen.NominalConditions())
+	if err != nil {
+		b.Fatal(err)
 	}
 	tests = append(tests,
-		testgen.Test{Name: "WORST@nominal", Seq: seq, Cond: testgen.NominalConditions()},
-		testgen.Test{Name: "WORST@corner", Seq: seq, Cond: testgen.Conditions{VddV: 1.62, TempC: 125, ClockMHz: 100}},
+		testgen.Test{Name: "WORST@nominal", Seq: worst.Seq, Cond: worst.Cond},
+		testgen.Test{Name: "WORST@corner", Seq: worst.Seq, Cond: testgen.Conditions{VddV: 1.62, TempC: 125, ClockMHz: 100}},
 	)
 
 	b.ResetTimer()
@@ -394,8 +386,9 @@ func BenchmarkFigure7TDQMeasurement(b *testing.B) {
 
 // BenchmarkFigure8ShmooPlot regenerates the fig. 8 overlay: many tests in
 // one Vdd-vs-T_DQ shmoo, reporting the worst-case trip point variation.
-// The paper overlays 1000 tests; the benchmark overlays 100 per iteration
-// to keep iterations meaningful (scale with -benchtime).
+// The paper overlays 1000 tests; the benchmark draws and overlays 100 per
+// iteration on a fleet of one (nil) to keep iterations meaningful (scale
+// with -benchtime).
 func BenchmarkFigure8ShmooPlot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tester, gen := newRig(b, 81)
@@ -403,10 +396,8 @@ func BenchmarkFigure8ShmooPlot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for j := 0; j < 100; j++ {
-			if err := plot.AddTest(tester, gen.Next()); err != nil {
-				b.Fatal(err)
-			}
+		if err := plot.AddTestsOn(nil, tester, gen.Batch(100), 81); err != nil {
+			b.Fatal(err)
 		}
 		if i == 0 {
 			b.Logf("fig.8:\n%s", plot.Render())
@@ -827,20 +818,12 @@ func BenchmarkExtensionSpecExtraction(b *testing.B) {
 // BenchmarkExtensionLotScreen measures the §1 device-sample screen: the
 // worst-case pattern over a 20-die lot.
 func BenchmarkExtensionLotScreen(b *testing.B) {
-	cond := testgen.NominalConditions()
-	words := dut.DefaultGeometry().Words()
-	seq := make(testgen.Sequence, 0, 800)
-	for i := 0; i < 200; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	worst, err := testgen.BusThrash(dut.DefaultGeometry().Words(), 400, testgen.NominalConditions())
+	if err != nil {
+		b.Fatal(err)
 	}
-	tests := []testgen.Test{{Name: "WORST", Seq: seq, Cond: cond}}
+	worst.Name = "WORST"
+	tests := []testgen.Test{worst}
 	dies := dut.NewDieLot(96, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -890,22 +873,15 @@ func BenchmarkExtensionMinimizer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	words := dut.DefaultGeometry().Words()
+	pairs, err := testgen.BusThrash(dut.DefaultGeometry().Words(), 300, nominal)
+	if err != nil {
+		b.Fatal(err)
+	}
 	seq := make(testgen.Sequence, 0, 1000)
 	for i := 0; i < 200; i++ {
 		seq = append(seq, testgen.Vector{Op: testgen.OpRead, Addr: uint32(i % 8)})
 	}
-	for i := 0; i < 150; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
-	}
-	tt := testgen.Test{Name: "PADDED", Seq: seq, Cond: nominal}
+	tt := testgen.Test{Name: "PADDED", Seq: append(seq, pairs.Seq...), Cond: nominal}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := char.Minimize(tt, core.DefaultMinimizeConfig())
@@ -983,27 +959,19 @@ func BenchmarkExtensionPDNAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cond := testgen.NominalConditions()
-	words := dev.Geometry().Words()
-	seq := make(testgen.Sequence, 0, 800)
-	for i := 0; i < 200; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	worst, err := testgen.BusThrash(dev.Geometry().Words(), 400, testgen.NominalConditions())
+	if err != nil {
+		b.Fatal(err)
 	}
-	records, _, err := dev.Trace(testgen.Test{Name: "worst", Seq: seq, Cond: cond})
+	worst.Name = "worst"
+	records, _, err := dev.Trace(worst)
 	if err != nil {
 		b.Fatal(err)
 	}
 	network := pdn.Default()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := network.Simulate(records, cond.VddV, cond.ClockMHz)
+		res, err := network.Simulate(records, worst.Cond.VddV, worst.Cond.ClockMHz)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1020,19 +988,11 @@ func BenchmarkExtensionPDNAnalysis(b *testing.B) {
 // the CI-found worst-case screen, reporting the escape counts.
 func BenchmarkExtensionProductionEscapes(b *testing.B) {
 	geom := dut.DefaultGeometry()
-	words := geom.Words()
-	seq := make(testgen.Sequence, 0, 800)
-	for i := 0; i < 200; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	oracle, err := testgen.BusThrash(geom.Words(), 400, testgen.NominalConditions())
+	if err != nil {
+		b.Fatal(err)
 	}
-	oracle := testgen.Test{Name: "WORST", Seq: seq, Cond: testgen.NominalConditions()}
+	oracle.Name = "WORST"
 	march, err := testgen.MarchTest(testgen.MarchCMinus(), 0, 100, 0x55555555, testgen.NominalConditions())
 	if err != nil {
 		b.Fatal(err)

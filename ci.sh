@@ -335,6 +335,19 @@ if [ "$RUN_COUNT" -ne 1 ]; then
 	exit 1
 fi
 echo "run ledger: a -cache-dir the flow ignores leaves the run ID as it is"
+# Only characterize's flows have a memo-cache: shmoo refuses -no-cache
+# before any work, with exit 2, and records no run.
+NOCACHE_DIR="$SMOKE_DIR/nocache-ledger"
+CODE=0
+"$SMOKE_DIR/shmoo" -tests 5 -no-cache -run-dir "$NOCACHE_DIR" \
+	> /dev/null 2> "$SMOKE_DIR/nocache.stderr" || CODE=$?
+RUN_COUNT=$(find "$NOCACHE_DIR" -maxdepth 1 -name '*.run' 2> /dev/null | wc -l)
+if [ "$CODE" -ne 2 ] || [ "$RUN_COUNT" -ne 0 ]; then
+	echo "FAIL: shmoo -no-cache exited $CODE and left $RUN_COUNT ledger records, want exit 2 and none" >&2
+	cat "$SMOKE_DIR/nocache.stderr" >&2
+	exit 1
+fi
+echo "run ledger: shmoo refuses -no-cache with exit 2 and records nothing"
 
 echo "== crash bundle smoke =="
 # An injected worker-pool panic must kill the run (nonzero exit) AND leave a

@@ -25,24 +25,17 @@ import (
 	"repro/internal/testgen"
 )
 
-func worstPattern(words uint32) testgen.Test {
-	seq := make(testgen.Sequence, 0, 800)
-	for i := 0; i < 200; i++ {
-		base := uint32(0) // row 0; the weak cell sits in row 2, probed below
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
-	}
-	// Probe the weak address so the failure is observable.
-	seq = append(seq,
+// worstPattern is the coordinated worst-case pattern, 200 complementary
+// write pairs in row 0 and the last row (the weak cell sits in row 2),
+// followed by a probe of the weak address so the failure is observable.
+func worstPattern(words uint32) (testgen.Test, error) {
+	t, err := testgen.BusThrash(words, 400, testgen.NominalConditions())
+	t.Name = "WORST"
+	t.Seq = append(t.Seq,
 		testgen.Vector{Op: testgen.OpWrite, Addr: 33, Data: 0x12345678},
 		testgen.Vector{Op: testgen.OpRead, Addr: 33},
 	)
-	return testgen.Test{Name: "WORST", Seq: seq, Cond: testgen.NominalConditions()}
+	return t, err
 }
 
 func main() {
@@ -55,7 +48,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	worst := worstPattern(geom.Words())
+	worst, err := worstPattern(geom.Words())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// --- 1. Cycle trace and hot window ------------------------------------
 	records, profile, err := dev.Trace(worst)
@@ -117,7 +113,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	oracle := worstPattern(geom.Words())
+	oracle := worst
 	marchRun, err := core.RunProduction(marchProg, oracle, lot, geom, 11)
 	if err != nil {
 		log.Fatal(err)

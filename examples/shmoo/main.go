@@ -37,31 +37,18 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// A coordinated worst-case pattern (what the paper's NN+GA flow
+	// discovers), overlaid last: adjacent complementary write pairs
+	// alternating between complementary base addresses.
+	worst, err := testgen.BusThrash(dev.Geometry().Words(), 400, cond)
+	if err != nil {
+		log.Fatal(err)
+	}
+	worst.Name = "WORST"
+
 	const overlay = 200
 	fmt.Printf("sweeping %d random tests over the Vdd × T_DQ grid…\n", overlay)
-	for i := 0; i < overlay; i++ {
-		if err := plot.AddTest(tester, gen.Next()); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// A coordinated worst-case pattern (what the paper's NN+GA flow
-	// discovers): adjacent complementary write pairs alternating between
-	// complementary base addresses.
-	words := dev.Geometry().Words()
-	seq := make(testgen.Sequence, 0, 800)
-	for i := 0; i < 200; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0x00000000},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
-	}
-	worst := testgen.Test{Name: "WORST", Seq: seq, Cond: cond}
-	if err := plot.AddTest(tester, worst); err != nil {
+	if err := plot.AddTestsOn(nil, tester, append(gen.Batch(overlay), worst), 11); err != nil {
 		log.Fatal(err)
 	}
 

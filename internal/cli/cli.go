@@ -94,6 +94,7 @@ type Common struct {
 	sampStop        func()
 	wd              *watchdog
 	fs              *flag.FlagSet
+	binary          string // the flow binary (Binary, NewFlowRun); "" for the others
 	ledger          *runstore.Store
 	ledgerTrace     *bytes.Buffer // the trace bytes the ledger records
 	storeOpened     bool          // the run opened a -cache-dir store
@@ -152,10 +153,13 @@ func Register(fs *flag.FlagSet) *Common {
 // Validate checks the flag combinations that otherwise surface as late,
 // opaque failures mid-run: an unbindable -listen address, an unwritable
 // -crash-dir, a -stall-timeout without the -crash-dir its bundles need, an
-// unknown -inject-fault mode and two file flags that name one file. Each
-// failure is a single clear line; the binaries call this through Main
-// before doing any work.
+// unknown -inject-fault mode, two file flags that name one file and
+// -no-cache on a binary that has no memo-cache. Each failure is a single
+// clear line; the binaries call this through Main before doing any work.
 func (c *Common) Validate() error {
+	if err := c.checkNoCache(); err != nil {
+		return err
+	}
 	if c.Listen != "" {
 		if err := ProbeListen(c.Listen); err != nil {
 			return fmt.Errorf("cannot bind -listen address %q: %w", c.Listen, err)

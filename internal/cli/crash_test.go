@@ -386,8 +386,7 @@ func TestValidateRejectsFileFlagsNamingOneFile(t *testing.T) {
 		{"characterize", []string{"-trace", os.DevNull, "-metrics", os.DevNull}, ""},
 	} {
 		fs := flag.NewFlagSet(tc.binary, flag.ContinueOnError)
-		c := Register(fs)
-		binaries[tc.binary](fs)
+		c, _ := newBinary(tc.binary, fs)
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatal(err)
 		}

@@ -39,6 +39,22 @@ var binaries = map[string]func(fs *flag.FlagSet) flowFunc{
 	"lotchar":      registerLotFlags,
 }
 
+// noCacheReader is the one binary whose flows read -no-cache: only
+// characterize's flows (learn, optimize, table1) keep a measurement
+// memo-cache. Every binary registers the flag, because it is part of each
+// run's identity flag map, and every other binary refuses it, since there
+// it would only split one run's ledger record in two.
+const noCacheReader = "characterize"
+
+// checkNoCache refuses -no-cache on a binary other than noCacheReader.
+// Validate (every binary's Main) and NewFlowRun (every job) both call it.
+func (c *Common) checkNoCache() error {
+	if c.NoCache && c.binary != noCacheReader {
+		return fmt.Errorf("-no-cache has no effect here: only %s's flows have a measurement memo-cache", noCacheReader)
+	}
+	return nil
+}
+
 // Binary is the main of the flow binary name (characterize, shmoo or
 // lotchar): it registers the shared flags and the binary's workload flags
 // on the command line, parses it and runs the flow through Main, writing
@@ -46,10 +62,17 @@ var binaries = map[string]func(fs *flag.FlagSet) flowFunc{
 func Binary(name string) {
 	log.SetFlags(0)
 	log.SetPrefix(name + ": ")
-	c := Register(nil)
-	run := binaries[name](flag.CommandLine)
+	c, run := newBinary(name, flag.CommandLine)
 	flag.Parse()
 	c.Main(func() error { return run(c, os.Stdout) })
+}
+
+// newBinary registers on fs the shared flags and the workload flags of the
+// flow binary name, and returns their values and the binary's flow.
+func newBinary(name string, fs *flag.FlagSet) (*Common, flowFunc) {
+	c := Register(fs)
+	c.binary = name
+	return c, binaries[name](fs)
 }
 
 // FlowSpec names one workload: a flow, its seed, and the workload flag
@@ -159,8 +182,7 @@ func NewFlowRun(spec FlowSpec) (*FlowRun, error) {
 	}
 	fs := flag.NewFlagSet(def.binary, flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	c := Register(fs)
-	run := binaries[def.binary](fs)
+	c, run := newBinary(def.binary, fs)
 	if err := fs.Parse(nil); err != nil {
 		return nil, fmt.Errorf("cli: resolving %s flag defaults: %v", def.binary, err)
 	}
@@ -191,6 +213,9 @@ func NewFlowRun(spec FlowSpec) (*FlowRun, error) {
 		if err := fs.Set("no-cache", "true"); err != nil {
 			return nil, fmt.Errorf("cli: flow %q no-cache: %v", spec.Flow, err)
 		}
+	}
+	if err := c.checkNoCache(); err != nil {
+		return nil, fmt.Errorf("cli: flow %q: %v", spec.Flow, err)
 	}
 	return &FlowRun{Common: c, run: run}, nil
 }

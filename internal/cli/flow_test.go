@@ -7,6 +7,7 @@ package cli
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
 	"strings"
@@ -48,11 +49,48 @@ func TestNewFlowRunValidation(t *testing.T) {
 		{FlowSpec{Flow: "learn", Args: map[string]string{"corner": "xx"}}, `unknown corner "xx"`},
 		{FlowSpec{Flow: "lot", Args: map[string]string{"dies": "0"}}, `arg dies="0": must be at least 1, got 0`},
 		{FlowSpec{Flow: "lot", Args: map[string]string{"wafers": "-1"}}, `arg wafers="-1": must be at least 0`},
+		// Only the characterize flows have a memo-cache to disable.
+		{FlowSpec{Flow: "shmoo", NoCache: true}, `flow "shmoo": -no-cache has no effect here`},
+		{FlowSpec{Flow: "lot", NoCache: true}, `flow "lot": -no-cache has no effect here`},
 	}
 	for _, tc := range cases {
 		_, err := NewFlowRun(tc.spec)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("NewFlowRun(%+v): err %v, want substring %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
+// TestNoCacheOnlyOnCharacterize: every binary registers -no-cache, but only
+// characterize's flows read it. Every other binary refuses it in Validate,
+// which Main runs before any work (NewFlowRun's refusal, which POST /jobs
+// runs, is in TestNewFlowRunValidation); the characterize flows accept it.
+func TestNoCacheOnlyOnCharacterize(t *testing.T) {
+	for _, name := range []string{"characterize", "shmoo", "lotchar", "tripsearch", "marchgen"} {
+		fs := flag.NewFlagSet(name, flag.ContinueOnError)
+		var c *Common
+		if _, ok := binaries[name]; ok {
+			c, _ = newBinary(name, fs)
+		} else {
+			c = Register(fs) // tripsearch and marchgen register the shared flags alone
+		}
+		if err := fs.Parse([]string{"-no-cache"}); err != nil {
+			t.Fatal(err)
+		}
+		err := c.Validate()
+		if name == "characterize" {
+			if err != nil {
+				t.Errorf("characterize -no-cache: Validate() = %v, want nil", err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "-no-cache has no effect here") {
+			t.Errorf("%s -no-cache: Validate() = %v, want the no-effect error", name, err)
+		}
+	}
+	for _, flow := range []string{"learn", "optimize", "table1"} {
+		if fr, err := NewFlowRun(FlowSpec{Flow: flow, Seed: 1, NoCache: true}); err != nil || !fr.Common.NoCache {
+			t.Errorf("flow %s with no-cache: %v, want it accepted", flow, err)
 		}
 	}
 }

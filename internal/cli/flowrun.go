@@ -104,7 +104,6 @@ func runCharacterize(c *Common, f *characterizeFlags, out io.Writer, tel *teleme
 			return ate.Stats{}, err
 		}
 		fmt.Fprint(out, tab.Format())
-		PrintCacheSummary(out, tab.CacheHits, tab.CacheMisses)
 		return tab.Stats, nil
 	}
 
@@ -173,8 +172,6 @@ func runCharacterize(c *Common, f *characterizeFlags, out io.Writer, tel *teleme
 	}
 
 	if f.LearnOnly {
-		hits, misses := char.CacheStats()
-		PrintCacheSummary(out, hits, misses)
 		core.RecordDiskCache(tel, memoStore)
 		s := tester.Stats()
 		fmt.Fprintf(out, "Tester totals: %d measurements, %d vectors, %.2f s simulated test time\n",
@@ -196,8 +193,7 @@ func runCharacterize(c *Common, f *characterizeFlags, out io.Writer, tel *teleme
 	}
 	fmt.Fprintf(out, "  GA: %d generations, %d evaluations, %d restarts, %d ATE measurements\n",
 		opt.GA.Generations, opt.GA.Evaluations, opt.GA.Restarts, opt.Measurements)
-	hits, misses := char.CacheStats()
-	PrintCacheSummary(out, hits, misses)
+	PrintCacheSummary(out, opt.CacheHits, opt.CacheMisses)
 	if memoStore != nil {
 		n, err := char.PersistMemoCache(memoStore)
 		if err != nil {
@@ -444,19 +440,12 @@ func runLot(c *Common, f *lotFlags, out io.Writer, tel *telemetry.Telemetry) (at
 		}
 		fmt.Fprintf(out, "loaded %d worst-case tests from %s\n", len(tests), f.DBPath)
 	} else {
-		words := geom.Words()
-		seq := make(testgen.Sequence, 0, 800)
-		for i := 0; i < 200; i++ {
-			base := uint32(0)
-			if i%2 == 1 {
-				base = words - 2
-			}
-			seq = append(seq,
-				testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-				testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-			)
+		worst, err := testgen.BusThrash(geom.Words(), 400, cond)
+		if err != nil {
+			return ate.Stats{}, err
 		}
-		tests = append(tests, testgen.Test{Name: "WORST-BUILTIN", Seq: seq, Cond: cond})
+		worst.Name = "WORST-BUILTIN" // the lot cache key hashes the name
+		tests = append(tests, worst)
 		fmt.Fprintln(out, "no database given; using the built-in coordinated worst-case pattern")
 	}
 	march, err := testgen.MarchTest(testgen.MarchCMinus(), 0, 100, 0x55555555, cond)

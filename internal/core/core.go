@@ -246,17 +246,6 @@ func (c *Characterizer) Generator() *testgen.RandomGenerator { return c.gen }
 // off.
 func (c *Characterizer) tel() *telemetry.Telemetry { return c.cfg.Telemetry }
 
-// CacheStats returns the measurement memo-cache effectiveness of the most
-// recent Optimize/OptimizeFrom run: fitness lookups answered from the cache
-// versus lookups that had to burn ATE time. Zeros before any optimization
-// ran; with the cache disabled every lookup is a miss.
-func (c *Characterizer) CacheStats() (hits, misses int64) {
-	if c.lastEval == nil {
-		return 0, 0
-	}
-	return c.lastEval.cacheHits(), c.lastEval.cacheMisses()
-}
-
 // RecordDiskCache feeds a persistent store's counters into the run
 // telemetry (report disk-cache line, Prometheus gauges, live /progress).
 // A nil store or nil telemetry is a no-op, so callers can pass both

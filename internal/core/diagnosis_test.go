@@ -18,19 +18,12 @@ func calmTestSeq() testgen.Test {
 }
 
 func aggressiveTestSeq() testgen.Test {
-	words := dutWords()
-	seq := make(testgen.Sequence, 0, 800)
-	for i := 0; i < 200; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	t, err := testgen.BusThrash(dutWords(), 400, testgen.NominalConditions())
+	if err != nil {
+		panic(err)
 	}
-	return testgen.Test{Name: "aggressive", Seq: seq, Cond: testgen.NominalConditions()}
+	t.Name = "aggressive"
+	return t
 }
 
 func dutWords() uint32 { return 4096 }

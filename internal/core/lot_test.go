@@ -129,20 +129,12 @@ func TestScreenLotDetectsFunctionalFailures(t *testing.T) {
 	healthy := dut.NewDie(1, dut.CornerTypical)
 
 	// High-activity test touching the weak address.
-	words := dut.DefaultGeometry().Words()
-	seq := make(testgen.Sequence, 0, 600)
-	for i := 0; i < 150; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	hot, err := testgen.BusThrash(dut.DefaultGeometry().Words(), 300, testgen.NominalConditions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq = append(seq, testgen.Vector{Op: testgen.OpRead, Addr: 1})
-	hot := testgen.Test{Name: "HOT", Seq: seq, Cond: testgen.NominalConditions()}
+	hot.Name = "HOT"
+	hot.Seq = append(hot.Seq, testgen.Vector{Op: testgen.OpRead, Addr: 1})
 
 	rep, err := screenDies(ate.TDQ, []testgen.Test{hot}, []*dut.Die{weak, healthy}, dut.DefaultGeometry(), 17, nil)
 	if err != nil {

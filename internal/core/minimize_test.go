@@ -9,23 +9,17 @@ import (
 // paddedWorstTest builds a test whose provoking core (coordinated
 // write pairs) is surrounded by benign filler the minimizer should strip.
 func paddedWorstTest() testgen.Test {
-	words := dutWords()
+	pairs, err := testgen.BusThrash(dutWords(), 300, testgen.NominalConditions())
+	if err != nil {
+		panic(err)
+	}
 	seq := make(testgen.Sequence, 0, 1000)
 	// 200 benign read vectors of filler up front.
 	for i := 0; i < 200; i++ {
 		seq = append(seq, testgen.Vector{Op: testgen.OpRead, Addr: uint32(i % 8)})
 	}
 	// The provoking core: 150 coordinated pairs.
-	for i := 0; i < 150; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
-	}
+	seq = append(seq, pairs.Seq...)
 	// 200 more benign vectors after.
 	for i := 0; i < 200; i++ {
 		seq = append(seq, testgen.Vector{Op: testgen.OpRead, Addr: uint32(i % 8)})

@@ -76,19 +76,11 @@ func TestFunctionalScreenSeparatesFailures(t *testing.T) {
 	}
 	tester := ate.New(dev, 3)
 
-	words := dev.Geometry().Words()
-	hotSeq := make(testgen.Sequence, 0, 604)
-	for i := 0; i < 150; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		hotSeq = append(hotSeq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	pairs, err := testgen.BusThrash(dev.Geometry().Words(), 300, testgen.NominalConditions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	hotSeq = append(hotSeq, testgen.Vector{Op: testgen.OpRead, Addr: 1})
+	hotSeq := append(pairs.Seq, testgen.Vector{Op: testgen.OpRead, Addr: 1})
 	// The calm test stays away from the weak address entirely.
 	calmSeq := make(testgen.Sequence, 200)
 	for i := range calmSeq {

@@ -11,19 +11,12 @@ import (
 
 // worstCasePattern is the coordinated pattern the CI flow discovers.
 func worstCasePattern() testgen.Test {
-	words := dut.DefaultGeometry().Words()
-	seq := make(testgen.Sequence, 0, 800)
-	for i := 0; i < 200; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	t, err := testgen.BusThrash(dut.DefaultGeometry().Words(), 400, testgen.NominalConditions())
+	if err != nil {
+		panic(err)
 	}
-	return testgen.Test{Name: "WORST", Seq: seq, Cond: testgen.NominalConditions()}
+	t.Name = "WORST"
+	return t
 }
 
 func marchPattern(t *testing.T) testgen.Test {

@@ -126,9 +126,6 @@ func TestCacheStatsSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, m := char.CacheStats(); h != 0 || m != 0 {
-		t.Errorf("cache stats before any run = %d/%d, want 0/0", h, m)
-	}
 	if _, err := char.Learn(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +133,10 @@ func TestCacheStatsSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := char.CacheStats()
-	if hits != opt.CacheHits || misses != opt.CacheMisses {
-		t.Errorf("CacheStats() = %d/%d, OptimizationResult says %d/%d",
-			hits, misses, opt.CacheHits, opt.CacheMisses)
-	}
-	if hits == 0 {
+	if opt.CacheHits == 0 {
 		t.Error("no cache hits surfaced")
+	}
+	if opt.CacheMisses == 0 {
+		t.Error("no cache misses surfaced")
 	}
 }

@@ -174,19 +174,12 @@ func TestWorstCasePatternBeatsRandomTail(t *testing.T) {
 		}
 	}
 
-	words := dev.Geometry().Words()
-	seq := make(testgen.Sequence, 0, 800)
-	for i := 0; i < 200; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		seq = append(seq,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	worst, err := testgen.BusThrash(dev.Geometry().Words(), 400, cond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p, err := dev.Profile(testgen.Test{Name: "worst", Seq: seq, Cond: cond})
+	worst.Name = "worst"
+	p, err := dev.Profile(worst)
 	if err != nil {
 		t.Fatal(err)
 	}

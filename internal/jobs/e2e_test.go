@@ -290,6 +290,9 @@ func TestServiceHTTPSurface(t *testing.T) {
 		{jobs.Submission{Flow: "learn", Args: map[string]string{"param": "bogus"}}, `unknown parameter`},
 		{jobs.Submission{Flow: "learn", Args: map[string]string{"corner": "xx"}}, `unknown corner`},
 		{jobs.Submission{Flow: "lot", Args: map[string]string{"dies": "0"}}, `must be at least 1, got 0`},
+		// Only the characterize flows have a memo-cache to disable.
+		{jobs.Submission{Flow: "shmoo", NoCache: true}, `-no-cache has no effect here`},
+		{jobs.Submission{Flow: "lot", NoCache: true}, `-no-cache has no effect here`},
 	} {
 		body, _ := json.Marshal(tc.sub)
 		resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))

@@ -398,3 +398,165 @@ func TestQueuePriorityOrder(t *testing.T) {
 		t.Fatalf("queue should be drained, got %+v", head)
 	}
 }
+
+// TestLiveTransitionsEqualReplay: the live queue and its journal hold one
+// state. Random histories drive Submit, Start, Finish and Cancel, refused
+// transitions included; after each, the journal replays to the live jobs
+// field for field, and a reopened queue serves every job that was not
+// running exactly as the live queue did, and resumes the running ones.
+func TestLiveTransitionsEqualReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	refused := 0
+	for trial := 0; trial < 40; trial++ {
+		dir := t.TempDir()
+		q, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for step, steps := 0, 5+rng.Intn(40); step < steps; step++ {
+			if len(ids) == 0 || rng.Intn(4) == 0 {
+				sub := Submission{
+					Flow:     []string{"learn", "optimize", "shmoo", "lot", "table1"}[rng.Intn(5)],
+					Seed:     1 + rng.Int63n(1000),
+					NoCache:  rng.Intn(4) == 0,
+					Parallel: rng.Intn(4),
+					Priority: rng.Intn(5) - 2,
+				}
+				if rng.Intn(2) == 0 {
+					sub.Args = map[string]string{"tests": fmt.Sprint(1 + rng.Intn(99))}
+				}
+				j, err := q.Submit(sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, j.ID)
+				continue
+			}
+			id := ids[rng.Intn(len(ids))]
+			if rng.Intn(10) == 0 {
+				id = jobID(int64(len(ids) + 1)) // never submitted
+			}
+			switch rng.Intn(4) {
+			case 0:
+				_, err = q.Start(id)
+			case 1:
+				state := []State{StateDone, StateFailed, StateCanceled, StateQueued, StateRunning}[rng.Intn(5)]
+				_, err = q.Finish(id, state, fmt.Sprintf("%032x", rng.Uint64()), fmt.Sprintf("%016x", rng.Uint64()),
+					strings.Repeat("e", rng.Intn(3)), strings.Repeat("o", rng.Intn(40)))
+			default:
+				_, _, err = q.Cancel(id)
+			}
+			if err != nil {
+				refused++
+			}
+		}
+		live := map[string]*Job{}
+		for _, j := range q.List() {
+			live[j.ID] = j
+		}
+
+		data, err := os.ReadFile(filepath.Join(dir, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, _, err := loadJournal(data[len(journalMagic):])
+		if err != nil {
+			t.Fatalf("trial %d: load: %v", trial, err)
+		}
+		replayed, _, err := replay(entries)
+		if err != nil {
+			t.Fatalf("trial %d: replay: %v", trial, err)
+		}
+		if !reflect.DeepEqual(replayed, live) {
+			for id, j := range live {
+				if !reflect.DeepEqual(replayed[id], j) {
+					t.Errorf("trial %d: %s replays to %+v, live %+v", trial, id, replayed[id], j)
+				}
+			}
+			t.Fatalf("trial %d: replayed journal differs from the live queue", trial)
+		}
+
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+		q, err = Open(dir)
+		if err != nil {
+			t.Fatalf("trial %d: reopen: %v", trial, err)
+		}
+		reopened := q.List()
+		if len(reopened) != len(live) {
+			t.Fatalf("trial %d: reopened %d jobs, live %d", trial, len(reopened), len(live))
+		}
+		for _, j := range reopened {
+			l := live[j.ID]
+			switch {
+			case l.State != StateRunning:
+				if !reflect.DeepEqual(j, l) {
+					t.Errorf("trial %d: %s reopens as %+v, live %+v", trial, j.ID, j, l)
+				}
+			case l.CancelRequested:
+				if j.State != StateCanceled || j.Error != ErrCanceled.Error() || j.CancelRequested {
+					t.Errorf("trial %d: running %s with a cancel request reopens as %+v", trial, j.ID, j)
+				}
+			case j.State != StateQueued || j.StartedUnixNano != 0:
+				t.Errorf("trial %d: running %s reopens as %+v, want it queued", trial, j.ID, j)
+			}
+		}
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no history drove a transition the queue refuses")
+	}
+}
+
+// TestQueueAppendAfterFailedWrite: a failed append that left part of a
+// frame at the journal's end does not poison the journal. The next append
+// cuts it back to the last durable frame, so a reopen loads every job.
+func TestQueueAppendAfterFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	q, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := q.Submit(Submission{Flow: "shmoo", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The failed write: half a frame reaches the end of the journal.
+	half := mustEncode(t, journalEntry{Op: "start", ID: first.ID, At: 1})
+	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(half[:len(half)/2]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	second, err := q.Submit(Submission{Flow: "lot", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q, err = Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after a failed append: %v", err)
+	}
+	defer q.Close()
+	var got []string
+	for _, j := range q.List() {
+		if j.State != StateQueued {
+			t.Errorf("%s reopened %s, want queued", j.ID, j.State)
+		}
+		got = append(got, j.ID)
+	}
+	if want := []string{first.ID, second.ID}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened jobs %v, want %v", got, want)
+	}
+}

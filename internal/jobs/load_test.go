@@ -13,6 +13,7 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"regexp"
 	"runtime"
 	"sort"
@@ -207,7 +208,7 @@ func TestLoadPrioritiesCancellationsBudget(t *testing.T) {
 }
 
 // TestLoadJournalMatchesOutcome re-opens the journal after a full load run
-// and checks the persisted states equal the served ones.
+// and checks every persisted record equals the served one field for field.
 func TestLoadJournalMatchesOutcome(t *testing.T) {
 	queueDir := t.TempDir()
 	q, err := jobs.Open(queueDir)
@@ -262,9 +263,8 @@ func TestLoadJournalMatchesOutcome(t *testing.T) {
 		if f == nil {
 			t.Fatalf("journal job %s never served", p.ID)
 		}
-		if p.State != f.State || p.RunID != f.RunID || p.Fingerprint != f.Fingerprint {
-			t.Fatalf("journal %s: %s/%s/%s, served %s/%s/%s",
-				p.ID, p.State, p.RunID, p.Fingerprint, f.State, f.RunID, f.Fingerprint)
+		if !reflect.DeepEqual(p, f) {
+			t.Fatalf("journal %s: %+v, served %+v", p.ID, p, f)
 		}
 	}
 }

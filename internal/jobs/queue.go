@@ -26,6 +26,7 @@ type Queue struct {
 	mu      sync.Mutex
 	dir     string
 	f       *os.File
+	end     int64 // the journal's length through its last durable frame
 	jobs    map[string]*Job
 	nextSeq int64
 }
@@ -114,66 +115,78 @@ func frameAfter(data []byte, off int) bool {
 	return false
 }
 
-// replay folds journal entries into the job map. Unknown IDs and
-// out-of-order transitions are hard errors — a journal the queue wrote
-// itself never contains them.
+// apply validates one journal entry against the job map and applies it,
+// returning the job it created or changed. It is the queue's one
+// transition function: the live Submit, Start, Finish and Cancel run it on
+// a copy of their job before journaling, and replay folds the journal
+// through it. It refuses an unknown job (ErrNotFound), any transition of a
+// finished job (ErrTerminal), a start of a job that is not queued, a finish
+// with a non-terminal state and an unknown op.
+func apply(jobs map[string]*Job, e journalEntry) (*Job, error) {
+	if e.Op == "submit" {
+		if e.Job == nil || e.Job.ID == "" {
+			return nil, errors.New("jobs: submit without job")
+		}
+		j := e.Job.clone()
+		if j.State == "" {
+			j.State = StateQueued
+		}
+		if !j.State.valid() {
+			return nil, fmt.Errorf("jobs: submit %s: unknown state %q", j.ID, j.State)
+		}
+		jobs[j.ID] = j
+		return j, nil
+	}
+	j, ok := jobs[e.ID]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	if j.State.Terminal() {
+		return nil, ErrTerminal
+	}
+	switch e.Op {
+	case "start":
+		if j.State != StateQueued {
+			return nil, fmt.Errorf("jobs: start %s: job is %s, not queued", e.ID, j.State)
+		}
+		j.State = StateRunning
+		j.StartedUnixNano = e.At
+	case "finish":
+		if !e.State.Terminal() {
+			return nil, fmt.Errorf("jobs: finish %s with non-terminal state %q", e.ID, e.State)
+		}
+		j.State = e.State
+		j.RunID = e.RunID
+		j.Fingerprint = e.Fingerprint
+		j.Error = e.Error
+		j.Output = e.Output
+		j.FinishedUnixNano = e.At
+		j.CancelRequested = false
+	case "cancel":
+		if j.State == StateQueued {
+			j.State = StateCanceled
+			j.Error = ErrCanceled.Error()
+			j.FinishedUnixNano = e.At
+		} else {
+			j.CancelRequested = true
+		}
+	default:
+		return nil, fmt.Errorf("jobs: %s: unknown op %q", e.ID, e.Op)
+	}
+	return j, nil
+}
+
+// replay folds journal entries into the job map through apply. A refused
+// entry is a hard error: a journal the queue wrote itself never holds one.
 func replay(entries []journalEntry) (map[string]*Job, int64, error) {
 	jobs := make(map[string]*Job)
 	var nextSeq int64 = 1
 	for i, e := range entries {
-		switch e.Op {
-		case "submit":
-			if e.Job == nil || e.Job.ID == "" {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: submit without job", i)
-			}
-			j := e.Job.clone()
-			if j.State == "" {
-				j.State = StateQueued
-			}
-			if !j.State.valid() {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: unknown state %q", i, j.State)
-			}
-			jobs[j.ID] = j
-			if j.Seq >= nextSeq {
-				nextSeq = j.Seq + 1
-			}
-		case "start":
-			j, ok := jobs[e.ID]
-			if !ok {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: start of unknown job %q", i, e.ID)
-			}
-			j.State = StateRunning
-			j.StartedUnixNano = e.At
-		case "finish":
-			j, ok := jobs[e.ID]
-			if !ok {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: finish of unknown job %q", i, e.ID)
-			}
-			if !e.State.Terminal() {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: finish with non-terminal state %q", i, e.State)
-			}
-			j.State = e.State
-			j.RunID = e.RunID
-			j.Fingerprint = e.Fingerprint
-			j.Error = e.Error
-			j.Output = e.Output
-			j.FinishedUnixNano = e.At
-			j.CancelRequested = false
-		case "cancel":
-			j, ok := jobs[e.ID]
-			if !ok {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: cancel of unknown job %q", i, e.ID)
-			}
-			switch {
-			case j.State == StateQueued:
-				j.State = StateCanceled
-				j.FinishedUnixNano = e.At
-			case j.State == StateRunning:
-				j.CancelRequested = true
-			}
-		default:
-			return nil, 0, fmt.Errorf("jobs: journal entry %d: unknown op %q", i, e.Op)
+		j, err := apply(jobs, e)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w (journal entry %d)", err, i)
 		}
+		nextSeq = max(nextSeq, j.Seq+1)
 	}
 	return jobs, nextSeq, nil
 }
@@ -243,7 +256,7 @@ func Open(dir string) (*Queue, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobs: open journal: %w", err)
 	}
-	return &Queue{dir: dir, f: f, jobs: jobs, nextSeq: nextSeq}, nil
+	return &Queue{dir: dir, f: f, end: int64(len(compacted)), jobs: jobs, nextSeq: nextSeq}, nil
 }
 
 // sortedBySeq returns the jobs in submission order.
@@ -257,11 +270,16 @@ func sortedBySeq(jobs map[string]*Job) []*Job {
 }
 
 // append journals one entry durably (fsync before the transition is
-// acknowledged). Caller holds q.mu.
+// acknowledged). It first cuts the journal back to its last durable frame,
+// so what a failed append left behind never precedes the new frame, which
+// O_APPEND then writes there. Caller holds q.mu.
 func (q *Queue) append(e journalEntry) error {
 	frame, err := encodeEntry(e)
 	if err != nil {
 		return err
+	}
+	if err := q.f.Truncate(q.end); err != nil {
+		return fmt.Errorf("jobs: append journal: %w", err)
 	}
 	if _, err := q.f.Write(frame); err != nil {
 		return fmt.Errorf("jobs: append journal: %w", err)
@@ -269,27 +287,43 @@ func (q *Queue) append(e journalEntry) error {
 	if err := q.f.Sync(); err != nil {
 		return fmt.Errorf("jobs: sync journal: %w", err)
 	}
+	q.end += int64(len(frame))
 	return nil
+}
+
+// commit runs one live transition: it applies e to a copy of its job,
+// journals e durably and only then installs the copy, so a refused
+// transition is never journaled and memory changes once the frame is on
+// disk. It returns a copy of the job. Caller holds q.mu.
+func (q *Queue) commit(e journalEntry) (*Job, error) {
+	view := make(map[string]*Job, 1)
+	if j, ok := q.jobs[e.ID]; ok {
+		view[e.ID] = j.clone()
+	}
+	j, err := apply(view, e)
+	if err != nil {
+		return nil, err
+	}
+	if err := q.append(e); err != nil {
+		return nil, err
+	}
+	q.jobs[j.ID] = j
+	q.nextSeq = max(q.nextSeq, j.Seq+1)
+	return j.clone(), nil
 }
 
 // Submit journals a new queued job and returns its record.
 func (q *Queue) Submit(sub Submission) (*Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j := &Job{
+	return q.commit(journalEntry{Op: "submit", Job: &Job{
 		Seq:               q.nextSeq,
 		ID:                jobID(q.nextSeq),
 		Submission:        sub,
 		Workers:           normalizeWorkers(sub.Parallel),
 		State:             StateQueued,
 		SubmittedUnixNano: time.Now().UnixNano(),
-	}
-	if err := q.append(journalEntry{Op: "submit", Job: j}); err != nil {
-		return nil, err
-	}
-	q.nextSeq++
-	q.jobs[j.ID] = j
-	return j.clone(), nil
+	}})
 }
 
 // normalizeWorkers resolves a submission's Parallel into a worker claim.
@@ -304,51 +338,17 @@ func normalizeWorkers(parallel int) int {
 func (q *Queue) Start(id string) (*Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	if j.State != StateQueued {
-		return nil, fmt.Errorf("jobs: start %s: job is %s, not queued", id, j.State)
-	}
-	at := time.Now().UnixNano()
-	if err := q.append(journalEntry{Op: "start", ID: id, At: at}); err != nil {
-		return nil, err
-	}
-	j.State = StateRunning
-	j.StartedUnixNano = at
-	return j.clone(), nil
+	return q.commit(journalEntry{Op: "start", ID: id, At: time.Now().UnixNano()})
 }
 
 // Finish journals a running job's terminal transition.
 func (q *Queue) Finish(id string, state State, runID, fingerprint, errMsg, output string) (*Job, error) {
-	if !state.Terminal() {
-		return nil, fmt.Errorf("jobs: finish %s with non-terminal state %q", id, state)
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	if j.State.Terminal() {
-		return nil, ErrTerminal
-	}
-	at := time.Now().UnixNano()
-	if err := q.append(journalEntry{
+	return q.commit(journalEntry{
 		Op: "finish", ID: id, State: state,
-		RunID: runID, Fingerprint: fingerprint, Error: errMsg, Output: output, At: at,
-	}); err != nil {
-		return nil, err
-	}
-	j.State = state
-	j.RunID = runID
-	j.Fingerprint = fingerprint
-	j.Error = errMsg
-	j.Output = output
-	j.FinishedUnixNano = at
-	j.CancelRequested = false
-	return j.clone(), nil
+		RunID: runID, Fingerprint: fingerprint, Error: errMsg, Output: output, At: time.Now().UnixNano(),
+	})
 }
 
 // Cancel journals a cancellation. A queued job lands in canceled
@@ -358,25 +358,11 @@ func (q *Queue) Finish(id string, state State, runID, fingerprint, errMsg, outpu
 func (q *Queue) Cancel(id string) (j *Job, canceledNow bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	job, ok := q.jobs[id]
-	if !ok {
-		return nil, false, ErrNotFound
-	}
-	if job.State.Terminal() {
-		return nil, false, ErrTerminal
-	}
-	at := time.Now().UnixNano()
-	if err := q.append(journalEntry{Op: "cancel", ID: id, At: at}); err != nil {
+	j, err = q.commit(journalEntry{Op: "cancel", ID: id, At: time.Now().UnixNano()})
+	if err != nil {
 		return nil, false, err
 	}
-	if job.State == StateQueued {
-		job.State = StateCanceled
-		job.Error = ErrCanceled.Error()
-		job.FinishedUnixNano = at
-		return job.clone(), true, nil
-	}
-	job.CancelRequested = true
-	return job.clone(), false, nil
+	return j, j.State == StateCanceled, nil
 }
 
 // Get returns a copy of one job.

@@ -211,19 +211,12 @@ func TestSimulateOnRealTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := dev.Geometry().Words()
-	hot := make(testgen.Sequence, 0, 400)
-	for i := 0; i < 100; i++ {
-		base := uint32(0)
-		if i%2 == 1 {
-			base = words - 2
-		}
-		hot = append(hot,
-			testgen.Vector{Op: testgen.OpWrite, Addr: base, Data: 0},
-			testgen.Vector{Op: testgen.OpWrite, Addr: base + 1, Data: 0xFFFFFFFF},
-		)
+	hot, err := testgen.BusThrash(dev.Geometry().Words(), 200, cond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	hotTrace, _, err := dev.Trace(testgen.Test{Name: "hot", Seq: hot, Cond: cond})
+	hot.Name = "hot"
+	hotTrace, _, err := dev.Trace(hot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,18 +6,19 @@ import (
 	"repro/internal/testgen"
 )
 
-// Fleet sweeps. Every task (one whole test) runs on a forked tester
-// insertion reseeded with baseSeed + taskIndex, collects pass/fail cells
-// into a private grid, and the grids merge into the overlay in test order
-// from the fleet's in-order delivery while later tests are still measuring
-// — so the plot and the merged cost counters are bit-identical for any
-// fleet size, nil (serial) included. Unlike the serial AddTest, where one
-// tester carries noise-RNG and thermal state across the whole overlay,
-// each fleet task is hermetic.
+// The overlay. Every task (one whole test) runs on a forked tester
+// insertion reseeded with baseSeed + taskIndex, so each is hermetic,
+// collects pass/fail cells into a private grid, and the grids merge into
+// the overlay in test order from the fleet's in-order delivery while later
+// tests are still measuring — so the plot and the merged cost counters are
+// bit-identical for any fleet size, nil (serial) included.
 
 // AddTestsOn sweeps every test over the T_DQ strobe grid (the fig. 8 axes)
-// on the fleet f (nil runs serially), one task per test, and accumulates
-// them into the overlay in test order as each delivery arrives.
+// on the fleet f (nil runs inline: a fleet of one), one task per test, and
+// accumulates them into the overlay in test order as each delivery
+// arrives. A sweep that fails stops the overlay with an error naming the
+// test and its operating point; the tests before it stay merged and the
+// failed one leaves no cell.
 func (p *Plot) AddTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, baseSeed int64) error {
 	grids := make([][]bool, len(tests))
 	costs := make([]ate.Stats, len(tests))
@@ -25,7 +26,7 @@ func (p *Plot) AddTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, b
 		return a.Fork(baseSeed)
 	}, func(wk *ate.ATE, i int) error {
 		wk.Reseed(baseSeed + int64(i))
-		cells, err := p.sweepGrid(wk.MeasureShmooRow, tests[i])
+		cells, err := p.sweepGrid(wk, tests[i])
 		if err != nil {
 			return err
 		}

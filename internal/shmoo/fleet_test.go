@@ -10,12 +10,12 @@ import (
 
 // The fleet sweep AddTestsOn is pure scheduling: same plot and same merged
 // cost counters as a hermetic reference that sweeps every test on its own
-// fresh insertion through the serial AddTestFunc, at every fleet size —
-// with measurement noise ON so the RNG discipline is actually load-bearing.
+// fresh insertion, at every fleet size — with measurement noise ON so the
+// RNG discipline is actually load-bearing.
 
 // hermeticOverlay is the reference AddTestsOn must reproduce: test i on a
 // freshly forked insertion reseeded with baseSeed+i, swept row by row
-// with AddTestFunc, its cost merged into a in test order.
+// and merged into p, its cost merged into a in test order.
 func hermeticOverlay(t *testing.T, p *Plot, a *ate.ATE, tests []testgen.Test, baseSeed int64) {
 	t.Helper()
 	for i, tt := range tests {
@@ -24,9 +24,12 @@ func hermeticOverlay(t *testing.T, p *Plot, a *ate.ATE, tests []testgen.Test, ba
 			t.Fatal(err)
 		}
 		wk.Reseed(baseSeed + int64(i))
-		if err := p.AddTestFunc(tt, wk.MeasureShmooRow); err != nil {
+		cells, err := p.sweepGrid(wk, tt)
+		if err != nil {
 			t.Fatal(err)
 		}
+		p.merge(cells)
+		p.Tests++
 		a.AddStats(wk.Stats())
 	}
 }
@@ -167,8 +170,8 @@ func TestAddTestsOnDeterministicAcrossWorkers(t *testing.T) {
 
 func TestFleetOverlayMatchesNoiselessSerial(t *testing.T) {
 	// With noise disabled the per-test hermetic semantics cannot differ
-	// from the shared-tester serial sweep (thermal off too): the fleet
-	// overlay must equal the plain AddTest overlay cell for cell.
+	// from sweeping every test on one shared tester (thermal off too): the
+	// fleet overlay must equal that serial overlay cell for cell.
 	tester, gen := rig(t) // rig sets NoiseFraction = 0, no Heating
 	tests := gen.Batch(4)
 	x, y := smallAxes()
@@ -178,9 +181,12 @@ func TestFleetOverlayMatchesNoiselessSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tt := range tests {
-		if err := serial.AddTest(tester, tt); err != nil {
+		cells, err := serial.sweepGrid(tester, tt)
+		if err != nil {
 			t.Fatal(err)
 		}
+		serial.merge(cells)
+		serial.Tests++
 	}
 
 	par, err := NewPlot(x, y)

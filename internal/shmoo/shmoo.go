@@ -58,9 +58,7 @@ type Plot struct {
 	// overlay: the test's overlay index (the value of Tests as it merges)
 	// and the tester cost its hermetic sweep consumed. It runs on the merge
 	// loop, which proceeds in test order regardless of the fleet size, so
-	// callers may emit trace events from it. The serial AddTest and
-	// AddTestFunc do not fire it: there one tester carries state across the
-	// whole overlay and no per-test cost split exists.
+	// callers may emit trace events from it.
 	OnTest func(index int, cost ate.Stats)
 }
 
@@ -75,28 +73,11 @@ func NewPlot(x, y Axis) (*Plot, error) {
 	return &Plot{X: x, Y: y, passCount: make([]int, x.Steps*y.Steps)}, nil
 }
 
-// RowFunc measures one shmoo row: pass[xi] is the pass/fail of the test
-// with the supply at vdd and the swept X parameter at xs[xi], measured in
-// order of xi.
-type RowFunc func(t testgen.Test, vdd float64, xs []float64, pass []bool) error
-
-// AddTestFunc sweeps one test over the grid using the given row
-// measurement and accumulates it into the overlay. The sweep is all or
-// nothing: a row error fails it and leaves the overlay unchanged.
-func (p *Plot) AddTestFunc(t testgen.Test, row RowFunc) error {
-	cells, err := p.sweepGrid(row, t)
-	if err != nil {
-		return err
-	}
-	p.merge(cells)
-	p.Tests++
-	return nil
-}
-
-// sweepGrid measures the whole grid for one test into a cell slice, one
-// row per call, computing the X axis values once per sweep. It only reads
-// the plot, so fleet workers may sweep concurrently.
-func (p *Plot) sweepGrid(row RowFunc, t testgen.Test) ([]bool, error) {
+// sweepGrid measures the whole grid for one test on the tester a into a
+// cell slice, one row strobe per supply, computing the X axis values once
+// per sweep. It only reads the plot, so fleet workers may sweep
+// concurrently.
+func (p *Plot) sweepGrid(a *ate.ATE, t testgen.Test) ([]bool, error) {
 	xs := make([]float64, p.X.Steps)
 	for xi := range xs {
 		xs[xi] = p.X.Value(xi)
@@ -104,7 +85,7 @@ func (p *Plot) sweepGrid(row RowFunc, t testgen.Test) ([]bool, error) {
 	cells := make([]bool, p.X.Steps*p.Y.Steps)
 	for yi := 0; yi < p.Y.Steps; yi++ {
 		vdd := p.Y.Value(yi)
-		if err := row(t, vdd, xs, cells[yi*p.X.Steps:(yi+1)*p.X.Steps]); err != nil {
+		if err := a.MeasureShmooRow(t, vdd, xs, cells[yi*p.X.Steps:(yi+1)*p.X.Steps]); err != nil {
 			return nil, fmt.Errorf("shmoo: %s at %s = %g: %w", t.Name, p.Y.Label, vdd, err)
 		}
 	}
@@ -118,12 +99,6 @@ func (p *Plot) merge(cells []bool) {
 			p.passCount[c]++
 		}
 	}
-}
-
-// AddTest sweeps one test over the T_DQ strobe grid on the ATE (the fig. 8
-// axes) and accumulates it into the overlay.
-func (p *Plot) AddTest(a *ate.ATE, t testgen.Test) error {
-	return p.AddTestFunc(t, a.MeasureShmooRow)
 }
 
 // PassFraction returns the fraction of overlaid tests passing at cell

@@ -1,14 +1,13 @@
 package shmoo
 
 import (
-	"errors"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ate"
 	"repro/internal/dut"
+	"repro/internal/parallel"
 	"repro/internal/testgen"
 )
 
@@ -63,8 +62,7 @@ func TestSingleTestShmooStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt := gen.Next()
-	if err := p.AddTest(tester, tt); err != nil {
+	if err := p.AddTestsOn(nil, tester, gen.Batch(1), 5); err != nil {
 		t.Fatal(err)
 	}
 	if p.Tests != 1 {
@@ -106,10 +104,8 @@ func TestOverlayVariationBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 25; i++ {
-		if err := p.AddTest(tester, gen.Next()); err != nil {
-			t.Fatal(err)
-		}
+	if err := p.AddTestsOn(nil, tester, gen.Batch(25), 5); err != nil {
+		t.Fatal(err)
 	}
 	if p.Tests != 25 {
 		t.Fatalf("tests = %d", p.Tests)
@@ -130,10 +126,8 @@ func TestOverlayVariationBand(t *testing.T) {
 func TestRenderContainsLegendAndSymbols(t *testing.T) {
 	tester, gen := rig(t)
 	p, _ := NewPlot(DefaultTDQAxis(), DefaultVddAxis())
-	for i := 0; i < 5; i++ {
-		if err := p.AddTest(tester, gen.Next()); err != nil {
-			t.Fatal(err)
-		}
+	if err := p.AddTestsOn(nil, tester, gen.Batch(5), 5); err != nil {
+		t.Fatal(err)
 	}
 	r := p.Render()
 	for _, want := range []string{"Shmoo overlay", "*", ".", "legend", "VDD (V)"} {
@@ -163,7 +157,7 @@ func TestShmooMeasurementAccounting(t *testing.T) {
 	x, y := DefaultTDQAxis(), DefaultVddAxis()
 	p, _ := NewPlot(x, y)
 	before := tester.Stats().Measurements
-	if err := p.AddTest(tester, gen.Next()); err != nil {
+	if err := p.AddTestsOn(nil, tester, gen.Batch(1), 5); err != nil {
 		t.Fatal(err)
 	}
 	got := tester.Stats().Measurements - before
@@ -173,81 +167,70 @@ func TestShmooMeasurementAccounting(t *testing.T) {
 	}
 }
 
-// TestAddTestAllocs pins what sweeping one test costs in allocations on a
-// tester with its pattern loaded: the X axis values and the cell grid, and
-// nothing per row or per strobe.
-func TestAddTestAllocs(t *testing.T) {
+// TestAddTestsOnAllocs pins what each further test of an overlay costs in
+// allocations: the X axis values and the cell grid, and nothing per row or
+// per strobe. The cost is the difference between a 20-test and a 10-test
+// overlay, so the overlay's fixed cost (the forked insertion, the per-test
+// slots) drops out.
+func TestAddTestsOnAllocs(t *testing.T) {
 	tester, gen := rig(t)
 	tester.NoiseFraction = 0.25
 	p, err := NewPlot(DefaultTDQAxis(), DefaultVddAxis())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt := gen.Next()
+	tests := gen.Batch(20)
 	var sweepErr error
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := p.AddTest(tester, tt); err != nil {
-			sweepErr = err
-		}
-	})
+	overlay := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := p.AddTestsOn(nil, tester, tests[:n], 7); err != nil {
+				sweepErr = err
+			}
+		})
+	}
+	perTest := (overlay(20) - overlay(10)) / 10
 	if sweepErr != nil {
 		t.Fatal(sweepErr)
 	}
-	t.Logf("%v allocations per test", allocs)
-	if allocs > 2 {
-		t.Errorf("AddTest allocates %v objects per test, want at most 2 (the X values and the cell grid)", allocs)
+	t.Logf("%v allocations per further test", perTest)
+	if perTest > 2 {
+		t.Errorf("each further test allocates %v objects, want at most 2 (the X values and the cell grid)", perTest)
 	}
 }
 
-func TestAddTestFuncErrorPropagates(t *testing.T) {
-	p, _ := NewPlot(DefaultTDQAxis(), DefaultVddAxis())
-	errRow := func(testgen.Test, float64, []float64, []bool) error {
-		return errSynthetic
+// TestAddTestsOnErrorPropagates: a test the device rejects stops the
+// overlay, at any fleet size, with an error naming the test and its
+// operating point. The tests before it stay merged and the failed one
+// leaves no cell, so the overlay equals an overlay of those tests alone.
+func TestAddTestsOnErrorPropagates(t *testing.T) {
+	tester, gen := rig(t)
+	good := gen.Batch(2)
+	bad := testgen.Test{
+		Name: "bad",
+		Seq:  testgen.Sequence{{Op: testgen.OpWrite, Addr: 1 << 30}},
+		Cond: testgen.NominalConditions(),
 	}
-	err := p.AddTestFunc(testgen.Test{Name: "x"}, errRow)
-	if !errors.Is(err, errSynthetic) {
-		t.Errorf("row error = %v, want the synthetic failure", err)
-	} else if msg := err.Error(); !strings.Contains(msg, "x at VDD (V) = 1.4") {
-		t.Errorf("row error %q names neither the test nor its operating point", msg)
-	}
-	if p.Tests != 0 {
-		t.Error("failed sweep counted as a test")
-	}
-
-	// A sweep that fails part-way leaves none of its cells behind: after it
-	// and one all-pass test, the overlay equals one of the good test alone.
-	rows := 0
-	failLate := func(_ testgen.Test, _ float64, _ []float64, pass []bool) error {
-		if rows++; rows > 8 {
-			return errSynthetic
-		}
-		for i := range pass {
-			pass[i] = true
-		}
-		return nil
-	}
-	allPass := func(_ testgen.Test, _ float64, _ []float64, pass []bool) error {
-		for i := range pass {
-			pass[i] = true
-		}
-		return nil
-	}
-	if err := p.AddTestFunc(testgen.Test{Name: "late"}, failLate); err == nil {
-		t.Error("late row error swallowed")
-	}
-	if err := p.AddTestFunc(testgen.Test{Name: "good"}, allPass); err != nil {
-		t.Fatal(err)
-	}
+	tests := append(slices.Clone(good), bad, gen.Next())
 	want, _ := NewPlot(DefaultTDQAxis(), DefaultVddAxis())
-	if err := want.AddTestFunc(testgen.Test{Name: "good"}, allPass); err != nil {
+	if err := want.AddTestsOn(nil, tester, good, 11); err != nil {
 		t.Fatal(err)
 	}
-	if p.Tests != want.Tests || !slices.Equal(p.passCount, want.passCount) {
-		t.Errorf("overlay after a failed sweep differs from the good test's alone (%d tests)", p.Tests)
-	}
-	if v := p.WorstCaseVariation(); v != 0 {
-		t.Errorf("worst-case variation %g ns over one all-pass test, want 0", v)
+	for _, workers := range []int{0, 3} {
+		var f *parallel.Fleet
+		if workers > 0 {
+			f = parallel.NewFleet(workers)
+			defer f.Close()
+		}
+		p, _ := NewPlot(DefaultTDQAxis(), DefaultVddAxis())
+		err := p.AddTestsOn(f, tester, tests, 11)
+		if err == nil {
+			t.Fatalf("workers=%d: the rejected test's error was swallowed", workers)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "bad at VDD (V) = 1.4") {
+			t.Errorf("workers=%d: error %q names neither the test nor its operating point", workers, msg)
+		}
+		if p.Tests != want.Tests || !slices.Equal(p.passCount, want.passCount) {
+			t.Errorf("workers=%d: overlay after a failed sweep differs from the tests before it (%d tests)", workers, p.Tests)
+		}
 	}
 }
-
-var errSynthetic = fmt.Errorf("synthetic point failure")
