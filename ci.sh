@@ -42,7 +42,7 @@ echo "== benchmark module =="
 # any race run, so a deleted or renamed test cannot silently drop out of
 # the pass.
 RACE_PARALLEL='TestStream|TestForEach|TestRun'
-RACE_CORE='TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotStream|TestProposeSeeds|TestFitnessBatch|TestTable1TraceIdentical|TestTable1Deterministic|TestMeasureTests'
+RACE_CORE='TestOptimizeDeterministic|TestOptimizeTraceIdentical|TestReplicatedDeterministic|TestScreenLotStream|TestProposeSeeds|TestFitnessBatch|TestTable1TraceIdentical|TestTable1Deterministic|TestMeasureTests|TestDrawTests'
 RACE_SHMOO='TestAddTestsOn'
 echo "== -race -run patterns =="
 # check_race_run PKG PATTERN fails unless every |-alternative of PATTERN

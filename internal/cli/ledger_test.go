@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/ate"
+	"repro/internal/cachestore"
 	"repro/internal/parallel"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
@@ -533,6 +534,44 @@ func TestLearnOnlyPrimedFromCacheDirRecordsWarm(t *testing.T) {
 	}
 	if w := rec.Manifest.CacheWarmth; w != "warm" {
 		t.Errorf("learn-only run primed from -cache-dir recorded warmth %q, want warm", w)
+	}
+}
+
+// A -cache-dir holding only a memo store that an earlier build wrote under
+// the TPV1 scope, whose keys hashed a test's vectors in one Mix chain,
+// loads nothing: the run records warmth cold, under the run ID of the same
+// run on an empty -cache-dir.
+func TestCacheDirFromEarlierMemoScopeRecordsCold(t *testing.T) {
+	const tpv1Scope uint64 = 0xb2bd69437062fc52 // characterize -seed 2's memo scope under TPV1
+	spec := FlowSpec{Flow: "optimize", Seed: 2, Args: map[string]string{"learn-tests": "20"}}
+	want := flowRunID(t, spec, func(c *Common) { c.CacheDir = filepath.Join(t.TempDir(), "cache") })
+
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	old, err := cachestore.Open(cacheDir, tpv1Scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := uint64(1); key <= 3; key++ {
+		old.PutFloat64(key, 0.5)
+	}
+	if _, err := old.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	runDir := t.TempDir()
+	id := flowRunID(t, spec, func(c *Common) { c.CacheDir, c.RunDir = cacheDir, runDir })
+	st, err := runstore.Open(runDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := rec.Manifest.CacheWarmth; w != "cold" {
+		t.Errorf("run over a TPV1 memo store recorded warmth %q, want cold", w)
+	}
+	if id != want {
+		t.Errorf("run over a TPV1 memo store recorded %s, on an empty -cache-dir %s", id, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ate"
 	"repro/internal/parallel"
@@ -46,6 +47,17 @@ type evaluator struct {
 
 	evaluations int64 // SUTP searches actually performed
 	budget      int   // full-range search cost, the per-search baseline
+
+	// The resolve state of one FitnessBatch call, kept across calls and
+	// reset by each, so a generation allocates none once an earlier one
+	// has sized it. out is the slice FitnessBatch returns.
+	out       []float64
+	groupOf   map[uint64]int // fingerprint → group, cache on
+	group     []int          // per test: the group whose value it takes, -1 for a hit
+	reps      []int          // per group: its representative (first) test
+	keys      []uint64       // per group: the representative's fingerprint, cache on
+	results   []search.Result
+	taskStats []ate.Stats
 }
 
 func newEvaluator(c *Characterizer) *evaluator {
@@ -64,6 +76,7 @@ func newEvaluator(c *Characterizer) *evaluator {
 		for k, v := range c.primed {
 			e.cache[k] = v
 		}
+		e.groupOf = map[uint64]int{}
 	}
 	return e
 }
@@ -83,40 +96,41 @@ func (e *evaluator) measureTask(wk *ate.ATE, tt testgen.Test, seed int64) (searc
 	return res, wk.Stats(), err
 }
 
-// FitnessBatch implements genetic.Evaluator.
+// FitnessBatch implements genetic.Evaluator. The returned slice is the
+// evaluator's own and valid until the next call; the GA reads it at once.
 func (e *evaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
-	out := make([]float64, len(tests))
+	out := slices.Grow(e.out[:0], len(tests))[:len(tests)]
+	e.out = out
 	fleet := e.c.Fleet()
 
 	// Resolve memoized tests and dedupe the rest by fingerprint, keeping
 	// first-appearance order so seeds and stats stay index-deterministic.
 	// With the cache disabled every test is its own group — the no-cache
 	// baseline measures every individual.
-	var (
-		reps    []int    // representative test index per group
-		keys    []uint64 // each representative's fingerprint (cache on)
-		members [][]int  // test indices sharing the representative's value
-	)
+	group := slices.Grow(e.group[:0], len(tests))[:len(tests)]
+	reps, keys := e.reps[:0], e.keys[:0]
+	clear(e.groupOf)
 	var hits int64
-	groupOf := map[uint64]int{}
 	for i := range tests {
 		if e.cache != nil {
 			fp := tests[i].Fingerprint()
 			if v, ok := e.cache[fp]; ok {
 				out[i] = v
+				group[i] = -1
 				hits++
 				continue
 			}
-			if g, ok := groupOf[fp]; ok {
-				members[g] = append(members[g], i)
+			if g, ok := e.groupOf[fp]; ok {
+				group[i] = g
 				continue
 			}
-			groupOf[fp] = len(reps)
+			e.groupOf[fp] = len(reps)
 			keys = append(keys, fp)
 		}
+		group[i] = len(reps)
 		reps = append(reps, i)
-		members = append(members, []int{i})
 	}
+	e.group, e.reps, e.keys = group, reps, keys
 	// The resolve loop above is serial, so the cache-effectiveness deltas
 	// are deterministic regardless of the worker count below.
 	if e.cache != nil {
@@ -129,13 +143,15 @@ func (e *evaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 		return out, nil
 	}
 
-	results := make([]search.Result, len(reps))
-	taskStats := make([]ate.Stats, len(reps))
+	results := slices.Grow(e.results[:0], len(reps))[:len(reps)]
+	taskStats := slices.Grow(e.taskStats[:0], len(reps))[:len(reps)]
+	e.results, e.taskStats = results, taskStats
 
 	// merge folds task t's outcome into the flow in strict task order: cost
 	// counters (float-sum order must not depend on the worker count),
-	// telemetry, memoization and fan-out to duplicate individuals, streamed
-	// from the in-order delivery while later tasks are still measuring.
+	// telemetry and memoization, streamed from the in-order delivery while
+	// later tasks are still measuring. The value lands in the
+	// representative's slot; its duplicates copy it once the batch is in.
 	merge := func(t int) {
 		e.c.ate.AddStats(taskStats[t])
 		e.c.tel().RecordSearch(results[t].Measurements, e.budget, results[t].Converged)
@@ -147,9 +163,7 @@ func (e *evaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 		if e.cache != nil {
 			e.cache[keys[t]] = v
 		}
-		for _, m := range members[t] {
-			out[m] = v
-		}
+		out[reps[t]] = v
 	}
 
 	// Establish the reference trip point serially: the full-range search
@@ -198,6 +212,11 @@ func (e *evaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
 		})
 		if err != nil {
 			return nil, err
+		}
+	}
+	for i, g := range group {
+		if g >= 0 {
+			out[i] = out[reps[g]]
 		}
 	}
 	e.taskSeq += int64(len(reps))

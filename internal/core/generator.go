@@ -28,9 +28,10 @@ type Candidate struct {
 //
 // Candidates are drawn a chunk at a time into reused buffers (drawTests),
 // and each scored chunk merges into a running top SeedCount
-// (rankCandidate), so only one chunk is ever live. Drawing is serial (the
-// generator owns one random stream), but feature extraction and the
-// surrogate scoring fan across the flow's fleet: each task encodes its
+// (rankCandidate), so at most drawChunk candidates are ever live. Drawing
+// is serial (the generator owns one random stream), but on a multi-worker
+// fleet it overlaps the previous chunk's scoring; feature extraction and
+// the surrogate scoring fan across the flow's fleet: each task encodes its
 // candidate (a pure function of the test) and votes with its worker's own
 // ensemble scratch arena (the trained weights are read-only), writing
 // severities into index-addressed slots, so the ranking is bit-identical
@@ -58,7 +59,7 @@ func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 	}
 	ranked := make([]Candidate, 0, c.cfg.SeedCount)
 	scored := make([]Candidate, min(c.cfg.CandidatePool, drawChunk))
-	err := drawTests(c.gen, c.cfg.CandidatePool, func(first int, tests []testgen.Test) error {
+	err := drawTests(f, c.gen, c.cfg.CandidatePool, func(first int, tests []testgen.Test) error {
 		err := parallel.RunOn(f, len(tests), scratchFor, func(s *neural.EnsembleScratch, i int) error {
 			pred, conf, err := ens.VoteInto(s, testgen.ExtractFeatures(tests[i], limits))
 			if err != nil {
@@ -114,32 +115,82 @@ func rankCandidate(ranked []Candidate, k int, cand Candidate) []Candidate {
 	return slices.Insert(ranked, p, cand)
 }
 
-// drawChunk is how many tests drawTests holds at once: enough tasks to keep
-// a fleet stage busy, few enough to bound a phase's live sequences.
+// drawChunk is how many test buffers drawTests keeps live: enough tasks to
+// keep a fleet stage busy, few enough to bound a phase's live sequences.
 const drawChunk = 128
 
-// drawTests draws n tests from gen, drawChunk at a time, into one chunk of
-// reused buffers of capacity MaxSequenceLen, and hands each chunk and the
-// index of its first test to use before drawing the next. The draws are
-// Next's, in order; a test is valid until use returns. Each buffer is an
-// allocation of its own, of the GA's buffer size, so the memory one phase
-// frees serves the next (one block for the whole chunk raised Table 1's
-// resident set by 3%).
-func drawTests(gen *testgen.RandomGenerator, n int, use func(first int, tests []testgen.Test) error) error {
-	chunk := make([]testgen.Test, min(n, drawChunk))
-	for i := range chunk {
-		chunk[i].Seq = make(testgen.Sequence, 0, testgen.MaxSequenceLen)
+// drawTests draws n tests from gen a chunk at a time into reused buffers of
+// capacity MaxSequenceLen, and hands each chunk and the index of its first
+// test to use. The draws are Next's, in order, and never go past n; a test
+// is valid until use returns. Each buffer is an allocation of its own, of
+// the GA's buffer size, so the memory one phase frees serves the next (one
+// block for the whole chunk raised Table 1's resident set by 3%).
+//
+// A fleet of one draws drawChunk tests inline between the calls to use. A
+// larger fleet draws half as many per chunk into two chunks of buffers:
+// chunk k+1 is drawn on a goroutine of its own while use runs chunk k, so
+// the draw overlaps chunk k's fleet stage instead of idling the workers
+// between stages, and the live buffers stay drawChunk (two full chunks
+// raised Table 1's resident set by 9%). drawTests waits for that goroutine
+// before it hands the chunk on or returns use's error. Either way use must
+// not touch gen.
+func drawTests(f *parallel.Fleet, gen *testgen.RandomGenerator, n int, use func(first int, tests []testgen.Test) error) error {
+	size := drawChunk
+	if f.Size() > 1 {
+		size = drawChunk / 2
 	}
-	for first := 0; first < n; first += len(chunk) {
-		tests := chunk[:min(len(chunk), n-first)]
-		for i := range tests {
-			tests[i] = gen.NextInto(tests[i].Seq)
+	cur := drawBuffers(min(n, size))
+	var spare []testgen.Test
+	if f.Size() > 1 && n > size {
+		spare = drawBuffers(min(n-size, size))
+	}
+	tests := drawInto(gen, cur)
+	for first := 0; first < n; first += size {
+		rest := n - first - len(tests)
+		if spare == nil || rest == 0 {
+			if err := use(first, tests); err != nil {
+				return err
+			}
+			tests = drawInto(gen, cur[:min(len(cur), rest)])
+			continue
 		}
-		if err := use(first, tests); err != nil {
+		ahead := spare[:min(len(spare), rest)]
+		if err := drawWhile(gen, ahead, func() error { return use(first, tests) }); err != nil {
 			return err
 		}
+		cur, spare, tests = spare, cur, ahead
 	}
 	return nil
+}
+
+// drawBuffers returns n tests whose sequences are empty buffers of capacity
+// MaxSequenceLen, each its own allocation.
+func drawBuffers(n int) []testgen.Test {
+	tests := make([]testgen.Test, n)
+	for i := range tests {
+		tests[i].Seq = make(testgen.Sequence, 0, testgen.MaxSequenceLen)
+	}
+	return tests
+}
+
+// drawInto draws len(tests) tests from gen into tests' buffers.
+func drawInto(gen *testgen.RandomGenerator, tests []testgen.Test) []testgen.Test {
+	for i := range tests {
+		tests[i] = gen.NextInto(tests[i].Seq)
+	}
+	return tests
+}
+
+// drawWhile runs fn while a goroutine of its own draws into tests from gen,
+// and returns fn's error once that goroutine is done, even when fn panics.
+func drawWhile(gen *testgen.RandomGenerator, tests []testgen.Test, fn func() error) error {
+	drawn := make(chan struct{})
+	go func() {
+		defer close(drawn)
+		drawInto(gen, tests)
+	}()
+	defer func() { <-drawn }()
+	return fn()
 }
 
 // SeedsForGA converts ranked candidates into GA seeds.

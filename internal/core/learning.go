@@ -46,34 +46,37 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 
 	limits := c.gen.Limits()
 	res := &LearningResult{}
-	// Measuring never touches the generator, so every test is drawn first
-	// and the pattern executions run ahead of the serial search.
-	tests := c.gen.Batch(c.cfg.LearnTests)
-	err := c.measureTests(tests, func(i int) error {
-		t := tests[i]
-		m, err := runner.Measure(t)
-		if err != nil {
-			return fmt.Errorf("core: learning measurement %d: %w", i, err)
-		}
-		tel.RecordSearch(m.Measurements, budget, m.Converged)
-		tel.RecordItem("learn-test", i+1, c.cfg.LearnTests)
-		ph.Span().Event("trip",
-			telemetry.I("i", i),
-			telemetry.F("trip", m.TripPoint),
-			telemetry.I("measurements", m.Measurements),
-			telemetry.B("converged", m.Converged),
-		)
-		if !m.Converged {
-			// Outside the generous range — skip as unlearnable, matching
-			// ATE practice of flagging range violations for re-setup.
+	// Measuring never touches the generator, so the tests are drawn a chunk
+	// at a time (drawTests) and the pattern executions run ahead of the
+	// serial search. A kept test is copied out of the chunk's buffer at its
+	// exact size.
+	err := drawTests(c.Fleet(), c.gen, c.cfg.LearnTests, func(first int, tests []testgen.Test) error {
+		return c.measureTests(tests, func(k int) error {
+			i, t := first+k, tests[k]
+			m, err := runner.Measure(t)
+			if err != nil {
+				return fmt.Errorf("core: learning measurement %d: %w", i, err)
+			}
+			tel.RecordSearch(m.Measurements, budget, m.Converged)
+			tel.RecordItem("learn-test", i+1, c.cfg.LearnTests)
+			ph.Span().Event("trip",
+				telemetry.I("i", i),
+				telemetry.F("trip", m.TripPoint),
+				telemetry.I("measurements", m.Measurements),
+				telemetry.B("converged", m.Converged),
+			)
+			if !m.Converged {
+				// Outside the generous range — skip as unlearnable, matching
+				// ATE practice of flagging range violations for re-setup.
+				return nil
+			}
+			res.Tests = append(res.Tests, t.Clone())
+			res.Dataset = append(res.Dataset, neural.Sample{
+				Input:  testgen.ExtractFeatures(t, limits),
+				Target: c.coder.Encode(m.TripPoint),
+			})
 			return nil
-		}
-		res.Tests = append(res.Tests, t)
-		res.Dataset = append(res.Dataset, neural.Sample{
-			Input:  testgen.ExtractFeatures(t, limits),
-			Target: c.coder.Encode(m.TripPoint),
 		})
-		return nil
 	})
 	if err != nil {
 		return nil, err

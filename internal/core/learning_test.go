@@ -125,6 +125,47 @@ func TestLearnProducesEnsembleAndDSV(t *testing.T) {
 	}
 }
 
+// Learn draws its tests a chunk at a time and keeps an exact-size copy of
+// each converged one: the kept tests are the reference Next stream's, in
+// order, each in a buffer of its own length, aligned with the dataset, on
+// fleets of one and two workers, each drawing several chunks.
+func TestLearnKeepsExactSizeCopies(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := quickConfig(29)
+		cfg.LearnTests, cfg.Parallelism = 2*drawChunk+44, workers
+		char, err := NewCharacterizer(cfg, newTester(t, 29))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := char.Learn()
+		char.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tests) != len(res.Dataset) || len(res.Tests) < cfg.LearnTests/2 {
+			t.Fatalf("%d workers: %d tests kept for %d samples of %d drawn", workers, len(res.Tests), len(res.Dataset), cfg.LearnTests)
+		}
+		ref := testgen.NewRandomGenerator(cfg.Seed, char.ate.Device().Geometry().Words(), testgen.DefaultConditionLimits())
+		ref.FixedConditions = cfg.FixedConditions
+		kept := 0
+		for i := 0; i < cfg.LearnTests && kept < len(res.Tests); i++ {
+			want := ref.Next()
+			got := res.Tests[kept]
+			if got.Name != want.Name {
+				continue // not converged, so not kept
+			}
+			if !sameTest(got, want) || cap(got.Seq) != len(want.Seq) {
+				t.Fatalf("%d workers: kept test %s differs from the reference draw or has capacity %d for %d vectors",
+					workers, got.Name, cap(got.Seq), len(want.Seq))
+			}
+			kept++
+		}
+		if kept != len(res.Tests) {
+			t.Fatalf("%d workers: only %d of %d kept tests follow the reference stream", workers, kept, len(res.Tests))
+		}
+	}
+}
+
 func TestLearnedNNPredictsSeverityOrdering(t *testing.T) {
 	// The trained ensemble must rank a known-benign test clearly below a
 	// known-aggressive test — the property the seed generator depends on.

@@ -368,7 +368,7 @@ const dieRecordVersion = 1
 // layout (each bumps this constant; a layout change also bumps
 // dieRecordVersion) are skipped at load instead of misread or indexed
 // where no key can hit.
-const LotCacheScope uint64 = 0x4c4f545632 // "LOTV2"
+const LotCacheScope uint64 = 0x4c4f545633 // "LOTV3"
 
 // appendDieRecord appends one die's serialized screen outcome to buf —
 // result plus the complete tester cost, so a warm run replays exact

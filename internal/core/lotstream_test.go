@@ -457,20 +457,21 @@ func TestScreenLotStreamCacheKeyedByContent(t *testing.T) {
 
 // TestContentKeysPinned pins the content hashes the disk caches key on —
 // die fingerprints, the lot and die cache keys and the memo-cache scope —
-// to the values of the word-at-a-time testgen.Mix, so a change to that mix
-// cannot silently orphan every persisted segment.
+// to the values of the word-at-a-time testgen.Mix and the four-lane test
+// fingerprint, so a change to either cannot silently orphan every
+// persisted segment.
 func TestContentKeysPinned(t *testing.T) {
 	dies := append(dut.NewDieLot(43, 3),
 		dut.NewDie(7, dut.CornerSlow, dut.WithWeakCell(0x1234, 1.62), dut.WithWeakCell(0x20, 1.55)))
 	lotKey := lotCacheKey(ate.TDQ, dut.DefaultGeometry(), lotTests(t)[:2], 43)
-	if want := uint64(0xb29159b7bbea31fc); lotKey != want {
+	if want := uint64(0x159be113ebb7ea83); lotKey != want {
 		t.Errorf("lot cache key %#x, want %#x", lotKey, want)
 	}
 	for i, want := range [][2]uint64{
-		{0xec834c43a5a3a9be, 0x22538fce6591c65d},
-		{0x534b4479309030a9, 0x3fa1faf6fd5f94d7},
-		{0xc21f42bf2354c80a, 0x0071e59b8f0d91de},
-		{0x6c6ab0fa98054fe1, 0xd58b8b12a3af13e7},
+		{0xec834c43a5a3a9be, 0x5931bc7665e3a302},
+		{0x534b4479309030a9, 0x7c633e9187ae41cd},
+		{0xc21f42bf2354c80a, 0x1984a79995d69201},
+		{0x6c6ab0fa98054fe1, 0xe7b391a8a51388fa},
 	} {
 		if fp, key := dies[i].Fingerprint(), dieCacheKey(lotKey, dies[i]); fp != want[0] || key != want[1] {
 			t.Errorf("die %d: fingerprint %#x, cache key %#x; want %#x, %#x", i, fp, key, want[0], want[1])
@@ -481,23 +482,23 @@ func TestContentKeysPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(char.Close)
-	if got, want := char.MemoCacheScope(), uint64(0xb2bdc0437064480d); got != want {
+	if got, want := char.MemoCacheScope(), uint64(0x78e536a3e572ea2c); got != want {
 		t.Errorf("memo-cache scope %#x, want %#x", got, want)
 	}
 }
 
-// A lot directory written under LOTV1, the scope whose keys went through
-// the byte-wise FNV-1a mix, opens empty under LotCacheScope and screens
-// exactly as cold: the old segment is skipped, never indexed under keys
-// nothing can hit. Its records here even carry the current keys, so only
-// the scope keeps them out.
+// A lot directory written under LOTV2, the scope whose keys hashed each
+// test's vectors in one Mix chain, opens empty under LotCacheScope and
+// screens exactly as cold: the old segment is skipped, never indexed under
+// keys nothing can hit. Its records here even carry the current keys, so
+// only the scope keeps them out.
 func TestLotStoreUnderEarlierScopeReadsCold(t *testing.T) {
-	const lotV1 uint64 = 0x4c4f545631 // "LOTV1"
+	const lotV2 uint64 = 0x4c4f545632 // "LOTV2"
 	tests := lotTests(t)[:2]
 	dies := dut.NewDieLot(41, 6)
 	geom := dut.DefaultGeometry()
 	dir := t.TempDir()
-	old, err := cachestore.Open(dir, lotV1)
+	old, err := cachestore.Open(dir, lotV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +506,7 @@ func TestLotStoreUnderEarlierScopeReadsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := old.Stats(); st.FlushedEntries != int64(len(dies)) {
-		t.Fatalf("LOTV1 store flushed %d records, want %d", st.FlushedEntries, len(dies))
+		t.Fatalf("LOTV2 store flushed %d records, want %d", st.FlushedEntries, len(dies))
 	}
 
 	store, err := cachestore.Open(dir, LotCacheScope)
@@ -513,7 +514,7 @@ func TestLotStoreUnderEarlierScopeReadsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := store.Stats(); st.LoadedEntries != 0 || st.SkippedSegments != 1 {
-		t.Fatalf("LotCacheScope over a LOTV1 directory: stats %+v, want 0 entries and the segment skipped", st)
+		t.Fatalf("LotCacheScope over a LOTV2 directory: stats %+v, want 0 entries and the segment skipped", st)
 	}
 	cold, err := ScreenLotStream(ate.TDQ, tests, dut.LotSlice(dies), geom, 41, LotOptions{RetainDies: true})
 	if err != nil {
@@ -527,7 +528,7 @@ func TestLotStoreUnderEarlierScopeReadsCold(t *testing.T) {
 		t.Errorf("hits/misses = %d/%d, want 0/%d", st.Hits, st.Misses, len(dies))
 	}
 	if warm.Format() != cold.Format() || !reflect.DeepEqual(warm, cold) {
-		t.Errorf("report over a LOTV1 directory differs from cold\n got: %s\nwant: %s", warm.Format(), cold.Format())
+		t.Errorf("report over a LOTV2 directory differs from cold\n got: %s\nwant: %s", warm.Format(), cold.Format())
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 // memoScopeTag versions the float64 memo-record family; bump alongside any
 // change to what the values mean.
-const memoScopeTag uint64 = 0x54505631 // "TPV1"
+const memoScopeTag uint64 = 0x54505632 // "TPV2"
 
 // MemoCacheScope returns the cachestore scope binding persisted memo
 // entries to this flow's content: parameter, device geometry, die identity

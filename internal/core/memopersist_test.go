@@ -101,11 +101,12 @@ func TestMemoCachePersistRoundTrip(t *testing.T) {
 	}
 }
 
-// A memo store written under the scope the byte-wise FNV-1a mix gave this
-// flow primes nothing: its fitness values are keyed by fingerprints no
-// lookup computes any more, so the run measures as cold.
+// A memo store written under this flow's TPV1 scope, whose fingerprints
+// hashed a test's vectors in one Mix chain, primes nothing: its fitness
+// values are keyed by fingerprints no lookup computes any more, so the run
+// measures as cold.
 func TestMemoStoreUnderEarlierScopePrimesNothing(t *testing.T) {
-	const fnvScope uint64 = 0x30a499707ba732f8 // MemoCacheScope of quickConfig(91) through FNV-1a
+	const tpv1Scope uint64 = 0xb2bdc0437064480d // MemoCacheScope of quickConfig(91) under TPV1
 	cfg := quickConfig(91)
 	char, err := NewCharacterizer(cfg, newTester(t, cfg.Seed))
 	if err != nil {
@@ -119,12 +120,12 @@ func TestMemoStoreUnderEarlierScopePrimesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	old, err := cachestore.Open(dir, fnvScope)
+	old, err := cachestore.Open(dir, tpv1Scope)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, err := char.PersistMemoCache(old); err != nil || n == 0 {
-		t.Fatalf("persisted %d entries under the FNV-1a scope (%v), want some", n, err)
+		t.Fatalf("persisted %d entries under the TPV1 scope (%v), want some", n, err)
 	}
 
 	fresh, err := NewCharacterizer(cfg, newTester(t, cfg.Seed))
@@ -137,10 +138,10 @@ func TestMemoStoreUnderEarlierScopePrimesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := fresh.PrimeMemoCache(store); n != 0 {
-		t.Errorf("primed %d entries from a store under the FNV-1a scope, want 0", n)
+		t.Errorf("primed %d entries from a store under the TPV1 scope, want 0", n)
 	}
 	if st := store.Stats(); st.SkippedSegments != 1 {
-		t.Errorf("store stats %+v, want the FNV-1a segment skipped", st)
+		t.Errorf("store stats %+v, want the TPV1 segment skipped", st)
 	}
 }
 

@@ -289,6 +289,7 @@ func TestMeasurementCacheMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first = slices.Clone(first) // the evaluator reuses its result slice
 	if first[5] != first[2] {
 		t.Errorf("structural duplicate measured differently: %g vs %g", first[5], first[2])
 	}
@@ -311,6 +312,39 @@ func TestMeasurementCacheMemoizes(t *testing.T) {
 	}
 	if eval.cacheHits() < int64(len(tests)) {
 		t.Errorf("cache hits = %d, want at least %d", eval.cacheHits(), len(tests))
+	}
+}
+
+// A generation the memo-cache serves whole allocates nothing once an
+// earlier generation has sized the evaluator's resolve state, and returns
+// the values the cold generation measured.
+func TestWarmGenerationAllocatesNothing(t *testing.T) {
+	cfg := quickConfig(11)
+	cfg.Parallelism = 2
+	char, err := NewCharacterizer(cfg, newTester(t, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(char.Close)
+	eval := newEvaluator(char)
+	tests := char.Generator().Batch(40)
+	tests = append(tests, tests[3].Clone(), tests[17].Clone())
+	cold, err := eval.FitnessBatch(tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold = slices.Clone(cold)
+	var warm []float64
+	allocs := testing.AllocsPerRun(10, func() {
+		if warm, err = eval.FitnessBatch(tests); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm, all-hit generation allocated %.1f times, want 0", allocs)
+	}
+	if !slices.Equal(warm, cold) {
+		t.Errorf("warm fitnesses %v, cold %v", warm, cold)
 	}
 }
 

@@ -144,7 +144,7 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	runner := trippoint.NewRunner(tester, param)
 	runnerBudget := param.SearchOptions().FullRangeBudget()
 	ranking = wcr.NewRanking(spec)
-	err = drawTests(gen, cfg.RandomTests, func(_ int, tests []testgen.Test) error {
+	err = drawTests(char.Fleet(), gen, cfg.RandomTests, func(_ int, tests []testgen.Test) error {
 		return char.measureTests(tests, func(i int) error {
 			m, err := runner.Measure(tests[i])
 			if err != nil {

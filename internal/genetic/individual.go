@@ -56,10 +56,12 @@ func (ind *Individual) Clone() *Individual {
 // ATE trip-point measurements (mapped through the WCR) across its fleet;
 // unit tests wire synthetic surfaces. The returned slice must hold one
 // fitness per test, index-aligned, and must not depend on how the
-// implementation schedules the measurements. No two tests of a call share
-// a sequence buffer, and a test's sequence is valid only until FitnessBatch
-// returns: the optimizer then recycles the buffers of dropped individuals,
-// so an implementation that keeps a test beyond the call must copy it.
+// implementation schedules the measurements; the optimizer reads it before
+// the next call, so an implementation may reuse it. No two tests of a call
+// share a sequence buffer, and a test's sequence is valid only until
+// FitnessBatch returns: the optimizer then recycles the buffers of dropped
+// individuals, so an implementation that keeps a test beyond the call must
+// copy it.
 type Evaluator interface {
 	FitnessBatch(tests []testgen.Test) ([]float64, error)
 }

@@ -1,6 +1,7 @@
 package testgen
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -150,6 +151,111 @@ func TestFingerprintOneWordEditNeverCollides(t *testing.T) {
 			if longer.Fingerprint() == fp || shorter.Fingerprint() == fp {
 				t.Fatalf("seed %d, %s: a length change kept fingerprint %#x", seed, base.Name, fp)
 			}
+		}
+	}
+}
+
+// laneFingerprint is Fingerprint as its doc defines it: the vector words in
+// stream order (address and op, then data, vector by vector), word k mixed
+// into lane k mod 4, lane 0 started from the length word and lanes 1–3
+// from MixOffset plus one, two and three golden ratios, the lanes folded
+// in order, then the condition words.
+func laneFingerprint(t Test) uint64 {
+	const golden uint64 = 0x9e3779b97f4a7c15
+	var lanes [4]uint64
+	lanes[0] = Mix(MixOffset, uint64(len(t.Seq)))
+	for k := uint64(1); k < 4; k++ {
+		lanes[k] = MixOffset + k*golden
+	}
+	k := 0
+	for _, v := range t.Seq {
+		for _, w := range [2]uint64{uint64(v.Addr) | uint64(v.Op)<<32, uint64(v.Data)} {
+			lanes[k%4] = Mix(lanes[k%4], w)
+			k++
+		}
+	}
+	h := lanes[0]
+	for _, l := range lanes[1:] {
+		h = Mix(h, l)
+	}
+	for _, c := range []float64{t.Cond.VddV, t.Cond.TempC, t.Cond.ClockMHz} {
+		h = Mix(h, math.Float64bits(c))
+	}
+	return h
+}
+
+// Fingerprint equals its lane-by-lane definition on every length from 0 to
+// 9, odd tails included, and on 400 generated tests of 100–1000 vectors.
+func TestFingerprintMatchesLaneDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for n := 0; n <= 9; n++ {
+		tt := Test{Seq: make(Sequence, n), Cond: NominalConditions()}
+		for i := range tt.Seq {
+			tt.Seq[i] = Vector{Op: OpKind(rng.Intn(3)), Addr: rng.Uint32(), Data: rng.Uint32()}
+		}
+		if got, want := tt.Fingerprint(), laneFingerprint(tt); got != want {
+			t.Fatalf("%d vectors: fingerprint %#x, lane definition %#x", n, got, want)
+		}
+	}
+	gen := NewRandomGenerator(11, 1024, DefaultConditionLimits())
+	for i := 0; i < 400; i++ {
+		tt := gen.Next()
+		if got, want := tt.Fingerprint(), laneFingerprint(tt); got != want {
+			t.Fatalf("%s (%d vectors): fingerprint %#x, lane definition %#x", tt.Name, len(tt.Seq), got, want)
+		}
+	}
+}
+
+// Swapping two adjacent, different vectors trades words between lanes 0–1
+// and lanes 2–3, whichever pair they start; the fingerprint must change.
+// Every adjacent pair of 40 generated tests.
+func TestFingerprintAdjacentSwapChangesKey(t *testing.T) {
+	gen := NewRandomGenerator(3, 1024, DefaultConditionLimits())
+	for i := 0; i < 40; i++ {
+		base := gen.Next()
+		fp := base.Fingerprint()
+		tt := base.Clone()
+		for j := 0; j+1 < len(tt.Seq); j++ {
+			if tt.Seq[j] == tt.Seq[j+1] {
+				continue
+			}
+			tt.Seq[j], tt.Seq[j+1] = tt.Seq[j+1], tt.Seq[j]
+			if tt.Fingerprint() == fp {
+				t.Fatalf("%s: swapping vectors %d and %d kept fingerprint %#x", base.Name, j, j+1, fp)
+			}
+			tt.Seq[j], tt.Seq[j+1] = tt.Seq[j+1], tt.Seq[j]
+		}
+	}
+}
+
+// In an odd-length sequence the last vector is a pair's first half: its
+// words go to lanes 0 and 1 with nothing after them in lanes 2 and 3. Each
+// of its words still changes the key, and so does appending the vector
+// that completes the pair.
+func TestFingerprintOddLengthTail(t *testing.T) {
+	gen := NewRandomGenerator(5, 1024, DefaultConditionLimits())
+	for i := 0; i < 200; i++ {
+		base := gen.Next()
+		if len(base.Seq)%2 == 0 {
+			base.Seq = base.Seq[:len(base.Seq)-1]
+		}
+		fp := base.Fingerprint()
+		last := len(base.Seq) - 1
+		for name, edit := range map[string]func(*Vector){
+			"address": func(v *Vector) { v.Addr ^= 1 },
+			"op":      func(v *Vector) { v.Op = (v.Op + 1) % 3 },
+			"data":    func(v *Vector) { v.Data ^= 1 << 31 },
+		} {
+			tt := base.Clone()
+			edit(&tt.Seq[last])
+			if tt.Fingerprint() == fp {
+				t.Fatalf("%s (%d vectors): a tail %s edit kept fingerprint %#x", base.Name, len(base.Seq), name, fp)
+			}
+		}
+		longer := base.Clone()
+		longer.Seq = append(longer.Seq, Vector{Op: OpNop})
+		if longer.Fingerprint() == fp {
+			t.Fatalf("%s (%d vectors): completing the tail pair kept fingerprint %#x", base.Name, len(base.Seq), fp)
 		}
 	}
 }
